@@ -1,0 +1,149 @@
+//! Pattern-first `Gw` assembly is bit-identical to the hash-map
+//! accumulator it replaced.
+//!
+//! [`HashAccumulator`] below is that accumulator, kept as the reference:
+//! it records every estimate in a map keyed by `(row, col)`, averages the
+//! duplicates of each directed entry, then averages the two directions of
+//! each pair through a second map. Both extraction methods feed the same
+//! estimate stream (`wavelet::extract_into`, `lowrank::Sweep::fill`) into
+//! it, and the `Gw` that `extract` / `extract_lowrank` assemble with
+//! [`GwAssembler`] must match it in indices, nnz and every `f64` bit, on
+//! seeded layouts of each family at two quadtree depths.
+
+use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use subsparse::hier::{GwAssembler, GwSink, Square};
+use subsparse::layout::{generators, Layout};
+use subsparse::linalg::{Csr, Triplets};
+use subsparse::lowrank::{LowRankOptions, Sweep};
+use subsparse::substrate::solver;
+use subsparse::wavelet::{build_basis, extract, extract_into, ExtractOptions};
+
+/// The reference: `Gw` assembled through hash maps.
+#[derive(Default)]
+struct HashAccumulator {
+    map: HashMap<(u32, u32), (f64, u32)>,
+}
+
+impl GwSink for HashAccumulator {
+    fn add(&mut self, row: usize, col: usize, value: f64) {
+        let e = self.map.entry((row as u32, col as u32)).or_insert((0.0, 0));
+        e.0 += value;
+        e.1 += 1;
+    }
+}
+
+impl HashAccumulator {
+    fn to_symmetric_csr(&self, n: usize) -> Csr {
+        let mut sym: HashMap<(u32, u32), (f64, u32)> = HashMap::new();
+        for (&(r, c), &(sum, cnt)) in &self.map {
+            let v = sum / cnt as f64;
+            let key = if r <= c { (r, c) } else { (c, r) };
+            let e = sym.entry(key).or_insert((0.0, 0));
+            e.0 += v;
+            e.1 += 1;
+        }
+        let mut t = Triplets::new(n, n);
+        for (&(r, c), &(sum, cnt)) in &sym {
+            let v = sum / cnt as f64;
+            if v == 0.0 {
+                continue;
+            }
+            t.push(r as usize, c as usize, v);
+            if r != c {
+                t.push(c as usize, r as usize, v);
+            }
+        }
+        t.to_csr()
+    }
+}
+
+fn assert_bit_identical(got: &Csr, want: &Csr, what: &str) {
+    assert_eq!(got.n_rows(), want.n_rows(), "{what}: shape");
+    assert_eq!(got.nnz(), want.nnz(), "{what}: nnz");
+    for ((i, j, a), (k, l, b)) in got.iter().zip(want.iter()) {
+        assert_eq!((i, j), (k, l), "{what}: pattern differs");
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: entry ({i},{j}) is {a}, reference {b}");
+    }
+}
+
+/// Contacts of a gapped irregular layout inside two discs: two dense
+/// clusters on an otherwise empty surface.
+fn clustered(seed: u64) -> Layout {
+    let source = generators::irregular_same_size(128.0, 32, 1.0, seed);
+    let mut out = Layout::new(128.0, 128.0);
+    for c in source.contacts() {
+        let b = c.bbox();
+        let (x, y) = ((b.x0 + b.x1) / 2.0, (b.y0 + b.y1) / 2.0);
+        if (x - 36.0).hypot(y - 40.0) < 26.0 || (x - 96.0).hypot(y - 92.0) < 20.0 {
+            out.push(c.clone());
+        }
+    }
+    out
+}
+
+/// Seeded layouts of each family, n <= 1024, with two depths each.
+fn cases() -> Vec<(&'static str, Layout, [usize; 2])> {
+    vec![
+        ("regular", generators::regular_grid(128.0, 16, 2.0), [3, 4]),
+        ("irregular", generators::irregular_same_size(128.0, 32, 1.0, 11), [3, 4]),
+        ("clustered", clustered(5), [3, 4]),
+        ("mixed-size", generators::alternating_grid(128.0, 32, 3.0, 1.5), [3, 4]),
+    ]
+}
+
+#[test]
+fn wavelet_extract_matches_hash_accumulator() {
+    for (name, layout, depths) in cases() {
+        let n = layout.n_contacts();
+        assert!(n <= 1024, "{name}: n = {n}");
+        let black_box = solver::synthetic(&layout);
+        for levels in depths {
+            let basis = build_basis(&layout, levels, 2).expect("layout fits the quadtree");
+            let options = ExtractOptions::default();
+            let mut reference = HashAccumulator::default();
+            extract_into(&black_box, &basis, &options, &mut reference);
+            let rep = extract(&black_box, &basis, &options);
+            assert_bit_identical(
+                &rep.gw,
+                &reference.to_symmetric_csr(n),
+                &format!("wavelet {name} levels {levels}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn lowrank_extract_matches_hash_accumulator() {
+    let options = LowRankOptions::default();
+    for (name, layout, depths) in cases() {
+        let black_box = solver::synthetic(&layout);
+        for levels in depths {
+            let (x, rb) = subsparse::extract_lowrank(&black_box, &layout, levels, &options)
+                .expect("layout fits the quadtree");
+            let mut reference = HashAccumulator::default();
+            Sweep::new(&rb, options.rank_tol, options.max_rank).fill(&rb, &mut reference);
+            assert_bit_identical(
+                &x.rep.gw,
+                &reference.to_symmetric_csr(layout.n_contacts()),
+                &format!("lowrank {name} levels {levels}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn an_estimate_outside_the_pattern_panics_with_its_entry() {
+    // 16 contacts per finest square: every square has W columns, and the
+    // opposite corners of the 4x4 finest level are not local
+    let layout = generators::regular_grid(128.0, 16, 2.0);
+    let basis = build_basis(&layout, 2, 2).expect("basis");
+    let (a, b) = (Square::new(2, 0, 0), Square::new(2, 3, 3));
+    let (row, col) = (basis.w_cols(a).start, basis.w_cols(b).start);
+    let mut gw = GwAssembler::new(basis.tree(), basis.root_v(), |s| basis.w_cols(s));
+    let payload = catch_unwind(AssertUnwindSafe(|| gw.add(row, col, 1.0)))
+        .expect_err("an out-of-pattern estimate must panic");
+    let message = payload.downcast_ref::<String>().expect("formatted panic message");
+    assert!(message.contains(&format!("({row}, {col})")), "panic message: {message}");
+}

@@ -1,0 +1,283 @@
+//! Pattern-first assembly of the symmetric transformed matrix `Gw`.
+//!
+//! Both extraction methods keep exactly the "not-assumed-small" entries of
+//! `Gw` (thesis §3.5, §4.4): the tiles of interactions between the basis
+//! vectors of square pairs related by [`Quadtree::local_descendants`],
+//! plus the dense rows and columns of the coarsest-level vectors. That
+//! pattern is a function of the quadtree and of the basis column layout,
+//! so [`GwAssembler`] builds it before any solve (pattern), the extraction
+//! writes each estimate into its slot (fill), and
+//! [`GwAssembler::finish`] averages, symmetrizes and compacts the slots in
+//! place (finish).
+//!
+//! The arithmetic is fixed: a directed slot holds `sum / count` of its
+//! estimates, summed in arrival order; an unordered pair holds
+//! `(a + b) / 2` of its two directed means, or the one mean that was
+//! recorded; pairs equal to `0.0` and slots without estimates are dropped.
+
+use std::ops::Range;
+
+use subsparse_linalg::{trace, Csr};
+
+use crate::tree::{Quadtree, Square};
+
+/// Receives entry estimates of `Gw` in the order an extraction produces
+/// them. [`GwAssembler`] is the sink every extraction assembles into.
+pub trait GwSink {
+    /// Records one estimate of entry `(row, col)`.
+    fn add(&mut self, row: usize, col: usize, value: f64);
+}
+
+/// The symmetric `Gw` pattern with flat per-slot estimate sums and counts
+/// aligned with it.
+#[derive(Debug)]
+pub struct GwAssembler {
+    n: usize,
+    indptr: Vec<usize>,
+    indices: Vec<u32>,
+    sums: Vec<f64>,
+    counts: Vec<u32>,
+}
+
+impl GwAssembler {
+    /// Builds the pattern of an `n x n` `Gw` (`n` = the tree's contact
+    /// count) whose columns `0..dense` are the coarsest-level vectors and
+    /// whose square `s` owns the contiguous columns `cols(s)` (empty when
+    /// it owns none).
+    ///
+    /// A dense row holds every column. A row owned by square `x` holds the
+    /// dense columns, then the columns of every square `y` with `y` in
+    /// `tree.local_descendants(x)` or `x` in `tree.local_descendants(y)`,
+    /// sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a square's columns overlap the dense columns, another
+    /// square's columns, or run past `n`.
+    pub fn new(tree: &Quadtree, dense: usize, cols: impl Fn(Square) -> Range<usize>) -> Self {
+        let _s = trace::span("extract.gw.pattern");
+        let n = tree.n_contacts();
+        let finest = tree.finest();
+        // flat id of a square across all levels
+        let level_start: Vec<usize> =
+            (0..=finest + 1).map(|l| ((1usize << (2 * l)) - 1) / 3).collect();
+        let id = |s: Square| level_start[s.level as usize] + s.flat();
+        let n_squares = level_start[finest + 1];
+
+        // every tile seen from both sides, bucketed by the row square:
+        // count, then fill
+        let for_each_tile = |f: &mut dyn FnMut(Square, Square)| {
+            for l in 0..=finest {
+                for s in tree.squares(l).filter(|&s| !cols(s).is_empty()) {
+                    for d in tree.local_descendants(s).filter(|&d| !cols(d).is_empty()) {
+                        f(s, d);
+                        if d != s {
+                            f(d, s);
+                        }
+                    }
+                }
+            }
+        };
+        let mut start = vec![0usize; n_squares + 1];
+        for_each_tile(&mut |x, _| start[id(x) + 1] += 1);
+        for i in 0..n_squares {
+            start[i + 1] += start[i];
+        }
+        let mut next = start.clone();
+        let mut tiles = vec![Square::new(0, 0, 0); start[n_squares]];
+        for_each_tile(&mut |x, y| {
+            tiles[next[id(x)]] = y;
+            next[id(x)] += 1;
+        });
+        drop(next);
+        let mut owners = Vec::new();
+        for l in 0..=finest {
+            for x in tree.squares(l) {
+                let own = cols(x);
+                if own.is_empty() {
+                    continue;
+                }
+                assert!(dense <= own.start && own.end <= n, "square {x:?} owns columns {own:?}");
+                let bucket = &mut tiles[start[id(x)]..start[id(x) + 1]];
+                bucket.sort_unstable_by_key(|&y| cols(y).start);
+                owners.push(x);
+            }
+        }
+
+        // row lengths, then the rows themselves
+        let mut indptr = vec![0usize; n + 1];
+        indptr[1..=dense].fill(n);
+        let mut row_cols: Vec<u32> = Vec::new();
+        let fill_row = |x: Square, row_cols: &mut Vec<u32>| {
+            row_cols.clear();
+            row_cols.extend(0..dense as u32);
+            // a pair related both ways (same level, local) arrives twice
+            let mut prev = None;
+            for &y in &tiles[start[id(x)]..start[id(x) + 1]] {
+                if prev != Some(y) {
+                    row_cols.extend(cols(y).map(|c| c as u32));
+                    prev = Some(y);
+                }
+            }
+        };
+        for &x in &owners {
+            fill_row(x, &mut row_cols);
+            for r in cols(x) {
+                assert_eq!(indptr[r + 1], 0, "row {r} is owned twice");
+                indptr[r + 1] = row_cols.len();
+            }
+        }
+        for r in 0..n {
+            indptr[r + 1] += indptr[r];
+        }
+        let mut indices = vec![0u32; indptr[n]];
+        for r in 0..dense {
+            for (slot, c) in indices[indptr[r]..indptr[r + 1]].iter_mut().zip(0u32..) {
+                *slot = c;
+            }
+        }
+        for &x in &owners {
+            fill_row(x, &mut row_cols);
+            for r in cols(x) {
+                indices[indptr[r]..indptr[r + 1]].copy_from_slice(&row_cols);
+            }
+        }
+        let slots = indices.len();
+        GwAssembler { n, indptr, indices, sums: vec![0.0; slots], counts: vec![0; slots] }
+    }
+
+    /// Slot of entry `(row, col)`, if the pattern holds it.
+    fn slot(&self, row: usize, col: usize) -> Option<usize> {
+        let (a, b) = (*self.indptr.get(row)?, *self.indptr.get(row + 1)?);
+        let col = u32::try_from(col).ok()?;
+        self.indices[a..b].binary_search(&col).ok().map(|k| a + k)
+    }
+
+    /// Averages, symmetrizes and compacts the slots in place (see the
+    /// module docs for the arithmetic) and returns the `n x n` `Gw`.
+    pub fn finish(self) -> Csr {
+        let _s = trace::span("extract.gw.finish");
+        let GwAssembler { n, mut indptr, mut indices, mut sums, mut counts } = self;
+        let mean = |sum: f64, count: u32| (count > 0).then(|| sum / count as f64);
+        // each pair's value into both of its slots, walking the upper
+        // triangle; `counts` becomes the keep flag
+        for r in 0..n {
+            for k in indptr[r]..indptr[r + 1] {
+                let c = indices[k] as usize;
+                if c < r {
+                    continue;
+                }
+                let m = if c == r {
+                    k
+                } else {
+                    let mirror = indices[indptr[c]..indptr[c + 1]].binary_search(&(r as u32));
+                    indptr[c] + mirror.expect("the Gw pattern is symmetric")
+                };
+                let a = mean(sums[k], counts[k]);
+                let v = if m == k {
+                    a
+                } else {
+                    match (a, mean(sums[m], counts[m])) {
+                        (Some(a), Some(b)) => Some((a + b) / 2.0),
+                        (v, None) | (None, v) => v,
+                    }
+                };
+                let keep = u32::from(v.is_some_and(|v| v != 0.0));
+                (sums[k], sums[m]) = (v.unwrap_or(0.0), v.unwrap_or(0.0));
+                (counts[k], counts[m]) = (keep, keep);
+            }
+        }
+        let mut kept = 0;
+        let mut start = 0;
+        for r in 0..n {
+            let end = indptr[r + 1];
+            for k in start..end {
+                if counts[k] != 0 {
+                    indices[kept] = indices[k];
+                    sums[kept] = sums[k];
+                    kept += 1;
+                }
+            }
+            start = end;
+            indptr[r + 1] = kept;
+        }
+        drop(counts);
+        indices.truncate(kept);
+        indices.shrink_to_fit();
+        sums.truncate(kept);
+        sums.shrink_to_fit();
+        Csr::from_parts(n, n, indptr, indices, sums)
+    }
+}
+
+impl GwSink for GwAssembler {
+    /// Adds `value` to the slot of `(row, col)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the missed `(row, col)` if the pattern has no such slot.
+    #[inline]
+    fn add(&mut self, row: usize, col: usize, value: f64) {
+        let Some(k) = self.slot(row, col) else {
+            panic!("Gw estimate ({row}, {col}) lies outside the assembly pattern");
+        };
+        self.sums[k] += value;
+        self.counts[k] += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use subsparse_layout::generators;
+
+    /// 16 contacts on a 4x4 finest level: column 0 is dense, finest square
+    /// `f` (flat index) owns column `f` for `f >= 1`.
+    fn assembler() -> GwAssembler {
+        let tree = Quadtree::new(&generators::regular_grid(128.0, 4, 2.0), 2).unwrap();
+        GwAssembler::new(&tree, 1, |s| match (s.level, s.flat()) {
+            (2, f) if f >= 1 => f..f + 1,
+            _ => 0..0,
+        })
+    }
+
+    #[test]
+    fn pattern_is_dense_rows_plus_local_tiles() {
+        let gw = assembler();
+        // column 0 of 16 rows and row 0 of 16 columns, minus the shared
+        // diagonal, plus each of squares 1..16's local squares except
+        // square 0 (counted in the dense column)
+        let local_pairs: usize = (1..16)
+            .map(|f| Square::new(2, f % 4, f / 4))
+            .map(|s| (1..16).filter(|&g| s.is_local(&Square::new(2, g % 4, g / 4))).count())
+            .sum();
+        assert_eq!(gw.indices.len(), 16 + 15 + local_pairs);
+        assert!(gw.slot(3, 12).is_none(), "squares (3,0) and (0,3) are not local");
+        assert!(gw.slot(5, 10).is_some() && gw.slot(10, 5).is_some());
+    }
+
+    #[test]
+    fn finish_averages_and_symmetrizes() {
+        let mut gw = assembler();
+        gw.add(1, 2, 2.0);
+        gw.add(1, 2, 4.0); // duplicate: averages to 3.0
+        gw.add(2, 1, 5.0); // opposite direction: pair mean (3+5)/2 = 4
+        gw.add(7, 7, 7.0);
+        gw.add(0, 5, 1.5); // one direction only: kept as is
+        gw.add(5, 6, 1.0);
+        gw.add(6, 5, -1.0); // pair mean exactly 0: dropped
+        gw.add(9, 9, 0.0); // zero estimate: dropped
+        let m = gw.finish();
+        assert_eq!(m.nnz(), 5);
+        let d = m.to_dense();
+        assert_eq!((d[(1, 2)], d[(2, 1)]), (4.0, 4.0));
+        assert_eq!(d[(7, 7)], 7.0);
+        assert_eq!((d[(0, 5)], d[(5, 0)]), (1.5, 1.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "Gw estimate (3, 12) lies outside the assembly pattern")]
+    fn add_outside_the_pattern_panics_with_the_entry() {
+        assembler().add(3, 12, 1.0);
+    }
+}

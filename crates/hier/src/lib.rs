@@ -6,6 +6,9 @@
 //!   traversals (§4.3, Fig 4-4).
 //! * [`moments`] — polynomial moments of contact voltage functions and
 //!   moment translation between square centers (§3.2.1, §3.4.2).
+//! * [`assembly`] — pattern-first assembly of `Gw`: the symmetric
+//!   pattern built from the quadtree before any solve, filled in place by
+//!   the extractions, averaged and symmetrized by [`GwAssembler::finish`].
 //! * [`rep`] — the `G ~ Q Gw Q'` representation both methods produce, with
 //!   thresholding helpers (§3.7, §4.6), served through the
 //!   [`CouplingOp`](subsparse_linalg::CouplingOp) trait.
@@ -13,11 +16,13 @@
 //!   form of the change of basis, the serving path that makes the sparse
 //!   representation actually faster to apply than the dense matrix.
 
+pub mod assembly;
 pub mod fwt;
 pub mod moments;
 pub mod rep;
 pub mod tree;
 
+pub use assembly::{GwAssembler, GwSink};
 pub use fwt::{FastWaveletTransform, FwtLevel, FwtLevelExec, FwtNode};
-pub use rep::{BasisRep, ModelLoadError, SymmetricAccumulator, FORMAT_VERSION};
+pub use rep::{BasisRep, ModelLoadError, FORMAT_VERSION};
 pub use tree::{HierError, Quadtree, Square};

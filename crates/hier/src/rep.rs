@@ -30,11 +30,6 @@ use subsparse_linalg::{faults, trace, ApplyWorkspace, CouplingOp, Csr, Mat, Trip
 
 use crate::fwt::{FastWaveletTransform, FwtLevelExec};
 
-// Generic sparse assembly lives next to `Triplets` in `linalg`; re-exported
-// here because the extraction pipelines historically imported it from this
-// module.
-pub use subsparse_linalg::SymmetricAccumulator;
-
 /// Serialization format version written into (and checked from) the
 /// model files [`BasisRep::save`] produces. Bump when the on-disk layout
 /// changes; loaders reject files stamped with a newer version instead of

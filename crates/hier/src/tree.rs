@@ -274,6 +274,27 @@ impl Quadtree {
         out
     }
 
+    /// Every square on levels `s.level..=finest` whose ancestor at
+    /// `s`'s level is local to `s`: each local square `t` in
+    /// [`local`](Self::local) order, then `t`'s descendants level by level,
+    /// row-major within a level.
+    ///
+    /// These are the destination squares whose basis vectors keep their
+    /// interactions with `s`'s in `Gw` (thesis eq. 3.25): the tiles of
+    /// the "not-assumed-small" pattern. Interactions with coarser squares
+    /// are the same tiles seen from the other side.
+    pub fn local_descendants(&self, s: Square) -> impl Iterator<Item = Square> {
+        let (l, finest) = (s.level as usize, self.finest());
+        self.local(s).into_iter().flat_map(move |t| {
+            (l..=finest).flat_map(move |lp| {
+                let shift = lp - l;
+                let (x0, y0) = ((t.ix as usize) << shift, (t.iy as usize) << shift);
+                let k = 1usize << shift;
+                (0..k * k).map(move |i| Square::new(lp, x0 + i % k, y0 + i / k))
+            })
+        })
+    }
+
     /// The *interactive* squares of `s` (thesis Fig 4-4): same-level
     /// squares separated from `s` by at least one square whose parents are
     /// local to `s`'s parent. Empty for levels 0 and 1.
@@ -358,6 +379,21 @@ mod tests {
         assert_eq!(t.local(Square::new(3, 0, 0)).len(), 4); // corner
         assert_eq!(t.local(Square::new(3, 3, 0)).len(), 6); // edge
         assert_eq!(t.local(Square::new(3, 3, 3)).len(), 9); // interior
+    }
+
+    #[test]
+    fn local_descendants_cover_local_subtrees() {
+        let t = tree8();
+        // corner square on level 1: itself plus three neighbors, each with
+        // 4 + 16 descendants below
+        let s = Square::new(1, 0, 0);
+        let d: Vec<Square> = t.local_descendants(s).collect();
+        assert_eq!(d.len(), 4 * (1 + 4 + 16));
+        assert!(d.iter().all(|q| q.level >= 1 && s.is_local(&q.ancestor(1))));
+        assert_eq!(d[..2], [s, Square::new(2, 0, 0)]);
+        // the finest level has no descendants: just the local squares
+        let f = Square::new(3, 3, 3);
+        assert_eq!(t.local_descendants(f).collect::<Vec<_>>(), t.local(f));
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //! * [`tridiag`] — Thomas-algorithm tridiagonal solves (fast-Poisson
 //!   preconditioner).
 //! * [`sparse`] — CSR matrices for the change-of-basis matrix `Q` and the
-//!   sparsified conductance matrix `Gw`, plus the symmetric assembly
-//!   accumulator.
+//!   sparsified conductance matrix `Gw`.
 //! * [`op`] — the [`CouplingOp`] serving layer: one zero-allocation,
 //!   blocked apply path over every operator representation.
 //! * [`exec`] — the persistent parked-worker [`Executor`] every
@@ -65,5 +64,5 @@ pub use cg::{cg, pcg, pcg_with, CgResult, CgScratch, IdentityPrecond, LinOp};
 pub use exec::Executor;
 pub use mat::{axpy, dot, nrm2, Mat};
 pub use op::{resolve_threads, ApplyError, ApplyWorkspace, CouplingOp, LowRankOp, ParallelApply};
-pub use sparse::{Csr, SymmetricAccumulator, Triplets};
+pub use sparse::{Csr, Triplets};
 pub use svd::{svd, Svd};

@@ -5,8 +5,6 @@
 //! (`O(n log n)` apply, sparsity factors in Tables 3.1/4.1–4.3) are
 //! measured on these.
 
-use std::collections::HashMap;
-
 use crate::kernels;
 use crate::mat::Mat;
 
@@ -56,8 +54,11 @@ impl Triplets {
     }
 
     /// Converts to CSR, summing duplicates.
-    pub fn to_csr(&self) -> Csr {
-        let mut ents = self.entries.clone();
+    ///
+    /// Consumes the triplets and sorts them in place, so the conversion
+    /// never holds a second copy of the entries.
+    pub fn to_csr(self) -> Csr {
+        let mut ents = self.entries;
         ents.sort_unstable_by_key(|&(r, c, _)| ((r as u64) << 32) | c as u64);
         let mut indptr = vec![0usize; self.n_rows + 1];
         let mut indices = Vec::with_capacity(ents.len());
@@ -107,6 +108,38 @@ impl Csr {
             indices: (0..n as u32).collect(),
             data: vec![1.0; n],
         }
+    }
+
+    /// Wraps already-compressed arrays: row `i` holds columns
+    /// `indices[indptr[i]..indptr[i + 1]]` with values `data[..]` at the
+    /// same positions.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `indptr` has `n_rows + 1` nondecreasing offsets from
+    /// 0 to `indices.len() == data.len()` and every row's columns are
+    /// strictly increasing and below `n_cols`.
+    pub fn from_parts(
+        n_rows: usize,
+        n_cols: usize,
+        indptr: Vec<usize>,
+        indices: Vec<u32>,
+        data: Vec<f64>,
+    ) -> Self {
+        assert_eq!(indptr.len(), n_rows + 1, "csr indptr length");
+        assert_eq!(indptr[0], 0, "csr indptr must start at 0");
+        assert_eq!(indptr[n_rows], indices.len(), "csr indptr must end at nnz");
+        assert_eq!(indices.len(), data.len(), "csr indices/data length mismatch");
+        for w in indptr.windows(2) {
+            assert!(w[0] <= w[1], "csr indptr must be nondecreasing");
+            let cols = &indices[w[0]..w[1]];
+            assert!(cols.windows(2).all(|c| c[0] < c[1]), "csr row columns must be increasing");
+            assert!(
+                cols.last().map_or(true, |&c| (c as usize) < n_cols),
+                "csr column out of range"
+            );
+        }
+        Csr { n_rows, n_cols, indptr, indices, data }
     }
 
     /// Builds a CSR matrix from a dense one, keeping entries with
@@ -430,70 +463,6 @@ impl Csr {
     }
 }
 
-/// Accumulates entry estimates for a symmetric sparse matrix, averaging
-/// duplicates.
-///
-/// Assembly pipelines often compute some entries more than once (once per
-/// direction of a symmetric pair, or from overlapping groups of estimates);
-/// averaging the estimates and then symmetrizing `(A + A')/2` turns them
-/// into one consistent symmetric [`Csr`]. It sits here next to
-/// [`Triplets`] because it is generic sparse assembly — in the substrate
-/// pipelines it implements the thesis's "filled in by symmetry of G" step,
-/// but nothing about it is specific to basis representations.
-#[derive(Clone, Debug, Default)]
-pub struct SymmetricAccumulator {
-    map: HashMap<(u32, u32), (f64, u32)>,
-}
-
-impl SymmetricAccumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one estimate of entry `(row, col)`.
-    pub fn add(&mut self, row: usize, col: usize, value: f64) {
-        let e = self.map.entry((row as u32, col as u32)).or_insert((0.0, 0));
-        e.0 += value;
-        e.1 += 1;
-    }
-
-    /// Number of distinct `(row, col)` positions recorded.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Builds the symmetrized `n x n` CSR matrix: duplicates averaged, then
-    /// each unordered pair `(i, j)` set to the mean of its two directions.
-    pub fn to_symmetric_csr(&self, n: usize) -> Csr {
-        let mut sym: HashMap<(u32, u32), (f64, u32)> = HashMap::new();
-        for (&(r, c), &(sum, cnt)) in &self.map {
-            let v = sum / cnt as f64;
-            let key = if r <= c { (r, c) } else { (c, r) };
-            let e = sym.entry(key).or_insert((0.0, 0));
-            e.0 += v;
-            e.1 += 1;
-        }
-        let mut t = Triplets::new(n, n);
-        for (&(r, c), &(sum, cnt)) in &sym {
-            let v = sum / cnt as f64;
-            if v == 0.0 {
-                continue;
-            }
-            t.push(r as usize, c as usize, v);
-            if r != c {
-                t.push(c as usize, r as usize, v);
-            }
-        }
-        t.to_csr()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -585,21 +554,5 @@ mod tests {
                 assert_eq!(yt[(i, j)], serial[i]);
             }
         }
-    }
-
-    #[test]
-    fn symmetric_accumulator_averages_and_symmetrizes() {
-        let mut acc = SymmetricAccumulator::new();
-        assert!(acc.is_empty());
-        acc.add(0, 1, 2.0);
-        acc.add(0, 1, 4.0); // duplicate: averages to 3.0
-        acc.add(1, 0, 5.0); // opposite direction: pair mean (3+5)/2 = 4
-        acc.add(2, 2, 7.0);
-        assert_eq!(acc.len(), 3);
-        let m = acc.to_symmetric_csr(3).to_dense();
-        assert_eq!(m[(0, 1)], 4.0);
-        assert_eq!(m[(1, 0)], 4.0);
-        assert_eq!(m[(2, 2)], 7.0);
-        assert_eq!(m[(0, 0)], 0.0);
     }
 }

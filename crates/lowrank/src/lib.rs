@@ -44,7 +44,7 @@ pub mod rowbasis;
 pub mod sweep;
 
 pub use rowbasis::{build_row_basis, RowBasisRep};
-pub use sweep::{to_basis_rep, to_basis_rep_with};
+pub use sweep::{to_basis_rep, to_basis_rep_with, Sweep};
 
 use subsparse_hier::{BasisRep, HierError};
 use subsparse_layout::Layout;

@@ -13,10 +13,12 @@
 //! columns. No black-box solves are needed — everything is computed from
 //! the phase-1 row-basis representation.
 
-use subsparse_hier::{BasisRep, Quadtree, Square, SymmetricAccumulator};
+use std::ops::Range;
+
+use subsparse_hier::{BasisRep, GwAssembler, GwSink, Quadtree, Square};
 use subsparse_linalg::qr::orthonormal_completion;
 use subsparse_linalg::svd::svd;
-use subsparse_linalg::{trace, Mat, Triplets};
+use subsparse_linalg::{trace, Csr, Mat, Triplets};
 
 use crate::rowbasis::{RowBasisRep, SquareData};
 
@@ -65,219 +67,257 @@ pub fn to_basis_rep(rb: &RowBasisRep) -> BasisRep {
 }
 
 /// [`to_basis_rep`] with explicit rank-truncation parameters.
+///
+/// Pattern, fill, finish: once the sweep has fixed every square's `Q`
+/// columns, the kept pattern of `Gw` is built from the quadtree,
+/// [`Sweep::fill`] writes each entry estimate into its slot, and
+/// [`GwAssembler::finish`] symmetrizes it in place.
 pub fn to_basis_rep_with(rb: &RowBasisRep, rank_tol: f64, max_rank: usize) -> BasisRep {
     let _s = trace::span("extract.lowrank.sweep");
-    let tree = rb.tree();
-    let n = rb.n();
-    let finest = tree.finest();
-    let mut sweep: Vec<Vec<SweepSquare>> =
-        (0..=finest).map(|l| vec![SweepSquare::empty(); tree.side(l) * tree.side(l)]).collect();
+    let sweep = Sweep::new(rb, rank_tol, max_rank);
+    let mut gw = GwAssembler::new(rb.tree(), sweep.root_u, |s| sweep.t_cols(s));
+    sweep.fill(rb, &mut gw);
+    BasisRep::new(sweep.q, gw.finish())
+}
 
-    // ---- finest level: U = V, T = W, responses from the explicit blocks
-    for s in tree.squares(finest) {
-        let cs = tree.contacts_in_square(s);
-        if cs.is_empty() {
-            continue;
-        }
-        let sd = &rb.squares[finest][s.flat()];
-        let fl = &rb.finest_local[s.flat()];
-        let u = sd.v.clone();
-        let t = fl.w.clone();
-        let tu = t.hcat(&u);
-        let resp = fl.g_local.matmul(&tu);
-        sweep[finest][s.flat()] = SweepSquare {
-            u,
-            t,
-            resp,
-            l_contacts: fl.l_contacts.clone(),
-            t_col_start: usize::MAX,
-            u_col_start: usize::MAX,
-        };
-    }
+/// The sweep's per-square `U`/`T` bases and the orthogonal `Q` they form:
+/// everything [`to_basis_rep_with`] needs before it fills `Gw`.
+#[derive(Debug)]
+pub struct Sweep {
+    /// `[level][flat square]`
+    squares: Vec<Vec<SweepSquare>>,
+    /// Number of coarsest-level `U` columns (they occupy `0..root_u`).
+    root_u: usize,
+    q: Csr,
+}
 
-    // ---- coarser levels
-    for lev in (ROOT_LEVEL..finest).rev() {
-        for p in tree.squares(lev) {
-            let pcs = tree.contacts_in_square(p);
-            if pcs.is_empty() {
+impl Sweep {
+    /// Runs the fine-to-coarse sweep over a phase-1 row basis and
+    /// assembles `Q`.
+    pub fn new(rb: &RowBasisRep, rank_tol: f64, max_rank: usize) -> Self {
+        let tree = rb.tree();
+        let n = rb.n();
+        let finest = tree.finest();
+        let mut sweep: Vec<Vec<SweepSquare>> =
+            (0..=finest).map(|l| vec![SweepSquare::empty(); tree.side(l) * tree.side(l)]).collect();
+
+        // ---- finest level: U = V, T = W, responses from the explicit blocks
+        for s in tree.squares(finest) {
+            let cs = tree.contacts_in_square(s);
+            if cs.is_empty() {
                 continue;
             }
-            let (x, child_cols) = child_u_block(tree, &sweep[lev + 1], p);
-            if x.n_cols() == 0 {
-                continue;
-            }
-            // A = G_{I_p,p} X  via the level-`lev` row-basis interaction
-            let i_contacts = tree.region_contacts(&tree.interactive(p));
-            let (u_coef, t_coef) = if i_contacts.is_empty() {
-                // nothing to judge against: conservatively pass everything up
-                (Mat::identity(x.n_cols()), Mat::zeros(x.n_cols(), 0))
-            } else {
-                let mut a = Mat::zeros(i_contacts.len(), x.n_cols());
-                for j in 0..x.n_cols() {
-                    let col = interactive_response(rb, tree, p, x.col(j), &i_contacts);
-                    a.col_mut(j).copy_from_slice(&col);
-                }
-                let f = svd(&a);
-                let r = f.rank(rank_tol, Some(max_rank));
-                let u_coef = f.v.col_block(0, r);
-                let t_coef = orthonormal_completion(&u_coef);
-                (u_coef, t_coef)
-            };
-            let u = x.matmul(&u_coef);
-            let t = x.matmul(&t_coef);
-            // local responses to [T | U] from the children's data
-            let l_contacts = tree.region_contacts(&tree.local(p));
+            let sd = &rb.squares[finest][s.flat()];
+            let fl = &rb.finest_local[s.flat()];
+            let u = sd.v.clone();
+            let t = fl.w.clone();
             let tu = t.hcat(&u);
-            let mut resp = Mat::zeros(l_contacts.len(), tu.n_cols());
-            for j in 0..tu.n_cols() {
-                let col = parent_local_response(
-                    rb,
-                    tree,
-                    &sweep[lev + 1],
-                    p,
-                    &child_cols,
-                    tu.col(j),
-                    &l_contacts,
-                );
-                resp.col_mut(j).copy_from_slice(&col);
-            }
-            sweep[lev][p.flat()] = SweepSquare {
+            let resp = fl.g_local.matmul(&tu);
+            sweep[finest][s.flat()] = SweepSquare {
                 u,
                 t,
                 resp,
-                l_contacts,
+                l_contacts: fl.l_contacts.clone(),
                 t_col_start: usize::MAX,
                 u_col_start: usize::MAX,
             };
         }
-    }
 
-    // ---- assign global Q columns: root U first, then T level by level in
-    // quadrant-hierarchical order (matches the wavelet spy-plot ordering)
-    let mut next_col = 0;
-    for s in tree.squares_morton(ROOT_LEVEL) {
-        let sq = &mut sweep[ROOT_LEVEL][s.flat()];
-        if sq.u.n_cols() > 0 {
-            sq.u_col_start = next_col;
-            next_col += sq.u.n_cols();
-        }
-    }
-    for l in ROOT_LEVEL..=finest {
-        for s in tree.squares_morton(l) {
-            let sq = &mut sweep[l][s.flat()];
-            if sq.t.n_cols() > 0 {
-                sq.t_col_start = next_col;
-                next_col += sq.t.n_cols();
+        // ---- coarser levels
+        for lev in (ROOT_LEVEL..finest).rev() {
+            for p in tree.squares(lev) {
+                let pcs = tree.contacts_in_square(p);
+                if pcs.is_empty() {
+                    continue;
+                }
+                let (x, child_cols) = child_u_block(tree, &sweep[lev + 1], p);
+                if x.n_cols() == 0 {
+                    continue;
+                }
+                // A = G_{I_p,p} X  via the level-`lev` row-basis interaction
+                let i_contacts = tree.region_contacts(&tree.interactive(p));
+                let (u_coef, t_coef) = if i_contacts.is_empty() {
+                    // nothing to judge against: conservatively pass everything up
+                    (Mat::identity(x.n_cols()), Mat::zeros(x.n_cols(), 0))
+                } else {
+                    let mut a = Mat::zeros(i_contacts.len(), x.n_cols());
+                    for j in 0..x.n_cols() {
+                        let col = interactive_response(rb, tree, p, x.col(j), &i_contacts);
+                        a.col_mut(j).copy_from_slice(&col);
+                    }
+                    let f = svd(&a);
+                    let r = f.rank(rank_tol, Some(max_rank));
+                    let u_coef = f.v.col_block(0, r);
+                    let t_coef = orthonormal_completion(&u_coef);
+                    (u_coef, t_coef)
+                };
+                let u = x.matmul(&u_coef);
+                let t = x.matmul(&t_coef);
+                // local responses to [T | U] from the children's data
+                let l_contacts = tree.region_contacts(&tree.local(p));
+                let tu = t.hcat(&u);
+                let mut resp = Mat::zeros(l_contacts.len(), tu.n_cols());
+                for j in 0..tu.n_cols() {
+                    let col = parent_local_response(
+                        rb,
+                        tree,
+                        &sweep[lev + 1],
+                        p,
+                        &child_cols,
+                        tu.col(j),
+                        &l_contacts,
+                    );
+                    resp.col_mut(j).copy_from_slice(&col);
+                }
+                sweep[lev][p.flat()] = SweepSquare {
+                    u,
+                    t,
+                    resp,
+                    l_contacts,
+                    t_col_start: usize::MAX,
+                    u_col_start: usize::MAX,
+                };
             }
         }
-    }
-    assert_eq!(next_col, n, "sweep basis must have exactly n columns");
 
-    // ---- assemble Q
-    let mut trip = Triplets::new(n, n);
-    for l in ROOT_LEVEL..=finest {
-        for s in tree.squares(l) {
-            let sq = &sweep[l][s.flat()];
-            let cs = tree.contacts_in_square(s);
-            if l == ROOT_LEVEL && sq.u.n_cols() > 0 {
-                for j in 0..sq.u.n_cols() {
+        // ---- assign global Q columns: root U first, then T level by level in
+        // quadrant-hierarchical order (matches the wavelet spy-plot ordering)
+        let mut next_col = 0;
+        for s in tree.squares_morton(ROOT_LEVEL) {
+            let sq = &mut sweep[ROOT_LEVEL][s.flat()];
+            if sq.u.n_cols() > 0 {
+                sq.u_col_start = next_col;
+                next_col += sq.u.n_cols();
+            }
+        }
+        let root_u = next_col;
+        for l in ROOT_LEVEL..=finest {
+            for s in tree.squares_morton(l) {
+                let sq = &mut sweep[l][s.flat()];
+                if sq.t.n_cols() > 0 {
+                    sq.t_col_start = next_col;
+                    next_col += sq.t.n_cols();
+                }
+            }
+        }
+        assert_eq!(next_col, n, "sweep basis must have exactly n columns");
+
+        // ---- assemble Q
+        let mut trip = Triplets::new(n, n);
+        for l in ROOT_LEVEL..=finest {
+            for s in tree.squares(l) {
+                let sq = &sweep[l][s.flat()];
+                let cs = tree.contacts_in_square(s);
+                if l == ROOT_LEVEL && sq.u.n_cols() > 0 {
+                    for j in 0..sq.u.n_cols() {
+                        for (r, &ci) in cs.iter().enumerate() {
+                            trip.push(ci as usize, sq.u_col_start + j, sq.u[(r, j)]);
+                        }
+                    }
+                }
+                for j in 0..sq.t.n_cols() {
                     for (r, &ci) in cs.iter().enumerate() {
-                        trip.push(ci as usize, sq.u_col_start + j, sq.u[(r, j)]);
+                        trip.push(ci as usize, sq.t_col_start + j, sq.t[(r, j)]);
                     }
                 }
             }
-            for j in 0..sq.t.n_cols() {
-                for (r, &ci) in cs.iter().enumerate() {
-                    trip.push(ci as usize, sq.t_col_start + j, sq.t[(r, j)]);
-                }
-            }
+        }
+        let q = trip.to_csr();
+        Sweep { squares: sweep, root_u, q }
+    }
+
+    /// The contiguous `Q` columns of a square's `T` vectors (empty when it
+    /// has none).
+    fn t_cols(&self, s: Square) -> Range<usize> {
+        let sq = &self.squares[s.level as usize][s.flat()];
+        match sq.t.n_cols() {
+            0 => 0..0,
+            t => sq.t_col_start..sq.t_col_start + t,
         }
     }
-    let q = trip.to_csr();
 
-    // ---- fill Gw
-    let mut acc = SymmetricAccumulator::new();
-    // local T-T interactions, same and finer destination levels
-    for l in ROOT_LEVEL..=finest {
-        for s in tree.squares(l) {
-            let sq = &sweep[l][s.flat()];
-            let ts = sq.t.n_cols();
-            if ts == 0 {
-                continue;
-            }
-            for qsq in tree.local(s) {
-                for lp in l..=finest {
-                    let shift = lp - l;
-                    let (x0, y0) = ((qsq.ix as usize) << shift, (qsq.iy as usize) << shift);
-                    for dy in 0..(1usize << shift) {
-                        for dx in 0..(1usize << shift) {
-                            let d = Square::new(lp, x0 + dx, y0 + dy);
-                            let dsq = &sweep[lp][d.flat()];
-                            let td = dsq.t.n_cols();
-                            if td == 0 {
-                                continue;
+    /// Records every estimate of a `Gw` entry in `sink`, in sweep order:
+    /// the local `T`–`T` tiles between each square and its
+    /// [`local_descendants`](Quadtree::local_descendants), once in each
+    /// direction, then the dense rows and columns of the coarsest `U`
+    /// vectors. `rb` must be the row basis the sweep was built from.
+    pub fn fill<K: GwSink + ?Sized>(&self, rb: &RowBasisRep, sink: &mut K) {
+        let tree = rb.tree();
+        let n = rb.n();
+        let finest = tree.finest();
+        let sweep = &self.squares;
+        let q = &self.q;
+        // local T-T interactions, same and finer destination levels
+        for l in ROOT_LEVEL..=finest {
+            for s in tree.squares(l) {
+                let sq = &sweep[l][s.flat()];
+                let ts = sq.t.n_cols();
+                if ts == 0 {
+                    continue;
+                }
+                for d in tree.local_descendants(s) {
+                    let dsq = &sweep[d.level as usize][d.flat()];
+                    let td = dsq.t.n_cols();
+                    if td == 0 {
+                        continue;
+                    }
+                    let dcs = tree.contacts_in_square(d);
+                    // rows of s's resp at d's contacts
+                    let rows: Vec<usize> = dcs
+                        .iter()
+                        .map(|&ci| {
+                            sq.l_contacts
+                                .binary_search(&ci)
+                                .expect("descendant contacts lie in L_s region")
+                        })
+                        .collect();
+                    for mj in 0..ts {
+                        let src_col = sq.t_col_start + mj;
+                        for mi in 0..td {
+                            let mut v = 0.0;
+                            for (r, &row) in rows.iter().enumerate() {
+                                v += dsq.t[(r, mi)] * sq.resp[(row, mj)];
                             }
-                            let dcs = tree.contacts_in_square(d);
-                            // rows of s's resp at d's contacts
-                            let rows: Vec<usize> = dcs
-                                .iter()
-                                .map(|&ci| {
-                                    sq.l_contacts
-                                        .binary_search(&ci)
-                                        .expect("descendant contacts lie in L_s region")
-                                })
-                                .collect();
-                            for mj in 0..ts {
-                                let src_col = sq.t_col_start + mj;
-                                for mi in 0..td {
-                                    let mut v = 0.0;
-                                    for (r, &row) in rows.iter().enumerate() {
-                                        v += dsq.t[(r, mi)] * sq.resp[(row, mj)];
-                                    }
-                                    let dst_col = dsq.t_col_start + mi;
-                                    acc.add(dst_col, src_col, v);
-                                    acc.add(src_col, dst_col, v);
-                                }
-                            }
+                            let dst_col = dsq.t_col_start + mi;
+                            sink.add(dst_col, src_col, v);
+                            sink.add(src_col, dst_col, v);
                         }
                     }
                 }
             }
         }
-    }
-    // coarsest-level U columns interact with everything
-    for s in tree.squares(ROOT_LEVEL) {
-        let sq = &sweep[ROOT_LEVEL][s.flat()];
-        if sq.u.n_cols() == 0 {
-            continue;
-        }
-        let i_contacts = tree.region_contacts(&tree.interactive(s));
-        for j in 0..sq.u.n_cols() {
-            // full response: local part from resp, interactive part from
-            // the row-basis interaction
-            let mut y = vec![0.0; n];
-            let resp_col = sq.resp.col(sq.t.n_cols() + j);
-            for (k, &ci) in sq.l_contacts.iter().enumerate() {
-                y[ci as usize] += resp_col[k];
+        // coarsest-level U columns interact with everything
+        for s in tree.squares(ROOT_LEVEL) {
+            let sq = &sweep[ROOT_LEVEL][s.flat()];
+            if sq.u.n_cols() == 0 {
+                continue;
             }
-            if !i_contacts.is_empty() {
-                let inter = interactive_response(rb, tree, s, sq.u.col(j), &i_contacts);
-                for (k, &ci) in i_contacts.iter().enumerate() {
-                    y[ci as usize] += inter[k];
+            let i_contacts = tree.region_contacts(&tree.interactive(s));
+            for j in 0..sq.u.n_cols() {
+                // full response: local part from resp, interactive part from
+                // the row-basis interaction
+                let mut y = vec![0.0; n];
+                let resp_col = sq.resp.col(sq.t.n_cols() + j);
+                for (k, &ci) in sq.l_contacts.iter().enumerate() {
+                    y[ci as usize] += resp_col[k];
+                }
+                if !i_contacts.is_empty() {
+                    let inter = interactive_response(rb, tree, s, sq.u.col(j), &i_contacts);
+                    for (k, &ci) in i_contacts.iter().enumerate() {
+                        y[ci as usize] += inter[k];
+                    }
+                }
+                let gw_col = q.matvec_t(&y);
+                let src_col = sq.u_col_start + j;
+                for (i, &v) in gw_col.iter().enumerate() {
+                    if v != 0.0 {
+                        sink.add(i, src_col, v);
+                        sink.add(src_col, i, v);
+                    }
                 }
             }
-            let gw_col = q.matvec_t(&y);
-            let src_col = sq.u_col_start + j;
-            for (i, &v) in gw_col.iter().enumerate() {
-                if v != 0.0 {
-                    acc.add(i, src_col, v);
-                    acc.add(src_col, i, v);
-                }
-            }
         }
     }
-
-    BasisRep::new(q, acc.to_symmetric_csr(n))
 }
 
 /// Stacks the children's `U` vectors into the parent's contact coordinates.

@@ -7,6 +7,8 @@
 //! translated moments (eq. 3.16). The zero-padded `W` columns of every
 //! square plus the root `V` columns form the orthogonal sparse `Q`.
 
+use std::ops::Range;
+
 use subsparse_hier::fwt::{FwtLevel, FwtNode};
 use subsparse_hier::moments::{moment_matrix, n_moments, translation_matrix};
 use subsparse_hier::{FastWaveletTransform, HierError, Quadtree, Square};
@@ -94,6 +96,16 @@ impl WaveletBasis {
     /// Global `Q` column of the `m`-th vanishing basis vector of a square.
     pub fn w_col(&self, s: Square, m: usize) -> usize {
         self.squares[s.level as usize][s.flat()].col_start + m
+    }
+
+    /// The contiguous `Q` columns of a square's vanishing basis vectors
+    /// (empty when it has none).
+    pub fn w_cols(&self, s: Square) -> Range<usize> {
+        let sb = &self.squares[s.level as usize][s.flat()];
+        match sb.w.n_cols() {
+            0 => 0..0,
+            w => sb.col_start..sb.col_start + w,
+        }
     }
 
     /// Number of vanishing basis vectors in a square.

@@ -10,8 +10,14 @@
 //! "not-assumed-small" ones: interactions of basis vectors in squares whose
 //! coarser-level ancestor is local (same or neighbor) to the other square,
 //! plus everything involving the coarsest-level nonvanishing vectors.
+//!
+//! That pattern depends only on the quadtree and the basis, so [`extract`]
+//! runs in three stages: build the pattern ([`GwAssembler::new`]) before
+//! any solve, fill it in place with every estimate the solves yield
+//! ([`extract_into`]), and average, symmetrize and compact it
+//! ([`GwAssembler::finish`]). Peak memory follows the final `nnz(Gw)`.
 
-use subsparse_hier::{BasisRep, Square, SymmetricAccumulator};
+use subsparse_hier::{BasisRep, GwAssembler, GwSink, Square};
 use subsparse_linalg::{trace, Csr, Mat, Triplets};
 use subsparse_substrate::{solver, SubstrateSolver};
 
@@ -43,6 +49,12 @@ impl Default for ExtractOptions {
 /// Extracts `Gw` in the wavelet basis with the combine-solves technique,
 /// returning the `G ~ Q Gw Q'` representation (the thesis's `Gws`).
 ///
+/// Pattern, fill, finish: the kept pattern of `Gw` is built from the
+/// basis's quadtree before any solve, [`extract_into`] writes each
+/// estimate into its slot, and [`GwAssembler::finish`] averages duplicate
+/// estimates, takes the mean of the two directions of each pair and drops
+/// exact zeros, in place.
+///
 /// The number of black-box calls is `root_v` (coarsest nonvanishing
 /// vectors) plus, per level, at most `spacing^2 * max_w(level)` — i.e.
 /// `O(log n)` for regular layouts, versus `n` for naive extraction.
@@ -55,11 +67,35 @@ pub fn extract<S: SubstrateSolver + ?Sized>(
     basis: &WaveletBasis,
     options: &ExtractOptions,
 ) -> BasisRep {
+    let mut gw = GwAssembler::new(basis.tree(), basis.root_v(), |s| basis.w_cols(s));
+    extract_into(solver, basis, options, &mut gw);
+    // serve through the tree-structured transform: O(n·p) per basis
+    // apply instead of traversing the explicit CSR factors (the flat Q
+    // is still attached as the exchange/inspection format)
+    BasisRep::with_fwt(basis.q().clone(), gw.finish(), basis.fwt().clone())
+}
+
+/// The fill stage of [`extract`]: runs the combine-solves and records
+/// every estimate of a `Gw` entry in `sink`, in extraction order.
+///
+/// Estimates land in the coarsest-level columns `0..root_v` (one per
+/// nonzero entry of each root column) and in the tiles between each
+/// square and its [`local_descendants`](subsparse_hier::Quadtree::local_descendants),
+/// once in each direction.
+///
+/// # Panics
+///
+/// Panics if the solver's contact count differs from the basis's.
+pub fn extract_into<S: SubstrateSolver + ?Sized, K: GwSink + ?Sized>(
+    solver: &S,
+    basis: &WaveletBasis,
+    options: &ExtractOptions,
+    sink: &mut K,
+) {
     let n = basis.n();
     assert_eq!(solver.n_contacts(), n, "solver/basis contact count mismatch");
     let tree = basis.tree();
     let finest = tree.finest();
-    let mut acc = SymmetricAccumulator::new();
 
     // ---- coarsest-level nonvanishing vectors: dense rows/columns.
     // One solve per root V column, streamed in RHS blocks; the response
@@ -79,7 +115,7 @@ pub fn extract<S: SubstrateSolver + ?Sized>(
                 let gw_col = q.matvec_t(y);
                 for (i, &v) in gw_col.iter().enumerate() {
                     if v != 0.0 {
-                        acc.add(i, j, v);
+                        sink.add(i, j, v);
                     }
                 }
             },
@@ -137,14 +173,9 @@ pub fn extract<S: SubstrateSolver + ?Sized>(
             ((group, *m), theta)
         });
         solver::for_each_batched(solver, options.max_batch, items, |(group, m), y| {
-            extract_group_responses(basis, group, m, y, &mut acc);
+            extract_group_responses(basis, group, m, y, sink);
         });
     }
-
-    // serve through the tree-structured transform: O(n·p) per basis
-    // apply instead of traversing the explicit CSR factors (the flat Q
-    // is still attached as the exchange/inspection format)
-    BasisRep::with_fwt(basis.q().clone(), acc.to_symmetric_csr(n), basis.fwt().clone())
 }
 
 /// Reads the entries of `Gw` recoverable from the response `y` to a
@@ -154,43 +185,26 @@ pub fn extract<S: SubstrateSolver + ?Sized>(
 /// destination basis vectors on levels `l' >= l` whose level-`l` ancestor
 /// is local to `s` (thesis eq. 3.25); the `l' < l` entries come from
 /// symmetry of `G` when that level is processed as a source.
-fn extract_group_responses(
+fn extract_group_responses<K: GwSink + ?Sized>(
     basis: &WaveletBasis,
     group: &[Square],
     m: usize,
     y: &[f64],
-    acc: &mut SymmetricAccumulator,
+    sink: &mut K,
 ) {
     let tree = basis.tree();
-    let finest = tree.finest();
     for s in group {
         let src_col = basis.w_col(*s, m);
-        let l = s.level as usize;
-        for t in tree.local(*s) {
-            // all descendants of the local square t, levels l..=finest
-            for lp in l..=finest {
-                let shift = lp - l;
-                let (x0, y0) = ((t.ix as usize) << shift, (t.iy as usize) << shift);
-                for dy in 0..(1usize << shift) {
-                    for dx in 0..(1usize << shift) {
-                        let d = Square::new(lp, x0 + dx, y0 + dy);
-                        let wd = basis.w_count(d);
-                        if wd == 0 {
-                            continue;
-                        }
-                        let cs = tree.contacts_in_square(d);
-                        for mp in 0..wd {
-                            let wcol = basis.w_column(d, mp);
-                            let mut v = 0.0;
-                            for (r, &ci) in cs.iter().enumerate() {
-                                v += wcol[r] * y[ci as usize];
-                            }
-                            let dst_col = basis.w_col(d, mp);
-                            acc.add(dst_col, src_col, v);
-                            acc.add(src_col, dst_col, v);
-                        }
-                    }
+        for d in tree.local_descendants(*s) {
+            let cs = tree.contacts_in_square(d);
+            for (mp, dst_col) in basis.w_cols(d).enumerate() {
+                let wcol = basis.w_column(d, mp);
+                let mut v = 0.0;
+                for (r, &ci) in cs.iter().enumerate() {
+                    v += wcol[r] * y[ci as usize];
                 }
+                sink.add(dst_col, src_col, v);
+                sink.add(src_col, dst_col, v);
             }
         }
     }

@@ -13,13 +13,12 @@
 //! * the streaming transform keeps `O(nnz_kept)` triplets — far below
 //!   the dense matrix it replaces once a serving threshold drops the
 //!   far-field;
-//! * the combine-solves extraction accumulates `O(nnz(Gw))` entries.
-//!   At toy sizes that hashmap can legitimately *exceed* `8 n^2` bytes
-//!   (the kept ratio is 0.39 at n = 1024, falling with `n` — see
-//!   `BENCH_scaling.json`'s trajectory and its `peak_alloc_bytes`
-//!   column for the asymptotic claim), so its gate is a documented
-//!   multiple of the dense size guarding against quadratic *dense*
-//!   regressions like materializing `G` or `Q` per solve.
+//! * the combine-solves extraction assembles `Gw` pattern-first: its
+//!   biggest allocations are the pattern's value array and the final
+//!   `Gw` built in place from it, so the largest single request is
+//!   bounded by the *final* `Gw` (`2 x 8 B x nnz(Gw)`, room for slots
+//!   that finish drops) plus an `O(n x max_batch)` solve block. A hash
+//!   map, a triplet copy or any dense `n x n` buffer breaks the bound.
 //!
 //! This file holds a single test on purpose: it installs a global
 //! allocator, and any sibling test in the same binary would race the
@@ -29,7 +28,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use subsparse_layout::generators;
-use subsparse_linalg::{CouplingOp, Mat};
+use subsparse_linalg::Mat;
 use subsparse_substrate::{solver, CountingSolver, SubstrateSolver};
 use subsparse_wavelet::{build_basis, extract, transform_streaming, ExtractOptions};
 
@@ -102,19 +101,21 @@ fn wavelet_extraction_never_allocates_a_dense_n_by_n_buffer() {
          n x n buffer ({dense_bytes} bytes); the transform is no longer memory-lean"
     );
 
-    // the combine-solves extraction: its biggest allocation is the
-    // O(nnz(Gw)) accumulator (see the module docs for why that may top
-    // 8 n^2 bytes at toy n); the bound catches any quadratic dense
-    // regression on the pipeline
+    // the combine-solves extraction: nothing bigger than the final Gw's
+    // values (with slack for dropped slots) or one block of solves
+    let options = ExtractOptions::default();
     let before = black_box.count();
+    let mut gw_nnz = 0;
     let max_single = max_single_allocation_during(|| {
-        let rep = extract(&black_box, &basis, &ExtractOptions::default());
-        assert!(rep.nnz() > 0);
+        gw_nnz = extract(&black_box, &basis, &options).gw.nnz();
     });
+    assert!(gw_nnz > 0);
+    let bound = 2 * std::mem::size_of::<f64>() * gw_nnz
+        + n * options.max_batch * std::mem::size_of::<f64>();
     assert!(
-        max_single < 2 * dense_bytes,
-        "extract made a {max_single}-byte allocation (2x a dense n x n buffer of \
-         {dense_bytes} bytes); the pipeline is no longer memory-lean"
+        max_single <= bound,
+        "extract made a {max_single}-byte allocation, above the {bound}-byte bound set by \
+         nnz(Gw) = {gw_nnz}; the assembly is no longer pattern-first"
     );
     let solves = black_box.count() - before;
     assert!(solves < n, "combine-solves spent {solves} solves at n = {n}");
