@@ -31,7 +31,7 @@ use subsparse::linalg::{ApplyWorkspace, CouplingOp, LowRankOp, Mat, ParallelAppl
 use subsparse::lowrank::LowRankOptions;
 use subsparse::sparsify::eval::format_ns;
 use subsparse::substrate::solver;
-use subsparse::{extract_lowrank, extract_wavelet, BasisRep};
+use subsparse::{extract_lowrank, extract_wavelet};
 
 use crate::timing;
 
@@ -182,76 +182,12 @@ fn bench_op(
     }
 }
 
-/// Times the *level-parallel* fast-wavelet-transform serving path
-/// (`wavelet_fwt_lp`): the transform executor folded into
-/// `BasisRep::apply_block_into` itself — `with_level_parallel`
-/// reconfigures the representation's embedded executor, and the plain
-/// blocked apply then runs the analysis and synthesis cascades
-/// level-parallel through the shared pool. Emits threaded rows only
-/// (the serial `wavelet_fwt` rows already cover one worker), each gated
-/// bit-for-bit against the serial fast-transform apply — the executor's
-/// contract is bit-identity, not tolerance.
-fn bench_fwt_level_parallel(
-    n: usize,
-    rep: &BasisRep,
-    threads: usize,
-    min_work: Option<usize>,
-    rows: &mut Vec<ApplySpeedRow>,
-) {
-    if threads <= 1 {
-        return;
-    }
-    assert!(rep.fwt().is_some(), "wavelet_fwt_lp needs a fast transform");
-    let rep_lp = rep.clone().with_level_parallel(
-        threads,
-        min_work.unwrap_or(subsparse::linalg::op::DEFAULT_MIN_WORK_PER_WORKER),
-    );
-    let mut ws = ApplyWorkspace::new();
-    let mut ws_lp = ApplyWorkspace::new();
-    let mut yt = Mat::zeros(0, 0);
-    for &block in &BLOCK_WIDTHS {
-        let x = Mat::from_fn(n, block, |i, j| ((i * 37 + j * 11) % 101) as f64 / 101.0 - 0.5);
-        // serial reference: the single-threaded fast-transform apply
-        let mut yb = Mat::zeros(0, 0);
-        rep.apply_block_into(&x, &mut yb, &mut ws);
-        // the folded level-parallel path, same public entry point
-        rep_lp.apply_block_into(&x, &mut yt, &mut ws_lp);
-        let mut bit_equal = true;
-        for j in 0..block {
-            if yt.col(j) != yb.col(j) {
-                bit_equal = false;
-            }
-        }
-        let t = subsparse::linalg::resolve_threads(threads);
-        let label = format!("{:<12} n={n:<5} b={block} t={t}", "wavelet_fwt_lp");
-        let stats = timing::bench_stats(&label, || {
-            rep_lp.apply_block_into(std::hint::black_box(&x), &mut yt, &mut ws_lp);
-            std::hint::black_box(&yt);
-        });
-        rows.push(ApplySpeedRow {
-            method: "wavelet_fwt_lp".to_string(),
-            n,
-            block,
-            threads: t,
-            nnz: rep.nnz(),
-            ns_per_vector: stats.p50 / block as f64,
-            ns_min: stats.min / block as f64,
-            ns_mean: stats.mean / block as f64,
-            bit_equal,
-        });
-    }
-}
-
 /// Measures raw dispatch hand-off latency: a trivial sharded closure
 /// (`workers` shards of one `black_box` each) dispatched through the
-/// persistent executor pool versus a fresh `std::thread::scope` spawning
-/// the same worker count per call — the parked-pool harness behind every
-/// threaded path today, against the per-call spawn harness it replaced.
-/// The ratio is the evidence behind the serving layer's
-/// `DEFAULT_MIN_WORK_PER_WORKER`: the pool's wake-run-park cycle costs a
-/// fraction of a thread launch, so the break-even work per worker drops
-/// by the same factor. Emitted as `handoff_pool` / `handoff_scope` rows
-/// with `ns_per_vector` holding nanoseconds per dispatch (`n = 0`: no
+/// persistent executor pool behind every threaded path. This wake-run-park
+/// cycle is the cost the serving layer's `DEFAULT_MIN_WORK_PER_WORKER`
+/// is sized against. Emitted as a `handoff_pool` row with
+/// `ns_per_vector` holding nanoseconds per dispatch (`n = 0`: no
 /// operator is involved).
 pub fn bench_handoff(threads: usize, rows: &mut Vec<ApplySpeedRow>) {
     let workers = subsparse::linalg::resolve_threads(threads).max(2);
@@ -262,27 +198,17 @@ pub fn bench_handoff(threads: usize, rows: &mut Vec<ApplySpeedRow>) {
             std::hint::black_box(s);
         });
     });
-    let scope_stats = timing::bench_stats(&format!("{:<12} t={workers}", "handoff_scope"), || {
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(|| std::hint::black_box(()));
-            }
-            std::hint::black_box(());
-        });
+    rows.push(ApplySpeedRow {
+        method: "handoff_pool".to_string(),
+        n: 0,
+        block: 1,
+        threads: workers,
+        nnz: 0,
+        ns_per_vector: pool_stats.p50,
+        ns_min: pool_stats.min,
+        ns_mean: pool_stats.mean,
+        bit_equal: true,
     });
-    for (method, stats) in [("handoff_pool", pool_stats), ("handoff_scope", scope_stats)] {
-        rows.push(ApplySpeedRow {
-            method: method.to_string(),
-            n: 0,
-            block: 1,
-            threads: workers,
-            nnz: 0,
-            ns_per_vector: stats.p50,
-            ns_min: stats.min,
-            ns_mean: stats.mean,
-            bit_equal: true,
-        });
-    }
 }
 
 /// The full comparison's result: the timing rows plus the worst observed
@@ -378,8 +304,6 @@ pub fn run_apply_speed(quick: bool, threads: usize, min_work: Option<usize>) -> 
         bench_op("lowrank", n, &lowrank.rep, threads, min_work, &mut rows);
         bench_op("lowrank_gwt", n, &thresh, threads, min_work, &mut rows);
         bench_op("factored", n, &factored, threads, min_work, &mut rows);
-        // the level-parallel fast-transform pipeline, threaded rows only
-        bench_fwt_level_parallel(n, &wavelet_gwt, threads, min_work, &mut rows);
     }
     ApplySpeedReport { rows, fwt_vs_csr_rel_err }
 }
@@ -606,15 +530,15 @@ mod tests {
         let serial = rows.iter().filter(|r| r.threads == 1).count();
         let threaded: Vec<_> = rows.iter().filter(|r| r.threads > 1).collect();
         assert_eq!(serial, 7 * BLOCK_WIDTHS.len());
-        // every representation now engages both workers at every block
-        // width (wide blocks shard columns; 1-column blocks row-shard
-        // through the two-phase path every op supports), plus the
-        // level-parallel fwt pipeline rows
-        assert_eq!(threaded.len(), 7 * BLOCK_WIDTHS.len() + BLOCK_WIDTHS.len());
+        // wide blocks shard columns on every representation; a 1-column
+        // block row-shards only on the dense op (the one flat operator
+        // here) and serves every structured op inline, emitting no row
+        let wide = BLOCK_WIDTHS.iter().filter(|&&b| b > 1).count();
+        assert_eq!(threaded.len(), 7 * wide + 1);
         assert!(threaded.iter().all(|r| r.threads == 2));
-        let lp: Vec<_> = threaded.iter().filter(|r| r.method == "wavelet_fwt_lp").collect();
-        assert_eq!(lp.len(), BLOCK_WIDTHS.len());
-        assert!(lp.iter().all(|r| r.bit_equal), "level-parallel fwt diverged");
+        let narrow: Vec<_> = threaded.iter().filter(|r| r.block == 1).collect();
+        assert_eq!(narrow.len(), 1);
+        assert_eq!(narrow[0].method, "dense");
         assert!(rows.iter().all(|r| r.bit_equal), "an apply diverged");
         assert!(rows.iter().all(|r| r.ns_per_vector > 0.0));
         // min over batches can never exceed the median batch, and every
@@ -628,7 +552,6 @@ mod tests {
         );
         let json = rows_json(rows);
         assert!(json.contains("\"method\":\"wavelet_fwt\"") && json.contains("\"block\":32"));
-        assert!(json.contains("\"method\":\"wavelet_fwt_lp\""));
         assert!(json.contains("\"threads\":1") && json.contains("\"threads\":2"));
         // the run-metadata stamp and the noise-robust statistics
         assert!(json.contains("\"meta\":{\"available_parallelism\":"));

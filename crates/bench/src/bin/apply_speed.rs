@@ -1,8 +1,7 @@
 //! `apply_speed` — single-vector vs blocked serving throughput for every
 //! `CouplingOp` representation, including both wavelet serving paths
 //! (`wavelet_fwt`: tree-structured fast transform; `wavelet`: the
-//! explicit-CSR fallback) and the level-parallel fast-transform pipeline
-//! (`wavelet_fwt_lp`, threaded rows only).
+//! explicit-CSR fallback).
 //!
 //! ```text
 //! cargo run --release -p subsparse-bench --bin apply_speed -- \
@@ -10,10 +9,9 @@
 //!     [--baseline FILE] [--trace FILE]
 //! ```
 //!
-//! `--handoff` appends the dispatch-latency micro-rows (`handoff_pool`
-//! vs `handoff_scope`): nanoseconds to hand a trivial closure to the
-//! persistent worker pool versus launching fresh scoped threads — the
-//! evidence behind the serving layer's min-work threshold.
+//! `--handoff` appends the dispatch-latency micro-row (`handoff_pool`):
+//! nanoseconds to hand a trivial closure to the persistent worker pool —
+//! the cost the serving layer's min-work threshold is sized against.
 //!
 //! `--json` additionally writes `BENCH_apply_speed.json`
 //! (method × n × block-width × thread-count → ns/vector), the

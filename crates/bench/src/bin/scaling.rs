@@ -1,6 +1,6 @@
 //! `scaling` — the extraction/serving scaling trajectory over `n = k^2`
 //! regular grids, on the memory-lean pipeline (matrix-free kernel black
-//! box, streaming sparse assembly, fast-transform serving).
+//! box, pattern-first `Gw` assembly, fast-transform serving).
 //!
 //! ```text
 //! cargo run --release -p subsparse-bench --bin scaling -- \
@@ -13,9 +13,10 @@
 //! CI's scale-smoke job uses `--only 4096`. `--json` writes the rows as
 //! `BENCH_scaling.json` (override the path with `--out FILE`).
 //!
-//! Every run first executes the *bit gate*: the streaming sparse `Gw`
-//! assembly must reproduce the dense reference transform bitwise on the
-//! small fixture. Divergence exits nonzero before any sweep point runs.
+//! Every run first executes the *extract gate*: on the small fixture,
+//! the combine-solves extraction's `Gw` must match the dense reference
+//! transform on its kept pattern within the wavelet method's documented
+//! tolerance. A failure exits nonzero before any sweep point runs.
 //!
 //! The process installs a counting global allocator tracking live heap
 //! size, so each row's `peak_alloc_bytes` is the high-water mark of
@@ -27,7 +28,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use subsparse_bench::scaling::{
-    bit_gate, format_rows, rows_json, run_scaling, PeakProbe, DEFAULT_SIDES, SWEEP_SIDES,
+    extract_gate, format_rows, rows_json, run_scaling, PeakProbe, DEFAULT_SIDES, SWEEP_SIDES,
 };
 
 /// Forwards to the system allocator, tracking live size and its peak.
@@ -122,20 +123,23 @@ fn main() -> ExitCode {
         DEFAULT_SIDES.to_vec()
     };
 
-    // the bit gate runs first, always: a diverging streaming assembly
+    // the extract gate runs first, always: an inaccurate extraction
     // invalidates every trajectory number after it
-    match bit_gate() {
-        Ok(()) => println!("bit gate: streaming Gw assembly == dense reference (bitwise)"),
+    let gate_err = match extract_gate() {
+        Ok(err) => {
+            println!("extract gate: Gw relative Frobenius error {err:.2e} on its kept pattern");
+            err
+        }
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
-    }
+    };
 
     let rows = run_scaling(&sides, &ProcessPeak);
     print!("{}", format_rows(&rows));
     if json {
-        if let Err(e) = std::fs::write(&out_path, rows_json(&rows, true)) {
+        if let Err(e) = std::fs::write(&out_path, rows_json(&rows, gate_err)) {
             eprintln!("error: cannot write {out_path}: {e}");
             return ExitCode::FAILURE;
         }

@@ -129,9 +129,9 @@ FAULT INJECTION (all commands; for hardening tests, not production):
                       `pool.worker_panic=once,solve.stall=prob:0.1/20`
                       (`/MS` sets the stall in milliseconds). Points:
                       load.truncate load.bitflip solve.no_converge
-                      solve.poison_nan solve.stall pool.worker_panic
-                      fwt.worker_panic. The SUBSPARSE_FAULTS environment
-                      variable uses the same grammar; --faults wins.
+                      solve.poison_nan solve.stall pool.worker_panic.
+                      The SUBSPARSE_FAULTS environment variable uses the
+                      same grammar; --faults wins.
 ";
 
 /// `--faults SPEC` (or the `SUBSPARSE_FAULTS` environment variable):

@@ -1,9 +1,7 @@
-//! The shared-executor contract, end to end: every site that used to
-//! spawn scoped threads — blocked/row-sharded serving, the
-//! level-parallel fast wavelet transform (standalone and folded into
-//! `BasisRep`), threaded dense-column materialisation, and the batch
-//! solver backends — now dispatches onto one persistent worker pool,
-//! and every one of them must stay **bit-identical** to its serial
+//! The shared-executor contract, end to end: every threaded site —
+//! blocked/row-sharded serving, threaded dense-column materialisation,
+//! and the batch solver backends — dispatches onto one persistent worker
+//! pool, and every one of them must stay **bit-identical** to its serial
 //! path at every thread count, including more lanes than work.
 //!
 //! The fault half of the contract is exercised too: a worker panic
@@ -15,7 +13,6 @@
 use std::sync::{Mutex, OnceLock};
 
 use subsparse::faults::{self, Failpoint, FireMode};
-use subsparse::hier::FwtLevelExec;
 use subsparse::layout::generators;
 use subsparse::linalg::rng::SmallRng;
 use subsparse::linalg::{ApplyWorkspace, CouplingOp, Executor, LowRankOp, Mat, ParallelApply};
@@ -75,7 +72,8 @@ fn assert_bits_equal(got: &Mat, want: &Mat, what: &str) {
 }
 
 /// Site 1+2 — `ParallelApply`, both dispatch shapes: block 1 and 3 hit
-/// the two-phase row-sharded path, block 8+ the column-panel path. Every
+/// the row-sharded path on the flat ops (dense, CSR) and serve the
+/// structured ops inline, block 8+ the column-panel path. Every
 /// representation family, every thread count, `min_work = 0` so the pool
 /// genuinely engages even on this small fixture.
 #[test]
@@ -107,52 +105,7 @@ fn pool_apply_bit_identical_for_every_op_and_thread_count() {
     }
 }
 
-/// Site 3 — the standalone level-parallel fast transform. Levels form a
-/// strict dependency chain (level `k+1` reads all of level `k`), so
-/// bit-identity at many lanes also proves the executor's completion
-/// barrier between level dispatches.
-#[test]
-fn fwt_level_exec_matches_serial_transform_at_every_thread_count() {
-    let rep = wavelet_rep();
-    let fwt = rep.fwt().expect("wavelet rep carries a fast transform");
-    let n = fwt.n();
-    let b = 5;
-    let x = x_block(n, b);
-    let (mut want_c, mut s1, mut s2) = (Mat::zeros(0, 0), Mat::zeros(0, 0), Mat::zeros(0, 0));
-    fwt.forward_block_into(&x, &mut want_c, &mut s1, &mut s2);
-    let mut want_x = Mat::zeros(0, 0);
-    fwt.inverse_block_into(&want_c, &mut want_x, &mut s1, &mut s2);
-
-    for t in thread_counts(n) {
-        let mut ex = FwtLevelExec::new(t).with_min_work(0);
-        let (mut c, mut e1, mut e2) = (Mat::zeros(0, 0), Mat::zeros(0, 0), Mat::zeros(0, 0));
-        ex.forward_block_into(fwt, &x, &mut c, &mut e1, &mut e2);
-        assert_bits_equal(&c, &want_c, &format!("fwt forward threads {t}"));
-        let mut xr = Mat::zeros(0, 0);
-        ex.inverse_block_into(fwt, &c, &mut xr, &mut e1, &mut e2);
-        assert_bits_equal(&xr, &want_x, &format!("fwt inverse threads {t}"));
-    }
-}
-
-/// Site 3, folded — `BasisRep::with_level_parallel` routes the transform
-/// halves of a plain `apply_block_into` through the pool; the result
-/// must not move by a bit relative to the serial rep.
-#[test]
-fn folded_level_parallel_rep_is_bit_identical() {
-    let rep = wavelet_rep();
-    let n = rep.n();
-    for b in [1usize, 6] {
-        let x = x_block(n, b);
-        let want = serial_apply(rep, &x);
-        for t in thread_counts(n) {
-            let lp = rep.clone().with_level_parallel(t, 0);
-            let got = serial_apply(&lp, &x);
-            assert_bits_equal(&got, &want, &format!("level-parallel rep block {b} threads {t}"));
-        }
-    }
-}
-
-/// Site 4 — threaded dense-column materialisation (the sparsification
+/// Site 3 — threaded dense-column materialisation (the sparsification
 /// verifier's probe path).
 #[test]
 fn dense_columns_threaded_matches_serial() {
@@ -166,7 +119,7 @@ fn dense_columns_threaded_matches_serial() {
     }
 }
 
-/// Site 5 — the batch solver backends (FD and eigenfunction). Each
+/// Site 4 — the batch solver backends (FD and eigenfunction). Each
 /// column runs the identical serial PCG on a pool stripe, so every
 /// thread count agrees with `threads = 1` to the last bit.
 #[test]
@@ -223,19 +176,5 @@ fn worker_panic_degrades_serially_without_respawning_workers() {
         Executor::global().workers(),
         before,
         "pool respawned (or leaked) workers across repeated panics"
-    );
-
-    // the folded FWT path honors the same contract under its failpoint
-    let lp = rep.clone().with_level_parallel(4, 0);
-    faults::configure(Failpoint::FwtWorkerPanic, FireMode::EveryN(2));
-    for round in 0..6 {
-        let got = serial_apply(&lp, &x);
-        assert_bits_equal(&got, &want, &format!("poisoned fwt apply, round {round}"));
-    }
-    faults::reset();
-    assert_eq!(
-        Executor::global().workers(),
-        before,
-        "fwt poisonings changed the pool's worker count"
     );
 }

@@ -48,10 +48,8 @@
 //! bit-identical to looped per-vector transforms — the same contract the
 //! rest of the serving layer keeps.
 
-use subsparse_linalg::exec;
 use subsparse_linalg::kernels::{dot4, fused_axpy4};
-use subsparse_linalg::op::resolve_threads;
-use subsparse_linalg::{faults, trace, Mat};
+use subsparse_linalg::{trace, Mat};
 
 /// One square's transform step.
 ///
@@ -117,15 +115,6 @@ pub struct FastWaveletTransform {
     /// the writable ping-pong buffer — dead space at the finest level in
     /// both directions — to stage a square's contacts contiguously.
     max_finest_in: usize,
-    /// Derived (never serialized): per finest node, the half-open
-    /// `(min, max)` contact-index range its gathers touch. Lets the
-    /// row-restricted synthesis skip whole squares whose contacts lie
-    /// outside the requested output rows.
-    finest_span: Vec<(u32, u32)>,
-    /// Derived (never serialized): per level, its total stored block
-    /// values — the level's per-vector multiply-add count, which is what
-    /// the level-parallel executor budgets workers against.
-    level_stored: Vec<usize>,
 }
 
 impl FastWaveletTransform {
@@ -218,20 +207,6 @@ impl FastWaveletTransform {
         }
         let max_coeff_len = levels.iter().map(|l| l.coeff_len).max().unwrap_or(0);
         let max_finest_in = levels[0].nodes.iter().map(|nd| nd.in_len).max().unwrap_or(0);
-        let finest_span = levels[0]
-            .nodes
-            .iter()
-            .map(|node| {
-                let idx = &contact_idx[node.in_offset..node.in_offset + node.in_len];
-                let lo = idx.iter().copied().min().unwrap_or(0);
-                let hi = idx.iter().copied().max().map(|m| m + 1).unwrap_or(0);
-                (lo, hi)
-            })
-            .collect();
-        let level_stored = levels
-            .iter()
-            .map(|l| l.nodes.iter().map(|nd| nd.in_len * (nd.v_cols + nd.w_cols)).sum())
-            .collect();
         Ok(FastWaveletTransform {
             n,
             root_v,
@@ -240,8 +215,6 @@ impl FastWaveletTransform {
             blocks,
             max_coeff_len,
             max_finest_in,
-            finest_span,
-            level_stored,
         })
     }
 
@@ -576,117 +549,6 @@ impl FastWaveletTransform {
         }
     }
 
-    /// Row-restricted blocked inverse transform: rows `[i0, i1)` of
-    /// `X = Q C` into `x_rows` (resized to `(i1 - i0) x C.n_cols()`),
-    /// **bit-identical** to the same rows of
-    /// [`inverse_block_into`](Self::inverse_block_into).
-    ///
-    /// This is the synthesis half of the two-phase row-sharded apply: the
-    /// coarse cascade (geometrically shrinking levels, a small fraction of
-    /// the transform's stored values) is recomputed per call, and only the
-    /// dominant finest-level scatter is restricted — each finest square
-    /// touches a precomputed contact-index span, so squares entirely
-    /// outside `[i0, i1)` are skipped and the per-range work shrinks
-    /// proportionally. Per surviving contact the accumulation runs in the
-    /// full kernel's column order, so the restricted rows carry the full
-    /// transform's bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `i0 <= i1 <= n`, `C` has [`n`](Self::n) rows, and the
-    /// scratch matrices can be resized.
-    pub fn inverse_rows_into(
-        &self,
-        c: &Mat,
-        i0: usize,
-        i1: usize,
-        x_rows: &mut Mat,
-        s1: &mut Mat,
-        s2: &mut Mat,
-    ) {
-        assert_eq!(c.n_rows(), self.n, "fwt inverse rows dimension mismatch");
-        assert!(i0 <= i1 && i1 <= self.n, "fwt inverse row range out of bounds");
-        let b = c.n_cols();
-        x_rows.resize(i1 - i0, b);
-        s1.resize(self.scratch_len(), b);
-        s2.resize(self.scratch_len(), b);
-        let n_levels = self.levels.len();
-        let (mut cur, mut next) = (s1, s2);
-        for (li, level) in self.levels.iter().enumerate().rev() {
-            let at_root = li + 1 == n_levels;
-            if li == 0 {
-                for (node, &(lo, hi)) in level.nodes.iter().zip(&self.finest_span) {
-                    if hi as usize <= i0 || lo as usize >= i1 {
-                        continue;
-                    }
-                    for j in 0..b {
-                        self.inverse_node_rows(
-                            node,
-                            at_root,
-                            c.col(j),
-                            i0,
-                            i1,
-                            x_rows.col_mut(j),
-                            cur.col(j),
-                        );
-                    }
-                }
-            } else {
-                for node in &level.nodes {
-                    for j in 0..b {
-                        self.inverse_node(
-                            li,
-                            at_root,
-                            node,
-                            c.col(j),
-                            &mut [],
-                            cur.col(j),
-                            next.col_mut(j),
-                        );
-                    }
-                }
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-    }
-
-    /// One finest square's inverse step restricted to output rows
-    /// `[i0, i1)` — per surviving contact, the same column-order
-    /// accumulation as [`inverse_node`](Self::inverse_node) (whose fused
-    /// groups are themselves bit-identical to sequential column passes),
-    /// written at `ci - i0`.
-    #[allow(clippy::too_many_arguments)] // one raw kernel, mirroring inverse_node
-    fn inverse_node_rows(
-        &self,
-        node: &FwtNode,
-        at_root: bool,
-        c: &[f64],
-        i0: usize,
-        i1: usize,
-        x_rows: &mut [f64],
-        cur: &[f64],
-    ) {
-        let nin = node.in_len;
-        let ncols = node.v_cols + node.w_cols;
-        let block = &self.blocks[node.block_offset..node.block_offset + nin * ncols];
-        let idx = &self.contact_idx[node.in_offset..node.in_offset + nin];
-        for &ci in idx {
-            let ci = ci as usize;
-            if ci >= i0 && ci < i1 {
-                x_rows[ci - i0] = 0.0;
-            }
-        }
-        for (k, bcol) in block.chunks_exact(nin).enumerate().take(ncols) {
-            let cv = self.coeff(node, k, c, cur, at_root);
-            for (bv, &ci) in bcol.iter().zip(idx) {
-                let ci = ci as usize;
-                if ci >= i0 && ci < i1 {
-                    x_rows[ci - i0] += bv * cv;
-                }
-            }
-        }
-    }
-
     /// Serializes the transform as a whitespace-separated text section
     /// (the `.fwt` side file of a saved model). Floating-point values use
     /// Rust's shortest-roundtrip formatting, so a load reproduces the
@@ -815,415 +677,6 @@ impl FastWaveletTransform {
     }
 }
 
-/// One level-executor worker's staging state. Workers run the unchanged
-/// per-node kernels at absolute offsets into full-size private buffers;
-/// the executor publishes exactly the ranges each worker's nodes produced
-/// after the level's barrier. Buffers only grow, so a warmed executor's
-/// steady-state applies allocate nothing.
-#[derive(Clone, Debug, Default)]
-struct LevelSlot {
-    /// Full-size staging for wavelet outputs (forward) / contact scatters
-    /// (inverse finest level).
-    out: Mat,
-    /// Full-size staging for the adjacent level's scaling coefficients.
-    next: Mat,
-}
-
-/// A level-parallel executor for one [`FastWaveletTransform`]: each level
-/// of a blocked transform fans its squares out across the persistent
-/// shared worker pool, with the level boundary as the barrier (the
-/// pool's dispatch-completion barrier separates level dispatches).
-///
-/// The transform's data dependences run strictly between adjacent levels
-/// — every square of a level reads only the previous level's published
-/// coefficients — so squares *within* a level are independent and can be
-/// computed concurrently. The executor cuts each level's Morton-ordered
-/// node list into contiguous chunks of roughly equal stored-block work,
-/// runs each chunk through the unmodified serial per-square kernels
-/// (`forward_node` / `inverse_node` writing absolute offsets into
-/// per-worker staging), and publishes each chunk's output
-/// ranges after the level's scope ends. No accumulation is re-associated
-/// and no output is written by two workers, so the result is
-/// **bit-identical** to the serial
-/// [`forward_block_into`](FastWaveletTransform::forward_block_into) /
-/// [`inverse_block_into`](FastWaveletTransform::inverse_block_into) for
-/// every thread count.
-///
-/// Levels too small to feed a worker the
-/// [min-work threshold](Self::with_min_work) — the root and its
-/// neighborhood, where the tree has fewer coefficients than the spawn
-/// costs — run inline on the calling thread; one large-`n` apply
-/// therefore uses multiple workers exactly on the wide levels that
-/// dominate its cost. Each worker's per-level stint is a
-/// `fwt.worker.{forward,inverse}_level` span on its own track in the
-/// [`trace`] Chrome export, so a trace shows the per-level fan-out/barrier
-/// cadence directly.
-#[derive(Clone, Debug)]
-pub struct FwtLevelExec {
-    threads: usize,
-    resolved: usize,
-    min_work: usize,
-    slots: Vec<LevelSlot>,
-    /// Reused per-level chunk partition, so steady-state dispatches
-    /// allocate nothing (the capacity grows once to the worker count).
-    chunks: Vec<(usize, usize)>,
-}
-
-impl FwtLevelExec {
-    /// Creates an executor with the given worker count (`0` = one per
-    /// available CPU, resolved once here) and the serving layer's default
-    /// min-work-per-worker threshold
-    /// ([`DEFAULT_MIN_WORK_PER_WORKER`](subsparse_linalg::op::DEFAULT_MIN_WORK_PER_WORKER)).
-    pub fn new(threads: usize) -> Self {
-        FwtLevelExec {
-            threads,
-            resolved: resolve_threads(threads),
-            min_work: subsparse_linalg::op::DEFAULT_MIN_WORK_PER_WORKER,
-            slots: Vec::new(),
-            chunks: Vec::new(),
-        }
-    }
-
-    /// Sets the min-work-per-worker threshold: a level engages at most
-    /// `stored(level) x block / min_work` workers, so small levels run
-    /// inline. `0` disables the threshold (contract tests use this to
-    /// force the parallel path on small fixtures).
-    pub fn with_min_work(mut self, min_work: usize) -> Self {
-        self.min_work = min_work;
-        self
-    }
-
-    /// The requested worker-thread knob (possibly `0` = auto).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The resolved worker count.
-    pub fn resolved_threads(&self) -> usize {
-        self.resolved
-    }
-
-    /// The min-work-per-worker threshold.
-    pub fn min_work(&self) -> usize {
-        self.min_work
-    }
-
-    /// Whether a blocked transform of `block` columns would engage more
-    /// than one worker on at least one level. The folded serving path
-    /// ([`BasisRep`](crate::BasisRep) blocked applies) uses this to skip
-    /// the executor entirely for transforms that would run inline on
-    /// every level anyway — the serial kernel produces the same bits
-    /// with less bookkeeping.
-    pub fn engages(&self, fwt: &FastWaveletTransform, block: usize) -> bool {
-        if self.resolved <= 1 || block == 0 {
-            return false;
-        }
-        fwt.levels.iter().enumerate().any(|(li, level)| {
-            self.level_workers(fwt.level_stored[li], block, level.nodes.len()) > 1
-        })
-    }
-
-    /// Workers a level of `stored` block values applied to `block`
-    /// columns may engage (never more than its node count).
-    fn level_workers(&self, stored: usize, block: usize, n_nodes: usize) -> usize {
-        let cap = match stored.saturating_mul(block).checked_div(self.min_work) {
-            // min_work == 0 disables the threshold entirely
-            None => self.resolved,
-            Some(fed) => self.resolved.min(fed.max(1)),
-        };
-        cap.min(n_nodes).max(1)
-    }
-
-    fn ensure_slots(&mut self, workers: usize, fwt: &FastWaveletTransform, b: usize) {
-        if self.slots.len() < workers {
-            self.slots.resize_with(workers, LevelSlot::default);
-        }
-        for slot in &mut self.slots[..workers] {
-            slot.out.resize(fwt.n, b);
-            slot.next.resize(fwt.scratch_len(), b);
-        }
-    }
-
-    /// Level-parallel blocked forward transform `out = Q' X` —
-    /// bit-identical to
-    /// [`forward_block_into`](FastWaveletTransform::forward_block_into)
-    /// for every thread count (see the type docs for why).
-    pub fn forward_block_into(
-        &mut self,
-        fwt: &FastWaveletTransform,
-        x: &Mat,
-        out: &mut Mat,
-        s1: &mut Mat,
-        s2: &mut Mat,
-    ) {
-        assert_eq!(x.n_rows(), fwt.n, "fwt forward block dimension mismatch");
-        let _sp = trace::span("fwt_exec.forward");
-        let b = x.n_cols();
-        out.resize(fwt.n, b);
-        s1.resize(fwt.scratch_len(), b);
-        s2.resize(fwt.scratch_len(), b);
-        let n_levels = fwt.levels.len();
-        let (mut cur, mut next) = (s1, s2);
-        for (li, level) in fwt.levels.iter().enumerate() {
-            let _lvl = trace::span_arg("fwt.forward.level", li as u64);
-            let at_root = li + 1 == n_levels;
-            let workers = self.level_workers(fwt.level_stored[li], b, level.nodes.len());
-            if workers <= 1 {
-                for node in &level.nodes {
-                    for j in 0..b {
-                        fwt.forward_node(
-                            li,
-                            at_root,
-                            node,
-                            x.col(j),
-                            out.col_mut(j),
-                            cur.col(j),
-                            next.col_mut(j),
-                        );
-                    }
-                }
-            } else {
-                partition_by_stored_into(&level.nodes, workers, &mut self.chunks);
-                let n_chunks = self.chunks.len();
-                self.ensure_slots(n_chunks, fwt, b);
-                let chunks = &self.chunks;
-                let slots = exec::ShardItems::new(&mut self.slots[..n_chunks]);
-                let cur_r: &Mat = cur;
-                // one barriered parallel section per level: run() returns
-                // only after every chunk finished, which is exactly the
-                // level barrier the cascade needs
-                let poisoned = exec::Executor::global().run(n_chunks, &|k| {
-                    let _w = trace::span_track(
-                        "fwt.worker.forward_level",
-                        trace::worker_track(k),
-                        li as u64,
-                    );
-                    if faults::enabled() && faults::fire(faults::Failpoint::FwtWorkerPanic) {
-                        panic!("injected fault: fwt.worker_panic");
-                    }
-                    // Safety: chunk k alone touches slot k
-                    let slot = unsafe { slots.item(k) };
-                    let (n0, n1) = chunks[k];
-                    for node in &level.nodes[n0..n1] {
-                        for j in 0..b {
-                            fwt.forward_node(
-                                li,
-                                at_root,
-                                node,
-                                x.col(j),
-                                slot.out.col_mut(j),
-                                cur_r.col(j),
-                                slot.next.col_mut(j),
-                            );
-                        }
-                    }
-                });
-                if poisoned {
-                    // a worker's staging is suspect; nothing was published
-                    // yet, so recompute the whole level through the serial
-                    // per-node kernel — bit-identical by construction
-                    degraded_level("forward", li);
-                    for node in &level.nodes {
-                        for j in 0..b {
-                            fwt.forward_node(
-                                li,
-                                at_root,
-                                node,
-                                x.col(j),
-                                out.col_mut(j),
-                                cur.col(j),
-                                next.col_mut(j),
-                            );
-                        }
-                    }
-                    std::mem::swap(&mut cur, &mut next);
-                    continue;
-                }
-                // publish after the level barrier: each chunk's scaling
-                // run (contiguous by the from_parts invariant) and
-                // wavelet ranges, copied verbatim from its staging
-                for (slot, &(n0, n1)) in self.slots[..n_chunks].iter().zip(chunks) {
-                    for node in &level.nodes[n0..n1] {
-                        for j in 0..b {
-                            if node.v_cols > 0 {
-                                let (o, v) = (node.out_offset, node.v_cols);
-                                if at_root {
-                                    out.col_mut(j)[o..o + v]
-                                        .copy_from_slice(&slot.out.col(j)[o..o + v]);
-                                } else {
-                                    next.col_mut(j)[o..o + v]
-                                        .copy_from_slice(&slot.next.col(j)[o..o + v]);
-                                }
-                            }
-                            if node.w_cols > 0 {
-                                let (cs, w) = (node.col_start, node.w_cols);
-                                out.col_mut(j)[cs..cs + w]
-                                    .copy_from_slice(&slot.out.col(j)[cs..cs + w]);
-                            }
-                        }
-                    }
-                }
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-    }
-
-    /// Level-parallel blocked inverse transform `X = Q C` — bit-identical
-    /// to [`inverse_block_into`](FastWaveletTransform::inverse_block_into)
-    /// for every thread count.
-    pub fn inverse_block_into(
-        &mut self,
-        fwt: &FastWaveletTransform,
-        c: &Mat,
-        x: &mut Mat,
-        s1: &mut Mat,
-        s2: &mut Mat,
-    ) {
-        assert_eq!(c.n_rows(), fwt.n, "fwt inverse block dimension mismatch");
-        let _sp = trace::span("fwt_exec.inverse");
-        let b = c.n_cols();
-        x.resize(fwt.n, b);
-        s1.resize(fwt.scratch_len(), b);
-        s2.resize(fwt.scratch_len(), b);
-        let n_levels = fwt.levels.len();
-        let (mut cur, mut next) = (s1, s2);
-        for (li, level) in fwt.levels.iter().enumerate().rev() {
-            let _lvl = trace::span_arg("fwt.inverse.level", li as u64);
-            let at_root = li + 1 == n_levels;
-            let workers = self.level_workers(fwt.level_stored[li], b, level.nodes.len());
-            if workers <= 1 {
-                for node in &level.nodes {
-                    for j in 0..b {
-                        fwt.inverse_node(
-                            li,
-                            at_root,
-                            node,
-                            c.col(j),
-                            x.col_mut(j),
-                            cur.col(j),
-                            next.col_mut(j),
-                        );
-                    }
-                }
-            } else {
-                partition_by_stored_into(&level.nodes, workers, &mut self.chunks);
-                let n_chunks = self.chunks.len();
-                self.ensure_slots(n_chunks, fwt, b);
-                let chunks = &self.chunks;
-                let slots = exec::ShardItems::new(&mut self.slots[..n_chunks]);
-                let cur_r: &Mat = cur;
-                let poisoned = exec::Executor::global().run(n_chunks, &|k| {
-                    let _w = trace::span_track(
-                        "fwt.worker.inverse_level",
-                        trace::worker_track(k),
-                        li as u64,
-                    );
-                    if faults::enabled() && faults::fire(faults::Failpoint::FwtWorkerPanic) {
-                        panic!("injected fault: fwt.worker_panic");
-                    }
-                    // Safety: chunk k alone touches slot k
-                    let slot = unsafe { slots.item(k) };
-                    let (n0, n1) = chunks[k];
-                    for node in &level.nodes[n0..n1] {
-                        for j in 0..b {
-                            fwt.inverse_node(
-                                li,
-                                at_root,
-                                node,
-                                c.col(j),
-                                slot.out.col_mut(j),
-                                cur_r.col(j),
-                                slot.next.col_mut(j),
-                            );
-                        }
-                    }
-                });
-                if poisoned {
-                    degraded_level("inverse", li);
-                    for node in &level.nodes {
-                        for j in 0..b {
-                            fwt.inverse_node(
-                                li,
-                                at_root,
-                                node,
-                                c.col(j),
-                                x.col_mut(j),
-                                cur.col(j),
-                                next.col_mut(j),
-                            );
-                        }
-                    }
-                    std::mem::swap(&mut cur, &mut next);
-                    continue;
-                }
-                for (slot, &(n0, n1)) in self.slots[..n_chunks].iter().zip(chunks) {
-                    for node in &level.nodes[n0..n1] {
-                        for j in 0..b {
-                            if li == 0 {
-                                // finest level scatters onto contacts:
-                                // publish through the node's gather indices
-                                // (disjoint across nodes by validation)
-                                let idx =
-                                    &fwt.contact_idx[node.in_offset..node.in_offset + node.in_len];
-                                let src = slot.out.col(j);
-                                let dst = x.col_mut(j);
-                                for &ci in idx {
-                                    dst[ci as usize] = src[ci as usize];
-                                }
-                            } else {
-                                let (o, l) = (node.in_offset, node.in_len);
-                                next.col_mut(j)[o..o + l]
-                                    .copy_from_slice(&slot.next.col(j)[o..o + l]);
-                            }
-                        }
-                    }
-                }
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-    }
-}
-
-/// The degraded-path bookkeeping after a level worker panic: counted in
-/// `degraded_applies`, visible as a `fwt.degraded_serial_level` trace
-/// event, and warned once per occurrence. The caller recomputes the
-/// level through the serial per-node kernel, which is bit-identical to
-/// what the workers would have published.
-#[cold]
-fn degraded_level(direction: &str, li: usize) {
-    trace::add(trace::Counter::DegradedApplies, 1);
-    let _s = trace::span_arg("fwt.degraded_serial_level", li as u64);
-    eprintln!(
-        "warning: an fwt {direction} level worker panicked; recomputing level {li} serially \
-         (result is bit-identical, see the degraded_applies counter)"
-    );
-}
-
-/// Cuts a level's Morton-ordered nodes into at most `workers` contiguous
-/// chunks of roughly equal stored-block work (the per-node multiply-add
-/// count), so one oversized square near the root does not serialize the
-/// level behind the smallest chunk. Writes into a caller-held buffer so
-/// the per-level dispatch cadence allocates nothing once the buffer's
-/// capacity has grown to the worker count.
-fn partition_by_stored_into(nodes: &[FwtNode], workers: usize, chunks: &mut Vec<(usize, usize)>) {
-    chunks.clear();
-    let total: usize = nodes.iter().map(|nd| nd.in_len * (nd.v_cols + nd.w_cols)).sum();
-    let target = total.div_ceil(workers).max(1);
-    let mut start = 0usize;
-    let mut acc = 0usize;
-    for (i, nd) in nodes.iter().enumerate() {
-        acc += nd.in_len * (nd.v_cols + nd.w_cols);
-        if acc >= target && chunks.len() + 1 < workers {
-            chunks.push((start, i + 1));
-            start = i + 1;
-            acc = 0;
-        }
-    }
-    if start < nodes.len() {
-        chunks.push((start, nodes.len()));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1332,106 +785,6 @@ mod tests {
         fwt.forward_into(&x, &mut c1, &mut s1, &mut s2);
         back.forward_into(&x, &mut c2, &mut s1, &mut s2);
         assert_eq!(c1, c2);
-    }
-
-    /// A complete binary Haar chain on `n = 2^k` contacts: each level
-    /// pairs adjacent scaling coefficients (`v = w = 1` per square), the
-    /// level-`l` wavelets landing on coefficient indices
-    /// `[n/2^(l+1), n/2^l)`. Big enough fixtures exercise multi-chunk
-    /// level parallelism and multi-node row restriction.
-    fn haar_chain(n: usize) -> FastWaveletTransform {
-        assert!(n.is_power_of_two() && n >= 2);
-        let r = 0.5f64.sqrt();
-        let mut levels = Vec::new();
-        let mut blocks = Vec::new();
-        let mut m = n;
-        let mut li = 0;
-        while m >= 2 {
-            let pairs = m / 2;
-            let wavelet_base = n >> (li + 1);
-            let nodes = (0..pairs)
-                .map(|i| {
-                    let block_offset = blocks.len();
-                    blocks.extend_from_slice(&[r, r, r, -r]);
-                    FwtNode {
-                        in_offset: 2 * i,
-                        in_len: 2,
-                        v_cols: 1,
-                        w_cols: 1,
-                        out_offset: i,
-                        col_start: wavelet_base + i,
-                        block_offset,
-                    }
-                })
-                .collect();
-            levels.push(FwtLevel { nodes, coeff_len: pairs });
-            m = pairs;
-            li += 1;
-        }
-        let contact_idx = (0..n as u32).collect();
-        FastWaveletTransform::from_parts(n, 1, levels, contact_idx, blocks).unwrap()
-    }
-
-    #[test]
-    fn level_exec_is_bit_identical_to_serial_blocked() {
-        for n in [4usize, 32] {
-            let fwt = haar_chain(n);
-            for b in [1usize, 3] {
-                let x = Mat::from_fn(n, b, |i, j| ((i * 7 + j * 3) % 13) as f64 / 13.0 - 0.3);
-                let (mut c_ser, mut back_ser) = (Mat::zeros(0, 0), Mat::zeros(0, 0));
-                let (mut m1, mut m2) = (Mat::zeros(0, 0), Mat::zeros(0, 0));
-                fwt.forward_block_into(&x, &mut c_ser, &mut m1, &mut m2);
-                fwt.inverse_block_into(&c_ser, &mut back_ser, &mut m1, &mut m2);
-                // min_work 0 forces level parallelism on these tiny trees;
-                // thread counts straddle the per-level node counts
-                for threads in [1usize, 2, 3, 0] {
-                    let mut exec = FwtLevelExec::new(threads).with_min_work(0);
-                    assert_eq!(exec.threads(), threads);
-                    assert!(exec.resolved_threads() >= 1);
-                    assert_eq!(exec.min_work(), 0);
-                    let (mut c_par, mut back_par) = (Mat::zeros(0, 0), Mat::zeros(0, 0));
-                    exec.forward_block_into(&fwt, &x, &mut c_par, &mut m1, &mut m2);
-                    assert_eq!(c_par.data(), c_ser.data(), "n={n} b={b} t={threads} forward");
-                    exec.inverse_block_into(&fwt, &c_ser, &mut back_par, &mut m1, &mut m2);
-                    assert_eq!(back_par.data(), back_ser.data(), "n={n} b={b} t={threads} inverse");
-                }
-                // the default threshold keeps tiny applies inline — and
-                // inline must mean the same bits too
-                let mut lazy = FwtLevelExec::new(2);
-                assert_eq!(lazy.min_work(), subsparse_linalg::op::DEFAULT_MIN_WORK_PER_WORKER);
-                let mut c_lazy = Mat::zeros(0, 0);
-                lazy.forward_block_into(&fwt, &x, &mut c_lazy, &mut m1, &mut m2);
-                assert_eq!(c_lazy.data(), c_ser.data(), "n={n} b={b} inline threshold");
-            }
-        }
-    }
-
-    #[test]
-    fn inverse_rows_matches_full_inverse_rows() {
-        for n in [4usize, 32] {
-            let fwt = haar_chain(n);
-            for b in [1usize, 2] {
-                let c = Mat::from_fn(n, b, |i, j| ((i * 11 + j * 5) % 17) as f64 / 17.0 - 0.5);
-                let (mut full, mut m1, mut m2) =
-                    (Mat::zeros(0, 0), Mat::zeros(0, 0), Mat::zeros(0, 0));
-                fwt.inverse_block_into(&c, &mut full, &mut m1, &mut m2);
-                // ranges that split squares, skip squares, and cover ends
-                let cuts = [0usize, 1, n / 3, n / 2, n - 1, n];
-                for w in cuts.windows(2) {
-                    let (i0, i1) = (w[0], w[1].max(w[0]));
-                    let mut rows = Mat::zeros(0, 0);
-                    fwt.inverse_rows_into(&c, i0, i1, &mut rows, &mut m1, &mut m2);
-                    assert_eq!(rows.n_rows(), i1 - i0);
-                    for j in 0..b {
-                        assert_eq!(
-                            rows.col(j),
-                            &full.col(j)[i0..i1],
-                            "n={n} b={b} rows [{i0},{i1}) column {j}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -23,6 +23,6 @@ pub mod rep;
 pub mod tree;
 
 pub use assembly::{GwAssembler, GwSink};
-pub use fwt::{FastWaveletTransform, FwtLevel, FwtLevelExec, FwtNode};
+pub use fwt::{FastWaveletTransform, FwtLevel, FwtNode};
 pub use rep::{BasisRep, ModelLoadError, FORMAT_VERSION};
 pub use tree::{HierError, Quadtree, Square};

@@ -22,13 +22,19 @@
 //! streamed from memory once per panel instead of once per vector.
 //! Thresholding `Gw` trades accuracy for more sparsity (the `Gwt` of the
 //! thesis tables).
+//!
+//! Each path has exactly one kernel, and it is serial. Threaded serving
+//! ([`ParallelApply`](subsparse_linalg::ParallelApply)) cuts a wide block
+//! into column panels and runs this kernel on each; a narrow block runs
+//! it inline. A `BasisRep` offers no row axis: its output rows all
+//! depend on the same analysis half, so splitting them bought nothing in
+//! any measured configuration.
 
-use std::sync::Mutex;
 use subsparse_linalg::exec;
 use subsparse_linalg::io::{fnv1a64, ReadMatrixError};
 use subsparse_linalg::{faults, trace, ApplyWorkspace, CouplingOp, Csr, Mat, Triplets};
 
-use crate::fwt::{FastWaveletTransform, FwtLevelExec};
+use crate::fwt::FastWaveletTransform;
 
 /// Serialization format version written into (and checked from) the
 /// model files [`BasisRep::save`] produces. Bump when the on-disk layout
@@ -142,7 +148,7 @@ impl std::error::Error for ModelLoadError {
 /// place would desynchronize the cached transpose/transform, so derived
 /// representations go through [`thresholded`](Self::thresholded) and
 /// friends instead.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct BasisRep {
     /// Orthogonal sparse change-of-basis matrix (columns are basis vectors).
     pub q: Csr,
@@ -153,25 +159,6 @@ pub struct BasisRep {
     qt: Csr,
     /// The tree-structured transform, when the basis has one.
     fwt: Option<FastWaveletTransform>,
-    /// The level-parallel transform executor, folded into the serving
-    /// path proper: blocked applies wide enough to clear its min-work
-    /// threshold run the analysis/synthesis transforms level-parallel
-    /// through the shared pool, smaller ones use the serial transform
-    /// (bit-identical either way). Behind a mutex because applies take
-    /// `&self`; contention falls back to the serial transform.
-    level_exec: Mutex<FwtLevelExec>,
-}
-
-impl Clone for BasisRep {
-    fn clone(&self) -> BasisRep {
-        BasisRep {
-            q: self.q.clone(),
-            gw: self.gw.clone(),
-            qt: self.qt.clone(),
-            fwt: self.fwt.clone(),
-            level_exec: self.level_exec_clone(),
-        }
-    }
 }
 
 impl BasisRep {
@@ -179,7 +166,7 @@ impl BasisRep {
     /// caching `Q'` for row-major analysis applies.
     pub fn new(q: Csr, gw: Csr) -> BasisRep {
         let qt = q.transpose();
-        BasisRep { q, gw, qt, fwt: None, level_exec: Mutex::new(FwtLevelExec::new(0)) }
+        BasisRep { q, gw, qt, fwt: None }
     }
 
     /// Builds a representation served through the fast wavelet transform:
@@ -197,7 +184,7 @@ impl BasisRep {
         assert_eq!(gw.n_rows(), fwt.n(), "transform/Gw dimension mismatch");
         assert_eq!(gw.n_rows(), gw.n_cols(), "Gw must be square");
         let qt = q.transpose();
-        BasisRep { q, gw, qt, fwt: Some(fwt), level_exec: Mutex::new(FwtLevelExec::new(0)) }
+        BasisRep { q, gw, qt, fwt: Some(fwt) }
     }
 
     /// The fast transform, if this representation serves through one.
@@ -209,84 +196,13 @@ impl BasisRep {
     /// transform) — the fallback selector for benchmarking and for
     /// consumers of legacy model files.
     pub fn without_fwt(&self) -> BasisRep {
-        BasisRep {
-            q: self.q.clone(),
-            gw: self.gw.clone(),
-            qt: self.qt.clone(),
-            fwt: None,
-            level_exec: self.level_exec_clone(),
-        }
+        BasisRep { q: self.q.clone(), gw: self.gw.clone(), qt: self.qt.clone(), fwt: None }
     }
 
     /// A copy with the same basis (and serving path) but a different
     /// transformed matrix — the shared core of the thresholding helpers.
     fn with_gw(&self, gw: Csr) -> BasisRep {
-        BasisRep {
-            q: self.q.clone(),
-            gw,
-            qt: self.qt.clone(),
-            fwt: self.fwt.clone(),
-            level_exec: self.level_exec_clone(),
-        }
-    }
-
-    /// Reconfigures the embedded level-parallel transform executor
-    /// (`threads`: 0 = auto; `min_work`: 0 disables the inline
-    /// threshold, forcing the parallel transform even on small blocks).
-    /// Purely a performance knob — the level-parallel transform is
-    /// bit-identical to the serial one at every thread count — and the
-    /// hook the contract tests and benches use to force the folded path
-    /// on small fixtures.
-    pub fn with_level_parallel(self, threads: usize, min_work: usize) -> BasisRep {
-        BasisRep {
-            level_exec: Mutex::new(FwtLevelExec::new(threads).with_min_work(min_work)),
-            ..self
-        }
-    }
-
-    /// A fresh mutex around a snapshot of the executor's configuration
-    /// (the copied slot buffers keep their warmth).
-    fn level_exec_clone(&self) -> Mutex<FwtLevelExec> {
-        Mutex::new(self.level_exec.lock().unwrap_or_else(|e| e.into_inner()).clone())
-    }
-
-    /// Runs the analysis transform level-parallel when the block is wide
-    /// enough to engage workers; returns `false` when the caller should
-    /// run the serial transform instead (every level below the min-work
-    /// threshold, or another apply holds the executor) — bit-identical
-    /// either way.
-    fn try_forward_parallel(
-        &self,
-        fwt: &FastWaveletTransform,
-        x: &Mat,
-        out: &mut Mat,
-        s1: &mut Mat,
-        s2: &mut Mat,
-    ) -> bool {
-        let Ok(mut ex) = self.level_exec.try_lock() else { return false };
-        if !ex.engages(fwt, x.n_cols()) {
-            return false;
-        }
-        ex.forward_block_into(fwt, x, out, s1, s2);
-        true
-    }
-
-    /// Synthesis-side counterpart of
-    /// [`try_forward_parallel`](Self::try_forward_parallel).
-    fn try_inverse_parallel(
-        &self,
-        fwt: &FastWaveletTransform,
-        c: &Mat,
-        x: &mut Mat,
-        s1: &mut Mat,
-        s2: &mut Mat,
-    ) -> bool {
-        let Ok(mut ex) = self.level_exec.try_lock() else { return false };
-        if !ex.engages(fwt, c.n_cols()) {
-            return false;
-        }
-        ex.inverse_block_into(fwt, c, x, s1, s2);
-        true
+        BasisRep { q: self.q.clone(), gw, qt: self.qt.clone(), fwt: self.fwt.clone() }
     }
 
     /// Number of contacts.
@@ -669,63 +585,25 @@ impl CouplingOp for BasisRep {
         } else {
             "apply_block.basis-rep"
         });
-        // analysis half + sparse product (shared with the row-sharded
-        // path, so both assemble the same bits), then the synthesis half
-        self.prepare_rows(x, ws);
         let (wa, wb, wc) = ws.mats3();
         if let Some(fwt) = &self.fwt {
-            if !self.try_inverse_parallel(fwt, wb, y, wa, wc) {
-                fwt.inverse_block_into(wb, y, wa, wc);
+            fwt.forward_block_into(x, wa, wb, wc);
+            {
+                let _gw = trace::span("rep.gw");
+                self.gw.matmul_dense_into(wa, wb);
             }
-        } else {
-            let _q = trace::span("rep.q");
-            self.q.matmul_dense_into(wb, y);
-        }
-    }
-
-    fn supports_row_shard(&self) -> bool {
-        true
-    }
-
-    /// The cooperative phase: the transformed-basis coefficients
-    /// `C = Gw (Q' X)` — the analysis transform plus the sparse product —
-    /// computed once into the shared workspace (second scratch matrix).
-    /// Only the synthesis (`Q C`, whose output rows are independent) is
-    /// row-sharded.
-    fn prepare_rows(&self, x: &Mat, prep: &mut ApplyWorkspace) {
-        let (wa, wb, wc) = prep.mats3();
-        if let Some(fwt) = &self.fwt {
-            if !self.try_forward_parallel(fwt, x, wa, wb, wc) {
-                fwt.forward_block_into(x, wa, wb, wc);
-            }
-            let _gw = trace::span("rep.gw");
-            self.gw.matmul_dense_into(wa, wb);
+            fwt.inverse_block_into(wb, y, wa, wc);
         } else {
             {
                 let _qt = trace::span("rep.qt");
                 self.qt.matmul_dense_into(x, wa);
             }
-            let _gw = trace::span("rep.gw");
-            self.gw.matmul_dense_into(wa, wb);
-        }
-    }
-
-    fn apply_rows_into(
-        &self,
-        _x: &Mat,
-        prep: &ApplyWorkspace,
-        i0: usize,
-        i1: usize,
-        y_rows: &mut Mat,
-        ws: &mut ApplyWorkspace,
-    ) {
-        let (_, wb, _) = prep.mats_ref();
-        if let Some(fwt) = &self.fwt {
-            // row-restricted synthesis through the tree, private scratch
-            let (s1, s2) = ws.mats();
-            fwt.inverse_rows_into(wb, i0, i1, y_rows, s1, s2);
-        } else {
-            self.q.matmul_dense_rows_into(wb, i0, i1, y_rows);
+            {
+                let _gw = trace::span("rep.gw");
+                self.gw.matmul_dense_into(wa, wb);
+            }
+            let _q = trace::span("rep.q");
+            self.q.matmul_dense_into(wb, y);
         }
     }
 }

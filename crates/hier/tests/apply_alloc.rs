@@ -190,81 +190,22 @@ fn apply_into_is_allocation_free_after_warmup() {
         );
     }
 
-    // --- the two-phase row-sharded path ---
+    // --- the row-sharded path ---
     //
-    // Narrow (1-column) blocks on the structured representations
-    // dispatch the two-phase protocol: prepare_rows computes the shared
-    // analysis half into the pool's cooperative workspace, then workers
-    // run the row-restricted synthesis. After warm-up the whole apply —
-    // prepare, shard, publish — must again allocate nothing. Covered:
-    // the CSR `Q Gw Q'` sandwich, the factored low-rank op, and a
-    // 64-contact Haar chain on the fast-wavelet synthesis (big enough
-    // for two row shards).
+    // Narrow (1-column) blocks on the flat operators (dense, CSR) shard
+    // by output rows; each worker writes its range into its own staging
+    // panel, published after the dispatch. After warm-up the whole
+    // apply — shard and publish — must again allocate nothing.
     let x1 = Mat::from_fn(n, 1, |i, _| ((i * 3) as f64).sin());
-    let chain_rep = haar_chain_rep64();
-    assert_eq!(chain_rep.kind(), "basis-rep-fwt");
-    let x64 = Mat::from_fn(64, 1, |i, _| ((i * 5) as f64).cos());
-    let mut pool_rows = ParallelApply::new(workers).with_min_work(0);
-    let cases: [(&(dyn CouplingOp + Sync), &Mat); 3] =
-        [(&rep, &x1), (&lowrank, &x1), (&chain_rep, &x64)];
-    for (op, x) in cases {
-        assert!(op.supports_row_shard(), "{}: expected two-phase support", op.kind());
-        let shards = pool_rows.planned_workers(op, 1);
-        assert!(shards > 1, "{}: narrow block must row-shard here", op.kind());
-        pool_rows.warm(op, 1);
+    for op in [&dense as &(dyn CouplingOp + Sync), &sparse] {
+        assert!(pool.planned_workers(op, 1) > 1, "{}: narrow block must row-shard", op.kind());
+        pool.warm(op, 1);
         for _ in 0..4 {
-            pool_rows.apply_block_into(op, x, &mut yp); // spawn + settle the pool
+            pool.apply_block_into(op, &x1, &mut yp); // settle the pool
         }
-        let threaded = allocations_during(|| pool_rows.apply_block_into(op, x, &mut yp));
-        assert_eq!(
-            threaded,
-            0,
-            "{}: two-phase row-sharded dispatch allocated after warm-up",
-            op.kind()
-        );
+        let threaded = allocations_during(|| pool.apply_block_into(op, &x1, &mut yp));
+        assert_eq!(threaded, 0, "{}: row-sharded dispatch allocated after warm-up", op.kind());
     }
-}
-
-/// A complete binary Haar chain on 64 contacts (pairs combined per
-/// level), with a banded sparse `Gw` — the fast-wavelet fixture for the
-/// two-phase row-shard allocation contract.
-fn haar_chain_rep64() -> BasisRep {
-    let n = 64usize;
-    let r = 0.5f64.sqrt();
-    let mut levels = Vec::new();
-    let mut blocks = Vec::new();
-    let mut m = n;
-    let mut li = 0;
-    while m >= 2 {
-        let pairs = m / 2;
-        let wavelet_base = n >> (li + 1);
-        let nodes = (0..pairs)
-            .map(|i| {
-                let block_offset = blocks.len();
-                blocks.extend_from_slice(&[r, r, r, -r]);
-                FwtNode {
-                    in_offset: 2 * i,
-                    in_len: 2,
-                    v_cols: 1,
-                    w_cols: 1,
-                    out_offset: i,
-                    col_start: wavelet_base + i,
-                    block_offset,
-                }
-            })
-            .collect();
-        levels.push(FwtLevel { nodes, coeff_len: pairs });
-        m = pairs;
-        li += 1;
-    }
-    let fwt =
-        FastWaveletTransform::from_parts(n, 1, levels, (0..n as u32).collect(), blocks).unwrap();
-    let mut tg = Triplets::new(n, n);
-    for i in 0..n {
-        tg.push(i, i, 2.0 + i as f64 * 0.05);
-        tg.push(i, (i + 5) % n, -0.125);
-    }
-    BasisRep::with_fwt(Csr::identity(n), tg.to_csr(), fwt)
 }
 
 /// A 2-level quadtree-style transform on 8 contacts: four finest pairs,

@@ -90,10 +90,10 @@ fn assert_parallel_bit_agrees(op: &(dyn CouplingOp + Sync), label: &str) {
     // the contract fixtures sit far below the default min-work inline
     // threshold, so the threaded paths this suite exists to pin would
     // silently degrade to serial; min_work 0 forces them to engage — and
-    // on operators with at least two row shards' worth of rows, the
-    // row-sharded (two-phase, for the structured reps) path must actually
-    // be the one dispatched on narrow blocks
-    if n >= 32 {
+    // on flat operators with at least two row shards' worth of rows, the
+    // row-sharded path must actually be the one dispatched on narrow
+    // blocks
+    if n >= 32 && op.supports_row_shard() {
         assert!(
             ParallelApply::new(2).with_min_work(0).planned_workers(op, 1) > 1,
             "{label}: narrow-block apply must engage the row-sharded path"
@@ -136,13 +136,39 @@ fn parallel_apply_bit_agrees_on_every_representation() {
     let fwt_rep = haar8_rep();
     assert_eq!(fwt_rep.kind(), "basis-rep-fwt");
     assert_parallel_bit_agrees(&fwt_rep, "basis-rep-fwt");
-    // and a tree big enough to row-shard pins the two-phase path: the
-    // shared analysis half computed once, the restricted synthesis
-    // reassembling the serial bits across every range
+    // and a multi-level tree, column panels cutting through every level
     let big_fwt_rep = haar_chain_rep(64);
     assert_eq!(big_fwt_rep.kind(), "basis-rep-fwt");
-    assert!(big_fwt_rep.supports_row_shard());
     assert_parallel_bit_agrees(&big_fwt_rep, "basis-rep-fwt-64");
+}
+
+/// The dispatch rule: every operator shards wide blocks by column panels,
+/// and only the flat ones (dense, CSR) shard a narrow block by rows. The
+/// structured pipelines share one analysis half across all output rows,
+/// so a one-column apply on them plans a single (inline) worker even
+/// with the min-work threshold disabled.
+#[test]
+fn only_flat_operators_shard_rows() {
+    let n = 64;
+    let pool = ParallelApply::new(2).with_min_work(0);
+    let fwt_rep = haar_chain_rep(n);
+    let csr_rep = fwt_rep.without_fwt();
+    let lr = LowRankOp::from_svd(&svd::svd(&random_mat(n, n, 28)), 6);
+    let structured: [(&(dyn CouplingOp + Sync), &str); 3] =
+        [(&fwt_rep, "basis-rep-fwt"), (&csr_rep, "basis-rep"), (&lr, "lowrank-factored")];
+    for (op, label) in structured {
+        assert_eq!(op.kind(), label);
+        assert!(!op.supports_row_shard(), "{label}: structured ops have no row axis");
+        assert_eq!(pool.planned_workers(op, 1), 1, "{label}: one column must serve inline");
+        assert_eq!(pool.planned_workers(op, 8), 2, "{label}: wide blocks shard by columns");
+    }
+    let dense = random_mat(n, n, 29);
+    let sparse = random_csr(n, n, 0.2, 30);
+    let flat: [(&(dyn CouplingOp + Sync), &str); 2] = [(&dense, "dense"), (&sparse, "csr")];
+    for (op, label) in flat {
+        assert!(op.supports_row_shard(), "{label}: flat ops keep the row axis");
+        assert!(pool.planned_workers(op, 1) > 1, "{label}: one column must shard by rows");
+    }
 }
 
 #[test]
@@ -205,9 +231,7 @@ fn haar8_rep() -> BasisRep {
 }
 
 /// A complete binary Haar chain on `n = 2^k` contacts (pairs of scaling
-/// coefficients combined per level) with a random sparse `Gw` — large
-/// enough that narrow-block parallel applies dispatch the two-phase
-/// row-sharded synthesis instead of degrading to serial.
+/// coefficients combined per level) with a random sparse `Gw`.
 fn haar_chain_rep(n: usize) -> BasisRep {
     assert!(n.is_power_of_two() && n >= 2);
     let r = 0.5f64.sqrt();

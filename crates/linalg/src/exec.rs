@@ -2,11 +2,11 @@
 //! workspace dispatches through.
 //!
 //! Before this module existed, each parallel consumer — the serving
-//! executor ([`ParallelApply`](crate::ParallelApply)), the level-parallel
-//! fast wavelet transform, the threaded dense materialization, the
-//! FD/eigen batch solvers — spawned fresh scoped threads per call. An OS
-//! thread launch costs tens of microseconds, which is why the serving
-//! layer needed a 128Ki min-work threshold before threading paid off.
+//! executor ([`ParallelApply`](crate::ParallelApply)), the threaded
+//! dense materialization, the FD/eigen batch solvers — spawned fresh
+//! scoped threads per call. An OS thread launch costs tens of
+//! microseconds, which is why the serving layer needed a 128Ki min-work
+//! threshold before threading paid off.
 //! [`Executor`] replaces every one of those spawn sites with one
 //! long-lived pool of parked workers:
 //!
@@ -32,14 +32,12 @@
 //!   anything. Callers keep their existing degraded-serial-fallback
 //!   semantics on a poisoned dispatch.
 //! * **Nested dispatch runs inline** — a dispatch issued from inside a
-//!   shard (the level-parallel FWT embedded in a representation that is
-//!   itself being served through the pool) executes its shards serially
-//!   on the calling thread: deadlock-free by construction and
-//!   bit-identical because every path's serial kernel is the reference.
+//!   shard executes its shards serially on the calling thread:
+//!   deadlock-free by construction and bit-identical because every
+//!   path's serial kernel is the reference.
 //!
-//! The dispatch/completion barrier is the synchronization primitive the
-//! per-level FWT fan-out needs: [`run`](Executor::run) returns only after
-//! every shard has finished, with the workers' writes ordered before the
+//! The dispatch/completion barrier: [`run`](Executor::run) returns only
+//! after every shard has finished, with the workers' writes ordered before the
 //! caller's reads (the control mutex pairs the hand-off), so a sequence
 //! of `run` calls is a sequence of barriered parallel sections.
 //!
@@ -163,7 +161,7 @@ impl Executor {
     /// Runs `f(shard)` for every shard in `0..shards`, striped across
     /// this thread (shard 0's stripe) plus `min(shards, MAX_WORKERS + 1)
     /// minus one` pool workers, returning only after every shard finished
-    /// (the barrier the level-parallel FWT builds on).
+    /// (the barrier every caller publishes its staging behind).
     ///
     /// Returns `true` if any shard panicked (the dispatch is
     /// **poisoned**: shard output staging is suspect and the caller must

@@ -21,7 +21,6 @@
 //! | `solve.poison_nan` | `pcg_with` exit | the solution vector is overwritten with NaN |
 //! | `solve.stall` | `pcg_with` entry | the solve sleeps for the configured milliseconds |
 //! | `pool.worker_panic` | `ParallelApply` workers | the worker closure panics |
-//! | `fwt.worker_panic` | `FwtLevelExec` workers | the level worker closure panics |
 //!
 //! # Trigger modes
 //!
@@ -57,7 +56,7 @@ pub fn enabled() -> bool {
 }
 
 /// Number of registered failpoints.
-pub const N_FAILPOINTS: usize = 7;
+pub const N_FAILPOINTS: usize = 6;
 
 /// The fixed catalog of failpoints (see the module docs for the seam and
 /// effect of each).
@@ -75,8 +74,6 @@ pub enum Failpoint {
     SolveStall = 4,
     /// `ParallelApply` worker closures: panic.
     PoolWorkerPanic = 5,
-    /// `FwtLevelExec` level-worker closures: panic.
-    FwtWorkerPanic = 6,
 }
 
 /// Every failpoint, in catalog order.
@@ -87,7 +84,6 @@ pub const ALL_FAILPOINTS: [Failpoint; N_FAILPOINTS] = [
     Failpoint::SolvePoisonNan,
     Failpoint::SolveStall,
     Failpoint::PoolWorkerPanic,
-    Failpoint::FwtWorkerPanic,
 ];
 
 const FAILPOINT_NAMES: [&str; N_FAILPOINTS] = [
@@ -97,7 +93,6 @@ const FAILPOINT_NAMES: [&str; N_FAILPOINTS] = [
     "solve.poison_nan",
     "solve.stall",
     "pool.worker_panic",
-    "fwt.worker_panic",
 ];
 
 impl Failpoint {
@@ -397,15 +392,15 @@ mod tests {
 
         // stats name every point and count evaluations and fires
         reset();
-        configure(Failpoint::FwtWorkerPanic, FireMode::Once);
-        let _ = fire(Failpoint::FwtWorkerPanic);
-        let _ = fire(Failpoint::FwtWorkerPanic);
+        configure(Failpoint::PoolWorkerPanic, FireMode::Once);
+        let _ = fire(Failpoint::PoolWorkerPanic);
+        let _ = fire(Failpoint::PoolWorkerPanic);
         let row = stats()
             .into_iter()
-            .find(|(name, _, _)| *name == "fwt.worker_panic")
+            .find(|(name, _, _)| *name == "pool.worker_panic")
             .expect("stats must list every failpoint");
         assert_eq!((row.1, row.2), (2, 1));
-        assert!(summary().contains("fwt.worker_panic"));
+        assert!(summary().contains("pool.worker_panic"));
 
         reset();
         assert!(!enabled());

@@ -19,8 +19,8 @@
 //! * [`op`] — the [`CouplingOp`] serving layer: one zero-allocation,
 //!   blocked apply path over every operator representation.
 //! * [`exec`] — the persistent parked-worker [`Executor`] every
-//!   thread-parallel path (serving pool, level-parallel FWT, dense
-//!   materialization, batch solvers) dispatches through: zero-alloc
+//!   thread-parallel path (serving pool, dense materialization, batch
+//!   solvers) dispatches through: zero-alloc
 //!   hand-off, panic isolation, barriered completion.
 //! * [`kernels`] — the lane-blocked inner kernels of the serving hot
 //!   loops (fixed-lane accumulator dots, fused column updates) together

@@ -36,14 +36,18 @@
 //! ## Thread-parallel serving
 //!
 //! [`ParallelApply`] is the layer above: it shards one
-//! [`apply_block_into`](CouplingOp::apply_block_into) call across scoped
-//! worker threads — contiguous column panels when the block is wide
-//! enough to feed every worker, disjoint row ranges (for representations
-//! that support [`apply_rows_into`](CouplingOp::apply_rows_into)) when it
-//! is not. Every shard runs the unmodified serial kernel, so the
-//! assembled result is **bit-identical to the serial apply for every
-//! thread count** — the same determinism contract the batched extraction
-//! side (`solve_batch`) honors. Each worker owns a persistent
+//! [`apply_block_into`](CouplingOp::apply_block_into) call across the
+//! persistent worker pool by one rule. Every operator can be cut into
+//! contiguous column panels, each pushed through its serial blocked
+//! kernel. Only the flat operators (dense [`Mat`], [`Csr`]) can also be
+//! cut into output row ranges ([`apply_rows_into`](CouplingOp::apply_rows_into)),
+//! because only there is every output row computed from its own stored
+//! values. The structured pipelines (`Q Gw Q'`, `U S V'`) share one
+//! analysis half across all rows, so a narrow block on them runs inline
+//! on its serial kernel. Every shard runs the unmodified serial kernel,
+//! so the assembled result is **bit-identical to the serial apply for
+//! every thread count** — the same determinism contract the batched
+//! extraction side (`solve_batch`) honors. Each worker owns a persistent
 //! [`ApplyWorkspace`] plus staging buffers, reused across calls, so the
 //! steady-state serving work allocates nothing per worker.
 //!
@@ -142,15 +146,6 @@ impl ApplyWorkspace {
     pub fn mats3(&mut self) -> (&mut Mat, &mut Mat, &mut Mat) {
         (&mut self.a, &mut self.b, &mut self.c)
     }
-
-    /// Read-only views of the three scratch matrices. This is how the
-    /// row-sharded synthesis phase reads the coefficients that
-    /// [`CouplingOp::prepare_rows`] left in a shared workspace: many
-    /// workers borrow the prepared workspace immutably while each writes
-    /// through its own private one.
-    pub fn mats_ref(&self) -> (&Mat, &Mat, &Mat) {
-        (&self.a, &self.b, &self.c)
-    }
 }
 
 /// A served coupling operator: anything that can play `x ↦ G x` for a
@@ -209,27 +204,13 @@ pub trait CouplingOp {
     /// i.e. whether a blocked apply can be restricted to an output row
     /// range *without redoing the dominant work per range*.
     ///
-    /// True for the flat representations (dense, CSR), where every output
-    /// row is computed independently from its own stored values, and for
-    /// the structured pipelines (`BasisRep`, `LowRankOp`) via the
-    /// two-phase protocol: [`prepare_rows`](Self::prepare_rows) computes
-    /// the shared analysis half (`Gw (Q' X)`, `s ∘ (V' X)`) **once** into
-    /// a cooperative workspace, and only the synthesis half (`Q ·`,
-    /// `U ·`) — whose output rows are independent — is row-sharded.
+    /// True only for the flat representations (dense, CSR), where every
+    /// output row is computed independently from its own stored values.
+    /// Structured pipelines keep the default: their output rows share one
+    /// analysis half, so they shard by column panels only.
     fn supports_row_shard(&self) -> bool {
         false
     }
-
-    /// Cooperative phase of a two-phase row-sharded apply: computes
-    /// whatever shared intermediate the synthesis phase needs (for the
-    /// structured representations, the dominant analysis half of the
-    /// pipeline) into `prep`, exactly once per apply.
-    ///
-    /// The executor calls this on one thread before sharding, then hands
-    /// every worker the same `prep` read-only alongside the worker's own
-    /// private workspace. Flat representations (dense, CSR), whose rows
-    /// need no shared intermediate, keep the default no-op.
-    fn prepare_rows(&self, _x: &Mat, _prep: &mut ApplyWorkspace) {}
 
     /// Computes rows `[i0, i1)` of `Y = G X` into `y_rows` (resized to
     /// `(i1 - i0) x x.n_cols()`), with every entry accumulated in exactly
@@ -237,20 +218,9 @@ pub trait CouplingOp {
     /// uses — so disjoint ranges reassemble bit-identically to one serial
     /// apply.
     ///
-    /// `prep` is the workspace [`prepare_rows`](Self::prepare_rows)
-    /// filled for this exact `x` (shared by every range of the apply);
-    /// `ws` is the caller's private scratch. Only callable when
-    /// [`supports_row_shard`](Self::supports_row_shard) returns true; the
-    /// default implementation panics.
-    fn apply_rows_into(
-        &self,
-        _x: &Mat,
-        _prep: &ApplyWorkspace,
-        _i0: usize,
-        _i1: usize,
-        _y_rows: &mut Mat,
-        _ws: &mut ApplyWorkspace,
-    ) {
+    /// Only callable when [`supports_row_shard`](Self::supports_row_shard)
+    /// returns true; the default implementation panics.
+    fn apply_rows_into(&self, _x: &Mat, _i0: usize, _i1: usize, _y_rows: &mut Mat) {
         panic!("{}: row-sharded apply is not supported", self.kind());
     }
 
@@ -299,15 +269,7 @@ impl CouplingOp for Mat {
         true
     }
 
-    fn apply_rows_into(
-        &self,
-        x: &Mat,
-        _prep: &ApplyWorkspace,
-        i0: usize,
-        i1: usize,
-        y_rows: &mut Mat,
-        _ws: &mut ApplyWorkspace,
-    ) {
+    fn apply_rows_into(&self, x: &Mat, i0: usize, i1: usize, y_rows: &mut Mat) {
         self.matmul_rows_into(x, i0, i1, y_rows);
     }
 }
@@ -340,15 +302,7 @@ impl CouplingOp for Csr {
         true
     }
 
-    fn apply_rows_into(
-        &self,
-        x: &Mat,
-        _prep: &ApplyWorkspace,
-        i0: usize,
-        i1: usize,
-        y_rows: &mut Mat,
-        _ws: &mut ApplyWorkspace,
-    ) {
+    fn apply_rows_into(&self, x: &Mat, i0: usize, i1: usize, y_rows: &mut Mat) {
         self.matmul_dense_rows_into(x, i0, i1, y_rows);
     }
 }
@@ -385,22 +339,6 @@ impl WorkerSlot {
         }
         op.apply_block_into(&self.x, &mut self.y, &mut self.ws);
         y_panel.copy_from_slice(self.y.data());
-    }
-
-    /// One row shard: rows `[i0, i1)` of `Y = G X` into the slot's `y`
-    /// panel (published into the interleaved output by the caller after
-    /// the parallel scope ends — row ranges of a column-major matrix are
-    /// not contiguous, so workers cannot own disjoint slices of it).
-    /// `prep` is the executor's shared prepared workspace, read-only.
-    fn run_row_shard<O: CouplingOp + ?Sized>(
-        &mut self,
-        op: &O,
-        x: &Mat,
-        prep: &ApplyWorkspace,
-        i0: usize,
-        i1: usize,
-    ) {
-        op.apply_rows_into(x, prep, i0, i1, &mut self.y, &mut self.ws);
     }
 }
 
@@ -450,19 +388,20 @@ impl std::error::Error for ApplyError {}
 /// serial apply. The executor guarantees this by construction: it never
 /// re-associates anything. A wide block is cut into contiguous column
 /// panels, each pushed through the unmodified serial blocked kernel
-/// (whose columns already bit-match the per-vector apply); a narrow block
-/// on a row-shardable representation ([`CouplingOp::supports_row_shard`])
+/// (whose columns already bit-match the per-vector apply). A narrow block
+/// on a flat operator (dense or CSR, [`CouplingOp::supports_row_shard`])
 /// is cut into disjoint output row ranges, each accumulated in the serial
-/// kernel's own per-entry order. Determinism is enforced by the contract
-/// suite in `crates/hier/tests/coupling_contract.rs` and by the
-/// `apply_speed` CI gate.
+/// kernel's own per-entry order; on any other operator it runs inline.
+/// Determinism is enforced by the contract suite in
+/// `crates/hier/tests/coupling_contract.rs` and by the `apply_speed` CI
+/// gate.
 ///
 /// Worker state — one [`ApplyWorkspace`] plus input/output staging panels
 /// per worker — lives in the executor and is reused across calls, so
 /// steady-state serving work performs no allocation per worker (pinned by
-/// `crates/hier/tests/apply_alloc.rs`; the scoped-thread launch itself is
-/// the one per-call cost outside the serving path). Construct once per
-/// serving loop, next to the operator, and feed it every block.
+/// `crates/hier/tests/apply_alloc.rs`; the pool handoff itself is the one
+/// per-call cost outside the serving path). Construct once per serving
+/// loop, next to the operator, and feed it every block.
 ///
 /// # Example
 ///
@@ -486,27 +425,20 @@ pub struct ParallelApply {
     /// Fewest stored-value traversals (`nnz x block / workers`) worth a
     /// worker of its own; see [`with_min_work`](Self::with_min_work).
     min_work: usize,
-    /// The cooperative workspace [`CouplingOp::prepare_rows`] fills once
-    /// per row-sharded apply and every worker reads.
-    prep: ApplyWorkspace,
     slots: Vec<WorkerSlot>,
 }
 
-/// Fewest output rows worth a worker of its own: below this, the
-/// scoped-thread launch costs more than the row shard it would compute.
+/// Fewest output rows worth a worker of its own: below this, the pool
+/// handoff costs more than the row shard it would compute.
 const MIN_ROWS_PER_SHARD: usize = 16;
 
 /// Default of [`ParallelApply::with_min_work`]: stored-value traversals
 /// (`nnz x block`) each worker must be fed before the dispatch engages
-/// it. The threshold is calibrated to the measured cost of handing work
-/// to the persistent pool, not to thread-launch folklore: the
-/// `apply_speed --handoff` micro-rows put a parked-pool dispatch at
-/// ~2-3us against ~15-20us for the fresh `std::thread::scope` launches
-/// the pool replaced (see `BENCH_apply_speed.json`), so the break-even
-/// work per worker dropped by the same ~8x — 16k multiply-adds keeps the
-/// hand-off under ~10% of the shard it pays for. Panels below that —
-/// e.g. a dense n=64 single-vector apply — serve on the inline serial
-/// path instead of a degraded dispatch.
+/// it. The threshold is sized against the cost of handing a shard to the
+/// persistent pool, which the `handoff_pool` row of `apply_speed
+/// --handoff` records in `BENCH_apply_speed.json`. Panels below it — e.g.
+/// a dense n=64 single-vector apply — serve on the inline serial path
+/// instead of a degraded dispatch.
 pub const DEFAULT_MIN_WORK_PER_WORKER: usize = 16 * 1024;
 
 impl ParallelApply {
@@ -520,7 +452,6 @@ impl ParallelApply {
             threads,
             resolved: resolve_threads(threads),
             min_work: DEFAULT_MIN_WORK_PER_WORKER,
-            prep: ApplyWorkspace::new(),
             slots: Vec::new(),
         }
     }
@@ -609,8 +540,8 @@ impl ParallelApply {
     /// Sharding picks the axis that feeds the most workers without
     /// duplicating work: contiguous column panels when the block has at
     /// least one column per worker, disjoint row ranges when it does not
-    /// but the representation computes output rows independently
-    /// ([`CouplingOp::supports_row_shard`]); otherwise it degrades
+    /// but the operator is flat (dense or CSR,
+    /// [`CouplingOp::supports_row_shard`]); otherwise it degrades
     /// gracefully to fewer workers (down to a plain inline serial apply,
     /// which is also the `threads == 1` fast path — no spawn, no copy).
     ///
@@ -644,13 +575,6 @@ impl ParallelApply {
             let shards = n.div_ceil(h);
             trace::add(trace::Counter::RowShards, shards as u64);
             self.ensure_slots(shards);
-            {
-                // cooperative phase: the shared analysis half, once, on
-                // this thread; flat representations no-op here
-                let _p = trace::span("pool.prepare_rows");
-                op.prepare_rows(x, &mut self.prep);
-            }
-            let prep = &self.prep;
             let slots = exec::ShardItems::new(&mut self.slots[..shards]);
             let poisoned = exec::Executor::global().run(shards, &|k| {
                 let _w = trace::span_track("worker.row_shard", trace::worker_track(k), k as u64);
@@ -659,8 +583,11 @@ impl ParallelApply {
                 }
                 // Safety: shard k is the only shard touching slot k
                 let slot = unsafe { slots.item(k) };
+                // rows land in the slot's y panel and are published after
+                // the dispatch: row ranges of a column-major matrix are not
+                // contiguous, so workers cannot own disjoint slices of it
                 let (i0, i1) = (k * h, ((k + 1) * h).min(n));
-                slot.run_row_shard(op, x, prep, i0, i1);
+                op.apply_rows_into(x, i0, i1, &mut slot.y);
             });
             if poisoned {
                 // a worker's staging panel is suspect; discard everything
@@ -669,7 +596,7 @@ impl ParallelApply {
                 return;
             }
             // publish: row ranges interleave across the column-major
-            // output, so the gather happens after the scope
+            // output, so the gather happens after the dispatch
             for (k, slot) in self.slots[..shards].iter().enumerate() {
                 let i0 = k * h;
                 for j in 0..b {
@@ -843,39 +770,14 @@ impl CouplingOp for LowRankOp {
     fn apply_block_into(&self, x: &Mat, y: &mut Mat, ws: &mut ApplyWorkspace) {
         let _s = trace::span("apply_block.lowrank");
         let _h = trace::time_hist(trace::Hist::ApplyBlockNs);
-        self.prepare_rows(x, ws);
-        let (t, _, _) = ws.mats_ref();
-        self.u.matmul_into(t, y);
-    }
-
-    fn supports_row_shard(&self) -> bool {
-        true
-    }
-
-    /// The cooperative phase: the rank-space coefficients
-    /// `T = s ∘ (V' X)`, computed once into the shared workspace. The
-    /// synthesis `U T` is what gets row-sharded.
-    fn prepare_rows(&self, x: &Mat, prep: &mut ApplyWorkspace) {
-        let (t, _) = prep.mats();
+        let (t, _) = ws.mats();
         self.v.matmul_tn_into(x, t);
         for tj in t.cols_mut() {
             for (ti, si) in tj.iter_mut().zip(&self.s) {
                 *ti *= si;
             }
         }
-    }
-
-    fn apply_rows_into(
-        &self,
-        _x: &Mat,
-        prep: &ApplyWorkspace,
-        i0: usize,
-        i1: usize,
-        y_rows: &mut Mat,
-        _ws: &mut ApplyWorkspace,
-    ) {
-        let (t, _, _) = prep.mats_ref();
-        self.u.matmul_rows_into(t, i0, i1, y_rows);
+        self.u.matmul_into(t, y);
     }
 }
 
@@ -955,8 +857,8 @@ mod tests {
         let ops: [&(dyn CouplingOp + Sync); 3] = [&g, &sparse, &lr];
         for op in ops {
             // wide block -> column shards; 1-column block -> row shards
-            // (both impls support them); widths that straddle shard
-            // boundaries
+            // on the flat ops, inline on the low-rank one; widths that
+            // straddle shard boundaries
             for b in [1usize, 2, 3, 7, 12] {
                 let x = Mat::from_fn(n, b, |i, j| ((i * 13 + j * 5) % 19) as f64 - 9.0);
                 let serial = op.apply_block(&x);
@@ -975,9 +877,10 @@ mod tests {
         // on a 1-column block, columns cap the wide block at 3
         assert_eq!(pool.planned_workers(&g, 1), 3);
         assert_eq!(pool.planned_workers(&g, 7), 3);
-        assert_eq!(pool.planned_workers(&sparse, 2), 3); // row path: 4 shards capped at 3
-                                                         // the structured rep row-shards its synthesis phase too
-        assert_eq!(pool.planned_workers(&lr, 1), 3);
+        // row path: 4 shards capped at 3
+        assert_eq!(pool.planned_workers(&sparse, 2), 3);
+        // the structured op has no row axis: one column serves inline
+        assert_eq!(pool.planned_workers(&lr, 1), 1);
         assert_eq!(pool.planned_workers(&lr, 6), 3);
         // auto thread count (0) resolves and serves
         let mut auto_pool = ParallelApply::new(0).with_min_work(0);
@@ -1022,7 +925,7 @@ mod tests {
         let lr = LowRankOp::from_svd(&f, 2);
         assert!(CouplingOp::supports_row_shard(&g));
         assert!(CouplingOp::supports_row_shard(&s));
-        assert!(lr.supports_row_shard());
+        assert!(!lr.supports_row_shard());
     }
 
     #[test]

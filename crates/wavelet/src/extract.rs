@@ -18,7 +18,7 @@
 //! ([`GwAssembler::finish`]). Peak memory follows the final `nnz(Gw)`.
 
 use subsparse_hier::{BasisRep, GwAssembler, GwSink, Square};
-use subsparse_linalg::{trace, Csr, Mat, Triplets};
+use subsparse_linalg::{trace, Csr, Mat};
 use subsparse_substrate::{solver, SubstrateSolver};
 
 use crate::basis::WaveletBasis;
@@ -235,9 +235,8 @@ fn add_w_column(basis: &WaveletBasis, s: Square, m: usize, out: &mut [f64]) {
 /// This is the `n`-solve reference against which the combine-solves
 /// extraction is validated, and the basis of the "drop small entries of
 /// `Gw` versus drop small entries of `G`" comparison of §3.7. It holds
-/// two `n x n` matrices — the small-`n` reference path; the large-`n`
-/// pipeline uses [`transform_streaming`], which is bit-gated against this
-/// function below `max_dense_n` by the scaling bench and tests.
+/// two `n x n` matrices, so it is a small-`n` test reference: the scaling
+/// bench gates [`extract`]'s `Gw` against it on the kept pattern.
 pub fn transform_dense(g: &Mat, basis: &WaveletBasis) -> Mat {
     let n = basis.n();
     assert_eq!(g.n_rows(), n);
@@ -255,54 +254,6 @@ pub fn transform_dense(g: &Mat, basis: &WaveletBasis) -> Mat {
         gw.col_mut(j).copy_from_slice(&q.matvec_t(gq.col(j)));
     }
     gw
-}
-
-/// Transforms `G` into the wavelet basis one column block at a time,
-/// thresholding on the fly: `Gw = Q' G Q` assembled directly as sparse
-/// triplets, never holding an `n x n` dense intermediate.
-///
-/// Columns of `Q` stream through [`SubstrateSolver::solve_batch`] in
-/// blocks of `max_batch`, so peak memory is `O(n x max_batch)` plus the
-/// kept entries. An entry is kept when it is nonzero and its magnitude
-/// exceeds `threshold` (pass `0.0` to keep every nonzero — the exact
-/// transform's sparsity pattern).
-///
-/// Bit-gate contract: driven by a solver whose `solve_batch` is
-/// bit-identical to the serial dense apply (every in-repo backend), the
-/// kept entries equal the corresponding [`transform_dense`] entries
-/// *exactly*, and every dropped entry is either an exact `0.0` or below
-/// `threshold` in magnitude — the per-column arithmetic (`G q_j`, then
-/// `Q' (G q_j)`) is the same operations in the same order.
-///
-/// # Panics
-///
-/// Panics if the solver's contact count differs from the basis's.
-pub fn transform_streaming<S: SubstrateSolver + ?Sized>(
-    solver: &S,
-    basis: &WaveletBasis,
-    max_batch: usize,
-    threshold: f64,
-) -> Csr {
-    let n = basis.n();
-    assert_eq!(solver.n_contacts(), n, "solver/basis contact count mismatch");
-    let _s = trace::span("extract.wavelet.transform-streaming");
-    let q = basis.q();
-    let qt = q.transpose();
-    let mut t = Triplets::new(n, n);
-    solver::for_each_batched(
-        solver,
-        max_batch.max(1),
-        (0..n).map(|j| (j, column_from_transpose(&qt, j, n))),
-        |j, y| {
-            let gw_col = q.matvec_t(y);
-            for (i, &v) in gw_col.iter().enumerate() {
-                if v != 0.0 && v.abs() > threshold {
-                    t.push(i, j, v);
-                }
-            }
-        },
-    );
-    t.to_csr()
 }
 
 #[cfg(test)]
@@ -384,54 +335,6 @@ mod tests {
         let mut diff = approx.clone();
         diff.add_scaled(-1.0, &g);
         assert!(diff.fro_norm() < 1e-2 * g.fro_norm());
-    }
-
-    #[test]
-    fn streaming_transform_bit_identical_to_dense() {
-        // the bit-gate: below `max_dense_n` the streaming sparse assembly
-        // and the dense reference are the *same arithmetic* — every kept
-        // entry matches bitwise, every dropped entry is exactly 0.0
-        let layout = generators::regular_grid(64.0, 4, 2.0);
-        let s = solver::synthetic(&layout);
-        let basis = build_basis(&layout, 2, 2).unwrap();
-        let gw_dense = transform_dense(s.matrix(), &basis);
-        let gw_sparse = transform_streaming(&s, &basis, 8, 0.0);
-        let n = basis.n();
-        let mut kept = vec![vec![false; n]; n];
-        for (i, j, v) in gw_sparse.iter() {
-            assert!(
-                v.to_bits() == gw_dense[(i, j)].to_bits(),
-                "entry ({i},{j}): streaming {v} != dense {}",
-                gw_dense[(i, j)]
-            );
-            kept[i][j] = true;
-        }
-        for i in 0..n {
-            for j in 0..n {
-                if !kept[i][j] {
-                    assert!(
-                        gw_dense[(i, j)] == 0.0,
-                        "dropped entry ({i},{j}) is {} in the dense transform",
-                        gw_dense[(i, j)]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_transform_thresholds_small_entries() {
-        let layout = generators::regular_grid(64.0, 4, 2.0);
-        let s = solver::synthetic(&layout);
-        let basis = build_basis(&layout, 2, 2).unwrap();
-        let exact = transform_streaming(&s, &basis, 8, 0.0);
-        let max_abs = exact.iter().fold(0.0_f64, |m, (_, _, v)| m.max(v.abs()));
-        let threshold = 1e-6 * max_abs;
-        let kept = transform_streaming(&s, &basis, 8, threshold);
-        assert!(kept.nnz() < exact.nnz(), "threshold dropped nothing");
-        for (_, _, v) in kept.iter() {
-            assert!(v.abs() > threshold);
-        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The memory-lean extraction contract: the large-`n` wavelet pipeline
-//! (matrix-free kernel black box, combine-solves extraction, streaming
-//! threshold-on-the-fly `Gw` assembly) never allocates an `n x n` dense
-//! buffer.
+//! (matrix-free kernel black box, combine-solves extraction with
+//! pattern-first `Gw` assembly) never allocates an `n x n` dense buffer.
 //!
 //! Enforced with a counting global allocator that records the *largest
 //! single allocation* of each pipeline stage at `n = 1024` (the smallest
@@ -10,9 +9,6 @@
 //!
 //! * the kernel black box solves in `O(n x batch)` buffers — its biggest
 //!   allocation is bounded by a fraction of a dense *column block*;
-//! * the streaming transform keeps `O(nnz_kept)` triplets — far below
-//!   the dense matrix it replaces once a serving threshold drops the
-//!   far-field;
 //! * the combine-solves extraction assembles `Gw` pattern-first: its
 //!   biggest allocations are the pattern's value array and the final
 //!   `Gw` built in place from it, so the largest single request is
@@ -30,7 +26,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use subsparse_layout::generators;
 use subsparse_linalg::Mat;
 use subsparse_substrate::{solver, CountingSolver, SubstrateSolver};
-use subsparse_wavelet::{build_basis, extract, transform_streaming, ExtractOptions};
+use subsparse_wavelet::{build_basis, extract, ExtractOptions};
 
 /// Forwards to the system allocator, tracking the largest single request.
 struct MaxAlloc;
@@ -85,21 +81,6 @@ fn wavelet_extraction_never_allocates_a_dense_n_by_n_buffer() {
 
     let black_box = CountingSolver::new(kernel);
     let basis = build_basis(&layout, 3, 2).expect("basis");
-
-    // the streaming exact transform with a serving threshold: the dense
-    // `gq`/`gw` intermediates this path replaces were 8 MiB each; the
-    // kept triplets (growth-doubled) stay under half of one
-    let probe = transform_streaming(&black_box, &basis, 32, 0.0);
-    let max_abs = probe.iter().fold(0.0_f64, |m, (_, _, v)| m.max(v.abs()));
-    let max_single = max_single_allocation_during(|| {
-        let gw = transform_streaming(&black_box, &basis, 32, 1e-3 * max_abs);
-        assert!(gw.nnz() > 0 && gw.nnz() < n * n / 8, "{} entries kept", gw.nnz());
-    });
-    assert!(
-        max_single < dense_bytes / 2,
-        "transform_streaming made a {max_single}-byte allocation — within 2x of a dense \
-         n x n buffer ({dense_bytes} bytes); the transform is no longer memory-lean"
-    );
 
     // the combine-solves extraction: nothing bigger than the final Gw's
     // values (with slack for dropped slots) or one block of solves
