@@ -42,10 +42,6 @@ pub const BLOCK_WIDTHS: [usize; 3] = [1, 8, 32];
 /// flag of the `apply_speed` binary overrides it; 1 disables them).
 pub const DEFAULT_THREADS: usize = 2;
 
-/// Largest `ns_per_vector` regression the `--baseline FILE` mode
-/// tolerates before exiting nonzero (fractional: 0.10 = 10% slower).
-pub const BASELINE_TOL_FRAC: f64 = 0.10;
-
 /// Largest relative 2-norm divergence tolerated between the fast-wavelet-
 /// transform apply and the explicit-CSR apply of the same representation
 /// (they compute the same orthogonal product with different association,
@@ -363,160 +359,6 @@ pub fn rows_json(rows: &[ApplySpeedRow]) -> String {
     )
 }
 
-/// One (method, n, block, threads) key matched between the current run
-/// and a committed baseline record.
-#[derive(Clone, Debug)]
-pub struct BaselineDelta {
-    /// Representation name of the matched row.
-    pub method: String,
-    /// Contact count of the matched row.
-    pub n: usize,
-    /// Block width of the matched row.
-    pub block: usize,
-    /// Worker count of the matched row.
-    pub threads: usize,
-    /// Committed `ns_per_vector`.
-    pub baseline_ns: f64,
-    /// Freshly measured `ns_per_vector`.
-    pub current_ns: f64,
-}
-
-impl BaselineDelta {
-    /// Fractional change (`0.10` = 10% slower than the baseline).
-    pub fn frac(&self) -> f64 {
-        (self.current_ns - self.baseline_ns) / self.baseline_ns
-    }
-}
-
-/// Result of diffing a run against a committed `BENCH_apply_speed.json`.
-#[derive(Clone, Debug)]
-pub enum BaselineOutcome {
-    /// The baseline was recorded under a different machine shape or build
-    /// profile — per-row times aren't comparable, so nothing was gated.
-    MetaMismatch {
-        /// Human-readable description of what differed.
-        reason: String,
-    },
-    /// Every (method, n, block, threads) key present in both records,
-    /// with its timing delta.
-    Compared {
-        /// One entry per matched key (unmatched keys on either side are
-        /// ignored: methods and sizes come and go across revisions).
-        deltas: Vec<BaselineDelta>,
-    },
-}
-
-/// Extracts the first `"key":<number>` value from a JSON object snippet.
-fn json_num(obj: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let rest = &obj[obj.find(&pat)? + pat.len()..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts the first `"key":"string"` value from a JSON object snippet.
-fn json_str<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let rest = &obj[obj.find(&pat)? + pat.len()..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Diffs freshly measured rows against a committed baseline record
-/// (the `BENCH_apply_speed.json` format [`rows_json`] emits).
-///
-/// Meta-aware: times are only compared when the baseline's
-/// `available_parallelism` and `build_profile` match the current
-/// process's — a 1-CPU container diffing against an 8-CPU baseline (or a
-/// debug build against a release record) reports [`MetaMismatch`]
-/// (BaselineOutcome::MetaMismatch) instead of spurious regressions.
-/// Within a matching record, only keys present on both sides are
-/// compared. The caller gates on [`BaselineDelta::frac`] against
-/// [`BASELINE_TOL_FRAC`].
-pub fn diff_baseline(
-    rows: &[ApplySpeedRow],
-    baseline_json: &str,
-) -> Result<BaselineOutcome, String> {
-    let meta_start = baseline_json.find("\"meta\":{").ok_or("baseline has no \"meta\" header")?;
-    let meta = &baseline_json[meta_start..];
-    let meta = &meta[..meta.find('}').ok_or("unterminated meta object")? + 1];
-    let base_par =
-        json_num(meta, "available_parallelism").ok_or("meta lacks available_parallelism")? as usize;
-    let base_profile = json_str(meta, "build_profile").ok_or("meta lacks build_profile")?;
-    let cur_par = std::thread::available_parallelism().map_or(0, |p| p.get());
-    let cur_profile = if cfg!(debug_assertions) { "debug" } else { "release" };
-    if base_par != cur_par || base_profile != cur_profile {
-        return Ok(BaselineOutcome::MetaMismatch {
-            reason: format!(
-                "baseline recorded at parallelism={base_par} profile={base_profile}, \
-                 this run is parallelism={cur_par} profile={cur_profile}"
-            ),
-        });
-    }
-    let mut deltas = Vec::new();
-    let mut start = meta_start + meta.len();
-    while let Some(off) = baseline_json[start..].find("{\"method\"") {
-        let obj_start = start + off;
-        let obj = &baseline_json[obj_start..];
-        let obj = &obj[..obj.find('}').ok_or("unterminated row object")? + 1];
-        start = obj_start + obj.len();
-        let method = json_str(obj, "method").ok_or("row lacks method")?;
-        let n = json_num(obj, "n").ok_or("row lacks n")? as usize;
-        let block = json_num(obj, "block").ok_or("row lacks block")? as usize;
-        let threads = json_num(obj, "threads").ok_or("row lacks threads")? as usize;
-        let baseline_ns = json_num(obj, "ns_per_vector").ok_or("row lacks ns_per_vector")?;
-        if baseline_ns <= 0.0 {
-            return Err(format!("baseline row {method} n={n} has nonpositive ns_per_vector"));
-        }
-        if let Some(cur) = rows
-            .iter()
-            .find(|r| r.method == method && r.n == n && r.block == block && r.threads == threads)
-        {
-            deltas.push(BaselineDelta {
-                method: method.to_string(),
-                n,
-                block,
-                threads,
-                baseline_ns,
-                current_ns: cur.ns_per_vector,
-            });
-        }
-    }
-    if deltas.is_empty() {
-        return Err("baseline shares no (method, n, block, threads) keys with this run".into());
-    }
-    Ok(BaselineOutcome::Compared { deltas })
-}
-
-/// Formats a baseline comparison as an aligned table, worst change first.
-pub fn format_baseline(deltas: &[BaselineDelta]) -> String {
-    let mut sorted: Vec<&BaselineDelta> = deltas.iter().collect();
-    sorted.sort_by(|a, b| b.frac().total_cmp(&a.frac()));
-    let mut out = String::new();
-    writeln!(
-        out,
-        "\n{:<14} {:>6} {:>6} {:>7} {:>12} {:>12} {:>8}",
-        "method", "n", "block", "thr", "baseline", "current", "change"
-    )
-    .unwrap();
-    for d in sorted {
-        writeln!(
-            out,
-            "{:<14} {:>6} {:>6} {:>7} {:>12} {:>12} {:>+7.1}%",
-            d.method,
-            d.n,
-            d.block,
-            d.threads,
-            format_ns(d.baseline_ns),
-            format_ns(d.current_ns),
-            d.frac() * 100.0,
-        )
-        .unwrap();
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,14 +373,10 @@ mod tests {
         let threaded: Vec<_> = rows.iter().filter(|r| r.threads > 1).collect();
         assert_eq!(serial, 7 * BLOCK_WIDTHS.len());
         // wide blocks shard columns on every representation; a 1-column
-        // block row-shards only on the dense op (the one flat operator
-        // here) and serves every structured op inline, emitting no row
+        // block serves inline on every one of them, emitting no row
         let wide = BLOCK_WIDTHS.iter().filter(|&&b| b > 1).count();
-        assert_eq!(threaded.len(), 7 * wide + 1);
-        assert!(threaded.iter().all(|r| r.threads == 2));
-        let narrow: Vec<_> = threaded.iter().filter(|r| r.block == 1).collect();
-        assert_eq!(narrow.len(), 1);
-        assert_eq!(narrow[0].method, "dense");
+        assert_eq!(threaded.len(), 7 * wide);
+        assert!(threaded.iter().all(|r| r.threads == 2 && r.block > 1));
         assert!(rows.iter().all(|r| r.bit_equal), "an apply diverged");
         assert!(rows.iter().all(|r| r.ns_per_vector > 0.0));
         // min over batches can never exceed the median batch, and every
@@ -565,71 +403,5 @@ mod tests {
         let serial_only = run_apply_speed(true, 1, None);
         assert_eq!(serial_only.rows.len(), 7 * BLOCK_WIDTHS.len());
         assert!(serial_only.rows.iter().all(|r| r.threads == 1));
-    }
-
-    fn fixture_row(ns: f64) -> ApplySpeedRow {
-        ApplySpeedRow {
-            method: "dense".into(),
-            n: 64,
-            block: 8,
-            threads: 1,
-            nnz: 10,
-            ns_per_vector: ns,
-            ns_min: ns,
-            ns_mean: ns,
-            bit_equal: true,
-        }
-    }
-
-    fn fixture_baseline(parallelism: usize, profile: &str) -> String {
-        format!(
-            "{{\"meta\":{{\"available_parallelism\":{parallelism},\"build_profile\":\"{profile}\",\"repeats\":11}},\n\
-             \"rows\":[\n  \
-             {{\"method\":\"dense\",\"n\":64,\"block\":8,\"threads\":1,\"nnz\":10,\"ns_per_vector\":100.0,\"ns_min\":90.0,\"ns_mean\":100.0,\"bit_equal\":true}},\n  \
-             {{\"method\":\"retired\",\"n\":1,\"block\":1,\"threads\":1,\"nnz\":1,\"ns_per_vector\":5.0,\"ns_min\":5.0,\"ns_mean\":5.0,\"bit_equal\":true}}\n\
-             ]}}\n"
-        )
-    }
-
-    #[test]
-    fn baseline_diff_matches_keys_and_is_meta_aware() {
-        let rows = vec![fixture_row(110.0)];
-        let cur_par = std::thread::available_parallelism().map_or(0, |p| p.get());
-        let cur_profile = if cfg!(debug_assertions) { "debug" } else { "release" };
-        // matching meta: the shared key is compared, the retired key is
-        // ignored, and the 10% slowdown is reported exactly
-        match diff_baseline(&rows, &fixture_baseline(cur_par, cur_profile)).unwrap() {
-            BaselineOutcome::Compared { deltas } => {
-                assert_eq!(deltas.len(), 1);
-                assert!((deltas[0].frac() - 0.10).abs() < 1e-12);
-                let table = format_baseline(&deltas);
-                assert!(table.contains("dense") && table.contains("+10.0%"));
-            }
-            other => panic!("expected a comparison, got {other:?}"),
-        }
-        // a faster run is a negative fraction, under any gate
-        match diff_baseline(&[fixture_row(80.0)], &fixture_baseline(cur_par, cur_profile)) {
-            Ok(BaselineOutcome::Compared { deltas }) => {
-                assert!(deltas[0].frac() < 0.0 && deltas[0].frac() < BASELINE_TOL_FRAC);
-            }
-            other => panic!("expected a comparison, got {other:?}"),
-        }
-        // different machine shape or build profile: explicitly not
-        // comparable, never a spurious regression
-        let other_profile = if cfg!(debug_assertions) { "release" } else { "debug" };
-        for bad in
-            [fixture_baseline(cur_par + 7, cur_profile), fixture_baseline(cur_par, other_profile)]
-        {
-            match diff_baseline(&rows, &bad).unwrap() {
-                BaselineOutcome::MetaMismatch { reason } => {
-                    assert!(reason.contains("parallelism"));
-                }
-                other => panic!("expected meta mismatch, got {other:?}"),
-            }
-        }
-        // disjoint keys and malformed records are hard errors
-        let disjoint = vec![ApplySpeedRow { method: "novel".into(), ..fixture_row(1.0) }];
-        assert!(diff_baseline(&disjoint, &fixture_baseline(cur_par, cur_profile)).is_err());
-        assert!(diff_baseline(&rows, "{}").is_err());
     }
 }

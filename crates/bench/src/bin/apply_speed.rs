@@ -6,7 +6,7 @@
 //! ```text
 //! cargo run --release -p subsparse-bench --bin apply_speed -- \
 //!     [--quick] [--json] [--threads T] [--min-work W] [--handoff] \
-//!     [--baseline FILE] [--trace FILE]
+//!     [--trace FILE]
 //! ```
 //!
 //! `--handoff` appends the dispatch-latency micro-row (`handoff_pool`):
@@ -21,12 +21,7 @@
 //! executors' min-work-per-worker dispatch threshold (`--min-work 0`
 //! forces threaded rows to engage the pool even on small fixtures; the
 //! default keeps the serving threshold, under which too-small applies run
-//! inline and emit no threaded row). `--baseline FILE` diffs this run's
-//! `ns_per_vector` against a committed `BENCH_apply_speed.json` and exits
-//! nonzero if any matched row regressed more than `BASELINE_TOL_FRAC` —
-//! the diff is meta-aware: a baseline recorded under a different
-//! `available_parallelism` or `build_profile` skips the gate instead of
-//! reporting machine differences as regressions. `--trace FILE` enables
+//! inline and emit no threaded row). `--trace FILE` enables
 //! the `subsparse::trace` recorder for the run, writes the Chrome-trace
 //! JSON to FILE, and prints the counter/histogram summary — note the
 //! recorded spans then measure *instrumented* applies, so don't compare
@@ -39,8 +34,7 @@
 use std::process::ExitCode;
 
 use subsparse_bench::apply_speed::{
-    bench_handoff, diff_baseline, format_baseline, format_rows, rows_json, run_apply_speed,
-    BaselineOutcome, BASELINE_TOL_FRAC, DEFAULT_THREADS, FWT_CSR_TOL,
+    bench_handoff, format_rows, rows_json, run_apply_speed, DEFAULT_THREADS, FWT_CSR_TOL,
 };
 
 fn main() -> ExitCode {
@@ -64,16 +58,6 @@ fn main() -> ExitCode {
             Some(w) => Some(w),
             None => {
                 eprintln!("error: --min-work needs a threshold (0 = always engage workers)");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let baseline_path = match args.iter().position(|a| a == "--baseline") {
-        None => None,
-        Some(i) => match args.get(i + 1) {
-            Some(p) => Some(p.clone()),
-            None => {
-                eprintln!("error: --baseline needs a committed BENCH_apply_speed.json");
                 return ExitCode::FAILURE;
             }
         },
@@ -130,41 +114,6 @@ fn main() -> ExitCode {
             report.fwt_vs_csr_rel_err
         );
         return ExitCode::FAILURE;
-    }
-    if let Some(path) = &baseline_path {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match diff_baseline(&report.rows, &text) {
-            Err(e) => {
-                eprintln!("error: baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            Ok(BaselineOutcome::MetaMismatch { reason }) => {
-                println!("baseline not comparable ({reason}); regression gate skipped");
-            }
-            Ok(BaselineOutcome::Compared { deltas }) => {
-                print!("{}", format_baseline(&deltas));
-                let worst = deltas.iter().map(|d| d.frac()).fold(f64::NEG_INFINITY, f64::max);
-                println!(
-                    "\nworst change vs baseline: {:+.1}% (gate {:+.0}%, {} rows compared)",
-                    worst * 100.0,
-                    BASELINE_TOL_FRAC * 100.0,
-                    deltas.len()
-                );
-                if worst > BASELINE_TOL_FRAC {
-                    eprintln!(
-                        "error: ns_per_vector regressed more than {:.0}% vs {path}",
-                        BASELINE_TOL_FRAC * 100.0
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
     }
     ExitCode::SUCCESS
 }

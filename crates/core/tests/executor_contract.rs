@@ -1,5 +1,5 @@
 //! The shared-executor contract, end to end: every threaded site —
-//! blocked/row-sharded serving, threaded dense-column materialisation,
+//! blocked/column-panel serving, threaded dense-column materialisation,
 //! and the batch solver backends — dispatches onto one persistent worker
 //! pool, and every one of them must stay **bit-identical** to its serial
 //! path at every thread count, including more lanes than work.
@@ -71,11 +71,11 @@ fn assert_bits_equal(got: &Mat, want: &Mat, what: &str) {
     }
 }
 
-/// Site 1+2 — `ParallelApply`, both dispatch shapes: block 1 and 3 hit
-/// the row-sharded path on the flat ops (dense, CSR) and serve the
-/// structured ops inline, block 8+ the column-panel path. Every
-/// representation family, every thread count, `min_work = 0` so the pool
-/// genuinely engages even on this small fixture.
+/// Site 1+2 — `ParallelApply`, both dispatch shapes: block 1 serves
+/// inline on every op, blocks 3+ take the column-panel path (capped at
+/// one column per worker). Every representation family, every thread
+/// count, `min_work = 0` so the pool genuinely engages even on this small
+/// fixture.
 #[test]
 fn pool_apply_bit_identical_for_every_op_and_thread_count() {
     let rep = wavelet_rep();

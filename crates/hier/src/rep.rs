@@ -26,13 +26,13 @@
 //! Each path has exactly one kernel, and it is serial. Threaded serving
 //! ([`ParallelApply`](subsparse_linalg::ParallelApply)) cuts a wide block
 //! into column panels and runs this kernel on each; a narrow block runs
-//! it inline. A `BasisRep` offers no row axis: its output rows all
-//! depend on the same analysis half, so splitting them bought nothing in
-//! any measured configuration.
+//! it inline. Output rows are never split: they all depend on the same
+//! analysis half, so splitting them bought nothing in any measured
+//! configuration.
 
 use subsparse_linalg::exec;
 use subsparse_linalg::io::{fnv1a64, ReadMatrixError};
-use subsparse_linalg::{faults, trace, ApplyWorkspace, CouplingOp, Csr, Mat, Triplets};
+use subsparse_linalg::{faults, trace, ApplyWorkspace, CouplingOp, Csr, Mat};
 
 use crate::fwt::FastWaveletTransform;
 
@@ -323,67 +323,6 @@ impl BasisRep {
     /// Drops entries of `Gw` with `|value| <= threshold` (thesis `Gwt`).
     pub fn thresholded(&self, threshold: f64) -> BasisRep {
         self.with_gw(self.gw.drop_below(threshold))
-    }
-
-    /// Drops entries of `Gw` with
-    /// `|g_ij| <= frac * sqrt(g_ii * g_jj)` — a *diagonally scaled*
-    /// threshold.
-    ///
-    /// The thesis thresholds by absolute magnitude, which works when all
-    /// contacts have comparable sizes; on layouts mixing very different
-    /// contact sizes (e.g. its Example 5 structure) the `Gw` magnitudes
-    /// are bimodal and a global cut wipes out the small-contact
-    /// population's collectively-essential entries. Scaling each entry by
-    /// its diagonal pair keeps the *relative* structure intact at equal
-    /// sparsity.
-    pub fn thresholded_scaled(&self, frac: f64) -> BasisRep {
-        let diag = self.gw_diagonal();
-        let mut t = Triplets::new(self.gw.n_rows(), self.gw.n_cols());
-        for (i, j, v) in self.gw.iter() {
-            let scale = (diag[i] * diag[j]).sqrt();
-            if v.abs() > frac * scale {
-                t.push(i, j, v);
-            }
-        }
-        self.with_gw(t.to_csr())
-    }
-
-    /// Scaled-threshold analog of
-    /// [`thresholded_to_sparsity`](Self::thresholded_to_sparsity): picks
-    /// the scaled fraction so the sparsity factor reaches approximately
-    /// `target_factor`.
-    pub fn thresholded_scaled_to_sparsity(&self, target_factor: f64) -> (BasisRep, f64) {
-        let n = self.n() as f64;
-        let target_nnz = ((n * n) / target_factor).round() as usize;
-        if self.gw.nnz() <= target_nnz {
-            return (self.clone(), 0.0);
-        }
-        let diag = self.gw_diagonal();
-        let mut ratios: Vec<f64> = self
-            .gw
-            .iter()
-            .map(|(i, j, v)| v.abs() / (diag[i] * diag[j]).sqrt().max(1e-300))
-            .collect();
-        ratios.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        let frac = if target_nnz == 0 {
-            ratios[0]
-        } else {
-            ratios[(target_nnz - 1).min(ratios.len() - 1)] * (1.0 - 1e-12)
-        };
-        (self.thresholded_scaled(frac), frac)
-    }
-
-    /// The diagonal of `Gw`, floored at a tiny positive value (entries of
-    /// a conductance-like `Gw` diagonal are positive).
-    fn gw_diagonal(&self) -> Vec<f64> {
-        let n = self.gw.n_rows();
-        let mut diag = vec![1e-300; n];
-        for (i, j, v) in self.gw.iter() {
-            if i == j {
-                diag[i] = v.abs().max(1e-300);
-            }
-        }
-        diag
     }
 
     /// Saves the representation: the Matrix Market factors `<stem>.q.mtx`
@@ -772,6 +711,7 @@ fn load_fwt_section(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use subsparse_linalg::Triplets;
 
     fn example_rep() -> BasisRep {
         // Q = identity, Gw = small symmetric matrix
@@ -848,39 +788,6 @@ mod tests {
         let (same, cut0) = r.thresholded_to_sparsity(1.0);
         assert_eq!(same.gw.nnz(), r.gw.nnz());
         assert_eq!(cut0, 0.0);
-    }
-
-    #[test]
-    fn scaled_threshold_keeps_relatively_large_entries() {
-        // two scales: block {0,1} has diag ~100, block {2} diag ~1; the
-        // cross entry -0.5 is small absolutely but large relative to its
-        // diagonal pair
-        let mut t = Triplets::new(3, 3);
-        for (i, j, v) in [
-            (0usize, 0usize, 100.0),
-            (1, 1, 100.0),
-            (2, 2, 1.0),
-            (0, 1, 5.0), // scaled ratio 5/sqrt(100*100) = 0.05
-            (1, 0, 5.0),
-            (1, 2, -0.6), // scaled ratio 0.6/sqrt(100*1) = 0.06
-            (2, 1, -0.6),
-        ] {
-            t.push(i, j, v);
-        }
-        let rep = BasisRep::new(Csr::identity(3), t.to_csr());
-        // an absolute threshold at 1.0 drops the small-magnitude cross
-        // entry but keeps the 5.0s
-        let abs = rep.thresholded(1.0);
-        assert_eq!(abs.gw.to_dense()[(1, 2)], 0.0);
-        assert_eq!(abs.gw.to_dense()[(0, 1)], 5.0);
-        // the scaled threshold at the same nnz makes the opposite call:
-        // -0.6 is *relatively* larger than 5.0
-        let scaled = rep.thresholded_scaled(0.055);
-        assert_eq!(scaled.gw.to_dense()[(1, 2)], -0.6);
-        assert_eq!(scaled.gw.to_dense()[(0, 1)], 0.0);
-        let (to_sparsity, frac) = rep.thresholded_scaled_to_sparsity(9.0 / 5.0);
-        assert_eq!(to_sparsity.gw.nnz(), 5);
-        assert!(frac > 0.0);
     }
 
     #[test]

@@ -190,21 +190,13 @@ fn apply_into_is_allocation_free_after_warmup() {
         );
     }
 
-    // --- the row-sharded path ---
-    //
-    // Narrow (1-column) blocks on the flat operators (dense, CSR) shard
-    // by output rows; each worker writes its range into its own staging
-    // panel, published after the dispatch. After warm-up the whole
-    // apply — shard and publish — must again allocate nothing.
+    // A one-column block serves inline through slot 0's workspace, which
+    // the wide warm-up already grew, so it allocates nothing either.
     let x1 = Mat::from_fn(n, 1, |i, _| ((i * 3) as f64).sin());
-    for op in [&dense as &(dyn CouplingOp + Sync), &sparse] {
-        assert!(pool.planned_workers(op, 1) > 1, "{}: narrow block must row-shard", op.kind());
-        pool.warm(op, 1);
-        for _ in 0..4 {
-            pool.apply_block_into(op, &x1, &mut yp); // settle the pool
-        }
-        let threaded = allocations_during(|| pool.apply_block_into(op, &x1, &mut yp));
-        assert_eq!(threaded, 0, "{}: row-sharded dispatch allocated after warm-up", op.kind());
+    for op in [&dense as &(dyn CouplingOp + Sync), &sparse, &rep, &lowrank] {
+        pool.warm(op, 8);
+        let narrow = allocations_during(|| pool.apply_block_into(op, &x1, &mut yp));
+        assert_eq!(narrow, 0, "{}: inline narrow apply allocated after warm-up", op.kind());
     }
 }
 

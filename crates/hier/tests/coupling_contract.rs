@@ -89,16 +89,7 @@ fn assert_parallel_bit_agrees(op: &(dyn CouplingOp + Sync), label: &str) {
     let mut threaded = Mat::zeros(0, 0);
     // the contract fixtures sit far below the default min-work inline
     // threshold, so the threaded paths this suite exists to pin would
-    // silently degrade to serial; min_work 0 forces them to engage — and
-    // on flat operators with at least two row shards' worth of rows, the
-    // row-sharded path must actually be the one dispatched on narrow
-    // blocks
-    if n >= 32 && op.supports_row_shard() {
-        assert!(
-            ParallelApply::new(2).with_min_work(0).planned_workers(op, 1) > 1,
-            "{label}: narrow-block apply must engage the row-sharded path"
-        );
-    }
+    // silently degrade to serial; min_work 0 forces them to engage
     // 1, 2, auto-detected, and more workers than rows/columns
     for threads in [1usize, 2, 0, n + 7] {
         let mut pool = ParallelApply::new(threads).with_min_work(0);
@@ -142,38 +133,36 @@ fn parallel_apply_bit_agrees_on_every_representation() {
     assert_parallel_bit_agrees(&big_fwt_rep, "basis-rep-fwt-64");
 }
 
-/// The dispatch rule: every operator shards wide blocks by column panels,
-/// and only the flat ones (dense, CSR) shard a narrow block by rows. The
-/// structured pipelines share one analysis half across all output rows,
-/// so a one-column apply on them plans a single (inline) worker even
-/// with the min-work threshold disabled.
+/// The dispatch rule: column panels are the only parallel axis. Every
+/// representation shards a wide block across workers, and a one-column
+/// apply plans a single (inline) worker even with the min-work threshold
+/// disabled.
 #[test]
-fn only_flat_operators_shard_rows() {
+fn every_operator_shards_by_column_panels_only() {
     let n = 64;
     let pool = ParallelApply::new(2).with_min_work(0);
     let fwt_rep = haar_chain_rep(n);
     let csr_rep = fwt_rep.without_fwt();
     let lr = LowRankOp::from_svd(&svd::svd(&random_mat(n, n, 28)), 6);
-    let structured: [(&(dyn CouplingOp + Sync), &str); 3] =
-        [(&fwt_rep, "basis-rep-fwt"), (&csr_rep, "basis-rep"), (&lr, "lowrank-factored")];
-    for (op, label) in structured {
-        assert_eq!(op.kind(), label);
-        assert!(!op.supports_row_shard(), "{label}: structured ops have no row axis");
-        assert_eq!(pool.planned_workers(op, 1), 1, "{label}: one column must serve inline");
-        assert_eq!(pool.planned_workers(op, 8), 2, "{label}: wide blocks shard by columns");
-    }
     let dense = random_mat(n, n, 29);
     let sparse = random_csr(n, n, 0.2, 30);
-    let flat: [(&(dyn CouplingOp + Sync), &str); 2] = [(&dense, "dense"), (&sparse, "csr")];
-    for (op, label) in flat {
-        assert!(op.supports_row_shard(), "{label}: flat ops keep the row axis");
-        assert!(pool.planned_workers(op, 1) > 1, "{label}: one column must shard by rows");
+    let ops: [(&(dyn CouplingOp + Sync), &str); 5] = [
+        (&dense, "dense"),
+        (&sparse, "csr"),
+        (&fwt_rep, "basis-rep-fwt"),
+        (&csr_rep, "basis-rep"),
+        (&lr, "lowrank-factored"),
+    ];
+    for (op, label) in ops {
+        assert_eq!(op.kind(), label);
+        assert_eq!(pool.planned_workers(op, 1), 1, "{label}: one column must serve inline");
+        assert_eq!(pool.planned_workers(op, 8), 2, "{label}: wide blocks shard by columns");
     }
 }
 
 #[test]
 fn parallel_apply_handles_ops_smaller_than_the_worker_pool() {
-    // n = 3 with 8 workers: fewer shards than workers on both axes
+    // n = 3 with 8 workers: fewer column shards than workers
     // (min_work 0 so the sharding logic, not the inline threshold, is
     // what this test exercises)
     let tiny = random_mat(3, 3, 31);

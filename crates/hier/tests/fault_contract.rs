@@ -73,15 +73,13 @@ fn pool_worker_panic_degrades_to_bit_identical_serial_apply() {
     faults::reset();
     let n = 256;
     let rep = example_rep(n);
-    // only flat operators row-shard, so the narrow case serves the CSR Gw
-    let flat = rep.gw.clone();
 
     // references computed with no fault armed, on the serial path
     let mut serial = ParallelApply::new(1);
     let wide = excitation(n, 8);
     let narrow = excitation(n, 1);
     let want_wide = serial.apply_block(&rep, &wide);
-    let want_narrow = serial.apply_block(&flat, &narrow);
+    let want_narrow = serial.apply_block(&rep, &narrow);
 
     trace::reset();
     trace::set_enabled(true);
@@ -95,11 +93,12 @@ fn pool_worker_panic_degrades_to_bit_identical_serial_apply() {
     }
     assert_eq!(trace::counter(trace::Counter::DegradedApplies), 1);
 
-    // narrow block on a row-shardable op → row shards; same contract
+    // narrow block → served inline: no worker runs, so the armed
+    // failpoint cannot fire and nothing degrades
     faults::configure(Failpoint::PoolWorkerPanic, FireMode::Once);
-    let got = pool.apply_block(&flat, &narrow);
-    assert_eq!(got.col(0), want_narrow.col(0), "degraded row-shard apply must be bit-identical");
-    assert_eq!(trace::counter(trace::Counter::DegradedApplies), 2);
+    let got = pool.apply_block(&rep, &narrow);
+    assert_eq!(got.col(0), want_narrow.col(0), "inline narrow apply must be bit-identical");
+    assert_eq!(trace::counter(trace::Counter::DegradedApplies), 1);
 
     // disarmed again: no degradation, still identical
     faults::reset();
@@ -107,7 +106,7 @@ fn pool_worker_panic_degrades_to_bit_identical_serial_apply() {
     for j in 0..wide.n_cols() {
         assert_eq!(got.col(j), want_wide.col(j));
     }
-    assert_eq!(trace::counter(trace::Counter::DegradedApplies), 2);
+    assert_eq!(trace::counter(trace::Counter::DegradedApplies), 1);
     trace::set_enabled(false);
     trace::reset();
 }

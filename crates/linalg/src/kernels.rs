@@ -12,7 +12,7 @@
 //! giving up determinism: the summation order is part of each kernel's
 //! contract, so identical inputs produce identical bits everywhere the
 //! kernel is used — which is what keeps the serving layer's
-//! blocked ≡ per-vector ≡ row-sharded bit-identity promises intact.
+//! blocked ≡ per-vector ≡ column-sharded bit-identity promises intact.
 //!
 //! ## The documented summation orders
 //!

@@ -171,28 +171,20 @@ impl Mat {
         assert_eq!(x.len(), self.n_cols, "matvec dimension mismatch");
         assert_eq!(y.len(), self.n_rows, "matvec output length mismatch");
         y.fill(0.0);
-        self.accumulate_cols(x, 0, self.n_cols, 0, self.n_rows, y);
+        self.accumulate_cols(x, 0, self.n_cols, y);
     }
 
-    /// `y += sum_{k in [k0, k1)} coeff[k] * A[i0..i1, k]`, columns fused
-    /// in groups of four — the one accumulation kernel behind
-    /// [`matvec_into`](Self::matvec_into), [`matmul_into`](Self::matmul_into)
-    /// and [`matmul_rows_into`](Self::matmul_rows_into), which is what
-    /// makes those three bit-identical per output entry.
+    /// `y += sum_{k in [k0, k1)} coeff[k] * A[.., k]`, columns fused in
+    /// groups of four — the one accumulation kernel behind
+    /// [`matvec_into`](Self::matvec_into) and
+    /// [`matmul_into`](Self::matmul_into), which is what makes those two
+    /// bit-identical per output entry.
     ///
     /// Groups are aligned to `k0`; callers must pass `k0` a multiple of 4
     /// (or the whole range at once) so the grouping pattern matches the
     /// single-sweep call.
     #[inline]
-    fn accumulate_cols(
-        &self,
-        coeff: &[f64],
-        k0: usize,
-        k1: usize,
-        i0: usize,
-        i1: usize,
-        y: &mut [f64],
-    ) {
+    fn accumulate_cols(&self, coeff: &[f64], k0: usize, k1: usize, y: &mut [f64]) {
         debug_assert_eq!(k0 % 4, 0, "column groups must stay aligned across k-panels");
         let mut k = k0;
         while k + 4 <= k1 {
@@ -200,10 +192,10 @@ impl Mat {
             if a[0] != 0.0 || a[1] != 0.0 || a[2] != 0.0 || a[3] != 0.0 {
                 kernels::fused_axpy4(
                     a,
-                    &self.col(k)[i0..i1],
-                    &self.col(k + 1)[i0..i1],
-                    &self.col(k + 2)[i0..i1],
-                    &self.col(k + 3)[i0..i1],
+                    self.col(k),
+                    self.col(k + 1),
+                    self.col(k + 2),
+                    self.col(k + 3),
                     y,
                 );
             }
@@ -212,7 +204,7 @@ impl Mat {
         while k < k1 {
             let ak = coeff[k];
             if ak != 0.0 {
-                axpy(ak, &self.col(k)[i0..i1], y);
+                axpy(ak, self.col(k), y);
             }
             k += 1;
         }
@@ -290,57 +282,18 @@ impl Mat {
     pub fn matmul_into(&self, b: &Mat, c: &mut Mat) {
         assert_eq!(self.n_cols, b.n_rows, "matmul dimension mismatch");
         c.resize(self.n_rows, b.n_cols);
-        let kb = self.k_panel();
+        // inner-dimension panel: ~256 KiB of A-panel per block (f64), at
+        // least 8 columns, and — so the fused groups of four of
+        // `accumulate_cols` stay aligned across panel boundaries — a
+        // multiple of 4 whenever more than one panel is needed
+        let kb = (((32 * 1024 / self.n_rows.max(1)).max(8)) & !3).min(self.n_cols.max(1));
         for cj in c.cols_mut() {
             cj.fill(0.0);
         }
         for k0 in (0..self.n_cols).step_by(kb) {
             let k1 = (k0 + kb).min(self.n_cols);
             for j in 0..b.n_cols {
-                self.accumulate_cols(b.col(j), k0, k1, 0, self.n_rows, c.col_mut(j));
-            }
-        }
-    }
-
-    /// The inner-dimension panel width shared by [`matmul_into`]
-    /// (Self::matmul_into) and [`matmul_rows_into`](Self::matmul_rows_into):
-    /// ~256 KiB of A-panel per block (f64), at least 8 columns, and — so
-    /// the fused groups of four of [`accumulate_cols`]
-    /// (Self::accumulate_cols) stay aligned across panel boundaries — a
-    /// multiple of 4 whenever more than one panel is needed.
-    #[inline]
-    fn k_panel(&self) -> usize {
-        let kb = ((32 * 1024 / self.n_rows.max(1)).max(8)) & !3;
-        kb.min(self.n_cols.max(1))
-    }
-
-    /// Rows `[i0, i1)` of the product `A * B`, into `c` (resized to
-    /// `(i1 - i0) x b.n_cols()`).
-    ///
-    /// Each output entry accumulates its `k` terms in exactly the order
-    /// [`matmul_into`](Self::matmul_into) uses (ascending `k`, fused in
-    /// aligned groups of four), so a row-sharded product reassembled from
-    /// disjoint ranges is **bit-identical** to the full product — the
-    /// contract the parallel serving executor relies on when it splits a
-    /// narrow block across workers by rows instead of columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension mismatch or an out-of-range row span.
-    pub fn matmul_rows_into(&self, b: &Mat, i0: usize, i1: usize, c: &mut Mat) {
-        assert_eq!(self.n_cols, b.n_rows, "matmul_rows dimension mismatch");
-        assert!(i0 <= i1 && i1 <= self.n_rows, "matmul_rows row span out of range");
-        c.resize(i1 - i0, b.n_cols());
-        for cj in c.cols_mut() {
-            cj.fill(0.0);
-        }
-        // same k-panel size as the full kernel; blocking affects only the
-        // (k, j) traversal order, never an entry's own accumulation order
-        let kb = self.k_panel();
-        for k0 in (0..self.n_cols).step_by(kb) {
-            let k1 = (k0 + kb).min(self.n_cols);
-            for j in 0..b.n_cols() {
-                self.accumulate_cols(b.col(j), k0, k1, i0, i1, c.col_mut(j));
+                self.accumulate_cols(b.col(j), k0, k1, c.col_mut(j));
             }
         }
     }
@@ -625,37 +578,6 @@ mod tests {
         let e = Mat::zeros(0, 0);
         assert_eq!(e.hcat(&b).n_cols(), 3);
         assert_eq!(b.hcat(&e).n_cols(), 3);
-    }
-
-    #[test]
-    fn matmul_rows_is_bit_identical_to_full_product() {
-        // 70 rows crosses the k-panel boundary logic; sprinkle zeros so
-        // the skip branches run
-        let a = Mat::from_fn(70, 23, |i, j| {
-            if (i + j) % 5 == 0 {
-                0.0
-            } else {
-                (i * 23 + j) as f64 * 0.01 - 3.0
-            }
-        });
-        let b = Mat::from_fn(23, 6, |i, j| {
-            if (i * j) % 4 == 3 {
-                0.0
-            } else {
-                (i + 2 * j) as f64 * 0.3 - 1.0
-            }
-        });
-        let full = a.matmul(&b);
-        let mut part = Mat::zeros(0, 0);
-        for (i0, i1) in [(0, 70), (0, 1), (13, 41), (69, 70), (20, 20)] {
-            a.matmul_rows_into(&b, i0, i1, &mut part);
-            assert_eq!(part.n_rows(), i1 - i0);
-            for j in 0..6 {
-                for i in i0..i1 {
-                    assert_eq!(part[(i - i0, j)], full[(i, j)], "rows {i0}..{i1} entry ({i},{j})");
-                }
-            }
-        }
     }
 
     #[test]

@@ -37,19 +37,17 @@
 //!
 //! [`ParallelApply`] is the layer above: it shards one
 //! [`apply_block_into`](CouplingOp::apply_block_into) call across the
-//! persistent worker pool by one rule. Every operator can be cut into
-//! contiguous column panels, each pushed through its serial blocked
-//! kernel. Only the flat operators (dense [`Mat`], [`Csr`]) can also be
-//! cut into output row ranges ([`apply_rows_into`](CouplingOp::apply_rows_into)),
-//! because only there is every output row computed from its own stored
-//! values. The structured pipelines (`Q Gw Q'`, `U S V'`) share one
-//! analysis half across all rows, so a narrow block on them runs inline
-//! on its serial kernel. Every shard runs the unmodified serial kernel,
-//! so the assembled result is **bit-identical to the serial apply for
-//! every thread count** — the same determinism contract the batched
-//! extraction side (`solve_batch`) honors. Each worker owns a persistent
-//! [`ApplyWorkspace`] plus staging buffers, reused across calls, so the
-//! steady-state serving work allocates nothing per worker.
+//! persistent worker pool by one rule. A wide block is cut into
+//! contiguous column panels, each pushed through the operator's serial
+//! blocked kernel; a narrow block (or one too small to pay for the pool
+//! handoff) runs inline on that same kernel. Column panels are the only
+//! parallel axis, for every operator. Every shard runs the unmodified
+//! serial kernel, so the assembled result is **bit-identical to the
+//! serial apply for every thread count** — the same determinism
+//! contract the batched extraction side (`solve_batch`) honors. Each
+//! worker owns a persistent [`ApplyWorkspace`] plus staging buffers,
+//! reused across calls, so the steady-state serving work allocates
+//! nothing per worker.
 //!
 //! # Example
 //!
@@ -200,30 +198,6 @@ pub trait CouplingOp {
         }
     }
 
-    /// Whether [`apply_rows_into`](Self::apply_rows_into) is implemented —
-    /// i.e. whether a blocked apply can be restricted to an output row
-    /// range *without redoing the dominant work per range*.
-    ///
-    /// True only for the flat representations (dense, CSR), where every
-    /// output row is computed independently from its own stored values.
-    /// Structured pipelines keep the default: their output rows share one
-    /// analysis half, so they shard by column panels only.
-    fn supports_row_shard(&self) -> bool {
-        false
-    }
-
-    /// Computes rows `[i0, i1)` of `Y = G X` into `y_rows` (resized to
-    /// `(i1 - i0) x x.n_cols()`), with every entry accumulated in exactly
-    /// the order the full [`apply_block_into`](Self::apply_block_into)
-    /// uses — so disjoint ranges reassemble bit-identically to one serial
-    /// apply.
-    ///
-    /// Only callable when [`supports_row_shard`](Self::supports_row_shard)
-    /// returns true; the default implementation panics.
-    fn apply_rows_into(&self, _x: &Mat, _i0: usize, _i1: usize, _y_rows: &mut Mat) {
-        panic!("{}: row-sharded apply is not supported", self.kind());
-    }
-
     /// Allocating convenience over [`apply_into`](Self::apply_into), for
     /// one-off applies outside the serving loop.
     fn apply_vec(&self, x: &[f64]) -> Vec<f64> {
@@ -264,14 +238,6 @@ impl CouplingOp for Mat {
         let _t = trace::time_hist(trace::Hist::ApplyBlockNs);
         self.matmul_into(x, y);
     }
-
-    fn supports_row_shard(&self) -> bool {
-        true
-    }
-
-    fn apply_rows_into(&self, x: &Mat, i0: usize, i1: usize, y_rows: &mut Mat) {
-        self.matmul_rows_into(x, i0, i1, y_rows);
-    }
 }
 
 impl CouplingOp for Csr {
@@ -296,14 +262,6 @@ impl CouplingOp for Csr {
         let _s = trace::span("apply_block.csr");
         let _t = trace::time_hist(trace::Hist::ApplyBlockNs);
         self.matmul_dense_into(x, y);
-    }
-
-    fn supports_row_shard(&self) -> bool {
-        true
-    }
-
-    fn apply_rows_into(&self, x: &Mat, i0: usize, i1: usize, y_rows: &mut Mat) {
-        self.matmul_dense_rows_into(x, i0, i1, y_rows);
     }
 }
 
@@ -388,10 +346,8 @@ impl std::error::Error for ApplyError {}
 /// serial apply. The executor guarantees this by construction: it never
 /// re-associates anything. A wide block is cut into contiguous column
 /// panels, each pushed through the unmodified serial blocked kernel
-/// (whose columns already bit-match the per-vector apply). A narrow block
-/// on a flat operator (dense or CSR, [`CouplingOp::supports_row_shard`])
-/// is cut into disjoint output row ranges, each accumulated in the serial
-/// kernel's own per-entry order; on any other operator it runs inline.
+/// (whose columns already bit-match the per-vector apply); a narrow block
+/// runs inline on that kernel. Column panels are the only parallel axis.
 /// Determinism is enforced by the contract suite in
 /// `crates/hier/tests/coupling_contract.rs` and by the `apply_speed` CI
 /// gate.
@@ -428,17 +384,13 @@ pub struct ParallelApply {
     slots: Vec<WorkerSlot>,
 }
 
-/// Fewest output rows worth a worker of its own: below this, the pool
-/// handoff costs more than the row shard it would compute.
-const MIN_ROWS_PER_SHARD: usize = 16;
-
 /// Default of [`ParallelApply::with_min_work`]: stored-value traversals
 /// (`nnz x block`) each worker must be fed before the dispatch engages
 /// it. The threshold is sized against the cost of handing a shard to the
 /// persistent pool, which the `handoff_pool` row of `apply_speed
-/// --handoff` records in `BENCH_apply_speed.json`. Panels below it — e.g.
-/// a dense n=64 single-vector apply — serve on the inline serial path
-/// instead of a degraded dispatch.
+/// --handoff` records in `BENCH_apply_speed.json`. Column panels below
+/// it — e.g. a dense n=64 block of 3 vectors — serve on the inline serial
+/// path instead of a degraded dispatch.
 pub const DEFAULT_MIN_WORK_PER_WORKER: usize = 16 * 1024;
 
 impl ParallelApply {
@@ -460,8 +412,8 @@ impl ParallelApply {
     /// `nnz(op) x block / min_work` workers, so no worker is spawned for
     /// less than `min_work` stored-value traversals, and sub-threshold
     /// applies serve inline (serial kernel, no spawn at all). `0` disables
-    /// the threshold — every apply uses as many workers as the sharding
-    /// axes allow, which the bit-identity contract tests rely on to force
+    /// the threshold — every apply uses as many workers as its column
+    /// count allows, which the bit-identity contract tests rely on to force
     /// the threaded paths on arbitrarily small fixtures.
     pub fn with_min_work(mut self, min_work: usize) -> Self {
         self.min_work = min_work;
@@ -503,47 +455,33 @@ impl ParallelApply {
     /// spawn), which callers benchmarking or scheduling threaded serving
     /// can use to avoid mislabeling a degraded apply as parallel.
     pub fn planned_workers<O: CouplingOp + ?Sized>(&self, op: &O, block: usize) -> usize {
-        let n = op.n();
-        if n == 0 || block == 0 {
+        if op.n() == 0 || block == 0 {
             return 1;
         }
-        let t = self.work_capped(op.nnz(), block);
-        let row_shards = if op.supports_row_shard() { n / MIN_ROWS_PER_SHARD } else { 0 };
-        if t > block && row_shards > block {
-            let workers = t.min(row_shards);
-            // nonempty ranges after ceil rounding, exactly as dispatched
-            n.div_ceil(n.div_ceil(workers))
-        } else {
-            t.min(block)
-        }
+        let workers = self.work_capped(op.nnz(), block).min(block);
+        // nonempty panels after ceil rounding, exactly as dispatched
+        block.div_ceil(block.div_ceil(workers))
     }
 
     /// Pre-grows every worker's scratch for serving `op` at blocks up to
     /// `block` columns wide, so even the first threaded apply allocates
-    /// nothing inside the workers.
+    /// nothing inside the workers. A one-column block serves inline
+    /// through slot 0's workspace, which this warm-up grows as well.
     pub fn warm<O: CouplingOp + Sync + ?Sized>(&mut self, op: &O, block: usize) {
         let x = Mat::zeros(op.n(), block.max(1));
         let mut y = Mat::zeros(0, 0);
         self.apply_block_into(op, &x, &mut y);
-        // the narrow-block (row-sharded / inline) path exercises different
-        // slot buffers than the wide path; warm both
-        if block > 1 {
-            let x1 = Mat::zeros(op.n(), 1);
-            self.apply_block_into(op, &x1, &mut y);
-        }
     }
 
     /// Applies `Y = G X` into `y` (resized and overwritten), sharded
     /// across the executor's workers — bit-identical to
     /// `op.apply_block_into(x, y, ws)` for every thread count.
     ///
-    /// Sharding picks the axis that feeds the most workers without
-    /// duplicating work: contiguous column panels when the block has at
-    /// least one column per worker, disjoint row ranges when it does not
-    /// but the operator is flat (dense or CSR,
-    /// [`CouplingOp::supports_row_shard`]); otherwise it degrades
-    /// gracefully to fewer workers (down to a plain inline serial apply,
-    /// which is also the `threads == 1` fast path — no spawn, no copy).
+    /// The block is cut into contiguous column panels, one per worker, as
+    /// many as [`planned_workers`](Self::planned_workers) allows: the
+    /// resolved thread count, capped by the block width and by the
+    /// min-work threshold. One planned worker means a plain inline serial
+    /// apply — also the `threads == 1` fast path: no spawn, no copy.
     ///
     /// # Panics
     ///
@@ -562,58 +500,13 @@ impl ParallelApply {
         if n == 0 || b == 0 {
             return;
         }
-        let t = self.work_capped(op.nnz(), b);
-        let row_shards = if op.supports_row_shard() { n / MIN_ROWS_PER_SHARD } else { 0 };
-        if t > b && row_shards > b {
-            // narrow block, shardable rows: row ranges feed more workers
-            // than columns can
-            let workers = t.min(row_shards);
-            let h = n.div_ceil(workers);
-            // ceil rounding can make the last range(s) empty (k*h >= n);
-            // iterate only the nonempty shards so every span stays in
-            // bounds
-            let shards = n.div_ceil(h);
-            trace::add(trace::Counter::RowShards, shards as u64);
-            self.ensure_slots(shards);
-            let slots = exec::ShardItems::new(&mut self.slots[..shards]);
-            let poisoned = exec::Executor::global().run(shards, &|k| {
-                let _w = trace::span_track("worker.row_shard", trace::worker_track(k), k as u64);
-                if faults::enabled() && faults::fire(faults::Failpoint::PoolWorkerPanic) {
-                    panic!("injected fault: pool.worker_panic");
-                }
-                // Safety: shard k is the only shard touching slot k
-                let slot = unsafe { slots.item(k) };
-                // rows land in the slot's y panel and are published after
-                // the dispatch: row ranges of a column-major matrix are not
-                // contiguous, so workers cannot own disjoint slices of it
-                let (i0, i1) = (k * h, ((k + 1) * h).min(n));
-                op.apply_rows_into(x, i0, i1, &mut slot.y);
-            });
-            if poisoned {
-                // a worker's staging panel is suspect; discard everything
-                // and recompute on the bit-identical serial path
-                self.degraded_serial_apply(op, x, y);
-                return;
-            }
-            // publish: row ranges interleave across the column-major
-            // output, so the gather happens after the dispatch
-            for (k, slot) in self.slots[..shards].iter().enumerate() {
-                let i0 = k * h;
-                for j in 0..b {
-                    let src = slot.y.col(j);
-                    y.col_mut(j)[i0..i0 + src.len()].copy_from_slice(src);
-                }
-            }
-            return;
-        }
-        let workers = t.min(b);
-        if workers <= 1 {
+        let shards = self.planned_workers(op, b);
+        if shards <= 1 {
             self.ensure_slots(1);
             op.apply_block_into(x, y, &mut self.slots[0].ws);
             return;
         }
-        let w = b.div_ceil(workers);
-        let shards = b.div_ceil(w);
+        let w = b.div_ceil(shards);
         self.ensure_slots(shards);
         trace::add(trace::Counter::ColPanels, shards as u64);
         // each shard owns one slot and one contiguous panel of the
@@ -842,7 +735,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_apply_is_bit_identical_on_both_axes() {
+    fn parallel_apply_is_bit_identical_across_column_panels() {
         let n = 67;
         let g = Mat::from_fn(n, n, |i, j| ((i * 31 + j * 7) % 23) as f64 / 23.0 - 0.4);
         let sparse = Csr::from_dense(&g, 0.6);
@@ -856,9 +749,8 @@ mod tests {
         assert_eq!(pool.min_work(), 0);
         let ops: [&(dyn CouplingOp + Sync); 3] = [&g, &sparse, &lr];
         for op in ops {
-            // wide block -> column shards; 1-column block -> row shards
-            // on the flat ops, inline on the low-rank one; widths that
-            // straddle shard boundaries
+            // 1-column block -> inline; wider blocks -> column panels,
+            // with widths that straddle shard boundaries
             for b in [1usize, 2, 3, 7, 12] {
                 let x = Mat::from_fn(n, b, |i, j| ((i * 13 + j * 5) % 19) as f64 - 9.0);
                 let serial = op.apply_block(&x);
@@ -867,65 +759,29 @@ mod tests {
                     assert_eq!(threaded.col(j), serial.col(j), "b={b} column {j} diverged");
                 }
             }
+            // planned_workers mirrors the dispatch rule: one worker per
+            // column, capped at the thread count
+            assert_eq!(pool.planned_workers(op, 1), 1);
+            assert_eq!(pool.planned_workers(op, 2), 2);
+            assert_eq!(pool.planned_workers(op, 7), 3);
         }
+        // ceil rounding can leave fewer nonempty panels than workers: 8
+        // columns over 5 workers is 2-column panels, so 4 shards
+        let mut five = ParallelApply::new(5).with_min_work(0);
+        assert_eq!(five.planned_workers(&g, 8), 4);
+        let x = Mat::from_fn(n, 8, |i, j| (i * 8 + j) as f64);
+        assert_eq!(five.apply_block(&g, &x).data(), g.apply_block(&x).data());
         // more workers than rows and columns still agrees
         let tiny = Mat::from_fn(3, 3, |i, j| (i + j) as f64);
         let x = Mat::from_fn(3, 2, |i, j| (i * 2 + j) as f64);
         let mut wide_pool = ParallelApply::new(16).with_min_work(0);
         assert_eq!(wide_pool.apply_block(&tiny, &x).col(0), tiny.apply_block(&x).col(0));
-        // planned_workers mirrors the dispatch rule: rows feed 3 workers
-        // on a 1-column block, columns cap the wide block at 3
-        assert_eq!(pool.planned_workers(&g, 1), 3);
-        assert_eq!(pool.planned_workers(&g, 7), 3);
-        // row path: 4 shards capped at 3
-        assert_eq!(pool.planned_workers(&sparse, 2), 3);
-        // the structured op has no row axis: one column serves inline
-        assert_eq!(pool.planned_workers(&lr, 1), 1);
-        assert_eq!(pool.planned_workers(&lr, 6), 3);
         // auto thread count (0) resolves and serves
         let mut auto_pool = ParallelApply::new(0).with_min_work(0);
         assert!(auto_pool.resolved_threads() >= 1);
         auto_pool.warm(&g, 4);
         let x = Mat::from_fn(n, 4, |i, j| (i + j) as f64);
         assert_eq!(auto_pool.apply_block(&g, &x).data(), g.apply_block(&x).data());
-    }
-
-    #[test]
-    fn row_sharding_survives_ceil_rounding_making_trailing_shards_empty() {
-        // n = 305 with 19 workers: h = ceil(305/19) = 17, and 18 * 17 =
-        // 306 > 305, so the last worker's range would start past the end
-        // — the executor must iterate only the 18 nonempty shards
-        // (regression: this panicked with "row span out of range")
-        let n = 305;
-        let g = Mat::from_fn(n, n, |i, j| {
-            if (i * 7 + j) % 9 == 0 {
-                0.0
-            } else {
-                1.0 / (1.0 + (i + j) as f64)
-            }
-        });
-        let sparse = Csr::from_dense(&g, 0.01);
-        let mut pool = ParallelApply::new(19).with_min_work(0);
-        for b in [1usize, 2] {
-            let x = Mat::from_fn(n, b, |i, j| ((i * 3 + j) % 11) as f64 - 5.0);
-            let ops: [&(dyn CouplingOp + Sync); 2] = [&g, &sparse];
-            for op in ops {
-                let threaded = pool.apply_block(op, &x);
-                let serial = op.apply_block(&x);
-                assert_eq!(threaded.data(), serial.data(), "b={b}");
-            }
-        }
-    }
-
-    #[test]
-    fn row_shard_support_matches_documentation() {
-        let g = Mat::identity(4);
-        let s = Csr::identity(4);
-        let f = svd(&g);
-        let lr = LowRankOp::from_svd(&f, 2);
-        assert!(CouplingOp::supports_row_shard(&g));
-        assert!(CouplingOp::supports_row_shard(&s));
-        assert!(!lr.supports_row_shard());
     }
 
     #[test]
@@ -938,8 +794,12 @@ mod tests {
         let mut pool = ParallelApply::new(4);
         assert_eq!(pool.min_work(), DEFAULT_MIN_WORK_PER_WORKER);
         assert_eq!(pool.planned_workers(&g, 1), 1);
-        // the same pool with the threshold disabled engages the row axis
-        assert!(ParallelApply::new(4).with_min_work(0).planned_workers(&g, 1) > 1);
+        // a single column has no axis to shard, threshold or not
+        assert_eq!(ParallelApply::new(4).with_min_work(0).planned_workers(&g, 1), 1);
+        // below the threshold, columns alone do not engage workers:
+        // 4096 * 3 = 12k traversals feed no second worker at the default
+        assert_eq!(pool.planned_workers(&g, 3), 1);
+        assert_eq!(ParallelApply::new(4).with_min_work(0).planned_workers(&g, 3), 3);
         // enough columns to clear the threshold re-engages workers:
         // 4096 * 64 = 256k traversals feeds all four at the 16k default
         assert_eq!(pool.planned_workers(&g, 64), 4);

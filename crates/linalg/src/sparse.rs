@@ -208,7 +208,7 @@ impl Csr {
     /// stored entries — four independent accumulator chains with the
     /// fixed `(s0+s1)+(s2+s3)+tail` combination order, shared (entry for
     /// entry) by every CSR product kernel in this type, which is what
-    /// keeps blocked and row-sharded applies bit-identical to this one.
+    /// keeps blocked applies bit-identical to this one.
     /// (A single sequential accumulator was the serving bottleneck at
     /// typical 50–100-nonzero rows: every multiply-add waited on the
     /// previous one.)
@@ -299,46 +299,6 @@ impl Csr {
                 let vals = &self.data[start..end];
                 for (jj, s) in xc[..jw].iter().enumerate() {
                     y[(i, j0 + jj)] = kernels::gather_dot4(vals, cols, s);
-                }
-                start = end;
-            }
-            j0 += jw;
-        }
-    }
-
-    /// Rows `[i0, i1)` of the product `Y = A * X`, into `y` (resized to
-    /// `(i1 - i0) x x.n_cols()`).
-    ///
-    /// A CSR output row is computed entirely from its own index/value
-    /// slice, so restricting the panel kernel of
-    /// [`matmul_dense_into`](Self::matmul_dense_into) to a row range
-    /// changes nothing about any entry's accumulation order: a row-sharded
-    /// product reassembled from disjoint ranges is **bit-identical** to
-    /// the full one. This is the kernel behind the parallel serving
-    /// executor's row sharding for narrow blocks (too few right-hand-side
-    /// columns to give every worker its own).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch or an out-of-range row span.
-    pub fn matmul_dense_rows_into(&self, x: &Mat, i0: usize, i1: usize, y: &mut Mat) {
-        assert_eq!(x.n_rows(), self.n_cols, "csr matmul_dense_rows dimension mismatch");
-        assert!(i0 <= i1 && i1 <= self.n_rows, "csr matmul_dense_rows span out of range");
-        y.resize(i1 - i0, x.n_cols());
-        let b = x.n_cols();
-        let mut j0 = 0;
-        while j0 < b {
-            let jw = CSR_COL_BLOCK.min(b - j0);
-            let mut xc: [&[f64]; CSR_COL_BLOCK] = [&[]; CSR_COL_BLOCK];
-            for (jj, s) in xc[..jw].iter_mut().enumerate() {
-                *s = x.col(j0 + jj);
-            }
-            let mut start = self.indptr[i0];
-            for (i, &end) in (i0..i1).zip(&self.indptr[i0 + 1..]) {
-                let cols = &self.indices[start..end];
-                let vals = &self.data[start..end];
-                for (jj, s) in xc[..jw].iter().enumerate() {
-                    y[(i - i0, j0 + jj)] = kernels::gather_dot4(vals, cols, s);
                 }
                 start = end;
             }
@@ -532,17 +492,6 @@ mod tests {
             let serial = a.matvec(x.col(j));
             for i in 0..a.n_rows() {
                 assert_eq!(y[(i, j)], serial[i], "blocked apply must be bit-identical");
-            }
-        }
-        // row-range kernel against the full product, span by span
-        let mut part = Mat::zeros(0, 0);
-        for (i0, i1) in [(0, 5), (0, 1), (2, 4), (4, 5), (3, 3)] {
-            a.matmul_dense_rows_into(&x, i0, i1, &mut part);
-            assert_eq!(part.n_rows(), i1 - i0);
-            for j in 0..x.n_cols() {
-                for i in i0..i1 {
-                    assert_eq!(part[(i - i0, j)], y[(i, j)], "row shard {i0}..{i1} diverged");
-                }
             }
         }
         // transpose kernel against per-vector matvec_t

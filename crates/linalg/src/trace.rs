@@ -63,36 +63,34 @@ pub enum Counter {
     Solves = 0,
     /// RHS columns moved through `solve_batch` calls.
     RhsColumns = 1,
-    /// Column panels dispatched by `ParallelApply`.
+    /// Column panels dispatched to pool workers by `ParallelApply` — its
+    /// only parallel axis; applies served inline add none.
     ColPanels = 2,
-    /// Row shards dispatched by `ParallelApply`.
-    RowShards = 3,
     /// Workspace matrices that actually grew their backing storage
     /// (steady-state serving should show zero).
-    WorkspaceGrows = 4,
+    WorkspaceGrows = 3,
     /// Span events discarded because the sink hit [`MAX_EVENTS`].
-    EventsDropped = 5,
+    EventsDropped = 4,
     /// Iterative solves that burned their iteration budget and were
     /// re-run once with a larger one (the bounded-retry policy).
-    SolveRetries = 6,
+    SolveRetries = 5,
     /// Iterative solves still unconverged after the bounded retry
     /// (typed-error paths surface these; infallible paths warn).
-    SolvesFailed = 7,
+    SolvesFailed = 6,
     /// Blocked applies re-executed on the serial path after a worker
     /// panic poisoned the parallel attempt.
-    DegradedApplies = 8,
+    DegradedApplies = 7,
     /// Model loads that fell back to the explicit-CSR rep because the
     /// `.fwt` side file was missing, corrupt, or from the future.
-    DegradedLoads = 9,
+    DegradedLoads = 8,
 }
 
-const N_COUNTERS: usize = 10;
+const N_COUNTERS: usize = 9;
 
 const COUNTER_NAMES: [&str; N_COUNTERS] = [
     "solves",
     "rhs_columns",
     "col_panels",
-    "row_shards",
     "workspace_grows",
     "events_dropped",
     "solve_retries",
@@ -208,24 +206,26 @@ pub fn hist_sum_ns(h: Hist) -> u64 {
 }
 
 /// Quantile estimate (`0 < q <= 1`): the upper bound of the log2 bucket
-/// containing the `q`-th sample, so the estimate is within 2x of the true
-/// value. Returns 0 on an empty histogram.
+/// containing the `q`-th sample, clamped to the largest recorded sample
+/// ([`hist_max_ns`]) — so the estimate is within 2x of the true value and
+/// never above the observed max. Returns 0 on an empty histogram.
 pub fn hist_quantile_ns(h: Hist, q: f64) -> u64 {
     let d = &HISTS[h as usize];
     let total = d.count.load(Ordering::Relaxed);
     if total == 0 {
         return 0;
     }
+    let max = d.max.load(Ordering::Relaxed);
     let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
     let mut seen = 0u64;
     for (i, b) in d.buckets.iter().enumerate() {
         seen += b.load(Ordering::Relaxed);
         if seen >= rank {
             // upper edge of bucket i = 2^i (bucket 0 holds only ns=0)
-            return if i == 0 { 0 } else { 1u64 << i.min(63) };
+            return if i == 0 { 0 } else { (1u64 << i.min(63)).min(max) };
         }
     }
-    d.max.load(Ordering::Relaxed)
+    max
 }
 
 /// RAII timer feeding a histogram on drop. Costs one relaxed load when
@@ -463,7 +463,7 @@ pub fn summary() -> String {
         }
     }
 
-    out.push_str("latency histograms (p50/p90/p99 are log2-bucket upper bounds):\n");
+    out.push_str("latency histograms (p50/p90/p99 are log2-bucket upper bounds, capped at max):\n");
     out.push_str(&format!(
         "  {:<18} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
         "histogram", "count", "mean", "p50", "p90", "p99", "max"
@@ -636,6 +636,22 @@ mod tests {
             assert!(p99 >= 100_000, "p99 {p99} must cover the slowest sample");
             // quantile estimates never exceed 2x the true value
             assert!(p99 <= 2 * 100_000);
+        });
+    }
+
+    #[test]
+    fn quantiles_never_exceed_the_observed_max() {
+        with_recorder(|| {
+            // 300ns sits in the [256, 512) bucket, whose upper edge (512)
+            // is above every sample
+            for _ in 0..5 {
+                record_ns(Hist::ApplyVectorNs, 300);
+            }
+            assert_eq!(hist_max_ns(Hist::ApplyVectorNs), 300);
+            for q in [0.5, 0.9, 0.99, 1.0] {
+                let v = hist_quantile_ns(Hist::ApplyVectorNs, q);
+                assert!(v <= 300, "q={q}: {v}ns above the 300ns max");
+            }
         });
     }
 

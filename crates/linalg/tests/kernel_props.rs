@@ -217,13 +217,6 @@ fn dense_matvec_and_matmul_agree_with_scalar_reference() {
                 g.matvec_into(x.col(j), &mut yv);
                 assert_eq!(y.col(j), yv.as_slice(), "matmul vs matvec n={n} b={b} col {j}");
             }
-            // contract: row ranges carry the full product's bits
-            let mut rows = Mat::zeros(0, 0);
-            let (i0, i1) = (n / 3, n);
-            g.matmul_rows_into(&x, i0, i1, &mut rows);
-            for j in 0..b {
-                assert_eq!(rows.col(j), &y.col(j)[i0..i1], "matmul_rows n={n} b={b} col {j}");
-            }
         }
     }
 }
@@ -257,13 +250,6 @@ fn csr_applies_agree_with_scalar_reference() {
                 let mut yv = vec![0.0; n];
                 a.matvec_into(x.col(j), &mut yv);
                 assert_eq!(y.col(j), yv.as_slice(), "csr matmul vs matvec n={n} b={b} col {j}");
-            }
-            // contract: row ranges carry the full product's bits
-            let mut rows = Mat::zeros(0, 0);
-            let (i0, i1) = (n / 4, n.div_ceil(2));
-            a.matmul_dense_rows_into(&x, i0, i1, &mut rows);
-            for j in 0..b {
-                assert_eq!(rows.col(j), &y.col(j)[i0..i1], "csr rows n={n} b={b} col {j}");
             }
         }
     }
