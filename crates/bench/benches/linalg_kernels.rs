@@ -3,7 +3,7 @@
 
 use std::hint::black_box;
 
-use subsparse::linalg::dct::{dct2d, Dct};
+use subsparse::linalg::dct::{dct2d_with, Dct, Dct2dScratch};
 use subsparse::linalg::svd::svd;
 use subsparse::linalg::Mat;
 use subsparse_bench::timing;
@@ -17,13 +17,34 @@ fn main() {
         black_box(svd(black_box(&a)));
     });
 
-    // 2-D DCT of the eigen solver's default grid
+    // 2-D DCT of the eigen solver's default grid, both directions, on a
+    // warm scratch (as the solver's CG loop runs it)
     let plan = Dct::new(128);
+    let mut sc = Dct2dScratch::default();
     let mut grid = vec![0.0; 128 * 128];
     for (i, g) in grid.iter_mut().enumerate() {
         *g = (i % 17) as f64;
     }
     timing::bench("dct2d_128", || {
-        dct2d(&plan, &plan, black_box(&mut grid), 128, 128, true);
+        dct2d_with(&plan, &plan, black_box(&mut grid), 128, 128, true, &mut sc);
+    });
+    timing::bench("dct2d_128_t", || {
+        dct2d_with(&plan, &plan, black_box(&mut grid), 128, 128, false, &mut sc);
+    });
+
+    // one application of the eigenfunction solver's current-to-potential
+    // operator (forward transform, mode scaling, transpose transform) —
+    // the work of one CG iteration; multipliers `1 / (d_m d_n)` with
+    // `d = (n, n/2, ..., n/2)` make it the identity up to rounding, so
+    // the grid stays bounded however many iterations the harness runs
+    let d = |k: usize| if k == 0 { 128.0 } else { 64.0 };
+    let mu: Vec<f64> = (0..128 * 128).map(|i| 1.0 / (d(i / 128) * d(i % 128))).collect();
+    timing::bench("eigen_op_128", || {
+        let g = black_box(&mut grid);
+        dct2d_with(&plan, &plan, g, 128, 128, true, &mut sc);
+        for (v, m) in g.iter_mut().zip(&mu) {
+            *v *= m;
+        }
+        dct2d_with(&plan, &plan, g, 128, 128, false, &mut sc);
     });
 }

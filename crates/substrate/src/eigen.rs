@@ -55,6 +55,15 @@ impl Default for EigenSolverConfig {
 
 /// The eigenfunction (surface-variable) substrate solver.
 ///
+/// Each CG iteration applies the current-to-potential operator — a
+/// forward 2-D DCT, the mode scaling and a transpose 2-D DCT on the
+/// `P x P` panel grid — and that is nearly all of a solve's time. Both
+/// transforms run the lane-batched kernel of [`subsparse_linalg::dct`]
+/// (all grid rows or columns per sweep, with the bits of the
+/// one-row-at-a-time transform). Batch solves give each worker its own
+/// transform scratch (`3 P^2` values, allocated once per worker), so
+/// adding columns allocates nothing.
+///
 /// # Example
 ///
 /// ```
@@ -213,7 +222,8 @@ impl EigenSolver {
 
     /// Applies the full-surface current-to-potential operator to a `P x P`
     /// grid of *total panel currents* in place, leaving panel-average
-    /// potentials (the pipeline of thesis Fig 2-6).
+    /// potentials (the pipeline of thesis Fig 2-6). Allocates its
+    /// transform scratch per call; the CG solves reuse one per worker.
     pub fn apply_current_to_potential(&self, grid: &mut [f64]) {
         self.apply_current_to_potential_with(grid, &mut Dct2dScratch::default());
     }

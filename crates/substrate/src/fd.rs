@@ -27,7 +27,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use subsparse_layout::Layout;
 use subsparse_linalg::cg::{pcg_with, CgScratch, IdentityPrecond, LinOp};
-use subsparse_linalg::dct::{Dct, DctScratch};
+use subsparse_linalg::dct::{Dct, Dct2dScratch};
 use subsparse_linalg::{trace, tridiag};
 
 /// Where the Dirichlet (contact) nodes sit relative to the top surface
@@ -798,6 +798,14 @@ impl LinOp for DicOp<'_> {
 
 /// DCT-diagonalized fast Poisson solver used as a preconditioner
 /// (thesis §2.2.2 "Fast-solver preconditioners").
+///
+/// Each z-plane goes through the lane-batched DCT kernel of
+/// [`subsparse_linalg::dct`]: the x pass transforms every row of the
+/// plane at once ([`Dct::transform_rows`]), the y pass every column
+/// ([`Dct::transform_lanes`], the plane rows being the lanes). The
+/// orthonormal `sx`/`sy` scalings sit where the per-row/per-column loops
+/// applied them — after each forward pass, before each transpose pass —
+/// so every bit matches the one-vector-at-a-time transform.
 #[derive(Debug)]
 struct FastPoisson {
     nx: usize,
@@ -823,13 +831,11 @@ struct FastPoisson {
 
 #[derive(Debug, Default)]
 struct FpScratch {
-    buf: Vec<f64>,
-    col: Vec<f64>,
     zdiag: Vec<f64>,
     zrhs: Vec<f64>,
     zscr: Vec<f64>,
     lower: Vec<f64>,
-    dct: DctScratch,
+    dct: Dct2dScratch,
 }
 
 impl FastPoisson {
@@ -883,32 +889,17 @@ impl FastPoisson {
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         let nxy = nx * ny;
         y.copy_from_slice(x);
-        sc.buf.resize(nx.max(ny).max(nz), 0.0);
-        sc.col.resize(ny.max(nz), 0.0);
         sc.zdiag.resize(nz, 0.0);
         sc.zrhs.resize(nz, 0.0);
         sc.zscr.resize(nz, 0.0);
         sc.lower.resize(nz.saturating_sub(1), 0.0);
-        for iz in 0..nz {
-            let plane = &mut y[iz * nxy..(iz + 1) * nxy];
+        for plane in y.chunks_exact_mut(nxy) {
             // forward orthonormal DCT rows (x)
-            for r in 0..ny {
-                let row = &mut plane[r * nx..(r + 1) * nx];
-                self.dctx.forward_with(row, &mut sc.buf[..nx], &mut sc.dct);
-                for k in 0..nx {
-                    row[k] = sc.buf[k] * self.sx[k];
-                }
-            }
-            // forward orthonormal DCT columns (y)
-            for c in 0..nx {
-                for r in 0..ny {
-                    sc.col[r] = plane[r * nx + c];
-                }
-                self.dcty.forward_with(&sc.col[..ny], &mut sc.buf[..ny], &mut sc.dct);
-                for r in 0..ny {
-                    plane[r * nx + c] = sc.buf[r] * self.sy[r];
-                }
-            }
+            self.dctx.transform_rows(plane, ny, true, &mut sc.dct);
+            self.scale_x(plane);
+            // forward orthonormal DCT columns (y): plane rows are the lanes
+            self.dcty.transform_lanes(plane, nx, true, &mut sc.dct);
+            self.scale_y(plane);
         }
         // per-mode tridiagonal solve in z
         for ky in 0..ny {
@@ -949,25 +940,27 @@ impl FastPoisson {
             }
         }
         // inverse orthonormal transforms
-        for iz in 0..nz {
-            let plane = &mut y[iz * nxy..(iz + 1) * nxy];
-            for c in 0..nx {
-                for r in 0..ny {
-                    sc.col[r] = plane[r * nx + c] * self.sy[r];
-                }
-                self.dcty.transpose_with(&sc.col[..ny], &mut sc.buf[..ny], &mut sc.dct);
-                for r in 0..ny {
-                    plane[r * nx + c] = sc.buf[r];
-                }
+        for plane in y.chunks_exact_mut(nxy) {
+            self.scale_y(plane);
+            self.dcty.transform_lanes(plane, nx, false, &mut sc.dct);
+            self.scale_x(plane);
+            self.dctx.transform_rows(plane, ny, false, &mut sc.dct);
+        }
+    }
+
+    /// Multiplies every x-mode (column) of a plane by its `sx` scaling.
+    fn scale_x(&self, plane: &mut [f64]) {
+        for row in plane.chunks_exact_mut(self.nx) {
+            for (v, s) in row.iter_mut().zip(&self.sx) {
+                *v *= s;
             }
-            for r in 0..ny {
-                let row = &mut plane[r * nx..(r + 1) * nx];
-                for k in 0..nx {
-                    sc.col[k] = row[k] * self.sx[k];
-                }
-                self.dctx.transpose_with(&sc.col[..nx], &mut sc.buf[..nx], &mut sc.dct);
-                row.copy_from_slice(&sc.buf[..nx]);
-            }
+        }
+    }
+
+    /// Multiplies every y-mode (row) of a plane by its `sy` scaling.
+    fn scale_y(&self, plane: &mut [f64]) {
+        for (row, s) in plane.chunks_exact_mut(self.nx).zip(&self.sy) {
+            row.iter_mut().for_each(|v| *v *= s);
         }
     }
 }

@@ -132,7 +132,14 @@ pub fn extract_into<S: SubstrateSolver + ?Sized, K: GwSink + ?Sized>(
     for l in 0..=finest {
         let _s = trace::span_arg("extract.wavelet.combine-level", l as u64);
         let side = tree.side(l);
-        let spacing = if options.spacing == 0 { 0 } else { options.spacing.min(side) };
+        // `side >= 1`, so `min` keeps 0 (no combining) as 0. Computed
+        // unconditionally on purpose: a `min` reached only when
+        // `options.spacing != 0` let rustc 1.95's LLVM tag its argument
+        // `range(1, 0)`, speculate the call out of that branch with the
+        // tag kept, and then fold `spacing == 0` to false — so under
+        // `--release` the no-combining path ran the combining loops with
+        // `spacing == 0` and never terminated.
+        let spacing = options.spacing.min(side);
         let max_w = basis.max_w(l);
         if max_w == 0 {
             continue;
