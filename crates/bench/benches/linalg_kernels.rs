@@ -3,9 +3,12 @@
 
 use std::hint::black_box;
 
+use subsparse::layout::generators;
 use subsparse::linalg::dct::{dct2d_with, Dct, Dct2dScratch};
 use subsparse::linalg::svd::svd;
-use subsparse::linalg::Mat;
+use subsparse::linalg::{LinOp, Mat};
+use subsparse::substrate::{EigenSolver, EigenSolverConfig};
+use subsparse::Substrate;
 use subsparse_bench::timing;
 
 fn main() {
@@ -46,5 +49,22 @@ fn main() {
             *v *= m;
         }
         dct2d_with(&plan, &plan, g, 128, 128, false, &mut sc);
+    });
+
+    // the eigen solver's set-up on the benchmark's alternating layout
+    // (mode multipliers, cosine table, block factors), and one apply of
+    // its block-Jacobi preconditioner over the 6656 contact panels
+    let layout = generators::alternating_grid(128.0, 32, 3.0, 1.5);
+    let (substrate, cfg) = (Substrate::thesis_standard(), EigenSolverConfig::default());
+    let build = || EigenSolver::new(&substrate, &layout, cfg).expect("valid eigen layout");
+    timing::bench("eigen_setup_128", || {
+        black_box(build());
+    });
+    let solver = build();
+    let pre = solver.preconditioner();
+    let r: Vec<f64> = (0..pre.dim()).map(|k| (k % 13) as f64 - 6.0).collect();
+    let mut z = vec![0.0; pre.dim()];
+    timing::bench("eigen_precond_128", || {
+        pre.apply(black_box(&r), black_box(&mut z));
     });
 }

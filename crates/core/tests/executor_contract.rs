@@ -8,9 +8,10 @@
 //! poisons only that dispatch, the public call falls back to the
 //! bit-identical serial path, and the pool never respawns threads —
 //! `Executor::global().workers()` is a stable observable across
-//! repeated poisonings.
+//! repeated poisonings, also while several callers dispatch at once.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Barrier, Mutex, OnceLock};
+use std::time::Duration;
 
 use subsparse::faults::{self, Failpoint, FireMode};
 use subsparse::layout::generators;
@@ -176,5 +177,116 @@ fn worker_panic_degrades_serially_without_respawning_workers() {
         Executor::global().workers(),
         before,
         "pool respawned (or leaked) workers across repeated panics"
+    );
+}
+
+/// Multi-caller stress — four caller threads dispatch onto the one shared
+/// pool at once, with mixed op kinds and block widths and worker panics
+/// armed. Each caller serves through its own clone of one configured
+/// `ParallelApply` (an apply borrows its worker scratch mutably), so the
+/// callers meet only at the executor's dispatch lock. Every output must
+/// carry the serial path's bits, every caller must finish within the
+/// timeout (no deadlock on the dispatch lock), and `workers()` must not
+/// move.
+#[test]
+fn concurrent_callers_stay_bit_identical_under_worker_panics() {
+    const CALLERS: usize = 4;
+    const ROUNDS: usize = 8;
+    let _g = faults_lock();
+    let rep = wavelet_rep();
+    let n = rep.n();
+    let layout = generators::regular_grid(128.0, 8, 2.0);
+    let mut rng = SmallRng::seed_from_u64(11);
+    let r = 5;
+    let u = Mat::from_fn(n, r, |_, _| rng.range_f64(-1.0, 1.0));
+    let v = Mat::from_fn(n, r, |_, _| rng.range_f64(-1.0, 1.0));
+    let ops: Vec<Box<dyn CouplingOp + Send + Sync>> = vec![
+        Box::new(solver::synthetic(&layout).matrix().clone()),
+        Box::new(rep.without_fwt()),
+        Box::new(rep.clone()),
+        Box::new(LowRankOp::new(u, vec![1.0, 0.5, 0.25, 0.125, 0.0625], v)),
+    ];
+    // (op, input block, serial output) for every op and block width
+    let cases: Arc<Vec<(usize, Mat, Mat)>> = Arc::new(
+        (0..ops.len())
+            .flat_map(|o| [1usize, 3, 8, 16].map(|b| (o, b)))
+            .map(|(o, b)| {
+                let x = x_block(n, b);
+                let want = serial_apply(&*ops[o], &x);
+                (o, x, want)
+            })
+            .collect(),
+    );
+    let ops = Arc::new(ops);
+
+    // pre-grow the pool as in the single-caller fault test
+    Executor::global().run(96, &|_| {});
+    let before = Executor::global().workers();
+
+    let proto = ParallelApply::new(4).with_min_work(0);
+    let start = Arc::new(Barrier::new(CALLERS));
+    let (done, finished) = mpsc::channel();
+    faults::configure(Failpoint::PoolWorkerPanic, FireMode::EveryN(3));
+    // plain (not scoped) threads, so a deadlocked caller cannot block
+    // the timeout below
+    let callers: Vec<_> = (0..CALLERS)
+        .map(|c| {
+            let (ops, cases, start, done) =
+                (ops.clone(), cases.clone(), start.clone(), done.clone());
+            let mut pool = proto.clone();
+            std::thread::spawn(move || {
+                start.wait();
+                let mut mismatches = Vec::new();
+                let mut y = Mat::zeros(0, 0);
+                for round in 0..ROUNDS {
+                    // callers walk the cases from different offsets, so
+                    // different op kinds and widths overlap in time
+                    for k in 0..cases.len() {
+                        let (o, x, want) = &cases[(k + c * 5) % cases.len()];
+                        let op = &*ops[*o];
+                        pool.apply_block_into(op, x, &mut y);
+                        let equal = y.n_cols() == want.n_cols()
+                            && y.data()
+                                .iter()
+                                .zip(want.data())
+                                .all(|(a, b)| a.to_bits() == b.to_bits());
+                        if !equal {
+                            mismatches.push(format!(
+                                "caller {c} round {round}: {} block {}",
+                                op.kind(),
+                                x.n_cols()
+                            ));
+                        }
+                    }
+                }
+                done.send((c, mismatches)).expect("the test thread waits for every caller");
+            })
+        })
+        .collect();
+    drop(done);
+    let mut outcomes: Vec<(usize, Vec<String>)> = (0..CALLERS)
+        .map(|_| {
+            finished
+                .recv_timeout(Duration::from_secs(120))
+                .expect("a caller did not finish within 120 s (deadlock or panic)")
+        })
+        .collect();
+    let panics = faults::stats()
+        .into_iter()
+        .find(|(name, _, _)| *name == Failpoint::PoolWorkerPanic.name())
+        .map_or(0, |(_, _, fires)| fires);
+    faults::reset();
+    assert!(panics > 0, "no worker panic was injected");
+    for handle in callers {
+        handle.join().expect("caller thread");
+    }
+    outcomes.sort_by_key(|(c, _)| *c);
+    for (c, mismatches) in outcomes {
+        assert!(mismatches.is_empty(), "caller {c} lost bit-identity: {mismatches:?}");
+    }
+    assert_eq!(
+        Executor::global().workers(),
+        before,
+        "pool respawned (or leaked) workers under concurrent callers"
     );
 }

@@ -5,8 +5,8 @@
 //! (thesis Fig 2-6): scatter panel currents to the grid, 2-D DCT, scale by
 //! the mode eigenvalues, inverse transform, gather panel potentials. The
 //! conductance solve `A i = v` restricted to contact panels is done with
-//! (optionally Jacobi-preconditioned) conjugate gradient; contact currents
-//! are the sums of panel currents.
+//! conjugate gradient, preconditioned by block Jacobi over contacts;
+//! contact currents are the sums of panel currents.
 //!
 //! Discretization detail: expanding piecewise-constant panel currents in
 //! the cosine modes and averaging potentials back over panels makes both
@@ -18,6 +18,22 @@
 //! precorrected-DCT formulation the thesis builds on; the thesis's own
 //! QuickSub backend used multigrid instead of CG, so absolute iteration
 //! counts differ (documented in EXPERIMENTS.md).
+//!
+//! # The preconditioner's blocks in closed form
+//!
+//! With `E_{m,q1} E_{m,q2} = 1/2 [cos(m pi (q1+q2+1)/P) + cos(m pi (q1-q2)/P)]`
+//! in both directions, every entry of `A` between panels
+//! `q1 = (x1, y1)` and `q2 = (x2, y2)` is
+//!
+//! ```text
+//! A(q1, q2) = 1/4 sum_{a in {x1+x2+1, |x1-x2|}} sum_{b in {y1+y2+1, |y1-y2|}} D(a, b),
+//! D(a, b)   = sum_mn mu_nm cos(pi m a / P) cos(pi n b / P),   a, b < 2P.
+//! ```
+//!
+//! `D` is one `2P x 2P` table: the real part of a zero-padded `2P`-point
+//! DFT of `mu` along `n`, then of that real part along `m`. The diagonal
+//! (Jacobi) entries are `A(q, q)`, so one table serves every entry of
+//! every block.
 
 use crate::eigenvalues::mode_eigenvalue;
 use crate::solver::SubstrateSolver;
@@ -25,9 +41,17 @@ use crate::{SolverError, Substrate};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use subsparse_layout::Layout;
-use subsparse_linalg::cg::{pcg_with, CgResult, CgScratch, IdentityPrecond, LinOp};
+use subsparse_linalg::cg::{pcg_with, CgResult, CgScratch, LinOp};
+use subsparse_linalg::chol::Cholesky;
 use subsparse_linalg::dct::{dct2d_with, Dct, Dct2dScratch};
-use subsparse_linalg::trace;
+use subsparse_linalg::fft::Fft;
+use subsparse_linalg::{trace, Mat};
+
+/// Most panels in one block of the preconditioner. A contact with more
+/// panels is split into consecutive chunks of its sorted panel list, each
+/// its own block, so the apply runs on a fixed stack buffer. 64 panels
+/// keep an 8 x 8-panel contact whole at a 16 KB packed factor.
+pub const BLOCK_CAP: usize = 64;
 
 /// Configuration for [`EigenSolver`].
 #[derive(Clone, Copy, Debug)]
@@ -38,8 +62,6 @@ pub struct EigenSolverConfig {
     pub tol: f64,
     /// CG iteration cap.
     pub max_iter: usize,
-    /// Use the Jacobi (diagonal) preconditioner.
-    pub jacobi: bool,
     /// Worker threads for [`SubstrateSolver::solve_batch`] (0 = one per
     /// available CPU). Each column runs the identical serial CG — with its
     /// own 2-D DCT scratch grid — so results are bit-equal for every
@@ -49,7 +71,7 @@ pub struct EigenSolverConfig {
 
 impl Default for EigenSolverConfig {
     fn default() -> Self {
-        EigenSolverConfig { panels: 128, tol: 1e-8, max_iter: 4000, jacobi: true, threads: 1 }
+        EigenSolverConfig { panels: 128, tol: 1e-8, max_iter: 4000, threads: 1 }
     }
 }
 
@@ -63,6 +85,13 @@ impl Default for EigenSolverConfig {
 /// one-row-at-a-time transform). Batch solves give each worker its own
 /// transform scratch (`3 P^2` values, allocated once per worker), so
 /// adding columns allocates nothing.
+///
+/// CG is preconditioned by block Jacobi over contacts: each contact's
+/// dense block of `A_cc` over its panels, factored by Cholesky in
+/// [`EigenSolver::new`] from the closed-form table `D(a, b)` of the
+/// [module docs](self). A contact of more than [`BLOCK_CAP`] panels is
+/// split into consecutive chunks of its sorted panel list; a single-panel
+/// contact is a `1 x 1` block, i.e. plain Jacobi.
 ///
 /// # Example
 ///
@@ -93,8 +122,7 @@ pub struct EigenSolver {
     /// mode multipliers, row-major `[n * P + m]`
     mu: Vec<f64>,
     dct: Dct,
-    /// `A_cc` diagonal over `panel_list` (empty if Jacobi disabled)
-    diag: Vec<f64>,
+    precond: BlockJacobi,
     cfg: EigenSolverConfig,
     solves: AtomicUsize,
     iterations: AtomicUsize,
@@ -141,8 +169,11 @@ impl EigenSolver {
         }
         let mut panel_list: Vec<u32> = Vec::new();
         let mut panel_owner: Vec<u32> = Vec::new();
+        // position of each contact panel in `panel_list`
+        let mut position = vec![u32::MAX; p * p];
         for (q, &o) in owner.iter().enumerate() {
             if o != u32::MAX {
+                position[q] = panel_list.len() as u32;
                 panel_list.push(q as u32);
                 panel_owner.push(o);
             }
@@ -171,24 +202,20 @@ impl EigenSolver {
                     lambda * w[m] * w[m] * w[n] * w[n] / (nmn * panel_area * panel_area);
             }
         }
-        let dct = Dct::new(p);
-        let mut solver = EigenSolver {
+        let precond = BlockJacobi::new(&cosine_table(&mu, p), p, &contact_panels, &position);
+        Ok(EigenSolver {
             n_contacts: layout.n_contacts(),
             p,
             contact_panels,
             panel_list,
             panel_owner,
             mu,
-            dct,
-            diag: Vec::new(),
+            dct: Dct::new(p),
+            precond,
             cfg,
             solves: AtomicUsize::new(0),
             iterations: AtomicUsize::new(0),
-        };
-        if cfg.jacobi {
-            solver.diag = solver.compute_diag();
-        }
-        Ok(solver)
+        })
     }
 
     /// Number of surface panels per side.
@@ -204,6 +231,12 @@ impl EigenSolver {
     /// Panel indices per contact (flat `qy * P + qx`).
     pub fn contact_panels(&self) -> &[Vec<u32>] {
         &self.contact_panels
+    }
+
+    /// The block-Jacobi preconditioner the CG solves apply, over the
+    /// contact panels in increasing flat index.
+    pub fn preconditioner(&self) -> &BlockJacobi {
+        &self.precond
     }
 
     /// Cumulative solve statistics.
@@ -239,47 +272,6 @@ impl EigenSolver {
             *g *= m;
         }
         dct2d_with(&self.dct, &self.dct, grid, p, p, false, sc);
-    }
-
-    /// `A_cc` diagonal over contact panels via
-    /// `diag(qx, qy) = sum_mn mu_mn E_{m,qx}^2 E_{n,qy}^2`.
-    fn compute_diag(&self) -> Vec<f64> {
-        let p = self.p;
-        // u[m][q] = E_{m,q}^2
-        let mut u = vec![0.0; p * p];
-        for m in 0..p {
-            for q in 0..p {
-                let c =
-                    (std::f64::consts::PI * m as f64 * (2 * q + 1) as f64 / (2.0 * p as f64)).cos();
-                u[m * p + q] = c * c;
-            }
-        }
-        // t[m][qy] = sum_n mu[n][m] u[n][qy]
-        let mut t = vec![0.0; p * p];
-        for m in 0..p {
-            for n in 0..p {
-                let munm = self.mu[n * p + m];
-                if munm == 0.0 {
-                    continue;
-                }
-                let urow = &u[n * p..(n + 1) * p];
-                let trow = &mut t[m * p..(m + 1) * p];
-                for qy in 0..p {
-                    trow[qy] += munm * urow[qy];
-                }
-            }
-        }
-        self.panel_list
-            .iter()
-            .map(|&q| {
-                let (qx, qy) = ((q as usize) % p, (q as usize) / p);
-                let mut acc = 0.0;
-                for m in 0..p {
-                    acc += u[m * p + qx] * t[m * p + qy];
-                }
-                acc
-            })
-            .collect()
     }
 
     /// Solves for the panel currents given contact voltages.
@@ -323,13 +315,7 @@ impl EigenSolver {
         let (rhs, grid, dct) = (&*rhs, &*grid, &*dct);
         let op = RestrictedOp { solver: self, grid, dct };
         let run = |budget: usize, x: &mut [f64], cg: &mut CgScratch| {
-            if self.cfg.jacobi {
-                let pre = JacobiOp { diag: &self.diag };
-                pcg_with(&op, &pre, rhs, x, self.cfg.tol, budget, cg)
-            } else {
-                let id = IdentityPrecond::new(np);
-                pcg_with(&op, &id, rhs, x, self.cfg.tol, budget, cg)
-            }
+            pcg_with(&op, &self.precond, rhs, x, self.cfg.tol, budget, cg)
         };
         let mut result = run(self.cfg.max_iter, x, cg);
         let mut total_iters = result.iterations;
@@ -383,17 +369,124 @@ impl LinOp for RestrictedOp<'_> {
     }
 }
 
-struct JacobiOp<'a> {
-    diag: &'a [f64],
+/// The table `D(a, b) = sum_mn mu_nm cos(pi m a / P) cos(pi n b / P)` for
+/// `a, b < 2P`, row-major `[a * 2P + b]` (see the module docs). Two
+/// lane-batched `2P`-point FFT passes over zero-padded planes: along `n`
+/// with the modes `m` as lanes, whose real part is
+/// `T(b, m) = sum_n mu_nm cos(pi n b / P)`; then along `m` with `b` as
+/// lanes.
+fn cosine_table(mu: &[f64], p: usize) -> Vec<f64> {
+    let p2 = 2 * p;
+    let fft = Fft::new(p2);
+    let mut re = vec![0.0; p2 * p];
+    let mut im = vec![0.0; p2 * p];
+    for (n, row) in mu.chunks_exact(p).enumerate() {
+        let r = fft.bit_reverse(n);
+        re[r * p..(r + 1) * p].copy_from_slice(row);
+    }
+    fft.butterflies(&mut re, &mut im, p, false);
+    let mut table = vec![0.0; p2 * p2];
+    for m in 0..p {
+        let r = fft.bit_reverse(m);
+        for (b, t) in table[r * p2..(r + 1) * p2].iter_mut().enumerate() {
+            *t = re[b * p + m];
+        }
+    }
+    im.clear();
+    im.resize(p2 * p2, 0.0);
+    fft.butterflies(&mut table, &mut im, p2, false);
+    table
 }
 
-impl LinOp for JacobiOp<'_> {
+/// The entry `A(q1, q2)` of the current-to-potential operator between
+/// flat panels `q1` and `q2`, from the [`cosine_table`] `d`.
+fn table_entry(d: &[f64], p: usize, q1: usize, q2: usize) -> f64 {
+    let (x1, y1, x2, y2) = (q1 % p, q1 / p, q2 % p, q2 / p);
+    let row = |a: usize| &d[a * 2 * p..(a + 1) * 2 * p];
+    let (sum, diff) = (row(x1 + x2 + 1), row(x1.abs_diff(x2)));
+    let (bs, bd) = (y1 + y2 + 1, y1.abs_diff(y2));
+    0.25 * ((sum[bs] + sum[bd]) + (diff[bs] + diff[bd]))
+}
+
+/// Block-Jacobi preconditioner over contacts: `z = M^{-1} r`, where `M`
+/// keeps the blocks of `A_cc` between panels of one contact (split at
+/// [`BLOCK_CAP`] panels) and drops every other entry.
+///
+/// Each block is held as its packed lower Cholesky factor `L` (row `i`
+/// holds `L[i][0..i]`, then `1 / L[i][i]`), so an apply is a forward and
+/// a backward triangular solve per block on a stack buffer, with no
+/// allocation and no division.
+#[derive(Clone, Debug)]
+pub struct BlockJacobi {
+    /// positions in the system (contact-panel) ordering, block by block
+    index: Vec<u32>,
+    /// block `k` covers `index[start[k]..start[k + 1]]`
+    start: Vec<u32>,
+    /// packed factors, block by block
+    factors: Vec<f64>,
+}
+
+impl BlockJacobi {
+    /// Builds and factors the blocks of every contact from the table `d`;
+    /// `position` maps a flat panel to its place in the system ordering.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block is not numerically positive definite, which the
+    /// symmetric positive definite operator rules out.
+    fn new(d: &[f64], p: usize, contact_panels: &[Vec<u32>], position: &[u32]) -> Self {
+        let mut pc = BlockJacobi { index: Vec::new(), start: vec![0], factors: Vec::new() };
+        for block in contact_panels.iter().flat_map(|panels| panels.chunks(BLOCK_CAP)) {
+            let a = Mat::from_fn(block.len(), block.len(), |i, j| {
+                table_entry(d, p, block[i] as usize, block[j] as usize)
+            });
+            let chol = Cholesky::new(&a).expect("A_cc blocks are positive definite");
+            let l = chol.l();
+            for i in 0..block.len() {
+                pc.factors.extend((0..i).map(|j| l[(i, j)]));
+                pc.factors.push(1.0 / l[(i, i)]);
+            }
+            pc.index.extend(block.iter().map(|&q| position[q as usize]));
+            pc.start.push(pc.index.len() as u32);
+        }
+        pc
+    }
+}
+
+impl LinOp for BlockJacobi {
     fn dim(&self) -> usize {
-        self.diag.len()
+        self.index.len()
     }
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        for i in 0..x.len() {
-            y[i] = x[i] / self.diag[i];
+        let mut w = [0.0; BLOCK_CAP];
+        let mut factors = &self.factors[..];
+        for span in self.start.windows(2) {
+            let index = &self.index[span[0] as usize..span[1] as usize];
+            let k = index.len();
+            let (l, rest) = factors.split_at(k * (k + 1) / 2);
+            factors = rest;
+            let w = &mut w[..k];
+            for (wi, &i) in w.iter_mut().zip(index) {
+                *wi = x[i as usize];
+            }
+            // L u = r, row by row
+            for i in 0..k {
+                let (row, inv) = l[i * (i + 1) / 2..][..=i].split_at(i);
+                let dot: f64 = row.iter().zip(&w[..i]).map(|(a, b)| a * b).sum();
+                w[i] = (w[i] - dot) * inv[0];
+            }
+            // L' z = u, column by column from the last
+            for i in (0..k).rev() {
+                let (row, inv) = l[i * (i + 1) / 2..][..=i].split_at(i);
+                w[i] *= inv[0];
+                let (head, wi) = w.split_at_mut(i);
+                for (wj, lij) in head.iter_mut().zip(row) {
+                    *wj -= lij * wi[0];
+                }
+            }
+            for (&wi, &i) in w.iter().zip(index) {
+                y[i as usize] = wi;
+            }
         }
     }
 }
@@ -402,7 +495,7 @@ impl EigenSolver {
     /// One CG solve plus the panel-to-contact accumulation — the shared
     /// core of [`SubstrateSolver::solve`] and the threaded
     /// [`SubstrateSolver::solve_batch`]. The mode multipliers, DCT plans,
-    /// and Jacobi diagonal are built once and only read here; each worker
+    /// and preconditioner factors are built once and only read here; each worker
     /// owns its [`EigenScratch`], so concurrent columns never share
     /// mutable state.
     fn solve_contacts_one(
@@ -510,6 +603,7 @@ mod tests {
     use super::*;
     use crate::solver::extract_dense;
     use subsparse_layout::generators;
+    use subsparse_linalg::cg::{pcg, IdentityPrecond};
 
     fn small_solver() -> EigenSolver {
         let layout = generators::regular_grid(128.0, 4, 16.0);
@@ -615,19 +709,189 @@ mod tests {
         assert_eq!(err, SolverError::ContactUnresolved { contact: 0 });
     }
 
+    /// Contact currents of a solve of `s`'s panel system preconditioned by
+    /// `pre`, with its CG outcome.
+    fn pcg_currents(s: &EigenSolver, pre: &dyn LinOp, v: &[f64]) -> (Vec<f64>, CgResult) {
+        let grid = RefCell::new(vec![0.0; s.p * s.p]);
+        let dct = RefCell::new(Dct2dScratch::default());
+        let op = RestrictedOp { solver: s, grid: &grid, dct: &dct };
+        let rhs: Vec<f64> = s.panel_owner.iter().map(|&o| v[o as usize]).collect();
+        let mut x = vec![0.0; rhs.len()];
+        let res = pcg(&op, pre, &rhs, &mut x, s.cfg.tol, s.cfg.max_iter);
+        let mut currents = vec![0.0; s.n_contacts];
+        for (k, &o) in s.panel_owner.iter().enumerate() {
+            currents[o as usize] += x[k];
+        }
+        (currents, res)
+    }
+
+    /// `A_cc` diagonal by the separable sum
+    /// `sum_mn mu_nm E_{m,qx}^2 E_{n,qy}^2`, independent of the table.
+    fn separable_diag(s: &EigenSolver) -> Vec<f64> {
+        let p = s.p;
+        let e = |m: usize, q: usize| {
+            (std::f64::consts::PI * (m * (2 * q + 1)) as f64 / (2 * p) as f64).cos()
+        };
+        s.panel_list
+            .iter()
+            .map(|&q| {
+                let (qx, qy) = (q as usize % p, q as usize / p);
+                let mut acc = 0.0;
+                for n in 0..p {
+                    for m in 0..p {
+                        acc += s.mu[n * p + m] * (e(m, qx) * e(m, qx)) * (e(n, qy) * e(n, qy));
+                    }
+                }
+                acc
+            })
+            .collect()
+    }
+
+    /// Diagonal (point) Jacobi, the preconditioner block Jacobi replaced.
+    struct DiagPrecond(Vec<f64>);
+
+    impl LinOp for DiagPrecond {
+        fn dim(&self) -> usize {
+            self.0.len()
+        }
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            for ((yi, xi), d) in y.iter_mut().zip(x).zip(&self.0) {
+                *yi = xi / d;
+            }
+        }
+    }
+
+    fn rect(x0: f64, y0: f64, x1: f64, y1: f64) -> subsparse_layout::Contact {
+        subsparse_layout::Contact::rect(subsparse_layout::Rect::new(x0, y0, x1, y1))
+    }
+
+    #[test]
+    fn closed_form_blocks_match_the_operator() {
+        // one-unit panels; contacts on rows and columns 0 and P - 1 take
+        // the reflected (`x1 + x2 + 1`) terms to both ends of the table
+        let mut layout = subsparse_layout::Layout::new(32.0, 32.0);
+        for c in [
+            rect(0.0, 0.0, 3.0, 3.0),
+            rect(29.0, 29.0, 32.0, 32.0),
+            rect(0.0, 10.0, 1.0, 12.0),
+            rect(31.0, 5.0, 32.0, 9.0),
+            rect(10.0, 0.0, 16.0, 1.0),
+            rect(12.0, 31.0, 20.0, 32.0),
+            rect(14.0, 14.0, 15.0, 15.0),
+            rect(8.0, 20.0, 13.0, 25.0),
+            subsparse_layout::Contact::new(vec![
+                subsparse_layout::Rect::new(20.0, 8.0, 24.0, 10.0),
+                subsparse_layout::Rect::new(20.0, 10.0, 22.0, 13.0),
+            ]),
+        ] {
+            layout.push(c);
+        }
+        let s = EigenSolver::new(
+            &Substrate::thesis_standard(),
+            &layout,
+            EigenSolverConfig { panels: 32, ..Default::default() },
+        )
+        .unwrap();
+        let (p, pc) = (s.p, &s.precond);
+        assert_eq!(pc.start.len() - 1, layout.n_contacts());
+        let table = cosine_table(&s.mu, p);
+        let diag = separable_diag(&s);
+        let grid = RefCell::new(vec![0.0; p * p]);
+        let dct = RefCell::new(Dct2dScratch::default());
+        let op = RestrictedOp { solver: &s, grid: &grid, dct: &dct };
+        let n = op.dim();
+        let (mut e, mut col) = (vec![0.0; n], vec![0.0; n]);
+        // `M x` for the block-diagonal `M`, to check the factors against
+        let x: Vec<f64> = (0..n).map(|k| 1.0 + (k as f64 * 0.37).sin()).collect();
+        let mut mx = vec![0.0; n];
+        for span in pc.start.windows(2) {
+            let block = &pc.index[span[0] as usize..span[1] as usize];
+            for &j in block {
+                let j = j as usize;
+                e.fill(0.0);
+                e[j] = 1.0;
+                op.apply(&e, &mut col);
+                let qj = s.panel_list[j] as usize;
+                for &i in block {
+                    let i = i as usize;
+                    let got = table_entry(&table, p, s.panel_list[i] as usize, qj);
+                    let err = (got - col[i]).abs();
+                    assert!(err <= 1e-12 * col[i].abs(), "A({i},{j}) = {got} vs {}", col[i]);
+                    mx[i] += col[i] * x[j];
+                }
+                assert!((table_entry(&table, p, qj, qj) - diag[j]).abs() <= 1e-12 * diag[j]);
+            }
+        }
+        let mut z = vec![0.0; n];
+        pc.apply(&mx, &mut z);
+        for (zi, xi) in z.iter().zip(&x) {
+            assert!((zi - xi).abs() <= 1e-10 * xi.abs(), "M^-1 M x = {zi} vs {xi}");
+        }
+    }
+
+    #[test]
+    fn contact_above_the_cap_is_split_and_converges() {
+        // a 3 x 28-panel bar is 84 panels: two blocks of its sorted list
+        let mut layout = subsparse_layout::Layout::new(32.0, 32.0);
+        layout.push(rect(2.0, 14.0, 30.0, 17.0));
+        for x0 in [2.0, 10.0, 20.0] {
+            layout.push(rect(x0, 4.0, x0 + 2.0, 6.0));
+            layout.push(rect(x0, 24.0, x0 + 3.0, 27.0));
+        }
+        let sub = Substrate::thesis_standard();
+        let cfg = EigenSolverConfig { panels: 32, tol: 1e-11, ..Default::default() };
+        let s = EigenSolver::new(&sub, &layout, cfg).unwrap();
+        assert!(s.contact_panels[0].len() > BLOCK_CAP);
+        assert_eq!(s.precond.start.len() - 1, layout.n_contacts() + 1);
+        let mut v = vec![0.0; layout.n_contacts()];
+        v[0] = 1.0;
+        v[3] = -0.5;
+        let got = s.try_solve(&v).expect("block-PCG converges");
+        let (want, res) = pcg_currents(&s, &IdentityPrecond::new(s.n_contact_panels()), &v);
+        assert!(res.converged);
+        for (a, b) in got.iter().zip(&want) {
+            assert!((a - b).abs() <= 1e-6 * b.abs(), "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn block_jacobi_cuts_iterations_against_diagonal_jacobi() {
+        let layout = generators::alternating_grid(32.0, 8, 3.0, 1.5);
+        let cfg = EigenSolverConfig { panels: 32, ..Default::default() };
+        let s = EigenSolver::new(&Substrate::thesis_standard(), &layout, cfg).unwrap();
+        let diag = DiagPrecond(separable_diag(&s));
+        let n = layout.n_contacts();
+        let mut rhs: Vec<Vec<f64>> = [0, 9, 27, 40, 63]
+            .iter()
+            .map(|&c| (0..n).map(|k| f64::from(u8::from(k == c))).collect())
+            .collect();
+        rhs.push((0..n).map(|k| (k as f64 * 0.61).sin()).collect());
+        let mut point = 0;
+        for v in &rhs {
+            let (_, res) = pcg_currents(&s, &diag, v);
+            assert!(res.converged);
+            point += res.iterations;
+            assert!(s.try_solve(v).is_ok());
+        }
+        let block = s.stats().inner_iterations;
+        assert!(
+            block as f64 <= 0.7 * point as f64,
+            "block-Jacobi {block} vs diagonal-Jacobi {point} iterations"
+        );
+    }
+
     #[test]
     fn jacobi_does_not_change_answer() {
+        // the block-Jacobi solve against plain CG
         let layout = generators::regular_grid(128.0, 4, 16.0);
         let sub = Substrate::thesis_standard();
         let cfg = EigenSolverConfig { panels: 32, tol: 1e-11, ..Default::default() };
-        let s1 = EigenSolver::new(&sub, &layout, cfg).unwrap();
-        let s2 =
-            EigenSolver::new(&sub, &layout, EigenSolverConfig { jacobi: false, ..cfg }).unwrap();
+        let s = EigenSolver::new(&sub, &layout, cfg).unwrap();
         let mut v = vec![0.0; 16];
         v[0] = 1.0;
         v[7] = -0.5;
-        let i1 = s1.solve(&v);
-        let i2 = s2.solve(&v);
+        let i1 = s.solve(&v);
+        let (i2, _) = pcg_currents(&s, &IdentityPrecond::new(s.n_contact_panels()), &v);
         for (a, b) in i1.iter().zip(&i2) {
             assert!((a - b).abs() < 1e-6 * a.abs().max(1.0));
         }
