@@ -394,6 +394,10 @@ mod tests {
         // the run-metadata stamp and the noise-robust statistics
         assert!(json.contains("\"meta\":{\"available_parallelism\":"));
         assert!(json.contains("\"build_profile\":") && json.contains("\"repeats\":"));
+        // provenance under the names the benchmark package prints
+        for field in ["\"git_rev\":\"", "\"rustc\":\"", "\"cpu\":\""] {
+            assert!(json.contains(field), "meta lacks {field}");
+        }
         assert!(json.contains("\"ns_min\":") && json.contains("\"ns_mean\":"));
         assert!(format_rows(rows).contains("dense"));
         // the factored transform must store less than the flat-Q rows

@@ -36,13 +36,60 @@ pub use method_matrix::run_method_matrix;
 ///
 /// `repeats` is the measurement repeat count of the harness that produced
 /// the record (batches for the timing harness, apply iterations for the
-/// eval harness).
+/// eval harness). The provenance fields `git_rev`, `rustc` and `cpu` are
+/// the ones the `benchmark/` package prints; `git_rev` carries a `+dirty`
+/// suffix when tracked files differ from that commit.
 pub fn run_meta_json(repeats: usize) -> String {
     let parallelism = std::thread::available_parallelism().map_or(0, |p| p.get());
     let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
     format!(
-        "{{\"available_parallelism\":{parallelism},\"build_profile\":\"{profile}\",\"repeats\":{repeats}}}"
+        "{{\"available_parallelism\":{parallelism},\"build_profile\":\"{profile}\",\"repeats\":{repeats},\
+         \"git_rev\":\"{}\",\"rustc\":\"{}\",\"cpu\":\"{}\"}}",
+        json_text(&git_rev()),
+        json_text(&command_line("rustc", &["--version"]).unwrap_or_else(|| "unknown".into())),
+        json_text(&cpu_model()),
     )
+}
+
+/// The checked-out commit, `+dirty` when tracked files were modified.
+fn git_rev() -> String {
+    let Some(rev) = command_line("git", &["rev-parse", "HEAD"]) else {
+        return "none (not a git checkout)".into();
+    };
+    let clean = std::process::Command::new("git")
+        .args(["diff", "--quiet", "HEAD"])
+        .status()
+        .is_ok_and(|s| s.success());
+    if clean {
+        rev
+    } else {
+        format!("{rev}+dirty")
+    }
+}
+
+/// First line of a command's standard output, if it ran and succeeded.
+fn command_line(program: &str, args: &[&str]) -> Option<String> {
+    let out = std::process::Command::new(program).args(args).output().ok()?;
+    let text = String::from_utf8(out.stdout).ok()?;
+    out.status.success().then(|| text.lines().next().unwrap_or("").trim().to_string())
+}
+
+/// The CPU model name from `/proc/cpuinfo`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// `s` with the characters that would need JSON escaping dropped.
+fn json_text(s: &str) -> String {
+    s.chars().filter(|c| *c != '"' && *c != '\\' && !c.is_control()).collect()
 }
 
 /// Returns true if `--quick` is among the process arguments.

@@ -23,8 +23,8 @@
 //! ([`CouplingOp::apply_into`] with a reusable [`ApplyWorkspace`]) and
 //! blocked multi-vector applies ([`CouplingOp::apply_block_into`]) that
 //! are bit-identical to the per-vector path but stream each stored
-//! nonzero once per panel — the fast path for the repeated-apply workload
-//! inside a circuit simulator.
+//! nonzero once per lane tile of eight vectors — the fast path for the
+//! repeated-apply workload inside a circuit simulator.
 //!
 //! The workspace also contains everything needed to *be* the black box:
 //! a finite-difference substrate solver and an eigenfunction-expansion

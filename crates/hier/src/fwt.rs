@@ -40,15 +40,20 @@
 //!
 //! Per level the transform ping-pongs coefficients between two caller
 //! scratch buffers (see [`ApplyWorkspace`](subsparse_linalg::ApplyWorkspace)'s
-//! third matrix), and the blocked entry points sweep each level across
-//! the whole panel of vectors before moving on, so every square's block
-//! is loaded once per panel instead of once per vector — and each level
-//! is one [`trace`] span per blocked apply. Per-column accumulation
-//! order is identical to the single-vector path, so blocked results are
-//! bit-identical to looped per-vector transforms — the same contract the
-//! rest of the serving layer keeps.
+//! third matrix). The blocked entry points cut the panel into lane tiles
+//! of [`LANES`] columns and run the whole transform one tile at a time:
+//! every square's block is applied to all lanes of a row at once, so each
+//! block value is loaded once per tile instead of once per vector, and
+//! the level buffers hold lane-major rows. Each level of each tile is one
+//! [`trace`] span. Every lane repeats the single-vector operation order,
+//! so blocked results are bit-identical to looped per-vector transforms —
+//! the same contract the rest of the serving layer keeps. Columns past
+//! the last full tile run the single-vector transform itself.
 
-use subsparse_linalg::kernels::{dot4, fused_axpy4};
+use subsparse_linalg::kernels::{
+    axpy_lanes, dot4, dot4_lanes, fused_axpy4, fused_axpy4_lanes, ColMajor, LaneTile, LaneTileMut,
+    PanelLayout, TileRows, TileRowsMut, LANES,
+};
 use subsparse_linalg::{trace, Mat};
 
 /// One square's transform step.
@@ -291,11 +296,10 @@ impl FastWaveletTransform {
         }
     }
 
-    /// One square's forward step on one vector — the shared kernel of
-    /// [`forward_into`](Self::forward_into) and the level-major blocked
-    /// path, so the two are bit-identical by construction.
+    /// One square's forward step on one vector: the operation order every
+    /// lane of a blocked forward transform repeats.
     #[inline]
-    #[allow(clippy::too_many_arguments)] // one raw kernel, two callers
+    #[allow(clippy::too_many_arguments)] // one raw kernel over the level buffers
     fn forward_node(
         &self,
         li: usize,
@@ -378,11 +382,10 @@ impl FastWaveletTransform {
         }
     }
 
-    /// One square's inverse step on one vector — the shared kernel of
-    /// [`inverse_into`](Self::inverse_into) and the level-major blocked
-    /// path, so the two are bit-identical by construction.
+    /// One square's inverse step on one vector: the operation order every
+    /// lane of a blocked inverse transform repeats.
     #[inline]
-    #[allow(clippy::too_many_arguments)] // one raw kernel, two callers
+    #[allow(clippy::too_many_arguments)] // one raw kernel over the level buffers
     fn inverse_node(
         &self,
         li: usize,
@@ -475,74 +478,201 @@ impl FastWaveletTransform {
         }
     }
 
-    /// Blocked forward transform: `out = Q' X`, column for column
-    /// **bit-identical** to looped [`forward_into`](Self::forward_into)
-    /// calls — it runs the identical per-node kernel on each column,
-    /// level-major (each level sweeps its squares across the whole panel
-    /// before the next level starts), so the per-square blocks stay
-    /// cache-resident across columns and each level shows up as one
-    /// [`trace`] span per blocked apply.
+    /// Blocked forward transform: `out = Q' X` with `out` column-major,
+    /// column for column **bit-identical** to looped
+    /// [`forward_into`](Self::forward_into) calls. Full lane tiles of
+    /// [`LANES`] columns run the transform on all lanes at once; the
+    /// `b % LANES` remaining columns run `forward_into` itself.
     ///
-    /// Resizes `out` to `n x X.n_cols()` and the scratch matrices as
-    /// needed (allocation-free once they have capacity).
+    /// Resizes `out` to `n x X.n_cols()` and the scratch matrices to
+    /// `scratch_len x X.n_cols()` (allocation-free once they have
+    /// capacity).
     pub fn forward_block_into(&self, x: &Mat, out: &mut Mat, s1: &mut Mat, s2: &mut Mat) {
+        self.forward_panel_into::<ColMajor>(x, out, s1, s2);
+    }
+
+    /// Blocked forward transform into an output panel of layout `O`
+    /// (see [`PanelLayout`]).
+    ///
+    /// Each full tile of [`LANES`] columns runs the whole transform at
+    /// once: every square's block is applied to all lanes with
+    /// [`dot4_lanes`], the finest level gathers the tile's contacts once
+    /// per square, and the levels ping-pong lane-major rows through the
+    /// first `scratch_len * LANES` values of `s1`/`s2` (which hold
+    /// `scratch_len * b >= scratch_len * LANES` whenever a tile exists).
+    /// Each lane repeats [`forward_into`](Self::forward_into)'s operation
+    /// order, so the result is bit-identical to it column for column. The
+    /// `b % LANES` columns after the last full tile run `forward_into`
+    /// itself. Every level of every tile is one `fwt.forward.level`
+    /// [`trace`] span.
+    pub(crate) fn forward_panel_into<O: PanelLayout>(
+        &self,
+        x: &Mat,
+        out: &mut Mat,
+        s1: &mut Mat,
+        s2: &mut Mat,
+    ) {
         assert_eq!(x.n_rows(), self.n, "fwt forward block dimension mismatch");
         let b = x.n_cols();
         out.resize(self.n, b);
         s1.resize(self.scratch_len(), b);
         s2.resize(self.scratch_len(), b);
+        let tiles = b / LANES;
+        let w = self.scratch_len() * LANES;
+        for t in 0..tiles {
+            self.forward_tile(
+                &ColMajor::tile(x, t),
+                &mut O::tile_mut(out, t),
+                &mut s1.data_mut()[..w],
+                &mut s2.data_mut()[..w],
+            );
+        }
+        for j in tiles * LANES..b {
+            self.forward_into(x.col(j), out.col_mut(j), s1.col_mut(j), s2.col_mut(j));
+        }
+    }
+
+    /// The forward transform of one lane tile, ping-ponging lane-major
+    /// level buffers between `s1` and `s2` (`scratch_len * LANES` each).
+    fn forward_tile(
+        &self,
+        x: &impl TileRows,
+        out: &mut impl TileRowsMut,
+        s1: &mut [f64],
+        s2: &mut [f64],
+    ) {
         let n_levels = self.levels.len();
         let (mut cur, mut next) = (s1, s2);
         for (li, level) in self.levels.iter().enumerate() {
             let _lvl = trace::span_arg("fwt.forward.level", li as u64);
             let at_root = li + 1 == n_levels;
             for node in &level.nodes {
-                for j in 0..b {
-                    self.forward_node(
-                        li,
-                        at_root,
-                        node,
-                        x.col(j),
-                        out.col_mut(j),
-                        cur.col(j),
-                        next.col_mut(j),
-                    );
+                let nin = node.in_len;
+                let ncols = node.v_cols + node.w_cols;
+                let block = &self.blocks[node.block_offset..node.block_offset + nin * ncols];
+                let (coeffs, stage) = next.split_at_mut(self.max_coeff_len * LANES);
+                let inp: &[f64] = if li == 0 {
+                    // gather the square's contacts once, lane-major, into
+                    // the tail of `next` (as `forward_node` does per vector)
+                    let idx = &self.contact_idx[node.in_offset..node.in_offset + nin];
+                    let gx = &mut stage[..nin * LANES];
+                    for (g, &ci) in gx.chunks_exact_mut(LANES).zip(idx) {
+                        g.copy_from_slice(&x.lanes(ci as usize));
+                    }
+                    gx
+                } else {
+                    &cur[node.in_offset * LANES..(node.in_offset + nin) * LANES]
+                };
+                for (k, bcol) in block.chunks_exact(nin).enumerate().take(ncols) {
+                    let acc = dot4_lanes(bcol, inp);
+                    if k < node.v_cols && !at_root {
+                        LaneTileMut(&mut *coeffs).set_lanes(node.out_offset + k, acc);
+                    } else if k < node.v_cols {
+                        out.set_lanes(node.out_offset + k, acc);
+                    } else {
+                        out.set_lanes(node.col_start + (k - node.v_cols), acc);
+                    }
                 }
             }
             std::mem::swap(&mut cur, &mut next);
         }
     }
 
-    /// Blocked inverse transform: `X = Q C`, column for column
-    /// bit-identical to looped [`inverse_into`](Self::inverse_into) calls
-    /// (same kernel, same level-major sweep and per-level spans as
-    /// [`forward_block_into`](Self::forward_block_into), coarsest level
-    /// first).
+    /// Blocked inverse transform: `X = Q C` with `C` column-major, column
+    /// for column bit-identical to looped
+    /// [`inverse_into`](Self::inverse_into) calls, lane tile by lane tile
+    /// like [`forward_block_into`](Self::forward_block_into).
     ///
     /// Resizes `x` to `n x C.n_cols()` and the scratch matrices as
     /// needed.
     pub fn inverse_block_into(&self, c: &Mat, x: &mut Mat, s1: &mut Mat, s2: &mut Mat) {
+        self.inverse_panel_into::<ColMajor>(c, x, s1, s2);
+    }
+
+    /// Blocked inverse transform from a coefficient panel of layout `C`
+    /// into column-major `x`: the mirror of
+    /// [`forward_panel_into`](Self::forward_panel_into), coarsest level
+    /// first, with [`fused_axpy4_lanes`] applying each square's block to
+    /// all lanes and the finest level scattering each tile's rows to the
+    /// contacts. Column for column bit-identical to
+    /// [`inverse_into`](Self::inverse_into); every level of every tile is
+    /// one `fwt.inverse.level` [`trace`] span.
+    pub(crate) fn inverse_panel_into<C: PanelLayout>(
+        &self,
+        c: &Mat,
+        x: &mut Mat,
+        s1: &mut Mat,
+        s2: &mut Mat,
+    ) {
         assert_eq!(c.n_rows(), self.n, "fwt inverse block dimension mismatch");
         let b = c.n_cols();
         x.resize(self.n, b);
         s1.resize(self.scratch_len(), b);
         s2.resize(self.scratch_len(), b);
+        let tiles = b / LANES;
+        let w = self.scratch_len() * LANES;
+        for t in 0..tiles {
+            self.inverse_tile(
+                &C::tile(c, t),
+                &mut ColMajor::tile_mut(x, t),
+                &mut s1.data_mut()[..w],
+                &mut s2.data_mut()[..w],
+            );
+        }
+        for j in tiles * LANES..b {
+            self.inverse_into(c.col(j), x.col_mut(j), s1.col_mut(j), s2.col_mut(j));
+        }
+    }
+
+    /// The inverse transform of one lane tile (buffers as in
+    /// [`forward_tile`](Self::forward_tile)).
+    fn inverse_tile(
+        &self,
+        c: &impl TileRows,
+        x: &mut impl TileRowsMut,
+        s1: &mut [f64],
+        s2: &mut [f64],
+    ) {
         let n_levels = self.levels.len();
         let (mut cur, mut next) = (s1, s2);
         for (li, level) in self.levels.iter().enumerate().rev() {
             let _lvl = trace::span_arg("fwt.inverse.level", li as u64);
             let at_root = li + 1 == n_levels;
             for node in &level.nodes {
-                for j in 0..b {
-                    self.inverse_node(
-                        li,
-                        at_root,
-                        node,
-                        c.col(j),
-                        x.col_mut(j),
-                        cur.col(j),
-                        next.col_mut(j),
-                    );
+                let nin = node.in_len;
+                let ncols = node.v_cols + node.w_cols;
+                let block = &self.blocks[node.block_offset..node.block_offset + nin * ncols];
+                let col = |k: usize| &block[k * nin..(k + 1) * nin];
+                // the `k`-th coefficient row, as `coeff` reads it per vector
+                let coeff = |k: usize| {
+                    if k >= node.v_cols {
+                        c.lanes(node.col_start + (k - node.v_cols))
+                    } else if at_root {
+                        c.lanes(node.out_offset + k)
+                    } else {
+                        LaneTile(cur).lanes(node.out_offset + k)
+                    }
+                };
+                // the finest level accumulates in the tail of `next` and
+                // scatters to the contacts at the end, as `inverse_node`
+                let first = if li == 0 { self.max_coeff_len } else { node.in_offset };
+                let dest = &mut next[first * LANES..(first + nin) * LANES];
+                dest.fill(0.0);
+                let mut k = 0;
+                while k + 4 <= ncols {
+                    let a = [coeff(k), coeff(k + 1), coeff(k + 2), coeff(k + 3)];
+                    fused_axpy4_lanes(a, col(k), col(k + 1), col(k + 2), col(k + 3), dest);
+                    k += 4;
+                }
+                while k < ncols {
+                    axpy_lanes(coeff(k), col(k), dest);
+                    k += 1;
+                }
+                if li == 0 {
+                    let idx = &self.contact_idx[node.in_offset..node.in_offset + nin];
+                    for (i, &ci) in idx.iter().enumerate() {
+                        x.set_lanes(ci as usize, LaneTile(dest).lanes(i));
+                    }
                 }
             }
             std::mem::swap(&mut cur, &mut next);
@@ -751,22 +881,116 @@ mod tests {
         }
     }
 
+    /// A random multi-level transform: finest squares of 1..=7 contacts
+    /// (every `len % 4` tail of the node kernels) over a shuffled contact
+    /// order, coarser squares of 1..=9 children's scaling outputs, random
+    /// (non-orthogonal: only the operation order matters here) blocks,
+    /// down to one root square.
+    fn random_fwt(seed: u64, finest_nodes: usize) -> FastWaveletTransform {
+        use subsparse_linalg::rng::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut pick = |lo: usize, hi: usize| lo + (rng.next_u64() % (hi - lo + 1) as u64) as usize;
+        let mut shapes: Vec<Vec<(usize, usize)>> = Vec::new(); // (in_len, v_cols) per node
+        let finest: Vec<(usize, usize)> = (0..finest_nodes)
+            .map(|_| {
+                let nin = pick(1, 7);
+                (nin, pick(1, nin.min(3)))
+            })
+            .collect();
+        let mut coeff_len: usize = finest.iter().map(|&(_, v)| v).sum();
+        shapes.push(finest);
+        while shapes.last().unwrap().len() > 1 {
+            let mut level = Vec::new();
+            let mut left = coeff_len;
+            while left > 0 {
+                let nin = if left <= 9 { left } else { pick(2, 9) };
+                level.push((nin, pick(1, (nin - 1).clamp(1, 3))));
+                left -= nin;
+            }
+            coeff_len = level.iter().map(|&(_, v)| v).sum();
+            shapes.push(level);
+        }
+        let n: usize = shapes[0].iter().map(|&(nin, _)| nin).sum();
+        let root_v = coeff_len;
+        let (mut blocks, mut levels, mut col_start) = (Vec::new(), Vec::new(), root_v);
+        for shape in &shapes {
+            let (mut in_offset, mut out_offset) = (0, 0);
+            let mut nodes = Vec::new();
+            for &(nin, v) in shape {
+                let w = nin - v;
+                nodes.push(FwtNode {
+                    in_offset,
+                    in_len: nin,
+                    v_cols: v,
+                    w_cols: w,
+                    out_offset,
+                    col_start: if w == 0 { usize::MAX } else { col_start },
+                    block_offset: blocks.len(),
+                });
+                blocks.extend((0..nin * nin).map(|_| rng.range_f64(-1.0, 1.0)));
+                in_offset += nin;
+                out_offset += v;
+                col_start += w;
+            }
+            levels.push(FwtLevel { nodes, coeff_len: out_offset });
+        }
+        let mut contacts: Vec<u32> = (0..n as u32).collect();
+        for i in (1..n).rev() {
+            contacts.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+        }
+        FastWaveletTransform::from_parts(n, root_v, levels, contacts, blocks).unwrap()
+    }
+
+    /// Column `j` of a panel in layout `L`.
+    fn panel_col<L: PanelLayout>(p: &Mat, j: usize) -> Vec<f64> {
+        if j / LANES < p.n_cols() / LANES {
+            let tile = L::tile(p, j / LANES);
+            (0..p.n_rows()).map(|r| tile.lanes(r)[j % LANES]).collect()
+        } else {
+            p.col(j).to_vec()
+        }
+    }
+
+    /// Blocked forward and inverse, through both coefficient layouts, are
+    /// column for column bit-identical to the one-vector transforms.
+    fn assert_blocked_bit_identical(fwt: &FastWaveletTransform, label: &str) {
+        use subsparse_linalg::kernels::LaneMajor;
+        let n = fwt.n();
+        let (mut s1, mut s2) = (vec![0.0; fwt.scratch_len()], vec![0.0; fwt.scratch_len()]);
+        let (mut cj, mut bj) = (vec![0.0; n], vec![0.0; n]);
+        let (mut m1, mut m2) = (Mat::zeros(0, 0), Mat::zeros(0, 0));
+        for b in [1usize, 3, 8, 11, 16, 17] {
+            let x = Mat::from_fn(n, b, |i, j| ((i * 13 + j * 7) % 17) as f64 / 17.0 - 0.4);
+            let (mut c, mut back) = (Mat::zeros(0, 0), Mat::zeros(0, 0));
+            fwt.forward_block_into(&x, &mut c, &mut m1, &mut m2);
+            fwt.inverse_block_into(&c, &mut back, &mut m1, &mut m2);
+            let (mut cl, mut backl) = (Mat::zeros(0, 0), Mat::zeros(0, 0));
+            fwt.forward_panel_into::<LaneMajor>(&x, &mut cl, &mut m1, &mut m2);
+            fwt.inverse_panel_into::<LaneMajor>(&cl, &mut backl, &mut m1, &mut m2);
+            for j in 0..b {
+                fwt.forward_into(x.col(j), &mut cj, &mut s1, &mut s2);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(c.col(j)), bits(&cj), "{label}: forward b={b} col {j}");
+                let lane = panel_col::<LaneMajor>(&cl, j);
+                assert_eq!(bits(&lane), bits(&cj), "{label}: lane-major forward b={b} col {j}");
+                fwt.inverse_into(&cj, &mut bj, &mut s1, &mut s2);
+                assert_eq!(bits(back.col(j)), bits(&bj), "{label}: inverse b={b} col {j}");
+                assert_eq!(
+                    bits(backl.col(j)),
+                    bits(&bj),
+                    "{label}: lane-major inverse b={b} col {j}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn blocked_is_bit_identical_to_per_vector() {
-        let fwt = haar4();
-        let x = Mat::from_fn(4, 11, |i, j| ((i * 13 + j * 7) % 17) as f64 / 17.0 - 0.4);
-        let (mut c, mut back) = (Mat::zeros(0, 0), Mat::zeros(0, 0));
-        let (mut m1, mut m2) = (Mat::zeros(0, 0), Mat::zeros(0, 0));
-        fwt.forward_block_into(&x, &mut c, &mut m1, &mut m2);
-        fwt.inverse_block_into(&c, &mut back, &mut m1, &mut m2);
-        let (mut s1, mut s2) = (vec![0.0; fwt.scratch_len()], vec![0.0; fwt.scratch_len()]);
-        let mut cj = vec![0.0; 4];
-        let mut bj = vec![0.0; 4];
-        for j in 0..x.n_cols() {
-            fwt.forward_into(x.col(j), &mut cj, &mut s1, &mut s2);
-            assert_eq!(c.col(j), cj.as_slice(), "forward column {j} diverged");
-            fwt.inverse_into(&cj, &mut bj, &mut s1, &mut s2);
-            assert_eq!(back.col(j), bj.as_slice(), "inverse column {j} diverged");
+        assert_blocked_bit_identical(&haar4(), "haar4");
+        for seed in 0..4 {
+            let fwt = random_fwt(seed, 12 + 5 * seed as usize);
+            assert!(fwt.n_levels() >= 3, "seed {seed}: want a multi-level transform");
+            assert_blocked_bit_identical(&fwt, &format!("random seed {seed}"));
         }
     }
 

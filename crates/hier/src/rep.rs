@@ -17,9 +17,11 @@
 //!   non-tree bases (low-rank, the baselines) and for legacy model files.
 //!
 //! Either way a single apply runs over reusable workspace buffers (zero
-//! allocation in steady state), and a *blocked* apply pushes a whole
-//! panel of vectors through the same factors so each stored value is
-//! streamed from memory once per panel instead of once per vector.
+//! allocation in steady state), and a *blocked* apply pushes lane tiles
+//! of [`LANES`](subsparse_linalg::kernels::LANES) vectors through the same
+//! factors, so each stored value is streamed from memory once per tile
+//! instead of once per vector. The intermediate coefficients stay
+//! lane-major from the first factor to the last.
 //! Thresholding `Gw` trades accuracy for more sparsity (the `Gwt` of the
 //! thesis tables).
 //!
@@ -32,6 +34,7 @@
 
 use subsparse_linalg::exec;
 use subsparse_linalg::io::{fnv1a64, ReadMatrixError};
+use subsparse_linalg::kernels::{ColMajor, LaneMajor};
 use subsparse_linalg::{faults, trace, ApplyWorkspace, CouplingOp, Csr, Mat};
 
 use crate::fwt::FastWaveletTransform;
@@ -524,25 +527,27 @@ impl CouplingOp for BasisRep {
         } else {
             "apply_block.basis-rep"
         });
+        // the intermediate panels stay lane-major from the first stage to
+        // the last, so no stage transposes
         let (wa, wb, wc) = ws.mats3();
         if let Some(fwt) = &self.fwt {
-            fwt.forward_block_into(x, wa, wb, wc);
+            fwt.forward_panel_into::<LaneMajor>(x, wa, wb, wc);
             {
                 let _gw = trace::span("rep.gw");
-                self.gw.matmul_dense_into(wa, wb);
+                self.gw.matmul_panel_into::<LaneMajor, LaneMajor>(wa, wb);
             }
-            fwt.inverse_block_into(wb, y, wa, wc);
+            fwt.inverse_panel_into::<LaneMajor>(wb, y, wa, wc);
         } else {
             {
                 let _qt = trace::span("rep.qt");
-                self.qt.matmul_dense_into(x, wa);
+                self.qt.matmul_panel_into::<ColMajor, LaneMajor>(x, wa);
             }
             {
                 let _gw = trace::span("rep.gw");
-                self.gw.matmul_dense_into(wa, wb);
+                self.gw.matmul_panel_into::<LaneMajor, LaneMajor>(wa, wb);
             }
             let _q = trace::span("rep.q");
-            self.q.matmul_dense_into(wb, y);
+            self.q.matmul_panel_into::<LaneMajor, ColMajor>(wb, y);
         }
     }
 }

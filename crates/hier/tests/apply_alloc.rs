@@ -1,6 +1,6 @@
 //! The zero-allocation contract: after workspace warm-up, serving through
-//! `CouplingOp::apply_into` (and the blocked variant at a fixed width)
-//! performs no heap allocation at all.
+//! `CouplingOp::apply_into` (and the blocked variant, at full lane tiles
+//! and ragged widths alike) performs no heap allocation at all.
 //!
 //! This file holds a single test on purpose: it installs a counting
 //! global allocator, and any sibling test running in the same binary
@@ -141,6 +141,26 @@ fn apply_into_is_allocation_free_after_warmup() {
     });
     assert_eq!(fwt_allocs, 0, "fwt path allocated after warm-up");
 
+    // Lane tiles: widths with two full tiles (16) and with three plus a
+    // ragged five-column tail (29) stage nothing beyond the workspace's
+    // three panels, so a fresh workspace pre-sized by `warm` serves them
+    // without a single allocation — even on the first apply.
+    for (op, inner) in [
+        (&fwt_rep as &dyn CouplingOp, fwt_rep.fwt().unwrap().scratch_len().max(8)),
+        (&rep, n),
+        (&sparse, n),
+    ] {
+        let dim = op.n();
+        let mut fresh = ApplyWorkspace::new();
+        fresh.warm(inner, 29);
+        let mut yw = Mat::zeros(dim, 29);
+        for width in [16usize, 29] {
+            let xw = Mat::from_fn(dim, width, |i, j| ((i * 3 + j * 11) as f64).sin());
+            let allocs = allocations_during(|| op.apply_block_into(&xw, &mut yw, &mut fresh));
+            assert_eq!(allocs, 0, "{}: width {width} allocated after warm", op.kind());
+        }
+    }
+
     // --- the thread-parallel executor ---
     //
     // With one worker the executor serves inline (no spawn at all), so
@@ -188,6 +208,20 @@ fn apply_into_is_allocation_free_after_warmup() {
             "{}: 1000 pool applies must allocate exactly as much as one",
             op.kind()
         );
+    }
+
+    // `ParallelApply::warm` at the widest block pre-sizes every worker's
+    // lane path: the FWT and CSR representations then serve narrower and
+    // ragged blocks (panels of 8 and 15 + 14 columns) allocation-free.
+    for op in [&fwt_rep as &(dyn CouplingOp + Sync), &rep] {
+        let dim = op.n();
+        pool.warm(op, 29);
+        let mut yw = Mat::zeros(dim, 29); // the caller's output, sized once
+        for width in [16usize, 29] {
+            let xw = Mat::from_fn(dim, width, |i, j| ((i * 5 + j * 7) as f64).cos());
+            let allocs = allocations_during(|| pool.apply_block_into(op, &xw, &mut yw));
+            assert_eq!(allocs, 0, "{}: pool width {width} allocated after warm", op.kind());
+        }
     }
 
     // A one-column block serves inline through slot 0's workspace, which

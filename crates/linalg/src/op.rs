@@ -13,10 +13,10 @@
 //!   [`ApplyWorkspace`], so steady-state serving performs **zero heap
 //!   allocation**;
 //! * [`apply_block_into`](CouplingOp::apply_block_into) — a dense block of
-//!   vectors at once. Implementations use panel-blocked kernels that
-//!   stream each operator entry once per panel instead of once per vector;
-//!   the per-column accumulation order is identical to the per-vector
-//!   path, so **blocked results are bit-identical** to looped
+//!   vectors at once. Implementations use blocked kernels that stream
+//!   each operator entry once per panel or lane tile instead of once per
+//!   vector; the per-column accumulation order is identical to the
+//!   per-vector path, so **blocked results are bit-identical** to looped
 //!   [`apply_into`](CouplingOp::apply_into) calls.
 //!
 //! ## When blocked apply wins
@@ -125,8 +125,11 @@ impl ApplyWorkspace {
     }
 
     /// Pre-sizes the scratch buffers for applying an operator with
-    /// `inner` intermediate coefficients to blocks of up to `block`
-    /// vectors, so even the first apply allocates nothing.
+    /// `inner` intermediate values per vector to blocks of up to `block`
+    /// vectors, so even the first apply allocates nothing. `inner` is the
+    /// longest intermediate: `n` for the CSR factors, and
+    /// `max(n, scratch_len)` for a fast wavelet transform. The lane-tiled
+    /// kernels stage nothing beyond these three buffers.
     pub fn warm(&mut self, inner: usize, block: usize) {
         self.a.resize(inner, block);
         self.b.resize(inner, block);

@@ -5,13 +5,8 @@
 //! (`O(n log n)` apply, sparsity factors in Tables 3.1/4.1–4.3) are
 //! measured on these.
 
-use crate::kernels;
+use crate::kernels::{self, ColMajor, PanelLayout, TileRows, TileRowsMut, LANES};
 use crate::mat::Mat;
-
-/// Right-hand-side columns processed per panel by the blocked CSR × dense
-/// kernels. Sized so a panel's accumulators live in registers; the panel
-/// width never affects results (per-column accumulation order is fixed).
-const CSR_COL_BLOCK: usize = 8;
 
 /// A triplet (COO) accumulator for building [`Csr`] matrices.
 ///
@@ -266,44 +261,15 @@ impl Csr {
     }
 
     /// Dense-block product `Y = A * X` (CSR times dense, column-major
-    /// blocks), resizing `y` to `n_rows x x.n_cols()` in place.
-    ///
-    /// The win over `x.n_cols()` separate [`matvec`](Self::matvec) calls is
-    /// that each CSR row (indices and values) is streamed from memory once
-    /// per *panel* of right-hand-side columns instead of once per column —
-    /// the sparse mirror of the k-panel blocking in
-    /// [`Mat::matmul`]. Within a column, terms accumulate
-    /// in exactly the row-nonzero order of [`matvec`](Self::matvec), so
-    /// every output column is bit-identical to the per-vector apply.
+    /// blocks), resizing `y` to `n_rows x x.n_cols()` in place:
+    /// [`matmul_panel_into`](Self::matmul_panel_into) with both panels
+    /// column-major.
     ///
     /// # Panics
     ///
     /// Panics on dimension mismatch.
     pub fn matmul_dense_into(&self, x: &Mat, y: &mut Mat) {
-        assert_eq!(x.n_rows(), self.n_cols, "csr matmul_dense dimension mismatch");
-        y.resize(self.n_rows, x.n_cols());
-        let b = x.n_cols();
-        let mut j0 = 0;
-        while j0 < b {
-            let jw = CSR_COL_BLOCK.min(b - j0);
-            // the panel's input columns as plain slices, so the inner
-            // loop indexes contiguous memory instead of recomputing the
-            // column-major offset per access
-            let mut xc: [&[f64]; CSR_COL_BLOCK] = [&[]; CSR_COL_BLOCK];
-            for (jj, s) in xc[..jw].iter_mut().enumerate() {
-                *s = x.col(j0 + jj);
-            }
-            let mut start = self.indptr[0];
-            for (i, &end) in (0..self.n_rows).zip(&self.indptr[1..]) {
-                let cols = &self.indices[start..end];
-                let vals = &self.data[start..end];
-                for (jj, s) in xc[..jw].iter().enumerate() {
-                    y[(i, j0 + jj)] = kernels::gather_dot4(vals, cols, s);
-                }
-                start = end;
-            }
-            j0 += jw;
-        }
+        self.matmul_panel_into::<ColMajor, ColMajor>(x, y);
     }
 
     /// Allocating convenience over
@@ -314,61 +280,45 @@ impl Csr {
         y
     }
 
-    /// Dense-block transpose product `Y = A' * X`, resizing `y` to
-    /// `n_cols x x.n_cols()` in place.
+    /// Lane-tiled block product `Y = A * X`, reading `x` in layout `XL`
+    /// and writing `y` (resized to `n_rows x x.n_cols()`) in layout `YL`
+    /// (see [`PanelLayout`]).
     ///
-    /// Like [`matmul_dense_into`](Self::matmul_dense_into), rows are
-    /// streamed once per column panel, and each output column scatters
-    /// contributions in exactly the order of
-    /// [`matvec_t`](Self::matvec_t) (including its skip of zero inputs),
-    /// so blocked transpose applies are bit-identical to per-vector ones.
+    /// Each full tile of [`LANES`] columns runs
+    /// [`kernels::gather_dot4_lanes`] per row, so a row's indices and
+    /// values are streamed once per tile instead of once per column; the
+    /// `b % LANES` columns after the last full tile run the one-vector
+    /// [`matvec_into`](Self::matvec_into). Every lane repeats
+    /// [`gather_dot4`](kernels::gather_dot4)'s operation order, so every
+    /// output column is bit-identical to `matvec_into` on its input
+    /// column, whatever the layouts and the block width.
     ///
     /// # Panics
     ///
     /// Panics on dimension mismatch.
-    pub fn matmul_t_dense_into(&self, x: &Mat, y: &mut Mat) {
-        assert_eq!(x.n_rows(), self.n_rows, "csr matmul_t_dense dimension mismatch");
-        y.resize(self.n_cols, x.n_cols());
-        for yj in y.cols_mut() {
-            yj.fill(0.0);
-        }
+    pub fn matmul_panel_into<XL: PanelLayout, YL: PanelLayout>(&self, x: &Mat, y: &mut Mat) {
+        assert_eq!(x.n_rows(), self.n_cols, "csr matmul_dense dimension mismatch");
         let b = x.n_cols();
-        let mut j0 = 0;
-        while j0 < b {
-            let jw = CSR_COL_BLOCK.min(b - j0);
-            let mut xc: [&[f64]; CSR_COL_BLOCK] = [&[]; CSR_COL_BLOCK];
-            for (jj, s) in xc[..jw].iter_mut().enumerate() {
-                *s = x.col(j0 + jj);
-            }
-            let mut start = self.indptr[0];
-            for (i, &end) in (0..self.n_rows).zip(&self.indptr[1..]) {
-                let cols = &self.indices[start..end];
-                let vals = &self.data[start..end];
-                start = end;
-                if cols.is_empty() {
-                    continue;
-                }
-                for (jj, s) in xc[..jw].iter().enumerate() {
-                    let xi = s[i];
-                    if xi == 0.0 {
-                        continue;
-                    }
-                    let yj = y.col_mut(j0 + jj);
-                    for (c, v) in cols.iter().zip(vals) {
-                        yj[*c as usize] += v * xi;
-                    }
-                }
-            }
-            j0 += jw;
+        y.resize(self.n_rows, b);
+        let tiles = b / LANES;
+        for t in 0..tiles {
+            self.tile_into(&XL::tile(x, t), &mut YL::tile_mut(y, t));
+        }
+        for j in tiles * LANES..b {
+            self.matvec_into(x.col(j), y.col_mut(j));
         }
     }
 
-    /// Allocating convenience over
-    /// [`matmul_t_dense_into`](Self::matmul_t_dense_into).
-    pub fn matmul_t_dense(&self, x: &Mat) -> Mat {
-        let mut y = Mat::zeros(0, 0);
-        self.matmul_t_dense_into(x, &mut y);
-        y
+    /// One lane tile of [`matmul_panel_into`](Self::matmul_panel_into).
+    #[inline]
+    fn tile_into(&self, x: &impl TileRows, y: &mut impl TileRowsMut) {
+        let mut start = self.indptr[0];
+        for (i, &end) in self.indptr[1..].iter().enumerate() {
+            let lanes =
+                kernels::gather_dot4_lanes(&self.data[start..end], &self.indices[start..end], x);
+            y.set_lanes(i, lanes);
+            start = end;
+        }
     }
 
     /// Returns the transpose.
@@ -480,7 +430,8 @@ mod tests {
 
     #[test]
     fn matmul_dense_matches_per_column_matvec() {
-        // wider than one column panel, with empty rows and zero inputs
+        // one full lane tile plus a ragged tail, with empty rows and zero
+        // inputs
         let mut t = Triplets::new(5, 4);
         for (i, j, v) in [(0, 0, 2.0), (0, 3, -1.0), (2, 1, 3.5), (4, 0, 0.25), (4, 2, -4.0)] {
             t.push(i, j, v);
@@ -492,15 +443,6 @@ mod tests {
             let serial = a.matvec(x.col(j));
             for i in 0..a.n_rows() {
                 assert_eq!(y[(i, j)], serial[i], "blocked apply must be bit-identical");
-            }
-        }
-        // transpose kernel against per-vector matvec_t
-        let xt = Mat::from_fn(5, 9, |i, j| ((i * 3 + j) % 5) as f64 - 2.0);
-        let yt = a.matmul_t_dense(&xt);
-        for j in 0..xt.n_cols() {
-            let serial = a.matvec_t(xt.col(j));
-            for i in 0..a.n_cols() {
-                assert_eq!(yt[(i, j)], serial[i]);
             }
         }
     }

@@ -18,9 +18,15 @@
 //! then checked against naive scalar reference implementations written
 //! out here, so a regression in the wiring — not just in a kernel — also
 //! fails this suite.
+//!
+//! The lane-tile kernels (`*_lanes`) are pinned lane by lane to their
+//! one-vector kernels, to the bit: every lane must repeat the one-vector
+//! operation order exactly, which is what keeps every column of a blocked
+//! apply bit-identical to `apply_into`.
 
 use subsparse_linalg::kernels::{
-    self, dot4, dot8, fused_axpy4, fused_scatter_axpy4, gather_dot4, scalar,
+    self, axpy_lanes, dot4, dot4_lanes, dot8, fused_axpy4, fused_axpy4_lanes, fused_scatter_axpy4,
+    gather_dot4, gather_dot4_lanes, scalar, ColMajor, LaneMajor, LaneTile, PanelLayout, LANES,
 };
 use subsparse_linalg::rng::SmallRng;
 use subsparse_linalg::{Mat, Triplets};
@@ -168,6 +174,174 @@ fn fused_updates_are_bit_identical_to_sequential_passes() {
 fn lane_constants_describe_the_kernels() {
     assert_eq!(kernels::LANES_4, 4);
     assert_eq!(kernels::LANES_8, 8);
+    assert_eq!(LANES, 8);
+}
+
+/// `len` rows of `LANES` random lanes, lane-major, plus the same values
+/// as `LANES` separate columns.
+fn random_lane_rows(rng: &mut SmallRng, len: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
+    let cols: Vec<Vec<f64>> = (0..LANES).map(|_| random_vec(rng, len)).collect();
+    let rows = (0..len * LANES).map(|k| cols[k % LANES][k / LANES]).collect();
+    (rows, cols)
+}
+
+#[test]
+fn lane_kernels_are_bit_identical_to_their_one_vector_kernels_per_lane() {
+    let mut rng = SmallRng::seed_from_u64(0x1A4E);
+    for len in (0..=9).chain(LENGTHS) {
+        for rep in 0..4 {
+            let label = format!("len={len} rep={rep}");
+            let a = random_vec(&mut rng, len);
+            let (rows, cols) = random_lane_rows(&mut rng, len);
+            let d = dot4_lanes(&a, &rows);
+            for (l, col) in cols.iter().enumerate() {
+                assert_eq!(d[l].to_bits(), dot4(&a, col).to_bits(), "dot4_lanes lane {l}: {label}");
+            }
+
+            // gather through random (possibly repeating) indices into a
+            // longer lane-major x
+            let xlen = len * 2 + 1;
+            let (xrows, xcols) = random_lane_rows(&mut rng, xlen);
+            let idx: Vec<u32> = (0..len).map(|_| (rng.next_u64() % xlen as u64) as u32).collect();
+            let g = gather_dot4_lanes(&a, &idx, &LaneTile(&xrows));
+            for (l, col) in xcols.iter().enumerate() {
+                let one = gather_dot4(&a, &idx, col);
+                assert_eq!(g[l].to_bits(), one.to_bits(), "gather_dot4_lanes lane {l}: {label}");
+            }
+
+            // fused and single column updates with per-lane multipliers
+            // (exact zeros included)
+            let c: Vec<Vec<f64>> = (0..4).map(|_| random_vec(&mut rng, len)).collect();
+            let m: [[f64; LANES]; 4] =
+                std::array::from_fn(|_| {
+                    std::array::from_fn(|_| {
+                        if rng.gen_bool(0.2) {
+                            0.0
+                        } else {
+                            rng.range_f64(-2.0, 2.0)
+                        }
+                    })
+                });
+            let mut fused = rows.clone();
+            fused_axpy4_lanes(m, &c[0], &c[1], &c[2], &c[3], &mut fused);
+            let mut single = rows.clone();
+            axpy_lanes(m[0], &c[0], &mut single);
+            for (l, col) in cols.iter().enumerate() {
+                let mut y = col.clone();
+                fused_axpy4(
+                    [m[0][l], m[1][l], m[2][l], m[3][l]],
+                    &c[0],
+                    &c[1],
+                    &c[2],
+                    &c[3],
+                    &mut y,
+                );
+                let mut y1 = col.clone();
+                scalar::axpy(m[0][l], &c[0], &mut y1);
+                for i in 0..len {
+                    assert_eq!(
+                        fused[i * LANES + l].to_bits(),
+                        y[i].to_bits(),
+                        "fused_axpy4_lanes lane {l} row {i}: {label}"
+                    );
+                    assert_eq!(
+                        single[i * LANES + l].to_bits(),
+                        y1[i].to_bits(),
+                        "axpy_lanes lane {l} row {i}: {label}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Column `j` of a panel stored in layout `L`.
+fn panel_col<L: PanelLayout>(p: &Mat, j: usize) -> Vec<f64> {
+    let t = j / LANES;
+    if t < p.n_cols() / LANES {
+        let tile = L::tile(p, t);
+        (0..p.n_rows()).map(|r| kernels::TileRows::lanes(&tile, r)[j % LANES]).collect()
+    } else {
+        p.col(j).to_vec()
+    }
+}
+
+/// A panel in layout `L` whose column `j` is `x.col(j)`.
+fn to_panel<L: PanelLayout>(x: &Mat) -> Mat {
+    let mut p = Mat::zeros(x.n_rows(), x.n_cols());
+    let tiles = x.n_cols() / LANES;
+    for t in 0..tiles {
+        let mut tile = L::tile_mut(&mut p, t);
+        for r in 0..x.n_rows() {
+            let v = std::array::from_fn(|l| x[(r, t * LANES + l)]);
+            kernels::TileRowsMut::set_lanes(&mut tile, r, v);
+        }
+    }
+    for j in tiles * LANES..x.n_cols() {
+        p.col_mut(j).copy_from_slice(x.col(j));
+    }
+    p
+}
+
+/// Every column of `A * X` through `matmul_panel_into::<XL, YL>` against
+/// the one-vector `gather_dot4` row kernel, to the bit.
+fn assert_panel_product_matches<XL: PanelLayout, YL: PanelLayout>(
+    a: &subsparse_linalg::Csr,
+    x: &Mat,
+    label: &str,
+) {
+    let mut y = Mat::zeros(0, 0);
+    a.matmul_panel_into::<XL, YL>(&to_panel::<XL>(x), &mut y);
+    assert_eq!((y.n_rows(), y.n_cols()), (a.n_rows(), x.n_cols()), "{label}");
+    for j in 0..x.n_cols() {
+        let got = panel_col::<YL>(&y, j);
+        for (i, g) in got.iter().enumerate() {
+            let (idx, vals) = a.row(i);
+            let want = gather_dot4(vals, idx, x.col(j));
+            assert_eq!(g.to_bits(), want.to_bits(), "{label} row {i} col {j}");
+        }
+    }
+}
+
+#[test]
+fn csr_lane_tiles_are_bit_identical_to_per_lane_gather_dot4() {
+    let mut rng = SmallRng::seed_from_u64(0x7115);
+    for rep in 0..3 {
+        // every row length 0..=9 (each `len % 4` tail, empty rows
+        // included), in shuffled order, over random columns
+        let n_cols = 23;
+        let mut lens: Vec<usize> = (0..=9).chain(0..=9).collect();
+        for i in (1..lens.len()).rev() {
+            lens.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+        }
+        let mut t = Triplets::new(lens.len(), n_cols);
+        for (i, &len) in lens.iter().enumerate() {
+            let mut cols: Vec<usize> = (0..n_cols).collect();
+            for k in 0..len {
+                cols.swap(k, k + (rng.next_u64() % (n_cols - k) as u64) as usize);
+                t.push(i, cols[k], rng.range_f64(-3.0, 3.0));
+            }
+        }
+        let a = t.to_csr();
+        for (i, &len) in lens.iter().enumerate() {
+            assert_eq!(a.row(i).0.len(), len, "row {i} length");
+        }
+        // widths 1..=33: no tile, full tiles, and every ragged tail
+        for b in 1..=33 {
+            let x = Mat::from_fn(n_cols, b, |_, _| {
+                if rng.gen_bool(0.1) {
+                    0.0
+                } else {
+                    rng.range_f64(-2.0, 2.0)
+                }
+            });
+            let label = format!("rep={rep} b={b}");
+            assert_panel_product_matches::<ColMajor, ColMajor>(&a, &x, &format!("cc {label}"));
+            assert_panel_product_matches::<ColMajor, LaneMajor>(&a, &x, &format!("cl {label}"));
+            assert_panel_product_matches::<LaneMajor, LaneMajor>(&a, &x, &format!("ll {label}"));
+            assert_panel_product_matches::<LaneMajor, ColMajor>(&a, &x, &format!("lc {label}"));
+        }
+    }
 }
 
 /// Naive scalar `y = G x` — the ground-truth for the dense composite.

@@ -50,7 +50,9 @@ fn random_mat(n: usize, b: usize, seed: u64) -> Mat {
 }
 
 /// The contract for one basis: fwt path vs explicit-CSR path on single
-/// vectors and on 1 / non-divisible / panel-divisible block widths.
+/// vectors and on block widths with no full lane tile (1, 3), one tile
+/// (8), one tile plus a ragged tail (11), two tiles with and without a
+/// one-column tail (16, 17), and four tiles (32).
 fn assert_paths_agree(layout: &Layout, levels: usize, p: usize, label: &str) {
     let basis = build_basis(layout, levels, p).unwrap();
     let n = basis.n();
@@ -72,7 +74,7 @@ fn assert_paths_agree(layout: &Layout, levels: usize, p: usize, label: &str) {
         assert!(err <= 1e-12, "{label}: single-vector paths diverge, rel err {err:.3e}");
     }
     // blocked agreement, and blocked-fwt ≡ looped-fwt bit-identity
-    for block in [1usize, 3, 8, 11, 32] {
+    for block in [1usize, 3, 8, 11, 16, 17, 32] {
         let x = random_mat(n, block, 0xB10C ^ block as u64);
         let mut yb_fast = Mat::zeros(0, 0);
         let mut yb_slow = Mat::zeros(0, 0);
@@ -138,6 +140,39 @@ fn fwt_transform_matches_q_directly() {
     fwt.inverse_into(&fwd, &mut inv, &mut s1, &mut s2);
     // Q (Q' x) = x for an orthogonal basis: the roundtrip recovers x
     assert!(rel_err(&inv, x.col(0)) <= 1e-12, "roundtrip: {:.3e}", rel_err(&inv, x.col(0)));
+}
+
+#[test]
+fn blocked_transforms_are_bit_identical_to_per_vector_on_real_bases() {
+    // multi-level bases from the real construction: lane tiles must carry
+    // the one-vector bits through every level, at widths with full tiles
+    // and ragged tails
+    for (layout, levels, p) in [
+        (generators::regular_grid(128.0, 16, 2.0), 4, 2),
+        (generators::irregular_same_size(128.0, 16, 2.0, 9), 4, 1),
+    ] {
+        let basis = build_basis(&layout, levels, p).unwrap();
+        let fwt = basis.fwt();
+        let n = fwt.n();
+        assert!(fwt.n_levels() >= 3, "levels={levels}: want a multi-level transform");
+        let (mut s1, mut s2) = (vec![0.0; fwt.scratch_len()], vec![0.0; fwt.scratch_len()]);
+        let (mut cj, mut bj) = (vec![0.0; n], vec![0.0; n]);
+        let (mut m1, mut m2) = (Mat::zeros(0, 0), Mat::zeros(0, 0));
+        for block in [1usize, 8, 16, 17] {
+            let x = random_mat(n, block, 0xF3D ^ block as u64);
+            let (mut c, mut back) = (Mat::zeros(0, 0), Mat::zeros(0, 0));
+            fwt.forward_block_into(&x, &mut c, &mut m1, &mut m2);
+            fwt.inverse_block_into(&c, &mut back, &mut m1, &mut m2);
+            for j in 0..block {
+                fwt.forward_into(x.col(j), &mut cj, &mut s1, &mut s2);
+                fwt.inverse_into(c.col(j), &mut bj, &mut s1, &mut s2);
+                let label = format!("levels={levels} p={p} width {block} column {j}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(c.col(j)), bits(&cj), "forward {label}");
+                assert_eq!(bits(back.col(j)), bits(&bj), "inverse {label}");
+            }
+        }
+    }
 }
 
 #[test]
