@@ -18,8 +18,7 @@ use subsparse::layout::generators;
 use subsparse::linalg::Mat;
 use subsparse::sparsify::eval::format_ns;
 use subsparse::substrate::{
-    BatchOptions, EigenSolver, EigenSolverConfig, FdSolver, FdSolverConfig, Substrate,
-    SubstrateSolver,
+    EigenSolver, EigenSolverConfig, FdSolver, FdSolverConfig, Substrate, SubstrateSolver,
 };
 
 /// One serial-vs-batched measurement.
@@ -80,9 +79,8 @@ fn compare<S: SubstrateSolver + ?Sized>(
     let t0 = Instant::now();
     let g_serial = extract_serial(serial);
     let serial_ns = t0.elapsed().as_nanos() as f64;
-    let batch = BatchOptions { max_batch: n, threads };
     let t1 = Instant::now();
-    let g_batched = subsparse::substrate::extract_dense_batched(batched, &batch);
+    let g_batched = subsparse::substrate::extract_dense_batched(batched, n);
     let batched_ns = t1.elapsed().as_nanos() as f64;
     BatchCompareRow {
         solver: name,

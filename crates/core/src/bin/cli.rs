@@ -315,9 +315,7 @@ fn cmd_extract(args: &[String]) -> Result<(), String> {
             x.rep
         }
         "wavelet" => {
-            let mut sopts = SparsifyOptions { levels: Some(levels), ..Default::default() };
-            sopts.batch.max_batch = max_batch;
-            sopts.batch.threads = threads;
+            let sopts = SparsifyOptions { levels: Some(levels), max_batch, ..Default::default() };
             let x = subsparse::Extraction::with_method(Method::Wavelet, &counting, layout, &sopts)
                 .map_err(|e| format!("extraction: {e}"))?;
             x.rep
@@ -391,8 +389,7 @@ fn cmd_sparsify(args: &[String]) -> Result<(), String> {
         sopts.levels = Some(l.parse().map_err(|_| format!("bad value for --levels: {l:?}"))?);
     }
     sopts.target_sparsity = opts.get_parsed("target", sopts.target_sparsity)?;
-    sopts.batch.max_batch = opts.get_parsed("batch", sopts.batch.max_batch)?;
-    sopts.batch.threads = threads;
+    sopts.max_batch = opts.get_parsed("batch", sopts.max_batch)?;
 
     let black_box: Box<dyn SubstrateSolver> = match solver_kind {
         "synthetic" => Box::new(solver::synthetic(&layout)),

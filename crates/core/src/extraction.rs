@@ -187,6 +187,36 @@ mod tests {
     }
 
     #[test]
+    fn every_method_keeps_its_batches_within_max_batch() {
+        /// Records the width of every `solve_batch` call it forwards.
+        struct Widths {
+            inner: subsparse_substrate::DenseSolver,
+            widths: std::sync::Mutex<Vec<usize>>,
+        }
+        impl SubstrateSolver for Widths {
+            fn n_contacts(&self) -> usize {
+                self.inner.n_contacts()
+            }
+            fn solve(&self, v: &[f64]) -> Vec<f64> {
+                self.inner.solve(v)
+            }
+            fn solve_batch(&self, v: &subsparse_linalg::Mat) -> subsparse_linalg::Mat {
+                self.widths.lock().unwrap().push(v.n_cols());
+                self.inner.solve_batch(v)
+            }
+        }
+        let layout = generators::regular_grid(128.0, 16, 2.0);
+        let opts = SparsifyOptions { max_batch: 5, ..Default::default() };
+        for &method in subsparse_sparsify::all_methods() {
+            let s = Widths { inner: solver::synthetic(&layout), widths: Default::default() };
+            Extraction::with_method(method, &s, &layout, &opts).unwrap();
+            let widths = s.widths.into_inner().unwrap();
+            let widest = widths.iter().copied().max();
+            assert_eq!(widest, Some(5), "{}: batch widths {widths:?}", method.name());
+        }
+    }
+
+    #[test]
     fn choose_levels_reasonable() {
         let layout = generators::regular_grid(128.0, 16, 2.0);
         let levels = choose_levels(&layout, 4);

@@ -71,8 +71,8 @@ use crate::trace;
 /// Resolves a worker-thread knob: `0` means "auto" — the
 /// `SUBSPARSE_THREADS` environment variable if set to a positive
 /// integer, otherwise one worker per available CPU. This is the one
-/// canonical thread knob: `BatchOptions`, the solver configs, the eval
-/// options, and every CLI/bench `--threads` flag all funnel through it,
+/// canonical thread knob: the solver configs, the eval options, and
+/// every CLI/bench `--threads` flag all funnel through it,
 /// so `SUBSPARSE_THREADS=4` caps every auto-resolved pool in the process
 /// without touching a flag. An explicit nonzero knob always wins over
 /// the environment.
@@ -398,7 +398,7 @@ pub const DEFAULT_MIN_WORK_PER_WORKER: usize = 16 * 1024;
 
 impl ParallelApply {
     /// Creates an executor with the given worker count (`0` = one per
-    /// available CPU — the `BatchOptions` convention, resolved once
+    /// available CPU — the [`resolve_threads`] convention, resolved once
     /// here) and the default min-work-per-worker threshold
     /// ([`DEFAULT_MIN_WORK_PER_WORKER`]). Worker scratch is grown lazily
     /// on first use; see [`warm`](Self::warm).

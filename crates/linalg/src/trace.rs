@@ -61,35 +61,32 @@ fn now_ns() -> u64 {
 pub enum Counter {
     /// Black-box substrate solves issued (one per RHS vector).
     Solves = 0,
-    /// RHS columns moved through `solve_batch` calls.
-    RhsColumns = 1,
     /// Column panels dispatched to pool workers by `ParallelApply` — its
     /// only parallel axis; applies served inline add none.
-    ColPanels = 2,
+    ColPanels = 1,
     /// Workspace matrices that actually grew their backing storage
     /// (steady-state serving should show zero).
-    WorkspaceGrows = 3,
+    WorkspaceGrows = 2,
     /// Span events discarded because the sink hit [`MAX_EVENTS`].
-    EventsDropped = 4,
+    EventsDropped = 3,
     /// Iterative solves that burned their iteration budget and were
     /// re-run once with a larger one (the bounded-retry policy).
-    SolveRetries = 5,
+    SolveRetries = 4,
     /// Iterative solves still unconverged after the bounded retry
     /// (typed-error paths surface these; infallible paths warn).
-    SolvesFailed = 6,
+    SolvesFailed = 5,
     /// Blocked applies re-executed on the serial path after a worker
     /// panic poisoned the parallel attempt.
-    DegradedApplies = 7,
+    DegradedApplies = 6,
     /// Model loads that fell back to the explicit-CSR rep because the
     /// `.fwt` side file was missing, corrupt, or from the future.
-    DegradedLoads = 8,
+    DegradedLoads = 7,
 }
 
-const N_COUNTERS: usize = 9;
+const N_COUNTERS: usize = 8;
 
 const COUNTER_NAMES: [&str; N_COUNTERS] = [
     "solves",
-    "rhs_columns",
     "col_panels",
     "workspace_grows",
     "events_dropped",
@@ -615,9 +612,9 @@ mod tests {
         with_recorder(|| {
             add(Counter::Solves, 3);
             add(Counter::Solves, 4);
-            add(Counter::RhsColumns, 16);
+            add(Counter::ColPanels, 16);
             assert_eq!(counter(Counter::Solves), 7);
-            assert_eq!(counter(Counter::RhsColumns), 16);
+            assert_eq!(counter(Counter::ColPanels), 16);
         });
     }
 

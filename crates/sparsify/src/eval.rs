@@ -30,7 +30,7 @@ pub struct EvalOptions {
     /// workload of a multi-excitation circuit simulation).
     pub apply_block: usize,
     /// Worker threads for the threaded serving measurement and the
-    /// reference materialization (0 = one per CPU, the `BatchOptions`
+    /// reference materialization (0 = one per CPU, the `resolve_threads`
     /// convention). Results are bit-identical for every value; only the
     /// timings move.
     pub threads: usize,

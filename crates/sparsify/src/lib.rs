@@ -82,12 +82,10 @@ pub struct SparsifyOptions {
     pub target_sparsity: f64,
     /// Contact cap per finest square for automatic level selection.
     pub contacts_per_square: usize,
-    /// Multi-RHS batching knobs, applied to every method: `max_batch`
-    /// bounds the RHS blocks each pipeline assembles for
-    /// [`SubstrateSolver::solve_batch`]; `threads` is for CLIs/benches to
-    /// plumb into the solver configs at construction time. Batching never
-    /// changes solve counts or results.
-    pub batch: subsparse_substrate::BatchOptions,
+    /// Most RHS columns per [`SubstrateSolver::solve_batch`] call, applied
+    /// to every method (at least 1). Batching never changes solve counts
+    /// or results; the solver's worker threads are set when it is built.
+    pub max_batch: usize,
 }
 
 impl Default for SparsifyOptions {
@@ -98,7 +96,7 @@ impl Default for SparsifyOptions {
             lowrank: LowRankOptions::default(),
             target_sparsity: 4.0,
             contacts_per_square: 16,
-            batch: subsparse_substrate::BatchOptions::default(),
+            max_batch: 32,
         }
     }
 }

@@ -47,7 +47,7 @@ impl Sparsifier for WaveletSparsifier {
         let counting = CountingSolver::new(solver);
         let basis =
             subsparse_wavelet::build_basis(layout, opts.resolve_levels(layout), opts.moment_order)?;
-        let xopts = ExtractOptions { max_batch: opts.batch.max_batch, ..Default::default() };
+        let xopts = ExtractOptions { max_batch: opts.max_batch, ..Default::default() };
         let rep = subsparse_wavelet::extract(&counting, &basis, &xopts);
         Ok(SparsifyOutcome { rep, solves: counting.count(), build_time: t0.elapsed() })
     }
@@ -79,7 +79,7 @@ impl Sparsifier for LowRankSparsifier {
         }
         let t0 = Instant::now();
         let counting = CountingSolver::new(solver);
-        let lr_opts = LowRankOptions { max_batch: opts.batch.max_batch, ..opts.lowrank };
+        let lr_opts = LowRankOptions { max_batch: opts.max_batch, ..opts.lowrank };
         let result = subsparse_lowrank::extract(&counting, layout, levels, &lr_opts)?;
         Ok(SparsifyOutcome { rep: result.rep, solves: counting.count(), build_time: t0.elapsed() })
     }
@@ -97,7 +97,7 @@ fn dense_reference(
         return Err(SparsifyError::Hier(subsparse_hier::HierError::EmptyLayout));
     }
     let counting = CountingSolver::new(solver);
-    let g = extract_dense_batched(&counting, &opts.batch);
+    let g = extract_dense_batched(&counting, opts.max_batch);
     Ok((g, counting.count()))
 }
 

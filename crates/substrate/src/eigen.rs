@@ -36,16 +36,15 @@
 //! every block.
 
 use crate::eigenvalues::mode_eigenvalue;
-use crate::solver::SubstrateSolver;
+use crate::solver::{HasSolveStats, PcgBackend, PcgCore, SolveStats, SubstrateSolver};
 use crate::{SolverError, Substrate};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use subsparse_layout::Layout;
 use subsparse_linalg::cg::{pcg_with, CgResult, CgScratch, LinOp};
 use subsparse_linalg::chol::Cholesky;
 use subsparse_linalg::dct::{dct2d_with, Dct, Dct2dScratch};
 use subsparse_linalg::fft::Fft;
-use subsparse_linalg::{trace, Mat};
+use subsparse_linalg::Mat;
 
 /// Most panels in one block of the preconditioner. A contact with more
 /// panels is split into consecutive chunks of its sorted panel list, each
@@ -111,7 +110,6 @@ impl Default for EigenSolverConfig {
 /// ```
 #[derive(Debug)]
 pub struct EigenSolver {
-    n_contacts: usize,
     p: usize,
     /// flat panel indices (qy * P + qx) per contact
     contact_panels: Vec<Vec<u32>>,
@@ -124,8 +122,7 @@ pub struct EigenSolver {
     dct: Dct,
     precond: BlockJacobi,
     cfg: EigenSolverConfig,
-    solves: AtomicUsize,
-    iterations: AtomicUsize,
+    core: PcgCore,
 }
 
 impl EigenSolver {
@@ -204,7 +201,6 @@ impl EigenSolver {
         }
         let precond = BlockJacobi::new(&cosine_table(&mu, p), p, &contact_panels, &position);
         Ok(EigenSolver {
-            n_contacts: layout.n_contacts(),
             p,
             contact_panels,
             panel_list,
@@ -213,8 +209,7 @@ impl EigenSolver {
             dct: Dct::new(p),
             precond,
             cfg,
-            solves: AtomicUsize::new(0),
-            iterations: AtomicUsize::new(0),
+            core: PcgCore::new(layout.n_contacts(), cfg.max_iter, cfg.threads),
         })
     }
 
@@ -240,17 +235,8 @@ impl EigenSolver {
     }
 
     /// Cumulative solve statistics.
-    pub fn stats(&self) -> crate::solver::SolveStats {
-        crate::solver::SolveStats {
-            solves: self.solves.load(Ordering::Relaxed),
-            inner_iterations: self.iterations.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets the solve statistics.
-    pub fn reset_stats(&self) {
-        self.solves.store(0, Ordering::Relaxed);
-        self.iterations.store(0, Ordering::Relaxed);
+    pub fn stats(&self) -> SolveStats {
+        self.core.stats()
     }
 
     /// Applies the full-surface current-to-potential operator to a `P x P`
@@ -273,72 +259,13 @@ impl EigenSolver {
         }
         dct2d_with(&self.dct, &self.dct, grid, p, p, false, sc);
     }
-
-    /// Solves for the panel currents given contact voltages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `contact_voltages.len() != n_contacts`.
-    pub fn solve_panels(&self, contact_voltages: &[f64]) -> Vec<f64> {
-        let mut sc = EigenScratch::default();
-        let result = self.solve_panels_with(contact_voltages, &mut sc);
-        if !result.converged {
-            trace::add(trace::Counter::SolvesFailed, 1);
-            eprintln!(
-                "warning: eigen solve_panels did not converge (relres {:.3e} after {} \
-                 iterations including retry); returning best-effort panel currents",
-                result.relative_residual, result.iterations
-            );
-        }
-        sc.x
-    }
-
-    /// [`solve_panels`](Self::solve_panels) into caller-provided reusable
-    /// state (solution lands in `sc.x`) — the batch path hoists one
-    /// [`EigenScratch`] per worker so a `k`-column batch sets up
-    /// `O(threads)` times instead of `k` times. Every buffer is fully
-    /// overwritten per solve: bit-identical results.
-    ///
-    /// A solve that misses tolerance within `max_iter` is retried exactly
-    /// once, warm-started from the partial solution, with 4x the budget;
-    /// the returned [`CgResult`] aggregates both attempts (total
-    /// iterations, final convergence state and residual).
-    fn solve_panels_with(&self, contact_voltages: &[f64], sc: &mut EigenScratch) -> CgResult {
-        assert_eq!(contact_voltages.len(), self.n_contacts, "voltage vector length mismatch");
-        let np = self.panel_list.len();
-        sc.rhs.clear();
-        sc.rhs.extend(self.panel_owner.iter().map(|&o| contact_voltages[o as usize]));
-        sc.x.clear();
-        sc.x.resize(np, 0.0);
-        sc.grid.get_mut().resize(self.p * self.p, 0.0);
-        let EigenScratch { rhs, x, grid, dct, cg } = sc;
-        let (rhs, grid, dct) = (&*rhs, &*grid, &*dct);
-        let op = RestrictedOp { solver: self, grid, dct };
-        let run = |budget: usize, x: &mut [f64], cg: &mut CgScratch| {
-            pcg_with(&op, &self.precond, rhs, x, self.cfg.tol, budget, cg)
-        };
-        let mut result = run(self.cfg.max_iter, x, cg);
-        let mut total_iters = result.iterations;
-        self.solves.fetch_add(1, Ordering::Relaxed);
-        if !result.converged {
-            trace::add(trace::Counter::SolveRetries, 1);
-            result = run(self.cfg.max_iter * crate::solver::RETRY_BUDGET_FACTOR, x, cg);
-            total_iters += result.iterations;
-        }
-        self.iterations.fetch_add(total_iters, Ordering::Relaxed);
-        CgResult {
-            iterations: total_iters,
-            converged: result.converged,
-            relative_residual: result.relative_residual,
-        }
-    }
 }
 
 /// Reusable per-worker state for the eigenfunction solver's CG solves:
 /// the panel RHS, panel solution, the `P x P` operator grid, and the CG
 /// work vectors.
 #[derive(Debug, Default)]
-struct EigenScratch {
+pub(crate) struct EigenScratch {
     rhs: Vec<f64>,
     x: Vec<f64>,
     grid: RefCell<Vec<f64>>,
@@ -491,109 +418,54 @@ impl LinOp for BlockJacobi {
     }
 }
 
-impl EigenSolver {
-    /// One CG solve plus the panel-to-contact accumulation — the shared
-    /// core of [`SubstrateSolver::solve`] and the threaded
-    /// [`SubstrateSolver::solve_batch`]. The mode multipliers, DCT plans,
-    /// and preconditioner factors are built once and only read here; each worker
-    /// owns its [`EigenScratch`], so concurrent columns never share
-    /// mutable state.
-    fn solve_contacts_one(
-        &self,
-        contact_voltages: &[f64],
-        currents: &mut [f64],
-        sc: &mut EigenScratch,
-    ) -> Result<(), SolverError> {
-        let result = self.solve_panels_with(contact_voltages, sc);
-        currents.fill(0.0);
-        for (k, &o) in self.panel_owner.iter().enumerate() {
-            currents[o as usize] += sc.x[k];
-        }
-        if !result.converged {
-            return Err(SolverError::NotConverged {
-                relres: result.relative_residual,
-                iters: result.iterations,
-            });
-        }
-        if let Some(entry) = currents.iter().position(|c| !c.is_finite()) {
-            return Err(SolverError::NonFinite { entry });
-        }
-        Ok(())
+impl PcgBackend for EigenSolver {
+    const NAME: &'static str = "eigen";
+    const SPANS: [&'static str; 2] = ["solve.eigen", "solve_batch.eigen"];
+    type Scratch = EigenScratch;
+
+    fn load(&self, v: &[f64], sc: &mut EigenScratch) {
+        sc.rhs.clear();
+        sc.rhs.extend(self.panel_owner.iter().map(|&o| v[o as usize]));
+        sc.x.clear();
+        sc.x.resize(self.panel_list.len(), 0.0);
+        sc.grid.get_mut().resize(self.p * self.p, 0.0);
     }
 
-    /// The shared batch core: every column is solved (best effort); the
-    /// lowest failing column, if any, is reported alongside the matrix.
-    fn solve_batch_impl(
-        &self,
-        voltages: &subsparse_linalg::Mat,
-    ) -> (subsparse_linalg::Mat, Option<crate::solver::ColumnFailure>) {
-        assert_eq!(voltages.n_rows(), self.n_contacts, "voltage block row mismatch");
-        let _t = crate::solver::SolveTrace::begin("solve_batch.eigen", voltages.n_cols());
-        crate::solver::solve_columns_threaded_with(
-            voltages,
-            self.n_contacts,
-            self.cfg.threads,
-            EigenScratch::default,
-            |v, out, sc| self.solve_contacts_one(v, out, sc),
-        )
+    fn attempt(&self, budget: usize, sc: &mut EigenScratch) -> CgResult {
+        let EigenScratch { rhs, x, grid, dct, cg } = sc;
+        let op = RestrictedOp { solver: self, grid, dct };
+        pcg_with(&op, &self.precond, rhs, x, self.cfg.tol, budget, cg)
+    }
+
+    /// Contact currents are the sums of their panel currents.
+    fn currents(&self, _v: &[f64], sc: &EigenScratch, out: &mut [f64]) {
+        out.fill(0.0);
+        for (k, &o) in self.panel_owner.iter().enumerate() {
+            out[o as usize] += sc.x[k];
+        }
     }
 }
 
 impl SubstrateSolver for EigenSolver {
     fn n_contacts(&self) -> usize {
-        self.n_contacts
+        self.core.n_contacts()
     }
-
     fn solve(&self, contact_voltages: &[f64]) -> Vec<f64> {
-        let _t = crate::solver::SolveTrace::begin("solve.eigen", 1);
-        let mut currents = vec![0.0; self.n_contacts];
-        if let Err(e) =
-            self.solve_contacts_one(contact_voltages, &mut currents, &mut EigenScratch::default())
-        {
-            trace::add(trace::Counter::SolvesFailed, 1);
-            eprintln!(
-                "warning: eigen solve: {e}; returning best-effort currents \
-                 (use try_solve for a typed error)"
-            );
-        }
-        currents
+        self.core.solve(self, contact_voltages)
     }
-
-    fn solve_batch(&self, voltages: &subsparse_linalg::Mat) -> subsparse_linalg::Mat {
-        let (out, fail) = self.solve_batch_impl(voltages);
-        crate::solver::warn_batch_failure("eigen", fail, out)
+    fn solve_batch(&self, voltages: &Mat) -> Mat {
+        self.core.solve_batch(self, voltages)
     }
-
     fn try_solve(&self, contact_voltages: &[f64]) -> Result<Vec<f64>, SolverError> {
-        let _t = crate::solver::SolveTrace::begin("solve.eigen", 1);
-        let mut currents = vec![0.0; self.n_contacts];
-        match self.solve_contacts_one(contact_voltages, &mut currents, &mut EigenScratch::default())
-        {
-            Ok(()) => Ok(currents),
-            Err(e) => {
-                trace::add(trace::Counter::SolvesFailed, 1);
-                Err(e)
-            }
-        }
+        self.core.try_solve(self, contact_voltages)
     }
-
-    fn try_solve_batch(
-        &self,
-        voltages: &subsparse_linalg::Mat,
-    ) -> Result<subsparse_linalg::Mat, SolverError> {
-        let (out, fail) = self.solve_batch_impl(voltages);
-        match fail {
-            None => Ok(out),
-            Some(f) => {
-                trace::add(trace::Counter::SolvesFailed, 1);
-                Err(f.error)
-            }
-        }
+    fn try_solve_batch(&self, voltages: &Mat) -> Result<Mat, SolverError> {
+        self.core.try_solve_batch(self, voltages)
     }
 }
 
-impl crate::solver::HasSolveStats for EigenSolver {
-    fn solve_stats(&self) -> crate::solver::SolveStats {
+impl HasSolveStats for EigenSolver {
+    fn solve_stats(&self) -> SolveStats {
         self.stats()
     }
 }
@@ -718,7 +590,7 @@ mod tests {
         let rhs: Vec<f64> = s.panel_owner.iter().map(|&o| v[o as usize]).collect();
         let mut x = vec![0.0; rhs.len()];
         let res = pcg(&op, pre, &rhs, &mut x, s.cfg.tol, s.cfg.max_iter);
-        let mut currents = vec![0.0; s.n_contacts];
+        let mut currents = vec![0.0; s.n_contacts()];
         for (k, &o) in s.panel_owner.iter().enumerate() {
             currents[o as usize] += x[k];
         }

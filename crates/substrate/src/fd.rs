@@ -21,14 +21,13 @@
 //! system in z per mode — with the pure-Dirichlet, pure-Neumann, or
 //! area-weighted uniform top boundary condition of Table 2.1.
 
-use crate::solver::SubstrateSolver;
+use crate::solver::{HasSolveStats, PcgBackend, PcgCore, SolveStats, SubstrateSolver};
 use crate::{Backplane, SolverError, Substrate};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use subsparse_layout::Layout;
-use subsparse_linalg::cg::{pcg_with, CgScratch, IdentityPrecond, LinOp};
+use subsparse_linalg::cg::{pcg_with, CgResult, CgScratch, IdentityPrecond, LinOp};
 use subsparse_linalg::dct::{Dct, Dct2dScratch};
-use subsparse_linalg::{trace, tridiag};
+use subsparse_linalg::{tridiag, Mat};
 
 /// Where the Dirichlet (contact) nodes sit relative to the top surface
 /// (thesis Fig 2-4).
@@ -153,7 +152,6 @@ fn z_cell_bounds(substrate: &Substrate, nz_target: usize, min_per_layer: usize) 
 /// ```
 #[derive(Debug)]
 pub struct FdSolver {
-    n_contacts: usize,
     nx: usize,
     ny: usize,
     nz: usize,
@@ -176,8 +174,7 @@ pub struct FdSolver {
     placement: DirichletPlacement,
     precond: PrecondData,
     cfg: FdSolverConfig,
-    solves: AtomicUsize,
-    iterations: AtomicUsize,
+    core: PcgCore,
 }
 
 #[derive(Debug)]
@@ -350,7 +347,6 @@ impl FdSolver {
         };
 
         Ok(FdSolver {
-            n_contacts: layout.n_contacts(),
             nx,
             ny,
             nz,
@@ -365,8 +361,7 @@ impl FdSolver {
             placement: cfg.placement,
             precond,
             cfg,
-            solves: AtomicUsize::new(0),
-            iterations: AtomicUsize::new(0),
+            core: PcgCore::new(layout.n_contacts(), cfg.max_iter, cfg.threads),
         })
     }
 
@@ -376,17 +371,8 @@ impl FdSolver {
     }
 
     /// Cumulative solve statistics.
-    pub fn stats(&self) -> crate::solver::SolveStats {
-        crate::solver::SolveStats {
-            solves: self.solves.load(Ordering::Relaxed),
-            inner_iterations: self.iterations.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets the solve statistics.
-    pub fn reset_stats(&self) {
-        self.solves.store(0, Ordering::Relaxed);
-        self.iterations.store(0, Ordering::Relaxed);
+    pub fn stats(&self) -> SolveStats {
+        self.core.stats()
     }
 
     fn n_nodes(&self) -> usize {
@@ -492,39 +478,28 @@ impl FdSolver {
 /// setup `O(threads)` times instead of `k` times. Every buffer is fully
 /// overwritten per solve, so results are bit-identical to fresh state.
 #[derive(Debug, Default)]
-struct FdScratch {
+pub(crate) struct FdScratch {
     b: Vec<f64>,
     x: Vec<f64>,
     cg: CgScratch,
     fp: RefCell<FpScratch>,
 }
 
-impl FdSolver {
-    /// One full PCG solve for one voltage vector — the shared core of
-    /// [`SubstrateSolver::solve`] and the threaded
-    /// [`SubstrateSolver::solve_batch`]. The system setup and
-    /// preconditioner are built once at construction and only *read* here,
-    /// so any number of worker threads can run this concurrently (each with
-    /// its own scratch); stats are accumulated atomically.
-    ///
-    /// A solve that misses tolerance within `max_iter` is retried exactly
-    /// once, warm-started from its partial solution, with 4x the budget;
-    /// a still-unconverged or non-finite result surfaces as a typed
-    /// [`SolverError`]. Currents are written either way (best effort).
-    fn solve_one(
-        &self,
-        contact_voltages: &[f64],
-        currents: &mut [f64],
-        sc: &mut FdScratch,
-    ) -> Result<(), SolverError> {
-        assert_eq!(contact_voltages.len(), self.n_contacts, "voltage vector length mismatch");
-        self.build_rhs_into(contact_voltages, &mut sc.b);
+impl PcgBackend for FdSolver {
+    const NAME: &'static str = "fd";
+    const SPANS: [&'static str; 2] = ["solve.fd", "solve_batch.fd"];
+    type Scratch = FdScratch;
+
+    fn load(&self, v: &[f64], sc: &mut FdScratch) {
+        self.build_rhs_into(v, &mut sc.b);
         sc.x.clear();
         sc.x.resize(self.n_nodes(), 0.0);
+    }
+
+    fn attempt(&self, budget: usize, sc: &mut FdScratch) -> CgResult {
         let FdScratch { b, x, cg, fp } = sc;
-        let (b, fp) = (&*b, &*fp);
         let op = GridOp { s: self };
-        let run = |budget: usize, x: &mut [f64], cg: &mut CgScratch| match &self.precond {
+        match &self.precond {
             PrecondData::None => {
                 let id = IdentityPrecond::new(self.n_nodes());
                 pcg_with(&op, &id, b, x, self.cfg.tol, budget, cg)
@@ -541,99 +516,34 @@ impl FdSolver {
                 let pre = MgOp { mg, n: self.n_nodes() };
                 pcg_with(&op, &pre, b, x, self.cfg.tol, budget, cg)
             }
-        };
-        let mut result = run(self.cfg.max_iter, x, cg);
-        let mut total_iters = result.iterations;
-        self.solves.fetch_add(1, Ordering::Relaxed);
-        if !result.converged {
-            trace::add(trace::Counter::SolveRetries, 1);
-            result = run(self.cfg.max_iter * crate::solver::RETRY_BUDGET_FACTOR, x, cg);
-            total_iters += result.iterations;
         }
-        self.iterations.fetch_add(total_iters, Ordering::Relaxed);
-        self.contact_currents_into(contact_voltages, x, currents);
-        if !result.converged {
-            return Err(SolverError::NotConverged {
-                relres: result.relative_residual,
-                iters: total_iters,
-            });
-        }
-        if let Some(entry) = currents.iter().position(|c| !c.is_finite()) {
-            return Err(SolverError::NonFinite { entry });
-        }
-        Ok(())
     }
 
-    /// The shared batch core: every column is solved (best effort); the
-    /// lowest failing column, if any, is reported alongside the matrix.
-    fn solve_batch_impl(
-        &self,
-        voltages: &subsparse_linalg::Mat,
-    ) -> (subsparse_linalg::Mat, Option<crate::solver::ColumnFailure>) {
-        assert_eq!(voltages.n_rows(), self.n_contacts, "voltage block row mismatch");
-        let _t = crate::solver::SolveTrace::begin("solve_batch.fd", voltages.n_cols());
-        crate::solver::solve_columns_threaded_with(
-            voltages,
-            self.n_contacts,
-            self.cfg.threads,
-            FdScratch::default,
-            |v, out, sc| self.solve_one(v, out, sc),
-        )
+    fn currents(&self, v: &[f64], sc: &FdScratch, out: &mut [f64]) {
+        self.contact_currents_into(v, &sc.x, out);
     }
 }
 
 impl SubstrateSolver for FdSolver {
     fn n_contacts(&self) -> usize {
-        self.n_contacts
+        self.core.n_contacts()
     }
-
     fn solve(&self, contact_voltages: &[f64]) -> Vec<f64> {
-        let _t = crate::solver::SolveTrace::begin("solve.fd", 1);
-        let mut currents = vec![0.0; self.n_contacts];
-        if let Err(e) = self.solve_one(contact_voltages, &mut currents, &mut FdScratch::default()) {
-            trace::add(trace::Counter::SolvesFailed, 1);
-            eprintln!(
-                "warning: fd solve: {e}; returning best-effort currents \
-                 (use try_solve for a typed error)"
-            );
-        }
-        currents
+        self.core.solve(self, contact_voltages)
     }
-
-    fn solve_batch(&self, voltages: &subsparse_linalg::Mat) -> subsparse_linalg::Mat {
-        let (out, fail) = self.solve_batch_impl(voltages);
-        crate::solver::warn_batch_failure("fd", fail, out)
+    fn solve_batch(&self, voltages: &Mat) -> Mat {
+        self.core.solve_batch(self, voltages)
     }
-
     fn try_solve(&self, contact_voltages: &[f64]) -> Result<Vec<f64>, SolverError> {
-        let _t = crate::solver::SolveTrace::begin("solve.fd", 1);
-        let mut currents = vec![0.0; self.n_contacts];
-        match self.solve_one(contact_voltages, &mut currents, &mut FdScratch::default()) {
-            Ok(()) => Ok(currents),
-            Err(e) => {
-                trace::add(trace::Counter::SolvesFailed, 1);
-                Err(e)
-            }
-        }
+        self.core.try_solve(self, contact_voltages)
     }
-
-    fn try_solve_batch(
-        &self,
-        voltages: &subsparse_linalg::Mat,
-    ) -> Result<subsparse_linalg::Mat, SolverError> {
-        let (out, fail) = self.solve_batch_impl(voltages);
-        match fail {
-            None => Ok(out),
-            Some(f) => {
-                trace::add(trace::Counter::SolvesFailed, 1);
-                Err(f.error)
-            }
-        }
+    fn try_solve_batch(&self, voltages: &Mat) -> Result<Mat, SolverError> {
+        self.core.try_solve_batch(self, voltages)
     }
 }
 
-impl crate::solver::HasSolveStats for FdSolver {
-    fn solve_stats(&self) -> crate::solver::SolveStats {
+impl HasSolveStats for FdSolver {
+    fn solve_stats(&self) -> SolveStats {
         self.stats()
     }
 }

@@ -34,27 +34,49 @@
 //! blocked gemm keeps the per-entry accumulation order, and the threaded
 //! backends run the exact serial PCG per column, so `threads = 1` and
 //! `threads = N` agree to the last bit and cost metrics stay exact.
-//! Callers control batch assembly through [`BatchOptions`]: `max_batch`
-//! bounds the RHS block width (memory is `n x max_batch`), `threads` is
-//! plumbed by CLIs/benches into the solver configs at construction time.
+//! Callers bound the RHS block width with a `max_batch` argument (memory
+//! is `n x max_batch`); the thread count is fixed when a solver is built.
+//!
+//! # The iterative solve core: retry, failure typing and accounting
+//!
+//! The FD and eigenfunction solvers share one crate-private core,
+//! `PcgCore`. A backend supplies only what differs between them (the
+//! `PcgBackend` trait): its per-worker scratch, one PCG attempt at a
+//! given iteration budget (warm-started from the scratch's iterate), and
+//! the map from its solution to contact currents. The core owns the
+//! rest, once for both:
+//!
+//! * the bounded retry — an attempt that misses tolerance within
+//!   `max_iter` is re-run exactly once, warm-started, at 4x the budget
+//!   (counted as `solve_retries`);
+//! * failure typing — still unconverged is
+//!   [`SolverError::NotConverged`], NaN/Inf currents are
+//!   [`SolverError::NonFinite`];
+//! * the degradation policy — `try_solve`/`try_solve_batch` return the
+//!   error (a batch reports its lowest failing column), `solve`/
+//!   `solve_batch` warn on stderr and return best-effort currents; both
+//!   count one `solves_failed` per failing call;
+//! * the `solves`/`inner_iterations` counters behind each backend's
+//!   `stats()`, the `solve.*`/`solve_batch.*` spans, and the threaded
+//!   batch.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use subsparse_linalg::cg::CgResult;
 use subsparse_linalg::{exec, trace, Mat};
 
-/// Shared per-backend solve instrumentation: counts the solves and RHS
-/// columns, opens the backend's span, and attributes the wall time as
-/// `k` equal [`trace::Hist::SolveNs`] shares when dropped.
-pub(crate) struct SolveTrace {
+/// Per-call solve instrumentation: counts the solves, opens the backend's
+/// span, and attributes the wall time as `k` equal
+/// [`trace::Hist::SolveNs`] shares when dropped.
+struct SolveTrace {
     span: trace::Span,
     start: Option<std::time::Instant>,
     k: u64,
 }
 
 impl SolveTrace {
-    pub(crate) fn begin(name: &'static str, k: usize) -> SolveTrace {
+    fn begin(name: &'static str, k: usize) -> SolveTrace {
         let k = k as u64;
         trace::add(trace::Counter::Solves, k);
-        trace::add(trace::Counter::RhsColumns, k);
         SolveTrace {
             span: trace::span_arg(name, k),
             start: trace::enabled().then(std::time::Instant::now),
@@ -74,39 +96,8 @@ impl Drop for SolveTrace {
     }
 }
 
-/// Batching and threading knobs shared by every extraction pipeline.
-///
-/// `max_batch` bounds how many right-hand sides are assembled into one
-/// [`SubstrateSolver::solve_batch`] call; `threads` is the worker-thread
-/// count that CLIs and benches plumb into
-/// [`FdSolverConfig`](crate::FdSolverConfig) /
-/// [`EigenSolverConfig`](crate::EigenSolverConfig) when constructing the
-/// solvers (0 = one worker per available CPU).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchOptions {
-    /// Maximum RHS columns per `solve_batch` call (at least 1).
-    pub max_batch: usize,
-    /// Worker threads for the threaded solver backends; 0 = auto-detect.
-    pub threads: usize,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        BatchOptions { max_batch: 32, threads: 1 }
-    }
-}
-
-impl BatchOptions {
-    /// The effective batch width (never 0).
-    pub fn batch_width(&self) -> usize {
-        self.max_batch.max(1)
-    }
-
-    /// Resolves `threads`: 0 becomes the available CPU parallelism.
-    pub fn resolved_threads(&self) -> usize {
-        resolve_threads(self.threads)
-    }
-}
+/// RHS block width of [`extract_dense`] and [`extract_columns`].
+const DEFAULT_MAX_BATCH: usize = 32;
 
 // The canonical resolver lives next to the serving executor in
 // `linalg::op`; re-exported here because the extraction pipelines
@@ -120,14 +111,14 @@ use crate::SolverError;
 /// once, warm-started from the partial solution, with this multiple of
 /// the budget before the failure surfaces as
 /// [`SolverError::NotConverged`].
-pub(crate) const RETRY_BUDGET_FACTOR: usize = 4;
+const RETRY_BUDGET_FACTOR: usize = 4;
 
 /// A column failure recorded while a batch kept solving its remaining
 /// columns: the lowest failing column index and its error.
 #[derive(Clone, Debug)]
-pub(crate) struct ColumnFailure {
-    pub(crate) column: usize,
-    pub(crate) error: SolverError,
+struct ColumnFailure {
+    column: usize,
+    error: SolverError,
 }
 
 /// A black-box substrate solver: given the `n` contact voltages, returns
@@ -213,8 +204,7 @@ impl<T: SubstrateSolver + ?Sized> SubstrateSolver for &T {
 ///
 /// Each column is solved by the exact same serial routine regardless of
 /// the thread count, so the result is deterministic and bit-identical to
-/// a serial loop. Shared by the FD and eigenfunction `solve_batch`
-/// overrides.
+/// a serial loop. The batch half of [`PcgCore`].
 ///
 /// A failing column does **not** stop the batch: every column is solved
 /// (each writes its best-effort output), and the failure of the
@@ -228,7 +218,7 @@ impl<T: SubstrateSolver + ?Sized> SubstrateSolver for &T {
 /// `O(threads)`, not `O(columns)`, and since each column's solve only ever
 /// *overwrites* the state, results stay bit-identical to the
 /// fresh-state-per-column loop.
-pub(crate) fn solve_columns_threaded_with<St, M, F>(
+fn solve_columns_threaded_with<St, M, F>(
     voltages: &Mat,
     n_out: usize,
     threads: usize,
@@ -289,19 +279,176 @@ where
     (out, failure.into_inner().unwrap_or_else(|e| e.into_inner()))
 }
 
-/// Shared tail of the iterative backends' infallible batch paths: warn
-/// once per batch, count the failure, and hand back the best-effort
-/// matrix.
-pub(crate) fn warn_batch_failure(backend: &str, fail: Option<ColumnFailure>, out: Mat) -> Mat {
-    if let Some(f) = fail {
-        trace::add(trace::Counter::SolvesFailed, 1);
-        eprintln!(
-            "warning: {backend} solve_batch column {}: {}; returning best-effort currents \
-             (use try_solve_batch for a typed error)",
-            f.column, f.error
-        );
+/// What an iterative black box supplies to the shared [`PcgCore`]: the
+/// parts in which the FD and eigenfunction solvers differ.
+///
+/// The backend's setup (operator, preconditioner) is built once and only
+/// read here, so any number of batch workers call these concurrently,
+/// each with its own [`Scratch`](Self::Scratch).
+pub(crate) trait PcgBackend: Sync {
+    /// Backend name in warnings (`fd`, `eigen`).
+    const NAME: &'static str;
+    /// Span names of one [`SubstrateSolver::solve`] and of one
+    /// [`SubstrateSolver::solve_batch`].
+    const SPANS: [&'static str; 2];
+    /// Per-worker reusable state: right-hand side, iterate, PCG and
+    /// operator work space. Every buffer is fully overwritten per solve,
+    /// so a warm scratch gives the bits of a fresh one.
+    type Scratch: Default;
+    /// Loads the right-hand side for contact voltages `v` into `sc` and
+    /// zeroes its iterate.
+    fn load(&self, v: &[f64], sc: &mut Self::Scratch);
+    /// One PCG attempt of at most `budget` iterations, warm-started from
+    /// `sc`'s iterate.
+    fn attempt(&self, budget: usize, sc: &mut Self::Scratch) -> CgResult;
+    /// Writes the contact currents of `sc`'s iterate (for voltages `v`)
+    /// into `out`.
+    fn currents(&self, v: &[f64], sc: &Self::Scratch, out: &mut [f64]);
+}
+
+/// The solve policy the iterative backends share (see the
+/// [module docs](self)): bounded retry, failure typing, warnings, solve
+/// accounting, spans and batch threading. Each backend's
+/// `impl SubstrateSolver` delegates to it.
+#[derive(Debug)]
+pub(crate) struct PcgCore {
+    n_contacts: usize,
+    max_iter: usize,
+    threads: usize,
+    solves: AtomicUsize,
+    iterations: AtomicUsize,
+}
+
+impl PcgCore {
+    pub(crate) fn new(n_contacts: usize, max_iter: usize, threads: usize) -> Self {
+        PcgCore {
+            n_contacts,
+            max_iter,
+            threads,
+            solves: AtomicUsize::new(0),
+            iterations: AtomicUsize::new(0),
+        }
     }
-    out
+
+    pub(crate) fn n_contacts(&self) -> usize {
+        self.n_contacts
+    }
+
+    /// Cumulative solves and inner iterations (retries included).
+    pub(crate) fn stats(&self) -> SolveStats {
+        SolveStats {
+            solves: self.solves.load(Ordering::Relaxed),
+            inner_iterations: self.iterations.load(Ordering::Relaxed),
+        }
+    }
+
+    /// One column: attempt, the bounded retry, currents (written either
+    /// way, best effort), then the typed verdict.
+    fn solve_one<B: PcgBackend>(
+        &self,
+        backend: &B,
+        v: &[f64],
+        currents: &mut [f64],
+        sc: &mut B::Scratch,
+    ) -> Result<(), SolverError> {
+        assert_eq!(v.len(), self.n_contacts, "voltage vector length mismatch");
+        backend.load(v, sc);
+        let mut result = backend.attempt(self.max_iter, sc);
+        let mut iters = result.iterations;
+        self.solves.fetch_add(1, Ordering::Relaxed);
+        if !result.converged {
+            trace::add(trace::Counter::SolveRetries, 1);
+            result = backend.attempt(self.max_iter * RETRY_BUDGET_FACTOR, sc);
+            iters += result.iterations;
+        }
+        self.iterations.fetch_add(iters, Ordering::Relaxed);
+        backend.currents(v, sc, currents);
+        if !result.converged {
+            return Err(SolverError::NotConverged { relres: result.relative_residual, iters });
+        }
+        if let Some(entry) = currents.iter().position(|c| !c.is_finite()) {
+            return Err(SolverError::NonFinite { entry });
+        }
+        Ok(())
+    }
+
+    /// One column on fresh scratch. A failure counts one `solves_failed`.
+    fn single<B: PcgBackend>(&self, backend: &B, v: &[f64]) -> (Vec<f64>, Result<(), SolverError>) {
+        let _t = SolveTrace::begin(B::SPANS[0], 1);
+        let mut currents = vec![0.0; self.n_contacts];
+        let verdict = self.solve_one(backend, v, &mut currents, &mut B::Scratch::default());
+        if verdict.is_err() {
+            trace::add(trace::Counter::SolvesFailed, 1);
+        }
+        (currents, verdict)
+    }
+
+    /// Every column is solved (best effort); the lowest failing column,
+    /// if any, is reported alongside the matrix and counts one
+    /// `solves_failed` for the whole batch.
+    fn batch<B: PcgBackend>(&self, backend: &B, voltages: &Mat) -> (Mat, Option<ColumnFailure>) {
+        assert_eq!(voltages.n_rows(), self.n_contacts, "voltage block row mismatch");
+        let (out, fail) = {
+            let _t = SolveTrace::begin(B::SPANS[1], voltages.n_cols());
+            solve_columns_threaded_with(
+                voltages,
+                self.n_contacts,
+                self.threads,
+                B::Scratch::default,
+                |v, out, sc| self.solve_one(backend, v, out, sc),
+            )
+        };
+        if fail.is_some() {
+            trace::add(trace::Counter::SolvesFailed, 1);
+        }
+        (out, fail)
+    }
+
+    pub(crate) fn solve<B: PcgBackend>(&self, backend: &B, v: &[f64]) -> Vec<f64> {
+        let (currents, verdict) = self.single(backend, v);
+        if let Err(e) = verdict {
+            eprintln!(
+                "warning: {} solve: {e}; returning best-effort currents \
+                 (use try_solve for a typed error)",
+                B::NAME
+            );
+        }
+        currents
+    }
+
+    pub(crate) fn solve_batch<B: PcgBackend>(&self, backend: &B, voltages: &Mat) -> Mat {
+        let (out, fail) = self.batch(backend, voltages);
+        if let Some(f) = fail {
+            eprintln!(
+                "warning: {} solve_batch column {}: {}; returning best-effort currents \
+                 (use try_solve_batch for a typed error)",
+                B::NAME,
+                f.column,
+                f.error
+            );
+        }
+        out
+    }
+
+    pub(crate) fn try_solve<B: PcgBackend>(
+        &self,
+        backend: &B,
+        v: &[f64],
+    ) -> Result<Vec<f64>, SolverError> {
+        let (currents, verdict) = self.single(backend, v);
+        verdict.map(|()| currents)
+    }
+
+    pub(crate) fn try_solve_batch<B: PcgBackend>(
+        &self,
+        backend: &B,
+        voltages: &Mat,
+    ) -> Result<Mat, SolverError> {
+        match self.batch(backend, voltages) {
+            (out, None) => Ok(out),
+            (_, Some(f)) => Err(f.error),
+        }
+    }
 }
 
 /// Cumulative cost statistics of a solver.
@@ -486,24 +633,24 @@ impl SubstrateSolver for DenseSolver {
 
 /// Extracts the dense conductance matrix the naive way: one black-box
 /// solve per contact, `G(:, i) = solve(e_i)` (thesis §1.2). Solves are
-/// issued in [`BatchOptions::default`]-sized blocks through
+/// issued in blocks of 32 columns through
 /// [`SubstrateSolver::solve_batch`]; use [`extract_dense_batched`] to
-/// control the batching.
+/// choose the width.
 pub fn extract_dense<S: SubstrateSolver + ?Sized>(solver: &S) -> Mat {
-    extract_dense_batched(solver, &BatchOptions::default())
+    extract_dense_batched(solver, DEFAULT_MAX_BATCH)
 }
 
-/// [`extract_dense`] with explicit batching control.
-pub fn extract_dense_batched<S: SubstrateSolver + ?Sized>(solver: &S, batch: &BatchOptions) -> Mat {
+/// [`extract_dense`] in RHS blocks of at most `max_batch` columns.
+pub fn extract_dense_batched<S: SubstrateSolver + ?Sized>(solver: &S, max_batch: usize) -> Mat {
     let n = solver.n_contacts();
     let cols: Vec<usize> = (0..n).collect();
-    extract_columns_batched(solver, &cols, batch)
+    extract_columns_batched(solver, &cols, max_batch)
 }
 
 /// Builds a synthetic dense conductance matrix for a layout with a smooth
 /// dipole-like decay kernel:
 /// `G_ij = -area_i area_j / (c + d_ij^3)` for `i != j` and a diagonally
-/// dominant positive diagonal.
+/// dominant positive diagonal — the entries of [`kernel`], stored.
 ///
 /// This mimics the qualitative structure of a real substrate `G`
 /// (symmetric, negative off-diagonals, smooth decay with distance) at zero
@@ -511,23 +658,16 @@ pub fn extract_dense_batched<S: SubstrateSolver + ?Sized>(solver: &S, batch: &Ba
 /// tests. It is *not* a physical model — use the FD or eigenfunction
 /// solvers for real extractions.
 pub fn synthetic(layout: &subsparse_layout::Layout) -> DenseSolver {
-    let n = layout.n_contacts();
-    let centroids: Vec<(f64, f64)> = layout.contacts().iter().map(|c| c.centroid()).collect();
-    let areas: Vec<f64> = layout.contacts().iter().map(|c| c.area()).collect();
-    let (a, _) = layout.extent();
-    let c0 = (a / 64.0).powi(3).max(1e-9);
+    let k = kernel(layout);
+    let n = k.n_contacts();
     let mut g = Mat::zeros(n, n);
     for i in 0..n {
+        g[(i, i)] = k.diag[i];
         for j in (i + 1)..n {
-            let d = (centroids[i].0 - centroids[j].0).hypot(centroids[i].1 - centroids[j].1);
-            let v = -areas[i] * areas[j] / (c0 + d * d * d);
+            let v = k.off(i, j);
             g[(i, j)] = v;
             g[(j, i)] = v;
         }
-    }
-    for i in 0..n {
-        let off: f64 = (0..n).filter(|&j| j != i).map(|j| g[(i, j)].abs()).sum();
-        g[(i, i)] = 1.25 * off + 0.05 * areas[i];
     }
     DenseSolver::new(g)
 }
@@ -545,10 +685,9 @@ pub fn synthetic(layout: &subsparse_layout::Layout) -> DenseSolver {
 /// the batch, so the kernel-evaluation cost is amortized across the
 /// batch width exactly like a dense gemm amortizes memory passes.
 ///
-/// Entries agree with [`synthetic`]'s matrix bit-for-bit (same formula,
-/// same operations); *responses* agree only to rounding (~1e-15
-/// relative), because the summation order differs from the dense
-/// matvec. Construction is one streaming `O(n^2)`-time, `O(n)`-memory
+/// [`synthetic`]'s matrix is built from these entries, so the two agree
+/// bit-for-bit; *responses* agree only to rounding (~1e-15 relative),
+/// because the summation order differs from the dense matvec. Construction is one streaming `O(n^2)`-time, `O(n)`-memory
 /// pass to accumulate the diagonally dominant diagonal.
 #[derive(Clone, Debug)]
 pub struct KernelSolver {
@@ -559,8 +698,7 @@ pub struct KernelSolver {
 }
 
 impl KernelSolver {
-    /// Off-diagonal kernel value `G_ij` (`i != j`) — the [`synthetic`]
-    /// formula, evaluated on demand.
+    /// Off-diagonal kernel value `G_ij` (`i != j`), evaluated on demand.
     #[inline]
     fn off(&self, i: usize, j: usize) -> f64 {
         let d = (self.centroids[i].0 - self.centroids[j].0)
@@ -568,7 +706,7 @@ impl KernelSolver {
         -self.areas[i] * self.areas[j] / (self.c0 + d * d * d)
     }
 
-    /// The precomputed diagonal (same dominance rule as [`synthetic`]).
+    /// The precomputed diagonal: `1.25 sum_{j != i} |G_ij| + 0.05 area_i`.
     pub fn diagonal(&self) -> &[f64] {
         &self.diag
     }
@@ -750,20 +888,20 @@ pub fn for_each_batched<S: SubstrateSolver + ?Sized, T>(
 /// Extracts a subset of columns of `G` (used for sampled error estimates
 /// on large examples, thesis Table 4.3), batching the unit-vector solves.
 pub fn extract_columns<S: SubstrateSolver + ?Sized>(solver: &S, cols: &[usize]) -> Mat {
-    extract_columns_batched(solver, cols, &BatchOptions::default())
+    extract_columns_batched(solver, cols, DEFAULT_MAX_BATCH)
 }
 
 /// [`extract_columns`] with explicit batching control: the unit-vector
-/// right-hand sides are assembled into blocks of at most
-/// [`BatchOptions::max_batch`] columns and pushed through
+/// right-hand sides are assembled into blocks of at most `max_batch`
+/// columns (at least 1) and pushed through
 /// [`SubstrateSolver::solve_batch`].
 pub fn extract_columns_batched<S: SubstrateSolver + ?Sized>(
     solver: &S,
     cols: &[usize],
-    batch: &BatchOptions,
+    max_batch: usize,
 ) -> Mat {
     let n = solver.n_contacts();
-    let width = batch.batch_width();
+    let width = max_batch.max(1);
     let mut g = Mat::zeros(n, cols.len());
     for (k0, chunk) in cols.chunks(width).enumerate().map(|(c, ch)| (c * width, ch)) {
         let mut e = Mat::zeros(n, chunk.len());
@@ -829,6 +967,50 @@ mod tests {
         let (yk, yd) = (mf.solve(&v), dense.solve(&v));
         for i in 0..n {
             assert!((yk[i] - yd[i]).abs() <= 1e-12 * yd[i].abs().max(1.0));
+        }
+    }
+
+    /// The dense formula `synthetic` evaluated on its own before it was
+    /// built from the kernel entries, kept as the bit-level reference.
+    fn dense_reference(layout: &subsparse_layout::Layout) -> Mat {
+        let n = layout.n_contacts();
+        let centroids: Vec<(f64, f64)> = layout.contacts().iter().map(|c| c.centroid()).collect();
+        let areas: Vec<f64> = layout.contacts().iter().map(|c| c.area()).collect();
+        let (a, _) = layout.extent();
+        let c0 = (a / 64.0).powi(3).max(1e-9);
+        let mut g = Mat::zeros(n, n);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let d = (centroids[i].0 - centroids[j].0).hypot(centroids[i].1 - centroids[j].1);
+                let v = -areas[i] * areas[j] / (c0 + d * d * d);
+                g[(i, j)] = v;
+                g[(j, i)] = v;
+            }
+        }
+        for i in 0..n {
+            let off: f64 = (0..n).filter(|&j| j != i).map(|j| g[(i, j)].abs()).sum();
+            g[(i, i)] = 1.25 * off + 0.05 * areas[i];
+        }
+        g
+    }
+
+    #[test]
+    fn synthetic_keeps_the_dense_formula_bits() {
+        use subsparse_layout::generators;
+        let mut layouts: Vec<_> =
+            [6, 13, 20].iter().map(|&k| generators::regular_grid(128.0, k, 2.0)).collect();
+        layouts.push(generators::alternating_grid(128.0, 12, 3.0, 1.5));
+        layouts.push(generators::irregular_same_size(128.0, 16, 2.0, 7));
+        layouts.push(generators::mixed_shapes(128.0));
+        for layout in &layouts {
+            let (want, got) = (dense_reference(layout), synthetic(layout));
+            let n = layout.n_contacts();
+            for i in 0..n {
+                for j in 0..n {
+                    let (a, b) = (got.matrix()[(i, j)], want[(i, j)]);
+                    assert_eq!(a.to_bits(), b.to_bits(), "n = {n}, entry ({i},{j}): {a} vs {b}");
+                }
+            }
         }
     }
 

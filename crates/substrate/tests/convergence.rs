@@ -121,3 +121,44 @@ fn healthy_solvers_pass_through_unchanged() {
     let eig = eigen_solver(4000, 1e-10);
     assert_eq!(eig.try_solve(&v).unwrap(), eig.solve(&v));
 }
+
+#[test]
+fn starved_batch_reports_its_lowest_failing_column() {
+    // column 0 is all zeros and converges at once; columns 1..3 all fail,
+    // each with its own residual, so the reported error names the column
+    let block = Mat::from_cols(&[
+        vec![0.0; 4],
+        vec![1.0, -0.5, 0.25, 0.0],
+        vec![0.3, 1.0, 0.0, -2.0],
+        vec![0.0, 0.0, 1.0, 0.0],
+    ]);
+    let layout = generators::regular_grid(128.0, 2, 32.0);
+    let sub = Substrate::thesis_standard();
+    for threads in [1, 2] {
+        let fd = FdSolverConfig {
+            nx: 16,
+            ny: 16,
+            nz: 8,
+            tol: 1e-14,
+            max_iter: 1,
+            threads,
+            ..Default::default()
+        };
+        let eigen = EigenSolverConfig { panels: 32, tol: 1e-14, max_iter: 1, threads };
+        let solvers: [(&str, Box<dyn SubstrateSolver>); 2] = [
+            ("fd", Box::new(FdSolver::new(&sub, &layout, fd).unwrap())),
+            ("eigen", Box::new(EigenSolver::new(&sub, &layout, eigen).unwrap())),
+        ];
+        for (name, s) in solvers {
+            assert!(s.try_solve(block.col(0)).is_ok(), "{name}: a zero column converges");
+            let errors: Vec<SolverError> =
+                (1..4).map(|j| s.try_solve(block.col(j)).expect_err("starved column")).collect();
+            assert!(
+                errors[0] != errors[1] && errors[0] != errors[2],
+                "{name}: fixture columns must fail distinguishably, got {errors:?}"
+            );
+            let got = s.try_solve_batch(&block).expect_err("starved batch must fail");
+            assert_eq!(got, errors[0], "{name}, threads = {threads}: lowest failing column");
+        }
+    }
+}

@@ -8,9 +8,9 @@
 use subsparse_layout::{generators, Layout};
 use subsparse_linalg::Mat;
 use subsparse_substrate::{
-    extract_dense, extract_dense_batched, solver::extract_columns_batched, BatchOptions,
-    CountingSolver, DenseSolver, EigenSolver, EigenSolverConfig, FdSolver, FdSolverConfig,
-    Substrate, SubstrateSolver,
+    extract_dense, extract_dense_batched, solver::extract_columns_batched, CountingSolver,
+    DenseSolver, EigenSolver, EigenSolverConfig, FdSolver, FdSolverConfig, Substrate,
+    SubstrateSolver,
 };
 
 /// A deterministic, dense voltage block (no zeros, mixed signs).
@@ -107,7 +107,7 @@ fn counting_solver_counts_columns_not_calls() {
     assert_eq!(counting.count(), 6);
     // batched dense extraction costs exactly n solves, like the naive loop
     counting.reset();
-    let _ = extract_dense_batched(&counting, &BatchOptions { max_batch: 7, threads: 1 });
+    let _ = extract_dense_batched(&counting, 7);
     assert_eq!(counting.count(), 16);
 }
 
@@ -118,12 +118,12 @@ fn batched_extraction_is_batch_size_invariant() {
     let reference = extract_dense(&s);
     // non-divisible width, width 1, and over-wide batches all agree
     for max_batch in [1, 3, 5, 16, 1000] {
-        let g = extract_dense_batched(&s, &BatchOptions { max_batch, threads: 1 });
+        let g = extract_dense_batched(&s, max_batch);
         assert_eq!(g.data(), reference.data(), "max_batch = {max_batch}");
     }
     // column subsets too, in arbitrary order
     let cols = [14usize, 2, 7, 0, 15];
-    let sub = extract_columns_batched(&s, &cols, &BatchOptions { max_batch: 2, threads: 1 });
+    let sub = extract_columns_batched(&s, &cols, 2);
     for (k, &c) in cols.iter().enumerate() {
         assert_eq!(sub.col(k), reference.col(c), "column {c}");
     }
