@@ -7,7 +7,7 @@ use subsparse::layout::generators;
 use subsparse::linalg::dct::{dct2d_with, Dct, Dct2dScratch};
 use subsparse::linalg::svd::svd;
 use subsparse::linalg::{LinOp, Mat};
-use subsparse::substrate::{EigenSolver, EigenSolverConfig};
+use subsparse::substrate::{EigenSolver, EigenSolverConfig, SubstrateSolver};
 use subsparse::Substrate;
 use subsparse_bench::timing;
 
@@ -35,11 +35,13 @@ fn main() {
         dct2d_with(&plan, &plan, black_box(&mut grid), 128, 128, false, &mut sc);
     });
 
-    // one application of the eigenfunction solver's current-to-potential
-    // operator (forward transform, mode scaling, transpose transform) —
-    // the work of one CG iteration; multipliers `1 / (d_m d_n)` with
-    // `d = (n, n/2, ..., n/2)` make it the identity up to rounding, so
-    // the grid stays bounded however many iterations the harness runs
+    // the full-grid current-to-potential pipeline (forward 2-D transform,
+    // mode scaling, transpose 2-D transform): the kernel-level row; the
+    // solver's CG runs a staged version restricted to the grid rows that
+    // hold contacts, timed inside a whole solve by `eigen_solve_128`;
+    // multipliers `1 / (d_m d_n)` with `d = (n, n/2, ..., n/2)` make it
+    // the identity up to rounding, so the grid stays bounded however many
+    // iterations the harness runs
     let d = |k: usize| if k == 0 { 128.0 } else { 64.0 };
     let mu: Vec<f64> = (0..128 * 128).map(|i| 1.0 / (d(i / 128) * d(i % 128))).collect();
     timing::bench("eigen_op_128", || {
@@ -66,5 +68,14 @@ fn main() {
     let mut z = vec![0.0; pre.dim()];
     timing::bench("eigen_precond_128", || {
         pre.apply(black_box(&r), black_box(&mut z));
+    });
+
+    // one black-box solve of a unit vector on the same layout: the PCG
+    // iterations of one extraction column, each one apply of the staged
+    // operator and one of the preconditioner
+    let mut e = vec![0.0; solver.n_contacts()];
+    e[0] = 1.0;
+    timing::bench("eigen_solve_128", || {
+        black_box(solver.solve(black_box(&e)));
     });
 }

@@ -158,7 +158,9 @@ impl FastWaveletTransform {
             let mut next_out = 0usize;
             let mut next_in = 0usize;
             for node in &level.nodes {
-                if node.v_cols + node.w_cols != node.in_len {
+                // header fields are untrusted: every sum and product below
+                // is checked, so a huge value is an error, not a wrap
+                if node.v_cols.checked_add(node.w_cols) != Some(node.in_len) {
                     return Err(format!(
                         "level {li}: block is not square ({} + {} != {})",
                         node.v_cols, node.w_cols, node.in_len
@@ -167,16 +169,25 @@ impl FastWaveletTransform {
                 if node.out_offset != next_out {
                     return Err(format!("level {li}: scaling outputs are not contiguous"));
                 }
-                next_out += node.v_cols;
+                next_out = next_out
+                    .checked_add(node.v_cols)
+                    .ok_or_else(|| format!("level {li}: scaling outputs overflow"))?;
                 if node.in_offset != next_in {
                     return Err(format!("level {li}: gather ranges are not contiguous"));
                 }
-                next_in += node.in_len;
-                if node.block_offset + node.in_len * (node.v_cols + node.w_cols) > blocks.len() {
+                next_in = next_in
+                    .checked_add(node.in_len)
+                    .ok_or_else(|| format!("level {li}: gather ranges overflow"))?;
+                let block_end = node
+                    .in_len
+                    .checked_mul(node.in_len)
+                    .and_then(|size| size.checked_add(node.block_offset));
+                if block_end.map_or(true, |end| end > blocks.len()) {
                     return Err(format!("level {li}: block storage out of bounds"));
                 }
                 if node.w_cols > 0 {
-                    if node.col_start < root_v || node.col_start + node.w_cols > n {
+                    let col_end = node.col_start.checked_add(node.w_cols);
+                    if node.col_start < root_v || col_end.map_or(true, |end| end > n) {
                         return Err(format!("level {li}: wavelet outputs out of range"));
                     }
                     for covered in

@@ -7,15 +7,20 @@
 //!   panic and never a silently wrong model (any payload byte flip is
 //!   caught by the integrity digest);
 //! * side-file damage **degrades** the model to the explicit-CSR serving
-//!   path instead of refusing it.
+//!   path instead of refusing it;
+//! * damage that keeps a valid digest (the file re-stamped after the
+//!   edit) is caught by the structural validation behind the digest, with
+//!   the same two outcomes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 
 use subsparse_hier::fwt::{FwtLevel, FwtNode};
 use subsparse_hier::rep::ModelLoadError;
 use subsparse_hier::{BasisRep, FastWaveletTransform};
-use subsparse_linalg::{Csr, Triplets};
+use subsparse_linalg::io::fnv1a64;
+use subsparse_linalg::{trace, Csr, Triplets};
 
 fn example_rep(n: usize) -> BasisRep {
     assert!(n.is_power_of_two());
@@ -91,6 +96,52 @@ impl Drop for Fixture {
 fn load_no_panic(stem: &Path, scenario: &str) -> Result<BasisRep, ModelLoadError> {
     catch_unwind(AssertUnwindSafe(|| BasisRep::load(stem)))
         .unwrap_or_else(|_| panic!("load panicked on {scenario}"))
+}
+
+/// Held by every test that degrades a load, so the one that counts
+/// `degraded_loads` sees only its own.
+static DEGRADING_LOADS: Mutex<()> = Mutex::new(());
+
+fn degrading_loads() -> MutexGuard<'static, ()> {
+    DEGRADING_LOADS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Line `line` of `text` (0-based) with field `field` replaced by
+/// `value`.
+fn with_field(text: &str, line: usize, field: usize, value: &str) -> String {
+    let mut lines: Vec<String> = text.split('\n').map(str::to_owned).collect();
+    let mut fields: Vec<&str> = lines[line].split_whitespace().collect();
+    fields[field] = value;
+    lines[line] = fields.join(" ");
+    lines.join("\n")
+}
+
+/// Rewrites a Matrix Market factor with `field` of its size line set to
+/// `value`, re-stamping the digest (which covers every line but its own)
+/// so the damage reaches the parser.
+fn restamp_mtx_size(path: &Path, field: usize, value: &str) {
+    let text = std::fs::read_to_string(path).unwrap();
+    let canonical: String =
+        text.split_inclusive('\n').filter(|l| !l.contains("subsparse digest fnv1a64")).collect();
+    let size_line = canonical.lines().position(|l| !l.starts_with('%')).unwrap();
+    let edited = with_field(&canonical, size_line, field, value);
+    let (banner, rest) = edited.split_once('\n').unwrap();
+    let digest = fnv1a64(edited.as_bytes());
+    std::fs::write(path, format!("{banner}\n% subsparse digest fnv1a64 {digest:016x}\n{rest}"))
+        .unwrap();
+}
+
+/// Rewrites the `.fwt` side file with `field` of body line `line` set to
+/// `value`, re-stamping the digest (which covers the body after the
+/// header and digest lines).
+fn restamp_fwt(path: &Path, line: usize, field: usize, value: &str) {
+    let text = std::fs::read_to_string(path).unwrap();
+    let mut parts = text.splitn(3, '\n');
+    let (header, _digest, body) = (parts.next().unwrap(), parts.next(), parts.next().unwrap());
+    let body = with_field(body, line, field, value);
+    let digest = fnv1a64(body.as_bytes());
+    std::fs::write(path, format!("{header}\n% subsparse digest fnv1a64 {digest:016x}\n{body}"))
+        .unwrap();
 }
 
 /// The byte range of the digest comment line, so flip sweeps can tell
@@ -170,6 +221,7 @@ fn factor_truncations_are_always_typed_errors() {
 
 #[test]
 fn side_file_damage_degrades_instead_of_refusing() {
+    let _serial = degrading_loads();
     let fx = Fixture::new("sidefile");
     let path = fx.path(".fwt");
     let pristine = std::fs::read(&path).unwrap();
@@ -202,4 +254,51 @@ fn side_file_damage_degrades_instead_of_refusing() {
 
     fx.restore();
     assert!(load_no_panic(&fx.stem, "pristine").unwrap().fwt().is_some());
+}
+
+#[test]
+fn restamped_fwt_offsets_near_usize_max_degrade() {
+    let _serial = degrading_loads();
+    let fx = Fixture::new("fwt_overflow");
+    let path = fx.path(".fwt");
+    let huge = |d: usize| (usize::MAX - d).to_string();
+    // body line 2 is the first node of the finest level: in_offset
+    // in_len v_cols w_cols out_offset col_start block_offset; each value
+    // makes an unchecked sum or product in the validation wrap
+    for (field, value, what) in [
+        (6, huge(3), "block_offset"),
+        (5, huge(0), "col_start"),
+        (2, huge(0), "v_cols"),
+        (1, huge(0), "in_len"),
+    ] {
+        fx.restore();
+        restamp_fwt(&path, 2, field, &value);
+        let scenario = format!(".fwt {what} = {value}, digest re-stamped");
+        trace::set_enabled(true);
+        let before = trace::counter(trace::Counter::DegradedLoads);
+        let back = load_no_panic(&fx.stem, &scenario);
+        let degraded = trace::counter(trace::Counter::DegradedLoads) - before;
+        trace::set_enabled(false);
+        let back = back.unwrap_or_else(|e| panic!("{scenario} must degrade, not refuse: {e}"));
+        assert!(back.fwt().is_none(), "{scenario} must drop the fast path");
+        assert_eq!(degraded, 1, "{scenario} must count one degraded load");
+    }
+    fx.restore();
+    assert!(load_no_panic(&fx.stem, "pristine").unwrap().fwt().is_some());
+}
+
+#[test]
+fn restamped_factor_dimensions_beyond_u32_are_typed_errors() {
+    let fx = Fixture::new("mtx_dims");
+    for (suffix, field) in [(".gw.mtx", 0), (".gw.mtx", 1), (".q.mtx", 0), (".q.mtx", 1)] {
+        fx.restore();
+        restamp_mtx_size(&fx.path(suffix), field, "4294967296");
+        let scenario = format!("{suffix} size field {field} = 2^32, digest re-stamped");
+        match load_no_panic(&fx.stem, &scenario) {
+            Err(ModelLoadError::Malformed { file, .. }) => assert!(file.ends_with(suffix)),
+            other => panic!("{scenario}: expected a typed Malformed error, got {other:?}"),
+        }
+    }
+    fx.restore();
+    assert!(load_no_panic(&fx.stem, "pristine").is_ok());
 }

@@ -15,32 +15,57 @@
 //! * the fast-Poisson FD preconditioner (§2.2.2), which diagonalizes the
 //!   Neumann Laplacian in the x/y directions.
 //!
-//! Both directions are computed via a single length-`n` FFT (Makhoul's
-//! algorithm), so a plan costs `O(n log n)` per transform with no
-//! trigonometry in the hot loop.
+//! # Algorithm
+//!
+//! Makhoul's algorithm turns the DCT into the DFT `V` of the reordered
+//! real sequence `v` (`v_j = x_{2j}`, `v_{n-1-j} = x_{2j+1}`), with
+//! `C_k = Re(exp(-i pi k / 2n) V_k)`. Since `v` is real, the textbook
+//! real-data FFT computes `V` with a half-length complex FFT: pack
+//! `z_m = v_{2m} + i v_{2m+1}`, take the `n/2`-point FFT `Z`, and recover
+//! `V` in one split step,
+//!
+//! ```text
+//! V_k = 1/2 (Z_k + conj Z_{n/2-k}) - 1/2 i W_n^k (Z_k - conj Z_{n/2-k}),
+//! ```
+//!
+//! with `W_n = exp(-2 pi i / n)`. Conjugate symmetry gives `V_{n-k}`, and
+//! the same two rows `Z_k`, `Z_{n/2-k}` give `V_{n/2 +- k}`, so the split
+//! step emits `C_k`, `C_{n-k}`, `C_{n/2-k}` and `C_{n/2+k}` together. The
+//! inverse and transpose directions run it backwards: from the rotated
+//! `d = c` (inverse) or `d = D c` (transpose, `D = diag(n, n/2, ...,
+//! n/2)`, since `E E' = D`), form
+//! `Z_k = (V_k + V_{k+n/2}) + i W_n^{-k} (V_k - V_{k+n/2})`, run the
+//! inverse butterflies, and read the even and odd `v` off the real and
+//! imaginary planes. Every FFT is `n/2` points, so a plan costs
+//! `O(n log n)` per transform with no trigonometry in the hot loop.
 //!
 //! # Lane layout
 //!
 //! There is one kernel, and it is lane-batched: it transforms every lane
 //! (column) of a row-major `n x lanes` block at once, in the split-plane
-//! layout of [`crate::fft`]. Its load folds in Makhoul's even/odd
-//! reordering and the FFT's bit reversal (and, for the inverse
-//! directions, the pre-FFT phase rotation); the butterflies run over
-//! whole rows of lanes; its store applies the phase rotation, or the
-//! `1/n` scaling and the de-permutation. [`Dct::transform_lanes`] runs it
-//! directly; [`Dct::transform_rows`] runs it on a blocked transpose, so
-//! the rows of a grid become lanes; [`dct2d_with`] does the rows, then
-//! the columns (whose lanes are the grid rows). The 1-D [`Dct::forward`],
-//! [`Dct::inverse`] and [`Dct::transpose`] are `lanes = 1` calls.
+//! layout of [`crate::fft`] (two `n/2 x lanes` planes). Its load folds in
+//! the Makhoul reordering, the packing and the FFT's bit reversal (and,
+//! for the inverse directions, the phase rotation and the inverse split
+//! step); the butterflies run over whole rows of lanes; its store applies
+//! the split step and phase rotation, or the unpacking, the `1/n` scaling
+//! and the de-permutation. Every inner loop runs over contiguous lanes.
+//! [`Dct::transform_lanes`] runs it directly; [`Dct::transform_rows`] runs
+//! it on a blocked transpose, so the rows of a grid become lanes;
+//! [`dct2d_with`] does the rows, then the columns (whose lanes are the
+//! grid rows). The 1-D [`Dct::forward`], [`Dct::inverse`] and
+//! [`Dct::transpose`] are `lanes = 1` calls.
 //!
 //! # Order contract
 //!
 //! Per lane, the kernel performs identical operations, in identical
-//! order, to the 1-D radix-2 plan: the Makhoul load, the butterflies in
-//! the order documented in [`crate::fft`], and the same phase, scaling
-//! and `D` (`c_k n / 2`) arithmetic. Lanes never mix, so every output bit
-//! is independent of the lane count: a row or column of a 2-D transform
-//! carries exactly the bits of the 1-D transform of that row or column.
+//! order, to the single-signal half-length algorithm: the packed load,
+//! the butterflies in the order documented in [`crate::fft`], and the
+//! split step, phase, scaling and `D` arithmetic spelled out in the
+//! kernel's helpers. Lanes never mix, so every output bit is independent
+//! of the lane count: a row or column of a 2-D transform carries exactly
+//! the bits of the 1-D transform of that row or column. `n = 1` is the
+//! identity in every direction; `n = 2` is the split step alone (a
+//! one-point FFT).
 
 use crate::fft::Fft;
 
@@ -48,13 +73,18 @@ use crate::fft::Fft;
 #[derive(Clone, Debug)]
 pub struct Dct {
     n: usize,
+    /// the half-length (`n / 2`-point) complex FFT; unused for `n = 1`
     fft: Fft,
     /// `exp(-i pi k / (2n))` for `k < n`, real and imaginary parts
     ph_re: Vec<f64>,
     ph_im: Vec<f64>,
+    /// the split-step twiddles `W_n^k = exp(-2 pi i k / n)` for `k <= n/4`
+    w_re: Vec<f64>,
+    w_im: Vec<f64>,
     /// Makhoul's even/odd reordering: signal element `i` is element
-    /// `perm[i]` of the sequence the FFT transforms (`x[2j]` goes to `j`,
-    /// `x[2j+1]` to `n-1-j`)
+    /// `perm[i]` of the real sequence `v` (`x[2j]` goes to `j`, `x[2j+1]`
+    /// to `n-1-j`); `v_j` is packed into `z_{j/2}`, real part if `j` is
+    /// even, imaginary part if odd
     perm: Vec<u32>,
 }
 
@@ -86,15 +116,22 @@ impl Dct {
     ///
     /// Panics if `n` is zero or not a power of two.
     pub fn new(n: usize) -> Self {
-        let fft = Fft::new(n);
+        assert!(n > 0 && n.is_power_of_two(), "DCT size must be a power of two, got {n}");
+        let fft = Fft::new((n / 2).max(1));
         let (ph_re, ph_im) = (0..n)
             .map(|k| {
                 let ang = -std::f64::consts::PI * k as f64 / (2.0 * n as f64);
                 (ang.cos(), ang.sin())
             })
             .unzip();
+        let (w_re, w_im) = (0..=n / 4)
+            .map(|k| {
+                let ang = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
+                (ang.cos(), ang.sin())
+            })
+            .unzip();
         let perm = (0..n).map(|i| if i % 2 == 0 { i / 2 } else { n - 1 - i / 2 } as u32).collect();
-        Dct { n, fft, ph_re, ph_im, perm }
+        Dct { n, fft, ph_re, ph_im, w_re, w_im, perm }
     }
 
     /// Transform length.
@@ -193,11 +230,12 @@ impl Dct {
         transpose_into(t, n, rows, block);
     }
 
-    /// The kernel: load (with the Makhoul reordering, bit reversal and,
-    /// for the inverse directions, the pre-FFT rotation folded in),
-    /// lane-batched butterflies, store (phase rotation, or `1/n` scaling
-    /// and de-permutation). Per lane, operation for operation what the
-    /// single-signal algorithm does.
+    /// The kernel: load into the half-length planes (Makhoul reordering,
+    /// packing, bit reversal and, for the inverse directions, the phase
+    /// rotation and the inverse split step folded in), lane-batched
+    /// `n/2`-point butterflies, store (the split step and phase rotation,
+    /// or the unpacking, `1/n` scaling and de-permutation). Per lane,
+    /// operation for operation what the single-signal algorithm does.
     fn run(
         &self,
         block: &mut [f64],
@@ -212,110 +250,202 @@ impl Dct {
             // n = 1: E = D = [1], every map is the identity
             return;
         }
-        re.resize(n * lanes, 0.0);
-        im.resize(n * lanes, 0.0);
-        if kind == Kind::Forward {
-            self.load_forward(block, lanes, re, im);
-        } else {
-            self.load_inverse(block, lanes, kind == Kind::Transpose, re, im);
+        re.resize(n / 2 * lanes, 0.0);
+        im.resize(n / 2 * lanes, 0.0);
+        match kind {
+            Kind::Forward => self.load_forward(block, lanes, re, im),
+            Kind::Inverse => self.load_inverse(block, lanes, re, im, |x| x, |x| x),
+            Kind::Transpose => {
+                let nf = n as f64;
+                self.load_inverse(block, lanes, re, im, |x| x * nf, |x| x * nf / 2.0);
+            }
         }
         self.fft.butterflies(re, im, lanes, kind != Kind::Forward);
         if kind == Kind::Forward {
             self.store_forward(re, im, lanes, block);
         } else {
-            self.store_inverse(re, lanes, block);
+            self.store_inverse(re, im, lanes, block);
         }
     }
 
-    /// `v = x` reordered (Makhoul), real, rows bit-reversed for the FFT.
+    /// `z_m = v_{2m} + i v_{2m+1}` for the Makhoul-reordered `v = x`,
+    /// rows bit-reversed for the half-length FFT.
     fn load_forward(&self, x: &[f64], lanes: usize, re: &mut [f64], im: &mut [f64]) {
         for (i, src) in x.chunks_exact(lanes).enumerate() {
-            let r = self.fft.bit_reverse(self.perm[i] as usize);
-            re[r * lanes..(r + 1) * lanes].copy_from_slice(src);
+            let j = self.perm[i] as usize;
+            let r = self.fft.bit_reverse(j / 2);
+            let plane = if j % 2 == 0 { &mut *re } else { &mut *im };
+            plane[r * lanes..(r + 1) * lanes].copy_from_slice(src);
         }
-        im.fill(0.0);
     }
 
-    /// `C_k = Re(exp(-i pi k / 2n) V_k)`.
+    /// The split step from `Z = FFT(z)` to the `n`-point spectrum `V` of
+    /// the real `v`, then `C_k = Re(exp(-i pi k / 2n) V_k)`. With
+    /// `E = 1/2 (Z_k + conj Z_{n/2-k})`, `O = -1/2 i (Z_k - conj Z_{n/2-k})`
+    /// and `T = W_n^k O`: `V_k = E + T`, `V_{n/2+k} = E - T`, and by
+    /// conjugate symmetry `V_{n-k} = conj V_k`, `V_{n/2-k} = conj V_{n/2+k}`,
+    /// so one pair of rows emits `C_k`, `C_{n-k}`, `C_{n/2+k}` and
+    /// `C_{n/2-k}`.
     fn store_forward(&self, re: &[f64], im: &[f64], lanes: usize, out: &mut [f64]) {
-        let rows =
-            out.chunks_exact_mut(lanes).zip(re.chunks_exact(lanes)).zip(im.chunks_exact(lanes));
-        for (k, ((o, r), m)) in rows.enumerate() {
-            let (pr, pi) = (self.ph_re[k], self.ph_im[k]);
-            for ((o, &r), &m) in o.iter_mut().zip(r).zip(m) {
-                *o = pr * r - pi * m;
+        let (n, h) = (self.n, self.n / 2);
+        let (lo, hi) = out.split_at_mut(h * lanes);
+        // k = 0: V_0 = Re Z_0 + Im Z_0 and V_{n/2} = Re Z_0 - Im Z_0 are real
+        let (zr, zi) = (lane_row(re, lanes, 0), lane_row(im, lanes, 0));
+        let (c0, ch, p) = (&mut lo[..lanes], &mut hi[..lanes], self.ph_re[h]);
+        for l in 0..lanes {
+            c0[l] = zr[l] + zi[l];
+            ch[l] = p * (zr[l] - zi[l]);
+        }
+        for k in 1..=n / 4 {
+            let (ar, ai) = (lane_row(re, lanes, k), lane_row(im, lanes, k));
+            let (cr, ci) = (lane_row(re, lanes, h - k), lane_row(im, lanes, h - k));
+            let w = (self.w_re[k], self.w_im[k]);
+            let (p0r, p0i) = (self.ph_re[k], self.ph_im[k]);
+            let (p1r, p1i) = (self.ph_re[n - k], self.ph_im[n - k]);
+            if 2 * k == h {
+                // Z_{n/2-k} is Z_k: only C_k and C_{n-k}
+                let (ck, cnk) = (&mut lo[k * lanes..][..lanes], &mut hi[k * lanes..][..lanes]);
+                for l in 0..lanes {
+                    let (sr, si, _, _) = split((ar[l], ai[l]), (cr[l], ci[l]), w);
+                    ck[l] = p0r * sr - p0i * si;
+                    cnk[l] = p1r * sr + p1i * si;
+                }
+                continue;
+            }
+            let (p2r, p2i) = (self.ph_re[h + k], self.ph_im[h + k]);
+            let (p3r, p3i) = (self.ph_re[h - k], self.ph_im[h - k]);
+            // rows k < n/2 - k of each half: C_k and C_{n/2-k} in `lo`,
+            // C_{n/2+k} and C_{n-k} in `hi`
+            let (ck, chk) = two_rows(lo, lanes, k, h - k);
+            let (cpk, cnk) = two_rows(hi, lanes, k, h - k);
+            for l in 0..lanes {
+                let (sr, si, dr, di) = split((ar[l], ai[l]), (cr[l], ci[l]), w);
+                ck[l] = p0r * sr - p0i * si;
+                cnk[l] = p1r * sr + p1i * si;
+                cpk[l] = p2r * dr - p2i * di;
+                chk[l] = p3r * dr + p3i * di;
             }
         }
     }
 
-    /// Inverts Makhoul's last step: `V_k = exp(+i pi k / 2n) (d_k - i d_{n-k})`
-    /// with `d_n = 0`, where `d = D c` for the transpose (`D = diag(n,
-    /// n/2, ..., n/2)`) and `d = c` for the inverse; rows bit-reversed.
+    /// Inverts the split step and Makhoul's last step. Per row `k`,
+    /// `V_k = exp(+i pi k / 2n) (d_k - i d_{n-k})` with `d_n = 0`, where
+    /// `d = D c` for the transpose (`D = diag(n, n/2, ..., n/2)`, applied
+    /// by `d0` to row 0 and by `d` to the rest) and `d = c` for the
+    /// inverse. Then `Z_k = S + U` and `Z_{n/2-k} = conj(S - U)` with
+    /// `S = V_k + V_{n/2+k}` and `U = i W_n^{-k} (V_k - V_{n/2+k})`, which
+    /// is twice the spectrum of `z = v_even + i v_odd`; rows bit-reversed.
     fn load_inverse(
         &self,
         c: &[f64],
         lanes: usize,
-        transpose: bool,
         re: &mut [f64],
         im: &mut [f64],
+        d0: impl Fn(f64) -> f64,
+        d: impl Fn(f64) -> f64,
     ) {
-        let n = self.n;
-        let nf = n as f64;
-        let rows = re.chunks_exact_mut(lanes).zip(im.chunks_exact_mut(lanes));
-        for (i, (dre, dim)) in rows.enumerate() {
-            let k = self.fft.bit_reverse(i);
-            let ck = &c[k * lanes..(k + 1) * lanes];
-            if k == 0 {
-                if transpose {
-                    for (d, &x) in dre.iter_mut().zip(ck) {
-                        *d = x * nf;
-                    }
-                } else {
-                    dre.copy_from_slice(ck);
+        let (n, h) = (self.n, self.n / 2);
+        let row = |k: usize| lane_row(c, lanes, k);
+        // k = 0: V_0 = d_0 and V_{n/2} = sqrt(2) d_{n/2} are real, and
+        // W_n^0 = 1
+        let (c0, ch) = (row(0), row(h));
+        let (zr, zi) = (&mut re[..lanes], &mut im[..lanes]);
+        for l in 0..lanes {
+            let (v0, vh) = (d0(c0[l]), std::f64::consts::SQRT_2 * d(ch[l]));
+            zr[l] = v0 + vh;
+            zi[l] = v0 - vh;
+        }
+        for k in 1..=n / 4 {
+            let (ck, cnk, chk, cmk) = (row(k), row(n - k), row(h + k), row(h - k));
+            let w = (self.w_re[k], self.w_im[k]);
+            // conj(phase) = exp(+i pi k / 2n)
+            let p0 = (self.ph_re[k], -self.ph_im[k]);
+            let p1 = (self.ph_re[h + k], -self.ph_im[h + k]);
+            let (ra, rb) = (self.fft.bit_reverse(k), self.fft.bit_reverse(h - k));
+            if ra == rb {
+                // k = n/4: Z_{n/2-k} is Z_k
+                let (zr, zi) = (&mut re[ra * lanes..][..lanes], &mut im[ra * lanes..][..lanes]);
+                for l in 0..lanes {
+                    let (sr, si, ur, ui) =
+                        unsplit([d(ck[l]), d(cnk[l]), d(chk[l]), d(cmk[l])], p0, p1, w);
+                    zr[l] = sr + ur;
+                    zi[l] = si + ui;
                 }
-                dim.fill(0.0);
                 continue;
             }
-            let cnk = &c[(n - k) * lanes..(n - k + 1) * lanes];
-            // conj(phase) = exp(+i pi k / 2n)
-            let (pr, pi) = (self.ph_re[k], -self.ph_im[k]);
-            if transpose {
-                rotate_row(dre, dim, ck, cnk, pr, pi, |x| x * nf / 2.0);
-            } else {
-                rotate_row(dre, dim, ck, cnk, pr, pi, |x| x);
+            let (ar, br) = two_rows(re, lanes, ra, rb);
+            let (ai, bi) = two_rows(im, lanes, ra, rb);
+            for l in 0..lanes {
+                let (sr, si, ur, ui) =
+                    unsplit([d(ck[l]), d(cnk[l]), d(chk[l]), d(cmk[l])], p0, p1, w);
+                ar[l] = sr + ur;
+                ai[l] = si + ui;
+                br[l] = sr - ur;
+                bi[l] = ui - si;
             }
         }
     }
 
-    /// `out_i = Re(v_{perm[i]}) / n`: the inverse FFT's normalization and
-    /// the undoing of Makhoul's reordering.
-    fn store_inverse(&self, re: &[f64], lanes: usize, out: &mut [f64]) {
+    /// `out_i = v_{perm[i]} / n`, with `v_{2m} = Re z_m` and
+    /// `v_{2m+1} = Im z_m`: the unpacking, the inverse FFT's normalization
+    /// and the undoing of Makhoul's reordering.
+    fn store_inverse(&self, re: &[f64], im: &[f64], lanes: usize, out: &mut [f64]) {
         let inv = 1.0 / self.n as f64;
         for (i, o) in out.chunks_exact_mut(lanes).enumerate() {
             let j = self.perm[i] as usize;
-            for (o, &r) in o.iter_mut().zip(&re[j * lanes..(j + 1) * lanes]) {
+            let plane = if j % 2 == 0 { re } else { im };
+            for (o, &r) in o.iter_mut().zip(&plane[j / 2 * lanes..(j / 2 + 1) * lanes]) {
                 *o = r * inv;
             }
         }
     }
 }
 
-/// One row of [`Dct::load_inverse`]: `(pr + i pi) (d(a) - i d(b))`.
+/// Row `k` of a row-major block with `lanes` columns.
 #[inline(always)]
-fn rotate_row(
-    dre: &mut [f64],
-    dim: &mut [f64],
-    ck: &[f64],
-    cnk: &[f64],
-    pr: f64,
-    pi: f64,
-    d: impl Fn(f64) -> f64,
-) {
-    for (((r, m), &a), &b) in dre.iter_mut().zip(dim.iter_mut()).zip(ck).zip(cnk) {
-        let (zr, zi) = (d(a), -d(b));
-        *r = pr * zr - pi * zi;
-        *m = pr * zi + pi * zr;
+fn lane_row(block: &[f64], lanes: usize, k: usize) -> &[f64] {
+    &block[k * lanes..(k + 1) * lanes]
+}
+
+/// Rows `i != j` of a row-major block with `lanes` columns, both mutable.
+#[inline(always)]
+fn two_rows(block: &mut [f64], lanes: usize, i: usize, j: usize) -> (&mut [f64], &mut [f64]) {
+    if i < j {
+        let (a, b) = block.split_at_mut(j * lanes);
+        (&mut a[i * lanes..(i + 1) * lanes], &mut b[..lanes])
+    } else {
+        let (a, b) = block.split_at_mut(i * lanes);
+        (&mut b[..lanes], &mut a[j * lanes..(j + 1) * lanes])
     }
+}
+
+/// One lane of the forward split step from `a = Z_k` and `c = Z_{n/2-k}`:
+/// `E = 1/2 (a + conj c)`, `O = -1/2 i (a - conj c)`, `T = W O` (in the
+/// butterfly's operand order); returns `V_k = E + T` and
+/// `V_{n/2+k} = E - T`.
+#[inline(always)]
+fn split((ar, ai): (f64, f64), (cr, ci): (f64, f64), (wr, wi): (f64, f64)) -> (f64, f64, f64, f64) {
+    let (er, ei) = (0.5 * (ar + cr), 0.5 * (ai - ci));
+    let (or, oi) = (0.5 * (ai + ci), 0.5 * (cr - ar));
+    let (tr, ti) = (or * wr - oi * wi, or * wi + oi * wr);
+    (er + tr, ei + ti, er - tr, ei - ti)
+}
+
+/// One lane of the inverse split step from the scaled coefficients
+/// `d = [d_k, d_{n-k}, d_{n/2+k}, d_{n/2-k}]`: the rotations
+/// `V_k = p0 (d_k - i d_{n-k})` and `V_{n/2+k} = p1 (d_{n/2+k} - i d_{n/2-k})`,
+/// then `S = V_k + V_{n/2+k}` and `U = i conj(w) (V_k - V_{n/2+k})`.
+#[inline(always)]
+fn unsplit(
+    [dk, dnk, dhk, dmk]: [f64; 4],
+    (p0r, p0i): (f64, f64),
+    (p1r, p1i): (f64, f64),
+    (wr, wi): (f64, f64),
+) -> (f64, f64, f64, f64) {
+    let (ar, ai) = (p0r * dk + p0i * dnk, p0i * dk - p0r * dnk);
+    let (br, bi) = (p1r * dhk + p1i * dmk, p1i * dhk - p1r * dmk);
+    let (sr, si, mr, mi) = (ar + br, ai + bi, ar - br, ai - bi);
+    (sr, si, wi * mr - wr * mi, wr * mr + wi * mi)
 }
 
 /// `dst = src'` for a row-major `rows x cols` `src`, in cache-sized tiles.
@@ -348,8 +478,8 @@ pub fn dct2d(plan_x: &Dct, plan_y: &Dct, grid: &mut [f64], nx: usize, ny: usize,
 
 /// Reusable work buffers for the lane-batched transforms ([`dct2d_with`],
 /// [`Dct::transform_lanes`], [`Dct::transform_rows`]): the real and
-/// imaginary FFT planes and the transpose staging of the row pass — at
-/// most `3 n^2` values for an `n x n` grid. Every buffer is fully
+/// imaginary half-length FFT planes and the transpose staging of the row
+/// pass — at most `2 n^2` values for an `n x n` grid. Every buffer is fully
 /// overwritten before it is read, so reuse never changes a result.
 #[derive(Clone, Debug, Default)]
 pub struct Dct2dScratch {
@@ -421,7 +551,7 @@ mod tests {
 
     #[test]
     fn forward_matches_naive() {
-        for &n in &[1usize, 2, 8, 16, 64] {
+        for &n in &[1usize, 2, 4, 8, 16, 64, 256] {
             let plan = Dct::new(n);
             let x: Vec<f64> = (0..n).map(|i| ((i * i + 3) as f64 * 0.1).sin()).collect();
             let mut out = vec![0.0; n];
@@ -450,7 +580,7 @@ mod tests {
 
     #[test]
     fn transpose_matches_naive() {
-        for &n in &[2usize, 8, 32] {
+        for &n in &[2usize, 4, 8, 32, 256] {
             let plan = Dct::new(n);
             let c: Vec<f64> = (0..n).map(|i| ((i + 1) as f64).ln()).collect();
             let mut out = vec![0.0; n];
@@ -500,61 +630,102 @@ mod tests {
         g
     }
 
-    /// Scalar array-of-structs Makhoul DCT through the textbook radix-2
-    /// FFT (bit-reversal swaps, then butterflies), one complex record per
-    /// element: the order contract of the lane kernel, written out.
+    /// Scalar array-of-structs Makhoul DCT through the half-length real-data
+    /// FFT: the packed load (or the rotation and inverse split step), the
+    /// textbook radix-2 FFT of `n/2` points (bit-reversal swaps, then
+    /// butterflies), and the split step (or the unpacking), one complex
+    /// record per element: the order contract of the lane kernel, written
+    /// out.
     fn scalar_reference(x: &[f64], fwd: bool) -> Vec<f64> {
         type C = (f64, f64);
         let n = x.len();
         if n == 1 {
             return vec![if fwd { x[0] } else { x[0] * n as f64 }];
         }
+        let (h, nf) = (n / 2, n as f64);
         let ph = |k: usize| {
             let ang = -std::f64::consts::PI * k as f64 / (2.0 * n as f64);
             (ang.cos(), ang.sin())
         };
+        let w = |k: usize| {
+            let ang = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
+            (ang.cos(), ang.sin())
+        };
         let perm = |i: usize| if i % 2 == 0 { i / 2 } else { n - 1 - i / 2 };
-        let mut v: Vec<C> = vec![(0.0, 0.0); n];
+        let mut z: Vec<C> = vec![(0.0, 0.0); h];
         if fwd {
             for (i, &xi) in x.iter().enumerate() {
-                v[perm(i)].0 = xi;
+                let j = perm(i);
+                if j % 2 == 0 {
+                    z[j / 2].0 = xi;
+                } else {
+                    z[j / 2].1 = xi;
+                }
             }
         } else {
-            let d: Vec<f64> = (0..n)
-                .map(|k| if k == 0 { x[0] * n as f64 } else { x[k] * n as f64 / 2.0 })
-                .collect();
-            v[0] = (d[0], 0.0);
-            for k in 1..n {
-                let (p, z) = ((ph(k).0, -ph(k).1), (d[k], -d[n - k]));
-                v[k] = (p.0 * z.0 - p.1 * z.1, p.0 * z.1 + p.1 * z.0);
+            let d = |k: usize| if k == 0 { x[0] * nf } else { x[k] * nf / 2.0 };
+            // V_k = exp(+i pi k / 2n) (d_k - i d_{n-k})
+            let rot = |k: usize| -> C {
+                let (pr, pi) = (ph(k).0, -ph(k).1);
+                (pr * d(k) + pi * d(n - k), pi * d(k) - pr * d(n - k))
+            };
+            let vh = std::f64::consts::SQRT_2 * d(h);
+            z[0] = (d(0) + vh, d(0) - vh);
+            for k in 1..=n / 4 {
+                let (a, b) = (rot(k), rot(h + k));
+                let (s, m) = ((a.0 + b.0, a.1 + b.1), (a.0 - b.0, a.1 - b.1));
+                let (wr, wi) = w(k);
+                let u = (wi * m.0 - wr * m.1, wr * m.0 + wi * m.1);
+                z[k] = (s.0 + u.0, s.1 + u.1);
+                if 2 * k != h {
+                    z[h - k] = (s.0 - u.0, u.1 - s.1);
+                }
             }
         }
-        let bits = n.trailing_zeros();
-        for i in 0..n {
-            let j = (i as u32).reverse_bits() as usize >> (32 - bits);
+        let bits = h.trailing_zeros();
+        for i in 0..h {
+            let j = if bits == 0 { 0 } else { (i as u32).reverse_bits() as usize >> (32 - bits) };
             if i < j {
-                v.swap(i, j);
+                z.swap(i, j);
             }
         }
         let mut len = 2;
-        while len <= n {
-            for base in (0..n).step_by(len) {
+        while len <= h {
+            for base in (0..h).step_by(len) {
                 for k in 0..len / 2 {
-                    let ang = -2.0 * std::f64::consts::PI * (k * (n / len)) as f64 / n as f64;
+                    let ang = -2.0 * std::f64::consts::PI * (k * (h / len)) as f64 / h as f64;
                     let w = (ang.cos(), if fwd { ang.sin() } else { -ang.sin() });
-                    let (u, b) = (v[base + k], v[base + k + len / 2]);
+                    let (u, b) = (z[base + k], z[base + k + len / 2]);
                     let t = (b.0 * w.0 - b.1 * w.1, b.0 * w.1 + b.1 * w.0);
-                    v[base + k] = (u.0 + t.0, u.1 + t.1);
-                    v[base + k + len / 2] = (u.0 - t.0, u.1 - t.1);
+                    z[base + k] = (u.0 + t.0, u.1 + t.1);
+                    z[base + k + len / 2] = (u.0 - t.0, u.1 - t.1);
                 }
             }
             len <<= 1;
         }
-        if fwd {
-            (0..n).map(|k| ph(k).0 * v[k].0 - ph(k).1 * v[k].1).collect()
-        } else {
-            (0..n).map(|i| v[perm(i)].0 * (1.0 / n as f64)).collect()
+        if !fwd {
+            let part = |j: usize| if j % 2 == 0 { z[j / 2].0 } else { z[j / 2].1 };
+            return (0..n).map(|i| part(perm(i)) * (1.0 / nf)).collect();
         }
+        let mut c = vec![0.0; n];
+        c[0] = z[0].0 + z[0].1;
+        c[h] = ph(h).0 * (z[0].0 - z[0].1);
+        for k in 1..=n / 4 {
+            let (a, b) = (z[k], z[h - k]);
+            let e = (0.5 * (a.0 + b.0), 0.5 * (a.1 - b.1));
+            let o = (0.5 * (a.1 + b.1), 0.5 * (b.0 - a.0));
+            let (wr, wi) = w(k);
+            let t = (o.0 * wr - o.1 * wi, o.0 * wi + o.1 * wr);
+            // V_k and V_{n/2+k}
+            let (v, u) = ((e.0 + t.0, e.1 + t.1), (e.0 - t.0, e.1 - t.1));
+            c[k] = ph(k).0 * v.0 - ph(k).1 * v.1;
+            c[n - k] = ph(n - k).0 * v.0 + ph(n - k).1 * v.1;
+            if 2 * k != h {
+                c[h + k] = ph(h + k).0 * u.0 - ph(h + k).1 * u.1;
+                c[h - k] = ph(h - k).0 * u.0 + ph(h - k).1 * u.1;
+            }
+        }
+        c
     }
 
     fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
@@ -566,7 +737,7 @@ mod tests {
 
     #[test]
     fn one_d_bits_match_scalar_reference() {
-        for &n in &[1usize, 2, 4, 16, 128] {
+        for &n in &[1usize, 2, 4, 8, 16, 128, 256] {
             let plan = Dct::new(n);
             let x = signed_zero_grid(n);
             let mut out = vec![0.0; n];

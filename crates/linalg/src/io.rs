@@ -168,6 +168,13 @@ pub fn read_matrix_market<R: BufRead>(r: R) -> Result<Csr, ReadMatrixError> {
                     })
                 };
                 let (nr, nc, nnz) = (parse(fields[0])?, parse(fields[1])?, parse(fields[2])?);
+                if nr > u32::MAX as usize || nc > u32::MAX as usize {
+                    // `Triplets` stores indices as `u32`
+                    return Err(ReadMatrixError::Parse {
+                        line: idx + 1,
+                        message: format!("dimensions {nr} x {nc} exceed the u32 index range"),
+                    });
+                }
                 size = Some((nr, nc, nnz));
                 trips = Some(Triplets::new(nr, nc));
                 remaining = nnz;
@@ -252,6 +259,15 @@ mod tests {
             for j in 0..3 {
                 assert_eq!(d[(i, j)], dense[(i, j)]);
             }
+        }
+    }
+
+    #[test]
+    fn rejects_dimensions_beyond_u32_indices() {
+        for size in ["4294967296 2 0", "2 4294967296 0"] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n{size}\n");
+            let err = read_matrix_market(text.as_bytes()).unwrap_err();
+            assert!(matches!(err, ReadMatrixError::Parse { line: 2, .. }), "{size}: {err}");
         }
     }
 

@@ -3,10 +3,29 @@
 //! The substrate surface is discretized into `P x P` square panels. The
 //! current-to-potential operator `A` is applied in the cosine-mode basis
 //! (thesis Fig 2-6): scatter panel currents to the grid, 2-D DCT, scale by
-//! the mode eigenvalues, inverse transform, gather panel potentials. The
+//! the mode eigenvalues, transpose transform, gather panel potentials. The
 //! conductance solve `A i = v` restricted to contact panels is done with
 //! conjugate gradient, preconditioned by block Jacobi over contacts;
 //! contact currents are the sums of panel currents.
+//!
+//! # The restricted operator, staged in two layouts
+//!
+//! CG only ever applies `A_cc`, the operator between contact panels, and
+//! only the `R` grid rows that hold a contact panel carry input or output
+//! (the *occupied rows*, found once in [`EigenSolver::new`]). One apply:
+//!
+//! 1. scatters the contact currents into a compact `[x][occupied row]`
+//!    plane of `P x R` values;
+//! 2. transforms along x with `R` lanes, then expands into the `[y][x]`
+//!    grid (zero in every unoccupied row);
+//! 3. transforms along y with `P` lanes and scales by the mode
+//!    multipliers;
+//! 4. applies `E'` along y, compacts back to the `R` occupied rows,
+//!    applies `E'` along x with `R` lanes, and gathers.
+//!
+//! Every pass is the lane kernel of [`subsparse_linalg::dct`] run directly
+//! on its layout, so an apply does two blocked transposes (the expand and
+//! the compact), and the x passes transform `R` rows instead of `P`.
 //!
 //! Discretization detail: expanding piecewise-constant panel currents in
 //! the cosine modes and averaging potentials back over panels makes both
@@ -42,7 +61,7 @@ use std::cell::RefCell;
 use subsparse_layout::Layout;
 use subsparse_linalg::cg::{pcg_with, CgResult, CgScratch, LinOp};
 use subsparse_linalg::chol::Cholesky;
-use subsparse_linalg::dct::{dct2d_with, Dct, Dct2dScratch};
+use subsparse_linalg::dct::{Dct, Dct2dScratch};
 use subsparse_linalg::fft::Fft;
 use subsparse_linalg::Mat;
 
@@ -76,14 +95,17 @@ impl Default for EigenSolverConfig {
 
 /// The eigenfunction (surface-variable) substrate solver.
 ///
-/// Each CG iteration applies the current-to-potential operator — a
-/// forward 2-D DCT, the mode scaling and a transpose 2-D DCT on the
-/// `P x P` panel grid — and that is nearly all of a solve's time. Both
-/// transforms run the lane-batched kernel of [`subsparse_linalg::dct`]
-/// (all grid rows or columns per sweep, with the bits of the
-/// one-row-at-a-time transform). Batch solves give each worker its own
-/// transform scratch (`3 P^2` values, allocated once per worker), so
-/// adding columns allocates nothing.
+/// Each CG iteration applies the current-to-potential operator between
+/// contact panels — forward DCTs, the mode scaling and transpose DCTs —
+/// and that is nearly all of a solve's time. The apply is staged in two
+/// layouts (see the [module docs](self)): the x passes run on a compact
+/// plane of the `R` occupied grid rows, the y passes on the `P x P`
+/// grid, with one blocked transpose between them in each direction. Every
+/// pass runs the lane-batched kernel of [`subsparse_linalg::dct`]. Batch
+/// solves give each worker its own operator scratch (the grid, the
+/// compact plane and the two half-length FFT planes: at most `3 P^2`
+/// values, allocated once per worker), so adding columns allocates
+/// nothing.
 ///
 /// CG is preconditioned by block Jacobi over contacts: each contact's
 /// dense block of `A_cc` over its panels, factored by Cholesky in
@@ -117,6 +139,12 @@ pub struct EigenSolver {
     panel_list: Vec<u32>,
     /// owning contact per entry of `panel_list`
     panel_owner: Vec<u32>,
+    /// the occupied grid rows `y` (those holding a contact panel),
+    /// increasing; `R = rows.len()`
+    rows: Vec<u32>,
+    /// place of each entry of `panel_list` in the compact `[x][r]` plane:
+    /// `x * R + r` for panel `(x, rows[r])`
+    slot: Vec<u32>,
     /// mode multipliers, row-major `[n * P + m]`
     mu: Vec<f64>,
     dct: Dct,
@@ -200,11 +228,23 @@ impl EigenSolver {
             }
         }
         let precond = BlockJacobi::new(&cosine_table(&mu, p), p, &contact_panels, &position);
+        let mut rows: Vec<u32> = panel_list.iter().map(|&q| q / p as u32).collect();
+        rows.dedup();
+        let mut row_of = vec![0u32; p];
+        for (r, &y) in rows.iter().enumerate() {
+            row_of[y as usize] = r as u32;
+        }
+        let slot = panel_list
+            .iter()
+            .map(|&q| (q as usize % p * rows.len()) as u32 + row_of[q as usize / p])
+            .collect();
         Ok(EigenSolver {
             p,
             contact_panels,
             panel_list,
             panel_owner,
+            rows,
+            slot,
             mu,
             dct: Dct::new(p),
             precond,
@@ -238,32 +278,11 @@ impl EigenSolver {
     pub fn stats(&self) -> SolveStats {
         self.core.stats()
     }
-
-    /// Applies the full-surface current-to-potential operator to a `P x P`
-    /// grid of *total panel currents* in place, leaving panel-average
-    /// potentials (the pipeline of thesis Fig 2-6). Allocates its
-    /// transform scratch per call; the CG solves reuse one per worker.
-    pub fn apply_current_to_potential(&self, grid: &mut [f64]) {
-        self.apply_current_to_potential_with(grid, &mut Dct2dScratch::default());
-    }
-
-    /// [`apply_current_to_potential`](Self::apply_current_to_potential)
-    /// with caller-provided transform scratch — zero heap allocation once
-    /// warm, identical results.
-    fn apply_current_to_potential_with(&self, grid: &mut [f64], sc: &mut Dct2dScratch) {
-        let p = self.p;
-        assert_eq!(grid.len(), p * p);
-        dct2d_with(&self.dct, &self.dct, grid, p, p, true, sc);
-        for (g, m) in grid.iter_mut().zip(&self.mu) {
-            *g *= m;
-        }
-        dct2d_with(&self.dct, &self.dct, grid, p, p, false, sc);
-    }
 }
 
 /// Reusable per-worker state for the eigenfunction solver's CG solves:
-/// the panel RHS, panel solution, the `P x P` operator grid, and the CG
-/// work vectors.
+/// the panel RHS, panel solution, the operator's work buffer and
+/// transform planes, and the CG work vectors.
 #[derive(Debug, Default)]
 pub(crate) struct EigenScratch {
     rhs: Vec<f64>,
@@ -273,6 +292,10 @@ pub(crate) struct EigenScratch {
     cg: CgScratch,
 }
 
+/// `A_cc`, the current-to-potential operator between contact panels,
+/// staged as in the [module docs](self). `grid` holds the `P x P` grid
+/// followed by the compact `P x R` plane; both are sized on first use and
+/// fully rewritten by every apply.
 struct RestrictedOp<'a> {
     solver: &'a EigenSolver,
     grid: &'a RefCell<Vec<f64>>,
@@ -284,14 +307,56 @@ impl LinOp for RestrictedOp<'_> {
         self.solver.panel_list.len()
     }
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        let mut grid = self.grid.borrow_mut();
-        grid.fill(0.0);
-        for (k, &q) in self.solver.panel_list.iter().enumerate() {
-            grid[q as usize] = x[k];
+        let s = self.solver;
+        let (p, rows) = (s.p, &s.rows[..]);
+        let (mut buf, sc) = (self.grid.borrow_mut(), &mut *self.dct.borrow_mut());
+        buf.resize(p * p + p * rows.len(), 0.0);
+        let (grid, plane) = buf.split_at_mut(p * p);
+        plane.fill(0.0);
+        for (&k, &xk) in s.slot.iter().zip(x) {
+            plane[k as usize] = xk;
         }
-        self.solver.apply_current_to_potential_with(&mut grid, &mut self.dct.borrow_mut());
-        for (k, &q) in self.solver.panel_list.iter().enumerate() {
-            y[k] = grid[q as usize];
+        s.dct.transform_lanes(plane, rows.len(), true, sc);
+        let mut occupied = rows.iter().peekable();
+        for (yy, g) in grid.chunks_exact_mut(p).enumerate() {
+            if occupied.next_if(|&&r| r as usize == yy).is_none() {
+                g.fill(0.0);
+            }
+        }
+        exchange(plane, grid, rows, p, true);
+        s.dct.transform_lanes(grid, p, true, sc);
+        for (g, m) in grid.iter_mut().zip(&s.mu) {
+            *g *= m;
+        }
+        s.dct.transform_lanes(grid, p, false, sc);
+        exchange(plane, grid, rows, p, false);
+        s.dct.transform_lanes(plane, rows.len(), false, sc);
+        for (yk, &k) in y.iter_mut().zip(&s.slot) {
+            *yk = plane[k as usize];
+        }
+    }
+}
+
+/// Moves values between the compact `[x][r]` plane (`P x R`, row-major)
+/// and the occupied rows `rows[r]` of the `[y][x]` grid, in cache-sized
+/// tiles: into the grid if `expand`, else back into the plane.
+fn exchange(plane: &mut [f64], grid: &mut [f64], rows: &[u32], p: usize, expand: bool) {
+    const TILE: usize = 16;
+    let nr = rows.len();
+    for r0 in (0..nr).step_by(TILE) {
+        let tile = &rows[r0..(r0 + TILE).min(nr)];
+        for x0 in (0..p).step_by(TILE) {
+            for (r, &y) in (r0..).zip(tile) {
+                let g = &mut grid[y as usize * p..][x0..(x0 + TILE).min(p)];
+                for (x, g) in (x0..).zip(g) {
+                    let c = &mut plane[x * nr + r];
+                    if expand {
+                        *g = *c;
+                    } else {
+                        *c = *g;
+                    }
+                }
+            }
         }
     }
 }
@@ -428,7 +493,6 @@ impl PcgBackend for EigenSolver {
         sc.rhs.extend(self.panel_owner.iter().map(|&o| v[o as usize]));
         sc.x.clear();
         sc.x.resize(self.panel_list.len(), 0.0);
-        sc.grid.get_mut().resize(self.p * self.p, 0.0);
     }
 
     fn attempt(&self, budget: usize, sc: &mut EigenScratch) -> CgResult {
@@ -476,6 +540,7 @@ mod tests {
     use crate::solver::extract_dense;
     use subsparse_layout::generators;
     use subsparse_linalg::cg::{pcg, IdentityPrecond};
+    use subsparse_linalg::dct::dct2d_with;
 
     fn small_solver() -> EigenSolver {
         let layout = generators::regular_grid(128.0, 4, 16.0);
@@ -637,10 +702,9 @@ mod tests {
         subsparse_layout::Contact::rect(subsparse_layout::Rect::new(x0, y0, x1, y1))
     }
 
-    #[test]
-    fn closed_form_blocks_match_the_operator() {
-        // one-unit panels; contacts on rows and columns 0 and P - 1 take
-        // the reflected (`x1 + x2 + 1`) terms to both ends of the table
+    /// 32 one-unit panels per side with contacts on rows and columns 0
+    /// and P - 1, and empty grid rows between contacts.
+    fn edge_layout() -> subsparse_layout::Layout {
         let mut layout = subsparse_layout::Layout::new(32.0, 32.0);
         for c in [
             rect(0.0, 0.0, 3.0, 3.0),
@@ -658,12 +722,73 @@ mod tests {
         ] {
             layout.push(c);
         }
-        let s = EigenSolver::new(
-            &Substrate::thesis_standard(),
-            &layout,
-            EigenSolverConfig { panels: 32, ..Default::default() },
-        )
-        .unwrap();
+        layout
+    }
+
+    fn solver_32(layout: &subsparse_layout::Layout) -> EigenSolver {
+        let cfg = EigenSolverConfig { panels: 32, ..Default::default() };
+        EigenSolver::new(&Substrate::thesis_standard(), layout, cfg).unwrap()
+    }
+
+    #[test]
+    fn restricted_operator_matches_full_grid_pipeline() {
+        // the staged operator against scatter, full 2-D forward DCT, mode
+        // scaling, full 2-D transpose DCT, gather
+        let mut all_rows = subsparse_layout::Layout::new(32.0, 32.0);
+        for c in
+            [rect(0.0, 0.0, 1.0, 32.0), rect(31.0, 0.0, 32.0, 16.0), rect(10.0, 3.0, 20.0, 9.0)]
+        {
+            all_rows.push(c);
+        }
+        let mut one_row = subsparse_layout::Layout::new(32.0, 32.0);
+        for c in [rect(0.0, 7.0, 4.0, 8.0), rect(10.0, 7.0, 11.0, 8.0), rect(28.0, 7.0, 32.0, 8.0)]
+        {
+            one_row.push(c);
+        }
+        for (layout, want_rows) in [(edge_layout(), 20), (all_rows, 32), (one_row, 1)] {
+            let s = solver_32(&layout);
+            assert_eq!(s.rows.len(), want_rows, "occupied rows");
+            let p = s.p;
+            let dct = RefCell::new(Dct2dScratch::default());
+            let grid = RefCell::new(Vec::new());
+            let op = RestrictedOp { solver: &s, grid: &grid, dct: &dct };
+            let n = op.dim();
+            let mut inputs: Vec<Vec<f64>> = [0, n / 2, n - 1]
+                .iter()
+                .map(|&i| (0..n).map(|k| f64::from(u8::from(k == i))).collect())
+                .collect();
+            inputs.push((0..n).map(|k| (k as f64 * 0.73).sin() - 0.2).collect());
+            let mut got = vec![0.0; n];
+            for x in &inputs {
+                op.apply(x, &mut got);
+                let mut full = vec![0.0; p * p];
+                for (&q, &xk) in s.panel_list.iter().zip(x) {
+                    full[q as usize] = xk;
+                }
+                let mut sc = Dct2dScratch::default();
+                dct2d_with(&s.dct, &s.dct, &mut full, p, p, true, &mut sc);
+                for (g, m) in full.iter_mut().zip(&s.mu) {
+                    *g *= m;
+                }
+                dct2d_with(&s.dct, &s.dct, &mut full, p, p, false, &mut sc);
+                let want: Vec<f64> = s.panel_list.iter().map(|&q| full[q as usize]).collect();
+                let scale = want.iter().fold(0.0f64, |m, w| m.max(w.abs()));
+                for (k, (a, b)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        (a - b).abs() <= 1e-13 * scale,
+                        "R = {want_rows}, panel {k}: {a} vs {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_blocks_match_the_operator() {
+        // one-unit panels; contacts on rows and columns 0 and P - 1 take
+        // the reflected (`x1 + x2 + 1`) terms to both ends of the table
+        let layout = edge_layout();
+        let s = solver_32(&layout);
         let (p, pc) = (s.p, &s.precond);
         assert_eq!(pc.start.len() - 1, layout.n_contacts());
         let table = cosine_table(&s.mu, p);
