@@ -1,22 +1,11 @@
 //! `cargo bench` shim: regenerates every thesis table and figure in quick
 //! mode so the whole evaluation pipeline is exercised by one command.
-//! Full-size runs: `cargo run --release -p subsparse-bench --bin <table>`.
-
-use subsparse_bench::{figures, method_matrix, tables};
+//! Full-size runs: `cargo run --release -p subsparse-bench --bin thesis -- all`.
 
 fn main() {
-    // this target is a plain harness=false runner that regenerates all
-    // tables (plus the sparsify method matrix) in quick mode
-    println!("{}", method_matrix::run_method_matrix(true));
-    println!("{}", tables::run_table_2_1(true));
-    println!("{}", tables::run_table_2_2(true));
-    println!("{}", tables::run_table_3_1(true));
-    println!("{}", tables::run_table_4_1(true));
-    println!("{}", tables::run_table_4_2(true));
-    println!("{}", tables::run_table_4_3(true));
-    println!("{}", figures::run_fig_3_5_grouping(true));
-    println!("{}", figures::run_fig_4_3_svd_decay(true));
-    println!("{}", figures::run_fig_layouts(true));
-    println!("{}", figures::run_fig_spy_wavelet(true));
-    println!("{}", figures::run_fig_spy_lowrank(true));
+    // a plain harness=false runner over every `thesis` target
+    for (name, _, runner) in subsparse_bench::TARGETS {
+        println!("### {name}");
+        println!("{}", runner(true));
+    }
 }

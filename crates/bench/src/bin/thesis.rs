@@ -10,26 +10,7 @@
 
 use std::process::ExitCode;
 
-use subsparse_bench::{figures, method_matrix, tables};
-
-/// A table/figure runner: `quick` in, formatted output out.
-type Runner = fn(bool) -> String;
-
-/// Every dispatchable target: name, description, runner.
-const TARGETS: &[(&str, &str, Runner)] = &[
-    ("table_2_1", "preconditioner effectiveness", tables::run_table_2_1),
-    ("table_2_2", "solve speed, FD vs eigenfunction", tables::run_table_2_2),
-    ("table_3_1", "wavelet sparsity and accuracy", tables::run_table_3_1),
-    ("table_4_1", "low-rank vs wavelet, unthresholded", tables::run_table_4_1),
-    ("table_4_2", "low-rank vs wavelet, thresholded", tables::run_table_4_2),
-    ("table_4_3", "low-rank on the large examples", tables::run_table_4_3),
-    ("fig_layouts", "evaluation contact layouts", figures::run_fig_layouts),
-    ("fig_3_5_grouping", "combine-solves grouping", figures::run_fig_3_5_grouping),
-    ("fig_4_3_svd_decay", "singular-value decay", figures::run_fig_4_3_svd_decay),
-    ("fig_spy_wavelet", "wavelet Gw spy plots", figures::run_fig_spy_wavelet),
-    ("fig_spy_lowrank", "low-rank Gw spy plots", figures::run_fig_spy_lowrank),
-    ("method_matrix", "all sparsify methods x all layouts", method_matrix::run_method_matrix),
-];
+use subsparse_bench::TARGETS;
 
 fn usage() -> String {
     let mut s = String::from(
@@ -37,7 +18,7 @@ fn usage() -> String {
          USAGE: thesis [--quick] <target>... | all\n\nTARGETS:\n",
     );
     for (name, desc, _) in TARGETS {
-        s.push_str(&format!("  {name:<18} {desc}\n"));
+        s.push_str(&format!("  {name:<21} {desc}\n"));
     }
     s
 }

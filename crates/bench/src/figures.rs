@@ -10,8 +10,9 @@ use subsparse::layout::generators;
 use subsparse::linalg::svd::svd;
 use subsparse::lowrank::LowRankOptions;
 use subsparse::spy::{spy_ascii, spy_pbm};
-use subsparse::substrate::{extract_dense, EigenSolver, EigenSolverConfig, Substrate};
+use subsparse::substrate::{extract_dense, solver, EigenSolver, EigenSolverConfig, Substrate};
 use subsparse::wavelet::{build_basis, extract as wavelet_extract, ExtractOptions};
+use subsparse::{extract_lowrank, extract_wavelet};
 
 use crate::examples::{ch3_examples, ch4_examples, large_examples};
 
@@ -183,6 +184,67 @@ pub fn run_fig_3_5_grouping(_quick: bool) -> String {
     out
 }
 
+/// Black-box solves of both methods at one size of the §1.2 sweep.
+struct SolveCounts {
+    /// Contacts.
+    n: usize,
+    /// Wavelet tree levels (the low-rank method uses at least 2).
+    levels: usize,
+    /// Solves of the wavelet extraction.
+    wavelet: usize,
+    /// Solves of the low-rank extraction.
+    lowrank: usize,
+}
+
+/// Solve counts on regular grids of 16 contacts per finest square, with
+/// the synthetic zero-cost solver so even the largest grid runs in
+/// seconds: n = 64 to 4096, or to 1024 when `quick`.
+fn solve_scaling_rows(quick: bool) -> Vec<SolveCounts> {
+    let sizes = [(8usize, 1usize), (16, 2), (32, 3), (64, 4)];
+    let sizes = if quick { &sizes[..3] } else { &sizes[..] };
+    sizes
+        .iter()
+        .map(|&(k, levels)| {
+            let layout = generators::regular_grid(128.0, k, 1.0);
+            let s = solver::synthetic(&layout);
+            let wv = extract_wavelet(&s, &layout, levels, 2).expect("wavelet");
+            // the low-rank method needs levels >= 2
+            let (lr, _) = extract_lowrank(&s, &layout, levels.max(2), &LowRankOptions::default())
+                .expect("lr");
+            SolveCounts { n: layout.n_contacts(), levels, wavelet: wv.solves, lowrank: lr.solves }
+        })
+        .collect()
+}
+
+/// Solve-count scaling: the `O(log n)` claim of §1.2 made visible, as
+/// black-box solves versus contact count for both methods.
+pub fn run_fig_solve_scaling(quick: bool) -> String {
+    let mut out = String::new();
+    writeln!(out, "black-box solves vs n (regular grids, 16 contacts per finest square)").unwrap();
+    writeln!(
+        out,
+        "{:>8} {:>8} {:>10} {:>10} {:>10} {:>10}",
+        "n", "levels", "wv solves", "wv red.", "lr solves", "lr red."
+    )
+    .unwrap();
+    for r in solve_scaling_rows(quick) {
+        writeln!(
+            out,
+            "{:>8} {:>8} {:>10} {:>10.1} {:>10} {:>10.1}",
+            r.n,
+            r.levels,
+            r.wavelet,
+            r.n as f64 / r.wavelet as f64,
+            r.lowrank,
+            r.n as f64 / r.lowrank as f64,
+        )
+        .unwrap();
+    }
+    writeln!(out, "\nthe solve counts grow ~logarithmically while n grows 4x per row;").unwrap();
+    writeln!(out, "the naive method uses exactly n solves.").unwrap();
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,6 +253,21 @@ mod tests {
     fn grouping_figure_renders() {
         let s = run_fig_3_5_grouping(true);
         assert!(s.contains("0 1 2 0 1 2 0 1"));
+    }
+
+    #[test]
+    fn solves_grow_logarithmically() {
+        // §1.2: O(log n) solves, so quadrupling n must less than triple
+        // them, and n = 1024 must need fewer than half the naive n solves
+        let rows = solve_scaling_rows(true);
+        let at = |n: usize| rows.iter().find(|r| r.n == n).expect("sweep size");
+        let (small, large) = (at(256), at(1024));
+        for (name, s256, s1024) in
+            [("wavelet", small.wavelet, large.wavelet), ("low-rank", small.lowrank, large.lowrank)]
+        {
+            assert!(s1024 < 3 * s256, "{name}: solves grew {s256} -> {s1024}");
+            assert!(s1024 < 512, "{name}: {s1024} solves at n = 1024");
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Benchmark harness regenerating every table and figure of the thesis
 //! evaluation, plus the method matrix of the unified `sparsify` subsystem.
 //!
-//! Each table/figure has a library function here (so the bench shim and
-//! the standalone binaries share one implementation). The `thesis` binary
-//! dispatches every table/figure runner by name; `method_matrix` drives
-//! all registered sparsification methods over the evaluation layouts.
+//! Each table/figure has a library function here, listed in [`TARGETS`],
+//! which both the `thesis` binary (dispatch by name) and the `tables`
+//! bench shim (every target, quick) iterate; `method_matrix` drives all
+//! registered sparsification methods over the evaluation layouts.
 //!
 //! Run everything with:
 //!
@@ -28,6 +28,28 @@ pub mod timing;
 
 pub use examples::{ch3_examples, ch4_examples, ExampleSpec, SolverKind};
 pub use method_matrix::run_method_matrix;
+
+/// A table/figure runner: `quick` in, formatted output out.
+pub type Runner = fn(bool) -> String;
+
+/// Every table and figure the `thesis` binary dispatches by name:
+/// name, description, runner.
+pub const TARGETS: &[(&str, &str, Runner)] = &[
+    ("table_2_1", "preconditioner effectiveness", tables::run_table_2_1),
+    ("table_2_2", "solve speed, FD vs eigenfunction", tables::run_table_2_2),
+    ("table_3_1", "wavelet sparsity and accuracy", tables::run_table_3_1),
+    ("table_4_1", "low-rank vs wavelet, unthresholded", tables::run_table_4_1),
+    ("table_4_2", "low-rank vs wavelet, thresholded", tables::run_table_4_2),
+    ("table_4_3", "low-rank on the large examples", tables::run_table_4_3),
+    ("table_naive_baseline", "thresholding Gw vs thresholding G", tables::run_table_naive_baseline),
+    ("fig_layouts", "evaluation contact layouts", figures::run_fig_layouts),
+    ("fig_3_5_grouping", "combine-solves grouping", figures::run_fig_3_5_grouping),
+    ("fig_4_3_svd_decay", "singular-value decay", figures::run_fig_4_3_svd_decay),
+    ("fig_spy_wavelet", "wavelet Gw spy plots", figures::run_fig_spy_wavelet),
+    ("fig_spy_lowrank", "low-rank Gw spy plots", figures::run_fig_spy_lowrank),
+    ("fig_solve_scaling", "black-box solves vs n", figures::run_fig_solve_scaling),
+    ("method_matrix", "all sparsify methods x all layouts", method_matrix::run_method_matrix),
+];
 
 /// One JSON object of run metadata stamped into every emitted
 /// `BENCH_*.json` record, so trajectory comparisons across machines are

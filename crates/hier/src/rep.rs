@@ -243,15 +243,8 @@ impl BasisRep {
     /// `O(n * nnz)`), as one blocked apply of the identity instead of `n`
     /// allocating matvecs.
     pub fn to_dense(&self) -> Mat {
-        self.to_dense_threaded(1)
-    }
-
-    /// [`to_dense`](Self::to_dense) on `threads` worker threads (0 =
-    /// auto) — bit-identical to the serial materialization for every
-    /// thread count.
-    pub fn to_dense_threaded(&self, threads: usize) -> Mat {
         let cols: Vec<usize> = (0..self.n()).collect();
-        self.dense_columns_threaded(&cols, threads)
+        self.dense_columns(&cols)
     }
 
     /// Materializes selected columns of the represented `G`, panel by

@@ -303,41 +303,6 @@ impl WorkerSlot {
     }
 }
 
-/// A rejected block at the checked serving boundary
-/// ([`ParallelApply::try_apply_block_into`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ApplyError {
-    /// The excitation block's row count does not match the operator.
-    DimensionMismatch {
-        /// The operator dimension.
-        expected: usize,
-        /// The block's row count.
-        got: usize,
-    },
-    /// An excitation entry is NaN or infinite.
-    NonFinite {
-        /// Row of the offending entry.
-        row: usize,
-        /// Column of the offending entry.
-        col: usize,
-    },
-}
-
-impl std::fmt::Display for ApplyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ApplyError::DimensionMismatch { expected, got } => {
-                write!(f, "excitation block has {got} rows, operator expects {expected}")
-            }
-            ApplyError::NonFinite { row, col } => {
-                write!(f, "excitation entry ({row}, {col}) is not finite")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ApplyError {}
-
 /// A thread-parallel serving executor: one
 /// [`apply_block_into`](CouplingOp::apply_block_into) call, sharded
 /// across the persistent shared worker pool
@@ -562,32 +527,6 @@ impl ParallelApply {
         let mut y = Mat::zeros(0, 0);
         self.apply_block_into(op, x, &mut y);
         y
-    }
-
-    /// The checked serving boundary: validates the block before applying
-    /// and returns a typed [`ApplyError`] instead of panicking on a
-    /// wrong-sized or non-finite input. Internal hot loops stay
-    /// panic-based and allocation-free — this is the one place a serving
-    /// frontend should pay for validation, once per block, outside the
-    /// kernels. On `Ok` the output is exactly what
-    /// [`apply_block_into`](Self::apply_block_into) produces; on `Err`
-    /// the output buffer is untouched.
-    pub fn try_apply_block_into<O: CouplingOp + Sync + ?Sized>(
-        &mut self,
-        op: &O,
-        x: &Mat,
-        y: &mut Mat,
-    ) -> Result<(), ApplyError> {
-        if x.n_rows() != op.n() {
-            return Err(ApplyError::DimensionMismatch { expected: op.n(), got: x.n_rows() });
-        }
-        for j in 0..x.n_cols() {
-            if let Some(i) = x.col(j).iter().position(|v| !v.is_finite()) {
-                return Err(ApplyError::NonFinite { row: i, col: j });
-            }
-        }
-        self.apply_block_into(op, x, y);
-        Ok(())
     }
 
     fn ensure_slots(&mut self, workers: usize) {

@@ -168,37 +168,6 @@ pub fn frac_above(reference: &Mat, approx: &Mat, threshold: f64) -> f64 {
     scan(reference, approx, threshold).1
 }
 
-/// Fraction of entries with relative error above `threshold`, counting
-/// only entries whose reference magnitude is at least `floor_fraction`
-/// times the largest off-diagonal reference magnitude.
-///
-/// The thesis's accuracy claims implicitly carry such a floor: its
-/// largest example's entries span only a factor of ~500 (§5.1 "even
-/// though the smallest entries are less than 1/500 of the largest
-/// off-diagonal entries"), so every entry it grades sits well above
-/// solver noise. Synthetic layouts with a wider dynamic range need the
-/// floor made explicit for a like-for-like comparison.
-pub fn frac_above_floored(
-    reference: &Mat,
-    approx: &Mat,
-    threshold: f64,
-    floor_fraction: f64,
-) -> f64 {
-    assert_eq!(reference.n_rows(), approx.n_rows(), "shape mismatch");
-    assert_eq!(reference.n_cols(), approx.n_cols(), "shape mismatch");
-    // largest off-diagonal magnitude (diagonal excluded: it is orders of
-    // magnitude above every coupling)
-    let mut max_off = 0.0_f64;
-    for j in 0..reference.n_cols() {
-        for (i, &v) in reference.col(j).iter().enumerate() {
-            if i != j {
-                max_off = max_off.max(v.abs());
-            }
-        }
-    }
-    frac_above_with_floor(reference, approx, threshold, floor_fraction * max_off)
-}
-
 /// Like [`frac_above`], but entries with `|reference| < floor_abs` are
 /// excluded from the count. Useful when the reference columns are a
 /// sample (where the diagonal position is not `(i, i)`) and the caller
@@ -362,7 +331,7 @@ mod tests {
         // the 1e-6 entry is 100% wrong but below the floor (1/500 of the
         // largest off-diagonal = 2e-3)
         assert!(frac_above(&r, &a, 0.10) > 0.0);
-        assert_eq!(frac_above_floored(&r, &a, 0.10, 1.0 / 500.0), 0.0);
+        assert_eq!(frac_above_with_floor(&r, &a, 0.10, 2e-3), 0.0);
     }
 
     #[test]

@@ -64,21 +64,18 @@ pub enum FdPrecond {
     IncompleteCholesky,
     /// DCT-based fast Poisson solver with the given uniform top BC.
     FastPoisson(TopBc),
-    /// Galerkin-aggregation multigrid V-cycle with the given number of
-    /// pre/post smoothing sweeps (the extension the thesis points to in
-    /// §2.2.2; handles layer boundaries by summing conductances).
-    Multigrid {
-        /// Weighted-Jacobi sweeps before and after each coarse correction.
-        smooth: usize,
-    },
 }
 
 /// Configuration for [`FdSolver`].
 #[derive(Clone, Copy, Debug)]
 pub struct FdSolverConfig {
-    /// Grid nodes in x (power of two required for [`FdPrecond::FastPoisson`]).
+    /// Grid nodes in x. Must be a power of two for
+    /// [`FdPrecond::FastPoisson`], which the default preconditioner is;
+    /// [`FdPrecond::None`] and [`FdPrecond::IncompleteCholesky`] accept
+    /// any size.
     pub nx: usize,
-    /// Grid nodes in y (power of two required for [`FdPrecond::FastPoisson`]).
+    /// Grid nodes in y, under the same power-of-two rule as
+    /// [`nx`](Self::nx).
     pub ny: usize,
     /// Target grid planes in z. The actual grid is *layer-resolving*: every
     /// layer receives at least [`min_planes_per_layer`](Self::min_planes_per_layer)
@@ -182,7 +179,6 @@ enum PrecondData {
     None,
     Dic(Vec<f64>),
     Fast(Box<FastPoisson>),
-    Mg(Box<crate::multigrid::Multigrid>),
 }
 
 impl FdSolver {
@@ -341,9 +337,6 @@ impl FdSolver {
                     g_bp,
                 )))
             }
-            FdPrecond::Multigrid { smooth } => PrecondData::Mg(Box::new(
-                crate::multigrid::Multigrid::new(nx, ny, nz, &gx, &gy, &gz, &diag, &pinned, smooth),
-            )),
         };
 
         Ok(FdSolver {
@@ -512,10 +505,6 @@ impl PcgBackend for FdSolver {
                 let pre = FastOp { fp: fpd, pinned: &self.pinned, scratch: fp };
                 pcg_with(&op, &pre, b, x, self.cfg.tol, budget, cg)
             }
-            PrecondData::Mg(mg) => {
-                let pre = MgOp { mg, n: self.n_nodes() };
-                pcg_with(&op, &pre, b, x, self.cfg.tol, budget, cg)
-            }
         }
     }
 
@@ -628,20 +617,6 @@ fn build_dic(
         dhat[i] = d.max(1e-300);
     }
     dhat
-}
-
-struct MgOp<'a> {
-    mg: &'a crate::multigrid::Multigrid,
-    n: usize,
-}
-
-impl LinOp for MgOp<'_> {
-    fn dim(&self) -> usize {
-        self.n
-    }
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        self.mg.v_cycle(r, z);
-    }
 }
 
 struct DicOp<'a> {
@@ -905,7 +880,6 @@ impl LinOp for FastOp<'_> {
 mod tests {
     use super::*;
     use crate::solver::extract_dense;
-    use crate::Layer;
     use subsparse_layout::generators;
 
     fn two_contact_layout() -> Layout {
@@ -943,7 +917,6 @@ mod tests {
             FdPrecond::FastPoisson(TopBc::Dirichlet),
             FdPrecond::FastPoisson(TopBc::Neumann),
             FdPrecond::FastPoisson(TopBc::AreaWeighted),
-            FdPrecond::Multigrid { smooth: 2 },
         ] {
             let s = FdSolver::new(&sub, &layout, config(pc)).unwrap();
             gs.push(extract_dense(&s));
@@ -988,64 +961,6 @@ mod tests {
         assert!(
             f_it * 3 < n_it,
             "fast preconditioner ({f_it} iters) should beat plain CG ({n_it} iters)"
-        );
-    }
-
-    #[test]
-    fn multigrid_precond_beats_no_precond() {
-        // the thesis's §2.2.2 multigrid suggestion, implemented: V-cycle
-        // preconditioning must cut iteration counts like the fast solver
-        let layout = two_contact_layout();
-        let sub = Substrate::thesis_standard();
-        let none = FdSolver::new(&sub, &layout, config(FdPrecond::None)).unwrap();
-        let mg = FdSolver::new(&sub, &layout, config(FdPrecond::Multigrid { smooth: 2 })).unwrap();
-        let v = [1.0, 0.0, 0.0, 0.0];
-        let _ = none.solve(&v);
-        let _ = mg.solve(&v);
-        let (n_it, m_it) = (none.stats().inner_iterations, mg.stats().inner_iterations);
-        assert!(
-            m_it * 3 < n_it,
-            "multigrid preconditioner ({m_it} iters) should beat plain CG ({n_it} iters)"
-        );
-    }
-
-    #[test]
-    fn multigrid_handles_layer_boundaries() {
-        // a 1000x conductivity contrast straddling the coarse-grid
-        // boundary — "the major issue" the thesis flags for multigrid
-        let layout = two_contact_layout();
-        let sub = Substrate::new(
-            vec![Layer::new(0.7, 1.0), Layer::new(39.3, 1000.0)],
-            Backplane::Grounded,
-        );
-        let cfg = FdSolverConfig {
-            nx: 32,
-            ny: 32,
-            nz: 20,
-            min_planes_per_layer: 3,
-            precond: FdPrecond::Multigrid { smooth: 2 },
-            tol: 1e-9,
-            ..Default::default()
-        };
-        let mg = FdSolver::new(&sub, &layout, cfg).unwrap();
-        let mut cfg_ref = cfg;
-        cfg_ref.precond = FdPrecond::None;
-        let reference = FdSolver::new(&sub, &layout, cfg_ref).unwrap();
-        let g_mg = extract_dense(&mg);
-        let g_ref = extract_dense(&reference);
-        for i in 0..4 {
-            for j in 0..4 {
-                assert!(
-                    (g_mg[(i, j)] - g_ref[(i, j)]).abs() < 1e-4 * g_ref[(i, i)],
-                    "multigrid-preconditioned solve disagrees at ({i},{j})"
-                );
-            }
-        }
-        // and converges in few iterations despite the contrast
-        assert!(
-            mg.stats().iterations_per_solve() < 40.0,
-            "multigrid iterations too high: {}",
-            mg.stats().iterations_per_solve()
         );
     }
 

@@ -31,7 +31,6 @@
 pub mod eigen;
 pub mod eigenvalues;
 pub mod fd;
-pub mod multigrid;
 pub mod solver;
 
 pub use eigen::{EigenSolver, EigenSolverConfig};
