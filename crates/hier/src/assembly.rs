@@ -14,6 +14,13 @@
 //! estimates, summed in arrival order; an unordered pair holds
 //! `(a + b) / 2` of its two directed means, or the one mean that was
 //! recorded; pairs equal to `0.0` and slots without estimates are dropped.
+//!
+//! A slot's estimate count is one byte: the extractions record at most a
+//! handful of estimates per slot (no slot received more than 2 on the
+//! wavelet and low-rank extractions of regular, irregular and mixed-size
+//! layouts), so a wider count would only add 3 bytes per slot of
+//! transient heap. A 256th estimate into one slot panics with the entry,
+//! like an estimate outside the pattern.
 
 use std::ops::Range;
 
@@ -28,15 +35,15 @@ pub trait GwSink {
     fn add(&mut self, row: usize, col: usize, value: f64);
 }
 
-/// The symmetric `Gw` pattern with flat per-slot estimate sums and counts
-/// aligned with it.
+/// The symmetric `Gw` pattern with flat per-slot estimate sums and
+/// one-byte counts aligned with it.
 #[derive(Debug)]
 pub struct GwAssembler {
     n: usize,
     indptr: Vec<usize>,
     indices: Vec<u32>,
     sums: Vec<f64>,
-    counts: Vec<u32>,
+    counts: Vec<u8>,
 }
 
 impl GwAssembler {
@@ -158,7 +165,7 @@ impl GwAssembler {
     pub fn finish(self) -> Csr {
         let _s = trace::span("extract.gw.finish");
         let GwAssembler { n, mut indptr, mut indices, mut sums, mut counts } = self;
-        let mean = |sum: f64, count: u32| (count > 0).then(|| sum / count as f64);
+        let mean = |sum: f64, count: u8| (count > 0).then(|| sum / f64::from(count));
         // each pair's value into both of its slots, walking the upper
         // triangle; `counts` becomes the keep flag
         for r in 0..n {
@@ -182,7 +189,7 @@ impl GwAssembler {
                         (v, None) | (None, v) => v,
                     }
                 };
-                let keep = u32::from(v.is_some_and(|v| v != 0.0));
+                let keep = u8::from(v.is_some_and(|v| v != 0.0));
                 (sums[k], sums[m]) = (v.unwrap_or(0.0), v.unwrap_or(0.0));
                 (counts[k], counts[m]) = (keep, keep);
             }
@@ -215,14 +222,19 @@ impl GwSink for GwAssembler {
     ///
     /// # Panics
     ///
-    /// Panics with the missed `(row, col)` if the pattern has no such slot.
+    /// Panics with the missed `(row, col)` if the pattern has no such
+    /// slot, or with the entry if this is its 256th estimate (the count
+    /// is one byte; see the module docs).
     #[inline]
     fn add(&mut self, row: usize, col: usize, value: f64) {
         let Some(k) = self.slot(row, col) else {
             panic!("Gw estimate ({row}, {col}) lies outside the assembly pattern");
         };
+        let Some(count) = self.counts[k].checked_add(1) else {
+            panic!("Gw entry ({row}, {col}) received more than {} estimates", u8::MAX);
+        };
         self.sums[k] += value;
-        self.counts[k] += 1;
+        self.counts[k] = count;
     }
 }
 
@@ -273,6 +285,30 @@ mod tests {
         assert_eq!((d[(1, 2)], d[(2, 1)]), (4.0, 4.0));
         assert_eq!(d[(7, 7)], 7.0);
         assert_eq!((d[(0, 5)], d[(5, 0)]), (1.5, 1.5));
+    }
+
+    #[test]
+    fn a_full_byte_of_estimates_averages_exactly() {
+        let mut gw = assembler();
+        // 255 estimates 1, 2, ..., 255: the sum 32640 and the mean 128 are
+        // exact in f64
+        for v in 1..=255 {
+            gw.add(5, 10, f64::from(v));
+        }
+        let d = gw.finish().to_dense();
+        assert_eq!(
+            (d[(5, 10)].to_bits(), d[(10, 5)].to_bits()),
+            (128f64.to_bits(), 128f64.to_bits())
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "Gw entry (5, 10) received more than 255 estimates")]
+    fn the_256th_estimate_into_one_slot_panics_with_the_entry() {
+        let mut gw = assembler();
+        for _ in 0..256 {
+            gw.add(5, 10, 1.0);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   level through the quadtree as small per-square dense blocks
 //!   ([`FastWaveletTransform`]), `O(n·p)` per vector; the default for
 //!   wavelet extractions, and the path that makes the sparse model faster
-//!   to serve than the dense matrix;
+//!   to serve than the dense matrix; it keeps no `Q'`;
 //! * the **explicit-CSR fallback** ([`BasisRep::new`]) — generic sparse
 //!   `Q' → Gw → Q` traversal, with the transpose `Q'` precomputed and
 //!   cached so both directions stream row-major; the only choice for
@@ -35,7 +35,7 @@
 use subsparse_linalg::exec;
 use subsparse_linalg::io::{fnv1a64, ReadMatrixError};
 use subsparse_linalg::kernels::{ColMajor, LaneMajor};
-use subsparse_linalg::{faults, trace, ApplyWorkspace, CouplingOp, Csr, Mat};
+use subsparse_linalg::{faults, trace, ApplyWorkspace, CouplingOp, Csr, Mat, Triplets};
 
 use crate::fwt::FastWaveletTransform;
 
@@ -151,17 +151,30 @@ impl std::error::Error for ModelLoadError {
 /// place would desynchronize the cached transpose/transform, so derived
 /// representations go through [`thresholded`](Self::thresholded) and
 /// friends instead.
+///
+/// A representation holds what its serving path reads beyond the two
+/// factors: the transform, or the cached `Q'` of the explicit-CSR path,
+/// never both. A model served through the transform keeps no `Q'`;
+/// [`without_fwt`](Self::without_fwt) builds one when asked.
 #[derive(Clone, Debug)]
 pub struct BasisRep {
     /// Orthogonal sparse change-of-basis matrix (columns are basis vectors).
     pub q: Csr,
     /// Transformed (sparsified) conductance matrix.
     pub gw: Csr,
-    /// Cached `Q'`, so the analysis half of the fallback path traverses
+    /// How the basis halves of an apply run.
+    path: BasisPath,
+}
+
+/// The basis-apply path of a [`BasisRep`], with what it reads besides
+/// the two factors.
+#[derive(Clone, Debug)]
+enum BasisPath {
+    /// The tree-structured transform serves both halves.
+    Fwt(FastWaveletTransform),
+    /// Explicit CSR: the cached `Q'`, so the analysis half traverses
     /// row-major instead of scattering through `matvec_t`.
-    qt: Csr,
-    /// The tree-structured transform, when the basis has one.
-    fwt: Option<FastWaveletTransform>,
+    Csr(Csr),
 }
 
 impl BasisRep {
@@ -169,13 +182,13 @@ impl BasisRep {
     /// caching `Q'` for row-major analysis applies.
     pub fn new(q: Csr, gw: Csr) -> BasisRep {
         let qt = q.transpose();
-        BasisRep { q, gw, qt, fwt: None }
+        BasisRep { q, gw, path: BasisPath::Csr(qt) }
     }
 
     /// Builds a representation served through the fast wavelet transform:
     /// `apply` runs `FWT → Gw → FWT'` instead of traversing the explicit
     /// `Q` factors. The explicit `q` is still stored (exchange format,
-    /// spy plots, fallback).
+    /// spy plots, fallback); its transpose is not built.
     ///
     /// # Panics
     ///
@@ -186,26 +199,32 @@ impl BasisRep {
         assert_eq!(q.n_rows(), fwt.n(), "transform/Q contact count mismatch");
         assert_eq!(gw.n_rows(), fwt.n(), "transform/Gw dimension mismatch");
         assert_eq!(gw.n_rows(), gw.n_cols(), "Gw must be square");
-        let qt = q.transpose();
-        BasisRep { q, gw, qt, fwt: Some(fwt) }
+        BasisRep { q, gw, path: BasisPath::Fwt(fwt) }
     }
 
     /// The fast transform, if this representation serves through one.
     pub fn fwt(&self) -> Option<&FastWaveletTransform> {
-        self.fwt.as_ref()
+        match &self.path {
+            BasisPath::Fwt(fwt) => Some(fwt),
+            BasisPath::Csr(_) => None,
+        }
     }
 
     /// A copy pinned to the explicit-CSR serving path (drops the fast
     /// transform) — the fallback selector for benchmarking and for
-    /// consumers of legacy model files.
+    /// consumers of legacy model files. Transposes `Q` when this
+    /// representation serves through the transform.
     pub fn without_fwt(&self) -> BasisRep {
-        BasisRep { q: self.q.clone(), gw: self.gw.clone(), qt: self.qt.clone(), fwt: None }
+        match &self.path {
+            BasisPath::Fwt(_) => BasisRep::new(self.q.clone(), self.gw.clone()),
+            BasisPath::Csr(_) => self.clone(),
+        }
     }
 
     /// A copy with the same basis (and serving path) but a different
     /// transformed matrix — the shared core of the thresholding helpers.
     fn with_gw(&self, gw: Csr) -> BasisRep {
-        BasisRep { q: self.q.clone(), gw, qt: self.qt.clone(), fwt: self.fwt.clone() }
+        BasisRep { q: self.q.clone(), gw, path: self.path.clone() }
     }
 
     /// Number of contacts.
@@ -339,7 +358,7 @@ impl BasisRep {
     pub fn save(&self, stem: &std::path::Path) -> std::io::Result<()> {
         // format 1 files stay readable by pre-FWT builds, so only claim
         // the current format when the fwt section is actually written
-        let version_no = if self.fwt.is_some() { FORMAT_VERSION } else { 1 };
+        let version_no = if self.fwt().is_some() { FORMAT_VERSION } else { 1 };
         let version = format!("subsparse basisrep format {version_no}");
         let write = |suffix: &str, m: &Csr| -> std::io::Result<()> {
             let mut canonical = Vec::new();
@@ -349,7 +368,7 @@ impl BasisRep {
         write(".q.mtx", &self.q)?;
         write(".gw.mtx", &self.gw)?;
         let fwt_path = stem_path(stem, ".fwt");
-        match &self.fwt {
+        match self.fwt() {
             Some(fwt) => {
                 let body = fwt.to_text();
                 let digest = fnv1a64(body.as_bytes());
@@ -392,10 +411,13 @@ impl BasisRep {
     ///
     /// Returns a [`ModelLoadError`] naming the offending file if either
     /// factor is missing, fails its digest, is truncated, is stamped with
-    /// a format newer than [`FORMAT_VERSION`], does not parse, or the
-    /// factor shapes are mutually inconsistent.
+    /// a format newer than [`FORMAT_VERSION`], does not parse, or `Q`
+    /// states more rows or columns than it holds entries; and one naming
+    /// both shapes if the factor shapes are mutually inconsistent. Both
+    /// shape checks run before anything sized by a size line is
+    /// allocated.
     pub fn load(stem: &std::path::Path) -> Result<BasisRep, ModelLoadError> {
-        let read = |suffix: &str| -> Result<Csr, ModelLoadError> {
+        let read = |suffix: &str| -> Result<(String, Triplets), ModelLoadError> {
             let path = stem_path(stem, suffix);
             let file = path.display().to_string();
             let text = read_model_text(&path)?;
@@ -403,18 +425,38 @@ impl BasisRep {
             // as corruption even when the damage also breaks the parse
             verify_digest(&file, &text)?;
             check_format_version(&file, &text)?;
-            subsparse_linalg::io::read_matrix_market(text.as_bytes()).map_err(|e| match e {
-                ReadMatrixError::Truncated { expected, got } => ModelLoadError::Truncated {
-                    file: file.clone(),
-                    detail: format!("size line promises {expected} entries, found {got}"),
-                },
-                other => {
-                    ModelLoadError::Malformed { file: file.clone(), detail: other.to_string() }
-                }
-            })
+            let t =
+                subsparse_linalg::io::read_matrix_market(text.as_bytes()).map_err(|e| match e {
+                    ReadMatrixError::Truncated { expected, got } => ModelLoadError::Truncated {
+                        file: file.clone(),
+                        detail: format!("size line promises {expected} entries, found {got}"),
+                    },
+                    other => {
+                        ModelLoadError::Malformed { file: file.clone(), detail: other.to_string() }
+                    }
+                })?;
+            Ok((file, t))
         };
-        let q = read(".q.mtx")?;
-        let gw = read(".gw.mtx")?;
+        // each factor's shape is checked against the entries the files
+        // hold before `to_csr` allocates row pointers for it, so a size
+        // line cannot ask for more memory than its file's entries take:
+        // every column of Q is a unit vector and every row carries a
+        // contact's self-coupling, so Q holds an entry in each, and Gw is
+        // as wide as Q
+        let (q_file, q) = read(".q.mtx")?;
+        if q.n_rows().max(q.n_cols()) > q.len() {
+            return Err(ModelLoadError::Malformed {
+                file: q_file,
+                detail: format!(
+                    "Q is stated as {}x{} but holds only {} entries; \
+                     a change of basis needs one in every row and column",
+                    q.n_rows(),
+                    q.n_cols(),
+                    q.len()
+                ),
+            });
+        }
+        let (_, gw) = read(".gw.mtx")?;
         if q.n_cols() != gw.n_rows() || gw.n_rows() != gw.n_cols() {
             return Err(ModelLoadError::Structure {
                 detail: format!(
@@ -426,6 +468,7 @@ impl BasisRep {
                 ),
             });
         }
+        let (q, gw) = (q.to_csr(), gw.to_csr());
         match load_fwt_section(stem, &q) {
             Ok(Some(fwt)) => Ok(BasisRep::with_fwt(q, gw, fwt)),
             Ok(None) => Ok(BasisRep::new(q, gw)),
@@ -481,11 +524,11 @@ impl CouplingOp for BasisRep {
     fn nnz(&self) -> usize {
         // the values an apply actually traverses: the factored transform
         // when one is attached, the explicit Q otherwise
-        self.fwt.as_ref().map_or(self.q.nnz(), |f| f.stored()) + self.gw.nnz()
+        self.fwt().map_or(self.q.nnz(), |f| f.stored()) + self.gw.nnz()
     }
 
     fn kind(&self) -> &'static str {
-        if self.fwt.is_some() {
+        if self.fwt().is_some() {
             "basis-rep-fwt"
         } else {
             "basis-rep"
@@ -495,52 +538,55 @@ impl CouplingOp for BasisRep {
     fn apply_into(&self, x: &[f64], y: &mut [f64], ws: &mut ApplyWorkspace) {
         let _h = trace::time_hist(trace::Hist::ApplyVectorNs);
         let (wa, wb, wc) = ws.mats3();
-        if let Some(fwt) = &self.fwt {
-            // y doubles as the coefficient buffer: forward fills it, the
-            // Gw product consumes it, and synthesis overwrites it
-            wa.resize(fwt.scratch_len(), 1);
-            wc.resize(fwt.scratch_len(), 1);
-            wb.resize(self.gw.n_rows(), 1);
-            fwt.forward_into(x, y, wa.col_mut(0), wc.col_mut(0));
-            self.gw.matvec_into(y, wb.col_mut(0));
-            fwt.inverse_into(wb.col(0), y, wa.col_mut(0), wc.col_mut(0));
-        } else {
-            wa.resize(self.q.n_cols(), 1);
-            wb.resize(self.gw.n_rows(), 1);
-            self.qt.matvec_into(x, wa.col_mut(0));
-            self.gw.matvec_into(wa.col(0), wb.col_mut(0));
-            self.q.matvec_into(wb.col(0), y);
+        match &self.path {
+            BasisPath::Fwt(fwt) => {
+                // y doubles as the coefficient buffer: forward fills it,
+                // the Gw product consumes it, and synthesis overwrites it
+                wa.resize(fwt.scratch_len(), 1);
+                wc.resize(fwt.scratch_len(), 1);
+                wb.resize(self.gw.n_rows(), 1);
+                fwt.forward_into(x, y, wa.col_mut(0), wc.col_mut(0));
+                self.gw.matvec_into(y, wb.col_mut(0));
+                fwt.inverse_into(wb.col(0), y, wa.col_mut(0), wc.col_mut(0));
+            }
+            BasisPath::Csr(qt) => {
+                wa.resize(self.q.n_cols(), 1);
+                wb.resize(self.gw.n_rows(), 1);
+                qt.matvec_into(x, wa.col_mut(0));
+                self.gw.matvec_into(wa.col(0), wb.col_mut(0));
+                self.q.matvec_into(wb.col(0), y);
+            }
         }
     }
 
     fn apply_block_into(&self, x: &Mat, y: &mut Mat, ws: &mut ApplyWorkspace) {
         let _h = trace::time_hist(trace::Hist::ApplyBlockNs);
-        let _s = trace::span(if self.fwt.is_some() {
-            "apply_block.basis-rep-fwt"
-        } else {
-            "apply_block.basis-rep"
-        });
         // the intermediate panels stay lane-major from the first stage to
         // the last, so no stage transposes
         let (wa, wb, wc) = ws.mats3();
-        if let Some(fwt) = &self.fwt {
-            fwt.forward_panel_into::<LaneMajor>(x, wa, wb, wc);
-            {
-                let _gw = trace::span("rep.gw");
-                self.gw.matmul_panel_into::<LaneMajor, LaneMajor>(wa, wb);
+        match &self.path {
+            BasisPath::Fwt(fwt) => {
+                let _s = trace::span("apply_block.basis-rep-fwt");
+                fwt.forward_panel_into::<LaneMajor>(x, wa, wb, wc);
+                {
+                    let _gw = trace::span("rep.gw");
+                    self.gw.matmul_panel_into::<LaneMajor, LaneMajor>(wa, wb);
+                }
+                fwt.inverse_panel_into::<LaneMajor>(wb, y, wa, wc);
             }
-            fwt.inverse_panel_into::<LaneMajor>(wb, y, wa, wc);
-        } else {
-            {
-                let _qt = trace::span("rep.qt");
-                self.qt.matmul_panel_into::<ColMajor, LaneMajor>(x, wa);
+            BasisPath::Csr(qt) => {
+                let _s = trace::span("apply_block.basis-rep");
+                {
+                    let _qt = trace::span("rep.qt");
+                    qt.matmul_panel_into::<ColMajor, LaneMajor>(x, wa);
+                }
+                {
+                    let _gw = trace::span("rep.gw");
+                    self.gw.matmul_panel_into::<LaneMajor, LaneMajor>(wa, wb);
+                }
+                let _q = trace::span("rep.q");
+                self.q.matmul_panel_into::<LaneMajor, ColMajor>(wb, y);
             }
-            {
-                let _gw = trace::span("rep.gw");
-                self.gw.matmul_panel_into::<LaneMajor, LaneMajor>(wa, wb);
-            }
-            let _q = trace::span("rep.q");
-            self.q.matmul_panel_into::<LaneMajor, ColMajor>(wb, y);
         }
     }
 }
@@ -709,7 +755,6 @@ fn load_fwt_section(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use subsparse_linalg::Triplets;
 
     fn example_rep() -> BasisRep {
         // Q = identity, Gw = small symmetric matrix

@@ -119,8 +119,14 @@ pub fn write_matrix_market_commented<W: Write>(
     Ok(())
 }
 
-/// Reads a coordinate real general Matrix Market file into a CSR matrix.
-/// Duplicate entries are summed, as the format allows.
+/// Reads a coordinate real general Matrix Market file into triplets;
+/// [`Triplets::to_csr`] sums duplicate entries, as the format allows.
+///
+/// Nothing sized by the size line is allocated here: the triplets grow
+/// with the entry lines the file actually holds, and only `to_csr`
+/// allocates the `n_rows + 1` row pointers, so a caller that knows more
+/// about the matrix can check the stated shape against the entries
+/// ([`Triplets::len`]) before converting.
 ///
 /// # Errors
 ///
@@ -128,7 +134,7 @@ pub fn write_matrix_market_commented<W: Write>(
 /// `coordinate real general` and `coordinate real symmetric` are
 /// handled), or malformed content. Symmetric files are expanded to full
 /// storage.
-pub fn read_matrix_market<R: BufRead>(r: R) -> Result<Csr, ReadMatrixError> {
+pub fn read_matrix_market<R: BufRead>(r: R) -> Result<Triplets, ReadMatrixError> {
     let mut lines = r.lines().enumerate();
     // header
     let (_, header) =
@@ -217,7 +223,7 @@ pub fn read_matrix_market<R: BufRead>(r: R) -> Result<Csr, ReadMatrixError> {
         }
     }
     match (size, remaining) {
-        (Some(_), 0) => Ok(trips.expect("size parsed").to_csr()),
+        (Some(_), 0) => Ok(trips.expect("size parsed")),
         (Some((_, _, expected)), missing) => {
             Err(ReadMatrixError::Truncated { expected, got: expected - missing })
         }
@@ -250,7 +256,7 @@ mod tests {
         let m = Csr::from_dense(&dense, 0.0);
         let mut buf = Vec::new();
         write_matrix_market(&m, &mut buf).unwrap();
-        let back = read_matrix_market(&buf[..]).unwrap();
+        let back = read_matrix_market(&buf[..]).unwrap().to_csr();
         assert_eq!(back.n_rows(), 2);
         assert_eq!(back.n_cols(), 3);
         assert_eq!(back.nnz(), 3);
@@ -278,7 +284,7 @@ mod tests {
                     2 2 2\n\
                     1 1 4.0\n\
                     2 1 -1.0\n";
-        let m = read_matrix_market(text.as_bytes()).unwrap();
+        let m = read_matrix_market(text.as_bytes()).unwrap().to_csr();
         let d = m.to_dense();
         assert_eq!(d[(0, 0)], 4.0);
         assert_eq!(d[(0, 1)], -1.0);
@@ -329,7 +335,7 @@ mod tests {
             other => panic!("expected Truncated, got {other:?}"),
         }
         // the intact text still round-trips
-        assert_eq!(read_matrix_market(text.as_bytes()).unwrap().nnz(), 4);
+        assert_eq!(read_matrix_market(text.as_bytes()).unwrap().to_csr().nnz(), 4);
     }
 
     #[test]
@@ -346,7 +352,7 @@ mod tests {
         let m = Csr::zeros(3, 4);
         let mut buf = Vec::new();
         write_matrix_market(&m, &mut buf).unwrap();
-        let back = read_matrix_market(&buf[..]).unwrap();
+        let back = read_matrix_market(&buf[..]).unwrap().to_csr();
         assert_eq!(back.nnz(), 0);
         assert_eq!(back.n_rows(), 3);
         assert_eq!(back.n_cols(), 4);

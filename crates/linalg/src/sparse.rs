@@ -38,6 +38,16 @@ impl Triplets {
         }
     }
 
+    /// Number of rows.
+    pub fn n_rows(&self) -> usize {
+        self.n_rows
+    }
+
+    /// Number of columns.
+    pub fn n_cols(&self) -> usize {
+        self.n_cols
+    }
+
     /// Number of raw (pre-deduplication) entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -322,15 +332,43 @@ impl Csr {
     }
 
     /// Returns the transpose.
+    ///
+    /// A two-pass counting transpose: count the entries of each column,
+    /// prefix-sum the counts into the output's row pointers, then scatter
+    /// the rows in order, so each output row lists its columns in
+    /// increasing order without a sort. `O(nnz + n_rows + n_cols)` time,
+    /// and the output's three arrays are its only allocations. Explicit
+    /// `±0.0` entries are dropped, as [`Triplets::push`] drops them.
     pub fn transpose(&self) -> Csr {
-        let mut t = Triplets::new(self.n_cols, self.n_rows);
-        for i in 0..self.n_rows {
-            let (cols, vals) = self.row(i);
-            for (c, v) in cols.iter().zip(vals) {
-                t.push(*c as usize, i, *v);
+        let mut indptr = vec![0usize; self.n_cols + 1];
+        for (&c, &v) in self.indices.iter().zip(&self.data) {
+            if v != 0.0 {
+                indptr[c as usize + 1] += 1;
             }
         }
-        t.to_csr()
+        for c in 0..self.n_cols {
+            indptr[c + 1] += indptr[c];
+        }
+        let nnz = indptr[self.n_cols];
+        let mut indices = vec![0u32; nnz];
+        let mut data = vec![0.0; nnz];
+        // `indptr[c]` is column c's write cursor: after the scatter it
+        // has advanced to the start of column c + 1, so shifting the
+        // array up by one restores the row pointers
+        for i in 0..self.n_rows {
+            let (cols, vals) = self.row(i);
+            for (&c, &v) in cols.iter().zip(vals) {
+                if v != 0.0 {
+                    let k = &mut indptr[c as usize];
+                    indices[*k] = i as u32;
+                    data[*k] = v;
+                    *k += 1;
+                }
+            }
+        }
+        indptr.copy_within(0..self.n_cols, 1);
+        indptr[0] = 0;
+        Csr { n_rows: self.n_cols, n_cols: self.n_rows, indptr, indices, data }
     }
 
     /// Converts to a dense matrix.
@@ -376,6 +414,7 @@ impl Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SmallRng;
 
     #[test]
     fn build_and_matvec() {
@@ -404,6 +443,63 @@ mod tests {
             for j in 0..4 {
                 assert_eq!(d1[(i, j)], d2[(i, j)]);
             }
+        }
+    }
+
+    /// The reference transpose: every entry through [`Triplets`], then a
+    /// sort.
+    fn transpose_via_triplets(a: &Csr) -> Csr {
+        let mut t = Triplets::new(a.n_cols(), a.n_rows());
+        for (i, j, v) in a.iter() {
+            t.push(j, i, v);
+        }
+        t.to_csr()
+    }
+
+    fn assert_same_bits(got: &Csr, want: &Csr, label: &str) {
+        assert_eq!((got.n_rows, got.n_cols), (want.n_rows, want.n_cols), "{label}: shape");
+        assert_eq!(got.indptr, want.indptr, "{label}: indptr");
+        assert_eq!(got.indices, want.indices, "{label}: indices");
+        let bits = |m: &Csr| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{label}: data bits");
+    }
+
+    #[test]
+    fn counting_transpose_matches_the_triplet_path_bit_for_bit() {
+        let mut rng = SmallRng::seed_from_u64(0x7A05);
+        let mut explicit_zeros = 0;
+        for (n_rows, n_cols, fill) in
+            [(1, 1, 1.0), (7, 13, 0.3), (40, 9, 0.1), (9, 40, 0.05), (64, 64, 0.02), (33, 1, 0.5)]
+        {
+            // one row and one column held empty, and explicit +0.0 and
+            // -0.0 entries, which `Triplets` could not store
+            let empty_row = rng.next_u64() as usize % n_rows;
+            let empty_col = rng.next_u64() as usize % n_cols;
+            let (mut indptr, mut indices, mut data) = (vec![0], Vec::new(), Vec::new());
+            for i in 0..n_rows {
+                for j in 0..n_cols {
+                    if i != empty_row && j != empty_col && rng.gen_bool(fill) {
+                        let v = match rng.next_u64() % 8 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => rng.range_f64(-3.0, 3.0),
+                        };
+                        explicit_zeros += usize::from(v == 0.0);
+                        indices.push(j as u32);
+                        data.push(v);
+                    }
+                }
+                indptr.push(indices.len());
+            }
+            let a = Csr::from_parts(n_rows, n_cols, indptr, indices, data);
+            let label = format!("{n_rows}x{n_cols} at fill {fill}");
+            assert_same_bits(&a.transpose(), &transpose_via_triplets(&a), &label);
+        }
+        assert!(explicit_zeros > 0, "the inputs must exercise explicit zeros");
+        for (n_rows, n_cols) in [(0, 5), (5, 0), (0, 0)] {
+            let a = Csr::zeros(n_rows, n_cols);
+            let label = format!("{n_rows}x{n_cols}");
+            assert_same_bits(&a.transpose(), &transpose_via_triplets(&a), &label);
         }
     }
 
