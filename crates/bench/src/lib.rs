@@ -16,15 +16,18 @@
 //!
 //! Pass `--quick` to any binary for a smaller, faster configuration (same
 //! code paths, reduced sizes).
+//!
+//! This crate times no serving path of its own: `cli apply --repeat N
+//! --block B --path fwt|csr --threads T` times applies of a saved model,
+//! and the `benchmark/` package is the end-to-end gate. Its one
+//! kernel-level stopwatch is the `linalg_kernels` bench.
 
-pub mod apply_speed;
 pub mod batch;
 pub mod examples;
 pub mod figures;
 pub mod method_matrix;
 pub mod scaling;
 pub mod tables;
-pub mod timing;
 
 pub use examples::{ch3_examples, ch4_examples, ExampleSpec, SolverKind};
 pub use method_matrix::run_method_matrix;
@@ -56,11 +59,10 @@ pub const TARGETS: &[(&str, &str, Runner)] = &[
 /// interpretable: a 1-CPU container's threaded rows regressing is a
 /// machine difference, not a code regression, and the metadata says so.
 ///
-/// `repeats` is the measurement repeat count of the harness that produced
-/// the record (batches for the timing harness, apply iterations for the
-/// eval harness). The provenance fields `git_rev`, `rustc` and `cpu` are
-/// the ones the `benchmark/` package prints; `git_rev` carries a `+dirty`
-/// suffix when tracked files differ from that commit.
+/// `repeats` is the apply-iteration count of the eval harness that
+/// produced the record. The provenance fields `git_rev`, `rustc` and
+/// `cpu` are the ones the `benchmark/` package prints; `git_rev` carries
+/// a `+dirty` suffix when tracked files differ from that commit.
 pub fn run_meta_json(repeats: usize) -> String {
     let parallelism = std::thread::available_parallelism().map_or(0, |p| p.get());
     let profile = if cfg!(debug_assertions) { "debug" } else { "release" };

@@ -162,7 +162,7 @@ pub fn run_point(k: usize, probe: &dyn PeakProbe) -> ScalingRow {
 pub fn run_scaling(sides: &[usize], probe: &dyn PeakProbe) -> Vec<ScalingRow> {
     let mut rows = Vec::new();
     for &k in sides {
-        crate::timing::group(&format!("scaling sweep (n = {})", k * k));
+        println!("\n== scaling sweep (n = {})", k * k);
         let row = run_point(k, probe);
         println!(
             "  n={:<6} solves={:<5} extract={:<10} peak={:<10} serve={}/vector",

@@ -33,7 +33,7 @@
 //! configuration.
 
 use subsparse_linalg::exec;
-use subsparse_linalg::io::{fnv1a64, ReadMatrixError};
+use subsparse_linalg::io::{fnv1a64, fnv1a64_concat, ReadMatrixError};
 use subsparse_linalg::kernels::{ColMajor, LaneMajor};
 use subsparse_linalg::{faults, trace, ApplyWorkspace, CouplingOp, Csr, Mat, Triplets};
 
@@ -622,8 +622,8 @@ fn read_model_text(path: &std::path::Path) -> Result<String, ModelLoadError> {
 
 /// Inserts the `% subsparse digest fnv1a64 <hex>` integrity line after
 /// the banner line of a canonical serialized file. The digest covers
-/// every byte *except* the digest line itself, so verification removes
-/// that one line and hashes the rest.
+/// every byte *except* the digest line itself, so verification hashes
+/// the bytes on either side of that one line.
 fn with_digest_line(canonical: &[u8]) -> Vec<u8> {
     let digest = fnv1a64(canonical);
     let line_end = canonical.iter().position(|&b| b == b'\n').map_or(canonical.len(), |p| p + 1);
@@ -642,33 +642,25 @@ fn parse_digest_line(line: &str) -> Option<u64> {
     u64::from_str_radix(rest.trim(), 16).ok()
 }
 
-/// Verifies a file's integrity digest, when it carries one: the digest
-/// line is removed, the remaining bytes hashed, and a mismatch reported
-/// as [`ModelLoadError::Corrupt`]. Files without a digest line (pre-
-/// format-3 saves) pass unverified, as they always did.
+/// Verifies a file's integrity digest, when it carries one: the bytes
+/// before and after the first digest line are hashed in place, and a
+/// mismatch reported as [`ModelLoadError::Corrupt`]. Files without a
+/// digest line (pre-format-3 saves) pass unverified, as they always did.
 fn verify_digest(file: &str, text: &str) -> Result<(), ModelLoadError> {
-    let mut expected = None;
-    let mut canonical = String::with_capacity(text.len());
+    let mut start = 0;
     for seg in text.split_inclusive('\n') {
-        if expected.is_none() {
-            if let Some(d) = parse_digest_line(seg.trim_end()) {
-                expected = Some(d);
-                continue;
-            }
-        }
-        canonical.push_str(seg);
-    }
-    match expected {
-        None => Ok(()),
-        Some(expected) => {
-            let actual = fnv1a64(canonical.as_bytes());
-            if actual == expected {
+        if let Some(expected) = parse_digest_line(seg.trim_end()) {
+            let (before, after) = (&text[..start], &text[start + seg.len()..]);
+            let actual = fnv1a64_concat(&[before.as_bytes(), after.as_bytes()]);
+            return if actual == expected {
                 Ok(())
             } else {
                 Err(ModelLoadError::Corrupt { file: file.into(), expected, actual })
-            }
+            };
         }
+        start += seg.len();
     }
+    Ok(())
 }
 
 /// Validates the `subsparse basisrep format N` tag in a saved model file's

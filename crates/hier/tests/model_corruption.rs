@@ -116,19 +116,26 @@ fn with_field(text: &str, line: usize, field: usize, value: &str) -> String {
     lines.join("\n")
 }
 
-/// Rewrites a Matrix Market factor with `field` of its size line set to
-/// `value`, re-stamping the digest (which covers every line but its own)
-/// so the damage reaches the parser.
-fn restamp_mtx_size(path: &Path, field: usize, value: &str) {
+/// Rewrites a Matrix Market factor through `edit` (given the text
+/// without its digest line), re-stamping the digest (which covers every
+/// line but its own) so the damage reaches the parser.
+fn restamp_mtx(path: &Path, edit: impl FnOnce(String) -> String) {
     let text = std::fs::read_to_string(path).unwrap();
     let canonical: String =
         text.split_inclusive('\n').filter(|l| !l.contains("subsparse digest fnv1a64")).collect();
-    let size_line = canonical.lines().position(|l| !l.starts_with('%')).unwrap();
-    let edited = with_field(&canonical, size_line, field, value);
+    let edited = edit(canonical);
     let (banner, rest) = edited.split_once('\n').unwrap();
     let digest = fnv1a64(edited.as_bytes());
     std::fs::write(path, format!("{banner}\n% subsparse digest fnv1a64 {digest:016x}\n{rest}"))
         .unwrap();
+}
+
+/// [`restamp_mtx`] with `field` of the size line set to `value`.
+fn restamp_mtx_size(path: &Path, field: usize, value: &str) {
+    restamp_mtx(path, |canonical| {
+        let size_line = canonical.lines().position(|l| !l.starts_with('%')).unwrap();
+        with_field(&canonical, size_line, field, value)
+    });
 }
 
 /// Rewrites the `.fwt` side file with `field` of body line `line` set to
@@ -296,6 +303,29 @@ fn restamped_factor_dimensions_beyond_u32_are_typed_errors() {
         let scenario = format!("{suffix} size field {field} = 2^32, digest re-stamped");
         match load_no_panic(&fx.stem, &scenario) {
             Err(ModelLoadError::Malformed { file, .. }) => assert!(file.ends_with(suffix)),
+            other => panic!("{scenario}: expected a typed Malformed error, got {other:?}"),
+        }
+    }
+    fx.restore();
+    assert!(load_no_panic(&fx.stem, "pristine").is_ok());
+}
+
+#[test]
+fn restamped_surplus_entries_are_typed_errors() {
+    // one entry line more than the size line states, digest re-stamped:
+    // summed into the factor it would silently change the model
+    let fx = Fixture::new("mtx_surplus");
+    for suffix in [".gw.mtx", ".q.mtx"] {
+        fx.restore();
+        restamp_mtx(&fx.path(suffix), |canonical| canonical + "1 1 1.0e3\n");
+        // the appended entry is the re-stamped file's last line
+        let line = std::fs::read_to_string(fx.path(suffix)).unwrap().lines().count();
+        let scenario = format!("{suffix} with a surplus entry, digest re-stamped");
+        match load_no_panic(&fx.stem, &scenario) {
+            Err(ModelLoadError::Malformed { file, detail }) => {
+                assert!(file.ends_with(suffix), "{scenario}: {file}");
+                assert!(detail.contains(&format!("line {line}")), "{scenario}: {detail}");
+            }
             other => panic!("{scenario}: expected a typed Malformed error, got {other:?}"),
         }
     }

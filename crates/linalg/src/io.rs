@@ -132,8 +132,10 @@ pub fn write_matrix_market_commented<W: Write>(
 ///
 /// Returns an error on I/O failure, an unsupported header (only
 /// `coordinate real general` and `coordinate real symmetric` are
-/// handled), or malformed content. Symmetric files are expanded to full
-/// storage.
+/// handled), malformed content, or an entry count other than the size
+/// line's: fewer entries are [`ReadMatrixError::Truncated`], a surplus
+/// entry is a [`ReadMatrixError::Parse`] naming its line. Symmetric files
+/// are expanded to full storage.
 pub fn read_matrix_market<R: BufRead>(r: R) -> Result<Triplets, ReadMatrixError> {
     let mut lines = r.lines().enumerate();
     // header
@@ -185,7 +187,13 @@ pub fn read_matrix_market<R: BufRead>(r: R) -> Result<Triplets, ReadMatrixError>
                 trips = Some(Triplets::new(nr, nc));
                 remaining = nnz;
             }
-            Some((nr, nc, _)) => {
+            Some((nr, nc, nnz)) => {
+                if remaining == 0 {
+                    return Err(ReadMatrixError::Parse {
+                        line: idx + 1,
+                        message: format!("entry beyond the {nnz} the size line states"),
+                    });
+                }
                 if fields.len() != 3 {
                     return Err(ReadMatrixError::Parse {
                         line: idx + 1,
@@ -218,7 +226,7 @@ pub fn read_matrix_market<R: BufRead>(r: R) -> Result<Triplets, ReadMatrixError>
                 if symmetric && i != j {
                     t.push(j - 1, i - 1, v);
                 }
-                remaining = remaining.saturating_sub(1);
+                remaining -= 1;
             }
         }
     }
@@ -237,10 +245,19 @@ pub fn read_matrix_market<R: BufRead>(r: R) -> Result<Triplets, ReadMatrixError>
 /// modes model artifacts actually meet (truncation, bit rot, partial
 /// writes, editor mangling).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_concat(&[bytes])
+}
+
+/// [`fnv1a64`] of the concatenation of `parts`, without building it:
+/// FNV-1a is a byte fold, so each part continues from the state the
+/// previous one left.
+pub fn fnv1a64_concat(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    for part in parts {
+        for &b in *part {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
     }
     h
 }
@@ -339,12 +356,39 @@ mod tests {
     }
 
     #[test]
+    fn surplus_entry_is_a_parse_error_naming_its_line() {
+        // one entry more than the size line states: refused, not summed
+        // into the matrix
+        let text = "%%MatrixMarket matrix coordinate real general\n\
+                    2 2 1\n\
+                    1 1 4.0\n\
+                    1 1 1.0e3\n";
+        match read_matrix_market(text.as_bytes()) {
+            Err(ReadMatrixError::Parse { line, message }) => {
+                assert_eq!(line, 4);
+                assert!(message.contains("beyond the 1"), "{message}");
+            }
+            other => panic!("expected Parse, got {other:?}"),
+        }
+        // trailing comments and blank lines are not entries
+        let text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 4.0\n% end\n\n";
+        assert_eq!(read_matrix_market(text.as_bytes()).unwrap().len(), 1);
+    }
+
+    #[test]
     fn fnv1a64_is_stable_and_sensitive() {
         // reference vectors from the FNV-1a specification
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         // a single flipped bit changes the digest
         assert_ne!(fnv1a64(b"1 2 3.0\n"), fnv1a64(b"1 2 3.1\n"));
+        // split anywhere, the parts hash as their concatenation
+        let text = b"%%MatrixMarket\n2 2 1\n1 1 4.0\n";
+        for cut in 0..=text.len() {
+            let (a, b) = text.split_at(cut);
+            assert_eq!(fnv1a64_concat(&[a, b]), fnv1a64(text), "cut at {cut}");
+        }
+        assert_eq!(fnv1a64_concat(&[]), fnv1a64(b""));
     }
 
     #[test]

@@ -316,9 +316,11 @@ impl WorkerSlot {
 /// panels, each pushed through the unmodified serial blocked kernel
 /// (whose columns already bit-match the per-vector apply); a narrow block
 /// runs inline on that kernel. Column panels are the only parallel axis.
-/// Determinism is enforced by the contract suite in
-/// `crates/hier/tests/coupling_contract.rs` and by the `apply_speed` CI
-/// gate.
+/// Determinism is enforced by the contract suites
+/// `crates/hier/tests/coupling_contract.rs` (every operator at 1, 2,
+/// auto and more workers than contacts) and
+/// `crates/core/tests/executor_contract.rs` (every pool site, including
+/// a thresholded wavelet model).
 ///
 /// Worker state — one [`ApplyWorkspace`] plus input/output staging panels
 /// per worker — lives in the executor and is reused across calls, so
@@ -341,10 +343,10 @@ impl WorkerSlot {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ParallelApply {
-    threads: usize,
-    /// `threads` resolved once at construction: `available_parallelism`
-    /// consults cgroup files on Linux and std advises caching it, so the
-    /// auto mode must not re-query it on the per-apply hot path.
+    /// The worker-count knob, resolved once at construction:
+    /// `available_parallelism` consults cgroup files on Linux and std
+    /// advises caching it, so the auto mode must not re-query it on the
+    /// per-apply hot path.
     resolved: usize,
     /// Fewest stored-value traversals (`nnz x block / workers`) worth a
     /// worker of its own; see [`with_min_work`](Self::with_min_work).
@@ -355,9 +357,9 @@ pub struct ParallelApply {
 /// Default of [`ParallelApply::with_min_work`]: stored-value traversals
 /// (`nnz x block`) each worker must be fed before the dispatch engages
 /// it. The threshold is sized against the cost of handing a shard to the
-/// persistent pool, which the `handoff_pool` row of `apply_speed
-/// --handoff` records in `BENCH_apply_speed.json`. Column panels below
-/// it — e.g. a dense n=64 block of 3 vectors — serve on the inline serial
+/// persistent pool: about 2.6 µs at p50 on one CPU when the value was
+/// set, against ~17 µs for a fresh thread scope. Column panels below it
+/// — e.g. a dense n=64 block of 3 vectors — serve on the inline serial
 /// path instead of a degraded dispatch.
 pub const DEFAULT_MIN_WORK_PER_WORKER: usize = 16 * 1024;
 
@@ -369,7 +371,6 @@ impl ParallelApply {
     /// on first use; see [`warm`](Self::warm).
     pub fn new(threads: usize) -> Self {
         ParallelApply {
-            threads,
             resolved: resolve_threads(threads),
             min_work: DEFAULT_MIN_WORK_PER_WORKER,
             slots: Vec::new(),
@@ -388,26 +389,15 @@ impl ParallelApply {
         self
     }
 
-    /// The requested worker-thread knob (possibly `0` = auto).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// The resolved worker count (`0` resolved to the CPU count at
     /// construction time).
     pub fn resolved_threads(&self) -> usize {
         self.resolved
     }
 
-    /// The min-work-per-worker threshold (see
-    /// [`with_min_work`](Self::with_min_work)).
-    pub fn min_work(&self) -> usize {
-        self.min_work
-    }
-
     /// Workers the threshold allows for an apply of `block` columns over
     /// `nnz` stored values: each spawned worker must be fed at least
-    /// [`min_work`](Self::min_work) traversals.
+    /// the [`with_min_work`](Self::with_min_work) threshold's traversals.
     fn work_capped(&self, nnz: usize, block: usize) -> usize {
         match nnz.saturating_mul(block).checked_div(self.min_work) {
             // min_work == 0 disables the threshold entirely
@@ -686,9 +676,7 @@ mod tests {
         // min_work 0: force the threaded paths on fixtures far below the
         // default inline-serve threshold
         let mut pool = ParallelApply::new(3).with_min_work(0);
-        assert_eq!(pool.threads(), 3);
         assert!(pool.resolved_threads() >= 1);
-        assert_eq!(pool.min_work(), 0);
         let ops: [&(dyn CouplingOp + Sync); 3] = [&g, &sparse, &lr];
         for op in ops {
             // 1-column block -> inline; wider blocks -> column panels,
@@ -734,7 +722,6 @@ mod tests {
         let n = 64;
         let g = Mat::from_fn(n, n, |i, j| ((i * 5 + j * 3) % 13) as f64 - 6.0);
         let mut pool = ParallelApply::new(4);
-        assert_eq!(pool.min_work(), DEFAULT_MIN_WORK_PER_WORKER);
         assert_eq!(pool.planned_workers(&g, 1), 1);
         // a single column has no axis to shard, threshold or not
         assert_eq!(ParallelApply::new(4).with_min_work(0).planned_workers(&g, 1), 1);

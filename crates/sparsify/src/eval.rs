@@ -155,7 +155,7 @@ impl MethodReport {
 }
 
 /// Formats nanoseconds with an adaptive unit (shared by the report rows
-/// and the bench timing harness).
+/// `cli sparsify` prints and the bench crate's timed rows).
 pub fn format_ns(ns: f64) -> String {
     if ns >= 1e9 {
         format!("{:.2}s", ns / 1e9)
@@ -356,6 +356,14 @@ mod tests {
     use crate::{Method, SparsifyOptions};
     use subsparse_layout::generators;
     use subsparse_substrate::solver;
+
+    #[test]
+    fn ns_formatting() {
+        assert_eq!(format_ns(12.0), "12ns");
+        assert_eq!(format_ns(1500.0), "1.50us");
+        assert_eq!(format_ns(2.5e6), "2.50ms");
+        assert_eq!(format_ns(3.1e9), "3.10s");
+    }
 
     #[test]
     fn report_grades_threshold_method() {

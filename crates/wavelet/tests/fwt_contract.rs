@@ -190,6 +190,23 @@ fn extracted_rep_serves_on_the_fwt_path_and_roundtrips_through_disk() {
     // thresholding keeps the serving path
     let (thr, _) = rep.thresholded_to_sparsity(rep.sparsity_factor() * 2.0);
     assert_eq!(thr.kind(), "basis-rep-fwt");
+    // and the thresholded model, the one a server serves, agrees with its
+    // explicit-CSR fallback one vector at a time and in a 32-wide block
+    let csr = thr.without_fwt();
+    let mut ws = ApplyWorkspace::new();
+    for block in [1usize, 32] {
+        let x = random_mat(thr.n(), block, 0x7E5 ^ block as u64);
+        let (mut y_fwt, mut y_csr) = (Mat::zeros(0, 0), Mat::zeros(0, 0));
+        thr.apply_block_into(&x, &mut y_fwt, &mut ws);
+        csr.apply_block_into(&x, &mut y_csr, &mut ws);
+        for j in 0..block {
+            let err = rel_err(y_fwt.col(j), y_csr.col(j));
+            assert!(
+                err <= 1e-12,
+                "thresholded paths diverge at width {block} column {j}: {err:.3e}"
+            );
+        }
+    }
 
     let dir = std::env::temp_dir().join("subsparse_fwt_contract_test");
     std::fs::create_dir_all(&dir).unwrap();
