@@ -17,7 +17,7 @@
 //!   representation's fast-transform path, and its nnz ratio.
 //!
 //! The sweep runs behind an *extract gate*: on a small fixture, the
-//! `Gw` that the combine-solves [`extract`] produces — the extraction
+//! `Gw` that the combine-solves [`extract()`] produces — the extraction
 //! the sweep actually runs — must match the exact `n`-solve transform
 //! ([`transform_dense`]) on its kept pattern within the wavelet method's
 //! documented tolerance. The `scaling` binary exits nonzero when it does
@@ -178,7 +178,7 @@ pub fn run_scaling(sides: &[usize], probe: &dyn PeakProbe) -> Vec<ScalingRow> {
 }
 
 /// The extract gate: on the `n = 256` fixture, default-option
-/// [`extract`] must produce a `Gw` whose kept entries are all finite and
+/// [`extract()`] must produce a `Gw` whose kept entries are all finite and
 /// whose relative Frobenius error against the exact transform
 /// ([`transform_dense`]) on that kept pattern is at most
 /// [`Method::Wavelet`]'s documented tolerance.

@@ -19,8 +19,8 @@ pub struct Extraction {
 
 impl Extraction {
     /// Runs any registered sparsification [`Method`] through the
-    /// [`Sparsifier`] trait — the generic front door the named pipelines
-    /// below are sugar over.
+    /// [`Sparsifier`](crate::Sparsifier) trait — the generic front door
+    /// the named pipelines below are sugar over.
     ///
     /// # Errors
     ///

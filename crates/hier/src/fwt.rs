@@ -59,8 +59,9 @@ use subsparse_linalg::{trace, Mat};
 /// One square's transform step.
 ///
 /// The fields are raw offsets into the parent
-/// [`FastWaveletTransform`]'s flat storage; [`from_parts`]
-/// (FastWaveletTransform::from_parts) validates them as a whole. At the
+/// [`FastWaveletTransform`]'s flat storage;
+/// [`from_parts`](FastWaveletTransform::from_parts) validates them as a
+/// whole. At the
 /// finest level `in_offset`/`in_len` select the square's contact indices;
 /// at coarser levels they select the children's scaling coefficients in
 /// the finer level's buffer.

@@ -411,11 +411,11 @@ impl BasisRep {
     ///
     /// Returns a [`ModelLoadError`] naming the offending file if either
     /// factor is missing, fails its digest, is truncated, is stamped with
-    /// a format newer than [`FORMAT_VERSION`], does not parse, or `Q`
-    /// states more rows or columns than it holds entries; and one naming
-    /// both shapes if the factor shapes are mutually inconsistent. Both
-    /// shape checks run before anything sized by a size line is
-    /// allocated.
+    /// a format newer than [`FORMAT_VERSION`], does not parse, repeats an
+    /// entry's coordinate, or `Q` states more rows or columns than it
+    /// holds entries; and one naming both shapes if the factor shapes are
+    /// mutually inconsistent. Both shape checks run before anything sized
+    /// by a size line is allocated.
     pub fn load(stem: &std::path::Path) -> Result<BasisRep, ModelLoadError> {
         let read = |suffix: &str| -> Result<(String, Triplets), ModelLoadError> {
             let path = stem_path(stem, suffix);
@@ -456,7 +456,7 @@ impl BasisRep {
                 ),
             });
         }
-        let (_, gw) = read(".gw.mtx")?;
+        let (gw_file, gw) = read(".gw.mtx")?;
         if q.n_cols() != gw.n_rows() || gw.n_rows() != gw.n_cols() {
             return Err(ModelLoadError::Structure {
                 detail: format!(
@@ -468,7 +468,16 @@ impl BasisRep {
                 ),
             });
         }
+        // `to_csr` sums entries that share a coordinate; a saved model
+        // never repeats one, so a merge means an edited file
+        let entries = (q.len(), gw.len());
         let (q, gw) = (q.to_csr(), gw.to_csr());
+        let factors = [(".q.mtx", q_file, &q, entries.0), (".gw.mtx", gw_file, &gw, entries.1)];
+        for (suffix, file, csr, len) in factors {
+            if csr.nnz() != len {
+                return Err(repeated_coordinate(&stem_path(stem, suffix), file));
+            }
+        }
         match load_fwt_section(stem, &q) {
             Ok(Some(fwt)) => Ok(BasisRep::with_fwt(q, gw, fwt)),
             Ok(None) => Ok(BasisRep::new(q, gw)),
@@ -597,6 +606,29 @@ fn stem_path(stem: &std::path::Path, suffix: &str) -> std::path::PathBuf {
     let mut path = stem.as_os_str().to_owned();
     path.push(suffix);
     std::path::PathBuf::from(path)
+}
+
+/// The [`ModelLoadError::Malformed`] of a factor file whose entries
+/// repeat a coordinate, naming the first entry line that repeats an
+/// earlier one. The file is scanned again only on this error path, so a
+/// good model pays nothing for the check.
+fn repeated_coordinate(path: &std::path::Path, file: String) -> ModelLoadError {
+    let text = std::fs::read_to_string(path).unwrap_or_default();
+    let mut seen = std::collections::HashMap::new();
+    // entry lines follow the size line, the first line that is neither
+    // blank nor a comment
+    let entries = text.lines().enumerate().filter(|(_, l)| {
+        let t = l.trim();
+        !t.is_empty() && !t.starts_with('%')
+    });
+    let detail = entries.skip(1).find_map(|(idx, line)| {
+        let mut f = line.split_whitespace().map(str::parse::<usize>);
+        let (i, j) = (f.next()?.ok()?, f.next()?.ok()?);
+        let first = seen.insert((i, j), idx + 1)?;
+        Some(format!("entry on line {} repeats the coordinate ({i}, {j}) of line {first}", idx + 1))
+    });
+    let detail = detail.unwrap_or_else(|| "entries repeat a coordinate".into());
+    ModelLoadError::Malformed { file, detail }
 }
 
 /// Reads a model file's bytes into text, with the two load failpoints

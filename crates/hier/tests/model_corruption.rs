@@ -332,3 +332,51 @@ fn restamped_surplus_entries_are_typed_errors() {
     fx.restore();
     assert!(load_no_panic(&fx.stem, "pristine").is_ok());
 }
+
+/// `canonical` with the coordinate of its last entry line set to `(i, j)`.
+fn with_last_coordinate(canonical: &str, i: &str, j: &str) -> String {
+    let last = canonical.lines().count() - 1;
+    with_field(&with_field(canonical, last, 0, i), last, 1, j)
+}
+
+#[test]
+fn restamped_entry_coordinates_are_typed_errors() {
+    // the last entry line re-addressed, digest re-stamped: to the first
+    // entry's coordinate (summed into the factor, the last entry's own
+    // coordinate would silently vanish from the model), or one row past
+    // the stated shape
+    let fx = Fixture::new("mtx_coordinates");
+    for suffix in [".gw.mtx", ".q.mtx"] {
+        for repeat in [true, false] {
+            fx.restore();
+            restamp_mtx(&fx.path(suffix), |canonical| {
+                let mut body = canonical.lines().filter(|l| !l.starts_with('%'));
+                let size: Vec<&str> = body.next().unwrap().split_whitespace().collect();
+                let first: Vec<&str> = body.next().unwrap().split_whitespace().collect();
+                let rows = (size[0].parse::<usize>().unwrap() + 1).to_string();
+                let (i, j) = if repeat { (first[0], first[1]) } else { (rows.as_str(), "1") };
+                with_last_coordinate(&canonical, i, j)
+            });
+            // the edited entry is the re-stamped file's last line, the
+            // first entry the line after the size line
+            let text = std::fs::read_to_string(fx.path(suffix)).unwrap();
+            let line = text.lines().count();
+            let want = if repeat {
+                let first = text.lines().position(|l| !l.starts_with('%')).unwrap() + 2;
+                format!("entry on line {line} repeats the coordinate (1, 1) of line {first}")
+            } else {
+                format!("entry on line {line} addresses (17, 1), outside the stated 16x16 shape")
+            };
+            let scenario = format!("{suffix} with its last entry re-addressed, digest re-stamped");
+            match load_no_panic(&fx.stem, &scenario) {
+                Err(ModelLoadError::Malformed { file, detail }) => {
+                    assert!(file.ends_with(suffix), "{scenario}: {file}");
+                    assert!(detail.contains(&want), "{scenario}: {detail}");
+                }
+                other => panic!("{scenario}: expected a typed Malformed error, got {other:?}"),
+            }
+        }
+    }
+    fx.restore();
+    assert!(load_no_panic(&fx.stem, "pristine").is_ok());
+}

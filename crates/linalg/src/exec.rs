@@ -41,7 +41,7 @@
 //! caller's reads (the control mutex pairs the hand-off), so a sequence
 //! of `run` calls is a sequence of barriered parallel sections.
 //!
-//! One process-wide pool ([`global`]) is shared by every call site;
+//! One process-wide pool ([`Executor::global`]) is shared by every call site;
 //! concurrent dispatches from different threads serialize on the
 //! dispatch lock. Workers are spawned on demand up to the largest shard
 //! count ever requested (capped at [`MAX_WORKERS`]) and live until

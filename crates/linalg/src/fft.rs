@@ -17,15 +17,23 @@
 //!
 //! # Order contract
 //!
-//! Per lane, [`Fft::butterflies`] performs exactly the operations of the
-//! iterative radix-2 decimation-in-time plan, in the same order: stages
-//! `len = 2, 4, ..., n`; within a stage, blocks in increasing `base`;
-//! within a block, butterflies `k = 0..len/2` with twiddle
-//! `w = tw[k * n / len]`, each computing `t = b * w` as
-//! `(b.re w.re - b.im w.im, b.re w.im + b.im w.re)` and then
+//! Per lane, [`Fft::butterflies`] computes exactly what the iterative
+//! radix-2 decimation-in-time plan computes: stages `len = 2, 4, ..., n`,
+//! each pairing rows `base + k` and `base + k + len/2` of every `len`-row
+//! block with twiddle `w = tw[k * n / len]`, and each butterfly computing
+//! `t = b * w` as `(b.re w.re - b.im w.im, b.re w.im + b.im w.re)` and then
 //! `a <- a + t`, `b <- a - t`. Lanes never mix and rustc never contracts
 //! `a * b + c` into a fused multiply-add, so each lane's output bits are
 //! independent of the lane count and of where the block came from.
+//!
+//! Two stages run per pass over the planes: stages `len` and `2 len` are
+//! fused, so each group of rows `k, k + h, k + 2h, k + 3h` of a `2 len`
+//! block (`h = len / 2`) takes its two stage-`len` butterflies and then
+//! its two stage-`2 len` ones in registers, and the planes stream through
+//! the cache `log2(n) / 2` times instead of `log2(n)`. An odd stage count
+//! runs one plain `len = 2` stage first. A butterfly reads only the two
+//! values the previous stage left in its rows, so this interleaving
+//! leaves every bit where the stage-by-stage loop puts it.
 
 /// An FFT plan for a fixed power-of-two size.
 ///
@@ -103,34 +111,68 @@ impl Fft {
         if lanes == 0 {
             return;
         }
+        let tw = |k: usize| {
+            let wi = self.tw_im[k];
+            (self.tw_re[k], if inverse { -wi } else { wi })
+        };
         let mut len = 2;
-        while len <= n {
-            let half = len / 2;
-            let step = n / len;
-            let span = len * lanes;
+        if n.trailing_zeros() % 2 == 1 {
+            // an odd stage count: one plain `len = 2` stage first
+            let w = tw(0);
+            let pairs = re.chunks_exact_mut(2 * lanes).zip(im.chunks_exact_mut(2 * lanes));
+            for (re_blk, im_blk) in pairs {
+                let (r0, r1) = re_blk.split_at_mut(lanes);
+                let (i0, i1) = im_blk.split_at_mut(lanes);
+                for l in 0..lanes {
+                    let (a, b) = butterfly((r0[l], i0[l]), (r1[l], i1[l]), w);
+                    (r0[l], i0[l], r1[l], i1[l]) = (a.0, a.1, b.0, b.1);
+                }
+            }
+            len = 4;
+        }
+        // stages `len` and `2 len` in one pass: rows `k, k+h, k+2h, k+3h`
+        // of a `2 len` block (`h = len / 2`) take their two stage-`len`
+        // butterflies, then their two stage-`2 len` ones, in registers
+        while len < n {
+            let h = len / 2;
+            let span = 2 * len * lanes;
             for (re_blk, im_blk) in re.chunks_exact_mut(span).zip(im.chunks_exact_mut(span)) {
-                let (re_a, re_b) = re_blk.split_at_mut(half * lanes);
-                let (im_a, im_b) = im_blk.split_at_mut(half * lanes);
-                for k in 0..half {
-                    let wr = self.tw_re[k * step];
-                    let wi = if inverse { -self.tw_im[k * step] } else { self.tw_im[k * step] };
+                let (r01, r23) = re_blk.split_at_mut(len * lanes);
+                let ((r0, r1), (r2, r3)) =
+                    (r01.split_at_mut(h * lanes), r23.split_at_mut(h * lanes));
+                let (i01, i23) = im_blk.split_at_mut(len * lanes);
+                let ((i0, i1), (i2, i3)) =
+                    (i01.split_at_mut(h * lanes), i23.split_at_mut(h * lanes));
+                for k in 0..h {
+                    let w1 = tw(k * (n / len));
+                    let (w2, w3) = (tw(k * (n / (2 * len))), tw((k + h) * (n / (2 * len))));
                     let row = k * lanes..(k + 1) * lanes;
-                    let a = re_a[row.clone()].iter_mut().zip(&mut im_a[row.clone()]);
-                    let b = re_b[row.clone()].iter_mut().zip(&mut im_b[row]);
-                    for ((ar, ai), (br, bi)) in a.zip(b) {
-                        let tr = *br * wr - *bi * wi;
-                        let ti = *br * wi + *bi * wr;
-                        let (ur, ui) = (*ar, *ai);
-                        *ar = ur + tr;
-                        *ai = ui + ti;
-                        *br = ur - tr;
-                        *bi = ui - ti;
+                    let (r0, r1) = (&mut r0[row.clone()], &mut r1[row.clone()]);
+                    let (r2, r3) = (&mut r2[row.clone()], &mut r3[row.clone()]);
+                    let (i0, i1) = (&mut i0[row.clone()], &mut i1[row.clone()]);
+                    let (i2, i3) = (&mut i2[row.clone()], &mut i3[row]);
+                    for l in 0..lanes {
+                        let (a0, a1) = butterfly((r0[l], i0[l]), (r1[l], i1[l]), w1);
+                        let (a2, a3) = butterfly((r2[l], i2[l]), (r3[l], i3[l]), w1);
+                        let (b0, b2) = butterfly(a0, a2, w2);
+                        let (b1, b3) = butterfly(a1, a3, w3);
+                        (r0[l], i0[l], r1[l], i1[l]) = (b0.0, b0.1, b1.0, b1.1);
+                        (r2[l], i2[l], r3[l], i3[l]) = (b2.0, b2.1, b3.0, b3.1);
                     }
                 }
             }
-            len <<= 1;
+            len <<= 2;
         }
     }
+}
+
+/// One radix-2 butterfly on one lane, in the order the [module
+/// docs](self) fix: `t = b w`, then `(a + t, a - t)`.
+#[inline(always)]
+fn butterfly(a: (f64, f64), b: (f64, f64), w: (f64, f64)) -> ((f64, f64), (f64, f64)) {
+    let tr = b.0 * w.0 - b.1 * w.1;
+    let ti = b.0 * w.1 + b.1 * w.0;
+    ((a.0 + tr, a.1 + ti), (a.0 - tr, a.1 - ti))
 }
 
 #[cfg(test)]
@@ -215,6 +257,65 @@ mod tests {
                 for j in 0..n {
                     assert_eq!(bre[j * lanes + l].to_bits(), lre[j].to_bits());
                     assert_eq!(bim[j * lanes + l].to_bits(), lim[j].to_bits());
+                }
+            }
+        }
+    }
+
+    /// The stage-by-stage loop of the order contract: one pass over the
+    /// planes per stage.
+    fn textbook(plan: &Fft, re: &mut [f64], im: &mut [f64], lanes: usize, inverse: bool) {
+        let n = plan.n;
+        let mut len = 2;
+        while len <= n {
+            let half = len / 2;
+            for base in (0..n).step_by(len) {
+                for k in 0..half {
+                    let wr = plan.tw_re[k * n / len];
+                    let wi =
+                        if inverse { -plan.tw_im[k * n / len] } else { plan.tw_im[k * n / len] };
+                    for l in 0..lanes {
+                        let (a, b) = ((base + k) * lanes + l, (base + k + half) * lanes + l);
+                        let tr = re[b] * wr - im[b] * wi;
+                        let ti = re[b] * wi + im[b] * wr;
+                        let (ur, ui) = (re[a], im[a]);
+                        re[a] = ur + tr;
+                        im[a] = ui + ti;
+                        re[b] = ur - tr;
+                        im[b] = ui - ti;
+                    }
+                }
+            }
+            len <<= 1;
+        }
+    }
+
+    #[test]
+    fn fused_passes_match_the_textbook_loop_bit_for_bit() {
+        // odd and even stage counts, one to many lanes, signed zeros in
+        // the input, both directions
+        for n in (0..=9).map(|b| 1usize << b) {
+            let plan = Fft::new(n);
+            for lanes in [1, 3, 80, 128] {
+                let (mut re, mut im) = (vec![0.0; n * lanes], vec![0.0; n * lanes]);
+                for (i, (r, m)) in re.iter_mut().zip(&mut im).enumerate() {
+                    *r = if i % 7 == 3 { -0.0 } else { ((i * 37 % 23) as f64 - 11.0) * 0.3 };
+                    *m = if i % 5 == 1 { 0.0 } else { (i as f64 * 0.9).cos() };
+                }
+                for inverse in [false, true] {
+                    let (mut fre, mut fim) = (re.clone(), im.clone());
+                    plan.butterflies(&mut fre, &mut fim, lanes, inverse);
+                    let (mut tre, mut tim) = (re.clone(), im.clone());
+                    textbook(&plan, &mut tre, &mut tim, lanes, inverse);
+                    for (i, (f, t)) in
+                        fre.iter().chain(&fim).zip(tre.iter().chain(&tim)).enumerate()
+                    {
+                        assert_eq!(
+                            f.to_bits(),
+                            t.to_bits(),
+                            "n {n}, lanes {lanes}, inverse {inverse}, value {i}"
+                        );
+                    }
                 }
             }
         }

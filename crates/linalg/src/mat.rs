@@ -239,9 +239,9 @@ impl Mat {
     /// backing buffer (growing it only when the new shape exceeds its
     /// capacity). The resulting entries are unspecified — callers are
     /// expected to overwrite them, which is exactly what the `*_into`
-    /// kernels do. This is what lets [`ApplyWorkspace`]
-    /// (crate::op::ApplyWorkspace) scratch matrices change shape between
-    /// applies without steady-state allocation.
+    /// kernels do. This is what lets
+    /// [`ApplyWorkspace`](crate::op::ApplyWorkspace) scratch matrices
+    /// change shape between applies without steady-state allocation.
     pub fn resize(&mut self, n_rows: usize, n_cols: usize) {
         self.n_rows = n_rows;
         self.n_cols = n_cols;

@@ -67,7 +67,8 @@ pub enum Counter {
     /// Workspace matrices that actually grew their backing storage
     /// (steady-state serving should show zero).
     WorkspaceGrows = 2,
-    /// Span events discarded because the sink hit [`MAX_EVENTS`].
+    /// Span events discarded because the sink hit its cap of `2^18`
+    /// retained events.
     EventsDropped = 3,
     /// Iterative solves that burned their iteration budget and were
     /// re-run once with a larger one (the bounded-retry policy).
@@ -433,15 +434,18 @@ pub fn reset() {
 // exporters
 // ---------------------------------------------------------------------------
 
-fn format_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.2}µs", ns as f64 / 1e3)
+/// Formats nanoseconds with an adaptive unit, spelled in ASCII (`ns`,
+/// `us`, `ms`, `s`): the trace summary, the report rows `cli sparsify`
+/// prints and the bench crate's timed rows all print durations this way.
+pub fn format_ns(ns: f64) -> String {
+    if ns >= 1e9 {
+        format!("{:.2}s", ns / 1e9)
+    } else if ns >= 1e6 {
+        format!("{:.2}ms", ns / 1e6)
+    } else if ns >= 1e3 {
+        format!("{:.2}us", ns / 1e3)
     } else {
-        format!("{ns}ns")
+        format!("{ns:.0}ns")
     }
 }
 
@@ -480,11 +484,11 @@ pub fn summary() -> String {
             "  {:<18} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
             name,
             count,
-            format_ns(mean),
-            format_ns(hist_quantile_ns(h, 0.50)),
-            format_ns(hist_quantile_ns(h, 0.90)),
-            format_ns(hist_quantile_ns(h, 0.99)),
-            format_ns(hist_max_ns(h)),
+            format_ns(mean as f64),
+            format_ns(hist_quantile_ns(h, 0.50) as f64),
+            format_ns(hist_quantile_ns(h, 0.90) as f64),
+            format_ns(hist_quantile_ns(h, 0.99) as f64),
+            format_ns(hist_max_ns(h) as f64),
         ));
     }
 
@@ -515,10 +519,10 @@ pub fn summary() -> String {
                 "  {:<28} {:>8} {:>10} {:>9} {:>9} {:>9}\n",
                 name,
                 count,
-                format_ns(total),
-                format_ns(total / count),
-                format_ns(min),
-                format_ns(max),
+                format_ns(total as f64),
+                format_ns((total / count) as f64),
+                format_ns(min as f64),
+                format_ns(max as f64),
             ));
         }
     }
@@ -685,6 +689,33 @@ mod tests {
             let text = summary();
             assert!(text.contains("outer"));
             assert!(text.contains("worker.shard"));
+        });
+    }
+
+    #[test]
+    fn ns_formatting() {
+        assert_eq!(format_ns(12.0), "12ns");
+        assert_eq!(format_ns(1500.0), "1.50us");
+        assert_eq!(format_ns(2.5e6), "2.50ms");
+        assert_eq!(format_ns(3.1e9), "3.10s");
+    }
+
+    #[test]
+    fn summary_of_a_traced_apply_spells_units_in_ascii() {
+        with_recorder(|| {
+            let op = crate::Csr::identity(64);
+            let (x, mut y) = (vec![1.0; 64], vec![0.0; 64]);
+            let mut ws = crate::ApplyWorkspace::new();
+            crate::CouplingOp::apply_into(&op, &x, &mut y, &mut ws);
+            let block = crate::Mat::zeros(64, 4);
+            drop(crate::CouplingOp::apply_block(&op, &block));
+            // microsecond and millisecond samples, whatever the machine
+            record_ns(Hist::ApplyVectorNs, 7_740);
+            record_ns(Hist::SolveNs, 2_500_000);
+            let text = summary();
+            assert!(text.contains("apply_vector_ns") && text.contains("apply_block.csr"), "{text}");
+            assert!(text.contains("7.74us") && text.contains("2.50ms"), "{text}");
+            assert!(!text.contains('\u{b5}'), "micro sign in the summary:\n{text}");
         });
     }
 

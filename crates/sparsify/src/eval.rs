@@ -9,6 +9,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+pub use subsparse_linalg::trace::format_ns;
 use subsparse_linalg::{ApplyWorkspace, CouplingOp, Mat, ParallelApply};
 use subsparse_substrate::{solver::extract_columns, SubstrateSolver};
 
@@ -151,20 +152,6 @@ impl MethodReport {
         )
         .unwrap();
         s
-    }
-}
-
-/// Formats nanoseconds with an adaptive unit (shared by the report rows
-/// `cli sparsify` prints and the bench crate's timed rows).
-pub fn format_ns(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.2}s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.2}ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.2}us", ns / 1e3)
-    } else {
-        format!("{ns:.0}ns")
     }
 }
 
@@ -356,14 +343,6 @@ mod tests {
     use crate::{Method, SparsifyOptions};
     use subsparse_layout::generators;
     use subsparse_substrate::solver;
-
-    #[test]
-    fn ns_formatting() {
-        assert_eq!(format_ns(12.0), "12ns");
-        assert_eq!(format_ns(1500.0), "1.50us");
-        assert_eq!(format_ns(2.5e6), "2.50ms");
-        assert_eq!(format_ns(3.1e9), "3.10s");
-    }
 
     #[test]
     fn report_grades_threshold_method() {

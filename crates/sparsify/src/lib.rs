@@ -62,8 +62,9 @@ use subsparse_substrate::SubstrateSolver;
 /// Shared tuning knobs for every sparsification method.
 ///
 /// One options struct (rather than one per method) keeps side-by-side
-/// comparisons honest: the budget-style knobs ([`target_sparsity`]
-/// (Self::target_sparsity)) mean the same thing to every baseline, and the
+/// comparisons honest: the budget-style knobs
+/// ([`target_sparsity`](Self::target_sparsity)) mean the same thing to
+/// every baseline, and the
 /// pipeline knobs are simply ignored by methods that do not use them.
 #[derive(Clone, Debug)]
 pub struct SparsifyOptions {

@@ -81,7 +81,7 @@ impl WaveletBasis {
     /// The tree-structured fast form of the same change of basis:
     /// applies `Q'`/`Q` in `O(n·p)` per vector by walking the quadtree
     /// level by level instead of traversing the flat CSR factors. This is
-    /// the serving path [`extract`](crate::extract) attaches to the
+    /// the serving path [`extract`](crate::extract()) attaches to the
     /// representations it produces.
     pub fn fwt(&self) -> &FastWaveletTransform {
         &self.fwt
