@@ -6,8 +6,10 @@ use std::time::{Duration, Instant};
 
 use subsparse::layout::generators;
 use subsparse::linalg::dct::{dct2d_with, Dct, Dct2dScratch};
+use subsparse::linalg::kernels::LaneMajor;
+use subsparse::linalg::rng::SmallRng;
 use subsparse::linalg::svd::svd;
-use subsparse::linalg::{LinOp, Mat};
+use subsparse::linalg::{LinOp, Mat, Triplets};
 use subsparse::sparsify::eval::format_ns;
 use subsparse::substrate::{EigenSolver, EigenSolverConfig, SubstrateSolver};
 use subsparse::Substrate;
@@ -108,5 +110,26 @@ fn main() {
     e[0] = 1.0;
     bench("eigen_solve_128", || {
         black_box(solver.solve(black_box(&e)));
+    });
+
+    println!("\n== serving");
+
+    // the `Gw` multiply of a 32-vector serving block: a fixed synthetic
+    // CSR shaped like the wavelet model of a ~3300-contact layout (3300
+    // rows, ~100 entries per row at random columns), lane-major panels in
+    // and out as the serving pipeline keeps them
+    let n = 3300;
+    let mut rng = SmallRng::seed_from_u64(0x6E7);
+    let mut t = Triplets::new(n, n);
+    for i in 0..n {
+        for _ in 0..100 {
+            t.push(i, (rng.next_u64() % n as u64) as usize, rng.range_f64(-1.0, 1.0));
+        }
+    }
+    let gw = t.to_csr();
+    let x = Mat::from_fn(n, 32, |i, j| ((i * 7 + j * 13) % 29) as f64 - 14.0);
+    let mut y = Mat::zeros(0, 0);
+    bench("csr_panel_b32", || {
+        gw.matmul_panel_into::<LaneMajor, LaneMajor>(black_box(&x), &mut y);
     });
 }

@@ -183,12 +183,12 @@ impl FastWaveletTransform {
                     .in_len
                     .checked_mul(node.in_len)
                     .and_then(|size| size.checked_add(node.block_offset));
-                if block_end.map_or(true, |end| end > blocks.len()) {
+                if block_end.is_none_or(|end| end > blocks.len()) {
                     return Err(format!("level {li}: block storage out of bounds"));
                 }
                 if node.w_cols > 0 {
                     let col_end = node.col_start.checked_add(node.w_cols);
-                    if node.col_start < root_v || col_end.map_or(true, |end| end > n) {
+                    if node.col_start < root_v || col_end.is_none_or(|end| end > n) {
                         return Err(format!("level {li}: wavelet outputs out of range"));
                     }
                     for covered in
@@ -532,7 +532,8 @@ impl FastWaveletTransform {
         let tiles = b / LANES;
         let w = self.scratch_len() * LANES;
         for t in 0..tiles {
-            self.forward_tile(
+            forward_tile(
+                self,
                 &ColMajor::tile(x, t),
                 &mut O::tile_mut(out, t),
                 &mut s1.data_mut()[..w],
@@ -541,52 +542,6 @@ impl FastWaveletTransform {
         }
         for j in tiles * LANES..b {
             self.forward_into(x.col(j), out.col_mut(j), s1.col_mut(j), s2.col_mut(j));
-        }
-    }
-
-    /// The forward transform of one lane tile, ping-ponging lane-major
-    /// level buffers between `s1` and `s2` (`scratch_len * LANES` each).
-    fn forward_tile(
-        &self,
-        x: &impl TileRows,
-        out: &mut impl TileRowsMut,
-        s1: &mut [f64],
-        s2: &mut [f64],
-    ) {
-        let n_levels = self.levels.len();
-        let (mut cur, mut next) = (s1, s2);
-        for (li, level) in self.levels.iter().enumerate() {
-            let _lvl = trace::span_arg("fwt.forward.level", li as u64);
-            let at_root = li + 1 == n_levels;
-            for node in &level.nodes {
-                let nin = node.in_len;
-                let ncols = node.v_cols + node.w_cols;
-                let block = &self.blocks[node.block_offset..node.block_offset + nin * ncols];
-                let (coeffs, stage) = next.split_at_mut(self.max_coeff_len * LANES);
-                let inp: &[f64] = if li == 0 {
-                    // gather the square's contacts once, lane-major, into
-                    // the tail of `next` (as `forward_node` does per vector)
-                    let idx = &self.contact_idx[node.in_offset..node.in_offset + nin];
-                    let gx = &mut stage[..nin * LANES];
-                    for (g, &ci) in gx.chunks_exact_mut(LANES).zip(idx) {
-                        g.copy_from_slice(&x.lanes(ci as usize));
-                    }
-                    gx
-                } else {
-                    &cur[node.in_offset * LANES..(node.in_offset + nin) * LANES]
-                };
-                for (k, bcol) in block.chunks_exact(nin).enumerate().take(ncols) {
-                    let acc = dot4_lanes(bcol, inp);
-                    if k < node.v_cols && !at_root {
-                        LaneTileMut(&mut *coeffs).set_lanes(node.out_offset + k, acc);
-                    } else if k < node.v_cols {
-                        out.set_lanes(node.out_offset + k, acc);
-                    } else {
-                        out.set_lanes(node.col_start + (k - node.v_cols), acc);
-                    }
-                }
-            }
-            std::mem::swap(&mut cur, &mut next);
         }
     }
 
@@ -624,7 +579,8 @@ impl FastWaveletTransform {
         let tiles = b / LANES;
         let w = self.scratch_len() * LANES;
         for t in 0..tiles {
-            self.inverse_tile(
+            inverse_tile(
+                self,
                 &C::tile(c, t),
                 &mut ColMajor::tile_mut(x, t),
                 &mut s1.data_mut()[..w],
@@ -633,61 +589,6 @@ impl FastWaveletTransform {
         }
         for j in tiles * LANES..b {
             self.inverse_into(c.col(j), x.col_mut(j), s1.col_mut(j), s2.col_mut(j));
-        }
-    }
-
-    /// The inverse transform of one lane tile (buffers as in
-    /// [`forward_tile`](Self::forward_tile)).
-    fn inverse_tile(
-        &self,
-        c: &impl TileRows,
-        x: &mut impl TileRowsMut,
-        s1: &mut [f64],
-        s2: &mut [f64],
-    ) {
-        let n_levels = self.levels.len();
-        let (mut cur, mut next) = (s1, s2);
-        for (li, level) in self.levels.iter().enumerate().rev() {
-            let _lvl = trace::span_arg("fwt.inverse.level", li as u64);
-            let at_root = li + 1 == n_levels;
-            for node in &level.nodes {
-                let nin = node.in_len;
-                let ncols = node.v_cols + node.w_cols;
-                let block = &self.blocks[node.block_offset..node.block_offset + nin * ncols];
-                let col = |k: usize| &block[k * nin..(k + 1) * nin];
-                // the `k`-th coefficient row, as `coeff` reads it per vector
-                let coeff = |k: usize| {
-                    if k >= node.v_cols {
-                        c.lanes(node.col_start + (k - node.v_cols))
-                    } else if at_root {
-                        c.lanes(node.out_offset + k)
-                    } else {
-                        LaneTile(cur).lanes(node.out_offset + k)
-                    }
-                };
-                // the finest level accumulates in the tail of `next` and
-                // scatters to the contacts at the end, as `inverse_node`
-                let first = if li == 0 { self.max_coeff_len } else { node.in_offset };
-                let dest = &mut next[first * LANES..(first + nin) * LANES];
-                dest.fill(0.0);
-                let mut k = 0;
-                while k + 4 <= ncols {
-                    let a = [coeff(k), coeff(k + 1), coeff(k + 2), coeff(k + 3)];
-                    fused_axpy4_lanes(a, col(k), col(k + 1), col(k + 2), col(k + 3), dest);
-                    k += 4;
-                }
-                while k < ncols {
-                    axpy_lanes(coeff(k), col(k), dest);
-                    k += 1;
-                }
-                if li == 0 {
-                    let idx = &self.contact_idx[node.in_offset..node.in_offset + nin];
-                    for (i, &ci) in idx.iter().enumerate() {
-                        x.set_lanes(ci as usize, LaneTile(dest).lanes(i));
-                    }
-                }
-            }
-            std::mem::swap(&mut cur, &mut next);
         }
     }
 
@@ -816,6 +717,113 @@ impl FastWaveletTransform {
             return Err("fwt section: trailing data".into());
         }
         Self::from_parts(n, root_v, levels, contact_idx, blocks)
+    }
+}
+
+subsparse_linalg::simd::tiered! {
+    /// The forward transform of one lane tile of `fwt`, ping-ponging
+    /// lane-major level buffers between `s1` and `s2` (`scratch_len *
+    /// LANES` each), at the widest [`Tier`](subsparse_linalg::simd::Tier)
+    /// the CPU reports.
+    fn forward_tile<X: TileRows, O: TileRowsMut>(
+        fwt: &FastWaveletTransform,
+        x: &X,
+        out: &mut O,
+        s1: &mut [f64],
+        s2: &mut [f64],
+    ) {
+        let n_levels = fwt.levels.len();
+        let (mut cur, mut next) = (s1, s2);
+        for (li, level) in fwt.levels.iter().enumerate() {
+            let _lvl = trace::span_arg("fwt.forward.level", li as u64);
+            let at_root = li + 1 == n_levels;
+            for node in &level.nodes {
+                let nin = node.in_len;
+                let ncols = node.v_cols + node.w_cols;
+                let block = &fwt.blocks[node.block_offset..node.block_offset + nin * ncols];
+                let (coeffs, stage) = next.split_at_mut(fwt.max_coeff_len * LANES);
+                let inp: &[f64] = if li == 0 {
+                    // gather the square's contacts once, lane-major, into
+                    // the tail of `next` (as `forward_node` does per vector)
+                    let idx = &fwt.contact_idx[node.in_offset..node.in_offset + nin];
+                    let gx = &mut stage[..nin * LANES];
+                    for (g, &ci) in gx.chunks_exact_mut(LANES).zip(idx) {
+                        g.copy_from_slice(&x.lanes(ci as usize));
+                    }
+                    gx
+                } else {
+                    &cur[node.in_offset * LANES..(node.in_offset + nin) * LANES]
+                };
+                for (k, bcol) in block.chunks_exact(nin).enumerate().take(ncols) {
+                    let acc = dot4_lanes(bcol, inp);
+                    if k < node.v_cols && !at_root {
+                        LaneTileMut(&mut *coeffs).set_lanes(node.out_offset + k, acc);
+                    } else if k < node.v_cols {
+                        out.set_lanes(node.out_offset + k, acc);
+                    } else {
+                        out.set_lanes(node.col_start + (k - node.v_cols), acc);
+                    }
+                }
+            }
+            std::mem::swap(&mut cur, &mut next);
+        }
+    }
+}
+
+subsparse_linalg::simd::tiered! {
+    /// The inverse transform of one lane tile of `fwt` (buffers as in
+    /// [`forward_tile`]), at the widest tier.
+    fn inverse_tile<C: TileRows, X: TileRowsMut>(
+        fwt: &FastWaveletTransform,
+        c: &C,
+        x: &mut X,
+        s1: &mut [f64],
+        s2: &mut [f64],
+    ) {
+        let n_levels = fwt.levels.len();
+        let (mut cur, mut next) = (s1, s2);
+        for (li, level) in fwt.levels.iter().enumerate().rev() {
+            let _lvl = trace::span_arg("fwt.inverse.level", li as u64);
+            let at_root = li + 1 == n_levels;
+            for node in &level.nodes {
+                let nin = node.in_len;
+                let ncols = node.v_cols + node.w_cols;
+                let block = &fwt.blocks[node.block_offset..node.block_offset + nin * ncols];
+                let col = |k: usize| &block[k * nin..(k + 1) * nin];
+                // the `k`-th coefficient row, as `coeff` reads it per vector
+                let coeff = |k: usize| {
+                    if k >= node.v_cols {
+                        c.lanes(node.col_start + (k - node.v_cols))
+                    } else if at_root {
+                        c.lanes(node.out_offset + k)
+                    } else {
+                        LaneTile(cur).lanes(node.out_offset + k)
+                    }
+                };
+                // the finest level accumulates in the tail of `next` and
+                // scatters to the contacts at the end, as `inverse_node`
+                let first = if li == 0 { fwt.max_coeff_len } else { node.in_offset };
+                let dest = &mut next[first * LANES..(first + nin) * LANES];
+                dest.fill(0.0);
+                let mut k = 0;
+                while k + 4 <= ncols {
+                    let a = [coeff(k), coeff(k + 1), coeff(k + 2), coeff(k + 3)];
+                    fused_axpy4_lanes(a, col(k), col(k + 1), col(k + 2), col(k + 3), dest);
+                    k += 4;
+                }
+                while k < ncols {
+                    axpy_lanes(coeff(k), col(k), dest);
+                    k += 1;
+                }
+                if li == 0 {
+                    let idx = &fwt.contact_idx[node.in_offset..node.in_offset + nin];
+                    for (i, &ci) in idx.iter().enumerate() {
+                        x.set_lanes(ci as usize, LaneTile(dest).lanes(i));
+                    }
+                }
+            }
+            std::mem::swap(&mut cur, &mut next);
+        }
     }
 }
 
@@ -998,12 +1006,16 @@ mod tests {
 
     #[test]
     fn blocked_is_bit_identical_to_per_vector() {
-        assert_blocked_bit_identical(&haar4(), "haar4");
-        for seed in 0..4 {
-            let fwt = random_fwt(seed, 12 + 5 * seed as usize);
-            assert!(fwt.n_levels() >= 3, "seed {seed}: want a multi-level transform");
-            assert_blocked_bit_identical(&fwt, &format!("random seed {seed}"));
-        }
+        // the blocked tiles at every tier against the baseline per-vector
+        // transform
+        subsparse_linalg::simd::each_tier(|tier| {
+            assert_blocked_bit_identical(&haar4(), &format!("{tier:?} haar4"));
+            for seed in 0..4 {
+                let fwt = random_fwt(seed, 12 + 5 * seed as usize);
+                assert!(fwt.n_levels() >= 3, "seed {seed}: want a multi-level transform");
+                assert_blocked_bit_identical(&fwt, &format!("{tier:?} random seed {seed}"));
+            }
+        });
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use subsparse_hier::fwt::{FwtLevel, FwtNode};
 use subsparse_hier::{BasisRep, FastWaveletTransform};
 use subsparse_linalg::rng::SmallRng;
+use subsparse_linalg::simd;
 use subsparse_linalg::{
     svd, ApplyWorkspace, CouplingOp, Csr, LowRankOp, Mat, ParallelApply, Triplets,
 };
@@ -46,8 +47,14 @@ fn random_csr(n_rows: usize, n_cols: usize, fill: f64, seed: u64) -> Csr {
 
 /// The contract: for every block width, every column of the blocked apply
 /// bit-equals the per-vector apply of that column, and the block entry
-/// points agree with the allocating conveniences.
+/// points agree with the allocating conveniences — with the lane tiles at
+/// every SIMD tier the host supports, against the baseline one-vector
+/// paths.
 fn assert_block_bit_agrees(op: &dyn CouplingOp, label: &str) {
+    simd::each_tier(|tier| assert_block_bit_agrees_at(op, &format!("{tier:?} {label}")));
+}
+
+fn assert_block_bit_agrees_at(op: &dyn CouplingOp, label: &str) {
     let n = op.n();
     let mut ws = ApplyWorkspace::new();
     let mut serial = vec![0.0; n];
@@ -81,8 +88,12 @@ fn assert_block_bit_agrees(op: &dyn CouplingOp, label: &str) {
 /// `assert_block_bit_agrees` already pins to the per-vector apply) — on
 /// one-column blocks, widths that straddle both the internal panels and
 /// the per-worker shard boundaries, and operators smaller than the
-/// worker count.
+/// worker count. Every SIMD tier the host supports, on the workers too.
 fn assert_parallel_bit_agrees(op: &(dyn CouplingOp + Sync), label: &str) {
+    simd::each_tier(|tier| assert_parallel_bit_agrees_at(op, &format!("{tier:?} {label}")));
+}
+
+fn assert_parallel_bit_agrees_at(op: &(dyn CouplingOp + Sync), label: &str) {
     let n = op.n();
     let mut ws = ApplyWorkspace::new();
     let mut serial = Mat::zeros(0, 0);

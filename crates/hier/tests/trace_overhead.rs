@@ -7,14 +7,40 @@
 //! control hand-inlines the identical forward / Gw / inverse sequence on
 //! raw preallocated buffers. Both sides are timed interleaved, taking the
 //! minimum over many batches, so one-off scheduler hiccups cannot settle
-//! on either side of the ratio.
+//! on either side of the ratio. The clock is the calling thread's CPU time
+//! (`CLOCK_THREAD_CPUTIME_ID`), not wall-clock: on a shared virtual
+//! machine the hypervisor can take the CPU away for milliseconds
+//! ("steal"), and the kernel's steal accounting keeps that time out of a
+//! thread's CPU clock, so it cannot land on one side of the ratio.
 
+use std::ffi::c_long;
 use std::hint::black_box;
-use std::time::Instant;
 
 use subsparse_hier::fwt::{FwtLevel, FwtNode};
 use subsparse_hier::{BasisRep, FastWaveletTransform};
 use subsparse_linalg::{trace, ApplyWorkspace, CouplingOp, Csr, Triplets};
+
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
+/// `CLOCK_THREAD_CPUTIME_ID` on Linux.
+const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+
+extern "C" {
+    fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+}
+
+/// CPU seconds the calling thread has run so far.
+fn thread_cpu_s() -> f64 {
+    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `ts` is a valid, writable `timespec` for the call.
+    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "the thread CPU clock is unavailable");
+    ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
+}
 
 /// A full binary Haar transform on `n = 2^k` contacts: every level pairs
 /// adjacent scaling coefficients into one scaling + one wavelet output,
@@ -84,20 +110,20 @@ fn disabled_recorder_overhead_under_two_percent() {
     let mut best_inst = f64::INFINITY;
     let mut best_ctrl = f64::INFINITY;
     for _ in 0..BATCHES {
-        let t0 = Instant::now();
+        let t0 = thread_cpu_s();
         for _ in 0..ITERS {
             rep.apply_into(black_box(&x), &mut y, &mut ws);
             black_box(&y);
         }
-        best_inst = best_inst.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
+        best_inst = best_inst.min(thread_cpu_s() - t0);
+        let t0 = thread_cpu_s();
         for _ in 0..ITERS {
             fwt.forward_into(black_box(&x), &mut coeffs, &mut cur, &mut nxt);
             gw.matvec_into(&coeffs, &mut mid);
             fwt.inverse_into(&mid, &mut yc, &mut cur, &mut nxt);
             black_box(&yc);
         }
-        best_ctrl = best_ctrl.min(t0.elapsed().as_secs_f64());
+        best_ctrl = best_ctrl.min(thread_cpu_s() - t0);
     }
 
     // both sides computed the same product (the control really is the

@@ -66,6 +66,13 @@
 //! the bits of the 1-D transform of that row or column. `n = 1` is the
 //! identity in every direction; `n = 2` is the split step alone (a
 //! one-point FFT).
+//!
+//! The kernel, its load and store helpers inlined, is compiled once per
+//! [`Tier`](crate::simd::Tier) from one body, like the butterflies, and
+//! runs at the widest the CPU reports. The tiers differ only in how many
+//! lanes one instruction carries: per lane the operations and their order
+//! are the ones above, and no tier enables `fma`, so every tier yields
+//! the baseline bits.
 
 use crate::fft::Fft;
 
@@ -184,7 +191,7 @@ impl Dct {
         assert_eq!(x.len(), self.n, "DCT input length mismatch");
         assert_eq!(out.len(), self.n, "DCT output length mismatch");
         out.copy_from_slice(x);
-        self.run(out, 1, kind, &mut Vec::new(), &mut Vec::new());
+        run(self, out, 1, kind, &mut Vec::new(), &mut Vec::new());
     }
 
     /// Transforms every lane (column) of a row-major `n x lanes` block in
@@ -203,7 +210,7 @@ impl Dct {
         forward: bool,
         sc: &mut Dct2dScratch,
     ) {
-        self.run(block, lanes, Kind::of(forward), &mut sc.re, &mut sc.im);
+        run(self, block, lanes, Kind::of(forward), &mut sc.re, &mut sc.im);
     }
 
     /// Transforms every row of a row-major `rows x n` block in place, as
@@ -226,55 +233,18 @@ impl Dct {
         let Dct2dScratch { re, im, t } = sc;
         t.resize(rows * n, 0.0);
         transpose_into(block, rows, n, t);
-        self.run(t, rows, Kind::of(forward), re, im);
+        run(self, t, rows, Kind::of(forward), re, im);
         transpose_into(t, n, rows, block);
-    }
-
-    /// The kernel: load into the half-length planes (Makhoul reordering,
-    /// packing, bit reversal and, for the inverse directions, the phase
-    /// rotation and the inverse split step folded in), lane-batched
-    /// `n/2`-point butterflies, store (the split step and phase rotation,
-    /// or the unpacking, `1/n` scaling and de-permutation). Per lane,
-    /// operation for operation what the single-signal algorithm does.
-    fn run(
-        &self,
-        block: &mut [f64],
-        lanes: usize,
-        kind: Kind,
-        re: &mut Vec<f64>,
-        im: &mut Vec<f64>,
-    ) {
-        let n = self.n;
-        assert_eq!(block.len(), n * lanes, "DCT block length mismatch");
-        if n == 1 || lanes == 0 {
-            // n = 1: E = D = [1], every map is the identity
-            return;
-        }
-        re.resize(n / 2 * lanes, 0.0);
-        im.resize(n / 2 * lanes, 0.0);
-        match kind {
-            Kind::Forward => self.load_forward(block, lanes, re, im),
-            Kind::Inverse => self.load_inverse(block, lanes, re, im, |x| x, |x| x),
-            Kind::Transpose => {
-                let nf = n as f64;
-                self.load_inverse(block, lanes, re, im, |x| x * nf, |x| x * nf / 2.0);
-            }
-        }
-        self.fft.butterflies(re, im, lanes, kind != Kind::Forward);
-        if kind == Kind::Forward {
-            self.store_forward(re, im, lanes, block);
-        } else {
-            self.store_inverse(re, im, lanes, block);
-        }
     }
 
     /// `z_m = v_{2m} + i v_{2m+1}` for the Makhoul-reordered `v = x`,
     /// rows bit-reversed for the half-length FFT.
+    #[inline(always)]
     fn load_forward(&self, x: &[f64], lanes: usize, re: &mut [f64], im: &mut [f64]) {
         for (i, src) in x.chunks_exact(lanes).enumerate() {
             let j = self.perm[i] as usize;
             let r = self.fft.bit_reverse(j / 2);
-            let plane = if j % 2 == 0 { &mut *re } else { &mut *im };
+            let plane = if j.is_multiple_of(2) { &mut *re } else { &mut *im };
             plane[r * lanes..(r + 1) * lanes].copy_from_slice(src);
         }
     }
@@ -286,6 +256,7 @@ impl Dct {
     /// conjugate symmetry `V_{n-k} = conj V_k`, `V_{n/2-k} = conj V_{n/2+k}`,
     /// so one pair of rows emits `C_k`, `C_{n-k}`, `C_{n/2+k}` and
     /// `C_{n/2-k}`.
+    #[inline(always)]
     fn store_forward(&self, re: &[f64], im: &[f64], lanes: usize, out: &mut [f64]) {
         let (n, h) = (self.n, self.n / 2);
         let (lo, hi) = out.split_at_mut(h * lanes);
@@ -335,6 +306,7 @@ impl Dct {
     /// inverse. Then `Z_k = S + U` and `Z_{n/2-k} = conj(S - U)` with
     /// `S = V_k + V_{n/2+k}` and `U = i W_n^{-k} (V_k - V_{n/2+k})`, which
     /// is twice the spectrum of `z = v_even + i v_odd`; rows bit-reversed.
+    #[inline(always)]
     fn load_inverse(
         &self,
         c: &[f64],
@@ -389,14 +361,56 @@ impl Dct {
     /// `out_i = v_{perm[i]} / n`, with `v_{2m} = Re z_m` and
     /// `v_{2m+1} = Im z_m`: the unpacking, the inverse FFT's normalization
     /// and the undoing of Makhoul's reordering.
+    #[inline(always)]
     fn store_inverse(&self, re: &[f64], im: &[f64], lanes: usize, out: &mut [f64]) {
         let inv = 1.0 / self.n as f64;
         for (i, o) in out.chunks_exact_mut(lanes).enumerate() {
             let j = self.perm[i] as usize;
-            let plane = if j % 2 == 0 { re } else { im };
+            let plane = if j.is_multiple_of(2) { re } else { im };
             for (o, &r) in o.iter_mut().zip(&plane[j / 2 * lanes..(j / 2 + 1) * lanes]) {
                 *o = r * inv;
             }
+        }
+    }
+}
+
+crate::simd::tiered! {
+    /// The kernel: load into the half-length planes (Makhoul reordering,
+    /// packing, bit reversal and, for the inverse directions, the phase
+    /// rotation and the inverse split step folded in), lane-batched
+    /// `n/2`-point butterflies, store (the split step and phase rotation,
+    /// or the unpacking, `1/n` scaling and de-permutation). Per lane,
+    /// operation for operation what the single-signal algorithm does, at
+    /// the widest [`Tier`](crate::simd::Tier) the CPU reports.
+    fn run(
+        plan: &Dct,
+        block: &mut [f64],
+        lanes: usize,
+        kind: Kind,
+        re: &mut Vec<f64>,
+        im: &mut Vec<f64>,
+    ) {
+        let n = plan.n;
+        assert_eq!(block.len(), n * lanes, "DCT block length mismatch");
+        if n == 1 || lanes == 0 {
+            // n = 1: E = D = [1], every map is the identity
+            return;
+        }
+        re.resize(n / 2 * lanes, 0.0);
+        im.resize(n / 2 * lanes, 0.0);
+        match kind {
+            Kind::Forward => plan.load_forward(block, lanes, re, im),
+            Kind::Inverse => plan.load_inverse(block, lanes, re, im, |x| x, |x| x),
+            Kind::Transpose => {
+                let nf = n as f64;
+                plan.load_inverse(block, lanes, re, im, |x| x * nf, |x| x * nf / 2.0);
+            }
+        }
+        plan.fft.butterflies(re, im, lanes, kind != Kind::Forward);
+        if kind == Kind::Forward {
+            plan.store_forward(re, im, lanes, block);
+        } else {
+            plan.store_inverse(re, im, lanes, block);
         }
     }
 }
@@ -651,7 +665,7 @@ mod tests {
             let ang = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
             (ang.cos(), ang.sin())
         };
-        let perm = |i: usize| if i % 2 == 0 { i / 2 } else { n - 1 - i / 2 };
+        let perm = |i: usize| if i.is_multiple_of(2) { i / 2 } else { n - 1 - i / 2 };
         let mut z: Vec<C> = vec![(0.0, 0.0); h];
         if fwd {
             for (i, &xi) in x.iter().enumerate() {
@@ -704,7 +718,7 @@ mod tests {
             len <<= 1;
         }
         if !fwd {
-            let part = |j: usize| if j % 2 == 0 { z[j / 2].0 } else { z[j / 2].1 };
+            let part = |j: usize| if j.is_multiple_of(2) { z[j / 2].0 } else { z[j / 2].1 };
             return (0..n).map(|i| part(perm(i)) * (1.0 / nf)).collect();
         }
         let mut c = vec![0.0; n];
@@ -737,48 +751,62 @@ mod tests {
 
     #[test]
     fn one_d_bits_match_scalar_reference() {
-        for &n in &[1usize, 2, 4, 8, 16, 128, 256] {
-            let plan = Dct::new(n);
-            let x = signed_zero_grid(n);
-            let mut out = vec![0.0; n];
-            plan.forward(&x, &mut out);
-            assert_bits_eq(&out, &scalar_reference(&x, true), &format!("forward n={n}"));
-            plan.transpose(&x, &mut out);
-            assert_bits_eq(&out, &scalar_reference(&x, false), &format!("transpose n={n}"));
-        }
+        crate::simd::each_tier(|tier| {
+            for &n in &[1usize, 2, 4, 8, 16, 128, 256] {
+                let plan = Dct::new(n);
+                let x = signed_zero_grid(n);
+                let mut out = vec![0.0; n];
+                plan.forward(&x, &mut out);
+                assert_bits_eq(
+                    &out,
+                    &scalar_reference(&x, true),
+                    &format!("{tier:?} forward n={n}"),
+                );
+                plan.transpose(&x, &mut out);
+                assert_bits_eq(
+                    &out,
+                    &scalar_reference(&x, false),
+                    &format!("{tier:?} transpose n={n}"),
+                );
+            }
+        });
     }
 
     #[test]
     fn dct2d_bits_match_row_then_column_1d_plan() {
-        for &(nx, ny) in &[(128usize, 128usize), (16, 64), (64, 16)] {
-            let (px, py) = (Dct::new(nx), Dct::new(ny));
-            let grid = signed_zero_grid(nx * ny);
-            for fwd in [true, false] {
-                let mut g = grid.clone();
-                dct2d_with(&px, &py, &mut g, nx, ny, fwd, &mut Dct2dScratch::default());
-                let want = dct2d_by_1d(&px, &py, &grid, nx, ny, fwd);
-                assert_bits_eq(&g, &want, &format!("{nx}x{ny} forward={fwd}"));
+        crate::simd::each_tier(|tier| {
+            for &(nx, ny) in &[(128usize, 128usize), (16, 64), (64, 16)] {
+                let (px, py) = (Dct::new(nx), Dct::new(ny));
+                let grid = signed_zero_grid(nx * ny);
+                for fwd in [true, false] {
+                    let mut g = grid.clone();
+                    dct2d_with(&px, &py, &mut g, nx, ny, fwd, &mut Dct2dScratch::default());
+                    let want = dct2d_by_1d(&px, &py, &grid, nx, ny, fwd);
+                    assert_bits_eq(&g, &want, &format!("{tier:?} {nx}x{ny} forward={fwd}"));
+                }
             }
-        }
+        });
     }
 
     #[test]
     fn reused_scratch_gives_identical_bits() {
-        // a scratch warmed on a larger grid (stale values past the new
-        // block) and then reused must not change a bit
-        let mut sc = Dct2dScratch::default();
-        let big = Dct::new(64);
-        let mut g = signed_zero_grid(64 * 64);
-        dct2d_with(&big, &big, &mut g, 64, 64, true, &mut sc);
-        let (px, py) = (Dct::new(32), Dct::new(8));
-        let grid = signed_zero_grid(32 * 8);
-        for fwd in [true, false] {
-            let mut warm = grid.clone();
-            dct2d_with(&px, &py, &mut warm, 32, 8, fwd, &mut sc);
-            let mut cold = grid.clone();
-            dct2d_with(&px, &py, &mut cold, 32, 8, fwd, &mut Dct2dScratch::default());
-            assert_bits_eq(&warm, &cold, &format!("forward={fwd}"));
-        }
+        crate::simd::each_tier(|tier| {
+            // a scratch warmed on a larger grid (stale values past the new
+            // block) and then reused must not change a bit
+            let mut sc = Dct2dScratch::default();
+            let big = Dct::new(64);
+            let mut g = signed_zero_grid(64 * 64);
+            dct2d_with(&big, &big, &mut g, 64, 64, true, &mut sc);
+            let (px, py) = (Dct::new(32), Dct::new(8));
+            let grid = signed_zero_grid(32 * 8);
+            for fwd in [true, false] {
+                let mut warm = grid.clone();
+                dct2d_with(&px, &py, &mut warm, 32, 8, fwd, &mut sc);
+                let mut cold = grid.clone();
+                dct2d_with(&px, &py, &mut cold, 32, 8, fwd, &mut Dct2dScratch::default());
+                assert_bits_eq(&warm, &cold, &format!("{tier:?} forward={fwd}"));
+            }
+        });
     }
 
     #[test]

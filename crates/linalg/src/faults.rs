@@ -217,7 +217,7 @@ fn fire_slow(p: Failpoint) -> Option<u64> {
     let firing = match st.mode {
         FireMode::Off => false,
         FireMode::Once => st.hits == 1,
-        FireMode::EveryN(n) => n > 0 && st.hits % n == 0,
+        FireMode::EveryN(n) => n > 0 && st.hits.is_multiple_of(n),
         FireMode::Prob(prob) => st.rng.gen_bool(prob),
     };
     if firing {

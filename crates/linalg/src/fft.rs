@@ -26,6 +26,11 @@
 //! `a * b + c` into a fused multiply-add, so each lane's output bits are
 //! independent of the lane count and of where the block came from.
 //!
+//! The kernel is compiled once per [`Tier`](crate::simd::Tier) (baseline,
+//! AVX2, AVX-512F) from one body and runs at the widest the CPU reports.
+//! A wider register only carries more lanes through the same operations;
+//! no tier enables `fma`, so every tier yields the baseline bits.
+//!
 //! Two stages run per pass over the planes: stages `len` and `2 len` are
 //! fused, so each group of rows `k, k + h, k + 2h, k + 3h` of a `2 len`
 //! block (`h = len / 2`) takes its two stage-`len` butterflies and then
@@ -105,15 +110,22 @@ impl Fft {
     ///
     /// Panics if either plane's length is not `n * lanes`.
     pub fn butterflies(&self, re: &mut [f64], im: &mut [f64], lanes: usize, inverse: bool) {
-        let n = self.n;
+        butterflies(self, re, im, lanes, inverse);
+    }
+}
+
+crate::simd::tiered! {
+    /// [`Fft::butterflies`], compiled per [`crate::simd::Tier`].
+    fn butterflies(plan: &Fft, re: &mut [f64], im: &mut [f64], lanes: usize, inverse: bool) {
+        let n = plan.n;
         assert_eq!(re.len(), n * lanes, "FFT real plane length mismatch");
         assert_eq!(im.len(), n * lanes, "FFT imaginary plane length mismatch");
         if lanes == 0 {
             return;
         }
         let tw = |k: usize| {
-            let wi = self.tw_im[k];
-            (self.tw_re[k], if inverse { -wi } else { wi })
+            let wi = plan.tw_im[k];
+            (plan.tw_re[k], if inverse { -wi } else { wi })
         };
         let mut len = 2;
         if n.trailing_zeros() % 2 == 1 {
@@ -239,7 +251,7 @@ mod tests {
     #[test]
     fn lanes_transform_independently_and_bit_identically() {
         // every lane of a 3-lane block must carry exactly the bits of its
-        // own single-lane transform, in both directions
+        // own single-lane transform, in both directions, at every tier
         let (n, lanes) = (16, 3);
         let plan = Fft::new(n);
         let (mut re, mut im) = (vec![0.0; n * lanes], vec![0.0; n * lanes]);
@@ -247,19 +259,21 @@ mod tests {
             *r = ((i * 37 % 11) as f64 - 5.0) * 0.3;
             *m = if i % 4 == 0 { -0.0 } else { (i as f64 * 0.9).cos() };
         }
-        for inverse in [false, true] {
-            let (mut bre, mut bim) = (re.clone(), im.clone());
-            plan.butterflies(&mut bre, &mut bim, lanes, inverse);
-            for l in 0..lanes {
-                let mut lre: Vec<f64> = (0..n).map(|j| re[j * lanes + l]).collect();
-                let mut lim: Vec<f64> = (0..n).map(|j| im[j * lanes + l]).collect();
-                plan.butterflies(&mut lre, &mut lim, 1, inverse);
-                for j in 0..n {
-                    assert_eq!(bre[j * lanes + l].to_bits(), lre[j].to_bits());
-                    assert_eq!(bim[j * lanes + l].to_bits(), lim[j].to_bits());
+        crate::simd::each_tier(|tier| {
+            for inverse in [false, true] {
+                let (mut bre, mut bim) = (re.clone(), im.clone());
+                plan.butterflies(&mut bre, &mut bim, lanes, inverse);
+                for l in 0..lanes {
+                    let mut lre: Vec<f64> = (0..n).map(|j| re[j * lanes + l]).collect();
+                    let mut lim: Vec<f64> = (0..n).map(|j| im[j * lanes + l]).collect();
+                    plan.butterflies(&mut lre, &mut lim, 1, inverse);
+                    for j in 0..n {
+                        assert_eq!(bre[j * lanes + l].to_bits(), lre[j].to_bits(), "{tier:?}");
+                        assert_eq!(bim[j * lanes + l].to_bits(), lim[j].to_bits(), "{tier:?}");
+                    }
                 }
             }
-        }
+        });
     }
 
     /// The stage-by-stage loop of the order contract: one pass over the
@@ -293,32 +307,35 @@ mod tests {
     #[test]
     fn fused_passes_match_the_textbook_loop_bit_for_bit() {
         // odd and even stage counts, one to many lanes, signed zeros in
-        // the input, both directions
-        for n in (0..=9).map(|b| 1usize << b) {
-            let plan = Fft::new(n);
-            for lanes in [1, 3, 80, 128] {
-                let (mut re, mut im) = (vec![0.0; n * lanes], vec![0.0; n * lanes]);
-                for (i, (r, m)) in re.iter_mut().zip(&mut im).enumerate() {
-                    *r = if i % 7 == 3 { -0.0 } else { ((i * 37 % 23) as f64 - 11.0) * 0.3 };
-                    *m = if i % 5 == 1 { 0.0 } else { (i as f64 * 0.9).cos() };
-                }
-                for inverse in [false, true] {
-                    let (mut fre, mut fim) = (re.clone(), im.clone());
-                    plan.butterflies(&mut fre, &mut fim, lanes, inverse);
-                    let (mut tre, mut tim) = (re.clone(), im.clone());
-                    textbook(&plan, &mut tre, &mut tim, lanes, inverse);
-                    for (i, (f, t)) in
-                        fre.iter().chain(&fim).zip(tre.iter().chain(&tim)).enumerate()
-                    {
-                        assert_eq!(
-                            f.to_bits(),
-                            t.to_bits(),
-                            "n {n}, lanes {lanes}, inverse {inverse}, value {i}"
-                        );
+        // the input, both directions, every tier against the baseline
+        // textbook loop
+        crate::simd::each_tier(|tier| {
+            for n in (0..=9).map(|b| 1usize << b) {
+                let plan = Fft::new(n);
+                for lanes in [1, 3, 80, 128] {
+                    let (mut re, mut im) = (vec![0.0; n * lanes], vec![0.0; n * lanes]);
+                    for (i, (r, m)) in re.iter_mut().zip(&mut im).enumerate() {
+                        *r = if i % 7 == 3 { -0.0 } else { ((i * 37 % 23) as f64 - 11.0) * 0.3 };
+                        *m = if i % 5 == 1 { 0.0 } else { (i as f64 * 0.9).cos() };
+                    }
+                    for inverse in [false, true] {
+                        let (mut fre, mut fim) = (re.clone(), im.clone());
+                        plan.butterflies(&mut fre, &mut fim, lanes, inverse);
+                        let (mut tre, mut tim) = (re.clone(), im.clone());
+                        textbook(&plan, &mut tre, &mut tim, lanes, inverse);
+                        for (i, (f, t)) in
+                            fre.iter().chain(&fim).zip(tre.iter().chain(&tim)).enumerate()
+                        {
+                            assert_eq!(
+                                f.to_bits(),
+                                t.to_bits(),
+                                "{tier:?}: n {n}, lanes {lanes}, inverse {inverse}, value {i}"
+                            );
+                        }
                     }
                 }
             }
-        }
+        });
     }
 
     #[test]

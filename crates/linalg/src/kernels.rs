@@ -45,6 +45,17 @@
 //! [`PanelLayout`]: the [`Mat`]'s own columns ([`ColMajor`]) or adjacent
 //! lane values ([`LaneMajor`]).
 //!
+//! The lane kernels are `#[inline(always)]`, so the tile loops that call
+//! them (the CSR lane tile, the FWT's `forward_tile`/`inverse_tile`)
+//! compile them at each [`Tier`](crate::simd::Tier) those loops are
+//! built for: one body, run at AVX-512F or AVX2 width where the CPU
+//! reports it. A wider register holds more lanes of the same step; each
+//! lane still sees its one-vector operations in order, lanes never mix
+//! and no tier enables `fma`, so every tier yields the baseline bits. The
+//! one-vector kernels ([`gather_dot4`], [`dot4`], ...) and the per-vector
+//! applies built on them stay baseline-only: their latency chains gain
+//! nothing from wider registers.
+//!
 //! The scalar reference implementations in [`scalar`] stay compiled into
 //! every build; the property suite in `crates/linalg/tests/kernel_props.rs`
 //! cross-checks each lane-blocked kernel against its reference on random
@@ -192,7 +203,8 @@ pub fn fused_scatter_axpy4(
 /// index is read once per tile instead of once per column. Sized from
 /// measurement: serving 32-column blocks of a 3300-contact wavelet model
 /// on a 2-vCPU Xeon cost 240–251 µs of CPU per vector with 4 lanes,
-/// 181–196 with 8 and 198–215 with 16.
+/// 181–196 with 8 and 198–215 with 16. That was measured at the baseline
+/// SIMD tier; the wider [`Tier`](crate::simd::Tier)s keep 8.
 pub const LANES: usize = 8;
 
 /// Read access to the rows of one lane tile: row `r`'s values, lane `l`
@@ -336,7 +348,7 @@ impl PanelLayout for LaneMajor {
 /// Each lane keeps its own four partials and tail and combines them as
 /// `(s0+s1) + (s2+s3) + tail`; the index and value of each term are read
 /// once for all `LANES` columns. This is the blocked CSR row kernel.
-#[inline]
+#[inline(always)]
 pub fn gather_dot4_lanes(a: &[f64], idx: &[u32], x: &impl TileRows) -> [f64; LANES] {
     debug_assert_eq!(a.len(), idx.len(), "gather_dot4_lanes length mismatch");
     let len4 = a.len() & !3;
@@ -362,7 +374,7 @@ pub fn gather_dot4_lanes(a: &[f64], idx: &[u32], x: &impl TileRows) -> [f64; LAN
 /// [`dot4`] of `a` against every lane of the lane-major rows `xt`
 /// (`a.len()` rows, see [`LaneTile`]): lane `l` of the result is
 /// `dot4(a, column l)`, to the bit. The FWT node kernel.
-#[inline]
+#[inline(always)]
 pub fn dot4_lanes(a: &[f64], xt: &[f64]) -> [f64; LANES] {
     debug_assert_eq!(a.len() * LANES, xt.len(), "dot4_lanes length mismatch");
     let len4 = a.len() & !3;
@@ -392,7 +404,7 @@ pub fn dot4_lanes(a: &[f64], xt: &[f64]) -> [f64; LANES] {
 /// # Panics
 ///
 /// Panics (in debug builds) unless `y` holds `c0.len()` rows.
-#[inline]
+#[inline(always)]
 pub fn fused_axpy4_lanes(
     a: [[f64; LANES]; 4],
     c0: &[f64],
@@ -416,7 +428,7 @@ pub fn fused_axpy4_lanes(
 
 /// One lane-major column update `y[i][l] += c[i] * a[l]` — a single
 /// column pass of [`fused_axpy4_lanes`], for the `ncols % 4` remainder.
-#[inline]
+#[inline(always)]
 pub fn axpy_lanes(a: [f64; LANES], c: &[f64], y: &mut [f64]) {
     debug_assert_eq!(y.len(), c.len() * LANES, "axpy_lanes row count mismatch");
     for (yr, &cv) in y.chunks_exact_mut(LANES).zip(c) {

@@ -25,6 +25,9 @@
 //! * [`kernels`] — the lane-blocked inner kernels of the serving hot
 //!   loops (fixed-lane accumulator dots, fused column updates) together
 //!   with the scalar references they are property-tested against.
+//! * [`simd`] — run-time instruction-set tiers: the lane-batched kernels
+//!   are compiled at AVX2 and AVX-512F width beside the baseline and
+//!   dispatched to the widest the CPU reports, with the baseline bits.
 //! * [`trace`] — zero-dependency observability: RAII spans, atomic
 //!   counters, latency histograms, Chrome-trace export. Off by default;
 //!   the disabled fast path costs one relaxed atomic load.
@@ -55,6 +58,7 @@ pub mod mat;
 pub mod op;
 pub mod qr;
 pub mod rng;
+pub mod simd;
 pub mod sparse;
 pub mod svd;
 pub mod trace;

@@ -139,10 +139,7 @@ impl Csr {
             assert!(w[0] <= w[1], "csr indptr must be nondecreasing");
             let cols = &indices[w[0]..w[1]];
             assert!(cols.windows(2).all(|c| c[0] < c[1]), "csr row columns must be increasing");
-            assert!(
-                cols.last().map_or(true, |&c| (c as usize) < n_cols),
-                "csr column out of range"
-            );
+            assert!(cols.last().is_none_or(|&c| (c as usize) < n_cols), "csr column out of range");
         }
         Csr { n_rows, n_cols, indptr, indices, data }
     }
@@ -312,22 +309,10 @@ impl Csr {
         y.resize(self.n_rows, b);
         let tiles = b / LANES;
         for t in 0..tiles {
-            self.tile_into(&XL::tile(x, t), &mut YL::tile_mut(y, t));
+            tile_into(self, &XL::tile(x, t), &mut YL::tile_mut(y, t));
         }
         for j in tiles * LANES..b {
             self.matvec_into(x.col(j), y.col_mut(j));
-        }
-    }
-
-    /// One lane tile of [`matmul_panel_into`](Self::matmul_panel_into).
-    #[inline]
-    fn tile_into(&self, x: &impl TileRows, y: &mut impl TileRowsMut) {
-        let mut start = self.indptr[0];
-        for (i, &end) in self.indptr[1..].iter().enumerate() {
-            let lanes =
-                kernels::gather_dot4_lanes(&self.data[start..end], &self.indices[start..end], x);
-            y.set_lanes(i, lanes);
-            start = end;
         }
     }
 
@@ -408,6 +393,20 @@ impl Csr {
             let (cols, vals) = self.row(i);
             cols.iter().zip(vals).map(move |(c, v)| (i, *c as usize, *v))
         })
+    }
+}
+
+crate::simd::tiered! {
+    /// One lane tile of [`Csr::matmul_panel_into`], one
+    /// [`kernels::gather_dot4_lanes`] per row, at the widest
+    /// [`Tier`](crate::simd::Tier) the CPU reports.
+    fn tile_into<X: TileRows, Y: TileRowsMut>(a: &Csr, x: &X, y: &mut Y) {
+        let mut start = a.indptr[0];
+        for (i, &end) in a.indptr[1..].iter().enumerate() {
+            let lanes = kernels::gather_dot4_lanes(&a.data[start..end], &a.indices[start..end], x);
+            y.set_lanes(i, lanes);
+            start = end;
+        }
     }
 }
 

@@ -5,21 +5,34 @@
 //!
 //! This file holds a single test on purpose: it installs a counting
 //! global allocator, and any sibling test running in the same binary
-//! would pollute the count.
+//! would pollute the count. The count is per thread: `dct2d_with` runs
+//! on its caller's thread, while the test harness's own thread may
+//! allocate at any moment (it did, four times, in about one run in ten).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use subsparse_linalg::dct::{dct2d_with, Dct, Dct2dScratch};
 
-/// Forwards to the system allocator, counting allocations.
+/// Forwards to the system allocator, counting each thread's allocations.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far on the calling thread.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -28,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -45,12 +58,12 @@ fn dct2d_with_allocates_nothing_once_warm() {
             (0..nx * ny).map(|i| ((i * 13 % 29) as f64 - 14.0) * 0.1).collect();
         let mut sc = Dct2dScratch::default();
         dct2d_with(&px, &py, &mut grid, nx, ny, true, &mut sc);
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let before = allocations();
         for _ in 0..3 {
             dct2d_with(&px, &py, &mut grid, nx, ny, true, &mut sc);
             dct2d_with(&px, &py, &mut grid, nx, ny, false, &mut sc);
         }
-        let allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+        let allocs = allocations() - before;
         assert_eq!(allocs, 0, "{nx}x{ny}: {allocs} allocations with a warm scratch");
     }
 }

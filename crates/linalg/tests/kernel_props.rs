@@ -22,13 +22,17 @@
 //! The lane-tile kernels (`*_lanes`) are pinned lane by lane to their
 //! one-vector kernels, to the bit: every lane must repeat the one-vector
 //! operation order exactly, which is what keeps every column of a blocked
-//! apply bit-identical to `apply_into`.
+//! apply bit-identical to `apply_into`. They run at every SIMD tier the
+//! host supports (`simd::each_tier`), compiled per tier through
+//! `simd::tiered!` as the serving kernels that inline them are, against
+//! the baseline-compiled one-vector kernels.
 
 use subsparse_linalg::kernels::{
     self, axpy_lanes, dot4, dot4_lanes, dot8, fused_axpy4, fused_axpy4_lanes, fused_scatter_axpy4,
     gather_dot4, gather_dot4_lanes, scalar, ColMajor, LaneMajor, LaneTile, PanelLayout, LANES,
 };
 use subsparse_linalg::rng::SmallRng;
+use subsparse_linalg::simd;
 use subsparse_linalg::{Mat, Triplets};
 
 /// Random vector with a sprinkling of exact zeros.
@@ -185,15 +189,53 @@ fn random_lane_rows(rng: &mut SmallRng, len: usize) -> (Vec<f64>, Vec<Vec<f64>>)
     (rows, cols)
 }
 
+// The lane kernels compiled per tier, as the tiered serving kernels that
+// inline them are; the one-vector kernels they are checked against stay
+// baseline.
+simd::tiered! {
+    fn dot4_lanes_tiered(a: &[f64], xt: &[f64]) -> [f64; LANES] {
+        dot4_lanes(a, xt)
+    }
+}
+
+simd::tiered! {
+    fn gather_dot4_lanes_tiered(a: &[f64], idx: &[u32], x: &LaneTile<'_>) -> [f64; LANES] {
+        gather_dot4_lanes(a, idx, x)
+    }
+}
+
+simd::tiered! {
+    fn fused_axpy4_lanes_tiered(
+        m: [[f64; LANES]; 4],
+        c0: &[f64],
+        c1: &[f64],
+        c2: &[f64],
+        c3: &[f64],
+        y: &mut [f64],
+    ) {
+        fused_axpy4_lanes(m, c0, c1, c2, c3, y)
+    }
+}
+
+simd::tiered! {
+    fn axpy_lanes_tiered(m: [f64; LANES], c: &[f64], y: &mut [f64]) {
+        axpy_lanes(m, c, y)
+    }
+}
+
 #[test]
 fn lane_kernels_are_bit_identical_to_their_one_vector_kernels_per_lane() {
+    simd::each_tier(lane_kernels_match_one_vector_kernels);
+}
+
+fn lane_kernels_match_one_vector_kernels(tier: simd::Tier) {
     let mut rng = SmallRng::seed_from_u64(0x1A4E);
     for len in (0..=9).chain(LENGTHS) {
         for rep in 0..4 {
-            let label = format!("len={len} rep={rep}");
+            let label = format!("{tier:?} len={len} rep={rep}");
             let a = random_vec(&mut rng, len);
             let (rows, cols) = random_lane_rows(&mut rng, len);
-            let d = dot4_lanes(&a, &rows);
+            let d = dot4_lanes_tiered(&a, &rows);
             for (l, col) in cols.iter().enumerate() {
                 assert_eq!(d[l].to_bits(), dot4(&a, col).to_bits(), "dot4_lanes lane {l}: {label}");
             }
@@ -203,7 +245,7 @@ fn lane_kernels_are_bit_identical_to_their_one_vector_kernels_per_lane() {
             let xlen = len * 2 + 1;
             let (xrows, xcols) = random_lane_rows(&mut rng, xlen);
             let idx: Vec<u32> = (0..len).map(|_| (rng.next_u64() % xlen as u64) as u32).collect();
-            let g = gather_dot4_lanes(&a, &idx, &LaneTile(&xrows));
+            let g = gather_dot4_lanes_tiered(&a, &idx, &LaneTile(&xrows));
             for (l, col) in xcols.iter().enumerate() {
                 let one = gather_dot4(&a, &idx, col);
                 assert_eq!(g[l].to_bits(), one.to_bits(), "gather_dot4_lanes lane {l}: {label}");
@@ -223,9 +265,9 @@ fn lane_kernels_are_bit_identical_to_their_one_vector_kernels_per_lane() {
                     })
                 });
             let mut fused = rows.clone();
-            fused_axpy4_lanes(m, &c[0], &c[1], &c[2], &c[3], &mut fused);
+            fused_axpy4_lanes_tiered(m, &c[0], &c[1], &c[2], &c[3], &mut fused);
             let mut single = rows.clone();
-            axpy_lanes(m[0], &c[0], &mut single);
+            axpy_lanes_tiered(m[0], &c[0], &mut single);
             for (l, col) in cols.iter().enumerate() {
                 let mut y = col.clone();
                 fused_axpy4(
@@ -305,6 +347,10 @@ fn assert_panel_product_matches<XL: PanelLayout, YL: PanelLayout>(
 
 #[test]
 fn csr_lane_tiles_are_bit_identical_to_per_lane_gather_dot4() {
+    simd::each_tier(csr_lane_tiles_match_gather_dot4);
+}
+
+fn csr_lane_tiles_match_gather_dot4(tier: simd::Tier) {
     let mut rng = SmallRng::seed_from_u64(0x7115);
     for rep in 0..3 {
         // every row length 0..=9 (each `len % 4` tail, empty rows
@@ -335,7 +381,7 @@ fn csr_lane_tiles_are_bit_identical_to_per_lane_gather_dot4() {
                     rng.range_f64(-2.0, 2.0)
                 }
             });
-            let label = format!("rep={rep} b={b}");
+            let label = format!("{tier:?} rep={rep} b={b}");
             assert_panel_product_matches::<ColMajor, ColMajor>(&a, &x, &format!("cc {label}"));
             assert_panel_product_matches::<ColMajor, LaneMajor>(&a, &x, &format!("cl {label}"));
             assert_panel_product_matches::<LaneMajor, LaneMajor>(&a, &x, &format!("ll {label}"));

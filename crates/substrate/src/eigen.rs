@@ -312,9 +312,17 @@ impl LinOp for RestrictedOp<'_> {
         self.solver.panel_list.len()
     }
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        let s = self.solver;
+        restricted_apply(self, x, y);
+    }
+}
+
+subsparse_linalg::simd::tiered! {
+    /// [`RestrictedOp`]'s apply, compiled per
+    /// [`Tier`](subsparse_linalg::simd::Tier) with [`exchange`] inlined.
+    fn restricted_apply(op: &RestrictedOp<'_>, x: &[f64], y: &mut [f64]) {
+        let s = op.solver;
         let (p, rows) = (s.p, &s.rows[..]);
-        let (mut buf, sc) = (self.grid.borrow_mut(), &mut *self.dct.borrow_mut());
+        let (mut buf, sc) = (op.grid.borrow_mut(), &mut *op.dct.borrow_mut());
         buf.resize(p * p + p * rows.len(), 0.0);
         let (grid, plane) = buf.split_at_mut(p * p);
         plane.fill(0.0);
@@ -345,6 +353,7 @@ impl LinOp for RestrictedOp<'_> {
 /// Moves values between the compact `[x][r]` plane (`P x R`, row-major)
 /// and the occupied rows `rows[r]` of the `[y][x]` grid, in cache-sized
 /// tiles: into the grid if `expand`, else back into the plane.
+#[inline(always)]
 fn exchange(plane: &mut [f64], grid: &mut [f64], rows: &[u32], p: usize, expand: bool) {
     const TILE: usize = 16;
     let nr = rows.len();
@@ -502,10 +511,18 @@ impl LinOp for BlockJacobi {
         self.index.len()
     }
     fn apply(&self, x: &[f64], y: &mut [f64]) {
+        block_jacobi_apply(self, x, y);
+    }
+}
+
+subsparse_linalg::simd::tiered! {
+    /// [`BlockJacobi`]'s apply, compiled per
+    /// [`Tier`](subsparse_linalg::simd::Tier).
+    fn block_jacobi_apply(pc: &BlockJacobi, x: &[f64], y: &mut [f64]) {
         let mut buf = [0.0; BLOCK_CAP * LANE_BLOCKS];
         let mut dot = [0.0; LANE_BLOCKS];
-        let (mut index, mut factors) = (&self.index[..], &self.factors[..]);
-        for &(k, c) in &self.chunks {
+        let (mut index, mut factors) = (&pc.index[..], &pc.factors[..]);
+        for &(k, c) in &pc.chunks {
             let (k, c) = (k as usize, c as usize);
             let (idx, rest) = index.split_at(k * c);
             index = rest;
@@ -608,6 +625,7 @@ mod tests {
     use subsparse_layout::generators;
     use subsparse_linalg::cg::{pcg, IdentityPrecond};
     use subsparse_linalg::dct::dct2d_with;
+    use subsparse_linalg::simd::Tier;
 
     fn small_solver() -> EigenSolver {
         let layout = generators::regular_grid(128.0, 4, 16.0);
@@ -883,25 +901,33 @@ mod tests {
         assert_eq!(lanes[&1], LANE_BLOCKS + 8);
         assert_eq!((lanes[&BLOCK_CAP], lanes[&20]), (1, 1));
         assert_eq!(classes(&solvers[2]).into_iter().collect::<Vec<_>>(), [(4, 512), (9, 512)]);
-        for s in &solvers {
-            let pc = &s.precond;
-            let blocks = per_block(pc);
-            let n = pc.dim();
-            let signed_zeros = (0..n).map(|k| if k % 2 == 0 { -0.0 } else { 0.0 });
-            let mixed = (0..n).map(|k| match k % 5 {
-                0 => -0.0,
-                1 => 0.0,
-                _ => (k as f64 * 0.37).sin() * 1e3,
-            });
-            for x in [signed_zeros.collect::<Vec<_>>(), mixed.collect()] {
-                let (mut got, mut want) = (vec![f64::NAN; n], vec![f64::NAN; n]);
-                pc.apply(&x, &mut got);
-                per_block_apply(&blocks, &x, &mut want);
-                for (k, (a, b)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "P = {}, panel {k}: {a} vs {b}", s.p);
+        // every tier against the baseline per-block reference
+        subsparse_linalg::simd::each_tier(|tier| {
+            for s in &solvers {
+                let pc = &s.precond;
+                let blocks = per_block(pc);
+                let n = pc.dim();
+                let signed_zeros = (0..n).map(|k| if k % 2 == 0 { -0.0 } else { 0.0 });
+                let mixed = (0..n).map(|k| match k % 5 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => (k as f64 * 0.37).sin() * 1e3,
+                });
+                for x in [signed_zeros.collect::<Vec<_>>(), mixed.collect()] {
+                    let (mut got, mut want) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+                    pc.apply(&x, &mut got);
+                    per_block_apply(&blocks, &x, &mut want);
+                    for (k, (a, b)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{tier:?}, P = {}, panel {k}: {a} vs {b}",
+                            s.p
+                        );
+                    }
                 }
             }
-        }
+        });
     }
 
     #[test]
@@ -919,42 +945,55 @@ mod tests {
         {
             one_row.push(c);
         }
-        for (layout, want_rows) in [(edge_layout(), 20), (all_rows, 32), (one_row, 1)] {
-            let s = solver_32(&layout);
-            assert_eq!(s.rows.len(), want_rows, "occupied rows");
-            let p = s.p;
-            let dct = RefCell::new(Dct2dScratch::default());
-            let grid = RefCell::new(Vec::new());
-            let op = RestrictedOp { solver: &s, grid: &grid, dct: &dct };
-            let n = op.dim();
-            let mut inputs: Vec<Vec<f64>> = [0, n / 2, n - 1]
-                .iter()
-                .map(|&i| (0..n).map(|k| f64::from(u8::from(k == i))).collect())
-                .collect();
-            inputs.push((0..n).map(|k| (k as f64 * 0.73).sin() - 0.2).collect());
-            let mut got = vec![0.0; n];
-            for x in &inputs {
-                op.apply(x, &mut got);
-                let mut full = vec![0.0; p * p];
-                for (&q, &xk) in s.panel_list.iter().zip(x) {
-                    full[q as usize] = xk;
-                }
-                let mut sc = Dct2dScratch::default();
-                dct2d_with(&s.dct, &s.dct, &mut full, p, p, true, &mut sc);
-                for (g, m) in full.iter_mut().zip(&s.mu) {
-                    *g *= m;
-                }
-                dct2d_with(&s.dct, &s.dct, &mut full, p, p, false, &mut sc);
-                let want: Vec<f64> = s.panel_list.iter().map(|&q| full[q as usize]).collect();
-                let scale = want.iter().fold(0.0f64, |m, w| m.max(w.abs()));
-                for (k, (a, b)) in got.iter().zip(&want).enumerate() {
-                    assert!(
-                        (a - b).abs() <= 1e-13 * scale,
-                        "R = {want_rows}, panel {k}: {a} vs {b}"
-                    );
+        let cases = [(edge_layout(), 20), (all_rows, 32), (one_row, 1)];
+        // the wide tiers must also repeat the baseline tier's bits
+        let mut base_bits: Vec<Vec<u64>> = Vec::new();
+        subsparse_linalg::simd::each_tier(|tier| {
+            let mut case = 0;
+            for (layout, want_rows) in &cases {
+                let s = solver_32(layout);
+                assert_eq!(s.rows.len(), *want_rows, "occupied rows");
+                let p = s.p;
+                let dct = RefCell::new(Dct2dScratch::default());
+                let grid = RefCell::new(Vec::new());
+                let op = RestrictedOp { solver: &s, grid: &grid, dct: &dct };
+                let n = op.dim();
+                let mut inputs: Vec<Vec<f64>> = [0, n / 2, n - 1]
+                    .iter()
+                    .map(|&i| (0..n).map(|k| f64::from(u8::from(k == i))).collect())
+                    .collect();
+                inputs.push((0..n).map(|k| (k as f64 * 0.73).sin() - 0.2).collect());
+                let mut got = vec![0.0; n];
+                for x in &inputs {
+                    op.apply(x, &mut got);
+                    let bits: Vec<u64> = got.iter().map(|g| g.to_bits()).collect();
+                    if tier == Tier::Base {
+                        base_bits.push(bits);
+                    } else {
+                        assert_eq!(bits, base_bits[case], "{tier:?}, R = {want_rows}");
+                    }
+                    case += 1;
+                    let mut full = vec![0.0; p * p];
+                    for (&q, &xk) in s.panel_list.iter().zip(x) {
+                        full[q as usize] = xk;
+                    }
+                    let mut sc = Dct2dScratch::default();
+                    dct2d_with(&s.dct, &s.dct, &mut full, p, p, true, &mut sc);
+                    for (g, m) in full.iter_mut().zip(&s.mu) {
+                        *g *= m;
+                    }
+                    dct2d_with(&s.dct, &s.dct, &mut full, p, p, false, &mut sc);
+                    let want: Vec<f64> = s.panel_list.iter().map(|&q| full[q as usize]).collect();
+                    let scale = want.iter().fold(0.0f64, |m, w| m.max(w.abs()));
+                    for (k, (a, b)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            (a - b).abs() <= 1e-13 * scale,
+                            "{tier:?}, R = {want_rows}, panel {k}: {a} vs {b}"
+                        );
+                    }
                 }
             }
-        }
+        });
     }
 
     #[test]

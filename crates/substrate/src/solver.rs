@@ -235,7 +235,7 @@ where
     let failure = std::sync::Mutex::new(None::<ColumnFailure>);
     let record = |column: usize, error: SolverError| {
         let mut slot = failure.lock().unwrap_or_else(|e| e.into_inner());
-        if slot.as_ref().map_or(true, |f| column < f.column) {
+        if slot.as_ref().is_none_or(|f| column < f.column) {
             *slot = Some(ColumnFailure { column, error });
         }
     };
