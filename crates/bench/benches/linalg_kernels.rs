@@ -1,8 +1,14 @@
 //! Micro-benchmarks of the linear-algebra kernels the extraction and the
 //! solvers lean on.
+//!
+//! Every row runs on the calling thread and is timed on that thread's CPU
+//! clock (`CLOCK_THREAD_CPUTIME_ID`), not wall-clock: on a shared virtual
+//! machine the hypervisor can take the CPU away for milliseconds
+//! ("steal"), and the kernel keeps that time out of a thread's CPU clock,
+//! so it cannot move a row between two builds.
 
+use std::ffi::c_long;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 
 use subsparse::layout::generators;
 use subsparse::linalg::dct::{dct2d_with, Dct, Dct2dScratch};
@@ -14,24 +20,46 @@ use subsparse::sparsify::eval::format_ns;
 use subsparse::substrate::{EigenSolver, EigenSolverConfig, SubstrateSolver};
 use subsparse::Substrate;
 
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
+/// `CLOCK_THREAD_CPUTIME_ID` on Linux.
+const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+
+extern "C" {
+    fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+}
+
+/// CPU nanoseconds the calling thread has run so far.
+fn thread_cpu_ns() -> f64 {
+    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `ts` is a valid, writable `timespec` for the call.
+    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "the thread CPU clock is unavailable");
+    ts.tv_sec as f64 * 1e9 + ts.tv_nsec as f64
+}
+
 /// Measured batches per row; each batch runs as many iterations as fill
-/// about 20 ms, calibrated by one warm-up call.
+/// about 20 ms of CPU time, calibrated by one warm-up call.
 const BATCHES: usize = 11;
 
 /// Times `f` and prints one row: the median, fastest and mean batch's
-/// wall-clock per iteration.
+/// thread CPU time per iteration.
 fn bench(name: &str, mut f: impl FnMut()) {
-    let t0 = Instant::now();
+    let t0 = thread_cpu_ns();
     f();
-    let once = t0.elapsed().max(Duration::from_nanos(1));
-    let iters = (Duration::from_millis(20).as_nanos() / once.as_nanos()).clamp(1, 1_000_000);
+    let once = (thread_cpu_ns() - t0).max(1.0);
+    let iters = ((20e6 / once) as u64).clamp(1, 1_000_000);
     let mut per_iter: Vec<f64> = (0..BATCHES)
         .map(|_| {
-            let t = Instant::now();
+            let t = thread_cpu_ns();
             for _ in 0..iters {
                 f();
             }
-            t.elapsed().as_nanos() as f64 / iters as f64
+            (thread_cpu_ns() - t) / iters as f64
         })
         .collect();
     per_iter.sort_by(f64::total_cmp);

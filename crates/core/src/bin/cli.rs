@@ -72,7 +72,7 @@ EXTRACT OPTIONS:
                       chrome://tracing JSON to FILE, print the summary
 
 SPARSIFY OPTIONS (run registered methods side by side, shared metrics):
-  --method M          wavelet | lowrank | threshold | topk | svd | hybrid
+  --method M          wavelet | lowrank | threshold | topk
                       or `all` (default) to compare every registered method
   --layout FILE       ASCII-art layout; default: a 16x16 regular grid
   --grid K            contacts per side of the default grid (default 16)

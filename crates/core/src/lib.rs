@@ -55,12 +55,6 @@
 //!   entries of the dense `G` globally / per row. Fine when `n` dense
 //!   solves are affordable and the coupling decays fast; `topk` keeps
 //!   small contacts from being starved.
-//! * [`Method::Svd`] — `n` solves; optimal low-rank compression, but
-//!   substrate `G`s are diagonally dominant, so it carries a large floor
-//!   error. Registered as the instructive extreme.
-//! * [`Method::HybridSvdThreshold`] — `n` solves; truncated SVD plus a
-//!   thresholded remainder, for operators with a heavy smooth far-field
-//!   part.
 //!
 //! New methods (spectral, trace-reduction, randomized, ...) drop in by
 //! implementing [`Sparsifier`] and registering a [`Method`] variant.
@@ -127,7 +121,7 @@ pub use subsparse_sparsify::{Method, Sparsifier, SparsifyError, SparsifyOptions,
 // The types that almost every user touches, re-exported at the root.
 pub use subsparse_hier::BasisRep;
 pub use subsparse_layout::{Contact, Layout, Rect};
-pub use subsparse_linalg::{ApplyWorkspace, CouplingOp, LowRankOp, ParallelApply};
+pub use subsparse_linalg::{ApplyWorkspace, CouplingOp, ParallelApply};
 pub use subsparse_substrate::{Backplane, Layer, Substrate, SubstrateSolver};
 
 /// Zero-dependency observability: runtime-switchable RAII spans, atomic

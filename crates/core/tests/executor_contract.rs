@@ -15,8 +15,7 @@ use std::time::Duration;
 
 use subsparse::faults::{self, Failpoint, FireMode};
 use subsparse::layout::generators;
-use subsparse::linalg::rng::SmallRng;
-use subsparse::linalg::{ApplyWorkspace, CouplingOp, Executor, LowRankOp, Mat, ParallelApply};
+use subsparse::linalg::{ApplyWorkspace, CouplingOp, Executor, Mat, ParallelApply};
 use subsparse::substrate::{
     solver, EigenSolver, EigenSolverConfig, FdSolver, FdSolverConfig, Substrate, SubstrateSolver,
 };
@@ -84,14 +83,8 @@ fn pool_apply_bit_identical_for_every_op_and_thread_count() {
     let csr = rep.without_fwt();
     let layout = generators::regular_grid(128.0, 8, 2.0);
     let dense = solver::synthetic(&layout).matrix().clone();
-    let r = 8;
-    let mut rng = SmallRng::seed_from_u64(7);
-    let u = Mat::from_fn(n, r, |_, _| rng.range_f64(-1.0, 1.0));
-    let v = Mat::from_fn(n, r, |_, _| rng.range_f64(-1.0, 1.0));
-    let s: Vec<f64> = (0..r).map(|i| 1.0 / (1.0 + i as f64)).collect();
-    let factored = LowRankOp::new(u, s, v);
 
-    let ops: [&(dyn CouplingOp + Sync); 4] = [&dense, &csr, rep, &factored];
+    let ops: [&(dyn CouplingOp + Sync); 3] = [&dense, &csr, rep];
     for op in ops {
         for b in [1usize, 3, 8, 16] {
             let x = x_block(n, b);
@@ -196,15 +189,10 @@ fn concurrent_callers_stay_bit_identical_under_worker_panics() {
     let rep = wavelet_rep();
     let n = rep.n();
     let layout = generators::regular_grid(128.0, 8, 2.0);
-    let mut rng = SmallRng::seed_from_u64(11);
-    let r = 5;
-    let u = Mat::from_fn(n, r, |_, _| rng.range_f64(-1.0, 1.0));
-    let v = Mat::from_fn(n, r, |_, _| rng.range_f64(-1.0, 1.0));
     let ops: Vec<Box<dyn CouplingOp + Send + Sync>> = vec![
         Box::new(solver::synthetic(&layout).matrix().clone()),
         Box::new(rep.without_fwt()),
         Box::new(rep.clone()),
-        Box::new(LowRankOp::new(u, vec![1.0, 0.5, 0.25, 0.125, 0.0625], v)),
     ];
     // (op, input block, serial output) for every op and block width
     let cases: Arc<Vec<(usize, Mat, Mat)>> = Arc::new(

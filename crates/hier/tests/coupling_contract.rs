@@ -10,9 +10,7 @@ use subsparse_hier::fwt::{FwtLevel, FwtNode};
 use subsparse_hier::{BasisRep, FastWaveletTransform};
 use subsparse_linalg::rng::SmallRng;
 use subsparse_linalg::simd;
-use subsparse_linalg::{
-    svd, ApplyWorkspace, CouplingOp, Csr, LowRankOp, Mat, ParallelApply, Triplets,
-};
+use subsparse_linalg::{ApplyWorkspace, CouplingOp, Csr, Mat, ParallelApply, Triplets};
 
 /// Deterministic dense matrix with a sprinkling of exact zeros (the
 /// kernels skip zero inputs, so zeros must be exercised).
@@ -131,9 +129,6 @@ fn parallel_apply_bit_agrees_on_every_representation() {
     assert_parallel_bit_agrees(&sparse, "csr");
     let rep = BasisRep::new(random_csr(45, 45, 0.3, 23), random_csr(45, 45, 0.4, 24));
     assert_parallel_bit_agrees(&rep, "basis-rep");
-    let g = random_mat(33, 33, 25);
-    let lr = LowRankOp::from_svd(&svd::svd(&g), 6);
-    assert_parallel_bit_agrees(&lr, "lowrank-factored");
     // the fast-wavelet-transform serving path threads like the rest
     let fwt_rep = haar8_rep();
     assert_eq!(fwt_rep.kind(), "basis-rep-fwt");
@@ -154,16 +149,10 @@ fn every_operator_shards_by_column_panels_only() {
     let pool = ParallelApply::new(2).with_min_work(0);
     let fwt_rep = haar_chain_rep(n);
     let csr_rep = fwt_rep.without_fwt();
-    let lr = LowRankOp::from_svd(&svd::svd(&random_mat(n, n, 28)), 6);
     let dense = random_mat(n, n, 29);
     let sparse = random_csr(n, n, 0.2, 30);
-    let ops: [(&(dyn CouplingOp + Sync), &str); 5] = [
-        (&dense, "dense"),
-        (&sparse, "csr"),
-        (&fwt_rep, "basis-rep-fwt"),
-        (&csr_rep, "basis-rep"),
-        (&lr, "lowrank-factored"),
-    ];
+    let ops: [(&(dyn CouplingOp + Sync), &str); 4] =
+        [(&dense, "dense"), (&sparse, "csr"), (&fwt_rep, "basis-rep-fwt"), (&csr_rep, "basis-rep")];
     for (op, label) in ops {
         assert_eq!(op.kind(), label);
         assert_eq!(pool.planned_workers(op, 1), 1, "{label}: one column must serve inline");
@@ -292,16 +281,6 @@ fn basis_rep_block_apply_is_bit_identical() {
     let rep = BasisRep::new(q, gw);
     assert_block_bit_agrees(&rep, "basis-rep");
     assert_eq!(rep.kind(), "basis-rep");
-}
-
-#[test]
-fn lowrank_op_block_apply_is_bit_identical() {
-    let g = random_mat(33, 33, 5);
-    let f = svd::svd(&g);
-    let op = LowRankOp::from_svd(&f, 6);
-    assert_block_bit_agrees(&op, "lowrank-factored");
-    assert_eq!(op.kind(), "lowrank-factored");
-    assert_eq!(CouplingOp::nnz(&op), 2 * 33 * 6 + 6);
 }
 
 #[test]

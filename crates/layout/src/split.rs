@@ -36,8 +36,6 @@ use crate::Layout;
 pub struct SplitLayout {
     original_n: usize,
     layout: Layout,
-    /// piece indices per original contact
-    pieces: Vec<Vec<usize>>,
     /// original contact per piece
     owner: Vec<u32>,
 }
@@ -53,7 +51,7 @@ impl SplitLayout {
                 owner[p] = ci as u32;
             }
         }
-        SplitLayout { original_n: original.n_contacts(), layout, pieces, owner }
+        SplitLayout { original_n: original.n_contacts(), layout, owner }
     }
 
     /// The split layout (what the extraction algorithms and solvers see).
@@ -69,16 +67,6 @@ impl SplitLayout {
     /// Number of pieces.
     pub fn n_pieces(&self) -> usize {
         self.layout.n_contacts()
-    }
-
-    /// Piece indices of an original contact.
-    pub fn pieces_of(&self, contact: usize) -> &[usize] {
-        &self.pieces[contact]
-    }
-
-    /// Original contact owning a piece.
-    pub fn owner_of(&self, piece: usize) -> usize {
-        self.owner[piece] as usize
     }
 
     /// Copies original-contact voltages onto every piece (a contact is an
@@ -125,13 +113,13 @@ mod tests {
         let split = SplitLayout::new(&original, 2);
         assert_eq!(split.original_n(), 2);
         assert_eq!(split.n_pieces(), 5);
-        assert_eq!(split.pieces_of(0).len(), 4);
-        for &p in split.pieces_of(0) {
-            assert_eq!(split.owner_of(p), 0);
-        }
+        // the owner map inverts the split's piece lists
+        let (_, pieces) = original.split_to_squares(2);
+        let bar: Vec<usize> = (0..split.n_pieces()).filter(|&p| split.owner[p] == 0).collect();
+        assert_eq!(bar, pieces[0]);
+        assert_eq!(bar.len(), 4);
         // total areas preserved per contact
-        let bar_area: f64 =
-            split.pieces_of(0).iter().map(|&p| split.layout().contacts()[p].area()).sum();
+        let bar_area: f64 = bar.iter().map(|&p| split.layout().contacts()[p].area()).sum();
         assert!((bar_area - original.contacts()[0].area()).abs() < 1e-9);
     }
 

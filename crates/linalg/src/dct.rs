@@ -476,20 +476,6 @@ fn transpose_into(src: &[f64], rows: usize, cols: usize, dst: &mut [f64]) {
     }
 }
 
-/// Applies a 1-D transform along every row and then every column of a
-/// row-major `ny x nx` grid, in place.
-///
-/// `forward` selects forward (`true`) or transpose (`false`) DCT-II.
-/// Allocates its work buffers per call; repeated callers use
-/// [`dct2d_with`].
-///
-/// # Panics
-///
-/// Panics if `grid.len() != nx * ny` or plan sizes don't match.
-pub fn dct2d(plan_x: &Dct, plan_y: &Dct, grid: &mut [f64], nx: usize, ny: usize, forward: bool) {
-    dct2d_with(plan_x, plan_y, grid, nx, ny, forward, &mut Dct2dScratch::default());
-}
-
 /// Reusable work buffers for the lane-batched transforms ([`dct2d_with`],
 /// [`Dct::transform_lanes`], [`Dct::transform_rows`]): the real and
 /// imaginary half-length FFT planes and the transpose staging of the row
@@ -502,13 +488,19 @@ pub struct Dct2dScratch {
     t: Vec<f64>,
 }
 
-/// [`dct2d`] with caller-provided work buffers — zero heap allocation
-/// once `sc` has grown to the grid size, identical results.
+/// Applies a 1-D transform along every row and then every column of a
+/// row-major `ny x nx` grid, in place, in the caller's work buffers — zero
+/// heap allocation once `sc` has grown to the grid size. `forward`
+/// selects forward (`true`) or transpose (`false`) DCT-II.
 ///
 /// The column pass runs directly on the grid (its rows are the lanes);
 /// the row pass runs on its blocked transpose. Both passes are the
 /// lane-batched kernel, so every row and column gets exactly the bits of
 /// the 1-D [`Dct::forward`] / [`Dct::transpose`].
+///
+/// # Panics
+///
+/// Panics if `grid.len() != nx * ny` or plan sizes don't match.
 pub fn dct2d_with(
     plan_x: &Dct,
     plan_y: &Dct,
@@ -819,7 +811,8 @@ mod tests {
         let py = Dct::new(ny);
         let orig: Vec<f64> = (0..nx * ny).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
         let mut g = orig.clone();
-        dct2d(&px, &py, &mut g, nx, ny, true);
+        let mut sc = Dct2dScratch::default();
+        dct2d_with(&px, &py, &mut g, nx, ny, true, &mut sc);
         for r in 0..ny {
             for c in 0..nx {
                 let dm = if c == 0 { nx as f64 } else { nx as f64 / 2.0 };
@@ -827,7 +820,7 @@ mod tests {
                 g[r * nx + c] /= dm * dn;
             }
         }
-        dct2d(&px, &py, &mut g, nx, ny, false);
+        dct2d_with(&px, &py, &mut g, nx, ny, false, &mut sc);
         for (a, b) in g.iter().zip(&orig) {
             assert!((a - b).abs() < 1e-10, "{a} vs {b}");
         }

@@ -347,11 +347,6 @@ impl<'a, T> ShardSlices<'a, T> {
         ShardSlices { ptr: data.as_mut_ptr(), len: data.len(), chunk_len, _life: PhantomData }
     }
 
-    /// Number of (nonempty) chunks.
-    pub fn n_chunks(&self) -> usize {
-        self.len.div_ceil(self.chunk_len)
-    }
-
     /// Mutable access to chunk `k`.
     ///
     /// # Safety
@@ -503,7 +498,7 @@ mod tests {
     fn shard_slices_cover_the_buffer_disjointly() {
         let mut buf = vec![0u32; 10];
         let s = ShardSlices::new(&mut buf, 4);
-        assert_eq!(s.n_chunks(), 3);
+        assert_eq!(s.len.div_ceil(s.chunk_len), 3);
         unsafe {
             assert_eq!(s.chunk(0).len(), 4);
             assert_eq!(s.chunk(1).len(), 4);

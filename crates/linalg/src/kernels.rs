@@ -65,12 +65,6 @@
 
 use crate::mat::Mat;
 
-/// Lane count of [`dot4`]/[`gather_dot4`] (the FWT/CSR row order).
-pub const LANES_4: usize = 4;
-
-/// Lane count of [`dot8`] (the long-dot order).
-pub const LANES_8: usize = 8;
-
 /// Dot product with four independent partial sums.
 ///
 /// Order contract: lane `l` accumulates elements `l, l+4, l+8, ...` of the

@@ -67,6 +67,6 @@ pub mod tridiag;
 pub use cg::{cg, pcg, pcg_with, CgResult, CgScratch, IdentityPrecond, LinOp};
 pub use exec::Executor;
 pub use mat::{axpy, dot, nrm2, Mat};
-pub use op::{resolve_threads, ApplyWorkspace, CouplingOp, LowRankOp, ParallelApply};
+pub use op::{resolve_threads, ApplyWorkspace, CouplingOp, ParallelApply};
 pub use sparse::{Csr, Triplets};
 pub use svd::{svd, Svd};

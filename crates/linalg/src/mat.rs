@@ -216,23 +216,8 @@ impl Mat {
     ///
     /// Panics if `x.len() != n_rows`.
     pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.n_cols];
-        self.matvec_t_into(x, &mut y);
-        y
-    }
-
-    /// Computes `y = A' x` into an existing buffer (overwritten), with no
-    /// allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != n_rows` or `y.len() != n_cols`.
-    pub fn matvec_t_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n_rows, "matvec_t dimension mismatch");
-        assert_eq!(y.len(), self.n_cols, "matvec_t output length mismatch");
-        for (j, yj) in y.iter_mut().enumerate() {
-            *yj = dot(self.col(j), x);
-        }
+        (0..self.n_cols).map(|j| dot(self.col(j), x)).collect()
     }
 
     /// Reshapes the matrix in place to `n_rows x n_cols`, reusing the
@@ -298,56 +283,14 @@ impl Mat {
         }
     }
 
-    /// Dense matrix product `A' * B`.
+    /// Dense matrix product `A' * B`, one dot product per output entry.
     ///
     /// # Panics
     ///
     /// Panics on dimension mismatch (`A` and `B` must have equal row counts).
     pub fn matmul_tn(&self, b: &Mat) -> Mat {
-        let mut c = Mat::zeros(0, 0);
-        self.matmul_tn_into(b, &mut c);
-        c
-    }
-
-    /// In-place variant of [`matmul_tn`](Self::matmul_tn): resizes `c` to
-    /// `n_cols x b.n_cols` (reusing its buffer) and overwrites it with
-    /// `A' * B`. Each output column is computed exactly as
-    /// [`matvec_t`](Self::matvec_t) computes it (one dot product per row),
-    /// so blocked transpose applies are bit-identical to per-vector ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch (`A` and `B` must have equal row counts).
-    pub fn matmul_tn_into(&self, b: &Mat, c: &mut Mat) {
         assert_eq!(self.n_rows, b.n_rows, "matmul_tn dimension mismatch");
-        c.resize(self.n_cols, b.n_cols);
-        for j in 0..b.n_cols {
-            let bj = b.col(j);
-            for i in 0..self.n_cols {
-                c[(i, j)] = dot(self.col(i), bj);
-            }
-        }
-    }
-
-    /// Dense matrix product `A * B'`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch (`A` and `B` must have equal column counts).
-    pub fn matmul_nt(&self, b: &Mat) -> Mat {
-        assert_eq!(self.n_cols, b.n_cols, "matmul_nt dimension mismatch");
-        let mut c = Mat::zeros(self.n_rows, b.n_rows);
-        for k in 0..self.n_cols {
-            let ak = self.col(k);
-            let bk = b.col(k);
-            for j in 0..b.n_rows {
-                let bjk = bk[j];
-                if bjk != 0.0 {
-                    axpy(bjk, ak, c.col_mut(j));
-                }
-            }
-        }
-        c
+        Mat::from_fn(self.n_cols, b.n_cols, |i, j| dot(self.col(i), b.col(j)))
     }
 
     /// Returns the transpose.
@@ -545,14 +488,6 @@ mod tests {
         for i in 0..3 {
             for j in 0..2 {
                 assert!((c1[(i, j)] - c2[(i, j)]).abs() < 1e-14);
-            }
-        }
-        let e = Mat::from_fn(5, 2, |i, j| (2 * i + 3 * j) as f64);
-        let d1 = b.matmul_nt(&e);
-        let d2 = b.matmul(&e.transpose());
-        for i in 0..4 {
-            for j in 0..5 {
-                assert!((d1[(i, j)] - d2[(i, j)]).abs() < 1e-14);
             }
         }
     }

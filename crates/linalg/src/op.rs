@@ -2,11 +2,10 @@
 //! representation of a coupling operator.
 //!
 //! Extraction produces operators in several shapes — a dense [`Mat`], a
-//! plain sparse [`Csr`], the transformed-basis `Q Gw Q'` form, a factored
-//! low-rank `U S V'` ([`LowRankOp`]) — but a circuit simulator consumes
-//! them all the same way: apply `y = G x` thousands of times, often for a
-//! whole block of excitation vectors at once. [`CouplingOp`] is that
-//! consumer's contract:
+//! plain sparse [`Csr`], the transformed-basis `Q Gw Q'` form — but a
+//! circuit simulator consumes them all the same way: apply `y = G x`
+//! thousands of times, often for a whole block of excitation vectors at
+//! once. [`CouplingOp`] is that consumer's contract:
 //!
 //! * [`apply_into`](CouplingOp::apply_into) — one vector, into a caller
 //!   buffer, with every intermediate living in a reusable
@@ -136,12 +135,6 @@ impl ApplyWorkspace {
         self.c.resize(inner, block);
     }
 
-    /// The first two scratch matrices, mutably (they are always
-    /// disjoint) — enough for two-stage pipelines.
-    pub fn mats(&mut self) -> (&mut Mat, &mut Mat) {
-        (&mut self.a, &mut self.b)
-    }
-
     /// All three scratch matrices, mutably (pairwise disjoint), for
     /// pipelines that also need a transform-internal scratch buffer.
     pub fn mats3(&mut self) -> (&mut Mat, &mut Mat, &mut Mat) {
@@ -171,7 +164,7 @@ pub trait CouplingOp {
     fn nnz(&self) -> usize;
 
     /// Short stable name of the representation (`"dense"`, `"csr"`,
-    /// `"basis-rep"`, `"lowrank-factored"`), for CLIs and reports.
+    /// `"basis-rep"`, `"basis-rep-fwt"`), for CLIs and reports.
     fn kind(&self) -> &'static str;
 
     /// Applies `y = G x` into `y` (overwritten), using `ws` for every
@@ -526,91 +519,10 @@ impl ParallelApply {
     }
 }
 
-/// A factored low-rank coupling operator `G ~ U diag(s) V'`, applied as
-/// `U (s ∘ (V' x))` without ever materializing the `n x n` product.
-///
-/// This is the serve-ready form of an SVD-style compression: `2 n r + r`
-/// stored values and `O(n r)` per apply instead of `n^2`. Symmetric
-/// operators use `V = U`; the factors are kept separate so one-sided
-/// truncations serve just as well.
-#[derive(Clone, Debug)]
-pub struct LowRankOp {
-    u: Mat,
-    s: Vec<f64>,
-    v: Mat,
-}
-
-impl LowRankOp {
-    /// Builds the operator from its factors.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `u` and `v` are `n x r` with `r == s.len()`.
-    pub fn new(u: Mat, s: Vec<f64>, v: Mat) -> Self {
-        assert_eq!(u.n_cols(), s.len(), "U column count must match singular values");
-        assert_eq!(v.n_cols(), s.len(), "V column count must match singular values");
-        assert_eq!(u.n_rows(), v.n_rows(), "U and V must act on the same space");
-        LowRankOp { u, s, v }
-    }
-
-    /// The rank `r` of the factorization.
-    pub fn rank(&self) -> usize {
-        self.s.len()
-    }
-
-    /// Truncates an SVD to its `r` leading triplets and serves it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` exceeds the number of computed singular values.
-    pub fn from_svd(f: &crate::svd::Svd, r: usize) -> Self {
-        LowRankOp::new(f.u.col_block(0, r), f.s[..r].to_vec(), f.v.col_block(0, r))
-    }
-}
-
-impl CouplingOp for LowRankOp {
-    fn n(&self) -> usize {
-        self.u.n_rows()
-    }
-
-    fn nnz(&self) -> usize {
-        self.u.n_rows() * self.u.n_cols() + self.s.len() + self.v.n_rows() * self.v.n_cols()
-    }
-
-    fn kind(&self) -> &'static str {
-        "lowrank-factored"
-    }
-
-    fn apply_into(&self, x: &[f64], y: &mut [f64], ws: &mut ApplyWorkspace) {
-        let _h = trace::time_hist(trace::Hist::ApplyVectorNs);
-        let (t, _) = ws.mats();
-        t.resize(self.rank(), 1);
-        self.v.matvec_t_into(x, t.col_mut(0));
-        for (ti, si) in t.col_mut(0).iter_mut().zip(&self.s) {
-            *ti *= si;
-        }
-        self.u.matvec_into(t.col(0), y);
-    }
-
-    fn apply_block_into(&self, x: &Mat, y: &mut Mat, ws: &mut ApplyWorkspace) {
-        let _s = trace::span("apply_block.lowrank");
-        let _h = trace::time_hist(trace::Hist::ApplyBlockNs);
-        let (t, _) = ws.mats();
-        self.v.matmul_tn_into(x, t);
-        for tj in t.cols_mut() {
-            for (ti, si) in tj.iter_mut().zip(&self.s) {
-                *ti *= si;
-            }
-        }
-        self.u.matmul_into(t, y);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sparse::Triplets;
-    use crate::svd::svd;
 
     fn test_csr() -> Csr {
         let mut t = Triplets::new(4, 4);
@@ -637,9 +549,7 @@ mod tests {
     fn trait_objects_serve_every_kind() {
         let dense = Mat::from_fn(4, 4, |i, j| 1.0 / (1.0 + (i + 2 * j) as f64));
         let sparse = test_csr();
-        let f = svd(&dense);
-        let lr = LowRankOp::from_svd(&f, 2);
-        let ops: Vec<&dyn CouplingOp> = vec![&dense, &sparse, &lr];
+        let ops: Vec<&dyn CouplingOp> = vec![&dense, &sparse];
         let mut ws = ApplyWorkspace::new();
         let x = vec![1.0, -1.0, 0.5, 0.0];
         let mut y = vec![0.0; 4];
@@ -653,31 +563,15 @@ mod tests {
     }
 
     #[test]
-    fn lowrank_matches_materialized_product() {
-        let g = Mat::from_fn(5, 5, |i, j| ((i + 1) * (j + 1)) as f64 / 7.0);
-        let f = svd(&g);
-        let lr = LowRankOp::from_svd(&f, 5); // full rank: exact up to roundoff
-        assert_eq!(lr.rank(), 5);
-        let x = vec![0.3, -1.2, 0.0, 2.0, 0.7];
-        let exact = g.matvec(&x);
-        let approx = lr.apply_vec(&x);
-        for (a, e) in approx.iter().zip(&exact) {
-            assert!((a - e).abs() < 1e-10, "{a} vs {e}");
-        }
-    }
-
-    #[test]
     fn parallel_apply_is_bit_identical_across_column_panels() {
         let n = 67;
         let g = Mat::from_fn(n, n, |i, j| ((i * 31 + j * 7) % 23) as f64 / 23.0 - 0.4);
         let sparse = Csr::from_dense(&g, 0.6);
-        let f = svd(&g);
-        let lr = LowRankOp::from_svd(&f, 2);
         // min_work 0: force the threaded paths on fixtures far below the
         // default inline-serve threshold
         let mut pool = ParallelApply::new(3).with_min_work(0);
         assert!(pool.resolved_threads() >= 1);
-        let ops: [&(dyn CouplingOp + Sync); 3] = [&g, &sparse, &lr];
+        let ops: [&(dyn CouplingOp + Sync); 2] = [&g, &sparse];
         for op in ops {
             // 1-column block -> inline; wider blocks -> column panels,
             // with widths that straddle shard boundaries

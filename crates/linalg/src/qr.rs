@@ -99,22 +99,6 @@ impl HouseholderQr {
             }
         }
     }
-
-    /// Returns the first `k` columns of the full `Q` factor.
-    pub fn q_columns(&self, k: usize) -> Mat {
-        let m = self.vs.n_rows();
-        let mut q = Mat::zeros(m, k);
-        for j in 0..k {
-            let col = q.col_mut(j);
-            col[j] = 1.0;
-            // apply_q needs the full-length vector
-            let mut x = vec![0.0; m];
-            x[j] = 1.0;
-            self.apply_q(&mut x);
-            col.copy_from_slice(&x);
-        }
-        q
-    }
 }
 
 /// Given a matrix `v` with `k` (nearly) orthonormal columns of length `n`,
@@ -165,11 +149,24 @@ mod tests {
     use crate::mat::nrm2;
     use crate::svd::svd;
 
+    /// The first `k` columns of the full `Q` factor.
+    fn q_columns(qr: &HouseholderQr, k: usize) -> Mat {
+        let m = qr.vs.n_rows();
+        let mut q = Mat::zeros(m, k);
+        for j in 0..k {
+            let mut x = vec![0.0; m];
+            x[j] = 1.0;
+            qr.apply_q(&mut x);
+            q.col_mut(j).copy_from_slice(&x);
+        }
+        q
+    }
+
     #[test]
     fn qr_reconstructs() {
         let a = Mat::from_fn(6, 4, |i, j| ((i * 7 + j * 3) % 11) as f64 - 5.0);
         let qr = HouseholderQr::new(&a);
-        let q = qr.q_columns(6);
+        let q = q_columns(&qr, 6);
         // Q orthogonal
         let qtq = q.matmul_tn(&q);
         for i in 0..6 {
@@ -179,7 +176,7 @@ mod tests {
             }
         }
         // Q[:, :4] * R == A
-        let qk = qr.q_columns(4);
+        let qk = q_columns(&qr, 4);
         let recon = qk.matmul(qr.r());
         for i in 0..6 {
             for j in 0..4 {

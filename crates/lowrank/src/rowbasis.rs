@@ -105,22 +105,6 @@ impl RowBasisRep {
         self.squares[s.level as usize][s.flat()].v.n_cols()
     }
 
-    /// Total stored floating-point entries (the memory-cost metric behind
-    /// the `O(n log n)` storage claim).
-    pub fn stored_entries(&self) -> usize {
-        let mut total = 0;
-        for level in &self.squares {
-            for sd in level {
-                total += sd.v.n_rows() * sd.v.n_cols();
-                total += sd.resp_v.n_rows() * sd.resp_v.n_cols();
-            }
-        }
-        for fl in &self.finest_local {
-            total += fl.g_local.n_rows() * fl.g_local.n_cols();
-        }
-        total
-    }
-
     /// Applies the represented operator, `i = G v`, by the multilevel
     /// traversal of §4.3.2 with the symmetry refinement of eq. (4.16).
     ///
@@ -823,6 +807,22 @@ mod tests {
         d.fro_norm() / b.fro_norm()
     }
 
+    /// Total stored floating-point entries (the memory-cost metric behind
+    /// the `O(n log n)` storage claim).
+    fn stored_entries(rep: &RowBasisRep) -> usize {
+        let mut total = 0;
+        for level in &rep.squares {
+            for sd in level {
+                total += sd.v.n_rows() * sd.v.n_cols();
+                total += sd.resp_v.n_rows() * sd.resp_v.n_cols();
+            }
+        }
+        for fl in &rep.finest_local {
+            total += fl.g_local.n_rows() * fl.g_local.n_cols();
+        }
+        total
+    }
+
     #[test]
     fn row_basis_apply_matches_exact_operator() {
         let layout = generators::regular_grid(128.0, 8, 2.0);
@@ -893,7 +893,7 @@ mod tests {
             let layout = generators::regular_grid(128.0, k, 2.0);
             let s = solver::synthetic(&layout);
             let rep = build_row_basis(&s, &layout, levels, &LowRankOptions::default()).unwrap();
-            stored.push((k * k, rep.stored_entries()));
+            stored.push((k * k, stored_entries(&rep)));
         }
         let (n0, m0) = stored[0];
         let (n1, m1) = stored[1];

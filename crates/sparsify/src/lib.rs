@@ -13,9 +13,7 @@
 //! * adapter impls wrapping the existing wavelet and low-rank pipelines
 //!   ([`methods::WaveletSparsifier`], [`methods::LowRankSparsifier`]);
 //! * baseline methods that operate on an extracted dense `G`
-//!   ([`methods::ThresholdSparsifier`], [`methods::TopKSparsifier`],
-//!   [`methods::SvdSparsifier`],
-//!   [`methods::HybridSvdThresholdSparsifier`]);
+//!   ([`methods::ThresholdSparsifier`], [`methods::TopKSparsifier`]);
 //! * a string-keyed registry ([`Method`], [`all_methods`]) so CLIs and
 //!   benches can drive every method by name;
 //! * a shared evaluation harness ([`eval`]) reporting relative

@@ -8,14 +8,14 @@
 //! needs the direct methods implemented under the same interface and
 //! measured by the same harness. Second, they cover the regime the
 //! hierarchical methods do not: when `n` is small enough that `n` dense
-//! solves are affordable, a truncated SVD or thresholded `G` is a
-//! perfectly good model — at `n` solves instead of `O(log n)`.
+//! solves are affordable, a thresholded `G` is a perfectly good model —
+//! at `n` solves instead of `O(log n)`.
 
 use std::time::Instant;
 
 use subsparse_hier::BasisRep;
 use subsparse_layout::Layout;
-use subsparse_linalg::{svd::svd, Csr, Mat, Triplets};
+use subsparse_linalg::{Csr, Mat, Triplets};
 use subsparse_lowrank::LowRankOptions;
 use subsparse_substrate::{extract_dense_batched, CountingSolver, SubstrateSolver};
 use subsparse_wavelet::ExtractOptions;
@@ -180,118 +180,6 @@ impl Sparsifier for TopKSparsifier {
     }
 }
 
-/// The largest rank `r` with `r^2 + n r <= budget` (total stored nonzeros
-/// of a rank-`r` compression: `Q` is `n x r` dense, `Gw` is `r x r`).
-fn rank_for_budget(n: usize, budget: usize) -> usize {
-    let nf = n as f64;
-    let r = ((nf * nf + 4.0 * budget as f64).sqrt() - nf) / 2.0;
-    (r.floor() as usize).clamp(1, n)
-}
-
-/// Truncated-SVD compression of the extracted `G`: `Q = U_r` (the leading
-/// left singular vectors), `Gw = U_r' G U_r`.
-///
-/// `n` solves. This is the optimal *low-rank* model at the given budget,
-/// but substrate conductance matrices are strongly diagonally dominant —
-/// the near-flat diagonal part has no low-rank structure, so pure SVD
-/// compression carries a large floor error. It is registered as the
-/// instructive extreme; see [`HybridSvdThresholdSparsifier`] for the
-/// fixed version.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SvdSparsifier;
-
-impl Sparsifier for SvdSparsifier {
-    fn name(&self) -> &'static str {
-        "svd"
-    }
-
-    fn sparsify(
-        &self,
-        solver: &dyn SubstrateSolver,
-        layout: &Layout,
-        opts: &SparsifyOptions,
-    ) -> Result<SparsifyOutcome, SparsifyError> {
-        let t0 = Instant::now();
-        let (g, solves) = dense_reference(solver, layout, opts)?;
-        let n = g.n_rows();
-        let r = rank_for_budget(n, opts.nnz_budget(n));
-        let f = svd(&g);
-        let u_r = f.u.col_block(0, r);
-        let gw_r = u_r.matmul_tn(&g.matmul(&u_r));
-        let rep = BasisRep::new(Csr::from_dense(&u_r, 0.0), Csr::from_dense(&gw_r, 0.0));
-        Ok(SparsifyOutcome { rep, solves, build_time: t0.elapsed() })
-    }
-}
-
-/// Low-rank-plus-sparse compression: a truncated SVD captures the smooth
-/// far-field part of `G`, and a magnitude threshold of the *remainder*
-/// captures the diagonal and near-field couplings the SVD cannot.
-///
-/// `Q = [U_r | I]` and `Gw = blkdiag(U_r' G U_r, T_r)` where `T_r` keeps
-/// the largest remainder entries, so the whole model still applies as one
-/// `Q (Gw (Q' v))`. `n` solves. At equal nonzeros this removes most of
-/// the pure-SVD floor (an order of magnitude on the reference benchmark);
-/// it pays off over plain thresholding when `G` carries a heavy smooth
-/// far-field part (strong global coupling), and loses to it when the
-/// kernel decays fast enough that thresholding alone is already accurate.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HybridSvdThresholdSparsifier;
-
-impl Sparsifier for HybridSvdThresholdSparsifier {
-    fn name(&self) -> &'static str {
-        "hybrid"
-    }
-
-    fn sparsify(
-        &self,
-        solver: &dyn SubstrateSolver,
-        layout: &Layout,
-        opts: &SparsifyOptions,
-    ) -> Result<SparsifyOutcome, SparsifyError> {
-        let t0 = Instant::now();
-        let (g, solves) = dense_reference(solver, layout, opts)?;
-        let n = g.n_rows();
-        // split the budget: half to the low-rank part, half to the sparse
-        // remainder (minus the n ones the identity block of Q stores)
-        let budget = opts.nnz_budget(n);
-        let r = rank_for_budget(n, budget / 2);
-        let remainder_budget = budget.saturating_sub(r * r + n * r + n).max(n);
-
-        let f = svd(&g);
-        let u_r = f.u.col_block(0, r);
-        let gw_r = u_r.matmul_tn(&g.matmul(&u_r));
-        let mut remainder = g.clone();
-        remainder.add_scaled(-1.0, &u_r.matmul(&gw_r).matmul_nt(&u_r));
-        let t_r = threshold_dense(&remainder, remainder_budget);
-
-        // Q = [U_r | I] (n x (r + n)), Gw = blkdiag(Gw_r, T_r)
-        let mut q = Triplets::new(n, r + n);
-        for j in 0..r {
-            for (i, &v) in u_r.col(j).iter().enumerate() {
-                q.push(i, j, v);
-            }
-        }
-        for i in 0..n {
-            q.push(i, r + i, 1.0);
-        }
-        let mut gw = Triplets::new(r + n, r + n);
-        for j in 0..r {
-            for (i, &v) in gw_r.col(j).iter().enumerate() {
-                gw.push(i, j, v);
-            }
-        }
-        for j in 0..n {
-            for (i, &v) in t_r.col(j).iter().enumerate() {
-                if v != 0.0 {
-                    gw.push(r + i, r + j, v);
-                }
-            }
-        }
-        let rep = BasisRep::new(q.to_csr(), gw.to_csr());
-        Ok(SparsifyOutcome { rep, solves, build_time: t0.elapsed() })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,16 +191,6 @@ mod tests {
         let layout = generators::regular_grid(128.0, 8, 2.0);
         let s = solver::synthetic(&layout);
         (layout, s)
-    }
-
-    #[test]
-    fn rank_budget_consistent() {
-        // r^2 + n r must fit in the budget, and r+1 must not
-        for (n, budget) in [(64usize, 1024usize), (256, 16384), (100, 100)] {
-            let r = rank_for_budget(n, budget);
-            assert!(r * r + n * r <= budget || r == 1, "n={n} budget={budget} r={r}");
-            assert!((r + 1) * (r + 1) + n * (r + 1) > budget || r == n);
-        }
     }
 
     #[test]
@@ -338,17 +216,6 @@ mod tests {
         for i in 0..n {
             assert_eq!(out.rep.gw.row(i).0.len(), k);
         }
-    }
-
-    #[test]
-    fn hybrid_beats_pure_svd_at_equal_budget() {
-        let (layout, s) = setup();
-        let opts = SparsifyOptions { target_sparsity: 3.0, ..Default::default() };
-        let svd_out = SvdSparsifier.sparsify(&s, &layout, &opts).unwrap();
-        let hyb_out = HybridSvdThresholdSparsifier.sparsify(&s, &layout, &opts).unwrap();
-        let svd_err = rel_fro_error(s.matrix(), &svd_out.rep.to_dense());
-        let hyb_err = rel_fro_error(s.matrix(), &hyb_out.rep.to_dense());
-        assert!(hyb_err < svd_err, "hybrid ({hyb_err}) should beat pure svd ({svd_err})");
     }
 
     #[test]

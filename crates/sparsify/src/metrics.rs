@@ -62,21 +62,9 @@ pub struct ErrorStats {
     pub non_finite: usize,
 }
 
-impl ErrorStats {
-    /// Fraction of entries with relative error above an arbitrary bound
-    /// cannot be recovered from the summary; this helper recomputes the
-    /// stats with a different threshold — in the same single pass as the
-    /// stats themselves (one traversal of both matrices, not one per
-    /// quantity).
-    pub fn with_threshold(reference: &Mat, approx: &Mat, threshold: f64) -> (Self, f64) {
-        scan(reference, approx, threshold)
-    }
-}
-
-/// The one shared traversal behind [`error_stats`], [`frac_above`], and
-/// [`ErrorStats::with_threshold`]: a single pass over both matrices
-/// accumulating the 10% stats and the fraction above `extra_threshold`
-/// together.
+/// The one shared traversal behind [`error_stats`] and [`frac_above`]: a
+/// single pass over both matrices accumulating the 10% stats and the
+/// fraction above `extra_threshold` together.
 fn scan(reference: &Mat, approx: &Mat, extra_threshold: f64) -> (ErrorStats, f64) {
     assert_eq!(reference.n_rows(), approx.n_rows(), "shape mismatch");
     assert_eq!(reference.n_cols(), approx.n_cols(), "shape mismatch");
@@ -315,7 +303,7 @@ mod tests {
     fn fused_threshold_pass_matches_the_separate_calls() {
         let r = Mat::from_rows(&[&[1.0, 2.0, 0.0], &[0.0, -4.0, 8.0]]);
         let a = Mat::from_rows(&[&[1.25, 2.0, 0.3], &[5.0, -4.4, 8.0]]);
-        let (stats, frac) = ErrorStats::with_threshold(&r, &a, 0.07);
+        let (stats, frac) = scan(&r, &a, 0.07);
         let separate = error_stats(&r, &a);
         assert_eq!(stats.compared, separate.compared);
         assert_eq!(stats.spurious_count, separate.spurious_count);

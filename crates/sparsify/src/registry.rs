@@ -9,10 +9,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use crate::methods::{
-    HybridSvdThresholdSparsifier, LowRankSparsifier, SvdSparsifier, ThresholdSparsifier,
-    TopKSparsifier, WaveletSparsifier,
-};
+use crate::methods::{LowRankSparsifier, ThresholdSparsifier, TopKSparsifier, WaveletSparsifier};
 use crate::Sparsifier;
 
 /// Every registered sparsification method.
@@ -26,20 +23,9 @@ pub enum Method {
     Threshold,
     /// Per-row top-`k` threshold of the dense `G`, `n` solves.
     TopK,
-    /// Truncated-SVD compression of the dense `G`, `n` solves.
-    Svd,
-    /// Truncated SVD plus thresholded remainder, `n` solves.
-    HybridSvdThreshold,
 }
 
-const ALL: [Method; 6] = [
-    Method::Wavelet,
-    Method::LowRank,
-    Method::Threshold,
-    Method::TopK,
-    Method::Svd,
-    Method::HybridSvdThreshold,
-];
+const ALL: [Method; 4] = [Method::Wavelet, Method::LowRank, Method::Threshold, Method::TopK];
 
 /// All registered methods, in registry order.
 pub fn all_methods() -> &'static [Method] {
@@ -55,8 +41,6 @@ impl Method {
             Method::LowRank => "lowrank",
             Method::Threshold => "threshold",
             Method::TopK => "topk",
-            Method::Svd => "svd",
-            Method::HybridSvdThreshold => "hybrid",
         }
     }
 
@@ -67,8 +51,6 @@ impl Method {
             Method::LowRank => Box::new(LowRankSparsifier),
             Method::Threshold => Box::new(ThresholdSparsifier),
             Method::TopK => Box::new(TopKSparsifier),
-            Method::Svd => Box::new(SvdSparsifier),
-            Method::HybridSvdThreshold => Box::new(HybridSvdThresholdSparsifier),
         }
     }
 
@@ -83,10 +65,6 @@ impl Method {
             }
             Method::Threshold => "n solves; naive global entry dropping (the paper's baseline)",
             Method::TopK => "n solves; per-row dropping, keeps every contact's top couplings",
-            Method::Svd => "n solves; optimal low-rank model, poor on diagonally dominant G",
-            Method::HybridSvdThreshold => {
-                "n solves; low-rank + sparse remainder, for heavy smooth far-field coupling"
-            }
         }
     }
 
@@ -101,17 +79,9 @@ impl Method {
             Method::Wavelet => 0.05,
             Method::LowRank => 0.05,
             // dense baselines at target_sparsity 4: measured <1e-2 for
-            // threshold/topk/hybrid on the fast-decaying synthetic kernel
+            // threshold/topk on the fast-decaying synthetic kernel
             Method::Threshold => 0.05,
             Method::TopK => 0.05,
-            // pure SVD pays the diagonally-dominant floor (see
-            // `SvdSparsifier` docs; measured ~0.83): it is a bound, not a
-            // recommendation
-            Method::Svd => 1.0,
-            // the sparse remainder removes most of the SVD floor but the
-            // rank budget spent on the flat spectrum still costs accuracy
-            // relative to plain thresholding (measured ~0.09)
-            Method::HybridSvdThreshold => 0.20,
         }
     }
 }
@@ -149,10 +119,6 @@ impl FromStr for Method {
             "lowrank" | "low-rank" | "low_rank" => Ok(Method::LowRank),
             "threshold" => Ok(Method::Threshold),
             "topk" | "top-k" | "top_k" => Ok(Method::TopK),
-            "svd" => Ok(Method::Svd),
-            "hybrid" | "hybrid-svd-threshold" | "hybrid_svd_threshold" => {
-                Ok(Method::HybridSvdThreshold)
-            }
             _ => Err(ParseMethodError { given: s.to_string() }),
         }
     }
@@ -175,15 +141,16 @@ mod tests {
     fn aliases_and_case() {
         assert_eq!("Low-Rank".parse::<Method>().unwrap(), Method::LowRank);
         assert_eq!("top_k".parse::<Method>().unwrap(), Method::TopK);
-        assert_eq!("hybrid-svd-threshold".parse::<Method>().unwrap(), Method::HybridSvdThreshold);
     }
 
     #[test]
     fn unknown_name_lists_valid_methods() {
-        let err = "fourier".parse::<Method>().unwrap_err();
-        let msg = err.to_string();
-        for m in all_methods() {
-            assert!(msg.contains(m.name()), "{msg}");
+        // `svd` and `hybrid` name no registered method
+        for given in ["fourier", "svd", "hybrid"] {
+            let msg = given.parse::<Method>().unwrap_err().to_string();
+            for m in all_methods() {
+                assert!(msg.contains(m.name()), "{msg}");
+            }
         }
     }
 }

@@ -138,8 +138,6 @@ impl Default for EigenSolverConfig {
 #[derive(Debug)]
 pub struct EigenSolver {
     p: usize,
-    /// flat panel indices (qy * P + qx) per contact
-    contact_panels: Vec<Vec<u32>>,
     /// all contact panels, sorted
     panel_list: Vec<u32>,
     /// owning contact per entry of `panel_list`
@@ -245,7 +243,6 @@ impl EigenSolver {
             .collect();
         Ok(EigenSolver {
             p,
-            contact_panels,
             panel_list,
             panel_owner,
             rows,
@@ -256,21 +253,6 @@ impl EigenSolver {
             cfg,
             core: PcgCore::new(layout.n_contacts(), cfg.max_iter, cfg.threads),
         })
-    }
-
-    /// Number of surface panels per side.
-    pub fn panels(&self) -> usize {
-        self.p
-    }
-
-    /// Total number of contact panels (the CG system size).
-    pub fn n_contact_panels(&self) -> usize {
-        self.panel_list.len()
-    }
-
-    /// Panel indices per contact (flat `qy * P + qx`).
-    pub fn contact_panels(&self) -> &[Vec<u32>] {
-        &self.contact_panels
     }
 
     /// The block-Jacobi preconditioner the CG solves apply, over the
@@ -1051,13 +1033,13 @@ mod tests {
         let sub = Substrate::thesis_standard();
         let cfg = EigenSolverConfig { panels: 32, tol: 1e-11, ..Default::default() };
         let s = EigenSolver::new(&sub, &layout, cfg).unwrap();
-        assert!(s.contact_panels[0].len() > BLOCK_CAP);
+        assert!(layout.cell_indices(32, 32)[0].len() > BLOCK_CAP);
         assert_eq!(per_block(&s.precond).len(), layout.n_contacts() + 1);
         let mut v = vec![0.0; layout.n_contacts()];
         v[0] = 1.0;
         v[3] = -0.5;
         let got = s.try_solve(&v).expect("block-PCG converges");
-        let (want, res) = pcg_currents(&s, &IdentityPrecond::new(s.n_contact_panels()), &v);
+        let (want, res) = pcg_currents(&s, &IdentityPrecond::new(s.panel_list.len()), &v);
         assert!(res.converged);
         for (a, b) in got.iter().zip(&want) {
             assert!((a - b).abs() <= 1e-6 * b.abs(), "{a} vs {b}");
@@ -1101,7 +1083,7 @@ mod tests {
         v[0] = 1.0;
         v[7] = -0.5;
         let i1 = s.solve(&v);
-        let (i2, _) = pcg_currents(&s, &IdentityPrecond::new(s.n_contact_panels()), &v);
+        let (i2, _) = pcg_currents(&s, &IdentityPrecond::new(s.panel_list.len()), &v);
         for (a, b) in i1.iter().zip(&i2) {
             assert!((a - b).abs() < 1e-6 * a.abs().max(1.0));
         }

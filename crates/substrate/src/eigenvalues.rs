@@ -61,27 +61,6 @@ pub fn mode_eigenvalue(substrate: &Substrate, gamma: f64) -> f64 {
     (1.0 + r) / (sigma_top * gamma * (1.0 - r))
 }
 
-/// Table of eigenvalues `lambda_mn` for modes `m in 0..nm`, `n in 0..nn`
-/// on an `a x b` surface, stored row-major as `table[n * nm + m]`.
-pub fn mode_eigenvalue_table(
-    substrate: &Substrate,
-    a: f64,
-    b: f64,
-    nm: usize,
-    nn: usize,
-) -> Vec<f64> {
-    let mut out = vec![0.0; nm * nn];
-    for n in 0..nn {
-        for m in 0..nm {
-            let gx = m as f64 * std::f64::consts::PI / a;
-            let gy = n as f64 * std::f64::consts::PI / b;
-            let gamma = gx.hypot(gy);
-            out[n * nm + m] = mode_eigenvalue(substrate, gamma);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,14 +184,20 @@ mod tests {
 
     #[test]
     fn eigenvalues_positive_and_decreasing() {
+        // modes (m, n) of a 128 x 128 surface, m, n < 32
         let s = Substrate::thesis_standard();
-        let tab = mode_eigenvalue_table(&s, 128.0, 128.0, 32, 32);
-        for &v in &tab {
-            assert!(v > 0.0);
+        let lambda = |m: usize, n: usize| {
+            let k = std::f64::consts::PI / 128.0;
+            mode_eigenvalue(&s, (m as f64 * k).hypot(n as f64 * k))
+        };
+        for n in 0..32 {
+            for m in 0..32 {
+                assert!(lambda(m, n) > 0.0);
+            }
         }
         // along the diagonal the eigenvalue decreases with frequency
         for k in 1..31 {
-            assert!(tab[(k + 1) * 32 + (k + 1)] < tab[k * 32 + k]);
+            assert!(lambda(k + 1, k + 1) < lambda(k, k));
         }
     }
 }

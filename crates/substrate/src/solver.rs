@@ -706,11 +706,6 @@ impl KernelSolver {
         -self.areas[i] * self.areas[j] / (self.c0 + d * d * d)
     }
 
-    /// The precomputed diagonal: `1.25 sum_{j != i} |G_ij| + 0.05 area_i`.
-    pub fn diagonal(&self) -> &[f64] {
-        &self.diag
-    }
-
     /// Applies the kernel operator to `k` row-major-packed vectors:
     /// `vr`/`yr` hold row `i`'s `k` values at `[i*k .. (i+1)*k]`. Each
     /// off-diagonal kernel value is computed once per symmetric pair and

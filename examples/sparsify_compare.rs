@@ -8,8 +8,8 @@
 //! All methods run against the same black box and are graded by the same
 //! harness, so the table is an apples-to-apples answer to "which method
 //! should I use here?": the hierarchical methods (wavelet, lowrank) spend
-//! far fewer solves, while the dense baselines (threshold, topk, svd,
-//! hybrid) pay `n` solves for their simplicity.
+//! far fewer solves, while the dense baselines (threshold, topk) pay `n`
+//! solves for their simplicity.
 
 use subsparse::layout::generators;
 use subsparse::sparsify::all_methods;
