@@ -10,7 +10,8 @@ use crate::mat::{dot, Mat};
 
 /// Compact Householder QR factorization of an `m x n` matrix with `m >= n`.
 ///
-/// Stores the Householder vectors in the lower trapezoid and `R` separately.
+/// Stores the Householder vectors and their scalings; `R` is not kept, since
+/// [`orthonormal_completion`] only applies `Q`.
 #[derive(Clone, Debug)]
 pub struct HouseholderQr {
     /// `m x n` matrix holding the Householder vectors `v_k` in columns
@@ -18,8 +19,6 @@ pub struct HouseholderQr {
     vs: Mat,
     /// `tau[k] = 2 / (v_k' v_k)` scaling for each reflector.
     tau: Vec<f64>,
-    /// Upper-triangular factor, `n x n`.
-    r: Mat,
 }
 
 impl HouseholderQr {
@@ -58,8 +57,8 @@ impl HouseholderQr {
                 continue;
             }
             tau[k] = 2.0 / vnorm2;
-            // Apply reflector to remaining columns of w (including k).
-            for j in k..n {
+            // Apply reflector to the columns of w still to be reduced.
+            for j in (k + 1)..n {
                 let mut d = 0.0;
                 for i in k..m {
                     d += vs[(i, k)] * w[(i, j)];
@@ -70,13 +69,7 @@ impl HouseholderQr {
                 }
             }
         }
-        let r = Mat::from_fn(n, n, |i, j| if i <= j { w[(i, j)] } else { 0.0 });
-        HouseholderQr { vs, tau, r }
-    }
-
-    /// The upper-triangular factor `R` (`n x n`).
-    pub fn r(&self) -> &Mat {
-        &self.r
+        HouseholderQr { vs, tau }
     }
 
     /// Applies `Q` to a vector in place (`x <- Q x`), where
@@ -175,9 +168,15 @@ mod tests {
                 assert!((qtq[(i, j)] - expect).abs() < 1e-12);
             }
         }
-        // Q[:, :4] * R == A
+        // R = Q' A is upper trapezoidal, and Q[:, :4] * R[:4, :] == A
+        let r = q.matmul_tn(&a);
+        for j in 0..4 {
+            for i in (j + 1)..6 {
+                assert!(r[(i, j)].abs() < 1e-12, "R({i},{j}) = {}", r[(i, j)]);
+            }
+        }
         let qk = q_columns(&qr, 4);
-        let recon = qk.matmul(qr.r());
+        let recon = qk.matmul(&Mat::from_fn(4, 4, |i, j| r[(i, j)]));
         for i in 0..6 {
             for j in 0..4 {
                 assert!((recon[(i, j)] - a[(i, j)]).abs() < 1e-11);

@@ -238,22 +238,8 @@ impl Csr {
     ///
     /// Panics on dimension mismatch.
     pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.n_cols];
-        self.matvec_t_into(x, &mut y);
-        y
-    }
-
-    /// Computes `y = A' x` into an existing buffer (overwritten), with no
-    /// allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    #[inline]
-    pub fn matvec_t_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n_rows, "csr matvec_t dimension mismatch");
-        assert_eq!(y.len(), self.n_cols, "csr matvec_t output length mismatch");
-        y.fill(0.0);
+        let mut y = vec![0.0; self.n_cols];
         let mut start = self.indptr[0];
         for (&xi, &end) in x.iter().zip(&self.indptr[1..]) {
             if xi != 0.0 {
@@ -265,6 +251,7 @@ impl Csr {
             }
             start = end;
         }
+        y
     }
 
     /// Dense-block product `Y = A * X` (CSR times dense, column-major

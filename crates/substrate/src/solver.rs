@@ -683,12 +683,16 @@ pub fn synthetic(layout: &subsparse_layout::Layout) -> DenseSolver {
 /// [`solve_batch`](SubstrateSolver::solve_batch) recomputes every
 /// off-diagonal kernel value once and applies it to all RHS columns of
 /// the batch, so the kernel-evaluation cost is amortized across the
-/// batch width exactly like a dense gemm amortizes memory passes.
+/// batch width exactly like a dense gemm amortizes memory passes. That
+/// pair loop is compiled per SIMD [`Tier`](subsparse_linalg::simd::Tier)
+/// (`simd::tiered!`): the batch's columns are the lanes, and every tier
+/// gives the baseline bits.
 ///
 /// [`synthetic`]'s matrix is built from these entries, so the two agree
 /// bit-for-bit; *responses* agree only to rounding (~1e-15 relative),
-/// because the summation order differs from the dense matvec. Construction is one streaming `O(n^2)`-time, `O(n)`-memory
-/// pass to accumulate the diagonally dominant diagonal.
+/// because the summation order differs from the dense matvec.
+/// Construction is one streaming `O(n^2)`-time, `O(n)`-memory pass to
+/// accumulate the diagonally dominant diagonal.
 #[derive(Clone, Debug)]
 pub struct KernelSolver {
     centroids: Vec<(f64, f64)>,
@@ -701,37 +705,49 @@ impl KernelSolver {
     /// Off-diagonal kernel value `G_ij` (`i != j`), evaluated on demand.
     #[inline]
     fn off(&self, i: usize, j: usize) -> f64 {
-        let d = (self.centroids[i].0 - self.centroids[j].0)
-            .hypot(self.centroids[i].1 - self.centroids[j].1);
-        -self.areas[i] * self.areas[j] / (self.c0 + d * d * d)
+        pair_kernel(self.centroids[i], self.centroids[j], self.areas[i], self.areas[j], self.c0)
     }
+}
 
-    /// Applies the kernel operator to `k` row-major-packed vectors:
-    /// `vr`/`yr` hold row `i`'s `k` values at `[i*k .. (i+1)*k]`. Each
-    /// off-diagonal kernel value is computed once per symmetric pair and
-    /// applied to both rows across all `k` columns — contiguous
-    /// `k`-length inner loops the compiler can vectorize.
-    fn apply_rows(&self, vr: &[f64], yr: &mut [f64], k: usize) {
-        let n = self.diag.len();
-        for i in 0..n {
-            let vi = &vr[i * k..(i + 1) * k];
-            let yi = &mut yr[i * k..(i + 1) * k];
+/// The kernel's off-diagonal entry for contacts at centroids `ci`, `cj`
+/// with areas `ai`, `aj`: `-ai aj / (c0 + d^3)`, `d` the centroid
+/// distance. Every evaluation of the kernel goes through it, so
+/// [`synthetic`]'s stored entries and [`KernelSolver`]'s on-demand ones
+/// share their bits.
+#[inline(always)]
+fn pair_kernel(ci: (f64, f64), cj: (f64, f64), ai: f64, aj: f64, c0: f64) -> f64 {
+    let d = (ci.0 - cj.0).hypot(ci.1 - cj.1);
+    -ai * aj / (c0 + d * d * d)
+}
+
+subsparse_linalg::simd::tiered! {
+    /// Applies [`KernelSolver`]'s operator to `k` row-major-packed
+    /// vectors, compiled per [`Tier`](subsparse_linalg::simd::Tier) with
+    /// [`pair_kernel`] inlined: `vr`/`yr` hold row `i`'s `k` values at
+    /// `[i*k .. (i+1)*k]`. Each off-diagonal kernel value is computed once
+    /// per symmetric pair (`i` ascending, then `j > i` ascending) and
+    /// applied to both rows across all `k` columns, `yi` before `yj` —
+    /// contiguous `k`-length updates whose lanes never mix.
+    fn apply_rows(s: &KernelSolver, vr: &[f64], yr: &mut [f64], k: usize) {
+        if k == 0 {
+            return;
+        }
+        for ((yi, vi), d) in yr.chunks_exact_mut(k).zip(vr.chunks_exact(k)).zip(&s.diag) {
             for (y, v) in yi.iter_mut().zip(vi) {
-                *y = self.diag[i] * v;
+                *y = d * v;
             }
         }
-        for i in 0..n {
+        let (centroids, areas) = (&s.centroids[..], &s.areas[..]);
+        for (i, (&ci, &ai)) in centroids.iter().zip(areas).enumerate() {
             // split_at_mut: row i borrowed alongside rows j > i
             let (head, tail) = yr.split_at_mut((i + 1) * k);
-            let yi = &mut head[i * k..];
-            let vi = &vr[i * k..(i + 1) * k];
-            for j in (i + 1)..n {
-                let g = self.off(i, j);
-                let vj = &vr[j * k..(j + 1) * k];
-                let yj = &mut tail[(j - i - 1) * k..(j - i) * k];
-                for c in 0..k {
-                    yi[c] += g * vj[c];
-                    yj[c] += g * vi[c];
+            let (yi, (vi, vt)) = (&mut head[i * k..], vr[i * k..].split_at(k));
+            let rest = centroids[i + 1..].iter().zip(&areas[i + 1..]);
+            for ((yj, vj), (&cj, &aj)) in tail.chunks_exact_mut(k).zip(vt.chunks_exact(k)).zip(rest) {
+                let g = pair_kernel(ci, cj, ai, aj, s.c0);
+                for (((yic, vjc), yjc), vic) in yi.iter_mut().zip(vj).zip(yj.iter_mut()).zip(vi) {
+                    *yic += g * vjc;
+                    *yjc += g * vic;
                 }
             }
         }
@@ -747,7 +763,7 @@ impl SubstrateSolver for KernelSolver {
         assert_eq!(contact_voltages.len(), self.n_contacts(), "voltage vector length mismatch");
         let _t = SolveTrace::begin("solve.kernel", 1);
         let mut y = vec![0.0; contact_voltages.len()];
-        self.apply_rows(contact_voltages, &mut y, 1);
+        apply_rows(self, contact_voltages, &mut y, 1);
         y
     }
 
@@ -768,7 +784,7 @@ impl SubstrateSolver for KernelSolver {
             }
         }
         let mut yr = vec![0.0; n * k];
-        self.apply_rows(&vr, &mut yr, k);
+        apply_rows(self, &vr, &mut yr, k);
         let mut out = Mat::zeros(n, k);
         for (j, col) in out.cols_mut().enumerate() {
             for (i, y) in col.iter_mut().enumerate() {
@@ -1015,11 +1031,63 @@ mod tests {
         let mf = kernel(&layout);
         let n = mf.n_contacts();
         let block = Mat::from_fn(n, 7, |i, j| ((i * 7 + j) as f64 * 0.11).cos());
-        let batched = mf.solve_batch(&block);
-        for j in 0..block.n_cols() {
-            let serial = mf.solve(block.col(j));
-            assert_eq!(batched.col(j), &serial[..], "column {j} diverged from serial solve");
+        subsparse_linalg::simd::each_tier(|tier| {
+            let batched = mf.solve_batch(&block);
+            for j in 0..block.n_cols() {
+                let serial = mf.solve(block.col(j));
+                assert_eq!(
+                    batched.col(j),
+                    &serial[..],
+                    "{tier:?}: column {j} diverged from serial solve"
+                );
+            }
+        });
+    }
+
+    /// [`apply_rows`] as the index loop it replaced, the order it keeps:
+    /// pairs `i` then `j > i`, and per column `yi` before `yj`.
+    fn apply_rows_scalar(s: &KernelSolver, vr: &[f64], yr: &mut [f64], k: usize) {
+        let n = s.diag.len();
+        for i in 0..n {
+            for c in 0..k {
+                yr[i * k + c] = s.diag[i] * vr[i * k + c];
+            }
         }
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let g = s.off(i, j);
+                for c in 0..k {
+                    yr[i * k + c] += g * vr[j * k + c];
+                    yr[j * k + c] += g * vr[i * k + c];
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn apply_rows_matches_the_scalar_loop_on_every_tier() {
+        let layout = subsparse_layout::generators::irregular_same_size(128.0, 16, 2.0, 5);
+        let mf = kernel(&layout);
+        let n = mf.n_contacts();
+        assert!(n > 100, "n = {n}");
+        let tiers = subsparse_linalg::simd::each_tier(|tier| {
+            for k in [1, 3, 8, 32, 33] {
+                let vr: Vec<f64> =
+                    (0..n * k).map(|t| ((t * 13 + 5) as f64 * 0.173).sin()).collect();
+                let (mut want, mut got) = (vec![0.0; n * k], vec![f64::NAN; n * k]);
+                apply_rows_scalar(&mf, &vr, &mut want, k);
+                apply_rows(&mf, &vr, &mut got, k);
+                for (t, (a, b)) in got.iter().zip(&want).enumerate() {
+                    let (i, c) = (t / k, t % k);
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{tier:?}, k = {k}, ({i},{c}): {a} vs {b}"
+                    );
+                }
+            }
+        });
+        println!("kernel pair loop tiers exercised: {tiers:?}");
     }
 
     #[test]
