@@ -649,8 +649,9 @@ pub fn extract_dense_batched<S: SubstrateSolver + ?Sized>(solver: &S, max_batch:
 
 /// Builds a synthetic dense conductance matrix for a layout with a smooth
 /// dipole-like decay kernel:
-/// `G_ij = -area_i area_j / (c + d_ij^3)` for `i != j` and a diagonally
-/// dominant positive diagonal — the entries of [`kernel`], stored.
+/// `G_ij = -area_i area_j / (c + d_ij^3)` for `i != j`, with `d_ij` the
+/// centroid distance `sqrt(dx² + dy²)`, and a diagonally dominant positive
+/// diagonal — the entries of [`kernel`], stored, bit for bit.
 ///
 /// This mimics the qualitative structure of a real substrate `G`
 /// (symmetric, negative off-diagonals, smooth decay with distance) at zero
@@ -686,7 +687,8 @@ pub fn synthetic(layout: &subsparse_layout::Layout) -> DenseSolver {
 /// batch width exactly like a dense gemm amortizes memory passes. That
 /// pair loop is compiled per SIMD [`Tier`](subsparse_linalg::simd::Tier)
 /// (`simd::tiered!`): the batch's columns are the lanes, and every tier
-/// gives the baseline bits.
+/// gives the baseline bits. The pair distance is `sqrt(dx² + dy²)`, one
+/// instruction per pair on every tier.
 ///
 /// [`synthetic`]'s matrix is built from these entries, so the two agree
 /// bit-for-bit; *responses* agree only to rounding (~1e-15 relative),
@@ -714,9 +716,14 @@ impl KernelSolver {
 /// distance. Every evaluation of the kernel goes through it, so
 /// [`synthetic`]'s stored entries and [`KernelSolver`]'s on-demand ones
 /// share their bits.
+///
+/// `d` is `sqrt(dx² + dy²)`, not `hypot`: centroids lie inside the
+/// layout's extent, so the squares cannot overflow and `hypot`'s scaling
+/// buys nothing, while `sqrt` is one instruction the SIMD tiers inline.
 #[inline(always)]
 fn pair_kernel(ci: (f64, f64), cj: (f64, f64), ai: f64, aj: f64, c0: f64) -> f64 {
-    let d = (ci.0 - cj.0).hypot(ci.1 - cj.1);
+    let (dx, dy) = (ci.0 - cj.0, ci.1 - cj.1);
+    let d = (dx * dx + dy * dy).sqrt();
     -ai * aj / (c0 + d * d * d)
 }
 
@@ -982,7 +989,8 @@ mod tests {
     }
 
     /// The dense formula `synthetic` evaluated on its own before it was
-    /// built from the kernel entries, kept as the bit-level reference.
+    /// built from the kernel entries, kept as the bit-level reference. Its
+    /// distance is `sqrt(dx² + dy²)`, as in `pair_kernel`.
     fn dense_reference(layout: &subsparse_layout::Layout) -> Mat {
         let n = layout.n_contacts();
         let centroids: Vec<(f64, f64)> = layout.contacts().iter().map(|c| c.centroid()).collect();
@@ -992,7 +1000,8 @@ mod tests {
         let mut g = Mat::zeros(n, n);
         for i in 0..n {
             for j in (i + 1)..n {
-                let d = (centroids[i].0 - centroids[j].0).hypot(centroids[i].1 - centroids[j].1);
+                let (dx, dy) = (centroids[i].0 - centroids[j].0, centroids[i].1 - centroids[j].1);
+                let d = (dx * dx + dy * dy).sqrt();
                 let v = -areas[i] * areas[j] / (c0 + d * d * d);
                 g[(i, j)] = v;
                 g[(j, i)] = v;
