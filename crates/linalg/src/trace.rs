@@ -588,10 +588,12 @@ mod tests {
 
     // Every test in this module shares the process-global recorder, so
     // they run under one lock to stay deterministic under the default
-    // multi-threaded test harness.
+    // multi-threaded test harness. The lock guards no data, so a guard
+    // poisoned by one failing test is taken over as is.
+    static GUARD: Mutex<()> = Mutex::new(());
+
     fn with_recorder(f: impl FnOnce()) {
-        static GUARD: Mutex<()> = Mutex::new(());
-        let _g = GUARD.lock().unwrap();
+        let _g = GUARD.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         set_enabled(true);
         reset();
         f();
@@ -601,6 +603,9 @@ mod tests {
 
     #[test]
     fn disabled_probes_are_inert() {
+        // disabling the recorder mid-way through another test would drop
+        // that test's records
+        let _g = GUARD.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         set_enabled(false);
         add(Counter::Solves, 5);
         record_ns(Hist::SolveNs, 100);
@@ -709,9 +714,11 @@ mod tests {
             crate::CouplingOp::apply_into(&op, &x, &mut y, &mut ws);
             let block = crate::Mat::zeros(64, 4);
             drop(crate::CouplingOp::apply_block(&op, &block));
-            // microsecond and millisecond samples, whatever the machine
-            record_ns(Hist::ApplyVectorNs, 7_740);
-            record_ns(Hist::SolveNs, 2_500_000);
+            // microsecond and millisecond samples, whatever the machine:
+            // the 7.74 us one goes where no real call records, so a slow
+            // apply above cannot become the row's max
+            record_ns(Hist::SolveNs, 7_740);
+            record_ns(Hist::ApplyVectorNs, 2_500_000);
             let text = summary();
             assert!(text.contains("apply_vector_ns") && text.contains("apply_block.csr"), "{text}");
             assert!(text.contains("7.74us") && text.contains("2.50ms"), "{text}");
