@@ -80,7 +80,7 @@ fn compare<S: SubstrateSolver + ?Sized>(
     let g_serial = extract_serial(serial);
     let serial_ns = t0.elapsed().as_nanos() as f64;
     let t1 = Instant::now();
-    let g_batched = subsparse::substrate::extract_dense_batched(batched, n);
+    let g_batched = subsparse::substrate::extract_dense(batched);
     let batched_ns = t1.elapsed().as_nanos() as f64;
     BatchCompareRow {
         solver: name,

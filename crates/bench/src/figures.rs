@@ -12,7 +12,7 @@ use subsparse::lowrank::LowRankOptions;
 use subsparse::spy::{spy_ascii, spy_pbm};
 use subsparse::substrate::{extract_dense, solver, EigenSolver, EigenSolverConfig, Substrate};
 use subsparse::wavelet::{build_basis, extract as wavelet_extract, ExtractOptions};
-use subsparse::{extract_lowrank, extract_wavelet};
+use subsparse::{extract_lowrank, Method, SparsifyOptions};
 
 use crate::examples::{ch3_examples, ch4_examples, large_examples};
 
@@ -207,7 +207,8 @@ fn solve_scaling_rows(quick: bool) -> Vec<SolveCounts> {
         .map(|&(k, levels)| {
             let layout = generators::regular_grid(128.0, k, 1.0);
             let s = solver::synthetic(&layout);
-            let wv = extract_wavelet(&s, &layout, levels, 2).expect("wavelet");
+            let opts = SparsifyOptions { levels: Some(levels), ..Default::default() };
+            let wv = Method::Wavelet.sparsify(&s, &layout, &opts).expect("wavelet");
             // the low-rank method needs levels >= 2
             let (lr, _) = extract_lowrank(&s, &layout, levels.max(2), &LowRankOptions::default())
                 .expect("lr");

@@ -3,8 +3,8 @@
 //!
 //! This is the workhorse comparison the thesis tables approximate one
 //! slice at a time — one table row per (layout, method) pair, all through
-//! the [`Sparsifier`](subsparse::Sparsifier) trait, so a newly registered
-//! method shows up here with no further wiring.
+//! [`Method::sparsify`], so a newly registered method shows up here with
+//! no further wiring.
 
 use std::fmt::Write as _;
 
@@ -125,7 +125,7 @@ pub fn run_cell(
     eval_opts: &EvalOptions,
 ) -> Result<MethodReport, subsparse::SparsifyError> {
     let black_box = solver::synthetic(layout);
-    let outcome = method.build().sparsify(&black_box, layout, opts)?;
+    let outcome = method.sparsify(&black_box, layout, opts)?;
     Ok(evaluate(method.name(), &outcome, &black_box, eval_opts))
 }
 

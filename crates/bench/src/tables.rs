@@ -19,7 +19,7 @@ use subsparse::substrate::{
     FdSolverConfig, HasSolveStats, Substrate, SubstrateSolver, TopBc,
 };
 use subsparse::wavelet::{build_basis, extract as wavelet_extract, ExtractOptions};
-use subsparse::{extract_lowrank, extract_wavelet};
+use subsparse::{extract_lowrank, Method, SparsifyOptions};
 
 use crate::examples::{ch3_examples, ch4_examples, large_examples, SolverKind};
 use crate::{fmt, pct};
@@ -44,6 +44,7 @@ pub fn run_table_2_1(quick: bool) -> String {
     let mut out = String::new();
     writeln!(out, "Table 2.1: preconditioner effectiveness (regular {k}x{k} grid)").unwrap();
     writeln!(out, "{:<16} {:>22}", "Preconditioner", "Average # iterations").unwrap();
+    let opts = SparsifyOptions { levels: Some(levels), ..Default::default() };
     let precs = [
         ("Dirichlet", FdPrecond::FastPoisson(TopBc::Dirichlet)),
         ("Neumann", FdPrecond::FastPoisson(TopBc::Neumann)),
@@ -56,7 +57,7 @@ pub fn run_table_2_1(quick: bool) -> String {
             CountingSolver::new(FdSolver::new(&substrate, &layout, cfg).expect("FD solver"));
         // the wavelet extraction is "one of the sparsification algorithms"
         // whose several hundred solves the thesis averages over
-        let _ = extract_wavelet(&solver, &layout, levels, 2).expect("extraction");
+        let _ = Method::Wavelet.sparsify(&solver, &layout, &opts).expect("extraction");
         // the wrapper forwards the FD solver's inner iterations, so the
         // table never reaches around it to the concrete solver
         let stats = solver.stats();
@@ -387,7 +388,8 @@ pub fn run_table_naive_baseline(quick: bool) -> String {
     let g = extract_dense(&solver);
     let n = layout.n_contacts();
 
-    let wv = extract_wavelet(&solver, &layout, levels, 2).expect("wavelet");
+    let opts = SparsifyOptions { levels: Some(levels), ..Default::default() };
+    let wv = Method::Wavelet.sparsify(&solver, &layout, &opts).expect("wavelet");
     let (lr, _) =
         extract_lowrank(&solver, &layout, levels.max(2), &LowRankOptions::default()).expect("lr");
 
@@ -401,7 +403,7 @@ pub fn run_table_naive_baseline(quick: bool) -> String {
     )
     .unwrap();
     for factor in [2.0, 6.0, 12.0] {
-        let (wv_t, _) = wv.rep.thresholded_to_sparsity(wv.sparsity_factor() * factor);
+        let (wv_t, _) = wv.rep.thresholded_to_sparsity(wv.rep.sparsity_factor() * factor);
         let nnz = wv_t.gw.nnz();
         let naive = threshold_dense(&g, nnz);
         let (lr_t, _) = lr.rep.thresholded_to_sparsity((n * n) as f64 / nnz as f64);

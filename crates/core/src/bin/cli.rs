@@ -18,14 +18,13 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use subsparse::layout::{generators, SplitLayout};
-use subsparse::lowrank::LowRankOptions;
 use subsparse::sparsify::eval::{evaluate, time_applies, EvalOptions, MethodReport};
 use subsparse::sparsify::{all_methods, Method};
 use subsparse::substrate::{
-    solver, Backplane, CountingSolver, EigenSolver, EigenSolverConfig, FdSolver, FdSolverConfig,
-    Layer, Substrate, SubstrateSolver,
+    solver, Backplane, EigenSolver, EigenSolverConfig, FdSolver, FdSolverConfig, Layer, Substrate,
+    SubstrateSolver,
 };
-use subsparse::{extract_lowrank, BasisRep, CouplingOp, Layout, SparsifyOptions};
+use subsparse::{BasisRep, CouplingOp, Layout, SparsifyOptions};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -56,7 +55,7 @@ EXTRACT OPTIONS:
   --extent A          surface side length (default 128)
   --out STEM          write STEM.q.mtx and STEM.gw.mtx (plus STEM.fwt,
                       the fast-transform serving section, for wavelet)
-  --method M          lowrank (default) | wavelet
+  --method M          lowrank (default) | wavelet | threshold | topk
   --levels N          quadtree depth (default: auto)
   --substrate SPEC    comma list thickness:conductivity, top first
                       (default 0.5:1,38.5:100,1:0.1 — the thesis profile)
@@ -66,7 +65,6 @@ EXTRACT OPTIONS:
   --panels P          eigen panels / FD grid per side (default 128)
   --threads T         solver worker threads for batched solves
                       (default 1; 0 = auto, see THREADING)
-  --batch B           max RHS columns per batched solve (default 32)
   --threshold F       extra sparsification factor (e.g. 6); default off
   --trace FILE        record spans/counters/latency histograms, write a
                       chrome://tracing JSON to FILE, print the summary
@@ -86,7 +84,6 @@ SPARSIFY OPTIONS (run registered methods side by side, shared metrics):
   --panels P          eigen/fd resolution (default 128)
   --threads T         solver worker threads for batched solves
                       (default 1; 0 = auto, see THREADING)
-  --batch B           max RHS columns per batched solve (default 32)
   --out STEM          save the (single) method's model as STEM.{q,gw}.mtx
                       (+ STEM.fwt for the wavelet method)
   --trace FILE        record spans/counters/latency histograms, write a
@@ -109,6 +106,9 @@ APPLY OPTIONS (serving):
                       bit-identical for every T, speedup needs cores
   --trace FILE        record spans/counters/latency histograms, write a
                       chrome://tracing JSON to FILE, print the summary
+
+An option a command does not take is an error that lists the ones it
+does. A batched solve takes at most 32 RHS columns per call.
 
 THREADING (one knob, every command):
   --threads T         worker count for every thread-parallel stage the
@@ -205,12 +205,20 @@ struct Opts<'a> {
 }
 
 impl<'a> Opts<'a> {
-    fn parse(args: &'a [String]) -> Result<Self, String> {
+    /// Parses `args`, rejecting any `--key` not named in the
+    /// space-separated `accepted` list (so a mistyped or retired option
+    /// fails loudly instead of being ignored).
+    fn parse(args: &'a [String], accepted: &str) -> Result<Self, String> {
         let mut pairs = Vec::new();
         let mut it = args.iter();
         while let Some(key) = it.next() {
             let key =
                 key.strip_prefix("--").ok_or_else(|| format!("expected --option, got {key:?}"))?;
+            if !accepted.split_whitespace().any(|k| k == key) {
+                let valid: Vec<String> =
+                    accepted.split_whitespace().map(|k| format!("--{k}")).collect();
+                return Err(format!("unknown option --{key}; valid options: {}", valid.join(" ")));
+            }
             let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
             pairs.push((key, value.as_str()));
         }
@@ -253,17 +261,21 @@ fn parse_substrate(spec: &str, backplane: Backplane) -> Result<Substrate, String
 }
 
 fn cmd_extract(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse(
+        args,
+        "layout out extent method levels substrate backplane solver panels threads threshold \
+         trace faults",
+    )?;
     let faults_armed = faults_begin(&opts)?;
     let trace_path = trace_begin(&opts);
     let layout_path = opts.require("layout")?;
     let out = PathBuf::from(opts.require("out")?);
     let extent: f64 = opts.get_parsed("extent", 128.0)?;
-    let method = opts.get("method").unwrap_or("lowrank");
+    let method: Method =
+        opts.get("method").unwrap_or("lowrank").parse().map_err(|e| format!("{e}"))?;
     let solver_kind = opts.get("solver").unwrap_or("eigen");
     let panels: usize = opts.get_parsed("panels", 128)?;
     let threads: usize = opts.get_parsed("threads", 1)?;
-    let max_batch: usize = opts.get_parsed("batch", 32)?;
     let backplane = match opts.get("backplane").unwrap_or("grounded") {
         "grounded" => Backplane::Grounded,
         "floating" => Backplane::Floating,
@@ -276,7 +288,8 @@ fn cmd_extract(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("cannot read {layout_path}: {e}"))?;
     let raw = Layout::from_ascii(extent, extent, &art);
     raw.validate().map_err(|e| format!("invalid layout: {e}"))?;
-    let levels: usize = opts.get_parsed("levels", subsparse::choose_levels(&raw, 16).max(2))?;
+    let levels: usize =
+        opts.get_parsed("levels", SparsifyOptions::default().resolve_levels(&raw))?;
     let split = SplitLayout::new(&raw, levels as u32);
     let layout = split.layout();
     println!(
@@ -305,28 +318,14 @@ fn cmd_extract(args: &[String]) -> Result<(), String> {
         "kernel" => Box::new(solver::kernel(layout)),
         other => return Err(format!("unknown solver {other:?}")),
     };
-    let counting = CountingSolver::new(&*black_box);
-
-    let rep = match method {
-        "lowrank" => {
-            let lr_opts = LowRankOptions { max_batch, ..Default::default() };
-            let (x, _) = extract_lowrank(&counting, layout, levels, &lr_opts)
-                .map_err(|e| format!("extraction: {e}"))?;
-            x.rep
-        }
-        "wavelet" => {
-            let sopts = SparsifyOptions { levels: Some(levels), max_batch, ..Default::default() };
-            let x = subsparse::Extraction::with_method(Method::Wavelet, &counting, layout, &sopts)
-                .map_err(|e| format!("extraction: {e}"))?;
-            x.rep
-        }
-        other => return Err(format!("unknown method {other:?}")),
-    };
-    let n = layout.n_contacts();
+    let sopts = SparsifyOptions { levels: Some(levels), ..Default::default() };
+    let outcome =
+        method.sparsify(&*black_box, layout, &sopts).map_err(|e| format!("extraction: {e}"))?;
+    let rep = outcome.rep;
     println!(
         "extracted with {} solves ({:.1}x fewer than naive); Gw sparsity {:.1}x",
-        counting.count(),
-        n as f64 / counting.count() as f64,
+        outcome.solves,
+        layout.n_contacts() as f64 / outcome.solves as f64,
         rep.sparsity_factor()
     );
 
@@ -358,10 +357,13 @@ fn cmd_extract(args: &[String]) -> Result<(), String> {
     trace_finish(trace_path)
 }
 
-/// `sparsify` — run one or all registered methods through the shared
-/// `Sparsifier` trait and grade them with the shared evaluation harness.
+/// `sparsify` — run one or all registered methods through
+/// `Method::sparsify` and grade them with the shared evaluation harness.
 fn cmd_sparsify(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse(
+        args,
+        "method layout grid extent solver levels target panels threads out trace faults",
+    )?;
     let faults_armed = faults_begin(&opts)?;
     let trace_path = trace_begin(&opts);
     let extent: f64 = opts.get_parsed("extent", 128.0)?;
@@ -377,7 +379,7 @@ fn cmd_sparsify(args: &[String]) -> Result<(), String> {
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let raw = Layout::from_ascii(extent, extent, &art);
             raw.validate().map_err(|e| format!("invalid layout: {e}"))?;
-            let levels = subsparse::choose_levels(&raw, 16).max(2);
+            let levels = SparsifyOptions::default().resolve_levels(&raw);
             SplitLayout::new(&raw, levels as u32).layout().clone()
         }
         None => generators::regular_grid(extent, grid, extent / grid as f64 / 2.0),
@@ -389,7 +391,6 @@ fn cmd_sparsify(args: &[String]) -> Result<(), String> {
         sopts.levels = Some(l.parse().map_err(|_| format!("bad value for --levels: {l:?}"))?);
     }
     sopts.target_sparsity = opts.get_parsed("target", sopts.target_sparsity)?;
-    sopts.max_batch = opts.get_parsed("batch", sopts.max_batch)?;
 
     let black_box: Box<dyn SubstrateSolver> = match solver_kind {
         "synthetic" => Box::new(solver::synthetic(&layout)),
@@ -425,10 +426,8 @@ fn cmd_sparsify(args: &[String]) -> Result<(), String> {
     println!("{}", MethodReport::header());
     let eval_opts = EvalOptions { threads, ..Default::default() };
     for method in &methods {
-        let outcome = method
-            .build()
-            .sparsify(&*black_box, &layout, &sopts)
-            .map_err(|e| format!("{method}: {e}"))?;
+        let outcome =
+            method.sparsify(&*black_box, &layout, &sopts).map_err(|e| format!("{method}: {e}"))?;
         let report = evaluate(method.name(), &outcome, &*black_box, &eval_opts);
         println!("{}", report.row());
         if let (Some(stem), true) = (opts.get("out"), methods.len() == 1) {
@@ -448,7 +447,7 @@ fn cmd_sparsify(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse(args, "model faults")?;
     let faults_armed = faults_begin(&opts)?;
     let stem = PathBuf::from(opts.require("model")?);
     let rep = BasisRep::load(&stem).map_err(|e| format!("loading model: {e}"))?;
@@ -463,7 +462,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_apply(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse(args, "model contact volts repeat block path threads trace faults")?;
     let faults_armed = faults_begin(&opts)?;
     let trace_path = trace_begin(&opts);
     let stem = PathBuf::from(opts.require("model")?);
@@ -534,4 +533,23 @@ fn cmd_apply(args: &[String]) -> Result<(), String> {
     }
     faults_finish(faults_armed);
     trace_finish(trace_path)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Opts;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn unknown_options_are_errors_naming_the_valid_ones() {
+        let given = args("--grid 4 --batch 2");
+        let Err(e) = Opts::parse(&given, "grid threads") else { panic!("--batch was accepted") };
+        assert_eq!(e, "unknown option --batch; valid options: --grid --threads");
+        let given = args("--grid 4 --threads 2");
+        let opts = Opts::parse(&given, "grid threads").expect("both options are accepted");
+        assert_eq!((opts.get("grid"), opts.get("threads")), (Some("4"), Some("2")));
+    }
 }

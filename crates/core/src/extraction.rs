@@ -1,124 +1,27 @@
-//! High-level extraction pipelines: layout + black-box solver in, sparse
-//! `G ~ Q Gw Q'` representation and cost statistics out.
+//! High-level extraction entry points beside
+//! [`Method::sparsify`](crate::Method::sparsify): the low-rank pipeline
+//! with its phase-1 row basis, and quadtree depth selection.
 
-use subsparse_hier::{BasisRep, HierError, Quadtree};
+use std::time::Instant;
+
+use subsparse_hier::{HierError, Quadtree};
 use subsparse_layout::Layout;
 use subsparse_lowrank::{LowRankOptions, RowBasisRep};
-use subsparse_sparsify::{Method, SparsifyError, SparsifyOptions, SparsifyOutcome};
+use subsparse_sparsify::SparsifyOutcome;
 use subsparse_substrate::{CountingSolver, SubstrateSolver};
 
-/// The result of a sparsifying extraction: the representation plus the
-/// cost metrics the thesis tables report.
-#[derive(Clone, Debug)]
-pub struct Extraction {
-    /// The sparse `G ~ Q Gw Q'` representation.
-    pub rep: BasisRep,
-    /// Black-box solves spent.
-    pub solves: usize,
-}
-
-impl Extraction {
-    /// Runs any registered sparsification [`Method`] through the
-    /// [`Sparsifier`](crate::Sparsifier) trait — the generic front door
-    /// the named pipelines below are sugar over.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the method's [`SparsifyError`].
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use subsparse::layout::generators;
-    /// use subsparse::substrate::solver;
-    /// use subsparse::{Extraction, Method, SparsifyOptions};
-    ///
-    /// let layout = generators::regular_grid(128.0, 8, 2.0);
-    /// let black_box = solver::synthetic(&layout);
-    /// let x = Extraction::with_method(
-    ///     Method::Threshold,
-    ///     &black_box,
-    ///     &layout,
-    ///     &SparsifyOptions::default(),
-    /// )?;
-    /// assert_eq!(x.n(), 64);
-    /// # Ok::<(), subsparse::SparsifyError>(())
-    /// ```
-    pub fn with_method<S: SubstrateSolver + ?Sized>(
-        method: Method,
-        solver: &S,
-        layout: &Layout,
-        opts: &SparsifyOptions,
-    ) -> Result<Extraction, SparsifyError> {
-        // the &dyn adapter lives here, once, instead of at every call site
-        let outcome = method.build().sparsify(&solver as &dyn SubstrateSolver, layout, opts)?;
-        Ok(Extraction::from(outcome))
-    }
-
-    /// Number of contacts.
-    pub fn n(&self) -> usize {
-        self.rep.n()
-    }
-
-    /// `n / solves` — the thesis's solve-reduction factor.
-    pub fn solve_reduction_factor(&self) -> f64 {
-        self.n() as f64 / self.solves as f64
-    }
-
-    /// Sparsity factor of `Gw` (`n^2 / nnz`).
-    pub fn sparsity_factor(&self) -> f64 {
-        self.rep.sparsity_factor()
-    }
-}
-
-/// Runs the wavelet method end to end (thesis Ch. 3): build the
-/// vanishing-moment basis of order `p` on a depth-`levels` quadtree, then
-/// extract `Gw` with combine-solves.
+/// Runs the low-rank method end to end (thesis Ch. 4): phase-1 row-basis
+/// construction and phase-2 fine-to-coarse sweep.
+///
+/// Returns what [`Method::sparsify`](crate::Method::sparsify) returns for
+/// [`Method::LowRank`](crate::Method::LowRank) plus the intermediate
+/// [`RowBasisRep`], which is itself a fast approximate operator.
 ///
 /// # Errors
 ///
 /// Returns an error if the layout is empty or a contact crosses a
 /// finest-level square boundary (split the layout first with
 /// [`Layout::split_to_squares`]).
-///
-/// # Example
-///
-/// ```
-/// use subsparse::extract_wavelet;
-/// use subsparse::layout::generators;
-/// use subsparse::substrate::solver;
-///
-/// let layout = generators::regular_grid(128.0, 8, 2.0);
-/// let black_box = solver::synthetic(&layout);
-/// let x = extract_wavelet(&black_box, &layout, 3, 2)?;
-/// assert_eq!(x.n(), 64);
-/// assert!(x.rep.q_sparsity_factor() > 1.0); // Gw sparsity shows at larger n
-/// # Ok::<(), subsparse::hier::HierError>(())
-/// ```
-pub fn extract_wavelet<S: SubstrateSolver + ?Sized>(
-    solver: &S,
-    layout: &Layout,
-    levels: usize,
-    p: usize,
-) -> Result<Extraction, HierError> {
-    let opts = SparsifyOptions { levels: Some(levels), moment_order: p, ..Default::default() };
-    match Extraction::with_method(Method::Wavelet, solver, layout, &opts) {
-        Ok(x) => Ok(x),
-        Err(SparsifyError::Hier(e)) => Err(e),
-        // the wavelet adapter only produces layout/hierarchy errors
-        Err(e) => unreachable!("wavelet sparsifier returned non-hier error: {e}"),
-    }
-}
-
-/// Runs the low-rank method end to end (thesis Ch. 4): phase-1 row-basis
-/// construction and phase-2 fine-to-coarse sweep.
-///
-/// Returns the sparse representation plus the intermediate
-/// [`RowBasisRep`], which is itself a fast approximate operator.
-///
-/// # Errors
-///
-/// Same conditions as [`extract_wavelet`].
 ///
 /// # Example
 ///
@@ -140,10 +43,13 @@ pub fn extract_lowrank<S: SubstrateSolver + ?Sized>(
     layout: &Layout,
     levels: usize,
     options: &LowRankOptions,
-) -> Result<(Extraction, RowBasisRep), HierError> {
+) -> Result<(SparsifyOutcome, RowBasisRep), HierError> {
+    let t0 = Instant::now();
     let counting = CountingSolver::new(solver);
     let result = subsparse_lowrank::extract(&counting, layout, levels, options)?;
-    Ok((Extraction { rep: result.rep, solves: counting.count() }, result.row_basis))
+    let outcome =
+        SparsifyOutcome { rep: result.rep, solves: counting.count(), build_time: t0.elapsed() };
+    Ok((outcome, result.row_basis))
 }
 
 /// Picks a quadtree depth for a layout: the deepest level at which no
@@ -153,16 +59,11 @@ pub fn choose_levels(layout: &Layout, cap: usize) -> usize {
     Quadtree::choose_levels(layout, cap)
 }
 
-impl From<SparsifyOutcome> for Extraction {
-    fn from(outcome: SparsifyOutcome) -> Self {
-        Extraction { rep: outcome.rep, solves: outcome.solves }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use subsparse_layout::generators;
+    use subsparse_sparsify::{Method, SparsifyOptions};
     use subsparse_substrate::solver;
 
     #[test]
@@ -171,10 +72,11 @@ mod tests {
         // contacts than the 6 moment constraints (thesis §3.4.3: c > d)
         let layout = generators::regular_grid(128.0, 16, 2.0);
         let s = solver::synthetic(&layout);
-        let x = extract_wavelet(&s, &layout, 2, 2).unwrap();
+        let opts = SparsifyOptions { levels: Some(2), ..Default::default() };
+        let x = Method::Wavelet.sparsify(&s, &layout, &opts).unwrap();
         assert!(x.solves > 0);
         assert!(x.solve_reduction_factor() > 1.0, "factor {}", x.solve_reduction_factor());
-        assert!(x.sparsity_factor() > 1.0);
+        assert!(x.rep.sparsity_factor() > 1.0);
     }
 
     #[test]
@@ -187,7 +89,7 @@ mod tests {
     }
 
     #[test]
-    fn every_method_keeps_its_batches_within_max_batch() {
+    fn every_method_reaches_but_never_exceeds_batch() {
         /// Records the width of every `solve_batch` call it forwards.
         struct Widths {
             inner: subsparse_substrate::DenseSolver,
@@ -205,14 +107,16 @@ mod tests {
                 self.inner.solve_batch(v)
             }
         }
+        // every method spends more than BATCH solves on this grid, so its
+        // widest block reaches the bound and none exceeds it
         let layout = generators::regular_grid(128.0, 16, 2.0);
-        let opts = SparsifyOptions { max_batch: 5, ..Default::default() };
+        let opts = SparsifyOptions::default();
         for &method in subsparse_sparsify::all_methods() {
             let s = Widths { inner: solver::synthetic(&layout), widths: Default::default() };
-            Extraction::with_method(method, &s, &layout, &opts).unwrap();
+            method.sparsify(&s, &layout, &opts).unwrap();
             let widths = s.widths.into_inner().unwrap();
             let widest = widths.iter().copied().max();
-            assert_eq!(widest, Some(5), "{}: batch widths {widths:?}", method.name());
+            assert_eq!(widest, Some(solver::BATCH), "{}: batch widths {widths:?}", method.name());
         }
     }
 

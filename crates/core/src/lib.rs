@@ -34,8 +34,8 @@
 //!
 //! ## The `sparsify` subsystem
 //!
-//! Every sparsification method lives behind one trait,
-//! [`Sparsifier`]: black-box solver + layout in, a
+//! Every sparsification method runs through one front door,
+//! [`Method::sparsify`]: black-box solver + layout in, a
 //! [`BasisRep`] with cost accounting out. Methods are registered by name
 //! ([`Method`], [`sparsify::all_methods`]) and graded by one shared
 //! harness ([`sparsify::eval`]) reporting relative Frobenius/column
@@ -56,8 +56,8 @@
 //!   solves are affordable and the coupling decays fast; `topk` keeps
 //!   small contacts from being starved.
 //!
-//! New methods (spectral, trace-reduction, randomized, ...) drop in by
-//! implementing [`Sparsifier`] and registering a [`Method`] variant.
+//! A new method (spectral, trace-reduction, randomized, ...) is a new
+//! [`Method`] variant and one arm of [`Method::sparsify`].
 //!
 //! ## Quickstart
 //!
@@ -76,7 +76,7 @@
 //! let (x, _) = extract_lowrank(&solver, &layout, 4, &LowRankOptions::default())?;
 //! println!(
 //!     "n = {}, solves = {} ({:.1}x reduction), Gw sparsity {:.1}x",
-//!     x.n(), x.solves, x.solve_reduction_factor(), x.sparsity_factor(),
+//!     x.n(), x.solves, x.solve_reduction_factor(), x.rep.sparsity_factor(),
 //! );
 //! let currents = x.rep.apply(&vec![1.0; x.n()]); // i = G v in O(n log n)
 //! assert_eq!(currents.len(), 256);
@@ -86,7 +86,7 @@
 pub mod extraction;
 pub mod spy;
 
-pub use extraction::{choose_levels, extract_lowrank, extract_wavelet, Extraction};
+pub use extraction::{choose_levels, extract_lowrank};
 
 /// Shared error/sparsity metrics (lives in [`sparsify`], re-exported here
 /// so `subsparse::metrics` keeps working).
@@ -111,12 +111,12 @@ pub use subsparse_wavelet as wavelet;
 /// The low-rank sparsification method (thesis Ch. 4, ICCAD 2001).
 pub use subsparse_lowrank as lowrank;
 
-/// The unified sparsification subsystem: the [`Sparsifier`] trait, the
-/// method registry, and the shared evaluation harness.
+/// The unified sparsification subsystem: the method registry with its
+/// one front door [`Method::sparsify`], and the shared evaluation harness.
 pub use subsparse_sparsify as sparsify;
 
 // The sparsify vocabulary most users touch, at the root.
-pub use subsparse_sparsify::{Method, Sparsifier, SparsifyError, SparsifyOptions, SparsifyOutcome};
+pub use subsparse_sparsify::{Method, SparsifyError, SparsifyOptions, SparsifyOutcome};
 
 // The types that almost every user touches, re-exported at the root.
 pub use subsparse_hier::BasisRep;

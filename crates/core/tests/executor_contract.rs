@@ -19,7 +19,7 @@ use subsparse::linalg::{ApplyWorkspace, CouplingOp, Executor, Mat, ParallelApply
 use subsparse::substrate::{
     solver, EigenSolver, EigenSolverConfig, FdSolver, FdSolverConfig, Substrate, SubstrateSolver,
 };
-use subsparse::{extract_wavelet, BasisRep};
+use subsparse::{BasisRep, Method, SparsifyOptions};
 
 /// The failpoint registry is process-global; fault tests serialize on
 /// one mutex and leave the registry disarmed. (The bit-identity tests
@@ -44,7 +44,8 @@ fn wavelet_rep() -> &'static BasisRep {
     REP.get_or_init(|| {
         let layout = generators::regular_grid(128.0, 8, 2.0);
         let dense = solver::synthetic(&layout);
-        let w = extract_wavelet(&dense, &layout, 2, 2).expect("wavelet extraction");
+        let opts = SparsifyOptions { levels: Some(2), ..Default::default() };
+        let w = Method::Wavelet.sparsify(&dense, &layout, &opts).expect("wavelet extraction");
         let (gwt, _) = w.rep.thresholded_to_sparsity(w.rep.sparsity_factor() * 6.0);
         gwt
     })

@@ -123,7 +123,7 @@ fn lowrank_extract_matches_hash_accumulator() {
             let (x, rb) = subsparse::extract_lowrank(&black_box, &layout, levels, &options)
                 .expect("layout fits the quadtree");
             let mut reference = HashAccumulator::default();
-            Sweep::new(&rb, options.rank_tol, options.max_rank).fill(&rb, &mut reference);
+            Sweep::new(&rb).fill(&rb, &mut reference);
             assert_bit_identical(
                 &x.rep.gw,
                 &reference.to_symmetric_csr(layout.n_contacts()),

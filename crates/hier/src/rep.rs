@@ -362,7 +362,7 @@ impl BasisRep {
         let version = format!("subsparse basisrep format {version_no}");
         let write = |suffix: &str, m: &Csr| -> std::io::Result<()> {
             let mut canonical = Vec::new();
-            subsparse_linalg::io::write_matrix_market_commented(m, &[&version], &mut canonical)?;
+            subsparse_linalg::io::write_matrix_market(m, &[&version], &mut canonical)?;
             std::fs::write(stem_path(stem, suffix), with_digest_line(&canonical))
         };
         write(".q.mtx", &self.q)?;

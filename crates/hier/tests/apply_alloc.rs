@@ -116,7 +116,7 @@ fn apply_into_is_allocation_free_after_warmup() {
             let _a = trace::span_arg("alloc-probe-arg", 3);
             let _t = trace::time_hist(trace::Hist::ApplyVectorNs);
             trace::add(trace::Counter::Solves, 1);
-            trace::record_ns(trace::Hist::ApplyBlockNs, 7);
+            trace::record_ns_many(trace::Hist::ApplyBlockNs, 7, 1);
         }
     });
     assert_eq!(probe_allocs, 0, "disabled trace probes allocated");

@@ -141,7 +141,7 @@ fn disarmed_failpoints_cost_nothing_measurable() {
     let run_control = |yc_block: &mut Mat, bufs: &mut Vec<(Mat, Mat, ApplyWorkspace)>| {
         std::thread::scope(|scope| {
             for ((k, (xs, ys, ws)), y_panel) in
-                bufs.iter_mut().enumerate().zip(yc_block.col_chunks_mut(w))
+                bufs.iter_mut().enumerate().zip(yc_block.data_mut().chunks_mut(n * w))
             {
                 scope.spawn(move || {
                     for (c, dst) in xs.cols_mut().enumerate() {

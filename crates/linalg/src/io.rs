@@ -86,27 +86,14 @@ impl From<io::Error> for ReadMatrixError {
 }
 
 /// Writes a CSR matrix in Matrix Market coordinate format (1-based
-/// indices, full precision).
-///
-/// # Errors
-///
-/// Returns any I/O error from the writer.
-pub fn write_matrix_market<W: Write>(m: &Csr, w: W) -> io::Result<()> {
-    write_matrix_market_commented(m, &[], w)
-}
-
-/// Like [`write_matrix_market`], with extra `%`-prefixed comment lines
+/// indices, full precision), with `comments` as extra `%`-prefixed lines
 /// after the header — the carrier for format metadata such as the
 /// `BasisRep` serialization version tag.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from the writer.
-pub fn write_matrix_market_commented<W: Write>(
-    m: &Csr,
-    comments: &[&str],
-    mut w: W,
-) -> io::Result<()> {
+pub fn write_matrix_market<W: Write>(m: &Csr, comments: &[&str], mut w: W) -> io::Result<()> {
     writeln!(w, "%%MatrixMarket matrix coordinate real general")?;
     writeln!(w, "% written by subsparse")?;
     for c in comments {
@@ -272,7 +259,7 @@ mod tests {
         let dense = Mat::from_rows(&[&[1.5, 0.0, -2.25], &[0.0, 3.0e-7, 0.0]]);
         let m = Csr::from_dense(&dense, 0.0);
         let mut buf = Vec::new();
-        write_matrix_market(&m, &mut buf).unwrap();
+        write_matrix_market(&m, &[], &mut buf).unwrap();
         let back = read_matrix_market(&buf[..]).unwrap().to_csr();
         assert_eq!(back.n_rows(), 2);
         assert_eq!(back.n_cols(), 3);
@@ -340,7 +327,7 @@ mod tests {
         // missing instead of returning a silently short matrix
         let dense = Mat::from_rows(&[&[1.0, -2.0], &[3.5, 0.25]]);
         let mut buf = Vec::new();
-        write_matrix_market(&Csr::from_dense(&dense, 0.0), &mut buf).unwrap();
+        write_matrix_market(&Csr::from_dense(&dense, 0.0), &[], &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let keep: Vec<&str> = text.lines().collect();
         // header + comment + size line + first entry only
@@ -395,7 +382,7 @@ mod tests {
     fn empty_matrix_roundtrip() {
         let m = Csr::zeros(3, 4);
         let mut buf = Vec::new();
-        write_matrix_market(&m, &mut buf).unwrap();
+        write_matrix_market(&m, &[], &mut buf).unwrap();
         let back = read_matrix_market(&buf[..]).unwrap().to_csr();
         assert_eq!(back.nnz(), 0);
         assert_eq!(back.n_rows(), 3);

@@ -132,17 +132,6 @@ impl Mat {
         self.data.chunks_mut(self.n_rows.max(1))
     }
 
-    /// Iterator of mutable contiguous *column-panel* slices: each item
-    /// covers `cols_per_chunk` consecutive columns (the last may be
-    /// narrower). Column-major storage makes every panel one contiguous
-    /// `&mut [f64]`, and the panels are disjoint — this is what lets the
-    /// parallel serving executor hand each worker thread its own column
-    /// range of the output with no unsafe code and no copies on the
-    /// result side.
-    pub fn col_chunks_mut(&mut self, cols_per_chunk: usize) -> impl Iterator<Item = &mut [f64]> {
-        self.data.chunks_mut((self.n_rows * cols_per_chunk).max(1))
-    }
-
     /// Computes `y = A x`.
     ///
     /// # Panics
@@ -513,16 +502,6 @@ mod tests {
         let e = Mat::zeros(0, 0);
         assert_eq!(e.hcat(&b).n_cols(), 3);
         assert_eq!(b.hcat(&e).n_cols(), 3);
-    }
-
-    #[test]
-    fn col_chunks_are_disjoint_panels() {
-        let mut m = Mat::from_fn(3, 7, |i, j| (10 * j + i) as f64);
-        let chunks: Vec<Vec<f64>> = m.col_chunks_mut(3).map(|c| c.to_vec()).collect();
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0].len(), 9);
-        assert_eq!(chunks[2].len(), 3); // ragged tail panel
-        assert_eq!(chunks[1][0], 30.0); // first entry of column 3
     }
 
     #[test]

@@ -158,34 +158,23 @@ fn bucket_of(ns: u64) -> usize {
     (64 - ns.leading_zeros() as usize).min(N_BUCKETS - 1)
 }
 
-/// Records one sample. No-op (one relaxed load) when disabled.
-#[inline]
-pub fn record_ns(h: Hist, ns: u64) {
-    if enabled() {
-        record_ns_always(h, ns);
-    }
-}
-
 /// Records `count` samples of `ns_each` nanoseconds in O(1) atomic work
 /// — how a batched solve of `k` columns attributes `k` equal shares of
-/// its wall time. No-op when disabled.
+/// its wall time. No-op (one relaxed load) when disabled.
 #[inline]
 pub fn record_ns_many(h: Hist, ns_each: u64, count: u64) {
     if enabled() && count > 0 {
-        let d = &HISTS[h as usize];
-        d.buckets[bucket_of(ns_each)].fetch_add(count, Ordering::Relaxed);
-        d.count.fetch_add(count, Ordering::Relaxed);
-        d.sum.fetch_add(ns_each.saturating_mul(count), Ordering::Relaxed);
-        d.max.fetch_max(ns_each, Ordering::Relaxed);
+        record(h, ns_each, count);
     }
 }
 
-fn record_ns_always(h: Hist, ns: u64) {
+/// Adds `count` samples of `ns_each` to `h`, recorder state unchecked.
+fn record(h: Hist, ns_each: u64, count: u64) {
     let d = &HISTS[h as usize];
-    d.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-    d.count.fetch_add(1, Ordering::Relaxed);
-    d.sum.fetch_add(ns, Ordering::Relaxed);
-    d.max.fetch_max(ns, Ordering::Relaxed);
+    d.buckets[bucket_of(ns_each)].fetch_add(count, Ordering::Relaxed);
+    d.count.fetch_add(count, Ordering::Relaxed);
+    d.sum.fetch_add(ns_each.saturating_mul(count), Ordering::Relaxed);
+    d.max.fetch_max(ns_each, Ordering::Relaxed);
 }
 
 /// Number of samples recorded in a histogram.
@@ -241,7 +230,7 @@ pub fn time_hist(h: Hist) -> HistTimer {
 impl Drop for HistTimer {
     fn drop(&mut self) {
         if let Some((h, start)) = self.inner.take() {
-            record_ns_always(h, start.elapsed().as_nanos() as u64);
+            record(h, start.elapsed().as_nanos() as u64, 1);
         }
     }
 }
@@ -608,7 +597,7 @@ mod tests {
         let _g = GUARD.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         set_enabled(false);
         add(Counter::Solves, 5);
-        record_ns(Hist::SolveNs, 100);
+        record_ns_many(Hist::SolveNs, 100, 1);
         drop(span("noop"));
         drop(time_hist(Hist::ApplyVectorNs));
         // nothing recorded while disabled
@@ -631,7 +620,7 @@ mod tests {
     fn histogram_quantiles_bracket_samples() {
         with_recorder(|| {
             for ns in [100u64, 200, 400, 800, 100_000] {
-                record_ns(Hist::ApplyVectorNs, ns);
+                record_ns_many(Hist::ApplyVectorNs, ns, 1);
             }
             assert_eq!(hist_count(Hist::ApplyVectorNs), 5);
             assert_eq!(hist_max_ns(Hist::ApplyVectorNs), 100_000);
@@ -651,7 +640,7 @@ mod tests {
             // 300ns sits in the [256, 512) bucket, whose upper edge (512)
             // is above every sample
             for _ in 0..5 {
-                record_ns(Hist::ApplyVectorNs, 300);
+                record_ns_many(Hist::ApplyVectorNs, 300, 1);
             }
             assert_eq!(hist_max_ns(Hist::ApplyVectorNs), 300);
             for q in [0.5, 0.9, 0.99, 1.0] {
@@ -717,8 +706,8 @@ mod tests {
             // microsecond and millisecond samples, whatever the machine:
             // the 7.74 us one goes where no real call records, so a slow
             // apply above cannot become the row's max
-            record_ns(Hist::SolveNs, 7_740);
-            record_ns(Hist::ApplyVectorNs, 2_500_000);
+            record_ns_many(Hist::SolveNs, 7_740, 1);
+            record_ns_many(Hist::ApplyVectorNs, 2_500_000, 1);
             let text = summary();
             assert!(text.contains("apply_vector_ns") && text.contains("apply_block.csr"), "{text}");
             assert!(text.contains("7.74us") && text.contains("2.50ms"), "{text}");
@@ -730,7 +719,7 @@ mod tests {
     fn reset_clears_everything() {
         with_recorder(|| {
             add(Counter::ColPanels, 9);
-            record_ns(Hist::ApplyBlockNs, 123);
+            record_ns_many(Hist::ApplyBlockNs, 123, 1);
             drop(span("gone"));
             reset();
             assert_eq!(counter(Counter::ColPanels), 0);

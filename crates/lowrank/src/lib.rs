@@ -44,47 +44,35 @@ pub mod rowbasis;
 pub mod sweep;
 
 pub use rowbasis::{build_row_basis, RowBasisRep};
-pub use sweep::{to_basis_rep, to_basis_rep_with, Sweep};
+pub use sweep::{to_basis_rep, Sweep};
 
 use subsparse_hier::{BasisRep, HierError};
 use subsparse_layout::Layout;
 use subsparse_substrate::SubstrateSolver;
 
+/// Relative singular-value threshold of every rank truncation, in both
+/// phases: keep `sigma_i > RANK_TOL * sigma_1` (thesis §4.6 uses 1/100).
+pub const RANK_TOL: f64 = 1e-2;
+
+/// Hard cap on the rank of any row basis and any sweep `U` block (thesis
+/// §4.6 uses 6, matching the 6 constraints of order-2 moments on the
+/// wavelet side).
+pub const MAX_RANK: usize = 6;
+
 /// Tuning parameters of the low-rank method.
 #[derive(Clone, Copy, Debug)]
 pub struct LowRankOptions {
-    /// Relative singular-value threshold for rank truncation: keep
-    /// `sigma_i > rank_tol * sigma_1` (thesis §4.6 uses 1/100).
-    pub rank_tol: f64,
-    /// Hard cap on the rank of any row basis (thesis §4.6 uses 6, matching
-    /// the 6 constraints of order-2 moments on the wavelet side).
-    pub max_rank: usize,
     /// Combine-solves square separation (3 in the thesis; 0 disables
     /// combining, costing one solve per split vector).
     pub spacing: usize,
-    /// Random sample vectors per square (1 in the thesis; more helps very
-    /// irregular layouts with sparsely populated interactive regions).
-    pub samples_per_square: usize,
-    /// Seed for the deterministic sample-vector generator.
+    /// Seed for the deterministic sample-vector generator (one random
+    /// sample vector per square, as in the thesis).
     pub seed: u64,
-    /// Maximum right-hand sides assembled into one
-    /// [`SubstrateSolver::solve_batch`] call. Batching changes neither the
-    /// solve count nor the results — the independent probe solves of each
-    /// construction stage are simply issued as blocks so the solver can
-    /// amortize setup and use its worker threads.
-    pub max_batch: usize,
 }
 
 impl Default for LowRankOptions {
     fn default() -> Self {
-        LowRankOptions {
-            rank_tol: 1e-2,
-            max_rank: 6,
-            spacing: 3,
-            samples_per_square: 1,
-            seed: 1,
-            max_batch: 32,
-        }
+        LowRankOptions { spacing: 3, seed: 1 }
     }
 }
 

@@ -25,7 +25,7 @@ use subsparse_linalg::svd::svd;
 use subsparse_linalg::{trace, Mat};
 use subsparse_substrate::{solver as subsolver, SubstrateSolver};
 
-use crate::LowRankOptions;
+use crate::{LowRankOptions, MAX_RANK, RANK_TOL};
 
 /// Per-square data of the row-basis representation.
 #[derive(Clone, Debug)]
@@ -260,22 +260,15 @@ pub fn build_row_basis<S: SubstrateSolver + ?Sized>(
             if cs.is_empty() {
                 continue;
             }
-            for _ in 0..options.samples_per_square {
-                let m = random_unit(&mut rng, cs.len());
-                let mut padded = vec![0.0; n];
-                scatter(&m, cs, &mut padded);
-                rhs.push(padded);
-                rhs_owner.push(s.flat());
-            }
+            let m = random_unit(&mut rng, cs.len());
+            let mut padded = vec![0.0; n];
+            scatter(&m, cs, &mut padded);
+            rhs.push(padded);
+            rhs_owner.push(s.flat());
         }
-        let responses = subsolver::solve_each_batched(solver, &rhs, options.max_batch);
+        let responses = subsolver::solve_each_batched(solver, &rhs);
         for (&flat, y) in rhs_owner.iter().zip(responses) {
-            match &mut sample_resp[flat] {
-                // multiple samples per square: stack responses (treated
-                // as extra sample columns below)
-                Some(prev) => prev.extend_from_slice(&y),
-                None => sample_resp[flat] = Some(y),
-            }
+            sample_resp[flat] = Some(y);
         }
         // row bases from the sampled interactions
         for s in tree.squares(lev) {
@@ -286,12 +279,10 @@ pub fn build_row_basis<S: SubstrateSolver + ?Sized>(
             let mut cols: Vec<Vec<f64>> = Vec::new();
             for t in tree.interactive(s) {
                 if let Some(resp) = &sample_resp[t.flat()] {
-                    for chunk in resp.chunks(n) {
-                        cols.push(restrict(chunk, cs));
-                    }
+                    cols.push(restrict(resp, cs));
                 }
             }
-            let v = row_basis_from_samples(&cols, cs.len(), options);
+            let v = row_basis_from_samples(&cols, cs.len());
             squares[lev][s.flat()].v = v;
         }
         // responses to the row bases: direct solves, batched across every
@@ -309,8 +300,7 @@ pub fn build_row_basis<S: SubstrateSolver + ?Sized>(
                 rhs.push(padded);
             }
         }
-        let mut responses =
-            subsolver::solve_each_batched(solver, &rhs, options.max_batch).into_iter();
+        let mut responses = subsolver::solve_each_batched(solver, &rhs).into_iter();
         for s in tree.squares(lev) {
             let cs = tree.contacts_in_square(s);
             if cs.is_empty() {
@@ -332,31 +322,18 @@ pub fn build_row_basis<S: SubstrateSolver + ?Sized>(
     // ================= finer levels: splitting + combine-solves ==========
     for lev in 3..=finest {
         let _s = trace::span_arg("extract.lowrank.split-level", lev as u64);
-        // -- sample vectors for every nonempty square
+        // -- one sample vector for every nonempty square
         let side = tree.side(lev);
-        let mut samples: Vec<Vec<Vec<f64>>> = vec![Vec::new(); side * side];
-        for s in tree.squares(lev) {
-            let cs = tree.contacts_in_square(s);
-            if cs.is_empty() {
-                continue;
-            }
-            for _ in 0..options.samples_per_square {
-                samples[s.flat()].push(random_unit(&mut rng, cs.len()));
-            }
-        }
+        let samples: Vec<Option<Vec<f64>>> = tree
+            .squares(lev)
+            .map(|s| {
+                let cs = tree.contacts_in_square(s);
+                (!cs.is_empty()).then(|| random_unit(&mut rng, cs.len()))
+            })
+            .collect();
         // -- approximate responses to the samples over P_s
-        let max_m = options.samples_per_square;
-        let mut sample_resp: Vec<Vec<Vec<f64>>> = vec![Vec::new(); side * side];
-        for m in 0..max_m {
-            let this: Vec<Option<&[f64]>> =
-                tree.squares(lev).map(|s| samples[s.flat()].get(m).map(|v| v.as_slice())).collect();
-            let resp = split_responses(solver, &tree, &squares, lev, &this, options);
-            for (s, r) in tree.squares(lev).zip(resp) {
-                if let Some(r) = r {
-                    sample_resp[s.flat()].push(r);
-                }
-            }
-        }
+        let this: Vec<Option<&[f64]>> = samples.iter().map(Option::as_deref).collect();
+        let sample_resp = split_responses(solver, &tree, &squares, lev, &this, options);
         // -- row bases from sampled interactions
         for s in tree.squares(lev) {
             let cs = tree.contacts_in_square(s);
@@ -372,7 +349,7 @@ pub fn build_row_basis<S: SubstrateSolver + ?Sized>(
                 // responses of t's samples were stored over P_t; restrict
                 // to s's contacts (s is in P_t because t is in I_s)
                 let t_p = tree.region_contacts(&tree.local_and_interactive(t));
-                for resp in &sample_resp[t.flat()] {
+                if let Some(resp) = &sample_resp[t.flat()] {
                     let col: Vec<f64> = cs
                         .iter()
                         .map(|&ci| {
@@ -383,7 +360,7 @@ pub fn build_row_basis<S: SubstrateSolver + ?Sized>(
                     cols.push(col);
                 }
             }
-            squares[lev][s.flat()].v = row_basis_from_samples(&cols, cs.len(), options);
+            squares[lev][s.flat()].v = row_basis_from_samples(&cols, cs.len());
         }
         // -- responses to the row bases, column index by column index
         let max_r = tree.squares(lev).map(|s| squares[lev][s.flat()].v.n_cols()).max().unwrap_or(0);
@@ -434,14 +411,15 @@ pub fn build_row_basis<S: SubstrateSolver + ?Sized>(
     Ok(RowBasisRep { tree, n, squares, finest_local })
 }
 
-/// SVD-truncates sampled interaction columns into a row basis.
-fn row_basis_from_samples(cols: &[Vec<f64>], n_s: usize, options: &LowRankOptions) -> Mat {
+/// SVD-truncates sampled interaction columns into a row basis
+/// ([`RANK_TOL`], at most [`MAX_RANK`]).
+fn row_basis_from_samples(cols: &[Vec<f64>], n_s: usize) -> Mat {
     if cols.is_empty() || n_s == 0 {
         return Mat::zeros(n_s, 0);
     }
     let b = Mat::from_cols(cols);
     let f = svd(&b);
-    let r = f.rank(options.rank_tol, Some(options.max_rank));
+    let r = f.rank(RANK_TOL, Some(MAX_RANK));
     f.u.col_block(0, r)
 }
 
@@ -487,7 +465,7 @@ fn split_responses<S: SubstrateSolver + ?Sized>(
             scatter(x, tree.contacts_in_square(s), &mut padded);
             Some((s, padded))
         });
-        subsolver::for_each_batched(solver, options.max_batch, items, |s, y| {
+        subsolver::for_each_batched(solver, items, |s, y| {
             let p_contacts = tree.region_contacts(&tree.local_and_interactive(s));
             out[s.flat()] = Some(restrict(y, &p_contacts));
         });
@@ -527,7 +505,7 @@ fn split_responses<S: SubstrateSolver + ?Sized>(
     // do not contaminate each other's local neighborhoods. The combined
     // vectors are independent, so they stream through `solve_batch` in
     // RHS blocks (group descriptors first, padded vectors built at most
-    // `max_batch` at a time).
+    // `subsolver::BATCH` at a time).
     let mut theta_groups: Vec<Vec<&Split>> = Vec::new();
     for pi in 0..spacing {
         for pj in 0..spacing {
@@ -553,7 +531,7 @@ fn split_responses<S: SubstrateSolver + ?Sized>(
         }
         (group, theta)
     });
-    subsolver::for_each_batched(solver, options.max_batch, items, |group, y| {
+    subsolver::for_each_batched(solver, items, |group, y| {
         // per member: refine the raw local responses (eq. 4.24) and
         // add the parent row-basis part (eq. 4.22)
         for sp in group {
@@ -702,7 +680,7 @@ fn build_finest_local<S: SubstrateSolver + ?Sized>(
         }
         ((group, *m), theta)
     });
-    subsolver::for_each_batched(solver, options.max_batch, items, |(group, m), y| {
+    subsolver::for_each_batched(solver, items, |(group, m), y| {
         for s in group {
             if spacing == 0 {
                 w_resp[s.flat()].push(restrict(y, &out[s.flat()].l_contacts));
@@ -881,7 +859,7 @@ mod tests {
         let rep = build_row_basis(&s, &layout, 3, &opts).unwrap();
         for lev in 2..=rep.tree().finest() {
             for sq in rep.tree().squares(lev) {
-                assert!(rep.rank(sq) <= opts.max_rank);
+                assert!(rep.rank(sq) <= MAX_RANK);
             }
         }
     }

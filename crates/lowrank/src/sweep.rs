@@ -21,6 +21,7 @@ use subsparse_linalg::svd::svd;
 use subsparse_linalg::{trace, Csr, Mat, Triplets};
 
 use crate::rowbasis::{RowBasisRep, SquareData};
+use crate::{MAX_RANK, RANK_TOL};
 
 /// Per-square data of the sweep.
 #[derive(Clone, Debug)]
@@ -60,28 +61,20 @@ const ROOT_LEVEL: usize = 2;
 /// Converts a phase-1 row-basis representation into the sparse
 /// `G ~ Q Gw Q'` form by the fine-to-coarse sweep.
 ///
-/// The rank-truncation rule (`sigma > sigma_1 / 100`, at most 6) is
-/// inherited from the phase-1 options via the same constants used there.
-pub fn to_basis_rep(rb: &RowBasisRep) -> BasisRep {
-    to_basis_rep_with(rb, 1e-2, 6)
-}
-
-/// [`to_basis_rep`] with explicit rank-truncation parameters.
-///
 /// Pattern, fill, finish: once the sweep has fixed every square's `Q`
 /// columns, the kept pattern of `Gw` is built from the quadtree,
 /// [`Sweep::fill`] writes each entry estimate into its slot, and
 /// [`GwAssembler::finish`] symmetrizes it in place.
-pub fn to_basis_rep_with(rb: &RowBasisRep, rank_tol: f64, max_rank: usize) -> BasisRep {
+pub fn to_basis_rep(rb: &RowBasisRep) -> BasisRep {
     let _s = trace::span("extract.lowrank.sweep");
-    let sweep = Sweep::new(rb, rank_tol, max_rank);
+    let sweep = Sweep::new(rb);
     let mut gw = GwAssembler::new(rb.tree(), sweep.root_u, |s| sweep.t_cols(s));
     sweep.fill(rb, &mut gw);
     BasisRep::new(sweep.q, gw.finish())
 }
 
 /// The sweep's per-square `U`/`T` bases and the orthogonal `Q` they form:
-/// everything [`to_basis_rep_with`] needs before it fills `Gw`.
+/// everything [`to_basis_rep`] needs before it fills `Gw`.
 #[derive(Debug)]
 pub struct Sweep {
     /// `[level][flat square]`
@@ -93,8 +86,9 @@ pub struct Sweep {
 
 impl Sweep {
     /// Runs the fine-to-coarse sweep over a phase-1 row basis and
-    /// assembles `Q`.
-    pub fn new(rb: &RowBasisRep, rank_tol: f64, max_rank: usize) -> Self {
+    /// assembles `Q`, truncating each `U` block by the phase-1 rule
+    /// ([`RANK_TOL`], at most [`MAX_RANK`]).
+    pub fn new(rb: &RowBasisRep) -> Self {
         let tree = rb.tree();
         let n = rb.n();
         let finest = tree.finest();
@@ -146,7 +140,7 @@ impl Sweep {
                         a.col_mut(j).copy_from_slice(&col);
                     }
                     let f = svd(&a);
-                    let r = f.rank(rank_tol, Some(max_rank));
+                    let r = f.rank(RANK_TOL, Some(MAX_RANK));
                     let u_coef = f.v.col_block(0, r);
                     let t_coef = orthonormal_completion(&u_coef);
                     (u_coef, t_coef)

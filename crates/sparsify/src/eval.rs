@@ -348,8 +348,7 @@ mod tests {
     fn report_grades_threshold_method() {
         let layout = generators::regular_grid(128.0, 8, 2.0);
         let s = solver::synthetic(&layout);
-        let out =
-            Method::Threshold.build().sparsify(&s, &layout, &SparsifyOptions::default()).unwrap();
+        let out = Method::Threshold.sparsify(&s, &layout, &SparsifyOptions::default()).unwrap();
         let report = evaluate_dense("threshold", &out, s.matrix(), &EvalOptions::default());
         assert_eq!(report.n, 64);
         assert_eq!(report.graded_cols, 64);
@@ -370,8 +369,7 @@ mod tests {
     fn sampled_evaluation_uses_stride() {
         let layout = generators::regular_grid(128.0, 8, 2.0);
         let s = solver::synthetic(&layout);
-        let out =
-            Method::Threshold.build().sparsify(&s, &layout, &SparsifyOptions::default()).unwrap();
+        let out = Method::Threshold.sparsify(&s, &layout, &SparsifyOptions::default()).unwrap();
         let opts = EvalOptions { max_dense_n: 16, sample_cols: 8, ..Default::default() };
         let report = evaluate("threshold", &out, &s, &opts);
         assert_eq!(report.graded_cols, 8);
@@ -381,8 +379,7 @@ mod tests {
     fn sampled_evaluation_scans_spurious_candidates() {
         let layout = generators::regular_grid(128.0, 8, 2.0);
         let s = solver::synthetic(&layout);
-        let out =
-            Method::Threshold.build().sparsify(&s, &layout, &SparsifyOptions::default()).unwrap();
+        let out = Method::Threshold.sparsify(&s, &layout, &SparsifyOptions::default()).unwrap();
         let opts = EvalOptions { max_dense_n: 16, sample_cols: 8, ..Default::default() };
         let a = evaluate("threshold", &out, &s, &opts);
         // the half-stride-offset sweep ran, disjoint from the graded set
@@ -404,8 +401,7 @@ mod tests {
         // harness on 2 workers must change timings only
         let layout = generators::regular_grid(128.0, 8, 2.0);
         let s = solver::synthetic(&layout);
-        let out =
-            Method::Threshold.build().sparsify(&s, &layout, &SparsifyOptions::default()).unwrap();
+        let out = Method::Threshold.sparsify(&s, &layout, &SparsifyOptions::default()).unwrap();
         let serial = evaluate_dense("threshold", &out, s.matrix(), &EvalOptions::default());
         let threaded_opts = EvalOptions { threads: 2, ..Default::default() };
         let threaded = evaluate_dense("threshold", &out, s.matrix(), &threaded_opts);

@@ -1,41 +1,36 @@
-//! Unified sparsification subsystem: one [`Sparsifier`] trait over every
-//! way of turning a black-box conductance operator into a sparse
-//! `G ~ Q Gw Q'` representation.
+//! Unified sparsification subsystem: one front door,
+//! [`Method::sparsify`], over every way of turning a black-box
+//! conductance operator into a sparse `G ~ Q Gw Q'` representation.
 //!
 //! The thesis develops two rival constructions — the geometric **wavelet**
 //! method (Ch. 3) and the operator-adaptive **low-rank** method (Ch. 4) —
-//! and compares both against naive entry dropping. Historically each
-//! consumer in this workspace (CLI, benches, examples) hard-coded one
-//! pipeline or the other; this crate gives them a single shape:
+//! and compares both against naive entry dropping. This crate gives every
+//! consumer (CLI, benches, examples) a single shape:
 //!
-//! * [`Sparsifier`] — black-box solver + layout in, [`SparsifyOutcome`]
-//!   (a [`BasisRep`] plus cost accounting) out;
-//! * adapter impls wrapping the existing wavelet and low-rank pipelines
-//!   ([`methods::WaveletSparsifier`], [`methods::LowRankSparsifier`]);
-//! * baseline methods that operate on an extracted dense `G`
-//!   ([`methods::ThresholdSparsifier`], [`methods::TopKSparsifier`]);
-//! * a string-keyed registry ([`Method`], [`all_methods`]) so CLIs and
-//!   benches can drive every method by name;
+//! * [`Method`] — a closed, string-keyed registry of the four methods
+//!   ([`all_methods`]), so CLIs and benches drive every method by name;
+//! * [`Method::sparsify`] — black-box solver + layout in,
+//!   [`SparsifyOutcome`] (a [`BasisRep`] plus solve count and build time)
+//!   out: the wavelet and low-rank pipelines, and the baselines that drop
+//!   entries of an extracted dense `G` ([`methods`]);
 //! * a shared evaluation harness ([`eval`]) reporting relative
 //!   Frobenius/column error, nonzero ratio, and apply time, built on
 //!   [`metrics`].
 //!
-//! Any future method — spectral, trace-reduction, randomized — becomes a
-//! drop-in by implementing [`Sparsifier`] and registering a [`Method`]
-//! variant.
+//! A new method is a new [`Method`] variant: its name, its summary and
+//! one arm of [`Method::sparsify`].
 //!
 //! # Example
 //!
 //! ```
 //! use subsparse_layout::generators;
-//! use subsparse_sparsify::{Method, SparsifyOptions, Sparsifier};
+//! use subsparse_sparsify::{Method, SparsifyOptions};
 //! use subsparse_substrate::solver;
 //!
 //! let layout = generators::regular_grid(128.0, 16, 2.0);
 //! let black_box = solver::synthetic(&layout);
 //! let method: Method = "lowrank".parse()?;
-//! let outcome =
-//!     method.build().sparsify(&black_box, &layout, &SparsifyOptions::default())?;
+//! let outcome = method.sparsify(&black_box, &layout, &SparsifyOptions::default())?;
 //! assert_eq!(outcome.rep.n(), 256);
 //! assert!(outcome.nnz_ratio() < 1.0); // sparser than the dense G
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -55,48 +50,41 @@ use std::time::Duration;
 use subsparse_hier::{BasisRep, HierError, Quadtree};
 use subsparse_layout::Layout;
 use subsparse_lowrank::LowRankOptions;
-use subsparse_substrate::SubstrateSolver;
+
+/// Contact cap per finest square for automatic level selection
+/// ([`SparsifyOptions::resolve_levels`]).
+pub const CONTACTS_PER_SQUARE: usize = 16;
 
 /// Shared tuning knobs for every sparsification method.
 ///
 /// One options struct (rather than one per method) keeps side-by-side
-/// comparisons honest: the budget-style knobs
-/// ([`target_sparsity`](Self::target_sparsity)) mean the same thing to
-/// every baseline, and the
-/// pipeline knobs are simply ignored by methods that do not use them.
+/// comparisons honest: the budget knob
+/// ([`target_sparsity`](Self::target_sparsity)) means the same thing to
+/// every baseline, and the pipeline knobs are simply ignored by methods
+/// that do not use them. The thesis's fixed parameters are constants:
+/// moment order [`MOMENT_ORDER`](subsparse_wavelet::MOMENT_ORDER), the
+/// low-rank truncation rule
+/// ([`RANK_TOL`](subsparse_lowrank::RANK_TOL),
+/// [`MAX_RANK`](subsparse_lowrank::MAX_RANK)), [`CONTACTS_PER_SQUARE`]
+/// and the solve block width
+/// [`BATCH`](subsparse_substrate::solver::BATCH).
 #[derive(Clone, Debug)]
 pub struct SparsifyOptions {
     /// Quadtree depth for the hierarchical methods; `None` picks the
     /// deepest level at which no finest square holds more than
-    /// [`contacts_per_square`](Self::contacts_per_square) contacts.
+    /// [`CONTACTS_PER_SQUARE`] contacts.
     pub levels: Option<usize>,
-    /// Vanishing-moment order `p` of the wavelet method (thesis §3.2.1;
-    /// 2 is the thesis's choice).
-    pub moment_order: usize,
-    /// Tuning of the low-rank method (rank tolerance, spacing, ...).
+    /// Tuning of the low-rank method (spacing, seed).
     pub lowrank: LowRankOptions,
     /// Nonzero budget of the dense-`G` baselines, as a sparsity factor:
     /// keep about `n^2 / target_sparsity` nonzeros total. The hierarchical
     /// methods ignore this (their sparsity falls out of the construction).
     pub target_sparsity: f64,
-    /// Contact cap per finest square for automatic level selection.
-    pub contacts_per_square: usize,
-    /// Most RHS columns per [`SubstrateSolver::solve_batch`] call, applied
-    /// to every method (at least 1). Batching never changes solve counts
-    /// or results; the solver's worker threads are set when it is built.
-    pub max_batch: usize,
 }
 
 impl Default for SparsifyOptions {
     fn default() -> Self {
-        SparsifyOptions {
-            levels: None,
-            moment_order: 2,
-            lowrank: LowRankOptions::default(),
-            target_sparsity: 4.0,
-            contacts_per_square: 16,
-            max_batch: 32,
-        }
+        SparsifyOptions { levels: None, lowrank: LowRankOptions::default(), target_sparsity: 4.0 }
     }
 }
 
@@ -105,8 +93,7 @@ impl SparsifyOptions {
     /// [`levels`](Self::levels) if set, otherwise automatic selection
     /// (floored at 2, the minimum the low-rank method supports).
     pub fn resolve_levels(&self, layout: &Layout) -> usize {
-        self.levels
-            .unwrap_or_else(|| Quadtree::choose_levels(layout, self.contacts_per_square).max(2))
+        self.levels.unwrap_or_else(|| Quadtree::choose_levels(layout, CONTACTS_PER_SQUARE).max(2))
     }
 
     /// The baseline nonzero budget for an `n`-contact layout:
@@ -144,8 +131,8 @@ impl From<HierError> for SparsifyError {
     }
 }
 
-/// The result of running a [`Sparsifier`]: the representation plus the
-/// cost accounting every consumer reports.
+/// The result of [`Method::sparsify`]: the representation plus the cost
+/// accounting every consumer reports.
 #[derive(Clone, Debug)]
 pub struct SparsifyOutcome {
     /// The sparse `G ~ Q Gw Q'` representation.
@@ -181,31 +168,4 @@ impl SparsifyOutcome {
     pub fn nnz_ratio(&self) -> f64 {
         self.nnz() as f64 / (self.n() * self.n()) as f64
     }
-}
-
-/// A sparsification method: black-box conductance operator in, sparse
-/// `G ~ Q Gw Q'` representation (with cost accounting) out.
-///
-/// Implementations must not assume anything about the solver beyond
-/// [`SubstrateSolver::solve`]; solve counting is the implementation's
-/// responsibility (wrap the solver in
-/// [`CountingSolver`](subsparse_substrate::CountingSolver)).
-pub trait Sparsifier {
-    /// The registry name of the method (stable, CLI-facing).
-    fn name(&self) -> &'static str;
-
-    /// Runs the method.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparsifyError::Hier`] if the layout is empty or violates
-    /// the quadtree constraints of a hierarchical method, and
-    /// [`SparsifyError::InvalidOptions`] for option combinations the
-    /// method cannot honor.
-    fn sparsify(
-        &self,
-        solver: &dyn SubstrateSolver,
-        layout: &Layout,
-        opts: &SparsifyOptions,
-    ) -> Result<SparsifyOutcome, SparsifyError>;
 }

@@ -1,16 +1,13 @@
 //! The string-keyed method registry.
 //!
 //! CLIs, benches, and examples drive methods by name: parse a [`Method`]
-//! with [`str::parse`], instantiate it with [`Method::build`], or iterate
+//! with [`str::parse`], run it with [`Method::sparsify`], or iterate
 //! every registered method with [`all_methods`]. Adding a method is a
-//! three-line change here (variant, name, constructor) plus a
-//! [`Sparsifier`] impl in [`methods`](crate::methods).
+//! variant and its name here plus one arm of [`Method::sparsify`] in
+//! [`methods`](crate::methods).
 
 use std::fmt;
 use std::str::FromStr;
-
-use crate::methods::{LowRankSparsifier, ThresholdSparsifier, TopKSparsifier, WaveletSparsifier};
-use crate::Sparsifier;
 
 /// Every registered sparsification method.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -33,24 +30,13 @@ pub fn all_methods() -> &'static [Method] {
 }
 
 impl Method {
-    /// The canonical registry name — the string [`FromStr`] parses and the
-    /// matching [`Sparsifier::name`] reports.
+    /// The canonical registry name — the string [`FromStr`] parses.
     pub fn name(&self) -> &'static str {
         match self {
             Method::Wavelet => "wavelet",
             Method::LowRank => "lowrank",
             Method::Threshold => "threshold",
             Method::TopK => "topk",
-        }
-    }
-
-    /// Instantiates the method.
-    pub fn build(&self) -> Box<dyn Sparsifier> {
-        match self {
-            Method::Wavelet => Box::new(WaveletSparsifier),
-            Method::LowRank => Box::new(LowRankSparsifier),
-            Method::Threshold => Box::new(ThresholdSparsifier),
-            Method::TopK => Box::new(TopKSparsifier),
         }
     }
 
@@ -132,8 +118,6 @@ mod tests {
     fn names_round_trip_through_from_str() {
         for m in all_methods() {
             assert_eq!(m.name().parse::<Method>().unwrap(), *m);
-            // the instantiated sparsifier agrees with the registry name
-            assert_eq!(m.build().name(), m.name());
         }
     }
 

@@ -16,7 +16,6 @@ fn every_registered_method_round_trips_within_documented_tolerance() {
     let n = layout.n_contacts();
     for method in all_methods() {
         let outcome = method
-            .build()
             .sparsify(&black_box, &layout, &opts)
             .unwrap_or_else(|e| panic!("{method} failed: {e}"));
         assert_eq!(outcome.rep.n(), n, "{method}: wrong size");
@@ -41,11 +40,11 @@ fn hierarchical_methods_beat_naive_solve_count() {
     let opts = SparsifyOptions::default();
     let n = layout.n_contacts();
     for method in [Method::Wavelet, Method::LowRank] {
-        let outcome = method.build().sparsify(&black_box, &layout, &opts).unwrap();
+        let outcome = method.sparsify(&black_box, &layout, &opts).unwrap();
         assert!(outcome.solves < n, "{method}: {} solves >= n = {n}", outcome.solves);
     }
     for method in [Method::Threshold, Method::TopK] {
-        let outcome = method.build().sparsify(&black_box, &layout, &opts).unwrap();
+        let outcome = method.sparsify(&black_box, &layout, &opts).unwrap();
         assert_eq!(outcome.solves, n, "{method}: dense baselines solve once per contact");
     }
 }
@@ -55,7 +54,6 @@ fn registry_and_from_str_agree() {
     for method in all_methods() {
         let parsed: Method = method.name().parse().unwrap();
         assert_eq!(parsed, *method);
-        assert_eq!(method.build().name(), method.name());
         assert!(!method.summary().is_empty());
         assert!(method.doc_tolerance() > 0.0);
     }
@@ -69,7 +67,7 @@ fn shared_harness_grades_all_methods_consistently() {
     let opts = SparsifyOptions::default();
     let eval_opts = EvalOptions { apply_iters: 2, ..Default::default() };
     for method in all_methods() {
-        let outcome = method.build().sparsify(&black_box, &layout, &opts).unwrap();
+        let outcome = method.sparsify(&black_box, &layout, &opts).unwrap();
         let report = evaluate_dense(method.name(), &outcome, black_box.matrix(), &eval_opts);
         assert_eq!(report.method, method.name());
         assert_eq!(report.n, 256);

@@ -36,8 +36,8 @@ pub mod solver;
 pub use eigen::{EigenSolver, EigenSolverConfig};
 pub use fd::{DirichletPlacement, FdPrecond, FdSolver, FdSolverConfig, TopBc};
 pub use solver::{
-    extract_dense, extract_dense_batched, CountingSolver, DenseSolver, HasSolveStats, KernelSolver,
-    SolveStats, SubstrateSolver,
+    extract_dense, CountingSolver, DenseSolver, HasSolveStats, KernelSolver, SolveStats,
+    SubstrateSolver,
 };
 
 use std::fmt;

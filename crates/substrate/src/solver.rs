@@ -34,8 +34,8 @@
 //! blocked gemm keeps the per-entry accumulation order, and the threaded
 //! backends run the exact serial PCG per column, so `threads = 1` and
 //! `threads = N` agree to the last bit and cost metrics stay exact.
-//! Callers bound the RHS block width with a `max_batch` argument (memory
-//! is `n x max_batch`); the thread count is fixed when a solver is built.
+//! Every pipeline sends RHS blocks of at most [`BATCH`] columns (memory
+//! is `n x BATCH`); the thread count is fixed when a solver is built.
 //!
 //! # The iterative solve core: retry, failure typing and accounting
 //!
@@ -96,8 +96,11 @@ impl Drop for SolveTrace {
     }
 }
 
-/// RHS block width of [`extract_dense`] and [`extract_columns`].
-const DEFAULT_MAX_BATCH: usize = 32;
+/// Most RHS columns in one [`SubstrateSolver::solve_batch`] call made by
+/// the extraction pipelines and [`extract_dense`]/[`extract_columns`].
+/// Batching changes neither solve counts nor results; it lets a solver
+/// amortize setup and use its worker threads across a block.
+pub const BATCH: usize = 32;
 
 // The canonical resolver lives next to the serving executor in
 // `linalg::op`; re-exported here because the extraction pipelines
@@ -633,18 +636,11 @@ impl SubstrateSolver for DenseSolver {
 
 /// Extracts the dense conductance matrix the naive way: one black-box
 /// solve per contact, `G(:, i) = solve(e_i)` (thesis §1.2). Solves are
-/// issued in blocks of 32 columns through
-/// [`SubstrateSolver::solve_batch`]; use [`extract_dense_batched`] to
-/// choose the width.
+/// sent in blocks of [`BATCH`] columns through
+/// [`SubstrateSolver::solve_batch`].
 pub fn extract_dense<S: SubstrateSolver + ?Sized>(solver: &S) -> Mat {
-    extract_dense_batched(solver, DEFAULT_MAX_BATCH)
-}
-
-/// [`extract_dense`] in RHS blocks of at most `max_batch` columns.
-pub fn extract_dense_batched<S: SubstrateSolver + ?Sized>(solver: &S, max_batch: usize) -> Mat {
-    let n = solver.n_contacts();
-    let cols: Vec<usize> = (0..n).collect();
-    extract_columns_batched(solver, &cols, max_batch)
+    let cols: Vec<usize> = (0..solver.n_contacts()).collect();
+    extract_columns(solver, &cols)
 }
 
 /// Builds a synthetic dense conductance matrix for a layout with a smooth
@@ -839,7 +835,7 @@ pub fn kernel(layout: &subsparse_layout::Layout) -> KernelSolver {
 }
 
 /// Solves a list of right-hand-side vectors through
-/// [`SubstrateSolver::solve_batch`] in blocks of at most `max_batch`
+/// [`SubstrateSolver::solve_batch`] in blocks of at most [`BATCH`]
 /// columns, returning one response per input vector (in order).
 ///
 /// This is the assembly helper the extraction pipelines use to turn their
@@ -849,11 +845,9 @@ pub fn kernel(layout: &subsparse_layout::Layout) -> KernelSolver {
 pub fn solve_each_batched<S: SubstrateSolver + ?Sized>(
     solver: &S,
     rhs: &[Vec<f64>],
-    max_batch: usize,
 ) -> Vec<Vec<f64>> {
-    let width = max_batch.max(1);
     let mut out = Vec::with_capacity(rhs.len());
-    for chunk in rhs.chunks(width) {
+    for chunk in rhs.chunks(BATCH) {
         if chunk.len() == 1 {
             out.push(solver.solve(&chunk[0]));
             continue;
@@ -867,27 +861,25 @@ pub fn solve_each_batched<S: SubstrateSolver + ?Sized>(
 }
 
 /// Streams `(tag, rhs)` items through [`SubstrateSolver::solve_batch`] in
-/// blocks of at most `max_batch` columns, invoking `on_response(tag,
+/// blocks of at most [`BATCH`] columns, invoking `on_response(tag,
 /// response)` for every item in input order.
 ///
 /// Unlike [`solve_each_batched`], the right-hand sides are consumed
-/// lazily from the iterator, so at most `max_batch` of them (plus the
+/// lazily from the iterator, so at most [`BATCH`] of them (plus the
 /// solver's output block) are alive at once — peak memory is
-/// `O(n x max_batch)` no matter how many solves a pipeline stage issues.
+/// `O(n x BATCH)` no matter how many solves a pipeline stage makes.
 pub fn for_each_batched<S: SubstrateSolver + ?Sized, T>(
     solver: &S,
-    max_batch: usize,
     items: impl IntoIterator<Item = (T, Vec<f64>)>,
     mut on_response: impl FnMut(T, &[f64]),
 ) {
-    let width = max_batch.max(1);
-    let mut tags: Vec<T> = Vec::with_capacity(width);
-    let mut rhs: Vec<Vec<f64>> = Vec::with_capacity(width);
+    let mut tags: Vec<T> = Vec::with_capacity(BATCH);
+    let mut rhs: Vec<Vec<f64>> = Vec::with_capacity(BATCH);
     let mut flush = |tags: &mut Vec<T>, rhs: &mut Vec<Vec<f64>>| {
         if rhs.is_empty() {
             return;
         }
-        let responses = solve_each_batched(solver, rhs, width);
+        let responses = solve_each_batched(solver, rhs);
         for (tag, y) in tags.drain(..).zip(&responses) {
             on_response(tag, y);
         }
@@ -896,32 +888,21 @@ pub fn for_each_batched<S: SubstrateSolver + ?Sized, T>(
     for (tag, v) in items {
         tags.push(tag);
         rhs.push(v);
-        if rhs.len() == width {
+        if rhs.len() == BATCH {
             flush(&mut tags, &mut rhs);
         }
     }
     flush(&mut tags, &mut rhs);
 }
 
-/// Extracts a subset of columns of `G` (used for sampled error estimates
-/// on large examples, thesis Table 4.3), batching the unit-vector solves.
+/// Extracts the columns `cols` of `G`, in that order (used for sampled
+/// error estimates on large examples, thesis Table 4.3): the unit-vector
+/// right-hand sides go through [`SubstrateSolver::solve_batch`] in blocks
+/// of at most [`BATCH`] columns.
 pub fn extract_columns<S: SubstrateSolver + ?Sized>(solver: &S, cols: &[usize]) -> Mat {
-    extract_columns_batched(solver, cols, DEFAULT_MAX_BATCH)
-}
-
-/// [`extract_columns`] with explicit batching control: the unit-vector
-/// right-hand sides are assembled into blocks of at most `max_batch`
-/// columns (at least 1) and pushed through
-/// [`SubstrateSolver::solve_batch`].
-pub fn extract_columns_batched<S: SubstrateSolver + ?Sized>(
-    solver: &S,
-    cols: &[usize],
-    max_batch: usize,
-) -> Mat {
     let n = solver.n_contacts();
-    let width = max_batch.max(1);
     let mut g = Mat::zeros(n, cols.len());
-    for (k0, chunk) in cols.chunks(width).enumerate().map(|(c, ch)| (c * width, ch)) {
+    for (k0, chunk) in cols.chunks(BATCH).enumerate().map(|(c, ch)| (c * BATCH, ch)) {
         let mut e = Mat::zeros(n, chunk.len());
         for (j, &i) in chunk.iter().enumerate() {
             e.col_mut(j)[i] = 1.0;

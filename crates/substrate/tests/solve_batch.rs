@@ -8,9 +8,8 @@
 use subsparse_layout::{generators, Layout};
 use subsparse_linalg::Mat;
 use subsparse_substrate::{
-    extract_dense, extract_dense_batched, solver::extract_columns_batched, CountingSolver,
-    DenseSolver, EigenSolver, EigenSolverConfig, FdSolver, FdSolverConfig, Substrate,
-    SubstrateSolver,
+    extract_dense, solver::extract_columns, solver::BATCH, CountingSolver, DenseSolver,
+    EigenSolver, EigenSolverConfig, FdSolver, FdSolverConfig, Substrate, SubstrateSolver,
 };
 
 /// A deterministic, dense voltage block (no zeros, mixed signs).
@@ -107,23 +106,27 @@ fn counting_solver_counts_columns_not_calls() {
     assert_eq!(counting.count(), 6);
     // batched dense extraction costs exactly n solves, like the naive loop
     counting.reset();
-    let _ = extract_dense_batched(&counting, 7);
+    let _ = extract_dense(&counting);
     assert_eq!(counting.count(), 16);
 }
 
 #[test]
 fn batched_extraction_is_batch_size_invariant() {
-    let layout = generators::regular_grid(128.0, 4, 8.0);
+    // 49 contacts: one full BATCH-wide block and a ragged tail
+    let layout = generators::regular_grid(128.0, 7, 8.0);
     let s = subsparse_substrate::solver::synthetic(&layout);
+    let n = s.n_contacts();
+    assert!(n > BATCH && !n.is_multiple_of(BATCH), "n = {n} must split into uneven blocks");
     let reference = extract_dense(&s);
-    // non-divisible width, width 1, and over-wide batches all agree
-    for max_batch in [1, 3, 5, 16, 1000] {
-        let g = extract_dense_batched(&s, max_batch);
-        assert_eq!(g.data(), reference.data(), "max_batch = {max_batch}");
+    let mut e = vec![0.0; n];
+    for j in 0..n {
+        e[j] = 1.0;
+        assert_eq!(reference.col(j), s.solve(&e).as_slice(), "column {j}");
+        e[j] = 0.0;
     }
-    // column subsets too, in arbitrary order
-    let cols = [14usize, 2, 7, 0, 15];
-    let sub = extract_columns_batched(&s, &cols, 2);
+    // column subsets too, in arbitrary order and across the block boundary
+    let cols = [48usize, 2, 33, 7, 0, 31, 32];
+    let sub = extract_columns(&s, &cols);
     for (k, &c) in cols.iter().enumerate() {
         assert_eq!(sub.col(k), reference.col(c), "column {c}");
     }

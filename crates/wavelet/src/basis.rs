@@ -47,7 +47,6 @@ pub(crate) struct SquareBasis {
 #[derive(Clone, Debug)]
 pub struct WaveletBasis {
     pub(crate) tree: Quadtree,
-    pub(crate) p: usize,
     n: usize,
     /// `[level][flat square]`
     pub(crate) squares: Vec<Vec<SquareBasis>>,
@@ -61,11 +60,6 @@ impl WaveletBasis {
     /// Number of contacts (= number of basis vectors).
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// The moment order `p`.
-    pub fn moment_order(&self) -> usize {
-        self.p
     }
 
     /// The quadtree the basis is built on.
@@ -130,10 +124,14 @@ impl WaveletBasis {
     }
 }
 
+/// The vanishing-moment order `p` the thesis uses (§3.2.1), and the one
+/// every extraction pipeline builds its basis with.
+pub const MOMENT_ORDER: usize = 2;
+
 /// Builds the wavelet basis for a layout.
 ///
 /// `levels` is the quadtree depth (finest squares `2^levels` per side) and
-/// `p` the vanishing-moment order (the thesis uses `p = 2`).
+/// `p` the vanishing-moment order (the thesis uses [`MOMENT_ORDER`]).
 ///
 /// # Errors
 ///
@@ -283,7 +281,7 @@ pub fn build_basis(layout: &Layout, levels: usize, p: usize) -> Result<WaveletBa
     let q = trip.to_csr();
     let fwt = build_fwt(&tree, &squares, n, root_v);
 
-    Ok(WaveletBasis { tree, p, n, squares, root_v, q, fwt })
+    Ok(WaveletBasis { tree, n, squares, root_v, q, fwt })
 }
 
 /// Assembles the tree-structured fast transform from the per-square

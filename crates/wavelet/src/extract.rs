@@ -32,17 +32,11 @@ pub struct ExtractOptions {
     /// performs one solve per basis vector — useful as an accuracy
     /// reference, at `n` solves.
     pub spacing: usize,
-    /// Maximum right-hand sides assembled into one
-    /// [`SubstrateSolver::solve_batch`] call. Batching never changes the
-    /// solve *count* (each combined vector is still one solve) or the
-    /// results — it lets the solver amortize setup and use its worker
-    /// threads across independent combined solves.
-    pub max_batch: usize,
 }
 
 impl Default for ExtractOptions {
     fn default() -> Self {
-        ExtractOptions { spacing: 3, max_batch: 32 }
+        ExtractOptions { spacing: 3 }
     }
 }
 
@@ -109,7 +103,6 @@ pub fn extract_into<S: SubstrateSolver + ?Sized, K: GwSink + ?Sized>(
         let qt = q.transpose();
         solver::for_each_batched(
             solver,
-            options.max_batch,
             (0..basis.root_v()).map(|j| (j, column_from_transpose(&qt, j, n))),
             |j, y| {
                 let gw_col = q.matvec_t(y);
@@ -126,7 +119,7 @@ pub fn extract_into<S: SubstrateSolver + ?Sized, K: GwSink + ?Sized>(
     // The combined vectors of a level are mutually independent, so they
     // stream through `solve_batch` in RHS blocks (the cheap group
     // descriptors are listed first; the padded vectors are built at most
-    // `max_batch` at a time); per-group response extraction runs in the
+    // `solver::BATCH` at a time); per-group response extraction runs in the
     // original order, so the result is identical to the
     // one-solve-at-a-time loop.
     for l in 0..=finest {
@@ -179,7 +172,7 @@ pub fn extract_into<S: SubstrateSolver + ?Sized, K: GwSink + ?Sized>(
             }
             ((group, *m), theta)
         });
-        solver::for_each_batched(solver, options.max_batch, items, |(group, m), y| {
+        solver::for_each_batched(solver, items, |(group, m), y| {
             extract_group_responses(basis, group, m, y, sink);
         });
     }
@@ -317,7 +310,7 @@ mod tests {
         let s = solver::synthetic(&layout);
         let g = s.matrix().clone();
         let basis = build_basis(&layout, 2, 2).unwrap();
-        let rep = extract(&s, &basis, &ExtractOptions { spacing: 0, ..Default::default() });
+        let rep = extract(&s, &basis, &ExtractOptions { spacing: 0 });
         let gw_exact = transform_dense(&g, &basis);
         // every *kept* entry must match the exact transform
         for (i, j, v) in rep.gw.iter() {
@@ -337,7 +330,7 @@ mod tests {
         let s = solver::synthetic(&layout);
         let g = s.matrix().clone();
         let basis = build_basis(&layout, 2, 2).unwrap();
-        let rep = extract(&s, &basis, &ExtractOptions { spacing: 0, ..Default::default() });
+        let rep = extract(&s, &basis, &ExtractOptions { spacing: 0 });
         let approx = rep.to_dense();
         let mut diff = approx.clone();
         diff.add_scaled(-1.0, &g);

@@ -30,7 +30,7 @@
 pub mod basis;
 pub mod extract;
 
-pub use basis::{build_basis, WaveletBasis};
+pub use basis::{build_basis, WaveletBasis, MOMENT_ORDER};
 pub use extract::{extract, extract_into, transform_dense, ExtractOptions};
 // the tree-structured serving path of the basis (built by `build_basis`,
 // attached to every extracted representation)

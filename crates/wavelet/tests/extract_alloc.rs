@@ -13,7 +13,7 @@
 //!   biggest allocations are the pattern's value array and the final
 //!   `Gw` built in place from it, so the largest single request is
 //!   bounded by the *final* `Gw` (`2 x 8 B x nnz(Gw)`, room for slots
-//!   that finish drops) plus an `O(n x max_batch)` solve block. A hash
+//!   that finish drops) plus an `O(n x BATCH)` solve block. A hash
 //!   map, a triplet copy or any dense `n x n` buffer breaks the bound.
 //!
 //! This file holds a single test on purpose: it installs a global
@@ -91,8 +91,8 @@ fn wavelet_extraction_never_allocates_a_dense_n_by_n_buffer() {
         gw_nnz = extract(&black_box, &basis, &options).gw.nnz();
     });
     assert!(gw_nnz > 0);
-    let bound = 2 * std::mem::size_of::<f64>() * gw_nnz
-        + n * options.max_batch * std::mem::size_of::<f64>();
+    let bound =
+        2 * std::mem::size_of::<f64>() * gw_nnz + n * solver::BATCH * std::mem::size_of::<f64>();
     assert!(
         max_single <= bound,
         "extract made a {max_single}-byte allocation, above the {bound}-byte bound set by \

@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "custom solver sparsified: n = {}, solves = {}, Gw sparsity {:.1}x",
         x.n(),
         x.solves,
-        x.sparsity_factor()
+        x.rep.sparsity_factor()
     );
 
     // verify against the exact model

@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         EigenSolverConfig { panels: 128, ..Default::default() },
     )?;
     let (x, _) = extract_lowrank(&solver_split, split.layout(), 4, &LowRankOptions::default())?;
-    println!("sparse model: {} solves, Gw sparsity {:.1}x", x.solves, x.sparsity_factor());
+    println!("sparse model: {} solves, Gw sparsity {:.1}x", x.solves, x.rep.sparsity_factor());
 
     // Switching noise: the digital block bounces by 1 V, everything else
     // is quiet (0 V). Currents at the analog contacts are the coupled noise.

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "Gw: {} nonzeros ({:.1}x sparser than dense); Q: {:.1}x sparse",
         x.rep.gw.nnz(),
-        x.sparsity_factor(),
+        x.rep.sparsity_factor(),
         x.rep.q_sparsity_factor(),
     );
 
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("coupled current, far corner: {:+.6} (exact {:+.6})", i_sparse[far], i_exact[far]);
 
     // Trade accuracy for more sparsity by thresholding Gw.
-    let (thresholded, cut) = x.rep.thresholded_to_sparsity(x.sparsity_factor() * 6.0);
+    let (thresholded, cut) = x.rep.thresholded_to_sparsity(x.rep.sparsity_factor() * 6.0);
     println!(
         "thresholded at {:.2e}: {} nonzeros ({:.1}x sparser than dense)",
         cut,

@@ -1,5 +1,5 @@
 //! Compare every registered sparsification method on one layout through
-//! the unified `Sparsifier` trait.
+//! the one front door, `Method::sparsify`.
 //!
 //! ```text
 //! cargo run --release --example sparsify_compare
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let eval_opts = EvalOptions::default();
     println!("{}", MethodReport::header());
     for method in all_methods() {
-        let outcome = method.build().sparsify(&black_box, &layout, &opts)?;
+        let outcome = method.sparsify(&black_box, &layout, &opts)?;
         let report = evaluate(method.name(), &outcome, &black_box, &eval_opts);
         println!("{}", report.row());
     }
