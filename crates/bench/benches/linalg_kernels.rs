@@ -17,7 +17,7 @@ use subsparse::linalg::rng::SmallRng;
 use subsparse::linalg::svd::svd;
 use subsparse::linalg::{LinOp, Mat, Triplets};
 use subsparse::sparsify::eval::format_ns;
-use subsparse::substrate::{EigenSolver, EigenSolverConfig, SubstrateSolver};
+use subsparse::substrate::{solver, EigenSolver, EigenSolverConfig, SubstrateSolver};
 use subsparse::Substrate;
 
 #[repr(C)]
@@ -139,6 +139,18 @@ fn main() {
     bench("eigen_solve_128", || {
         black_box(solver.solve(black_box(&e)));
     });
+
+    // one `solve_batch` of the matrix-free kernel black box on an
+    // irregular layout of the benchmark's ~3300-contact family: 32
+    // columns (a full extraction block) and 6 (a ragged width the
+    // wavelet extraction issues)
+    let fixture = solver::kernel(&generators::irregular_same_size(128.0, 64, 1.0, 11));
+    for (name, k) in [("kernel_solve_b32", 32), ("kernel_solve_b6", 6)] {
+        let v = Mat::from_fn(fixture.n_contacts(), k, |i, j| ((i * 7 + j * 13) % 29) as f64 - 14.0);
+        bench(name, || {
+            black_box(fixture.solve_batch(black_box(&v)));
+        });
+    }
 
     println!("\n== serving");
 

@@ -62,6 +62,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use subsparse_linalg::cg::CgResult;
+use subsparse_linalg::kernels::LANES;
 use subsparse_linalg::{exec, trace, Mat};
 
 /// Per-call solve instrumentation: counts the solves, opens the backend's
@@ -676,15 +677,50 @@ pub fn synthetic(layout: &subsparse_layout::Layout) -> DenseSolver {
 /// [`synthetic`]'s dense backing is 34 GB of f64 at `n = 65536`, which
 /// makes it the first out-of-memory step of any large-`n` extraction run
 /// long before the extraction pipeline itself matters. This solver keeps
-/// only the centroids, areas, and the (precomputed) diagonal; each
+/// only the centroid coordinates (as two arrays, `xs` and `ys`), the
+/// areas, and the (precomputed) diagonal; each
 /// [`solve_batch`](SubstrateSolver::solve_batch) recomputes every
 /// off-diagonal kernel value once and applies it to all RHS columns of
 /// the batch, so the kernel-evaluation cost is amortized across the
-/// batch width exactly like a dense gemm amortizes memory passes. That
-/// pair loop is compiled per SIMD [`Tier`](subsparse_linalg::simd::Tier)
-/// (`simd::tiered!`): the batch's columns are the lanes, and every tier
-/// gives the baseline bits. The pair distance is `sqrt(dx² + dy²)`, one
-/// instruction per pair on every tier.
+/// batch width exactly like a dense gemm amortizes memory passes.
+///
+/// # The pair loop
+///
+/// [`solve`](SubstrateSolver::solve) (`k = 1`) and
+/// [`solve_batch`](SubstrateSolver::solve_batch) run one pair loop,
+/// compiled per SIMD [`Tier`](subsparse_linalg::simd::Tier)
+/// (`simd::tiered!`):
+///
+/// * **padded panels** — the `k` voltage columns are packed panel-major:
+///   panel `c` holds rows `0..n` of columns `8c .. 8c + 8`, one
+///   `[f64; LANES]` per row ([`LANES`] = 8). A ragged last panel, and
+///   `k = 1`, is zero-padded; padded lanes are never read back;
+/// * **row blocks** — rows are taken four at a time (`ROW_BLOCK`). The
+///   triangle of pairs inside a block runs first, then the block meets
+///   every later row `j` once;
+/// * **tile evaluation** — for a tile of up to 256 later rows (`TILE`), the
+///   block rows' kernel values are evaluated into an on-stack tile, one
+///   lane per `j` (`kernel_row`), with the pair distance
+///   `sqrt(dx² + dy²)`;
+/// * **register-blocked update** — per panel, the block rows' `y` and
+///   `v` stay in `[f64; LANES]` arrays while the tile streams past, so a
+///   later row's `y` and `v` are loaded and stored once per block, not
+///   once per pair.
+///
+/// # Why every tier and every batch width give the same bits
+///
+/// Each response element `y[m]` is `diag[m]·v[m]` plus one product
+/// `G_mj·v[j]` per partner `j`, added in ascending `j`: the order of the
+/// plain index loop (`i` ascending, then `j > i` ascending, `y[i]` before
+/// `y[j]`). The blocked loop keeps that order. When a block starts, its
+/// rows hold every partner below the block. The triangle adds the
+/// partners inside the block in ascending order. The tail then adds each
+/// later row to the block rows `j` ascending, and the block rows to each
+/// later row `i` ascending. Every update is a multiply, then an add:
+/// rustc never contracts the two into an FMA, and the tiers do not enable
+/// `fma`. IEEE `sqrt`, `/`, `*` and `+` round the same in every lane, and
+/// lanes never mix, so a column's bits depend neither on the tier nor on
+/// the batch it rides in.
 ///
 /// [`synthetic`]'s matrix is built from these entries, so the two agree
 /// bit-for-bit; *responses* agree only to rounding (~1e-15 relative),
@@ -693,23 +729,55 @@ pub fn synthetic(layout: &subsparse_layout::Layout) -> DenseSolver {
 /// accumulate the diagonally dominant diagonal.
 #[derive(Clone, Debug)]
 pub struct KernelSolver {
-    centroids: Vec<(f64, f64)>,
+    xs: Vec<f64>,
+    ys: Vec<f64>,
     areas: Vec<f64>,
     diag: Vec<f64>,
     c0: f64,
 }
 
+/// Rows per block of [`KernelSolver`]'s pair loop: each later row's `y`
+/// and `v` are loaded and stored once per this many pairs.
+const ROW_BLOCK: usize = 4;
+
+/// Most later rows per kernel tile of the pair loop; the tile of
+/// `ROW_BLOCK x TILE` values (8 KB) lives on the stack.
+const TILE: usize = 256;
+
 impl KernelSolver {
     /// Off-diagonal kernel value `G_ij` (`i != j`), evaluated on demand.
-    #[inline]
+    #[inline(always)]
     fn off(&self, i: usize, j: usize) -> f64 {
-        pair_kernel(self.centroids[i], self.centroids[j], self.areas[i], self.areas[j], self.c0)
+        let (xs, ys, a) = (&self.xs, &self.ys, &self.areas);
+        pair_kernel(xs[i], ys[i], a[i], xs[j], ys[j], a[j], self.c0)
+    }
+
+    /// Runs the pair loop on the `k` voltage columns `col(0)..col(k)` and
+    /// returns the responses packed like the voltages (see [`panel_col`]).
+    fn apply<'a>(&self, k: usize, col: impl Fn(usize) -> &'a [f64]) -> Vec<f64> {
+        let n = self.n_contacts();
+        let mut vp = vec![0.0; k.div_ceil(LANES) * n * LANES];
+        for c in 0..k {
+            for (row, &v) in vp[c / LANES * n * LANES..].chunks_exact_mut(LANES).zip(col(c)) {
+                row[c % LANES] = v;
+            }
+        }
+        let mut yp = vec![0.0; vp.len()];
+        apply_panels(self, &vp, &mut yp);
+        yp
     }
 }
 
-/// The kernel's off-diagonal entry for contacts at centroids `ci`, `cj`
-/// with areas `ai`, `aj`: `-ai aj / (c0 + d^3)`, `d` the centroid
-/// distance. Every evaluation of the kernel goes through it, so
+/// Column `c` of `n`-row vectors packed in zero-padded panels: panel
+/// `c / LANES` holds rows `0..n`, one `[f64; LANES]` each, and the column
+/// is lane `c % LANES`.
+fn panel_col(packed: &[f64], n: usize, c: usize) -> impl Iterator<Item = f64> + '_ {
+    packed[c / LANES * n * LANES..].chunks_exact(LANES).take(n).map(move |row| row[c % LANES])
+}
+
+/// The kernel's off-diagonal entry for contacts at `(xi, yi)` and
+/// `(xj, yj)` with areas `ai`, `aj`: `-ai aj / (c0 + d^3)`, `d` the
+/// centroid distance. Every evaluation of the kernel goes through it, so
 /// [`synthetic`]'s stored entries and [`KernelSolver`]'s on-demand ones
 /// share their bits.
 ///
@@ -717,42 +785,118 @@ impl KernelSolver {
 /// layout's extent, so the squares cannot overflow and `hypot`'s scaling
 /// buys nothing, while `sqrt` is one instruction the SIMD tiers inline.
 #[inline(always)]
-fn pair_kernel(ci: (f64, f64), cj: (f64, f64), ai: f64, aj: f64, c0: f64) -> f64 {
-    let (dx, dy) = (ci.0 - cj.0, ci.1 - cj.1);
+fn pair_kernel(xi: f64, yi: f64, ai: f64, xj: f64, yj: f64, aj: f64, c0: f64) -> f64 {
+    let (dx, dy) = (xi - xj, yi - yj);
     let d = (dx * dx + dy * dy).sqrt();
     -ai * aj / (c0 + d * d * d)
 }
 
+/// `out[t] = G_{i, j0+t}` for every `t`: row `i`'s kernel values against
+/// the contiguous rows `j0..j0 + out.len()`, one lane per `j` at the
+/// caller's tier. The pair loop's tiles and [`kernel`]'s diagonal pass
+/// both evaluate the kernel here.
+#[inline(always)]
+fn kernel_row(s: &KernelSolver, i: usize, j0: usize, out: &mut [f64]) {
+    let (xi, yi, ai) = (s.xs[i], s.ys[i], s.areas[i]);
+    let j1 = j0 + out.len();
+    let js = s.xs[j0..j1].iter().zip(&s.ys[j0..j1]).zip(&s.areas[j0..j1]);
+    for (g, ((&xj, &yj), &aj)) in out.iter_mut().zip(js) {
+        *g = pair_kernel(xi, yi, ai, xj, yj, aj, s.c0);
+    }
+}
+
 subsparse_linalg::simd::tiered! {
-    /// Applies [`KernelSolver`]'s operator to `k` row-major-packed
-    /// vectors, compiled per [`Tier`](subsparse_linalg::simd::Tier) with
-    /// [`pair_kernel`] inlined: `vr`/`yr` hold row `i`'s `k` values at
-    /// `[i*k .. (i+1)*k]`. Each off-diagonal kernel value is computed once
-    /// per symmetric pair (`i` ascending, then `j > i` ascending) and
-    /// applied to both rows across all `k` columns, `yi` before `yj` —
-    /// contiguous `k`-length updates whose lanes never mix.
-    fn apply_rows(s: &KernelSolver, vr: &[f64], yr: &mut [f64], k: usize) {
-        if k == 0 {
+    /// [`KernelSolver`]'s pair loop (its docs give the blocking and why
+    /// the bits hold) on voltages `vp` packed in zero-padded panels of
+    /// `n` rows by `LANES` columns, writing the responses, packed the
+    /// same way, into `yp`.
+    fn apply_panels(s: &KernelSolver, vp: &[f64], yp: &mut [f64]) {
+        let n = s.diag.len();
+        let len = n * LANES;
+        if len == 0 {
             return;
         }
-        for ((yi, vi), d) in yr.chunks_exact_mut(k).zip(vr.chunks_exact(k)).zip(&s.diag) {
-            for (y, v) in yi.iter_mut().zip(vi) {
-                *y = d * v;
-            }
-        }
-        let (centroids, areas) = (&s.centroids[..], &s.areas[..]);
-        for (i, (&ci, &ai)) in centroids.iter().zip(areas).enumerate() {
-            // split_at_mut: row i borrowed alongside rows j > i
-            let (head, tail) = yr.split_at_mut((i + 1) * k);
-            let (yi, (vi, vt)) = (&mut head[i * k..], vr[i * k..].split_at(k));
-            let rest = centroids[i + 1..].iter().zip(&areas[i + 1..]);
-            for ((yj, vj), (&cj, &aj)) in tail.chunks_exact_mut(k).zip(vt.chunks_exact(k)).zip(rest) {
-                let g = pair_kernel(ci, cj, ai, aj, s.c0);
-                for (((yic, vjc), yjc), vic) in yi.iter_mut().zip(vj).zip(yj.iter_mut()).zip(vi) {
-                    *yic += g * vjc;
-                    *yjc += g * vic;
+        for (yq, vq) in yp.chunks_exact_mut(len).zip(vp.chunks_exact(len)) {
+            for ((y, v), d) in yq.chunks_exact_mut(LANES).zip(vq.chunks_exact(LANES)).zip(&s.diag) {
+                for (y, v) in y.iter_mut().zip(v) {
+                    *y = d * v;
                 }
             }
+        }
+        let mut g = [[0.0; TILE]; ROW_BLOCK];
+        for i0 in (0..n).step_by(ROW_BLOCK) {
+            let i1 = (i0 + ROW_BLOCK).min(n);
+            // the triangle inside the block, in the index loop's order
+            for (yq, vq) in yp.chunks_exact_mut(len).zip(vp.chunks_exact(len)) {
+                for i in i0..i1 {
+                    for j in i + 1..i1 {
+                        let gij = s.off(i, j);
+                        let (head, tail) = yq.split_at_mut(j * LANES);
+                        let (yi, yj) = (&mut head[i * LANES..][..LANES], &mut tail[..LANES]);
+                        let (vi, vj) = (&vq[i * LANES..][..LANES], &vq[j * LANES..][..LANES]);
+                        for l in 0..LANES {
+                            yi[l] += gij * vj[l];
+                            yj[l] += gij * vi[l];
+                        }
+                    }
+                }
+            }
+            // the block against every later row, one tile at a time (only
+            // the last block can be short, and it has no later rows)
+            for j0 in (i1..n).step_by(TILE) {
+                let m = (n - j0).min(TILE);
+                for (r, gr) in g.iter_mut().enumerate() {
+                    kernel_row(s, i0 + r, j0, &mut gr[..m]);
+                }
+                for (yq, vq) in yp.chunks_exact_mut(len).zip(vp.chunks_exact(len)) {
+                    let (yb, yt) = yq.split_at_mut(i1 * LANES);
+                    let mut yi = [[0.0; LANES]; ROW_BLOCK];
+                    let mut vi = [[0.0; LANES]; ROW_BLOCK];
+                    for (r, (y, v)) in yi.iter_mut().zip(&mut vi).enumerate() {
+                        y.copy_from_slice(&yb[(i0 + r) * LANES..][..LANES]);
+                        v.copy_from_slice(&vq[(i0 + r) * LANES..][..LANES]);
+                    }
+                    let yt = yt[(j0 - i1) * LANES..][..m * LANES].chunks_exact_mut(LANES);
+                    let vt = vq[j0 * LANES..][..m * LANES].chunks_exact(LANES);
+                    for (t, (yj, vj)) in yt.zip(vt).enumerate() {
+                        let mut acc = [0.0; LANES];
+                        acc.copy_from_slice(yj);
+                        for (r, gr) in g.iter().enumerate() {
+                            let gt = gr[t];
+                            for l in 0..LANES {
+                                yi[r][l] += gt * vj[l];
+                                acc[l] += gt * vi[r][l];
+                            }
+                        }
+                        yj.copy_from_slice(&acc);
+                    }
+                    for (r, y) in yi.iter().enumerate() {
+                        yb[(i0 + r) * LANES..][..LANES].copy_from_slice(y);
+                    }
+                }
+            }
+        }
+    }
+}
+
+subsparse_linalg::simd::tiered! {
+    /// `off[i] = Σ_{j≠i} |G_ij|`, the row sums behind [`kernel`]'s
+    /// diagonal, in the order of the plain pair loop: row `i`'s values
+    /// against every `j > i` are evaluated into one row (`kernel_row`),
+    /// added elementwise to each `off[j]` (so `off[j]` gains `i`
+    /// ascending), and summed into `off[i]` one add per `j`, ascending.
+    fn off_sums(s: &KernelSolver, off: &mut [f64]) {
+        let n = off.len();
+        let mut row = vec![0.0; n];
+        for i in 0..n {
+            let gi = &mut row[i + 1..];
+            kernel_row(s, i, i + 1, gi);
+            let (head, tail) = off.split_at_mut(i + 1);
+            for (o, g) in tail.iter_mut().zip(gi.iter_mut()) {
+                *g = g.abs();
+                *o += *g;
+            }
+            head[i] = gi.iter().fold(head[i], |acc, g| acc + g);
         }
     }
 }
@@ -763,11 +907,11 @@ impl SubstrateSolver for KernelSolver {
     }
 
     fn solve(&self, contact_voltages: &[f64]) -> Vec<f64> {
-        assert_eq!(contact_voltages.len(), self.n_contacts(), "voltage vector length mismatch");
+        let n = self.n_contacts();
+        assert_eq!(contact_voltages.len(), n, "voltage vector length mismatch");
         let _t = SolveTrace::begin("solve.kernel", 1);
-        let mut y = vec![0.0; contact_voltages.len()];
-        apply_rows(self, contact_voltages, &mut y, 1);
-        y
+        let yp = self.apply(1, |_| contact_voltages);
+        panel_col(&yp, n, 0).collect()
     }
 
     fn solve_batch(&self, voltages: &Mat) -> Mat {
@@ -775,23 +919,11 @@ impl SubstrateSolver for KernelSolver {
         assert_eq!(voltages.n_rows(), n, "voltage block row mismatch");
         let k = voltages.n_cols();
         let _t = SolveTrace::begin("solve_batch.kernel", k);
-        // transpose into row-major packing (k == 1 is already both), so
-        // the pair loop runs contiguous k-length updates; columns come
-        // out bit-identical to the serial loop because every column sees
-        // the exact per-pair accumulation order of `solve`
-        let mut vr = vec![0.0; n * k];
-        for j in 0..k {
-            let col = voltages.col(j);
-            for i in 0..n {
-                vr[i * k + j] = col[i];
-            }
-        }
-        let mut yr = vec![0.0; n * k];
-        apply_rows(self, &vr, &mut yr, k);
+        let yp = self.apply(k, |c| voltages.col(c));
         let mut out = Mat::zeros(n, k);
-        for (j, col) in out.cols_mut().enumerate() {
-            for (i, y) in col.iter_mut().enumerate() {
-                *y = yr[i * k + j];
+        for (c, col) in out.cols_mut().enumerate() {
+            for (y, v) in col.iter_mut().zip(panel_col(&yp, n, c)) {
+                *y = v;
             }
         }
         out
@@ -812,25 +944,16 @@ impl HasSolveStats for KernelSolver {
 /// would not fit (or would dominate the run's memory) — the entries are
 /// identical; only response rounding (summation order) differs.
 pub fn kernel(layout: &subsparse_layout::Layout) -> KernelSolver {
-    let n = layout.n_contacts();
-    let centroids: Vec<(f64, f64)> = layout.contacts().iter().map(|c| c.centroid()).collect();
+    let (xs, ys): (Vec<f64>, Vec<f64>) = layout.contacts().iter().map(|c| c.centroid()).unzip();
     let areas: Vec<f64> = layout.contacts().iter().map(|c| c.area()).collect();
     let (a, _) = layout.extent();
     let c0 = (a / 64.0).powi(3).max(1e-9);
-    let mut solver = KernelSolver { centroids, areas, diag: vec![0.0; n], c0 };
+    let mut solver = KernelSolver { xs, ys, areas, diag: Vec::new(), c0 };
     // one streaming pass for the diagonally dominant diagonal: each
     // symmetric pair contributes |G_ij| to both row sums
-    let mut off = vec![0.0; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let g = solver.off(i, j).abs();
-            off[i] += g;
-            off[j] += g;
-        }
-    }
-    for i in 0..n {
-        solver.diag[i] = 1.25 * off[i] + 0.05 * solver.areas[i];
-    }
+    let mut off = vec![0.0; solver.areas.len()];
+    off_sums(&solver, &mut off);
+    solver.diag = off.iter().zip(&solver.areas).map(|(o, a)| 1.25 * o + 0.05 * a).collect();
     solver
 }
 
@@ -1034,8 +1157,9 @@ mod tests {
         });
     }
 
-    /// [`apply_rows`] as the index loop it replaced, the order it keeps:
-    /// pairs `i` then `j > i`, and per column `yi` before `yj`.
+    /// The pair loop as the plain index loop it replaced, the order it
+    /// keeps: pairs `i` then `j > i`, and per column `yi` before `yj`.
+    /// `vr`/`yr` hold row `i`'s `k` values at `[i*k .. (i+1)*k]`.
     fn apply_rows_scalar(s: &KernelSolver, vr: &[f64], yr: &mut [f64], k: usize) {
         let n = s.diag.len();
         for i in 0..n {
@@ -1054,30 +1178,99 @@ mod tests {
         }
     }
 
+    /// The first `n` contacts of `s`, diagonal entries included: a solver
+    /// of any size for the pair loop's edge cases.
+    fn prefix(s: &KernelSolver, n: usize) -> KernelSolver {
+        KernelSolver {
+            xs: s.xs[..n].to_vec(),
+            ys: s.ys[..n].to_vec(),
+            areas: s.areas[..n].to_vec(),
+            diag: s.diag[..n].to_vec(),
+            c0: s.c0,
+        }
+    }
+
     #[test]
     fn apply_rows_matches_the_scalar_loop_on_every_tier() {
-        let layout = subsparse_layout::generators::irregular_same_size(128.0, 16, 2.0, 5);
-        let mf = kernel(&layout);
-        let n = mf.n_contacts();
-        assert!(n > 100, "n = {n}");
+        use subsparse_layout::generators;
+        // 23 x 23 contacts: more than two tiles of later rows, and a
+        // short last row block
+        let big = kernel(&generators::regular_grid(128.0, 23, 2.0));
+        let n = big.n_contacts();
+        assert!(n > 2 * TILE && !n.is_multiple_of(ROW_BLOCK), "n = {n}");
+        let irregular = kernel(&generators::irregular_same_size(128.0, 16, 2.0, 5));
+        // n <= 5: no full row block, or one and a short one
+        let mut solvers: Vec<KernelSolver> = (1..=5).map(|n| prefix(&irregular, n)).collect();
+        solvers.extend([big, irregular]);
         let tiers = subsparse_linalg::simd::each_tier(|tier| {
-            for k in [1, 3, 8, 32, 33] {
-                let vr: Vec<f64> =
-                    (0..n * k).map(|t| ((t * 13 + 5) as f64 * 0.173).sin()).collect();
-                let (mut want, mut got) = (vec![0.0; n * k], vec![f64::NAN; n * k]);
-                apply_rows_scalar(&mf, &vr, &mut want, k);
-                apply_rows(&mf, &vr, &mut got, k);
-                for (t, (a, b)) in got.iter().zip(&want).enumerate() {
-                    let (i, c) = (t / k, t % k);
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{tier:?}, k = {k}, ({i},{c}): {a} vs {b}"
-                    );
+            for s in &solvers {
+                let n = s.n_contacts();
+                for k in [1, 3, 7, 8, 9, 32, 33] {
+                    let block =
+                        Mat::from_fn(n, k, |i, c| (((i * k + c) * 13 + 5) as f64 * 0.173).sin());
+                    let vr: Vec<f64> = (0..n * k).map(|t| block[(t / k, t % k)]).collect();
+                    let mut want = vec![0.0; n * k];
+                    apply_rows_scalar(s, &vr, &mut want, k);
+                    let got = s.solve_batch(&block);
+                    for (t, b) in want.iter().enumerate() {
+                        let (i, c) = (t / k, t % k);
+                        let a = got[(i, c)];
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{tier:?}, n = {n}, k = {k}, ({i},{c}): {a} vs {b}"
+                        );
+                    }
+                    if k == 1 {
+                        let single = s.solve(block.col(0));
+                        assert_eq!(single, got.col(0), "{tier:?}, n = {n}: solve vs solve_batch");
+                    }
                 }
             }
         });
         println!("kernel pair loop tiers exercised: {tiers:?}");
+    }
+
+    /// `kernel`'s diagonal pass as the index loop it replaced: each pair's
+    /// `|G_ij|` added to `off[i]`, then to `off[j]`, pairs `i` then
+    /// `j > i`.
+    fn diag_scalar(s: &KernelSolver) -> Vec<f64> {
+        let n = s.areas.len();
+        let mut off = vec![0.0; n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let g = s.off(i, j).abs();
+                off[i] += g;
+                off[j] += g;
+            }
+        }
+        (0..n).map(|i| 1.25 * off[i] + 0.05 * s.areas[i]).collect()
+    }
+
+    #[test]
+    fn kernel_diag_matches_the_scalar_pass_on_every_tier() {
+        use subsparse_layout::{generators, Layout};
+        let mut layouts: Vec<Layout> = ["a", "a.b", "a.b.c", "a.b.c.d", "a.b.c.d.e"]
+            .iter()
+            .map(|art| Layout::from_ascii(8.0, 8.0, art))
+            .collect();
+        layouts.push(generators::regular_grid(128.0, 23, 2.0));
+        layouts.push(generators::irregular_same_size(128.0, 16, 2.0, 5));
+        layouts.push(generators::mixed_shapes(128.0));
+        subsparse_linalg::simd::each_tier(|tier| {
+            for layout in &layouts {
+                let s = kernel(layout);
+                let n = s.n_contacts();
+                assert_eq!(n, layout.n_contacts());
+                for (i, (a, b)) in s.diag.iter().zip(diag_scalar(&s)).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{tier:?}, n = {n}, diag[{i}]: {a} vs {b}"
+                    );
+                }
+            }
+        });
     }
 
     #[test]
