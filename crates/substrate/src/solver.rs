@@ -736,8 +736,8 @@ pub struct KernelSolver {
     c0: f64,
 }
 
-/// Rows per block of [`KernelSolver`]'s pair loop: each later row's `y`
-/// and `v` are loaded and stored once per this many pairs.
+/// Rows per block of [`KernelSolver`]'s pair loop: each later row's `v`
+/// is loaded, and its `y` loaded and stored, once per this many pairs.
 const ROW_BLOCK: usize = 4;
 
 /// Most later rows per kernel tile of the pair loop; the tile of
@@ -752,8 +752,9 @@ impl KernelSolver {
         pair_kernel(xs[i], ys[i], a[i], xs[j], ys[j], a[j], self.c0)
     }
 
-    /// Runs the pair loop on the `k` voltage columns `col(0)..col(k)` and
-    /// returns the responses packed like the voltages (see [`panel_col`]).
+    /// Runs the pair loop on the `k` voltage columns `col(0)`, …,
+    /// `col(k - 1)` and returns the responses packed like the voltages
+    /// (see [`panel_col`]).
     fn apply<'a>(&self, k: usize, col: impl Fn(usize) -> &'a [f64]) -> Vec<f64> {
         let n = self.n_contacts();
         let mut vp = vec![0.0; k.div_ceil(LANES) * n * LANES];
