@@ -22,7 +22,6 @@
 //! and the `benchmark/` package is the end-to-end gate. Its one
 //! kernel-level stopwatch is the `linalg_kernels` bench.
 
-pub mod batch;
 pub mod examples;
 pub mod figures;
 pub mod method_matrix;

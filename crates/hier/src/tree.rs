@@ -323,6 +323,59 @@ impl Quadtree {
         out
     }
 
+    /// The combine-solves grouping of §3.5 (Fig 3-5): partitions every
+    /// `(s, m)` with `m < count(s)` over the squares `s` of `level` into
+    /// groups whose members are solved as one summed vector.
+    ///
+    /// A group is `(squares, m)`: the squares sharing one phase
+    /// `(ix mod k, iy mod k)`, `k = min(spacing, side)`, that hold an
+    /// `m`-th vector, in [`squares`](Self::squares) order. Groups come
+    /// phase by phase (`ix` phase outer, then `iy` phase), `m` ascending
+    /// within a phase. Spacing 0 gives one singleton group per `(s, m)`,
+    /// `s` in `squares` order and `m` ascending: one solve per vector, the
+    /// reference mode.
+    pub fn combine_groups(
+        &self,
+        level: usize,
+        spacing: usize,
+        count: impl Fn(Square) -> usize,
+    ) -> Vec<(Vec<Square>, usize)> {
+        let side = self.side(level);
+        let counts: Vec<usize> = self.squares(level).map(count).collect();
+        // `side >= 1`, so `min` keeps 0 (no combining) as 0. Computed
+        // unconditionally on purpose: a `min` reached only when
+        // `spacing != 0` let rustc 1.95's LLVM tag its argument
+        // `range(1, 0)`, speculate the call out of that branch with the
+        // tag kept, and then fold `spacing == 0` to false — so under
+        // `--release` the no-combining path ran the combining loops with
+        // `spacing == 0` and never terminated.
+        let spacing = spacing.min(side);
+        let mut groups = Vec::new();
+        if spacing == 0 {
+            for s in self.squares(level) {
+                groups.extend((0..counts[s.flat()]).map(|m| (vec![s], m)));
+            }
+            return groups;
+        }
+        let max = counts.iter().copied().max().unwrap_or(0);
+        for pi in 0..spacing {
+            for pj in 0..spacing {
+                for m in 0..max {
+                    let group: Vec<Square> = (pj..side)
+                        .step_by(spacing)
+                        .flat_map(|iy| (pi..side).step_by(spacing).map(move |ix| (ix, iy)))
+                        .map(|(ix, iy)| Square::new(level, ix, iy))
+                        .filter(|s| m < counts[s.flat()])
+                        .collect();
+                    if !group.is_empty() {
+                        groups.push((group, m));
+                    }
+                }
+            }
+        }
+        groups
+    }
+
     /// Contact indices of a whole region (union of squares), sorted.
     pub fn region_contacts(&self, squares: &[Square]) -> Vec<u32> {
         let mut out = Vec::new();
@@ -465,6 +518,95 @@ mod tests {
         let o2 = t.squares_morton(2);
         for s in &o2[..4] {
             assert_eq!(s.parent().unwrap(), Square::new(1, 0, 0));
+        }
+    }
+
+    /// A 16x16-square tree (level 4), every square holding one contact.
+    fn tree16() -> Quadtree {
+        let layout = generators::regular_grid(128.0, 16, 2.0);
+        Quadtree::new(&layout, 4).unwrap()
+    }
+
+    /// A deterministic uneven vector count per square, zero on some.
+    fn uneven(s: Square) -> usize {
+        (s.ix as usize * 7 + s.iy as usize * 3) % 4
+    }
+
+    #[test]
+    fn combine_groups_partition_by_phase() {
+        let t = tree16();
+        for level in 0..=4 {
+            let side = t.side(level);
+            for spacing in [1, 2, 3, 4, 6, 40] {
+                let groups = t.combine_groups(level, spacing, uneven);
+                let k = spacing.min(side);
+                let mut seen = vec![vec![0usize; 4]; side * side];
+                for (group, m) in &groups {
+                    assert!(!group.is_empty());
+                    let phase = (group[0].ix as usize % k, group[0].iy as usize % k);
+                    for s in group {
+                        assert_eq!(s.level as usize, level);
+                        assert!(*m < uneven(*s), "{s:?} has no vector {m}");
+                        assert_eq!((s.ix as usize % k, s.iy as usize % k), phase);
+                        seen[s.flat()][*m] += 1;
+                    }
+                    // members in `squares` order
+                    assert!(group.windows(2).all(|w| w[0].flat() < w[1].flat()));
+                }
+                for s in t.squares(level) {
+                    for m in 0..4 {
+                        let want = usize::from(m < uneven(s));
+                        assert_eq!(seen[s.flat()][m], want, "{s:?} m {m} spacing {spacing}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn combine_groups_spacing_zero_is_singletons_in_order() {
+        let t = tree16();
+        let groups = t.combine_groups(3, 0, uneven);
+        let want: Vec<(Vec<Square>, usize)> =
+            t.squares(3).flat_map(|s| (0..uneven(s)).map(move |m| (vec![s], m))).collect();
+        assert_eq!(groups, want);
+    }
+
+    /// Grouping children by (parent phase mod `k`, child index) is the
+    /// grouping by child phase mod `2k`, because
+    /// `ix mod 2k = 2 (pix mod k) + cx`; clamping holds too, as
+    /// `min(2k, 2 side_p) = 2 min(k, side_p)`.
+    #[test]
+    fn combine_groups_of_children_match_parent_phase_grouping() {
+        let t = tree16();
+        // child level 4 under parent side 8, and child level 2 under
+        // parent side 2 (parent spacing 3 clamps to 2)
+        for child_level in [4, 2] {
+            let parent_side = t.side(child_level - 1);
+            let k = 3usize.min(parent_side);
+            let mut by_parent: Vec<Vec<Square>> = Vec::new();
+            for pi in 0..k {
+                for pj in 0..k {
+                    for child in 0..4 {
+                        let group: Vec<Square> = t
+                            .squares(child_level)
+                            .filter(|s| {
+                                let p = s.parent().unwrap();
+                                (p.ix as usize % k, p.iy as usize % k) == (pi, pj)
+                                    && (s.iy as usize & 1) << 1 | (s.ix as usize & 1) == child
+                            })
+                            .collect();
+                        if !group.is_empty() {
+                            by_parent.push(group);
+                        }
+                    }
+                }
+            }
+            let mut by_child: Vec<Vec<Square>> =
+                t.combine_groups(child_level, 2 * 3, |_| 1).into_iter().map(|(g, _)| g).collect();
+            by_parent.sort();
+            by_child.sort();
+            assert_eq!(by_parent, by_child, "child level {child_level}");
         }
     }
 

@@ -6,61 +6,21 @@
 //! The failpoint registry is process-global, so every test serializes on
 //! one mutex and leaves the registry disarmed.
 
+mod common;
+
 use std::sync::Mutex;
 
-use subsparse_hier::fwt::{FwtLevel, FwtNode};
+use common::example_rep;
 use subsparse_hier::rep::ModelLoadError;
-use subsparse_hier::{BasisRep, FastWaveletTransform};
+use subsparse_hier::BasisRep;
 use subsparse_linalg::faults::{self, Failpoint, FireMode};
-use subsparse_linalg::{trace, Csr, Mat, ParallelApply, Triplets};
+use subsparse_linalg::{trace, Mat, ParallelApply};
 
 static FAULTS_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     // a panicking test must not wedge the rest of the suite
     FAULTS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// A full binary Haar transform on `n = 2^k` contacts (the
-/// `trace_overhead` fixture): `log2(n)` levels of 2→1 pairing blocks.
-fn binary_haar(n: usize) -> FastWaveletTransform {
-    assert!(n.is_power_of_two() && n >= 2);
-    let r = 0.5f64.sqrt();
-    let mut blocks = Vec::new();
-    let mut levels = Vec::new();
-    let mut m = n;
-    while m >= 2 {
-        let half = m / 2;
-        let base = blocks.len();
-        let nodes = (0..half)
-            .map(|s| FwtNode {
-                in_offset: 2 * s,
-                in_len: 2,
-                v_cols: 1,
-                w_cols: 1,
-                out_offset: s,
-                col_start: half + s,
-                block_offset: base + 4 * s,
-            })
-            .collect();
-        for _ in 0..half {
-            blocks.extend_from_slice(&[r, r, r, -r]);
-        }
-        levels.push(FwtLevel { nodes, coeff_len: half });
-        m = half;
-    }
-    FastWaveletTransform::from_parts(n, 1, levels, (0..n as u32).collect(), blocks)
-        .expect("valid binary haar transform")
-}
-
-fn example_rep(n: usize) -> BasisRep {
-    let mut t = Triplets::new(n, n);
-    for i in 0..n {
-        t.push(i, i, 2.0 + (i % 7) as f64 * 0.1);
-        t.push(i, (i + 1) % n, -0.4);
-        t.push(i, (i + 17) % n, -0.2);
-    }
-    BasisRep::with_fwt(Csr::identity(n), t.to_csr(), binary_haar(n))
 }
 
 fn excitation(n: usize, b: usize) -> Mat {

@@ -15,81 +15,20 @@
 //! time out of a thread's CPU clock, so it cannot land on one side of the
 //! ratio.
 
-use std::ffi::c_long;
+mod common;
+
 use std::hint::black_box;
 
-use subsparse_hier::fwt::{FwtLevel, FwtNode};
-use subsparse_hier::{BasisRep, FastWaveletTransform};
-use subsparse_linalg::{trace, ApplyWorkspace, CouplingOp, Csr, Triplets};
-
-#[repr(C)]
-struct Timespec {
-    tv_sec: c_long,
-    tv_nsec: c_long,
-}
-
-/// `CLOCK_THREAD_CPUTIME_ID` on Linux.
-const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
-
-extern "C" {
-    fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
-}
-
-/// CPU seconds the calling thread has run so far.
-fn thread_cpu_s() -> f64 {
-    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
-    // SAFETY: `ts` is a valid, writable `timespec` for the call.
-    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
-    assert_eq!(rc, 0, "the thread CPU clock is unavailable");
-    ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
-}
-
-/// A full binary Haar transform on `n = 2^k` contacts: every level pairs
-/// adjacent scaling coefficients into one scaling + one wavelet output,
-/// down to a single root scaling coefficient — `log2(n)` levels, the
-/// deepest tree the serving path can see at this size.
-fn binary_haar(n: usize) -> FastWaveletTransform {
-    assert!(n.is_power_of_two() && n >= 2);
-    let r = 0.5f64.sqrt();
-    let mut blocks = Vec::new();
-    let mut levels = Vec::new();
-    let mut m = n;
-    while m >= 2 {
-        let half = m / 2;
-        let base = blocks.len();
-        let nodes = (0..half)
-            .map(|s| FwtNode {
-                in_offset: 2 * s,
-                in_len: 2,
-                v_cols: 1,
-                w_cols: 1,
-                out_offset: s,
-                col_start: half + s,
-                block_offset: base + 4 * s,
-            })
-            .collect();
-        for _ in 0..half {
-            blocks.extend_from_slice(&[r, r, r, -r]); // column-major [v | w]
-        }
-        levels.push(FwtLevel { nodes, coeff_len: half });
-        m = half;
-    }
-    FastWaveletTransform::from_parts(n, 1, levels, (0..n as u32).collect(), blocks)
-        .expect("valid binary haar transform")
-}
+use common::{banded_gw, binary_haar, median, thread_cpu_s};
+use subsparse_hier::BasisRep;
+use subsparse_linalg::{trace, ApplyWorkspace, CouplingOp, Csr};
 
 #[test]
 fn disabled_recorder_overhead_under_two_percent() {
     assert!(!trace::enabled(), "trace recorder must ship disabled");
     let n = 1024;
     let fwt = binary_haar(n);
-    let mut t = Triplets::new(n, n);
-    for i in 0..n {
-        t.push(i, i, 2.0 + (i % 7) as f64 * 0.1);
-        t.push(i, (i + 1) % n, -0.4);
-        t.push(i, (i + 17) % n, -0.2);
-    }
-    let gw = t.to_csr();
+    let gw = banded_gw(n);
     let rep = BasisRep::with_fwt(Csr::identity(n), gw.clone(), fwt.clone());
     assert_eq!(rep.kind(), "basis-rep-fwt");
 
@@ -133,8 +72,7 @@ fn disabled_recorder_overhead_under_two_percent() {
         }
         ratios.push(inst / ctrl);
     }
-    ratios.sort_by(f64::total_cmp);
-    let ratio = ratios[BATCHES / 2];
+    let ratio = median(&mut ratios);
 
     // both sides computed the same product (the control really is the
     // same arithmetic, not a cheaper stand-in)

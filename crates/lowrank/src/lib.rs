@@ -13,11 +13,14 @@
 //! 1. **Coarse-to-fine sweep** ([`rowbasis`]): build the multilevel
 //!    row-basis representation — per square, the basis `V_s` and the
 //!    responses `G_{P_s,s} V_s` over the local-plus-interactive region,
-//!    plus explicit finest-level local blocks. Black-box solves are shared
-//!    across squares with the combine-solves grouping of §3.5 and split
-//!    through parent row bases (eq. 4.22/4.24), so only `O(log n)` solves
-//!    are needed. The result, [`RowBasisRep`], can already apply `G` in
-//!    `O(n log n)` operations (eq. 4.16).
+//!    plus explicit finest-level local blocks. One loop runs every level
+//!    from 2 to the finest: sample, respond, build the row bases, respond
+//!    to them. Level 2 solves directly; finer levels split through the
+//!    parent row bases (eq. 4.22/4.24) and share black-box solves across
+//!    squares with the wavelet method's combine-solves grouping of §3.5
+//!    ([`Quadtree::combine_groups`](subsparse_hier::Quadtree::combine_groups)),
+//!    so only `O(log n)` solves are needed. The result, [`RowBasisRep`],
+//!    can already apply `G` in `O(n log n)` operations (eq. 4.16).
 //! 2. **Fine-to-coarse sweep** ([`sweep`]): recombine slow-decaying basis
 //!    functions into the orthogonal wavelet-like `Q` (eq. 4.27) and
 //!    assemble the sparse `Gw`, yielding the same `G ~ Q Gw Q'` form as the
@@ -62,8 +65,9 @@ pub const MAX_RANK: usize = 6;
 /// Tuning parameters of the low-rank method.
 #[derive(Clone, Copy, Debug)]
 pub struct LowRankOptions {
-    /// Combine-solves square separation (3 in the thesis; 0 disables
-    /// combining, costing one solve per split vector).
+    /// Combine-solves square separation (3 in the thesis). 0 solves every
+    /// level directly, as level 2 always is: the reference mode, at one
+    /// solve per vector.
     pub spacing: usize,
     /// Seed for the deterministic sample-vector generator (one random
     /// sample vector per square, as in the thesis).

@@ -9,12 +9,15 @@
 //! `G^{(f)}_{L_s,s}` (eq. 4.26). Together these suffice to apply `G`
 //! approximately in `O(n log n)` operations (eq. 4.16, §4.3.2).
 //!
-//! Construction costs `O(log n)` black-box solves: the coarsest level is
-//! solved directly (a constant number of squares); finer levels reuse the
-//! parent-level row bases via the *splitting* identity (eq. 4.22), sending
-//! only the parent-orthogonal remainders to the solver, grouped with the
-//! combine-solves technique of §3.5 and refined at each local destination
-//! with eq. (4.24).
+//! Construction costs `O(log n)` black-box solves. One loop runs every
+//! level, coarse to fine: draw one random sample per square, get the
+//! samples' responses, SVD the sampled interactions into row bases, get
+//! the row bases' responses. Level 2 (a constant number of squares)
+//! solves each vector directly. Finer levels reuse the parent-level row
+//! bases via the *splitting* identity (eq. 4.22), sending only the
+//! parent-orthogonal remainders to the solver, grouped with the
+//! combine-solves technique of §3.5 ([`Quadtree::combine_groups`]) and
+//! refined at each local destination with eq. (4.24).
 
 use subsparse_linalg::rng::SmallRng;
 
@@ -118,80 +121,79 @@ impl RowBasisRep {
         let mut i = vec![0.0; self.n];
         for lev in 2..=finest {
             for s in tree.squares(lev) {
-                let cs = tree.contacts_in_square(s);
-                if cs.is_empty() {
-                    continue;
-                }
-                let sd = &self.squares[lev][s.flat()];
-                let vs: Vec<f64> = cs.iter().map(|&ci| v[ci as usize]).collect();
+                let vs = restrict(v, tree.contacts_in_square(s));
                 if vs.iter().all(|&x| x == 0.0) {
                     continue;
                 }
-                // coeff = V_s' v_s ; resid = v_s - V_s coeff
-                let coeff = sd.v.matvec_t(&vs);
-                let mut resid = vs.clone();
-                let smooth = sd.v.matvec(&coeff);
-                for (r, sm) in resid.iter_mut().zip(&smooth) {
-                    *r -= sm;
-                }
-                // term 1: (G_{P_s,s} V_s)^{(r)} coeff, restricted to I_s
-                if sd.v.n_cols() > 0 {
-                    let t1 = sd.resp_v.matvec(&coeff);
-                    for d in tree.interactive(s) {
-                        for &ci in tree.contacts_in_square(d) {
-                            let k = sd
-                                .p_contacts
-                                .binary_search(&ci)
-                                .expect("interactive contact must be in P_s");
-                            i[ci as usize] += t1[k];
-                        }
-                    }
-                }
-                // term 2: V_d (G_{s,d} V_d)^{(r)}' resid, for d in I_s
-                for d in tree.interactive(s) {
-                    let dd = &self.squares[lev][d.flat()];
-                    if dd.v.n_cols() == 0 {
-                        continue;
-                    }
-                    let dcs = tree.contacts_in_square(d);
-                    if dcs.is_empty() {
-                        continue;
-                    }
-                    // rows of resp_v(d) belonging to s's contacts
-                    let mut alpha = vec![0.0; dd.v.n_cols()];
-                    for (r, &ci) in cs.iter().enumerate() {
-                        let k = dd
-                            .p_contacts
-                            .binary_search(&ci)
-                            .expect("source contact must be in P_d");
-                        for (j, a) in alpha.iter_mut().enumerate() {
-                            *a += dd.resp_v[(k, j)] * resid[r];
-                        }
-                    }
-                    let contrib = dd.v.matvec(&alpha);
-                    for (r, &ci) in dcs.iter().enumerate() {
-                        i[ci as usize] += contrib[r];
-                    }
-                }
+                self.interactive_response(s, &vs, |ci, y| i[ci as usize] += y);
             }
         }
         // finest-level local blocks
         for s in tree.squares(finest) {
-            let cs = tree.contacts_in_square(s);
-            if cs.is_empty() {
-                continue;
-            }
             let fl = &self.finest_local[s.flat()];
-            let vs: Vec<f64> = cs.iter().map(|&ci| v[ci as usize]).collect();
+            let vs = restrict(v, tree.contacts_in_square(s));
             if vs.iter().all(|&x| x == 0.0) {
                 continue;
             }
             let y = fl.g_local.matvec(&vs);
-            for (k, &ci) in fl.l_contacts.iter().enumerate() {
-                i[ci as usize] += y[k];
-            }
+            scatter(&y, &fl.l_contacts, &mut i);
         }
         i
+    }
+
+    /// The response on the interactive region `I_s` of a voltage vector
+    /// `x` in square `s` (in `s`'s contact coordinates), by eq. (4.16):
+    /// the row-basis part `(G_{P_s,s} V_s)^{(r)} V_s' x`, then for each
+    /// `d` in `I_s` the symmetry term `V_d alpha_d`, where `alpha_d` is
+    /// the rows of `(G_{P_d,d} V_d)^{(r)}` at `s`'s contacts times the
+    /// remainder `x - V_s V_s' x`. Each value goes to
+    /// `emit(contact, value)` in that order, every contact of `I_s` at
+    /// most once per term.
+    pub(crate) fn interactive_response(
+        &self,
+        s: Square,
+        x: &[f64],
+        mut emit: impl FnMut(u32, f64),
+    ) {
+        let tree = &self.tree;
+        let lev = s.level as usize;
+        let sd = &self.squares[lev][s.flat()];
+        let interactive = tree.interactive(s);
+        let mut resid = x.to_vec();
+        if sd.v.n_cols() > 0 {
+            let coeff = sd.v.matvec_t(x);
+            let smooth = sd.v.matvec(&coeff);
+            for (r, sm) in resid.iter_mut().zip(&smooth) {
+                *r -= sm;
+            }
+            let t1 = sd.resp_v.matvec(&coeff);
+            for d in &interactive {
+                for &ci in tree.contacts_in_square(*d) {
+                    let k = sd.p_contacts.binary_search(&ci).expect("I_s inside P_s");
+                    emit(ci, t1[k]);
+                }
+            }
+        }
+        for d in &interactive {
+            let dd = &self.squares[lev][d.flat()];
+            if dd.v.n_cols() == 0 {
+                continue;
+            }
+            let mut alpha = vec![0.0; dd.v.n_cols()];
+            for (&ci, &r) in tree.contacts_in_square(s).iter().zip(&resid) {
+                if r == 0.0 {
+                    continue;
+                }
+                let k = dd.p_contacts.binary_search(&ci).expect("s inside P_d");
+                for (j, a) in alpha.iter_mut().enumerate() {
+                    *a += dd.resp_v[(k, j)] * r;
+                }
+            }
+            let contrib = dd.v.matvec(&alpha);
+            for (&ci, &y) in tree.contacts_in_square(*d).iter().zip(&contrib) {
+                emit(ci, y);
+            }
+        }
     }
 
     /// Materializes the represented operator as a dense matrix (test and
@@ -246,166 +248,73 @@ pub fn build_row_basis<S: SubstrateSolver + ?Sized>(
     let mut squares: Vec<Vec<SquareData>> =
         (0..=finest).map(|l| vec![SquareData::empty(); tree.side(l) * tree.side(l)]).collect();
 
-    // ================= coarsest level (2): direct solves =================
-    {
-        let _s = trace::span("extract.lowrank.coarsest-probe");
-        let lev = 2;
-        // one random sample vector per nonempty square, all solved as one
-        // RHS block (drawing order is unchanged, so seeds reproduce)
-        let mut sample_resp: Vec<Option<Vec<f64>>> = vec![None; 16];
-        let mut rhs: Vec<Vec<f64>> = Vec::new();
-        let mut rhs_owner: Vec<usize> = Vec::new();
+    for lev in 2..=finest {
+        let _s = trace::span_arg("extract.lowrank.level", lev as u64);
+        // one random unit sample vector and the region P_s per nonempty
+        // square, drawn in row-major order
+        let mut samples: Vec<Option<Vec<f64>>> = Vec::with_capacity(squares[lev].len());
+        for s in tree.squares(lev) {
+            let cs = tree.contacts_in_square(s);
+            samples.push((!cs.is_empty()).then(|| random_unit(&mut rng, cs.len())));
+            if !cs.is_empty() {
+                squares[lev][s.flat()].p_contacts =
+                    tree.region_contacts(&tree.local_and_interactive(s));
+            }
+        }
+        // the samples' responses over P_t
+        let mut sample_resp: Vec<Vec<f64>> = vec![Vec::new(); samples.len()];
+        level_responses(
+            solver,
+            &tree,
+            &squares,
+            lev,
+            options.spacing,
+            |s| usize::from(samples[s.flat()].is_some()),
+            |s, _| samples[s.flat()].as_deref().expect("a sample per nonempty square"),
+            |s, _, y| sample_resp[s.flat()] = y,
+        );
+        // row bases from the sampled interactions: t's response restricted
+        // to s's contacts (s is in P_t because t is in I_s)
         for s in tree.squares(lev) {
             let cs = tree.contacts_in_square(s);
             if cs.is_empty() {
                 continue;
             }
-            let m = random_unit(&mut rng, cs.len());
-            let mut padded = vec![0.0; n];
-            scatter(&m, cs, &mut padded);
-            rhs.push(padded);
-            rhs_owner.push(s.flat());
-        }
-        let responses = subsolver::solve_each_batched(solver, &rhs);
-        for (&flat, y) in rhs_owner.iter().zip(responses) {
-            sample_resp[flat] = Some(y);
-        }
-        // row bases from the sampled interactions
-        for s in tree.squares(lev) {
-            let cs = tree.contacts_in_square(s);
-            if cs.is_empty() {
-                continue;
-            }
-            let mut cols: Vec<Vec<f64>> = Vec::new();
-            for t in tree.interactive(s) {
-                if let Some(resp) = &sample_resp[t.flat()] {
-                    cols.push(restrict(resp, cs));
-                }
-            }
-            let v = row_basis_from_samples(&cols, cs.len());
-            squares[lev][s.flat()].v = v;
-        }
-        // responses to the row bases: direct solves, batched across every
-        // (square, basis-column) pair
-        let mut rhs: Vec<Vec<f64>> = Vec::new();
-        for s in tree.squares(lev) {
-            let cs = tree.contacts_in_square(s);
-            if cs.is_empty() {
-                continue;
-            }
-            let v = &squares[lev][s.flat()].v;
-            for j in 0..v.n_cols() {
-                let mut padded = vec![0.0; n];
-                scatter(v.col(j), cs, &mut padded);
-                rhs.push(padded);
-            }
-        }
-        let mut responses = subsolver::solve_each_batched(solver, &rhs).into_iter();
-        for s in tree.squares(lev) {
-            let cs = tree.contacts_in_square(s);
-            if cs.is_empty() {
-                continue;
-            }
-            let p_contacts = tree.region_contacts(&tree.local_and_interactive(s));
-            let r = squares[lev][s.flat()].v.n_cols();
-            let mut resp_v = Mat::zeros(p_contacts.len(), r);
-            for j in 0..r {
-                let y = responses.next().expect("one response per basis column");
-                resp_v.col_mut(j).copy_from_slice(&restrict(&y, &p_contacts));
-            }
-            let sd = &mut squares[lev][s.flat()];
-            sd.p_contacts = p_contacts;
-            sd.resp_v = resp_v;
-        }
-    }
-
-    // ================= finer levels: splitting + combine-solves ==========
-    for lev in 3..=finest {
-        let _s = trace::span_arg("extract.lowrank.split-level", lev as u64);
-        // -- one sample vector for every nonempty square
-        let side = tree.side(lev);
-        let samples: Vec<Option<Vec<f64>>> = tree
-            .squares(lev)
-            .map(|s| {
-                let cs = tree.contacts_in_square(s);
-                (!cs.is_empty()).then(|| random_unit(&mut rng, cs.len()))
-            })
-            .collect();
-        // -- approximate responses to the samples over P_s
-        let this: Vec<Option<&[f64]>> = samples.iter().map(Option::as_deref).collect();
-        let sample_resp = split_responses(solver, &tree, &squares, lev, &this, options);
-        // -- row bases from sampled interactions
-        for s in tree.squares(lev) {
-            let cs = tree.contacts_in_square(s);
-            if cs.is_empty() {
-                continue;
-            }
-            let mut cols: Vec<Vec<f64>> = Vec::new();
-            for t in tree.interactive(s) {
-                let tcs = tree.contacts_in_square(t);
-                if tcs.is_empty() {
-                    continue;
-                }
-                // responses of t's samples were stored over P_t; restrict
-                // to s's contacts (s is in P_t because t is in I_s)
-                let t_p = tree.region_contacts(&tree.local_and_interactive(t));
-                if let Some(resp) = &sample_resp[t.flat()] {
-                    let col: Vec<f64> = cs
-                        .iter()
-                        .map(|&ci| {
-                            let k = t_p.binary_search(&ci).expect("s must lie in P_t");
-                            resp[k]
-                        })
-                        .collect();
-                    cols.push(col);
-                }
-            }
-            squares[lev][s.flat()].v = row_basis_from_samples(&cols, cs.len());
-        }
-        // -- responses to the row bases, column index by column index
-        let max_r = tree.squares(lev).map(|s| squares[lev][s.flat()].v.n_cols()).max().unwrap_or(0);
-        let mut resp_cols: Vec<Vec<Vec<f64>>> = vec![Vec::new(); side * side];
-        for j in 0..max_r {
-            let this: Vec<Option<Vec<f64>>> = tree
-                .squares(lev)
-                .map(|s| {
-                    let sd = &squares[lev][s.flat()];
-                    if j < sd.v.n_cols() {
-                        Some(sd.v.col(j).to_vec())
-                    } else {
-                        None
-                    }
+            let cols: Vec<Vec<f64>> = tree
+                .interactive(s)
+                .into_iter()
+                .filter(|t| samples[t.flat()].is_some())
+                .map(|t| {
+                    let t_p = &squares[lev][t.flat()].p_contacts;
+                    let resp = &sample_resp[t.flat()];
+                    cs.iter()
+                        .map(|ci| resp[t_p.binary_search(ci).expect("s lies in P_t")])
+                        .collect()
                 })
                 .collect();
-            let refs: Vec<Option<&[f64]>> =
-                this.iter().map(|o| o.as_ref().map(|v| v.as_slice())).collect();
-            let resp = split_responses(solver, &tree, &squares, lev, &refs, options);
-            for (s, r) in tree.squares(lev).zip(resp) {
-                if let Some(r) = r {
-                    resp_cols[s.flat()].push(r);
-                }
-            }
+            squares[lev][s.flat()].v = row_basis_from_samples(&cols, cs.len());
         }
-        for s in tree.squares(lev) {
-            let cs = tree.contacts_in_square(s);
-            if cs.is_empty() {
-                continue;
-            }
-            let p_contacts = tree.region_contacts(&tree.local_and_interactive(s));
-            let sd = &mut squares[lev][s.flat()];
-            let mut resp_v = Mat::zeros(p_contacts.len(), sd.v.n_cols());
-            for (j, col) in resp_cols[s.flat()].iter().enumerate() {
-                resp_v.col_mut(j).copy_from_slice(col);
-            }
-            sd.p_contacts = p_contacts;
-            sd.resp_v = resp_v;
+        // the row bases' responses over P_s
+        let mut resp_v: Vec<Mat> =
+            squares[lev].iter().map(|sd| Mat::zeros(sd.p_contacts.len(), sd.v.n_cols())).collect();
+        level_responses(
+            solver,
+            &tree,
+            &squares,
+            lev,
+            options.spacing,
+            |s| squares[lev][s.flat()].v.n_cols(),
+            |s, j| squares[lev][s.flat()].v.col(j),
+            |s, j, y| resp_v[s.flat()].col_mut(j).copy_from_slice(&y),
+        );
+        for (sd, r) in squares[lev].iter_mut().zip(resp_v) {
+            sd.resp_v = r;
         }
     }
 
-    // ================= finest level local blocks =========================
     let finest_local = {
         let _s = trace::span("extract.lowrank.finest-local");
-        build_finest_local(solver, &tree, &squares, options)
+        build_finest_local(solver, &tree, &squares[finest], options.spacing)
     };
 
     Ok(RowBasisRep { tree, n, squares, finest_local })
@@ -434,188 +343,153 @@ fn random_unit(rng: &mut SmallRng, len: usize) -> Vec<f64> {
     }
 }
 
-/// Computes approximate responses `(G_{P_s,s} x_s)` for one vector per
-/// square of level `lev` (where present), using the parent-level splitting
-/// (eq. 4.22) with local refinement (eq. 4.24) and combine-solves grouping.
+/// Computes the responses `(G_{P_s,s} x)` over `P_s` to the vectors
+/// `x = vector(s, m)`, `m < count(s)`, of the squares `s` of level `lev`,
+/// handing each to `emit(s, m, response)`. `squares` must hold the
+/// finished coarser levels and level `lev`'s `P_s` contact lists.
 ///
-/// `vectors[flat]` holds the square-coordinate vector for each square (or
-/// `None`). Returns, per square in row-major order, the response over the
-/// `P_s` region contact list (or `None`).
-fn split_responses<S: SubstrateSolver + ?Sized>(
+/// Level 2 and `spacing == 0` (the reference mode) solve each vector
+/// directly. Finer levels split each vector through its parent's row
+/// basis (eq. 4.22) and sum the parent-orthogonal remainders of the
+/// squares of one phase mod `2 * spacing` into one solve: their parents
+/// are at least `spacing` squares apart, so the remainders' responses do
+/// not contaminate each other's local neighborhoods. The summed vectors
+/// stream through `solve_batch` as one sequence, each member's split
+/// computed only when its group's vector is built.
+#[allow(clippy::too_many_arguments)]
+fn level_responses<'a, S: SubstrateSolver + ?Sized>(
     solver: &S,
     tree: &Quadtree,
     squares: &[Vec<SquareData>],
     lev: usize,
-    vectors: &[Option<&[f64]>],
-    options: &LowRankOptions,
-) -> Vec<Option<Vec<f64>>> {
-    let n = tree.n_contacts();
-    let parent_lev = lev - 1;
-    let parent_side = tree.side(parent_lev);
-    let spacing = if options.spacing == 0 { 0 } else { options.spacing.min(parent_side) };
-    let side = tree.side(lev);
-    let mut out: Vec<Option<Vec<f64>>> = vec![None; side * side];
-
-    if spacing == 0 {
-        // reference mode: direct exact solves, no splitting — streamed
-        // through `solve_batch` in RHS blocks
-        let items = tree.squares(lev).filter_map(|s| {
-            let x = vectors[s.flat()]?;
-            let mut padded = vec![0.0; n];
-            scatter(x, tree.contacts_in_square(s), &mut padded);
-            Some((s, padded))
-        });
-        subsolver::for_each_batched(solver, items, |s, y| {
-            let p_contacts = tree.region_contacts(&tree.local_and_interactive(s));
-            out[s.flat()] = Some(restrict(y, &p_contacts));
-        });
-        return out;
-    }
-
-    // Split each vector through its parent: x (padded to parent coords)
-    // = V_p (V_p' x) + o, and store both parts per source square.
-    struct Split {
-        s: Square,
-        parent: Square,
-        /// parent-coordinate coefficient of the row-basis part
-        coeff: Vec<f64>,
-        /// parent-coordinate orthogonal remainder
-        o: Vec<f64>,
-    }
-    let mut splits: Vec<Split> = Vec::new();
-    for s in tree.squares(lev) {
-        let Some(x) = vectors[s.flat()] else { continue };
-        let cs = tree.contacts_in_square(s);
-        let p = s.parent().expect("level >= 3 has a parent");
-        let pcs = tree.contacts_in_square(p);
-        let mut xp = vec![0.0; pcs.len()];
-        for (r, &ci) in cs.iter().enumerate() {
-            let k = pcs.binary_search(&ci).expect("child contact in parent");
-            xp[k] = x[r];
-        }
-        let pd = &squares[parent_lev][p.flat()];
-        let coeff = pd.v.matvec_t(&xp);
-        let smooth = pd.v.matvec(&coeff);
-        let o: Vec<f64> = xp.iter().zip(&smooth).map(|(a, b)| a - b).collect();
-        splits.push(Split { s, parent: p, coeff, o });
-    }
-
-    // Group the orthogonal remainders by (parent phase, child position):
-    // members' parents are >= `spacing` squares apart, so their responses
-    // do not contaminate each other's local neighborhoods. The combined
-    // vectors are independent, so they stream through `solve_batch` in
-    // RHS blocks (group descriptors first, padded vectors built at most
-    // `subsolver::BATCH` at a time).
-    let mut theta_groups: Vec<Vec<&Split>> = Vec::new();
-    for pi in 0..spacing {
-        for pj in 0..spacing {
-            for child_pos in 0..4usize {
-                let group: Vec<&Split> = splits
-                    .iter()
-                    .filter(|sp| {
-                        sp.parent.ix as usize % spacing == pi
-                            && sp.parent.iy as usize % spacing == pj
-                            && child_index(sp.s) == child_pos
-                    })
-                    .collect();
-                if !group.is_empty() {
-                    theta_groups.push(group);
+    spacing: usize,
+    count: impl Fn(Square) -> usize,
+    vector: impl Fn(Square, usize) -> &'a [f64],
+    mut emit: impl FnMut(Square, usize, Vec<f64>),
+) {
+    let split = lev > 2 && spacing > 0;
+    let parent_level = &squares[lev - 1];
+    let groups = tree.combine_groups(lev, if split { spacing.saturating_mul(2) } else { 0 }, count);
+    let items = groups.into_iter().map(|(group, m)| {
+        let mut theta = vec![0.0; tree.n_contacts()];
+        let parts: Vec<(Vec<f64>, Vec<f64>)> = group
+            .iter()
+            .map(|&s| {
+                let x = vector(s, m);
+                if !split {
+                    scatter(x, tree.contacts_in_square(s), &mut theta);
+                    return (Vec::new(), Vec::new());
                 }
-            }
+                let (coeff, o) = split_through_parent(tree, parent_level, s, x);
+                scatter(&o, tree.contacts_in_square(s.parent().expect("level >= 3")), &mut theta);
+                (coeff, o)
+            })
+            .collect();
+        ((group, m, parts), theta)
+    });
+    subsolver::for_each_batched(solver, items, |(group, m, parts), y| {
+        for (s, (coeff, o)) in group.into_iter().zip(parts) {
+            let p_contacts = &squares[lev][s.flat()].p_contacts;
+            let resp = if split {
+                assemble_split_response(tree, parent_level, s, p_contacts, &coeff, &o, y)
+            } else {
+                restrict(y, p_contacts)
+            };
+            emit(s, m, resp);
         }
+    });
+}
+
+/// Splits a vector `x` of square `s` through its parent `p` (eq. 4.22):
+/// padded to `p`'s contact coordinates, `x = V_p coeff + o` with
+/// `coeff = V_p' x`. Returns `(coeff, o)`.
+fn split_through_parent(
+    tree: &Quadtree,
+    parent_level: &[SquareData],
+    s: Square,
+    x: &[f64],
+) -> (Vec<f64>, Vec<f64>) {
+    let p = s.parent().expect("level >= 3 has a parent");
+    let pcs = tree.contacts_in_square(p);
+    let mut xp = vec![0.0; pcs.len()];
+    for (&ci, &xr) in tree.contacts_in_square(s).iter().zip(x) {
+        xp[pcs.binary_search(&ci).expect("child contact in parent")] = xr;
     }
-    let items = theta_groups.iter().map(|group| {
-        let mut theta = vec![0.0; n];
-        for sp in group {
-            scatter(&sp.o, tree.contacts_in_square(sp.parent), &mut theta);
-        }
-        (group, theta)
-    });
-    subsolver::for_each_batched(solver, items, |group, y| {
-        // per member: refine the raw local responses (eq. 4.24) and
-        // add the parent row-basis part (eq. 4.22)
-        for sp in group {
-            let resp = assemble_split_response(tree, squares, sp.s, sp.parent, &sp.coeff, &sp.o, y);
-            out[sp.s.flat()] = Some(resp);
-        }
-    });
-    out
+    let pd = &parent_level[p.flat()];
+    let coeff = pd.v.matvec_t(&xp);
+    let smooth = pd.v.matvec(&coeff);
+    let o = xp.iter().zip(&smooth).map(|(a, b)| a - b).collect();
+    (coeff, o)
 }
 
-/// Index of a square among its parent's children (0..4).
-fn child_index(s: Square) -> usize {
-    ((s.iy as usize) & 1) << 1 | ((s.ix as usize) & 1)
-}
-
-/// Assembles `(G_{P_s,s} x)` for one split vector from
-/// (a) the parent row-basis responses applied to the smooth part and
-/// (b) the refined combine-solves response to the orthogonal part.
+/// Assembles `(G_{P_s,s} x)` over `p_contacts` (the sorted `P_s`) for one
+/// split vector of `s` from (a) the parent row-basis responses applied to
+/// the smooth part `coeff` and (b) the combine-solves response `y` to the
+/// orthogonal part `o`, refined on each square local to the parent.
 fn assemble_split_response(
     tree: &Quadtree,
-    squares: &[Vec<SquareData>],
+    parent_level: &[SquareData],
     s: Square,
-    parent: Square,
+    p_contacts: &[u32],
     coeff: &[f64],
     o: &[f64],
     y: &[f64],
 ) -> Vec<f64> {
-    let parent_lev = parent.level as usize;
-    let pd = &squares[parent_lev][parent.flat()];
-    let p_contacts_s = tree.region_contacts(&tree.local_and_interactive(s));
-    let mut resp = vec![0.0; p_contacts_s.len()];
-
-    // (a) smooth part: resp_v(parent) * coeff over P_p, restricted to P_s
+    let parent = s.parent().expect("level >= 3 has a parent");
+    let pd = &parent_level[parent.flat()];
+    let mut resp = vec![0.0; p_contacts.len()];
     if !coeff.is_empty() {
         let t1 = pd.resp_v.matvec(coeff);
-        for (k, &ci) in p_contacts_s.iter().enumerate() {
-            let idx =
-                pd.p_contacts.binary_search(&ci).expect("P_s region must be inside P_p region");
-            resp[k] += t1[idx];
+        for (r, ci) in resp.iter_mut().zip(p_contacts) {
+            *r += t1[pd.p_contacts.binary_search(ci).expect("P_s region must be inside P_p")];
         }
     }
-
-    // (b) orthogonal part: per local square q of the parent, refine the raw
-    // response with eq. (4.24)
     for q in tree.local(parent) {
-        let qcs = tree.contacts_in_square(q);
-        if qcs.is_empty() {
-            continue;
-        }
-        let qd = &squares[parent_lev][q.flat()];
-        let raw = restrict(y, qcs);
-        // alpha = ((G_{p,q} V_q)^{(r)})' o  — rows of resp_v(q) at p's contacts
-        let pcs = tree.contacts_in_square(parent);
-        let mut refined = raw.clone();
-        if qd.v.n_cols() > 0 {
-            let mut alpha = vec![0.0; qd.v.n_cols()];
-            for (r, &ci) in pcs.iter().enumerate() {
-                if o[r] == 0.0 {
-                    continue;
-                }
-                let k = qd
-                    .p_contacts
-                    .binary_search(&ci)
-                    .expect("parent contacts must lie in P_q for local q");
-                for (j, a) in alpha.iter_mut().enumerate() {
-                    *a += qd.resp_v[(k, j)] * o[r];
-                }
-            }
-            // refined = V_q alpha + (I - V_q V_q') raw
-            let beta = qd.v.matvec_t(&raw);
-            let vq_beta = qd.v.matvec(&beta);
-            let vq_alpha = qd.v.matvec(&alpha);
-            for i in 0..refined.len() {
-                refined[i] += vq_alpha[i] - vq_beta[i];
-            }
-        }
-        // add into resp where q's contacts appear in P_s
-        for (r, &ci) in qcs.iter().enumerate() {
-            if let Ok(k) = p_contacts_s.binary_search(&ci) {
-                resp[k] += refined[r];
+        let refined = refine_local(tree, parent_level, parent, q, o, y);
+        for (&ci, r) in tree.contacts_in_square(q).iter().zip(refined) {
+            if let Ok(k) = p_contacts.binary_search(&ci) {
+                resp[k] += r;
             }
         }
     }
     resp
+}
+
+/// Refines the raw combine-solves response `y` on square `q`, local to
+/// the source square `src` on the same level, with eq. (4.24):
+/// `V_q alpha + (I - V_q V_q') y_q`, where `alpha` is the rows of
+/// `(G_{P_q,q} V_q)^{(r)}` at `src`'s contacts times the source vector
+/// `x` (in `src`'s contact coordinates). Returns the values on `q`'s
+/// contacts.
+fn refine_local(
+    tree: &Quadtree,
+    level: &[SquareData],
+    src: Square,
+    q: Square,
+    x: &[f64],
+    y: &[f64],
+) -> Vec<f64> {
+    let qd = &level[q.flat()];
+    let mut refined = restrict(y, tree.contacts_in_square(q));
+    if qd.v.n_cols() > 0 {
+        let mut alpha = vec![0.0; qd.v.n_cols()];
+        for (&ci, &xr) in tree.contacts_in_square(src).iter().zip(x) {
+            if xr == 0.0 {
+                continue;
+            }
+            let k = qd.p_contacts.binary_search(&ci).expect("src lies in P_q for local q");
+            for (j, a) in alpha.iter_mut().enumerate() {
+                *a += qd.resp_v[(k, j)] * xr;
+            }
+        }
+        let beta = qd.v.matvec_t(&refined);
+        let vq_beta = qd.v.matvec(&beta);
+        let vq_alpha = qd.v.matvec(&alpha);
+        for (r, (a, b)) in refined.iter_mut().zip(vq_alpha.iter().zip(&vq_beta)) {
+            *r += a - b;
+        }
+    }
+    refined
 }
 
 /// Builds the finest-level `W_s` complements and explicit local blocks
@@ -623,58 +497,25 @@ fn assemble_split_response(
 fn build_finest_local<S: SubstrateSolver + ?Sized>(
     solver: &S,
     tree: &Quadtree,
-    squares: &[Vec<SquareData>],
-    options: &LowRankOptions,
+    level: &[SquareData],
+    spacing: usize,
 ) -> Vec<FinestLocal> {
-    let n = tree.n_contacts();
     let finest = tree.finest();
-    let side = tree.side(finest);
-    let spacing = if options.spacing == 0 { 0 } else { options.spacing.min(side) };
-    let mut out: Vec<FinestLocal> = vec![FinestLocal::empty(); side * side];
-
-    // complements
+    let mut out: Vec<FinestLocal> = vec![FinestLocal::empty(); level.len()];
     for s in tree.squares(finest) {
-        let cs = tree.contacts_in_square(s);
-        if cs.is_empty() {
-            continue;
+        if !tree.contacts_in_square(s).is_empty() {
+            out[s.flat()].w = orthonormal_completion(&level[s.flat()].v);
+            out[s.flat()].l_contacts = tree.region_contacts(&tree.local(s));
         }
-        out[s.flat()].w = orthonormal_completion(&squares[finest][s.flat()].v);
-        out[s.flat()].l_contacts = tree.region_contacts(&tree.local(s));
     }
 
-    // responses to W columns: stream the independent (combined) vectors of
-    // every m and phase through `solve_batch` in RHS blocks, processing
-    // responses in the original order (per-square m order is preserved)
-    let max_w = tree.squares(finest).map(|s| out[s.flat()].w.n_cols()).max().unwrap_or(0);
-    let mut w_resp: Vec<Vec<Vec<f64>>> = vec![Vec::new(); side * side];
-    let mut theta_groups: Vec<(Vec<Square>, usize)> = Vec::new();
-    for m in 0..max_w {
-        if spacing == 0 {
-            for s in tree.squares(finest) {
-                if m < out[s.flat()].w.n_cols() {
-                    theta_groups.push((vec![s], m));
-                }
-            }
-            continue;
-        }
-        for pi in 0..spacing {
-            for pj in 0..spacing {
-                let group: Vec<Square> = tree
-                    .squares(finest)
-                    .filter(|s| {
-                        s.ix as usize % spacing == pi
-                            && s.iy as usize % spacing == pj
-                            && m < out[s.flat()].w.n_cols()
-                    })
-                    .collect();
-                if !group.is_empty() {
-                    theta_groups.push((group, m));
-                }
-            }
-        }
-    }
-    let items = theta_groups.iter().map(|(group, m)| {
-        let mut theta = vec![0.0; n];
+    // responses to the W columns over L_s, refined at each local square
+    // unless every column was solved alone
+    let mut resp_w: Vec<Mat> =
+        out.iter().map(|fl| Mat::zeros(fl.l_contacts.len(), fl.w.n_cols())).collect();
+    let groups = tree.combine_groups(finest, spacing, |s| out[s.flat()].w.n_cols());
+    let items = groups.iter().map(|(group, m)| {
+        let mut theta = vec![0.0; tree.n_contacts()];
         for s in group {
             scatter(out[s.flat()].w.col(*m), tree.contacts_in_square(*s), &mut theta);
         }
@@ -682,12 +523,17 @@ fn build_finest_local<S: SubstrateSolver + ?Sized>(
     });
     subsolver::for_each_batched(solver, items, |(group, m), y| {
         for s in group {
+            let fl = &out[s.flat()];
+            let col = resp_w[s.flat()].col_mut(m);
             if spacing == 0 {
-                w_resp[s.flat()].push(restrict(y, &out[s.flat()].l_contacts));
-            } else {
-                let w_col = out[s.flat()].w.col(m).to_vec();
-                let resp = refine_local_response(tree, squares, *s, &w_col, y);
-                w_resp[s.flat()].push(resp);
+                col.copy_from_slice(&restrict(y, &fl.l_contacts));
+                continue;
+            }
+            for q in tree.local(*s) {
+                let refined = refine_local(tree, level, *s, q, fl.w.col(m), y);
+                for (&ci, r) in tree.contacts_in_square(q).iter().zip(refined) {
+                    col[fl.l_contacts.binary_search(&ci).expect("q contacts in L_s")] += r;
+                }
             }
         }
     });
@@ -698,11 +544,10 @@ fn build_finest_local<S: SubstrateSolver + ?Sized>(
         if cs.is_empty() {
             continue;
         }
-        let sd = &squares[finest][s.flat()];
+        let sd = &level[s.flat()];
         let fl = &mut out[s.flat()];
         let nl = fl.l_contacts.len();
         let mut g_local = Mat::zeros(nl, cs.len());
-        // V part
         if sd.v.n_cols() > 0 {
             let mut resp_v_local = Mat::zeros(nl, sd.v.n_cols());
             for (k, &ci) in fl.l_contacts.iter().enumerate() {
@@ -711,66 +556,14 @@ fn build_finest_local<S: SubstrateSolver + ?Sized>(
                     resp_v_local[(k, j)] = sd.resp_v[(idx, j)];
                 }
             }
-            let vt = sd.v.transpose();
-            g_local.add_scaled(1.0, &resp_v_local.matmul(&vt));
+            g_local.add_scaled(1.0, &resp_v_local.matmul(&sd.v.transpose()));
         }
-        // W part
         if fl.w.n_cols() > 0 {
-            let mut resp_w = Mat::zeros(nl, fl.w.n_cols());
-            for (j, col) in w_resp[s.flat()].iter().enumerate() {
-                resp_w.col_mut(j).copy_from_slice(col);
-            }
-            let wt = fl.w.transpose();
-            g_local.add_scaled(1.0, &resp_w.matmul(&wt));
+            g_local.add_scaled(1.0, &resp_w[s.flat()].matmul(&fl.w.transpose()));
         }
         fl.g_local = g_local;
     }
     out
-}
-
-/// Refines the raw response of a finest-level `W` column at each local
-/// square with eq. (4.24), returning the response over `L_s` contacts.
-fn refine_local_response(
-    tree: &Quadtree,
-    squares: &[Vec<SquareData>],
-    s: Square,
-    w_col: &[f64],
-    y: &[f64],
-) -> Vec<f64> {
-    let finest = tree.finest();
-    let l_contacts = tree.region_contacts(&tree.local(s));
-    let mut resp = vec![0.0; l_contacts.len()];
-    let scs = tree.contacts_in_square(s);
-    for q in tree.local(s) {
-        let qcs = tree.contacts_in_square(q);
-        if qcs.is_empty() {
-            continue;
-        }
-        let qd = &squares[finest][q.flat()];
-        let raw = restrict(y, qcs);
-        let mut refined = raw.clone();
-        if qd.v.n_cols() > 0 {
-            // alpha = ((G_{s,q} V_q)^{(r)})' w — rows of resp_v(q) at s
-            let mut alpha = vec![0.0; qd.v.n_cols()];
-            for (r, &ci) in scs.iter().enumerate() {
-                let k = qd.p_contacts.binary_search(&ci).expect("s in P_q for local q");
-                for (j, a) in alpha.iter_mut().enumerate() {
-                    *a += qd.resp_v[(k, j)] * w_col[r];
-                }
-            }
-            let beta = qd.v.matvec_t(&raw);
-            let vq_beta = qd.v.matvec(&beta);
-            let vq_alpha = qd.v.matvec(&alpha);
-            for i in 0..refined.len() {
-                refined[i] += vq_alpha[i] - vq_beta[i];
-            }
-        }
-        for (r, &ci) in qcs.iter().enumerate() {
-            let k = l_contacts.binary_search(&ci).expect("q contacts in L_s");
-            resp[k] += refined[r];
-        }
-    }
-    resp
 }
 
 #[cfg(test)]

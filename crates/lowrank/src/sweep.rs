@@ -20,7 +20,7 @@ use subsparse_linalg::qr::orthonormal_completion;
 use subsparse_linalg::svd::svd;
 use subsparse_linalg::{trace, Csr, Mat, Triplets};
 
-use crate::rowbasis::{RowBasisRep, SquareData};
+use crate::rowbasis::RowBasisRep;
 use crate::{MAX_RANK, RANK_TOL};
 
 /// Per-square data of the sweep.
@@ -124,7 +124,7 @@ impl Sweep {
                 if pcs.is_empty() {
                     continue;
                 }
-                let (x, child_cols) = child_u_block(tree, &sweep[lev + 1], p);
+                let x = child_u_block(tree, &sweep[lev + 1], p);
                 if x.n_cols() == 0 {
                     continue;
                 }
@@ -136,7 +136,7 @@ impl Sweep {
                 } else {
                     let mut a = Mat::zeros(i_contacts.len(), x.n_cols());
                     for j in 0..x.n_cols() {
-                        let col = interactive_response(rb, tree, p, x.col(j), &i_contacts);
+                        let col = interactive_response(rb, p, x.col(j), &i_contacts);
                         a.col_mut(j).copy_from_slice(&col);
                     }
                     let f = svd(&a);
@@ -152,15 +152,7 @@ impl Sweep {
                 let tu = t.hcat(&u);
                 let mut resp = Mat::zeros(l_contacts.len(), tu.n_cols());
                 for j in 0..tu.n_cols() {
-                    let col = parent_local_response(
-                        rb,
-                        tree,
-                        &sweep[lev + 1],
-                        p,
-                        &child_cols,
-                        tu.col(j),
-                        &l_contacts,
-                    );
+                    let col = parent_local_response(rb, &sweep[lev + 1], p, tu.col(j), &l_contacts);
                     resp.col_mut(j).copy_from_slice(&col);
                 }
                 sweep[lev][p.flat()] = SweepSquare {
@@ -286,21 +278,15 @@ impl Sweep {
             if sq.u.n_cols() == 0 {
                 continue;
             }
-            let i_contacts = tree.region_contacts(&tree.interactive(s));
             for j in 0..sq.u.n_cols() {
                 // full response: local part from resp, interactive part from
-                // the row-basis interaction
+                // the row-basis interaction (the regions are disjoint)
                 let mut y = vec![0.0; n];
                 let resp_col = sq.resp.col(sq.t.n_cols() + j);
                 for (k, &ci) in sq.l_contacts.iter().enumerate() {
                     y[ci as usize] += resp_col[k];
                 }
-                if !i_contacts.is_empty() {
-                    let inter = interactive_response(rb, tree, s, sq.u.col(j), &i_contacts);
-                    for (k, &ci) in i_contacts.iter().enumerate() {
-                        y[ci as usize] += inter[k];
-                    }
-                }
+                rb.interactive_response(s, sq.u.col(j), |ci, v| y[ci as usize] += v);
                 let gw_col = q.matvec_t(&y);
                 let src_col = sq.u_col_start + j;
                 for (i, &v) in gw_col.iter().enumerate() {
@@ -315,13 +301,10 @@ impl Sweep {
 }
 
 /// Stacks the children's `U` vectors into the parent's contact coordinates.
-///
-/// Returns the block matrix and, per column, the owning child square.
-fn child_u_block(tree: &Quadtree, child_sweep: &[SweepSquare], p: Square) -> (Mat, Vec<Square>) {
+fn child_u_block(tree: &Quadtree, child_sweep: &[SweepSquare], p: Square) -> Mat {
     let pcs = tree.contacts_in_square(p);
     let total: usize = p.children().iter().map(|c| child_sweep[c.flat()].u.n_cols()).sum();
     let mut x = Mat::zeros(pcs.len(), total);
-    let mut owners = Vec::with_capacity(total);
     let mut col = 0;
     for c in p.children() {
         let cu = &child_sweep[c.flat()].u;
@@ -339,68 +322,21 @@ fn child_u_block(tree: &Quadtree, child_sweep: &[SweepSquare], p: Square) -> (Ma
             for (r, &pr) in rows.iter().enumerate() {
                 dst[pr] = src[r];
             }
-            owners.push(c);
         }
         col += cu.n_cols();
     }
-    (x, owners)
+    x
 }
 
-/// Response of a voltage vector in square `s` at the contacts of `I_s`,
-/// computed from the phase-1 row basis with the symmetry refinement of
-/// eq. (4.16). `x` is in `s`'s contact coordinates; the result is indexed
-/// by `i_contacts` (the sorted contacts of the interactive region).
-fn interactive_response(
-    rb: &RowBasisRep,
-    tree: &Quadtree,
-    s: Square,
-    x: &[f64],
-    i_contacts: &[u32],
-) -> Vec<f64> {
-    let lev = s.level as usize;
-    let sd: &SquareData = &rb.squares[lev][s.flat()];
-    let cs = tree.contacts_in_square(s);
+/// Response of a voltage vector in square `s` (in `s`'s contact
+/// coordinates) at the contacts of `I_s`, by eq. (4.16)
+/// ([`RowBasisRep::interactive_response`]), indexed by `i_contacts` (the
+/// sorted contacts of the interactive region).
+fn interactive_response(rb: &RowBasisRep, s: Square, x: &[f64], i_contacts: &[u32]) -> Vec<f64> {
     let mut out = vec![0.0; i_contacts.len()];
-    // smooth part
-    let coeff = sd.v.matvec_t(x);
-    let mut resid = x.to_vec();
-    if sd.v.n_cols() > 0 {
-        let smooth = sd.v.matvec(&coeff);
-        for (r, sm) in resid.iter_mut().zip(&smooth) {
-            *r -= sm;
-        }
-        let t1 = sd.resp_v.matvec(&coeff);
-        for (k, &ci) in i_contacts.iter().enumerate() {
-            let idx = sd.p_contacts.binary_search(&ci).expect("I_s inside P_s");
-            out[k] += t1[idx];
-        }
-    }
-    // refinement via destination row bases
-    for d in tree.interactive(s) {
-        let dd = &rb.squares[lev][d.flat()];
-        if dd.v.n_cols() == 0 {
-            continue;
-        }
-        let dcs = tree.contacts_in_square(d);
-        if dcs.is_empty() {
-            continue;
-        }
-        let mut alpha = vec![0.0; dd.v.n_cols()];
-        for (r, &ci) in cs.iter().enumerate() {
-            if resid[r] == 0.0 {
-                continue;
-            }
-            let k = dd.p_contacts.binary_search(&ci).expect("s inside P_d");
-            for (j, a) in alpha.iter_mut().enumerate() {
-                *a += dd.resp_v[(k, j)] * resid[r];
-            }
-        }
-        let contrib = dd.v.matvec(&alpha);
-        for (r, &ci) in dcs.iter().enumerate() {
-            let k = i_contacts.binary_search(&ci).expect("d contacts inside I_s region");
-            out[k] += contrib[r];
-        }
-    }
+    rb.interactive_response(s, x, |ci, v| {
+        out[i_contacts.binary_search(&ci).expect("d contacts inside I_s region")] += v;
+    });
     out
 }
 
@@ -410,20 +346,16 @@ fn interactive_response(
 /// row-basis responses.
 fn parent_local_response(
     rb: &RowBasisRep,
-    tree: &Quadtree,
     child_sweep: &[SweepSquare],
     p: Square,
-    _child_cols: &[Square],
     x: &[f64],
     l_contacts: &[u32],
 ) -> Vec<f64> {
+    let tree = rb.tree();
     let pcs = tree.contacts_in_square(p);
     let mut out = vec![0.0; l_contacts.len()];
     for c in p.children() {
         let csweep = &child_sweep[c.flat()];
-        if csweep.u.n_cols() == 0 && tree.contacts_in_square(c).is_empty() {
-            continue;
-        }
         let ccs = tree.contacts_in_square(c);
         if ccs.is_empty() {
             continue;
@@ -457,12 +389,10 @@ fn parent_local_response(
         }
         // interactive part via the child's row basis
         let i_contacts = tree.region_contacts(&tree.interactive(c));
-        if !i_contacts.is_empty() {
-            let inter = interactive_response(rb, tree, c, &xi, &i_contacts);
-            for (k, &cc) in i_contacts.iter().enumerate() {
-                if let Ok(idx) = l_contacts.binary_search(&cc) {
-                    out[idx] += inter[k];
-                }
+        let inter = interactive_response(rb, c, &xi, &i_contacts);
+        for (k, &cc) in i_contacts.iter().enumerate() {
+            if let Ok(idx) = l_contacts.binary_search(&cc) {
+                out[idx] += inter[k];
             }
         }
     }

@@ -116,12 +116,6 @@ impl WaveletBasis {
     pub fn w_column(&self, s: Square, m: usize) -> &[f64] {
         self.squares[s.level as usize][s.flat()].w.col(m)
     }
-
-    /// Largest number of vanishing basis vectors over the squares of a
-    /// level (the `m` range of the combine-solves loop).
-    pub fn max_w(&self, level: usize) -> usize {
-        self.squares[level].iter().map(|sb| sb.w.n_cols()).max().unwrap_or(0)
-    }
 }
 
 /// The vanishing-moment order `p` the thesis uses (§3.2.1), and the one

@@ -50,8 +50,10 @@ impl Default for ExtractOptions {
 /// exact zeros, in place.
 ///
 /// The number of black-box calls is `root_v` (coarsest nonvanishing
-/// vectors) plus, per level, at most `spacing^2 * max_w(level)` — i.e.
-/// `O(log n)` for regular layouts, versus `n` for naive extraction.
+/// vectors) plus, per level, at most `spacing^2` times the level's largest
+/// `W` count (the groups of
+/// [`Quadtree::combine_groups`](subsparse_hier::Quadtree::combine_groups)),
+/// i.e. `O(log n)` for regular layouts, versus `n` for naive extraction.
 ///
 /// # Panics
 ///
@@ -124,47 +126,7 @@ pub fn extract_into<S: SubstrateSolver + ?Sized, K: GwSink + ?Sized>(
     // one-solve-at-a-time loop.
     for l in 0..=finest {
         let _s = trace::span_arg("extract.wavelet.combine-level", l as u64);
-        let side = tree.side(l);
-        // `side >= 1`, so `min` keeps 0 (no combining) as 0. Computed
-        // unconditionally on purpose: a `min` reached only when
-        // `options.spacing != 0` let rustc 1.95's LLVM tag its argument
-        // `range(1, 0)`, speculate the call out of that branch with the
-        // tag kept, and then fold `spacing == 0` to false — so under
-        // `--release` the no-combining path ran the combining loops with
-        // `spacing == 0` and never terminated.
-        let spacing = options.spacing.min(side);
-        let max_w = basis.max_w(l);
-        if max_w == 0 {
-            continue;
-        }
-        let mut groups: Vec<(Vec<Square>, usize)> = Vec::new();
-        if spacing == 0 {
-            // no combining: one solve per basis vector
-            for s in tree.squares(l) {
-                for m in 0..basis.w_count(s) {
-                    groups.push((vec![s], m));
-                }
-            }
-        } else {
-            for pi in 0..spacing {
-                for pj in 0..spacing {
-                    for m in 0..max_w {
-                        // squares of this phase holding an m-th W column
-                        let group: Vec<Square> = tree
-                            .squares(l)
-                            .filter(|s| {
-                                s.ix as usize % spacing == pi
-                                    && s.iy as usize % spacing == pj
-                                    && m < basis.w_count(*s)
-                            })
-                            .collect();
-                        if !group.is_empty() {
-                            groups.push((group, m));
-                        }
-                    }
-                }
-            }
-        }
+        let groups = tree.combine_groups(l, options.spacing, |s| basis.w_count(s));
         let items = groups.iter().map(|(group, m)| {
             let mut theta = vec![0.0; n];
             for s in group {
