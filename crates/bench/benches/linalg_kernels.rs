@@ -18,6 +18,7 @@ use subsparse::linalg::svd::svd;
 use subsparse::linalg::{LinOp, Mat, Triplets};
 use subsparse::sparsify::eval::format_ns;
 use subsparse::substrate::{solver, EigenSolver, EigenSolverConfig, SubstrateSolver};
+use subsparse::wavelet::build_basis;
 use subsparse::Substrate;
 
 #[repr(C)]
@@ -144,7 +145,8 @@ fn main() {
     // irregular layout of the benchmark's ~3300-contact family: 32
     // columns (a full extraction block) and 6 (a ragged width the
     // wavelet extraction issues)
-    let fixture = solver::kernel(&generators::irregular_same_size(128.0, 64, 1.0, 11));
+    let fixture_layout = generators::irregular_same_size(128.0, 64, 1.0, 11);
+    let fixture = solver::kernel(&fixture_layout);
     for (name, k) in [("kernel_solve_b32", 32), ("kernel_solve_b6", 6)] {
         let v = Mat::from_fn(fixture.n_contacts(), k, |i, j| ((i * 7 + j * 13) % 29) as f64 - 14.0);
         bench(name, || {
@@ -171,5 +173,23 @@ fn main() {
     let mut y = Mat::zeros(0, 0);
     bench("csr_panel_b32", || {
         gw.matmul_panel_into::<LaneMajor, LaneMajor>(black_box(&x), &mut y);
+    });
+    // the same multiply on one vector, as a single-vector request runs it
+    let mut y1 = vec![0.0; n];
+    bench("csr_matvec_b1", || {
+        gw.matvec_into(black_box(x.col(0)), &mut y1);
+    });
+
+    // forward plus inverse wavelet transform of one vector, on the basis
+    // of the `kernel_solve` layout at the benchmark's levels and p = 2
+    let levels = subsparse::choose_levels(&fixture_layout, 16);
+    let basis = build_basis(&fixture_layout, levels, 2).expect("valid wavelet layout");
+    let fwt = basis.fwt();
+    let v: Vec<f64> = (0..fwt.n()).map(|i| ((i * 7) % 29) as f64 - 14.0).collect();
+    let (mut c, mut back) = (vec![0.0; fwt.n()], vec![0.0; fwt.n()]);
+    let (mut s1, mut s2) = (vec![0.0; fwt.scratch_len()], vec![0.0; fwt.scratch_len()]);
+    bench("fwt_b1", || {
+        fwt.forward_into(black_box(&v), &mut c, &mut s1, &mut s2);
+        fwt.inverse_into(black_box(&c), &mut back, &mut s1, &mut s2);
     });
 }

@@ -56,7 +56,8 @@ EXTRACT OPTIONS:
   --out STEM          write STEM.q.mtx and STEM.gw.mtx (plus STEM.fwt,
                       the fast-transform serving section, for wavelet)
   --method M          lowrank (default) | wavelet | threshold | topk
-  --levels N          quadtree depth (default: auto)
+  --levels N          quadtree depth (default: auto); the layout is split
+                      at that depth's square boundaries
   --substrate SPEC    comma list thickness:conductivity, top first
                       (default 0.5:1,38.5:100,1:0.1 — the thesis profile)
   --backplane B       grounded (default) | floating (FD solver only)
@@ -78,7 +79,8 @@ SPARSIFY OPTIONS (run registered methods side by side, shared metrics):
   --solver S          synthetic (default; dense zero-cost model) | kernel
                       (matrix-free, O(n) memory — the large-n choice) |
                       eigen | fd
-  --levels N          quadtree depth for wavelet/lowrank (default: auto)
+  --levels N          quadtree depth for wavelet/lowrank (default: auto);
+                      the layout is split at that depth's square boundaries
   --target F          nonzero budget n^2/F for the dense baselines
                       (default 4)
   --panels P          eigen/fd resolution (default 128)
@@ -260,6 +262,32 @@ fn parse_substrate(spec: &str, backplane: Backplane) -> Result<Substrate, String
     Ok(Substrate::new(layers, backplane))
 }
 
+/// The layout `extract` and `sparsify` run on, and its quadtree depth:
+/// the ASCII `--layout` file, or else the default regular grid of
+/// `--grid` contacts per side (16); at `--levels` or the automatic depth
+/// of that layout; split at that depth, so every piece lies in one
+/// finest-level square. Returns the contact count before splitting, the
+/// split layout and the depth.
+fn layout_setup(opts: &Opts, extent: f64) -> Result<(usize, Layout, usize), String> {
+    let raw = match opts.get("layout") {
+        Some(path) => {
+            let art =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let raw = Layout::from_ascii(extent, extent, &art);
+            raw.validate().map_err(|e| format!("invalid layout: {e}"))?;
+            raw
+        }
+        None => {
+            let grid: usize = opts.get_parsed("grid", 16)?;
+            generators::regular_grid(extent, grid, extent / grid as f64 / 2.0)
+        }
+    };
+    let levels: usize =
+        opts.get_parsed("levels", SparsifyOptions::default().resolve_levels(&raw))?;
+    let split = SplitLayout::new(&raw, levels as u32);
+    Ok((raw.n_contacts(), split.layout().clone(), levels))
+}
+
 fn cmd_extract(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
@@ -268,7 +296,7 @@ fn cmd_extract(args: &[String]) -> Result<(), String> {
     )?;
     let faults_armed = faults_begin(&opts)?;
     let trace_path = trace_begin(&opts);
-    let layout_path = opts.require("layout")?;
+    opts.require("layout")?;
     let out = PathBuf::from(opts.require("out")?);
     let extent: f64 = opts.get_parsed("extent", 128.0)?;
     let method: Method =
@@ -284,17 +312,10 @@ fn cmd_extract(args: &[String]) -> Result<(), String> {
     let substrate =
         parse_substrate(opts.get("substrate").unwrap_or("0.5:1,38.5:100,1:0.1"), backplane)?;
 
-    let art = std::fs::read_to_string(layout_path)
-        .map_err(|e| format!("cannot read {layout_path}: {e}"))?;
-    let raw = Layout::from_ascii(extent, extent, &art);
-    raw.validate().map_err(|e| format!("invalid layout: {e}"))?;
-    let levels: usize =
-        opts.get_parsed("levels", SparsifyOptions::default().resolve_levels(&raw))?;
-    let split = SplitLayout::new(&raw, levels as u32);
-    let layout = split.layout();
+    let (raw_n, layout, levels) = layout_setup(&opts, extent)?;
+    let layout = &layout;
     println!(
-        "layout: {} contacts ({} pieces after splitting), levels = {levels}",
-        raw.n_contacts(),
+        "layout: {raw_n} contacts ({} pieces after splitting), levels = {levels}",
         layout.n_contacts()
     );
 
@@ -367,29 +388,14 @@ fn cmd_sparsify(args: &[String]) -> Result<(), String> {
     let faults_armed = faults_begin(&opts)?;
     let trace_path = trace_begin(&opts);
     let extent: f64 = opts.get_parsed("extent", 128.0)?;
-    let grid: usize = opts.get_parsed("grid", 16)?;
     let panels: usize = opts.get_parsed("panels", 128)?;
     let threads: usize = opts.get_parsed("threads", 1)?;
     let solver_kind = opts.get("solver").unwrap_or("synthetic");
 
-    // layout: from a file, or the default regular grid
-    let layout = match opts.get("layout") {
-        Some(path) => {
-            let art =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let raw = Layout::from_ascii(extent, extent, &art);
-            raw.validate().map_err(|e| format!("invalid layout: {e}"))?;
-            let levels = SparsifyOptions::default().resolve_levels(&raw);
-            SplitLayout::new(&raw, levels as u32).layout().clone()
-        }
-        None => generators::regular_grid(extent, grid, extent / grid as f64 / 2.0),
-    };
+    let (_, layout, levels) = layout_setup(&opts, extent)?;
     let n = layout.n_contacts();
 
-    let mut sopts = SparsifyOptions::default();
-    if let Some(l) = opts.get("levels") {
-        sopts.levels = Some(l.parse().map_err(|_| format!("bad value for --levels: {l:?}"))?);
-    }
+    let mut sopts = SparsifyOptions { levels: Some(levels), ..Default::default() };
     sopts.target_sparsity = opts.get_parsed("target", sopts.target_sparsity)?;
 
     let black_box: Box<dyn SubstrateSolver> = match solver_kind {
@@ -537,7 +543,7 @@ fn cmd_apply(args: &[String]) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::Opts;
+    use super::{run, Opts};
 
     fn args(line: &str) -> Vec<String> {
         line.split_whitespace().map(String::from).collect()
@@ -551,5 +557,16 @@ mod tests {
         let given = args("--grid 4 --threads 2");
         let opts = Opts::parse(&given, "grid threads").expect("both options are accepted");
         assert_eq!((opts.get("grid"), opts.get("threads")), (Some("4"), Some("2")));
+    }
+
+    #[test]
+    fn sparsify_splits_the_default_grid_at_the_chosen_depth() {
+        // 24 contacts per side cross the level-4 square boundaries, so
+        // the grid must be split at that depth before the hierarchical
+        // methods extract on it
+        for method in ["lowrank", "wavelet"] {
+            let line = format!("sparsify --method {method} --grid 24 --levels 4");
+            run(&args(&line)).unwrap_or_else(|e| panic!("`cli {line}` failed: {e}"));
+        }
     }
 }

@@ -44,15 +44,15 @@
 //! of [`LANES`] columns and run the whole transform one tile at a time:
 //! every square's block is applied to all lanes of a row at once, so each
 //! block value is loaded once per tile instead of once per vector, and
-//! the level buffers hold lane-major rows. Each level of each tile is one
-//! [`trace`] span. Every lane repeats the single-vector operation order,
-//! so blocked results are bit-identical to looped per-vector transforms —
-//! the same contract the rest of the serving layer keeps. Columns past
-//! the last full tile run the single-vector transform itself.
+//! the level buffers hold lane-major rows. Each level of each full tile
+//! is one [`trace`] span. Single vectors and the columns past the last
+//! full tile run the same tile transform at width 1; lanes never mix, so
+//! blocked results are bit-identical to looped per-vector transforms —
+//! the same contract the rest of the serving layer keeps.
 
 use subsparse_linalg::kernels::{
-    axpy_lanes, dot4, dot4_lanes, fused_axpy4, fused_axpy4_lanes, ColMajor, LaneTile, LaneTileMut,
-    PanelLayout, TileRows, TileRowsMut, LANES,
+    axpy_lanes, dot4_lanes, fused_axpy4_lanes, ColMajor, ColTile, ColTileMut, LaneTile,
+    LaneTileMut, PanelLayout, TileRows, TileRowsMut, LANES,
 };
 use subsparse_linalg::{trace, Mat};
 
@@ -283,7 +283,7 @@ impl FastWaveletTransform {
 
     /// Forward (analysis) transform `out = Q' x`: finest level first,
     /// wavelet coefficients emitted into `out`, scaling coefficients
-    /// ping-ponged between `s1` and `s2`.
+    /// ping-ponged between `s1` and `s2`. The tile transform at width 1.
     ///
     /// # Panics
     ///
@@ -297,81 +297,12 @@ impl FastWaveletTransform {
             s1.len() >= self.scratch_len() && s2.len() >= self.scratch_len(),
             "fwt scratch too small"
         );
-        let n_levels = self.levels.len();
-        let (mut cur, mut next) = (s1, s2);
-        for (li, level) in self.levels.iter().enumerate() {
-            let at_root = li + 1 == n_levels;
-            for node in &level.nodes {
-                self.forward_node(li, at_root, node, x, out, cur, next);
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-    }
-
-    /// One square's forward step on one vector: the operation order every
-    /// lane of a blocked forward transform repeats.
-    #[inline]
-    #[allow(clippy::too_many_arguments)] // one raw kernel over the level buffers
-    fn forward_node(
-        &self,
-        li: usize,
-        at_root: bool,
-        node: &FwtNode,
-        x: &[f64],
-        out: &mut [f64],
-        cur: &[f64],
-        next: &mut [f64],
-    ) {
-        let nin = node.in_len;
-        let ncols = node.v_cols + node.w_cols;
-        let block = &self.blocks[node.block_offset..node.block_offset + nin * ncols];
-        if li == 0 {
-            // Stage the square's contacts once in the tail of `next`
-            // (scaling outputs land below `max_coeff_len`, so the tail is
-            // free), then run plain contiguous dots: `gather_dot4` on a
-            // permutation is bit-identical to `dot4` on the gathered
-            // values (same lanes, same order — pinned by the kernel
-            // property suite), and paying the gather once per square
-            // instead of once per column leaves the hot loop fully
-            // contiguous.
-            let idx = &self.contact_idx[node.in_offset..node.in_offset + nin];
-            let (coeffs, scratch) = next.split_at_mut(self.max_coeff_len);
-            let gx = &mut scratch[..nin];
-            for (g, &ci) in gx.iter_mut().zip(idx) {
-                *g = x[ci as usize];
-            }
-            for (k, bcol) in block.chunks_exact(nin).enumerate().take(ncols) {
-                let acc = dot4(bcol, gx);
-                if k < node.v_cols {
-                    if at_root {
-                        out[node.out_offset + k] = acc;
-                    } else {
-                        coeffs[node.out_offset + k] = acc;
-                    }
-                } else {
-                    out[node.col_start + (k - node.v_cols)] = acc;
-                }
-            }
-        } else {
-            let inp = &cur[node.in_offset..node.in_offset + nin];
-            for (k, bcol) in block.chunks_exact(nin).enumerate().take(ncols) {
-                let acc = dot4(bcol, inp);
-                if k < node.v_cols {
-                    if at_root {
-                        out[node.out_offset + k] = acc;
-                    } else {
-                        next[node.out_offset + k] = acc;
-                    }
-                } else {
-                    out[node.col_start + (k - node.v_cols)] = acc;
-                }
-            }
-        }
+        forward_lanes(self, &ColTile([x]), &mut ColTileMut([out]), s1, s2);
     }
 
     /// Inverse (synthesis) transform `x = Q c`: coarsest level first,
     /// scaling coefficients pushed down through `s1`/`s2`, finest-level
-    /// blocks scattering onto the contacts.
+    /// blocks scattering onto the contacts. The tile transform at width 1.
     ///
     /// # Panics
     ///
@@ -383,111 +314,7 @@ impl FastWaveletTransform {
             s1.len() >= self.scratch_len() && s2.len() >= self.scratch_len(),
             "fwt scratch too small"
         );
-        let n_levels = self.levels.len();
-        let (mut cur, mut next) = (s1, s2);
-        for (li, level) in self.levels.iter().enumerate().rev() {
-            let at_root = li + 1 == n_levels;
-            for node in &level.nodes {
-                self.inverse_node(li, at_root, node, c, x, cur, next);
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-    }
-
-    /// One square's inverse step on one vector: the operation order every
-    /// lane of a blocked inverse transform repeats.
-    #[inline]
-    #[allow(clippy::too_many_arguments)] // one raw kernel over the level buffers
-    fn inverse_node(
-        &self,
-        li: usize,
-        at_root: bool,
-        node: &FwtNode,
-        c: &[f64],
-        x: &mut [f64],
-        cur: &[f64],
-        next: &mut [f64],
-    ) {
-        let nin = node.in_len;
-        let ncols = node.v_cols + node.w_cols;
-        let block = &self.blocks[node.block_offset..node.block_offset + nin * ncols];
-        // columns are consumed left to right in fused groups of four
-        // (`fused_axpy4`'s contract makes a fused group bit-identical to
-        // four sequential column passes), so the synthesis keeps the bits
-        // of the original one-pass-per-column loop while reading the
-        // output run from memory once per group instead of once per column
-        let col = |k: usize| &block[k * nin..(k + 1) * nin];
-        if li == 0 {
-            // Accumulate into the contiguous tail of `next` (dead space at
-            // the finest level — it runs last, nothing reads `next` after)
-            // and scatter to the contacts once at the end. Per contact the
-            // operation sequence is unchanged — zero, then the same
-            // column-order fused-group accumulation (`fused_axpy4` and
-            // `fused_scatter_axpy4` are both defined as four sequential
-            // column passes), then one store — so the bits match the old
-            // scattered read-modify-write loop exactly.
-            let idx = &self.contact_idx[node.in_offset..node.in_offset + nin];
-            let acc = &mut next[self.max_coeff_len..self.max_coeff_len + nin];
-            acc.fill(0.0);
-            let mut k = 0;
-            while k + 4 <= ncols {
-                let a = [
-                    self.coeff(node, k, c, cur, at_root),
-                    self.coeff(node, k + 1, c, cur, at_root),
-                    self.coeff(node, k + 2, c, cur, at_root),
-                    self.coeff(node, k + 3, c, cur, at_root),
-                ];
-                fused_axpy4(a, col(k), col(k + 1), col(k + 2), col(k + 3), acc);
-                k += 4;
-            }
-            while k < ncols {
-                let cv = self.coeff(node, k, c, cur, at_root);
-                for (d, bv) in acc.iter_mut().zip(col(k)) {
-                    *d += bv * cv;
-                }
-                k += 1;
-            }
-            for (v, &ci) in acc.iter().zip(idx) {
-                x[ci as usize] = *v;
-            }
-        } else {
-            let dest = &mut next[node.in_offset..node.in_offset + nin];
-            dest.fill(0.0);
-            let mut k = 0;
-            while k + 4 <= ncols {
-                let a = [
-                    self.coeff(node, k, c, cur, at_root),
-                    self.coeff(node, k + 1, c, cur, at_root),
-                    self.coeff(node, k + 2, c, cur, at_root),
-                    self.coeff(node, k + 3, c, cur, at_root),
-                ];
-                fused_axpy4(a, col(k), col(k + 1), col(k + 2), col(k + 3), dest);
-                k += 4;
-            }
-            while k < ncols {
-                let cv = self.coeff(node, k, c, cur, at_root);
-                for (d, bv) in dest.iter_mut().zip(col(k)) {
-                    *d += bv * cv;
-                }
-                k += 1;
-            }
-        }
-    }
-
-    /// The `k`-th coefficient feeding a node's inverse step: scaling
-    /// coefficients come from the level buffer (or straight from `c` at
-    /// the root), wavelet coefficients always from `c`.
-    #[inline]
-    fn coeff(&self, node: &FwtNode, k: usize, c: &[f64], cur: &[f64], at_root: bool) -> f64 {
-        if k < node.v_cols {
-            if at_root {
-                c[node.out_offset + k]
-            } else {
-                cur[node.out_offset + k]
-            }
-        } else {
-            c[node.col_start + (k - node.v_cols)]
-        }
+        inverse_lanes(self, &ColTile([c]), &mut ColTileMut([x]), s1, s2);
     }
 
     /// Blocked forward transform: `out = Q' X` with `out` column-major,
@@ -512,11 +339,11 @@ impl FastWaveletTransform {
     /// per square, and the levels ping-pong lane-major rows through the
     /// first `scratch_len * LANES` values of `s1`/`s2` (which hold
     /// `scratch_len * b >= scratch_len * LANES` whenever a tile exists).
-    /// Each lane repeats [`forward_into`](Self::forward_into)'s operation
-    /// order, so the result is bit-identical to it column for column. The
-    /// `b % LANES` columns after the last full tile run `forward_into`
-    /// itself. Every level of every tile is one `fwt.forward.level`
-    /// [`trace`] span.
+    /// The `b % LANES` columns after the last full tile run
+    /// [`forward_into`](Self::forward_into), the same transform at width
+    /// 1, so the result is bit-identical to it column for column. Every
+    /// level of every full tile is one `fwt.forward.level` [`trace`]
+    /// span.
     pub(crate) fn forward_panel_into<O: PanelLayout>(
         &self,
         x: &Mat,
@@ -562,8 +389,8 @@ impl FastWaveletTransform {
     /// first, with [`fused_axpy4_lanes`] applying each square's block to
     /// all lanes and the finest level scattering each tile's rows to the
     /// contacts. Column for column bit-identical to
-    /// [`inverse_into`](Self::inverse_into); every level of every tile is
-    /// one `fwt.inverse.level` [`trace`] span.
+    /// [`inverse_into`](Self::inverse_into); every level of every full
+    /// tile is one `fwt.inverse.level` [`trace`] span.
     pub(crate) fn inverse_panel_into<C: PanelLayout>(
         &self,
         c: &Mat,
@@ -720,110 +547,146 @@ impl FastWaveletTransform {
     }
 }
 
+/// The forward transform of `W` vectors at once, ping-ponging lane-major
+/// level buffers between `s1` and `s2` (`scratch_len * W` values each).
+/// Every lane runs one vector's operation order: full tiles run this at
+/// `W = LANES` through [`forward_tile`], single vectors and ragged tail
+/// columns at `W = 1` on the baseline tier. Only full tiles record level
+/// spans; per-vector applies record histograms instead.
+#[inline(always)]
+fn forward_lanes<const W: usize, X: TileRows<W>, O: TileRowsMut<W>>(
+    fwt: &FastWaveletTransform,
+    x: &X,
+    out: &mut O,
+    s1: &mut [f64],
+    s2: &mut [f64],
+) {
+    let n_levels = fwt.levels.len();
+    let (mut cur, mut next) = (s1, s2);
+    for (li, level) in fwt.levels.iter().enumerate() {
+        let _lvl = (W == LANES).then(|| trace::span_arg("fwt.forward.level", li as u64));
+        let at_root = li + 1 == n_levels;
+        for node in &level.nodes {
+            let nin = node.in_len;
+            let ncols = node.v_cols + node.w_cols;
+            let block = &fwt.blocks[node.block_offset..node.block_offset + nin * ncols];
+            let (coeffs, stage) = next.split_at_mut(fwt.max_coeff_len * W);
+            let inp: &[f64] = if li == 0 {
+                // Stage the square's contacts once, lane-major, in the
+                // tail of `next` (scaling outputs land below
+                // `max_coeff_len`, so the tail is free), then run plain
+                // contiguous dots: paying the gather once per square
+                // instead of once per column leaves the hot loop fully
+                // contiguous.
+                let idx = &fwt.contact_idx[node.in_offset..node.in_offset + nin];
+                let gx = &mut stage[..nin * W];
+                for (g, &ci) in gx.chunks_exact_mut(W).zip(idx) {
+                    g.copy_from_slice(&x.lanes(ci as usize));
+                }
+                gx
+            } else {
+                &cur[node.in_offset * W..(node.in_offset + nin) * W]
+            };
+            for (k, bcol) in block.chunks_exact(nin).enumerate().take(ncols) {
+                let acc = dot4_lanes(bcol, inp);
+                if k < node.v_cols && !at_root {
+                    LaneTileMut(&mut *coeffs).set_lanes(node.out_offset + k, acc);
+                } else if k < node.v_cols {
+                    out.set_lanes(node.out_offset + k, acc);
+                } else {
+                    out.set_lanes(node.col_start + (k - node.v_cols), acc);
+                }
+            }
+        }
+        std::mem::swap(&mut cur, &mut next);
+    }
+}
+
+/// The inverse transform of `W` vectors at once (buffers, widths and
+/// spans as in [`forward_lanes`]).
+#[inline(always)]
+fn inverse_lanes<const W: usize, C: TileRows<W>, X: TileRowsMut<W>>(
+    fwt: &FastWaveletTransform,
+    c: &C,
+    x: &mut X,
+    s1: &mut [f64],
+    s2: &mut [f64],
+) {
+    let n_levels = fwt.levels.len();
+    let (mut cur, mut next) = (s1, s2);
+    for (li, level) in fwt.levels.iter().enumerate().rev() {
+        let _lvl = (W == LANES).then(|| trace::span_arg("fwt.inverse.level", li as u64));
+        let at_root = li + 1 == n_levels;
+        for node in &level.nodes {
+            let nin = node.in_len;
+            let ncols = node.v_cols + node.w_cols;
+            let block = &fwt.blocks[node.block_offset..node.block_offset + nin * ncols];
+            let col = |k: usize| &block[k * nin..(k + 1) * nin];
+            // the `k`-th coefficient row: scaling coefficients come from
+            // the level buffer (or straight from `c` at the root), wavelet
+            // coefficients always from `c`
+            let coeff = |k: usize| {
+                if k >= node.v_cols {
+                    c.lanes(node.col_start + (k - node.v_cols))
+                } else if at_root {
+                    c.lanes(node.out_offset + k)
+                } else {
+                    LaneTile(cur).lanes(node.out_offset + k)
+                }
+            };
+            // Columns are consumed left to right in fused groups of four
+            // (a fused group is bit-identical to four column passes). The
+            // finest level accumulates in the contiguous tail of `next`
+            // (dead space there: it runs last) and scatters to the
+            // contacts once at the end.
+            let first = if li == 0 { fwt.max_coeff_len } else { node.in_offset };
+            let dest = &mut next[first * W..(first + nin) * W];
+            dest.fill(0.0);
+            let mut k = 0;
+            while k + 4 <= ncols {
+                let a = [coeff(k), coeff(k + 1), coeff(k + 2), coeff(k + 3)];
+                fused_axpy4_lanes(a, col(k), col(k + 1), col(k + 2), col(k + 3), dest);
+                k += 4;
+            }
+            while k < ncols {
+                axpy_lanes(coeff(k), col(k), dest);
+                k += 1;
+            }
+            if li == 0 {
+                let idx = &fwt.contact_idx[node.in_offset..node.in_offset + nin];
+                for (i, &ci) in idx.iter().enumerate() {
+                    x.set_lanes(ci as usize, LaneTile(dest).lanes(i));
+                }
+            }
+        }
+        std::mem::swap(&mut cur, &mut next);
+    }
+}
+
 subsparse_linalg::simd::tiered! {
-    /// The forward transform of one lane tile of `fwt`, ping-ponging
-    /// lane-major level buffers between `s1` and `s2` (`scratch_len *
-    /// LANES` each), at the widest [`Tier`](subsparse_linalg::simd::Tier)
-    /// the CPU reports.
-    fn forward_tile<X: TileRows, O: TileRowsMut>(
+    /// [`forward_lanes`] on one full tile, at the widest
+    /// [`Tier`](subsparse_linalg::simd::Tier) the CPU reports.
+    fn forward_tile<X: TileRows<LANES>, O: TileRowsMut<LANES>>(
         fwt: &FastWaveletTransform,
         x: &X,
         out: &mut O,
         s1: &mut [f64],
         s2: &mut [f64],
     ) {
-        let n_levels = fwt.levels.len();
-        let (mut cur, mut next) = (s1, s2);
-        for (li, level) in fwt.levels.iter().enumerate() {
-            let _lvl = trace::span_arg("fwt.forward.level", li as u64);
-            let at_root = li + 1 == n_levels;
-            for node in &level.nodes {
-                let nin = node.in_len;
-                let ncols = node.v_cols + node.w_cols;
-                let block = &fwt.blocks[node.block_offset..node.block_offset + nin * ncols];
-                let (coeffs, stage) = next.split_at_mut(fwt.max_coeff_len * LANES);
-                let inp: &[f64] = if li == 0 {
-                    // gather the square's contacts once, lane-major, into
-                    // the tail of `next` (as `forward_node` does per vector)
-                    let idx = &fwt.contact_idx[node.in_offset..node.in_offset + nin];
-                    let gx = &mut stage[..nin * LANES];
-                    for (g, &ci) in gx.chunks_exact_mut(LANES).zip(idx) {
-                        g.copy_from_slice(&x.lanes(ci as usize));
-                    }
-                    gx
-                } else {
-                    &cur[node.in_offset * LANES..(node.in_offset + nin) * LANES]
-                };
-                for (k, bcol) in block.chunks_exact(nin).enumerate().take(ncols) {
-                    let acc = dot4_lanes(bcol, inp);
-                    if k < node.v_cols && !at_root {
-                        LaneTileMut(&mut *coeffs).set_lanes(node.out_offset + k, acc);
-                    } else if k < node.v_cols {
-                        out.set_lanes(node.out_offset + k, acc);
-                    } else {
-                        out.set_lanes(node.col_start + (k - node.v_cols), acc);
-                    }
-                }
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
+        forward_lanes(fwt, x, out, s1, s2)
     }
 }
 
 subsparse_linalg::simd::tiered! {
-    /// The inverse transform of one lane tile of `fwt` (buffers as in
-    /// [`forward_tile`]), at the widest tier.
-    fn inverse_tile<C: TileRows, X: TileRowsMut>(
+    /// [`inverse_lanes`] on one full tile, at the widest tier.
+    fn inverse_tile<C: TileRows<LANES>, X: TileRowsMut<LANES>>(
         fwt: &FastWaveletTransform,
         c: &C,
         x: &mut X,
         s1: &mut [f64],
         s2: &mut [f64],
     ) {
-        let n_levels = fwt.levels.len();
-        let (mut cur, mut next) = (s1, s2);
-        for (li, level) in fwt.levels.iter().enumerate().rev() {
-            let _lvl = trace::span_arg("fwt.inverse.level", li as u64);
-            let at_root = li + 1 == n_levels;
-            for node in &level.nodes {
-                let nin = node.in_len;
-                let ncols = node.v_cols + node.w_cols;
-                let block = &fwt.blocks[node.block_offset..node.block_offset + nin * ncols];
-                let col = |k: usize| &block[k * nin..(k + 1) * nin];
-                // the `k`-th coefficient row, as `coeff` reads it per vector
-                let coeff = |k: usize| {
-                    if k >= node.v_cols {
-                        c.lanes(node.col_start + (k - node.v_cols))
-                    } else if at_root {
-                        c.lanes(node.out_offset + k)
-                    } else {
-                        LaneTile(cur).lanes(node.out_offset + k)
-                    }
-                };
-                // the finest level accumulates in the tail of `next` and
-                // scatters to the contacts at the end, as `inverse_node`
-                let first = if li == 0 { fwt.max_coeff_len } else { node.in_offset };
-                let dest = &mut next[first * LANES..(first + nin) * LANES];
-                dest.fill(0.0);
-                let mut k = 0;
-                while k + 4 <= ncols {
-                    let a = [coeff(k), coeff(k + 1), coeff(k + 2), coeff(k + 3)];
-                    fused_axpy4_lanes(a, col(k), col(k + 1), col(k + 2), col(k + 3), dest);
-                    k += 4;
-                }
-                while k < ncols {
-                    axpy_lanes(coeff(k), col(k), dest);
-                    k += 1;
-                }
-                if li == 0 {
-                    let idx = &fwt.contact_idx[node.in_offset..node.in_offset + nin];
-                    for (i, &ci) in idx.iter().enumerate() {
-                        x.set_lanes(ci as usize, LaneTile(dest).lanes(i));
-                    }
-                }
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
+        inverse_lanes(fwt, c, x, s1, s2)
     }
 }
 

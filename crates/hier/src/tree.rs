@@ -64,11 +64,6 @@ impl Square {
         self.distance(o) <= 1
     }
 
-    /// The combine-solves phase `(ix mod 3, iy mod 3)` (thesis Fig 3-5).
-    pub fn phase(&self) -> (usize, usize) {
-        (self.ix as usize % 3, self.iy as usize % 3)
-    }
-
     /// The ancestor of this square at a coarser `level`.
     ///
     /// # Panics
@@ -611,10 +606,9 @@ mod tests {
     }
 
     #[test]
-    fn ancestor_and_phase() {
+    fn ancestor() {
         let s = Square::new(4, 13, 6);
         assert_eq!(s.ancestor(2), Square::new(2, 3, 1));
         assert_eq!(s.ancestor(4), s);
-        assert_eq!(s.phase(), (1, 0));
     }
 }

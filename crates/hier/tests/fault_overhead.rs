@@ -11,17 +11,17 @@
 //!   protocol: each batch alternates the two sides in short runs, timed
 //!   on the calling thread's CPU clock, and the statistic is the median of
 //!   the per-batch ratios;
-//! * the panic-isolated pool (`ParallelApply` column shards, whose workers
-//!   run under `catch_unwind` with a disabled failpoint probe on the
-//!   persistent shared pool) against a hand-rolled scope that spawns the
-//!   identical stage / apply / publish arithmetic with no isolation
-//!   machinery. The work runs on other threads, so this seam is timed on
-//!   wall clock: each batch times both sides back to back, alternating
-//!   which runs first, and the statistic is the median of the per-batch
-//!   ratios. The pool's parked-worker handoff is *cheaper* than the
-//!   control's fresh spawns, so the bound only has to absorb the
-//!   hardening probes; it stays loose because the thread harness is
-//!   noisier than straight-line arithmetic.
+//! * the panic-isolated pool (`ParallelApply` column shards, with a
+//!   disabled failpoint probe per shard, a poison check and a degraded
+//!   serial path) against a control that dispatches the identical
+//!   stage / apply / publish shards on the same parked executor
+//!   (`Executor::global().run`) with none of that. Both sides pay the
+//!   same handoff, so the ratio sees only what `ParallelApply` adds. The
+//!   work runs on other threads, so this seam is timed on wall clock:
+//!   each batch times both sides back to back, alternating which runs
+//!   first, and the statistic is the median of the per-batch ratios. The
+//!   bound stays loose because the thread harness is noisier than
+//!   straight-line arithmetic.
 //!
 //! A median moves only when most batches move, so one slow stretch of a
 //! shared machine lands in one ratio, not in the verdict.
@@ -33,7 +33,8 @@ use std::time::Instant;
 
 use common::{banded_gw, binary_haar, median, thread_cpu_s};
 use subsparse_hier::BasisRep;
-use subsparse_linalg::{faults, ApplyWorkspace, CouplingOp, Csr, Mat, ParallelApply};
+use subsparse_linalg::exec::{ShardItems, ShardSlices};
+use subsparse_linalg::{faults, ApplyWorkspace, CouplingOp, Csr, Executor, Mat, ParallelApply};
 
 /// Batches per seam: the median of this many per-batch ratios is gated.
 const BATCHES: usize = 25;
@@ -110,27 +111,25 @@ fn disarmed_failpoints_cost_nothing_measurable() {
     pool.apply_block_into(&rep, &xb, &mut yp); // settle slots + stacks
 
     // the uninstrumented control: per-worker staging/output/workspace
-    // buffers, the identical stage -> apply -> publish sequence inside a
-    // bare scope — no catch_unwind, no probes, no poison flag
+    // buffers, the identical stage -> apply -> publish shards on the same
+    // parked executor — no failpoint probe, no span, no degraded path
     let mut bufs: Vec<(Mat, Mat, ApplyWorkspace)> =
         (0..workers).map(|_| (Mat::zeros(n, w), Mat::zeros(n, w), ApplyWorkspace::new())).collect();
     let mut yc_block = Mat::zeros(n, b);
-    let rep_ref = &rep;
-    let xb_ref = &xb;
-    let run_control = |yc_block: &mut Mat, bufs: &mut Vec<(Mat, Mat, ApplyWorkspace)>| {
-        std::thread::scope(|scope| {
-            for ((k, (xs, ys, ws)), y_panel) in
-                bufs.iter_mut().enumerate().zip(yc_block.data_mut().chunks_mut(n * w))
-            {
-                scope.spawn(move || {
-                    for (c, dst) in xs.cols_mut().enumerate() {
-                        dst.copy_from_slice(xb_ref.col(k * w + c));
-                    }
-                    rep_ref.apply_block_into(xs, ys, ws);
-                    y_panel.copy_from_slice(ys.data());
-                });
+    let run_control = |yc_block: &mut Mat, bufs: &mut [(Mat, Mat, ApplyWorkspace)]| {
+        let panels = ShardSlices::new(yc_block.data_mut(), n * w);
+        let slots = ShardItems::new(bufs);
+        let poisoned = Executor::global().run(workers, &|k| {
+            // Safety: shard k alone touches slot k and panel k
+            let (xs, ys, ws) = unsafe { slots.item(k) };
+            let y_panel = unsafe { panels.chunk(k) };
+            for (c, dst) in xs.cols_mut().enumerate() {
+                dst.copy_from_slice(xb.col(k * w + c));
             }
+            rep.apply_block_into(xs, ys, ws);
+            y_panel.copy_from_slice(ys.data());
         });
+        assert!(!poisoned, "a control shard panicked");
     };
     run_control(&mut yc_block, &mut bufs); // warm the control buffers
 
@@ -166,14 +165,12 @@ fn disarmed_failpoints_cost_nothing_measurable() {
     for j in 0..b {
         assert_eq!(yp.col(j), yc_block.col(j), "pool control diverged in column {j}");
     }
-    // the control pays fresh-spawn jitter the parked pool does not, so
-    // the ratio usually favors the pool; the line here is "no systematic
-    // cost", not the 2% arithmetic bound
+    // the line here is "no systematic cost", not the 2% arithmetic bound
     let pool_bound = if cfg!(debug_assertions) { 1.6 } else { 1.25 };
     let pool_ratio = median(&mut pool_ratios);
     assert!(
         pool_ratio < pool_bound,
-        "panic-isolated pool costs {:.2}% over the bare-scope control, bound {:.0}% \
+        "panic-isolated pool costs {:.2}% over the bare-executor control, bound {:.0}% \
          (median of {BATCHES} per-batch ratios; sorted: {pool_ratios:.3?})",
         (pool_ratio - 1.0) * 100.0,
         (pool_bound - 1.0) * 100.0

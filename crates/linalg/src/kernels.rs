@@ -16,98 +16,57 @@
 //!
 //! ## The documented summation orders
 //!
-//! * [`dot4`] / [`gather_dot4`] — four partials over aligned chunks of 4
-//!   (lane `l` takes element `l` of each chunk), a sequential tail for the
-//!   remaining `len % 4` elements, combined as `(s0+s1) + (s2+s3) + tail`.
-//!   This is the order the fast-wavelet-transform kernels have used since
-//!   they were introduced, now shared by the CSR row kernels.
+//! Each order is stated for one vector; a kernel runs it on every lane.
+//!
+//! * [`dot4_lanes`] / [`gather_dot4_lanes`] — four partials over aligned
+//!   chunks of 4 (partial `k` takes element `k` of each chunk), a
+//!   sequential tail for the remaining `len % 4` elements, combined as
+//!   `(s0+s1) + (s2+s3) + tail`. The fast wavelet transform and the CSR
+//!   row kernels share this order.
 //! * [`dot8`] — the same scheme with eight partials (`len % 8` tail),
 //!   combined as `((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)) + tail`. Used for
 //!   long contiguous dots (dense transpose applies, `V' x`, norms), where
 //!   eight chains keep two FMA ports saturated.
-//! * [`fused_axpy4`] — four column updates fused into one sweep:
+//! * [`fused_axpy4_lanes`] — four column updates fused into one sweep:
 //!   `y[i] = (((y[i] + a0*c0[i]) + a1*c1[i]) + a2*c2[i]) + a3*c3[i]`,
 //!   left to right. This is **bit-identical** to four sequential
-//!   `axpy` passes in the same column order — fusing only removes three
-//!   round trips of `y` through memory per group of four columns.
+//!   [`axpy_lanes`] passes in the same column order — fusing only removes
+//!   three round trips of `y` through memory per group of four columns.
 //!
-//! ## Lane tiles
+//! ## One kernel family, at widths 1 and `LANES`
 //!
-//! The blocked serving applies go one step further: they cut a panel of
-//! right-hand sides into tiles of [`LANES`] columns and handle each row of
-//! a tile as one `[f64; LANES]` step, so every stored value and index is
-//! read once per tile instead of once per column. [`gather_dot4_lanes`],
-//! [`dot4_lanes`], [`fused_axpy4_lanes`] and [`axpy_lanes`] are
-//! [`gather_dot4`], [`dot4`] and [`fused_axpy4`] (and one column pass of
-//! it) run on every lane at once, each lane in exactly the one-vector
-//! operation order — so every column of a blocked apply is bit-identical
-//! to the one-vector apply. Where a tile's rows live is a
+//! The blocked serving applies cut a panel of right-hand sides into tiles
+//! of [`LANES`] columns and handle each row of a tile as one `[f64; W]`
+//! step, so every stored value and index is read once per tile instead
+//! of once per column. The kernels and the tile views ([`TileRows`],
+//! [`LaneTile`], [`ColTile`] and their writable forms) are generic over
+//! that lane count `W`. Full tiles run them at `W = LANES`; a single
+//! vector, and each of the `b % LANES` columns after the last full tile,
+//! runs the same functions at `W = 1` (one vector is `ColTile::<1>([x])`,
+//! or a plain slice as width-1 lane-major rows). Lanes never mix, so
+//! every lane of a tile gets the width-1 bits: blocked ≡ per-vector holds
+//! with one body per operation. Where a full tile's rows live is a
 //! [`PanelLayout`]: the [`Mat`]'s own columns ([`ColMajor`]) or adjacent
 //! lane values ([`LaneMajor`]).
 //!
-//! The lane kernels are `#[inline(always)]`, so the tile loops that call
-//! them (the CSR lane tile, the FWT's `forward_tile`/`inverse_tile`)
-//! compile them at each [`Tier`](crate::simd::Tier) those loops are
-//! built for: one body, run at AVX-512F or AVX2 width where the CPU
-//! reports it. A wider register holds more lanes of the same step; each
-//! lane still sees its one-vector operations in order, lanes never mix
-//! and no tier enables `fma`, so every tier yields the baseline bits. The
-//! one-vector kernels ([`gather_dot4`], [`dot4`], ...) and the per-vector
-//! applies built on them stay baseline-only: their latency chains gain
-//! nothing from wider registers.
+//! The kernels are `#[inline(always)]`, so the `W = LANES` tile loops
+//! that call them (the CSR lane tile, the FWT tile transforms) compile
+//! them at each [`Tier`](crate::simd::Tier) those loops are built for:
+//! one body, run at AVX-512F or AVX2 width where the CPU reports it. A
+//! wider register holds more lanes of the same step; each lane still
+//! sees its operations in order, lanes never mix and no tier enables
+//! `fma`, so every tier yields the baseline bits. The width-1 calls reach
+//! the kernels directly and stay at the baseline tier (see
+//! [`simd`](crate::simd)).
 //!
 //! The scalar reference implementations in [`scalar`] stay compiled into
 //! every build; the property suite in `crates/linalg/tests/kernel_props.rs`
-//! cross-checks each lane-blocked kernel against its reference on random
-//! shapes (including ragged tails), bit-exactly where the contract is
+//! cross-checks each kernel against its reference on random shapes
+//! (including ragged tails), bit-exactly where the contract is
 //! bit-identity and to `<= 1e-12` relative error where only the
 //! reassociation differs.
 
 use crate::mat::Mat;
-
-/// Dot product with four independent partial sums.
-///
-/// Order contract: lane `l` accumulates elements `l, l+4, l+8, ...` of the
-/// aligned prefix, the `len % 4` remainder accumulates sequentially into a
-/// tail sum, and the result is `(s0+s1) + (s2+s3) + tail`.
-#[inline]
-pub fn dot4(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dot4 length mismatch");
-    let len4 = a.len() & !3;
-    let mut s = [0.0f64; 4];
-    for (ca, cb) in a[..len4].chunks_exact(4).zip(b[..len4].chunks_exact(4)) {
-        s[0] += ca[0] * cb[0];
-        s[1] += ca[1] * cb[1];
-        s[2] += ca[2] * cb[2];
-        s[3] += ca[3] * cb[3];
-    }
-    let mut tail = 0.0;
-    for (x, y) in a[len4..].iter().zip(&b[len4..]) {
-        tail += x * y;
-    }
-    (s[0] + s[1]) + (s[2] + s[3]) + tail
-}
-
-/// [`dot4`] against a gathered vector: `sum_i a[i] * x[idx[i]]`, same
-/// four-partial order. This is the CSR row kernel (`a` the stored values,
-/// `idx` the column indices) and the finest-level FWT gather kernel.
-#[inline]
-pub fn gather_dot4(a: &[f64], idx: &[u32], x: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), idx.len(), "gather_dot4 length mismatch");
-    let len4 = a.len() & !3;
-    let mut s = [0.0f64; 4];
-    for (ca, ci) in a[..len4].chunks_exact(4).zip(idx[..len4].chunks_exact(4)) {
-        s[0] += ca[0] * x[ci[0] as usize];
-        s[1] += ca[1] * x[ci[1] as usize];
-        s[2] += ca[2] * x[ci[2] as usize];
-        s[3] += ca[3] * x[ci[3] as usize];
-    }
-    let mut tail = 0.0;
-    for (av, &ci) in a[len4..].iter().zip(&idx[len4..]) {
-        tail += av * x[ci as usize];
-    }
-    (s[0] + s[1]) + (s[2] + s[3]) + tail
-}
 
 /// Dot product with eight independent partial sums.
 ///
@@ -132,128 +91,66 @@ pub fn dot8(a: &[f64], b: &[f64]) -> f64 {
     ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7])) + tail
 }
 
-/// Four fused column updates:
-/// `y[i] = (((y[i] + a[0]*c0[i]) + a[1]*c1[i]) + a[2]*c2[i]) + a[3]*c3[i]`.
-///
-/// Bit-identical to four sequential [`scalar::axpy`] passes
-/// (`axpy(a[0], c0, y)` … `axpy(a[3], c3, y)`): the per-element update is
-/// evaluated left to right, which is exactly the order the four passes
-/// apply. Fusing removes three of the four read-modify-write sweeps of
-/// `y` and gives the optimizer four independent FMA streams per element.
-///
-/// # Panics
-///
-/// Panics (in debug builds) if the slice lengths differ.
-#[inline]
-pub fn fused_axpy4(a: [f64; 4], c0: &[f64], c1: &[f64], c2: &[f64], c3: &[f64], y: &mut [f64]) {
-    debug_assert!(
-        c0.len() == y.len() && c1.len() == y.len() && c2.len() == y.len() && c3.len() == y.len(),
-        "fused_axpy4 length mismatch"
-    );
-    for ((((yi, &v0), &v1), &v2), &v3) in y.iter_mut().zip(c0).zip(c1).zip(c2).zip(c3) {
-        *yi = (((*yi + a[0] * v0) + a[1] * v1) + a[2] * v2) + a[3] * v3;
-    }
-}
-
-/// [`fused_axpy4`] against a scattered output:
-/// `x[idx[i]] = (((x[idx[i]] + a[0]*c0[i]) + a[1]*c1[i]) + a[2]*c2[i]) + a[3]*c3[i]`,
-/// left to right — bit-identical to four sequential scattered axpy passes
-/// in the same column order (the contract of [`fused_axpy4`], applied
-/// through a gather index). This is the finest-level inverse-FWT kernel:
-/// `idx` holds a node's contact indices, `c0..c3` four of its block
-/// columns. `idx` must not repeat an index (FWT nodes gather disjoint
-/// contacts), but the kernel is correct either way — entries are updated
-/// one `i` at a time.
-///
-/// # Panics
-///
-/// Panics (in debug builds) if the column lengths differ from `idx`'s.
-#[inline]
-pub fn fused_scatter_axpy4(
-    a: [f64; 4],
-    c0: &[f64],
-    c1: &[f64],
-    c2: &[f64],
-    c3: &[f64],
-    idx: &[u32],
-    x: &mut [f64],
-) {
-    debug_assert!(
-        c0.len() == idx.len()
-            && c1.len() == idx.len()
-            && c2.len() == idx.len()
-            && c3.len() == idx.len(),
-        "fused_scatter_axpy4 length mismatch"
-    );
-    for ((((&ci, &v0), &v1), &v2), &v3) in idx.iter().zip(c0).zip(c1).zip(c2).zip(c3) {
-        let xi = &mut x[ci as usize];
-        *xi = (((*xi + a[0] * v0) + a[1] * v1) + a[2] * v2) + a[3] * v3;
-    }
-}
-
-/// Columns per lane tile: the blocked serving kernels split a panel of
-/// right-hand sides into tiles of `LANES` columns and run every row of a
-/// tile as one `[f64; LANES]` step, so each stored operator value and
-/// index is read once per tile instead of once per column. Sized from
-/// measurement: serving 32-column blocks of a 3300-contact wavelet model
-/// on a 2-vCPU Xeon cost 240–251 µs of CPU per vector with 4 lanes,
-/// 181–196 with 8 and 198–215 with 16. That was measured at the baseline
-/// SIMD tier; the wider [`Tier`](crate::simd::Tier)s keep 8.
+/// Columns per full lane tile. Sized from measurement: serving 32-column
+/// blocks of a 3300-contact wavelet model on a 2-vCPU Xeon cost 240–251
+/// µs of CPU per vector with 4 lanes, 181–196 with 8 and 198–215 with 16.
+/// That was measured at the baseline SIMD tier; the wider
+/// [`Tier`](crate::simd::Tier)s keep 8.
 pub const LANES: usize = 8;
 
-/// Read access to the rows of one lane tile: row `r`'s values, lane `l`
+/// Read access to the rows of a `W`-lane tile: row `r`'s values, lane `l`
 /// holding the tile's column `l`.
-pub trait TileRows {
-    /// Row `r` across the tile's `LANES` columns.
-    fn lanes(&self, r: usize) -> [f64; LANES];
+pub trait TileRows<const W: usize> {
+    /// Row `r` across the tile's `W` columns.
+    fn lanes(&self, r: usize) -> [f64; W];
 }
 
-/// Write access to the rows of one lane tile.
-pub trait TileRowsMut {
-    /// Overwrites row `r` across the tile's `LANES` columns.
-    fn set_lanes(&mut self, r: usize, v: [f64; LANES]);
+/// Write access to the rows of a `W`-lane tile.
+pub trait TileRowsMut<const W: usize> {
+    /// Overwrites row `r` across the tile's `W` columns.
+    fn set_lanes(&mut self, r: usize, v: [f64; W]);
 }
 
-/// A tile stored lane-major: row `r` is `self.0[r * LANES..(r + 1) * LANES]`.
+/// A tile stored lane-major: row `r` is `self.0[r * W..(r + 1) * W]`.
 #[derive(Clone, Copy, Debug)]
-pub struct LaneTile<'a>(pub &'a [f64]);
+pub struct LaneTile<'a, const W: usize>(pub &'a [f64]);
 
 /// A writable lane-major tile (see [`LaneTile`]).
 #[derive(Debug)]
-pub struct LaneTileMut<'a>(pub &'a mut [f64]);
+pub struct LaneTileMut<'a, const W: usize>(pub &'a mut [f64]);
 
-/// A tile stored as `LANES` column slices.
+/// A tile stored as `W` column slices.
 #[derive(Clone, Copy, Debug)]
-pub struct ColTile<'a>(pub [&'a [f64]; LANES]);
+pub struct ColTile<'a, const W: usize>(pub [&'a [f64]; W]);
 
-/// A writable tile stored as `LANES` disjoint column slices.
+/// A writable tile stored as `W` disjoint column slices.
 #[derive(Debug)]
-pub struct ColTileMut<'a>(pub [&'a mut [f64]; LANES]);
+pub struct ColTileMut<'a, const W: usize>(pub [&'a mut [f64]; W]);
 
-impl TileRows for LaneTile<'_> {
+impl<const W: usize> TileRows<W> for LaneTile<'_, W> {
     #[inline(always)]
-    fn lanes(&self, r: usize) -> [f64; LANES] {
-        self.0[r * LANES..(r + 1) * LANES].try_into().expect("a lane row is LANES wide")
+    fn lanes(&self, r: usize) -> [f64; W] {
+        self.0[r * W..(r + 1) * W].try_into().expect("a lane row is W wide")
     }
 }
 
-impl TileRowsMut for LaneTileMut<'_> {
+impl<const W: usize> TileRowsMut<W> for LaneTileMut<'_, W> {
     #[inline(always)]
-    fn set_lanes(&mut self, r: usize, v: [f64; LANES]) {
-        self.0[r * LANES..(r + 1) * LANES].copy_from_slice(&v);
+    fn set_lanes(&mut self, r: usize, v: [f64; W]) {
+        self.0[r * W..(r + 1) * W].copy_from_slice(&v);
     }
 }
 
-impl TileRows for ColTile<'_> {
+impl<const W: usize> TileRows<W> for ColTile<'_, W> {
     #[inline(always)]
-    fn lanes(&self, r: usize) -> [f64; LANES] {
+    fn lanes(&self, r: usize) -> [f64; W] {
         std::array::from_fn(|l| self.0[l][r])
     }
 }
 
-impl TileRowsMut for ColTileMut<'_> {
+impl<const W: usize> TileRowsMut<W> for ColTileMut<'_, W> {
     #[inline(always)]
-    fn set_lanes(&mut self, r: usize, v: [f64; LANES]) {
+    fn set_lanes(&mut self, r: usize, v: [f64; W]) {
         for (c, x) in self.0.iter_mut().zip(v) {
             c[r] = x;
         }
@@ -267,9 +164,9 @@ impl TileRowsMut for ColTileMut<'_> {
 /// every layout, read and written with [`Mat::col`]/[`Mat::col_mut`].
 pub trait PanelLayout {
     /// Read view of one tile.
-    type Tile<'a>: TileRows;
+    type Tile<'a>: TileRows<LANES>;
     /// Write view of one tile.
-    type TileMut<'a>: TileRowsMut;
+    type TileMut<'a>: TileRowsMut<LANES>;
     /// Tile `t` of `p`.
     fn tile(p: &Mat, t: usize) -> Self::Tile<'_>;
     /// Tile `t` of `p`, writable.
@@ -302,16 +199,16 @@ fn footprint_mut(p: &mut Mat, t: usize) -> &mut [f64] {
 }
 
 impl PanelLayout for ColMajor {
-    type Tile<'a> = ColTile<'a>;
-    type TileMut<'a> = ColTileMut<'a>;
+    type Tile<'a> = ColTile<'a, LANES>;
+    type TileMut<'a> = ColTileMut<'a, LANES>;
 
     #[inline]
-    fn tile(p: &Mat, t: usize) -> ColTile<'_> {
+    fn tile(p: &Mat, t: usize) -> ColTile<'_, LANES> {
         ColTile(std::array::from_fn(|l| p.col(t * LANES + l)))
     }
 
     #[inline]
-    fn tile_mut(p: &mut Mat, t: usize) -> ColTileMut<'_> {
+    fn tile_mut(p: &mut Mat, t: usize) -> ColTileMut<'_, LANES> {
         let n = p.n_rows();
         let mut rest = footprint_mut(p, t);
         ColTileMut(std::array::from_fn(|_| {
@@ -323,30 +220,31 @@ impl PanelLayout for ColMajor {
 }
 
 impl PanelLayout for LaneMajor {
-    type Tile<'a> = LaneTile<'a>;
-    type TileMut<'a> = LaneTileMut<'a>;
+    type Tile<'a> = LaneTile<'a, LANES>;
+    type TileMut<'a> = LaneTileMut<'a, LANES>;
 
     #[inline]
-    fn tile(p: &Mat, t: usize) -> LaneTile<'_> {
+    fn tile(p: &Mat, t: usize) -> LaneTile<'_, LANES> {
         LaneTile(footprint(p, t))
     }
 
     #[inline]
-    fn tile_mut(p: &mut Mat, t: usize) -> LaneTileMut<'_> {
+    fn tile_mut(p: &mut Mat, t: usize) -> LaneTileMut<'_, LANES> {
         LaneTileMut(footprint_mut(p, t))
     }
 }
 
-/// [`gather_dot4`] on every lane of a tile at once:
-/// lane `l` of the result is `gather_dot4(a, idx, column l)`, to the bit.
-/// Each lane keeps its own four partials and tail and combines them as
-/// `(s0+s1) + (s2+s3) + tail`; the index and value of each term are read
-/// once for all `LANES` columns. This is the blocked CSR row kernel.
+/// Gathered dot products on every lane of a tile: lane `l` of the result
+/// is `sum_i a[i] * x.lanes(idx[i])[l]`, in the `dot4` order (module
+/// docs). Each lane keeps its own four partials and tail and combines
+/// them as `(s0+s1) + (s2+s3) + tail`; the index and value of each term
+/// are read once for all `W` lanes. The CSR row kernel (`a` the stored
+/// values, `idx` the column indices).
 #[inline(always)]
-pub fn gather_dot4_lanes(a: &[f64], idx: &[u32], x: &impl TileRows) -> [f64; LANES] {
+pub fn gather_dot4_lanes<const W: usize>(a: &[f64], idx: &[u32], x: &impl TileRows<W>) -> [f64; W] {
     debug_assert_eq!(a.len(), idx.len(), "gather_dot4_lanes length mismatch");
     let len4 = a.len() & !3;
-    let mut s = [[0.0f64; LANES]; 4];
+    let mut s = [[0.0f64; W]; 4];
     for (ca, ci) in a[..len4].chunks_exact(4).zip(idx[..len4].chunks_exact(4)) {
         for ((sp, &av), &c) in s.iter_mut().zip(ca).zip(ci) {
             let xr = x.lanes(c as usize);
@@ -355,7 +253,7 @@ pub fn gather_dot4_lanes(a: &[f64], idx: &[u32], x: &impl TileRows) -> [f64; LAN
             }
         }
     }
-    let mut tail = [0.0f64; LANES];
+    let mut tail = [0.0f64; W];
     for (&av, &c) in a[len4..].iter().zip(&idx[len4..]) {
         let xr = x.lanes(c as usize);
         for (tl, xv) in tail.iter_mut().zip(xr) {
@@ -365,23 +263,23 @@ pub fn gather_dot4_lanes(a: &[f64], idx: &[u32], x: &impl TileRows) -> [f64; LAN
     std::array::from_fn(|l| (s[0][l] + s[1][l]) + (s[2][l] + s[3][l]) + tail[l])
 }
 
-/// [`dot4`] of `a` against every lane of the lane-major rows `xt`
-/// (`a.len()` rows, see [`LaneTile`]): lane `l` of the result is
-/// `dot4(a, column l)`, to the bit. The FWT node kernel.
+/// Dot products of `a` against every lane of the lane-major rows `xt`
+/// (`a.len()` rows of `W`, see [`LaneTile`]), in the `dot4` order (module
+/// docs). At `W = 1`, `xt` is a plain vector. The FWT node kernel.
 #[inline(always)]
-pub fn dot4_lanes(a: &[f64], xt: &[f64]) -> [f64; LANES] {
-    debug_assert_eq!(a.len() * LANES, xt.len(), "dot4_lanes length mismatch");
+pub fn dot4_lanes<const W: usize>(a: &[f64], xt: &[f64]) -> [f64; W] {
+    debug_assert_eq!(a.len() * W, xt.len(), "dot4_lanes length mismatch");
     let len4 = a.len() & !3;
-    let mut s = [[0.0f64; LANES]; 4];
-    for (ca, cx) in a[..len4].chunks_exact(4).zip(xt.chunks_exact(4 * LANES)) {
-        for ((sp, &av), xr) in s.iter_mut().zip(ca).zip(cx.chunks_exact(LANES)) {
+    let mut s = [[0.0f64; W]; 4];
+    for (ca, cx) in a[..len4].chunks_exact(4).zip(xt[..len4 * W].chunks_exact(4 * W)) {
+        for ((sp, &av), xr) in s.iter_mut().zip(ca).zip(cx.chunks_exact(W)) {
             for (sl, xv) in sp.iter_mut().zip(xr) {
                 *sl += av * xv;
             }
         }
     }
-    let mut tail = [0.0f64; LANES];
-    for (&av, xr) in a[len4..].iter().zip(xt[len4 * LANES..].chunks_exact(LANES)) {
+    let mut tail = [0.0f64; W];
+    for (&av, xr) in a[len4..].iter().zip(xt[len4 * W..].chunks_exact(W)) {
         for (tl, xv) in tail.iter_mut().zip(xr) {
             *tl += av * xv;
         }
@@ -389,18 +287,21 @@ pub fn dot4_lanes(a: &[f64], xt: &[f64]) -> [f64; LANES] {
     std::array::from_fn(|l| (s[0][l] + s[1][l]) + (s[2][l] + s[3][l]) + tail[l])
 }
 
-/// [`fused_axpy4`] on every lane of the lane-major rows `y`, with a
-/// per-lane multiplier: `y[i][l] = (((y[i][l] + a[0][l]*c0[i]) +
+/// Four fused column updates on every lane of the lane-major rows `y`,
+/// with a per-lane multiplier: `y[i][l] = (((y[i][l] + a[0][l]*c0[i]) +
 /// a[1][l]*c1[i]) + a[2][l]*c2[i]) + a[3][l]*c3[i]`, left to right —
-/// lane `l` is bit-identical to `fused_axpy4` with multipliers
-/// `a[k][l]` on column `l`. The inverse-FWT node kernel.
+/// bit-identical to four sequential [`axpy_lanes`] passes
+/// (`a[0]` on `c0` … `a[3]` on `c3`), the order the four passes apply.
+/// Fusing removes three of the four read-modify-write sweeps of `y` and
+/// gives the optimizer four independent streams per element. The
+/// inverse-FWT node kernel, and at `W = 1` the dense column kernel.
 ///
 /// # Panics
 ///
 /// Panics (in debug builds) unless `y` holds `c0.len()` rows.
 #[inline(always)]
-pub fn fused_axpy4_lanes(
-    a: [[f64; LANES]; 4],
+pub fn fused_axpy4_lanes<const W: usize>(
+    a: [[f64; W]; 4],
     c0: &[f64],
     c1: &[f64],
     c2: &[f64],
@@ -411,9 +312,8 @@ pub fn fused_axpy4_lanes(
         c1.len() == c0.len() && c2.len() == c0.len() && c3.len() == c0.len(),
         "fused_axpy4_lanes column length mismatch"
     );
-    debug_assert_eq!(y.len(), c0.len() * LANES, "fused_axpy4_lanes row count mismatch");
-    for ((((yr, &v0), &v1), &v2), &v3) in y.chunks_exact_mut(LANES).zip(c0).zip(c1).zip(c2).zip(c3)
-    {
+    debug_assert_eq!(y.len(), c0.len() * W, "fused_axpy4_lanes row count mismatch");
+    for ((((yr, &v0), &v1), &v2), &v3) in y.chunks_exact_mut(W).zip(c0).zip(c1).zip(c2).zip(c3) {
         for (l, yv) in yr.iter_mut().enumerate() {
             *yv = (((*yv + a[0][l] * v0) + a[1][l] * v1) + a[2][l] * v2) + a[3][l] * v3;
         }
@@ -423,9 +323,9 @@ pub fn fused_axpy4_lanes(
 /// One lane-major column update `y[i][l] += c[i] * a[l]` — a single
 /// column pass of [`fused_axpy4_lanes`], for the `ncols % 4` remainder.
 #[inline(always)]
-pub fn axpy_lanes(a: [f64; LANES], c: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(y.len(), c.len() * LANES, "axpy_lanes row count mismatch");
-    for (yr, &cv) in y.chunks_exact_mut(LANES).zip(c) {
+pub fn axpy_lanes<const W: usize>(a: [f64; W], c: &[f64], y: &mut [f64]) {
+    debug_assert_eq!(y.len(), c.len() * W, "axpy_lanes row count mismatch");
+    for (yr, &cv) in y.chunks_exact_mut(W).zip(c) {
         for (yv, av) in yr.iter_mut().zip(a) {
             *yv += cv * av;
         }
@@ -449,7 +349,7 @@ pub mod scalar {
     }
 
     /// Sequential gathered dot product `sum_i a[i] * x[idx[i]]` — the
-    /// reference for CSR rows and FWT finest-level gathers.
+    /// reference for CSR rows.
     #[inline]
     pub fn gather_dot(a: &[f64], idx: &[u32], x: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), idx.len(), "scalar gather_dot length mismatch");
@@ -461,22 +361,12 @@ pub mod scalar {
     }
 
     /// Sequential `y += a * x` — the reference pass of
-    /// [`fused_axpy4`](super::fused_axpy4).
+    /// [`fused_axpy4_lanes`](super::fused_axpy4_lanes).
     #[inline]
     pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
         debug_assert_eq!(x.len(), y.len(), "scalar axpy length mismatch");
         for (yi, xi) in y.iter_mut().zip(x) {
             *yi += a * xi;
-        }
-    }
-
-    /// Sequential scattered `x[idx[i]] += a * c[i]` — the reference pass
-    /// of [`fused_scatter_axpy4`](super::fused_scatter_axpy4).
-    #[inline]
-    pub fn scatter_axpy(a: f64, c: &[f64], idx: &[u32], x: &mut [f64]) {
-        debug_assert_eq!(c.len(), idx.len(), "scalar scatter_axpy length mismatch");
-        for (cv, &ci) in c.iter().zip(idx) {
-            x[ci as usize] += a * cv;
         }
     }
 }
@@ -491,10 +381,13 @@ mod tests {
         // lane kernels must match the references to the bit
         let a: Vec<f64> = (0..23).map(|i| (i % 7) as f64 - 3.0).collect();
         let b: Vec<f64> = (0..23).map(|i| (i % 5) as f64).collect();
-        assert_eq!(dot4(&a, &b), scalar::dot(&a, &b));
+        assert_eq!(dot4_lanes::<1>(&a, &b)[0], scalar::dot(&a, &b));
         assert_eq!(dot8(&a, &b), scalar::dot(&a, &b));
         let idx: Vec<u32> = (0..23).map(|i| (i * 7 % 23) as u32).collect();
-        assert_eq!(gather_dot4(&a, &idx, &b), scalar::gather_dot(&a, &idx, &b));
+        assert_eq!(
+            gather_dot4_lanes(&a, &idx, &ColTile([&b[..]]))[0],
+            scalar::gather_dot(&a, &idx, &b)
+        );
     }
 
     #[test]
@@ -504,25 +397,10 @@ mod tests {
         let a = [0.3, -1.7, 0.0, 2.5];
         let mut y1: Vec<f64> = (0..13).map(|i| (i as f64).cos()).collect();
         let mut y2 = y1.clone();
-        fused_axpy4(a, &cols[0], &cols[1], &cols[2], &cols[3], &mut y1);
+        fused_axpy4_lanes(a.map(|v| [v]), &cols[0], &cols[1], &cols[2], &cols[3], &mut y1);
         for (ak, ck) in a.iter().zip(&cols) {
             scalar::axpy(*ak, ck, &mut y2);
         }
         assert_eq!(y1, y2);
-    }
-
-    #[test]
-    fn fused_scatter_axpy4_is_bit_identical_to_four_passes() {
-        let cols: Vec<Vec<f64>> =
-            (0..4).map(|k| (0..9).map(|i| ((i * 5 + k) as f64).cos()).collect()).collect();
-        let idx: Vec<u32> = [12, 3, 7, 0, 9, 5, 14, 1, 11].into();
-        let a = [1.25, -0.5, 3.0, 0.0];
-        let mut x1: Vec<f64> = (0..16).map(|i| (i as f64) * 0.1).collect();
-        let mut x2 = x1.clone();
-        fused_scatter_axpy4(a, &cols[0], &cols[1], &cols[2], &cols[3], &idx, &mut x1);
-        for (ak, ck) in a.iter().zip(&cols) {
-            scalar::scatter_axpy(*ak, ck, &idx, &mut x2);
-        }
-        assert_eq!(x1, x2);
     }
 }

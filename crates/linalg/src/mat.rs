@@ -148,10 +148,9 @@ impl Mat {
     ///
     /// Accumulation order (shared, entry for entry, by every dense
     /// product kernel in this module): ascending `k`, fused in aligned
-    /// groups of four columns via [`kernels::fused_axpy4`]
-    /// (crate::kernels::fused_axpy4) — left to right within a group,
-    /// groups whose four multipliers are all zero skipped, zero
-    /// multipliers in the ragged tail skipped.
+    /// groups of four columns via [`kernels::fused_axpy4_lanes`] at width
+    /// 1 — left to right within a group, groups whose four multipliers
+    /// are all zero skipped, zero multipliers in the ragged tail skipped.
     ///
     /// # Panics
     ///
@@ -179,8 +178,8 @@ impl Mat {
         while k + 4 <= k1 {
             let a = [coeff[k], coeff[k + 1], coeff[k + 2], coeff[k + 3]];
             if a[0] != 0.0 || a[1] != 0.0 || a[2] != 0.0 || a[3] != 0.0 {
-                kernels::fused_axpy4(
-                    a,
+                kernels::fused_axpy4_lanes(
+                    a.map(|v| [v]),
                     self.col(k),
                     self.col(k + 1),
                     self.col(k + 2),

@@ -28,10 +28,12 @@
 //!
 //! # Where it is not used
 //!
-//! One-vector paths (`Csr::matvec_into`, `kernels::gather_dot4`, the
-//! per-vector FWT) stay baseline: a whole-program AVX2 build made the
-//! single-vector serving latency worse, and their latency chains gain
-//! nothing from wider registers.
+//! The lane kernels run at width 1 for one vector (`Csr::matvec_into`,
+//! the per-vector FWT, the dense column kernel) and for the ragged tail
+//! columns of a block. Those calls reach the `#[inline(always)]` kernels
+//! directly, not through [`tiered!`], and stay baseline: a whole-program
+//! AVX2 build made the single-vector serving latency worse, and their
+//! latency chains gain nothing from wider registers.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;

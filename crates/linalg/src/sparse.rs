@@ -5,7 +5,9 @@
 //! (`O(n log n)` apply, sparsity factors in Tables 3.1/4.1–4.3) are
 //! measured on these.
 
-use crate::kernels::{self, ColMajor, PanelLayout, TileRows, TileRowsMut, LANES};
+use crate::kernels::{
+    self, ColMajor, ColTile, ColTileMut, PanelLayout, TileRows, TileRowsMut, LANES,
+};
 use crate::mat::Mat;
 
 /// A triplet (COO) accumulator for building [`Csr`] matrices.
@@ -206,11 +208,12 @@ impl Csr {
     /// Computes `y = A x` into an existing buffer (overwritten), with no
     /// allocation.
     ///
-    /// Each output row is one [`kernels::gather_dot4`] over the row's
-    /// stored entries — four independent accumulator chains with the
-    /// fixed `(s0+s1)+(s2+s3)+tail` combination order, shared (entry for
-    /// entry) by every CSR product kernel in this type, which is what
-    /// keeps blocked applies bit-identical to this one.
+    /// Each output row is one [`kernels::gather_dot4_lanes`] over the
+    /// row's stored entries, at width 1 — four independent accumulator
+    /// chains with the fixed `(s0+s1)+(s2+s3)+tail` combination order.
+    /// The lane tiles of [`matmul_panel_into`](Self::matmul_panel_into)
+    /// run the same row loop at width [`LANES`], which is what keeps
+    /// blocked applies bit-identical to this one.
     /// (A single sequential accumulator was the serving bottleneck at
     /// typical 50–100-nonzero rows: every multiply-add waited on the
     /// previous one.)
@@ -222,14 +225,7 @@ impl Csr {
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n_cols, "csr matvec dimension mismatch");
         assert_eq!(y.len(), self.n_rows, "csr matvec output length mismatch");
-        // walk the row-pointer array as windows so each row's index/value
-        // slices come straight off the running offsets (no per-row
-        // double lookup through `row`)
-        let mut start = self.indptr[0];
-        for (yi, &end) in y.iter_mut().zip(&self.indptr[1..]) {
-            *yi = kernels::gather_dot4(&self.data[start..end], &self.indices[start..end], x);
-            start = end;
-        }
+        rows_into(self, &ColTile([x]), &mut ColTileMut([y]));
     }
 
     /// Computes `y = A' x`.
@@ -279,13 +275,13 @@ impl Csr {
     /// (see [`PanelLayout`]).
     ///
     /// Each full tile of [`LANES`] columns runs
-    /// [`kernels::gather_dot4_lanes`] per row, so a row's indices and
-    /// values are streamed once per tile instead of once per column; the
-    /// `b % LANES` columns after the last full tile run the one-vector
-    /// [`matvec_into`](Self::matvec_into). Every lane repeats
-    /// [`gather_dot4`](kernels::gather_dot4)'s operation order, so every
-    /// output column is bit-identical to `matvec_into` on its input
-    /// column, whatever the layouts and the block width.
+    /// [`kernels::gather_dot4_lanes`] per row at width `LANES`, so a
+    /// row's indices and values are streamed once per tile instead of
+    /// once per column; the `b % LANES` columns after the last full tile
+    /// run [`matvec_into`](Self::matvec_into), the same row loop at width
+    /// one. Lanes never mix, so every output column is bit-identical to
+    /// `matvec_into` on its input column, whatever the layouts and the
+    /// block width.
     ///
     /// # Panics
     ///
@@ -383,17 +379,27 @@ impl Csr {
     }
 }
 
+/// `y = A x` on `W` lanes at once: one [`kernels::gather_dot4_lanes`]
+/// per row. [`Csr::matvec_into`] runs it at width 1 and the baseline
+/// tier; full tiles run it at width [`LANES`] through [`tile_into`].
+#[inline(always)]
+fn rows_into<const W: usize, X: TileRows<W>, Y: TileRowsMut<W>>(a: &Csr, x: &X, y: &mut Y) {
+    // walk the row-pointer array as windows so each row's index/value
+    // slices come straight off the running offsets (no per-row double
+    // lookup through `row`)
+    let mut start = a.indptr[0];
+    for (i, &end) in a.indptr[1..].iter().enumerate() {
+        y.set_lanes(i, kernels::gather_dot4_lanes(&a.data[start..end], &a.indices[start..end], x));
+        start = end;
+    }
+}
+
 crate::simd::tiered! {
-    /// One lane tile of [`Csr::matmul_panel_into`], one
-    /// [`kernels::gather_dot4_lanes`] per row, at the widest
-    /// [`Tier`](crate::simd::Tier) the CPU reports.
-    fn tile_into<X: TileRows, Y: TileRowsMut>(a: &Csr, x: &X, y: &mut Y) {
-        let mut start = a.indptr[0];
-        for (i, &end) in a.indptr[1..].iter().enumerate() {
-            let lanes = kernels::gather_dot4_lanes(&a.data[start..end], &a.indices[start..end], x);
-            y.set_lanes(i, lanes);
-            start = end;
-        }
+    /// One lane tile of [`Csr::matmul_panel_into`] ([`rows_into`] at
+    /// width [`LANES`]), at the widest [`Tier`](crate::simd::Tier) the
+    /// CPU reports.
+    fn tile_into<X: TileRows<LANES>, Y: TileRowsMut<LANES>>(a: &Csr, x: &X, y: &mut Y) {
+        rows_into(a, x, y)
     }
 }
 

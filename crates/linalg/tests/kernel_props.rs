@@ -19,21 +19,38 @@
 //! out here, so a regression in the wiring — not just in a kernel — also
 //! fails this suite.
 //!
-//! The lane-tile kernels (`*_lanes`) are pinned lane by lane to their
-//! one-vector kernels, to the bit: every lane must repeat the one-vector
-//! operation order exactly, which is what keeps every column of a blocked
-//! apply bit-identical to `apply_into`. They run at every SIMD tier the
-//! host supports (`simd::each_tier`), compiled per tier through
-//! `simd::tiered!` as the serving kernels that inline them are, against
-//! the baseline-compiled one-vector kernels.
+//! The lane kernels (`*_lanes`) run at width `LANES` on full tiles and
+//! at width 1 on single vectors and ragged tail columns. Width `LANES`
+//! is pinned lane by lane to width 1, to the bit: every lane must repeat
+//! the one-vector operation order exactly, which is what keeps every
+//! column of a blocked apply bit-identical to `apply_into`. Width `LANES`
+//! runs at every SIMD tier the host supports (`simd::each_tier`),
+//! compiled per tier through `simd::tiered!` as the serving kernels that
+//! inline it are, against width 1 compiled at the baseline tier, as the
+//! one-vector applies run it.
 
 use subsparse_linalg::kernels::{
-    self, axpy_lanes, dot4, dot4_lanes, dot8, fused_axpy4, fused_axpy4_lanes, fused_scatter_axpy4,
-    gather_dot4, gather_dot4_lanes, scalar, ColMajor, LaneMajor, LaneTile, PanelLayout, LANES,
+    self, axpy_lanes, dot4_lanes, dot8, fused_axpy4_lanes, gather_dot4_lanes, scalar, ColMajor,
+    ColTile, LaneMajor, LaneTile, PanelLayout, LANES,
 };
 use subsparse_linalg::rng::SmallRng;
 use subsparse_linalg::simd;
 use subsparse_linalg::{Mat, Triplets};
+
+/// `dot4_lanes` at width 1: the one-vector dot.
+fn dot4(a: &[f64], b: &[f64]) -> f64 {
+    dot4_lanes::<1>(a, b)[0]
+}
+
+/// `gather_dot4_lanes` at width 1: the one-vector CSR row kernel.
+fn gather_dot4(a: &[f64], idx: &[u32], x: &[f64]) -> f64 {
+    gather_dot4_lanes(a, idx, &ColTile([x]))[0]
+}
+
+/// `fused_axpy4_lanes` at width 1: the one-vector fused column update.
+fn fused_axpy4(a: [f64; 4], c0: &[f64], c1: &[f64], c2: &[f64], c3: &[f64], y: &mut [f64]) {
+    fused_axpy4_lanes(a.map(|v| [v]), c0, c1, c2, c3, y)
+}
 
 /// Random vector with a sprinkling of exact zeros.
 fn random_vec(rng: &mut SmallRng, len: usize) -> Vec<f64> {
@@ -154,22 +171,6 @@ fn fused_updates_are_bit_identical_to_sequential_passes() {
                 scalar::axpy(*ak, ck, &mut seq);
             }
             assert_eq!(fused, seq, "fused_axpy4: {label}");
-
-            // scatter variant through a random permutation of a larger x
-            let xlen = len * 2 + 3;
-            let mut perm: Vec<u32> = (0..xlen as u32).collect();
-            for i in (1..perm.len()).rev() {
-                perm.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
-            }
-            let idx = &perm[..len];
-            let x0 = random_vec(&mut rng, xlen);
-            let mut fused_x = x0.clone();
-            fused_scatter_axpy4(a, &cols[0], &cols[1], &cols[2], &cols[3], idx, &mut fused_x);
-            let mut seq_x = x0;
-            for (ak, ck) in a.iter().zip(&cols) {
-                scalar::scatter_axpy(*ak, ck, idx, &mut seq_x);
-            }
-            assert_eq!(fused_x, seq_x, "fused_scatter_axpy4: {label}");
         }
     }
 }
@@ -187,9 +188,9 @@ fn random_lane_rows(rng: &mut SmallRng, len: usize) -> (Vec<f64>, Vec<Vec<f64>>)
     (rows, cols)
 }
 
-// The lane kernels compiled per tier, as the tiered serving kernels that
-// inline them are; the one-vector kernels they are checked against stay
-// baseline.
+// The lane kernels at width `LANES`, compiled per tier as the tiered
+// serving kernels that inline them are; the width-1 calls they are
+// checked against stay baseline.
 simd::tiered! {
     fn dot4_lanes_tiered(a: &[f64], xt: &[f64]) -> [f64; LANES] {
         dot4_lanes(a, xt)
@@ -197,7 +198,7 @@ simd::tiered! {
 }
 
 simd::tiered! {
-    fn gather_dot4_lanes_tiered(a: &[f64], idx: &[u32], x: &LaneTile<'_>) -> [f64; LANES] {
+    fn gather_dot4_lanes_tiered(a: &[f64], idx: &[u32], x: &LaneTile<'_, LANES>) -> [f64; LANES] {
         gather_dot4_lanes(a, idx, x)
     }
 }
