@@ -10,6 +10,17 @@
 //! [`GwAssembler::finish`] averages, symmetrizes and compacts the slots in
 //! place (finish).
 //!
+//! Every row a square owns holds the same column list, so a tile `(x, y)`
+//! sits at the same offset in each row of `x`. The fill goes by tile: one
+//! source column against the columns of one destination square
+//! ([`GwSink::add_tile`]) costs one search for the run in the source row
+//! and one for the mirror offset shared by the destination's rows, and
+//! every estimate then lands by index. A dense row holds every column and
+//! every row holds the dense columns first, so entries in the dense rows
+//! and columns land by index without a search. `finish` finds each pair's
+//! mirror slot the same way: one search per (row, destination square),
+//! whose offset serves the rest of that square's run.
+//!
 //! The arithmetic is fixed: a directed slot holds `sum / count` of its
 //! estimates, summed in arrival order; an unordered pair holds
 //! `(a + b) / 2` of its two directed means, or the one mean that was
@@ -30,9 +41,24 @@ use crate::tree::{Quadtree, Square};
 
 /// Receives entry estimates of `Gw` in the order an extraction produces
 /// them. [`GwAssembler`] is the sink every extraction assembles into.
+///
+/// The extractions record the local tiles through [`add_tile`](Self::add_tile),
+/// one source column against one destination square at a time, and the
+/// dense rows and columns through [`add`](Self::add).
 pub trait GwSink {
     /// Records one estimate of entry `(row, col)`.
     fn add(&mut self, row: usize, col: usize, value: f64);
+
+    /// Records `values[i]` into `(dst.start + i, src)` and then into
+    /// `(src, dst.start + i)`, for each `i` in order. `dst` must lie in the
+    /// columns of one square.
+    fn add_tile(&mut self, src: usize, dst: Range<usize>, values: &[f64]) {
+        assert_eq!(dst.len(), values.len(), "Gw tile run and values differ in length");
+        for (c, &v) in dst.zip(values) {
+            self.add(c, src, v);
+            self.add(src, c, v);
+        }
+    }
 }
 
 /// The symmetric `Gw` pattern with flat per-slot estimate sums and
@@ -40,6 +66,11 @@ pub trait GwSink {
 #[derive(Debug)]
 pub struct GwAssembler {
     n: usize,
+    dense: usize,
+    /// First row of the square that owns each row (`0` for the dense rows,
+    /// `u32::MAX` for rows no square owns): rows with one owner hold the
+    /// same column list.
+    owner: Vec<u32>,
     indptr: Vec<usize>,
     indices: Vec<u32>,
     sums: Vec<f64>,
@@ -98,6 +129,8 @@ impl GwAssembler {
         });
         drop(next);
         let mut owners = Vec::new();
+        let mut owner = vec![u32::MAX; n];
+        owner[..dense].fill(0);
         for l in 0..=finest {
             for x in tree.squares(l) {
                 let own = cols(x);
@@ -107,6 +140,7 @@ impl GwAssembler {
                 assert!(dense <= own.start && own.end <= n, "square {x:?} owns columns {own:?}");
                 let bucket = &mut tiles[start[id(x)]..start[id(x) + 1]];
                 bucket.sort_unstable_by_key(|&y| cols(y).start);
+                owner[own.clone()].fill(own.start as u32);
                 owners.push(x);
             }
         }
@@ -150,25 +184,88 @@ impl GwAssembler {
             }
         }
         let slots = indices.len();
-        GwAssembler { n, indptr, indices, sums: vec![0.0; slots], counts: vec![0; slots] }
+        GwAssembler {
+            n,
+            dense,
+            owner,
+            indptr,
+            indices,
+            sums: vec![0.0; slots],
+            counts: vec![0; slots],
+        }
     }
 
     /// Slot of entry `(row, col)`, if the pattern holds it.
     fn slot(&self, row: usize, col: usize) -> Option<usize> {
         let (a, b) = (*self.indptr.get(row)?, *self.indptr.get(row + 1)?);
+        // a dense row holds every column; other rows open with the dense
+        // columns (or are empty)
+        if row < self.dense || col < self.dense {
+            return (a + col < b).then_some(a + col);
+        }
         let col = u32::try_from(col).ok()?;
         self.indices[a..b].binary_search(&col).ok().map(|k| a + k)
+    }
+
+    /// Slots of the tile run `src` x `dst`: `k` such that slots
+    /// `k..k + dst.len()` of row `src` hold the columns `dst`, and the
+    /// offset of column `src` inside every row of `dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with an entry of the run if `dst` straddles the rows of two
+    /// squares or the pattern misses the entry.
+    fn tile(&self, src: usize, dst: &Range<usize>) -> (usize, usize) {
+        let outside = |row: usize, col: usize| -> ! {
+            panic!("Gw estimate ({row}, {col}) lies outside the assembly pattern")
+        };
+        let last = dst.end - 1;
+        if dst.end > self.n {
+            outside(dst.start.max(self.n), src)
+        }
+        // a square's rows are contiguous, so its first and last decide
+        let owner = &self.owner;
+        if owner[last] != owner[dst.start] {
+            let r = dst.clone().find(|&r| owner[r] != owner[dst.start]).unwrap_or(last);
+            panic!("Gw estimate ({r}, {src}) lies in another square than row {}", dst.start);
+        }
+        let run = self
+            .slot(src, dst.start)
+            .filter(|&k| k + last - dst.start < self.indptr[src + 1])
+            .filter(|&k| self.indices[k + last - dst.start] as usize == last);
+        let Some(run) = run else {
+            let c = dst.clone().find(|&c| self.slot(src, c).is_none()).unwrap_or(last);
+            outside(src, c)
+        };
+        let Some(mirror) = self.slot(dst.start, src) else { outside(dst.start, src) };
+        (run, mirror - self.indptr[dst.start])
+    }
+
+    /// Adds `value` to slot `k`, the slot of `(row, col)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the entry if this is its 256th estimate.
+    #[inline]
+    fn record(&mut self, k: usize, row: usize, col: usize, value: f64) {
+        let Some(count) = self.counts[k].checked_add(1) else {
+            panic!("Gw entry ({row}, {col}) received more than {} estimates", u8::MAX);
+        };
+        self.sums[k] += value;
+        self.counts[k] = count;
     }
 
     /// Averages, symmetrizes and compacts the slots in place (see the
     /// module docs for the arithmetic) and returns the `n x n` `Gw`.
     pub fn finish(self) -> Csr {
         let _s = trace::span("extract.gw.finish");
-        let GwAssembler { n, mut indptr, mut indices, mut sums, mut counts } = self;
+        let GwAssembler { n, owner, mut indptr, mut indices, mut sums, mut counts, .. } = self;
         let mean = |sum: f64, count: u8| (count > 0).then(|| sum / f64::from(count));
         // each pair's value into both of its slots, walking the upper
-        // triangle; `counts` becomes the keep flag
+        // triangle; `counts` becomes the keep flag. Row `r` sits at one
+        // offset in every row of a square, so one search per (row, square)
         for r in 0..n {
+            let mut tile = None;
             for k in indptr[r]..indptr[r + 1] {
                 let c = indices[k] as usize;
                 if c < r {
@@ -177,8 +274,18 @@ impl GwAssembler {
                 let m = if c == r {
                     k
                 } else {
-                    let mirror = indices[indptr[c]..indptr[c + 1]].binary_search(&(r as u32));
-                    indptr[c] + mirror.expect("the Gw pattern is symmetric")
+                    let offset = match tile {
+                        Some((square, offset)) if square == owner[c] => offset,
+                        _ => {
+                            let row = &indices[indptr[c]..indptr[c + 1]];
+                            let offset = row
+                                .binary_search(&(r as u32))
+                                .expect("the Gw pattern is symmetric");
+                            tile = Some((owner[c], offset));
+                            offset
+                        }
+                    };
+                    indptr[c] + offset
                 };
                 let a = mean(sums[k], counts[k]);
                 let v = if m == k {
@@ -230,11 +337,26 @@ impl GwSink for GwAssembler {
         let Some(k) = self.slot(row, col) else {
             panic!("Gw estimate ({row}, {col}) lies outside the assembly pattern");
         };
-        let Some(count) = self.counts[k].checked_add(1) else {
-            panic!("Gw entry ({row}, {col}) received more than {} estimates", u8::MAX);
-        };
-        self.sums[k] += value;
-        self.counts[k] = count;
+        self.record(k, row, col, value);
+    }
+
+    /// Adds the tile run with two searches, then each estimate by index.
+    ///
+    /// # Panics
+    ///
+    /// Panics with an entry of the run if `dst` straddles two squares' rows
+    /// or leaves the pattern, or with the entry that receives its 256th
+    /// estimate.
+    fn add_tile(&mut self, src: usize, dst: Range<usize>, values: &[f64]) {
+        assert_eq!(dst.len(), values.len(), "Gw tile run and values differ in length");
+        if dst.is_empty() {
+            return;
+        }
+        let (run, offset) = self.tile(src, &dst);
+        for (i, (c, &v)) in dst.clone().zip(values).enumerate() {
+            self.record(self.indptr[c] + offset, c, src, v);
+            self.record(run + i, src, c, v);
+        }
     }
 }
 
@@ -251,6 +373,111 @@ mod tests {
             (2, f) if f >= 1 => f..f + 1,
             _ => 0..0,
         })
+    }
+
+    /// The same 16 contacts with column 0 dense and five finest squares
+    /// owning three columns each: (0,0) 1..4, (1,1) 4..7, (2,1) 7..10,
+    /// (2,2) 10..13, (3,3) 13..16.
+    fn tiled() -> GwAssembler {
+        let tree = Quadtree::new(&generators::regular_grid(128.0, 4, 2.0), 2).unwrap();
+        GwAssembler::new(&tree, 1, |s| match (s.level, s.flat()) {
+            (2, 0) => 1..4,
+            (2, 5) => 4..7,
+            (2, 6) => 7..10,
+            (2, 10) => 10..13,
+            (2, 15) => 13..16,
+            _ => 0..0,
+        })
+    }
+
+    /// Forwards `add` and keeps the trait's per-entry `add_tile`.
+    struct PerEntry(GwAssembler);
+
+    impl GwSink for PerEntry {
+        fn add(&mut self, row: usize, col: usize, value: f64) {
+            self.0.add(row, col, value);
+        }
+    }
+
+    fn bits(m: &Csr) -> Vec<(usize, usize, u64)> {
+        m.iter().map(|(i, j, v)| (i, j, v.to_bits())).collect()
+    }
+
+    #[test]
+    fn add_tile_matches_the_per_entry_default_bit_for_bit() {
+        let squares = [1..4, 4..7, 7..10, 10..13, 13..16];
+        let (mut tiles, mut entries) = (tiled(), PerEntry(tiled()));
+        let local: Vec<(usize, &Range<usize>)> = squares
+            .iter()
+            .flat_map(|a| a.clone())
+            .flat_map(|src| squares.iter().map(move |b| (src, b)))
+            .filter(|&(src, b)| tiles.slot(src, b.start).is_some())
+            .collect();
+        let mut x = 0.1f64;
+        // every tile of the pattern twice (the diagonal `s == d` tiles
+        // included), with the dense column's adds between the rounds
+        for round in 0..2 {
+            for &(src, b) in &local {
+                let values: Vec<f64> = b
+                    .clone()
+                    .map(|_| {
+                        x = (x * 3.7 + 0.3).fract();
+                        x - 0.5
+                    })
+                    .collect();
+                tiles.add_tile(src, b.clone(), &values);
+                entries.add_tile(src, b.clone(), &values);
+            }
+            for r in 0..16 {
+                let v = f64::from(r as u32 + round) / 7.0;
+                tiles.add(r, 0, v);
+                entries.add(r, 0, v);
+            }
+        }
+        let (got, want) = (tiles.finish(), entries.0.finish());
+        // row 0 and column 0, then 5 diagonal and 5 local square pairs
+        // both ways, 3 x 3 each
+        assert_eq!(got.nnz(), 16 + 15 + 9 * (5 + 2 * 5));
+        assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    #[should_panic(expected = "Gw estimate (1, 10) lies outside the assembly pattern")]
+    fn a_tile_run_outside_the_pattern_panics_with_its_entry() {
+        // squares (0,0) and (2,2) are not local
+        tiled().add_tile(1, 10..13, &[1.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "Gw estimate (7, 4) lies in another square than row 6")]
+    fn a_tile_run_straddling_two_squares_panics_with_its_entry() {
+        // row 4 holds columns 4..10 in one run, but rows 6 and 7 belong to
+        // squares (1,1) and (2,1)
+        tiled().add_tile(4, 6..8, &[1.0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "Gw entry (7, 4) received more than 255 estimates")]
+    fn the_256th_estimate_through_add_tile_panics_with_the_entry() {
+        let mut gw = tiled();
+        for _ in 0..256 {
+            gw.add_tile(4, 7..10, &[1.0; 3]);
+        }
+    }
+
+    #[test]
+    fn dense_rows_and_columns_land_by_index() {
+        let mut gw = tiled();
+        for (row, col) in [(0, 0), (0, 9), (0, 15), (9, 0), (15, 0)] {
+            let k = gw.slot(row, col).expect("dense entries are in the pattern");
+            assert!((gw.indptr[row]..gw.indptr[row + 1]).contains(&k));
+            assert_eq!(gw.indices[k] as usize, col, "slot of ({row}, {col})");
+            gw.add(row, col, 1.0);
+            assert_eq!((gw.sums[k], gw.counts[k]), (1.0, 1), "({row}, {col})");
+        }
+        assert_eq!(gw.slot(0, 16), None);
+        let d = gw.finish().to_dense();
+        assert_eq!((d[(0, 9)], d[(9, 0)], d[(0, 0)]), (1.0, 1.0, 1.0));
     }
 
     #[test]

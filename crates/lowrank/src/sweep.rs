@@ -225,15 +225,19 @@ impl Sweep {
     /// Records every estimate of a `Gw` entry in `sink`, in sweep order:
     /// the local `T`–`T` tiles between each square and its
     /// [`local_descendants`](Quadtree::local_descendants), once in each
-    /// direction, then the dense rows and columns of the coarsest `U`
-    /// vectors. `rb` must be the row basis the sweep was built from.
+    /// direction (one [`GwSink::add_tile`] per source `T` column and
+    /// destination square), then the dense rows and columns of the
+    /// coarsest `U` vectors ([`GwSink::add`]). `rb` must be the row basis
+    /// the sweep was built from.
     pub fn fill<K: GwSink + ?Sized>(&self, rb: &RowBasisRep, sink: &mut K) {
         let tree = rb.tree();
         let n = rb.n();
         let finest = tree.finest();
         let sweep = &self.squares;
         let q = &self.q;
-        // local T-T interactions, same and finer destination levels
+        // local T-T interactions, same and finer destination levels: one
+        // tile per source column and destination square
+        let mut tile = Vec::new();
         for l in ROOT_LEVEL..=finest {
             for s in tree.squares(l) {
                 let sq = &sweep[l][s.flat()];
@@ -258,16 +262,15 @@ impl Sweep {
                         })
                         .collect();
                     for mj in 0..ts {
-                        let src_col = sq.t_col_start + mj;
-                        for mi in 0..td {
+                        tile.clear();
+                        tile.extend((0..td).map(|mi| {
                             let mut v = 0.0;
                             for (r, &row) in rows.iter().enumerate() {
                                 v += dsq.t[(r, mi)] * sq.resp[(row, mj)];
                             }
-                            let dst_col = dsq.t_col_start + mi;
-                            sink.add(dst_col, src_col, v);
-                            sink.add(src_col, dst_col, v);
-                        }
+                            v
+                        }));
+                        sink.add_tile(sq.t_col_start + mj, self.t_cols(d), &tile);
                     }
                 }
             }

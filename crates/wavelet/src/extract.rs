@@ -74,10 +74,12 @@ pub fn extract<S: SubstrateSolver + ?Sized>(
 /// The fill stage of [`extract`]: runs the combine-solves and records
 /// every estimate of a `Gw` entry in `sink`, in extraction order.
 ///
-/// Estimates land in the coarsest-level columns `0..root_v` (one per
-/// nonzero entry of each root column) and in the tiles between each
-/// square and its [`local_descendants`](subsparse_hier::Quadtree::local_descendants),
-/// once in each direction.
+/// Estimates land in the coarsest-level columns `0..root_v` (one
+/// [`GwSink::add`] per nonzero entry of each root column) and in the
+/// tiles between each square and its
+/// [`local_descendants`](subsparse_hier::Quadtree::local_descendants),
+/// once in each direction (one [`GwSink::add_tile`] per source column and
+/// destination square).
 ///
 /// # Panics
 ///
@@ -124,6 +126,7 @@ pub fn extract_into<S: SubstrateSolver + ?Sized, K: GwSink + ?Sized>(
     // `solver::BATCH` at a time); per-group response extraction runs in the
     // original order, so the result is identical to the
     // one-solve-at-a-time loop.
+    let mut tile = Vec::new();
     for l in 0..=finest {
         let _s = trace::span_arg("extract.wavelet.combine-level", l as u64);
         let groups = tree.combine_groups(l, options.spacing, |s| basis.w_count(s));
@@ -135,7 +138,7 @@ pub fn extract_into<S: SubstrateSolver + ?Sized, K: GwSink + ?Sized>(
             ((group, *m), theta)
         });
         solver::for_each_batched(solver, items, |(group, m), y| {
-            extract_group_responses(basis, group, m, y, sink);
+            extract_group_responses(basis, group, m, y, &mut tile, sink);
         });
     }
 }
@@ -146,12 +149,15 @@ pub fn extract_into<S: SubstrateSolver + ?Sized, K: GwSink + ?Sized>(
 /// For each source square `s` (level `l`), entries are extracted against
 /// destination basis vectors on levels `l' >= l` whose level-`l` ancestor
 /// is local to `s` (thesis eq. 3.25); the `l' < l` entries come from
-/// symmetry of `G` when that level is processed as a source.
+/// symmetry of `G` when that level is processed as a source. Each
+/// (source, destination square) pair is one [`GwSink::add_tile`] of the
+/// destination's `w_count(d)` dots, computed into `tile`.
 fn extract_group_responses<K: GwSink + ?Sized>(
     basis: &WaveletBasis,
     group: &[Square],
     m: usize,
     y: &[f64],
+    tile: &mut Vec<f64>,
     sink: &mut K,
 ) {
     let tree = basis.tree();
@@ -159,15 +165,16 @@ fn extract_group_responses<K: GwSink + ?Sized>(
         let src_col = basis.w_col(*s, m);
         for d in tree.local_descendants(*s) {
             let cs = tree.contacts_in_square(d);
-            for (mp, dst_col) in basis.w_cols(d).enumerate() {
+            tile.clear();
+            tile.extend((0..basis.w_count(d)).map(|mp| {
                 let wcol = basis.w_column(d, mp);
                 let mut v = 0.0;
                 for (r, &ci) in cs.iter().enumerate() {
                     v += wcol[r] * y[ci as usize];
                 }
-                sink.add(dst_col, src_col, v);
-                sink.add(src_col, dst_col, v);
-            }
+                v
+            }));
+            sink.add_tile(src_col, basis.w_cols(d), tile);
         }
     }
 }
