@@ -144,11 +144,20 @@ fn main() {
     // one `solve_batch` of the matrix-free kernel black box on an
     // irregular layout of the benchmark's ~3300-contact family: 32
     // columns (a full extraction block) and 6 (a ragged width the
-    // wavelet extraction issues)
+    // wavelet extraction issues), both nonzero on every row, then 32
+    // columns nonzero on every third row only, the share of the rows a
+    // combine-solves block of the wavelet extraction excites on average
     let fixture_layout = generators::irregular_same_size(128.0, 64, 1.0, 11);
     let fixture = solver::kernel(&fixture_layout);
-    for (name, k) in [("kernel_solve_b32", 32), ("kernel_solve_b6", 6)] {
-        let v = Mat::from_fn(fixture.n_contacts(), k, |i, j| ((i * 7 + j * 13) % 29) as f64 - 14.0);
+    for (name, k, every) in [
+        ("kernel_solve_b32", 32, 1),
+        ("kernel_solve_b6", 6, 1),
+        ("kernel_solve_b32_support", 32, 3),
+    ] {
+        let v = Mat::from_fn(fixture.n_contacts(), k, |i, j| match i % every {
+            0 => ((i * 7 + j * 13) % 29) as f64 - 14.0,
+            _ => 0.0,
+        });
         bench(name, || {
             black_box(fixture.solve_batch(black_box(&v)));
         });

@@ -679,25 +679,33 @@ pub fn synthetic(layout: &subsparse_layout::Layout) -> DenseSolver {
 /// long before the extraction pipeline itself matters. This solver keeps
 /// only the centroid coordinates (as two arrays, `xs` and `ys`), the
 /// areas, and the (precomputed) diagonal; each
-/// [`solve_batch`](SubstrateSolver::solve_batch) recomputes every
-/// off-diagonal kernel value once and applies it to all RHS columns of
-/// the batch, so the kernel-evaluation cost is amortized across the
-/// batch width exactly like a dense gemm amortizes memory passes.
+/// [`solve_batch`](SubstrateSolver::solve_batch) recomputes the kernel
+/// value of every pair its voltages touch once and applies it to all RHS
+/// columns of the batch, so the kernel-evaluation cost is amortized across
+/// the batch width exactly like a dense gemm amortizes memory passes.
 ///
 /// # The pair loop
 ///
 /// [`solve`](SubstrateSolver::solve) (`k = 1`) and
 /// [`solve_batch`](SubstrateSolver::solve_batch) run one pair loop,
 /// compiled per SIMD [`Tier`](subsparse_linalg::simd::Tier)
-/// (`simd::tiered!`):
+/// (`simd::tiered!`), over the batch's **support** `S`: the rows where
+/// some voltage column is not `+0.0` by bits. A call costs
+/// `O(n·|S|)` pair evaluations, `|S|²/2 + (n − |S|)·|S|` of them, not
+/// `n²/2`. The combine-solves extractions excite sums of basis vectors
+/// from squares at least three apart, so most of their blocks have a
+/// support of a fraction of the contacts.
 ///
-/// * **padded panels** — the `k` voltage columns are packed panel-major:
-///   panel `c` holds rows `0..n` of columns `8c .. 8c + 8`, one
-///   `[f64; LANES]` per row ([`LANES`] = 8). A ragged last panel, and
-///   `k = 1`, is zero-padded; padded lanes are never read back;
-/// * **row blocks** — rows are taken four at a time (`ROW_BLOCK`). The
-///   triangle of pairs inside a block runs first, then the block meets
-///   every later row `j` once;
+/// * **support panels** — the `k` voltage columns are packed
+///   panel-major: panel `c` holds the `|S|` support rows of columns
+///   `8c .. 8c + 8`, one `[f64; LANES]` per row ([`LANES`] = 8), in index
+///   order. A ragged last panel, and `k = 1`, is zero-padded; padded lanes
+///   are never read back. The support rows' coordinates, areas and
+///   diagonal are gathered into a solver of their own; when `S` is every
+///   row nothing is copied;
+/// * **row blocks** — `S`'s rows are taken four at a time (`ROW_BLOCK`).
+///   The triangle of pairs inside a block runs first, then the block
+///   meets every later support row `j` once;
 /// * **tile evaluation** — for a tile of up to 256 later rows (`TILE`), the
 ///   block rows' kernel values are evaluated into an on-stack tile, one
 ///   lane per `j` (`kernel_row`), with the pair distance
@@ -705,9 +713,19 @@ pub fn synthetic(layout: &subsparse_layout::Layout) -> DenseSolver {
 /// * **register-blocked update** — per panel, the block rows' `y` and
 ///   `v` stay in `[f64; LANES]` arrays while the tile streams past, so a
 ///   later row's `y` and `v` are loaded and stored once per block, not
-///   once per pair.
+///   once per pair;
+/// * **rows outside `S`** — the same four-row blocks meet every support
+///   row in the same tiles, in one direction only: a row outside `S`
+///   gains `G_mj·v[j]` from each support row `j` and gives nothing back.
+///   When `S` is every row this loop is empty and the one above is the
+///   whole pair loop, so there is one path, with no threshold.
 ///
-/// # Why every tier and every batch width give the same bits
+/// The responses of both loops are packed into one buffer of `n` rows and
+/// unpacked into the output, so a call's heap is never larger than the
+/// unrestricted loop's: the voltage panels shrink to `|S|` rows, and the
+/// gathered arrays are only made when they do.
+///
+/// # Why every tier, batch width and support give the same bits
 ///
 /// Each response element `y[m]` is `diag[m]·v[m]` plus one product
 /// `G_mj·v[j]` per partner `j`, added in ascending `j`: the order of the
@@ -721,6 +739,19 @@ pub fn synthetic(layout: &subsparse_layout::Layout) -> DenseSolver {
 /// `fma`. IEEE `sqrt`, `/`, `*` and `+` round the same in every lane, and
 /// lanes never mix, so a column's bits depend neither on the tier nor on
 /// the batch it rides in.
+///
+/// Leaving the rows outside `S` out changes no bit either. Such a row `j`
+/// has `v[j] = +0.0` in every lane, and `G_mj` is finite with its sign bit
+/// set (`−a_m·a_j` over a positive denominator, `−0.0` if an area is
+/// zero). So each dropped term is `G_mj·(+0.0) = −0.0`, and
+/// `y + (−0.0) = y` for every `y`. A row outside `S` starts at
+/// `diag[m]·(+0.0) = +0.0`, since the diagonal is finite and not negative,
+/// and gains its support partners in ascending `j`. Gathering keeps index
+/// order, so the rows of `S` gain theirs in ascending `j` too. A `−0.0`
+/// voltage is not `+0.0` by bits and stays in `S`: `G·(−0.0) = +0.0`, which
+/// would turn a `−0.0` sum into `+0.0`. A column's own zero rows that lie
+/// inside the batch's support add the same `−0.0` terms, so its bits do
+/// not depend on the support of the batch it rides in.
 ///
 /// [`synthetic`]'s matrix is built from these entries, so the two agree
 /// bit-for-bit; *responses* agree only to rounding (~1e-15 relative),
@@ -745,28 +776,87 @@ const ROW_BLOCK: usize = 4;
 const TILE: usize = 256;
 
 impl KernelSolver {
+    /// Contact `i`'s centroid and area, as the kernel takes them.
+    #[inline(always)]
+    fn point(&self, i: usize) -> (f64, f64, f64) {
+        (self.xs[i], self.ys[i], self.areas[i])
+    }
+
     /// Off-diagonal kernel value `G_ij` (`i != j`), evaluated on demand.
     #[inline(always)]
     fn off(&self, i: usize, j: usize) -> f64 {
-        let (xs, ys, a) = (&self.xs, &self.ys, &self.areas);
-        pair_kernel(xs[i], ys[i], a[i], xs[j], ys[j], a[j], self.c0)
+        let ((xi, yi, ai), (xj, yj, aj)) = (self.point(i), self.point(j));
+        pair_kernel(xi, yi, ai, xj, yj, aj, self.c0)
+    }
+
+    /// The contacts not in `rest` (ascending), in index order, as a solver
+    /// of their own: their coordinates, areas and diagonal entries.
+    fn gather(&self, rest: &[usize]) -> KernelSolver {
+        let pick = |a: &[f64]| {
+            a.iter().zip(in_support(a.len(), rest)).filter(|&(_, l)| l).map(|(&x, _)| x).collect()
+        };
+        KernelSolver {
+            xs: pick(&self.xs),
+            ys: pick(&self.ys),
+            areas: pick(&self.areas),
+            diag: pick(&self.diag),
+            c0: self.c0,
+        }
     }
 
     /// Runs the pair loop on the `k` voltage columns `col(0)`, …,
-    /// `col(k - 1)` and returns the responses packed like the voltages
-    /// (see [`panel_col`]).
-    fn apply<'a>(&self, k: usize, col: impl Fn(usize) -> &'a [f64]) -> Vec<f64> {
+    /// `col(k - 1)`, restricted to their support (see the type's docs),
+    /// and returns the `n x k` responses.
+    fn apply<'a>(&self, k: usize, col: impl Fn(usize) -> &'a [f64]) -> Mat {
         let n = self.n_contacts();
-        let mut vp = vec![0.0; k.div_ceil(LANES) * n * LANES];
-        for c in 0..k {
-            for (row, &v) in vp[c / LANES * n * LANES..].chunks_exact_mut(LANES).zip(col(c)) {
-                row[c % LANES] = v;
+        // the rows outside the support S: +0.0 by bits in every column
+        // (empty, and so never allocated, when S is every row)
+        let rest: Vec<usize> =
+            (0..n).filter(|&i| (0..k).all(|c| col(c)[i].to_bits() == 0)).collect();
+        let m = n - rest.len();
+        let packed = k.div_ceil(LANES) * m * LANES;
+        // S's responses fill the first `packed` values, panels of m rows;
+        // the rows outside S follow, panels of n - m rows
+        let mut yp = vec![0.0; k.div_ceil(LANES) * n * LANES];
+        // the voltage panels and gathered rows are dropped before `out` is
+        // made, so a dense call holds no more than the unrestricted loop did
+        {
+            let sub;
+            let s = if rest.is_empty() {
+                self
+            } else {
+                sub = self.gather(&rest);
+                &sub
+            };
+            let mut vp = vec![0.0; packed];
+            for c in 0..k {
+                let vs = col(c).iter().zip(in_support(n, &rest)).filter(|&(_, l)| l);
+                for (row, (&v, _)) in vp[c / LANES * m * LANES..].chunks_exact_mut(LANES).zip(vs) {
+                    row[c % LANES] = v;
+                }
+            }
+            let (ys, yr) = yp.split_at_mut(packed);
+            apply_panels(s, &vp, ys);
+            apply_rest(self, &rest, s, &vp, yr);
+        }
+        let (ys, yr) = yp.split_at(packed);
+        let mut out = Mat::zeros(n, k);
+        for (c, out) in out.cols_mut().enumerate() {
+            let (mut ys, mut yr) = (panel_col(ys, m, c), panel_col(yr, n - m, c));
+            for (y, l) in out.iter_mut().zip(in_support(n, &rest)) {
+                let next = if l { ys.next() } else { yr.next() };
+                *y = next.expect("one packed response per row");
             }
         }
-        let mut yp = vec![0.0; vp.len()];
-        apply_panels(self, &vp, &mut yp);
-        yp
+        out
     }
+}
+
+/// Whether each row of `0..n` is in the support, given the rows `rest`
+/// (ascending) that are not.
+fn in_support(n: usize, rest: &[usize]) -> impl Iterator<Item = bool> + '_ {
+    let mut rest = rest.iter().peekable();
+    (0..n).map(move |i| rest.next_if_eq(&&i).is_none())
 }
 
 /// Column `c` of `n`-row vectors packed in zero-padded panels: panel
@@ -792,13 +882,12 @@ fn pair_kernel(xi: f64, yi: f64, ai: f64, xj: f64, yj: f64, aj: f64, c0: f64) ->
     -ai * aj / (c0 + d * d * d)
 }
 
-/// `out[t] = G_{i, j0+t}` for every `t`: row `i`'s kernel values against
-/// the contiguous rows `j0..j0 + out.len()`, one lane per `j` at the
-/// caller's tier. The pair loop's tiles and [`kernel`]'s diagonal pass
+/// `out[t]` is the kernel value between the contact at `(xi, yi)` with
+/// area `ai` and row `j0 + t` of `s`, for every `t`: one lane per `j` at
+/// the caller's tier. The pair loop's tiles and [`kernel`]'s diagonal pass
 /// both evaluate the kernel here.
 #[inline(always)]
-fn kernel_row(s: &KernelSolver, i: usize, j0: usize, out: &mut [f64]) {
-    let (xi, yi, ai) = (s.xs[i], s.ys[i], s.areas[i]);
+fn kernel_row(s: &KernelSolver, (xi, yi, ai): (f64, f64, f64), j0: usize, out: &mut [f64]) {
     let j1 = j0 + out.len();
     let js = s.xs[j0..j1].iter().zip(&s.ys[j0..j1]).zip(&s.areas[j0..j1]);
     for (g, ((&xj, &yj), &aj)) in out.iter_mut().zip(js) {
@@ -807,10 +896,11 @@ fn kernel_row(s: &KernelSolver, i: usize, j0: usize, out: &mut [f64]) {
 }
 
 subsparse_linalg::simd::tiered! {
-    /// [`KernelSolver`]'s pair loop (its docs give the blocking and why
-    /// the bits hold) on voltages `vp` packed in zero-padded panels of
-    /// `n` rows by `LANES` columns, writing the responses, packed the
-    /// same way, into `yp`.
+    /// [`KernelSolver`]'s symmetric pair loop (its docs give the blocking
+    /// and why the bits hold) among all rows of `s`, on voltages `vp`
+    /// packed in zero-padded panels of `s`'s `n` rows by `LANES` columns,
+    /// writing the responses, packed the same way, into `yp`. The caller
+    /// passes the support's rows as `s`.
     fn apply_panels(s: &KernelSolver, vp: &[f64], yp: &mut [f64]) {
         let n = s.diag.len();
         let len = n * LANES;
@@ -847,7 +937,7 @@ subsparse_linalg::simd::tiered! {
             for j0 in (i1..n).step_by(TILE) {
                 let m = (n - j0).min(TILE);
                 for (r, gr) in g.iter_mut().enumerate() {
-                    kernel_row(s, i0 + r, j0, &mut gr[..m]);
+                    kernel_row(s, s.point(i0 + r), j0, &mut gr[..m]);
                 }
                 for (yq, vq) in yp.chunks_exact_mut(len).zip(vp.chunks_exact(len)) {
                     let (yb, yt) = yq.split_at_mut(i1 * LANES);
@@ -881,6 +971,49 @@ subsparse_linalg::simd::tiered! {
 }
 
 subsparse_linalg::simd::tiered! {
+    /// The one-directional half of [`KernelSolver`]'s pair loop: the rows
+    /// `rest` of `full`, which carry `+0.0` in every column, against every
+    /// support row of `s`, whose voltages `vp` are packed like
+    /// [`apply_panels`]'s. Row `rest[r]`'s responses go to row `r` of `yp`
+    /// (panels of `rest.len()` rows), which starts at `+0.0`.
+    fn apply_rest(full: &KernelSolver, rest: &[usize], s: &KernelSolver, vp: &[f64], yp: &mut [f64]) {
+        let (m, len) = (s.diag.len(), rest.len() * LANES);
+        if m == 0 || len == 0 {
+            return;
+        }
+        let mut g = [[0.0; TILE]; ROW_BLOCK];
+        for (b, rows) in rest.chunks(ROW_BLOCK).enumerate() {
+            for j0 in (0..m).step_by(TILE) {
+                let w = (m - j0).min(TILE);
+                // a short last block leaves stale rows in `g`; their sums
+                // are never stored
+                for (gr, &i) in g.iter_mut().zip(rows) {
+                    kernel_row(s, full.point(i), j0, &mut gr[..w]);
+                }
+                for (yq, vq) in yp.chunks_exact_mut(len).zip(vp.chunks_exact(m * LANES)) {
+                    let yb = &mut yq[b * ROW_BLOCK * LANES..][..rows.len() * LANES];
+                    let mut yi = [[0.0; LANES]; ROW_BLOCK];
+                    for (y, src) in yi.iter_mut().zip(yb.chunks_exact(LANES)) {
+                        y.copy_from_slice(src);
+                    }
+                    for (t, vj) in vq[j0 * LANES..][..w * LANES].chunks_exact(LANES).enumerate() {
+                        for (y, gr) in yi.iter_mut().zip(&g) {
+                            let gt = gr[t];
+                            for l in 0..LANES {
+                                y[l] += gt * vj[l];
+                            }
+                        }
+                    }
+                    for (dst, y) in yb.chunks_exact_mut(LANES).zip(&yi) {
+                        dst.copy_from_slice(y);
+                    }
+                }
+            }
+        }
+    }
+}
+
+subsparse_linalg::simd::tiered! {
     /// `off[i] = Σ_{j≠i} |G_ij|`, the row sums behind [`kernel`]'s
     /// diagonal, in the order of the plain pair loop: row `i`'s values
     /// against every `j > i` are evaluated into one row (`kernel_row`),
@@ -891,7 +1024,7 @@ subsparse_linalg::simd::tiered! {
         let mut row = vec![0.0; n];
         for i in 0..n {
             let gi = &mut row[i + 1..];
-            kernel_row(s, i, i + 1, gi);
+            kernel_row(s, s.point(i), i + 1, gi);
             let (head, tail) = off.split_at_mut(i + 1);
             for (o, g) in tail.iter_mut().zip(gi.iter_mut()) {
                 *g = g.abs();
@@ -911,23 +1044,14 @@ impl SubstrateSolver for KernelSolver {
         let n = self.n_contacts();
         assert_eq!(contact_voltages.len(), n, "voltage vector length mismatch");
         let _t = SolveTrace::begin("solve.kernel", 1);
-        let yp = self.apply(1, |_| contact_voltages);
-        panel_col(&yp, n, 0).collect()
+        self.apply(1, |_| contact_voltages).col(0).to_vec()
     }
 
     fn solve_batch(&self, voltages: &Mat) -> Mat {
-        let n = self.n_contacts();
-        assert_eq!(voltages.n_rows(), n, "voltage block row mismatch");
+        assert_eq!(voltages.n_rows(), self.n_contacts(), "voltage block row mismatch");
         let k = voltages.n_cols();
         let _t = SolveTrace::begin("solve_batch.kernel", k);
-        let yp = self.apply(k, |c| voltages.col(c));
-        let mut out = Mat::zeros(n, k);
-        for (c, col) in out.cols_mut().enumerate() {
-            for (y, v) in col.iter_mut().zip(panel_col(&yp, n, c)) {
-                *y = v;
-            }
-        }
-        out
+        self.apply(k, |c| voltages.col(c))
     }
 }
 
@@ -1191,6 +1315,40 @@ mod tests {
         }
     }
 
+    /// Voltage blocks of `k` columns with the supports the extraction
+    /// sends: rows outside the support are `+0.0` in every column. The
+    /// combine-solve group places each contact in an 8 x 8 grid of squares
+    /// over the 128-wide layouts the tests use.
+    fn support_blocks(s: &KernelSolver, k: usize) -> Vec<(&'static str, Mat)> {
+        let n = s.n_contacts();
+        let value = |i: usize, c: usize| (((i * k + c) * 13 + 5) as f64 * 0.173).sin();
+        let on = |keep: &dyn Fn(usize, usize) -> bool| {
+            Mat::from_fn(n, k, |i, c| if keep(i, c) { value(i, c) } else { 0.0 })
+        };
+        // squares at least three apart, each column a different subset of
+        // their contacts
+        let grouped = |i: usize, c: usize| {
+            let (sx, sy) = ((s.xs[i] / 16.0) as usize, (s.ys[i] / 16.0) as usize);
+            sx.is_multiple_of(3) && sy.is_multiple_of(3) && !(i + c).is_multiple_of(4)
+        };
+        let signed = Mat::from_fn(n, k, |i, c| match (i % 4, (i + c) % 3) {
+            (0, 0) => -0.0,
+            (0, 1) => 0.0,
+            (0, _) => value(i, c),
+            // a row of -0.0 alone is in the support
+            (2, _) => -0.0,
+            _ => 0.0,
+        });
+        vec![
+            ("full", on(&|_, _| true)),
+            ("empty", on(&|_, _| false)),
+            ("single row", on(&|i, _| i == n / 2)),
+            ("every third row", on(&|i, _| i.is_multiple_of(3))),
+            ("combine-solve group", on(&grouped)),
+            ("signed zeros", signed),
+        ]
+    }
+
     #[test]
     fn apply_rows_matches_the_scalar_loop_on_every_tier() {
         use subsparse_layout::generators;
@@ -1203,28 +1361,45 @@ mod tests {
         // n <= 5: no full row block, or one and a short one
         let mut solvers: Vec<KernelSolver> = (1..=5).map(|n| prefix(&irregular, n)).collect();
         solvers.extend([big, irregular]);
-        let tiers = subsparse_linalg::simd::each_tier(|tier| {
-            for s in &solvers {
-                let n = s.n_contacts();
-                for k in [1, 3, 7, 8, 9, 32, 33] {
-                    let block =
-                        Mat::from_fn(n, k, |i, c| (((i * k + c) * 13 + 5) as f64 * 0.173).sin());
+        // the scalar references first: they do not depend on the tier
+        let mut cases = Vec::new();
+        for s in &solvers {
+            let n = s.n_contacts();
+            for k in [1, 3, 7, 8, 9, 32, 33] {
+                for (name, block) in support_blocks(s, k) {
                     let vr: Vec<f64> = (0..n * k).map(|t| block[(t / k, t % k)]).collect();
                     let mut want = vec![0.0; n * k];
                     apply_rows_scalar(s, &vr, &mut want, k);
-                    let got = s.solve_batch(&block);
-                    for (t, b) in want.iter().enumerate() {
-                        let (i, c) = (t / k, t % k);
-                        let a = got[(i, c)];
+                    if name == "empty" {
+                        assert!(want.iter().all(|y| y.to_bits() == 0), "n = {n}: not +0.0");
+                    }
+                    cases.push((s, name, block, want));
+                }
+            }
+        }
+        let tiers = subsparse_linalg::simd::each_tier(|tier| {
+            for (s, name, block, want) in &cases {
+                let (n, k) = (block.n_rows(), block.n_cols());
+                let got = s.solve_batch(block);
+                for (t, b) in want.iter().enumerate() {
+                    let (i, c) = (t / k, t % k);
+                    let a = got[(i, c)];
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{tier:?}, {name}, n = {n}, k = {k}, ({i},{c}): {a} vs {b}"
+                    );
+                }
+                // a single column has a support of its own
+                for c in [0, k - 1] {
+                    let single = s.solve(block.col(c));
+                    for (i, a) in single.iter().enumerate() {
+                        let b = want[i * k + c];
                         assert_eq!(
                             a.to_bits(),
                             b.to_bits(),
-                            "{tier:?}, n = {n}, k = {k}, ({i},{c}): {a} vs {b}"
+                            "{tier:?}, {name}, n = {n}, k = {k}, solve column {c}, row {i}"
                         );
-                    }
-                    if k == 1 {
-                        let single = s.solve(block.col(0));
-                        assert_eq!(single, got.col(0), "{tier:?}, n = {n}: solve vs solve_batch");
                     }
                 }
             }
