@@ -5,7 +5,8 @@
 //! to *win* as `n` grows — so this runner sweeps `n` in powers of four
 //! (regular `k x k` grids, `n = k^2`) and records, per size:
 //!
-//! * extraction wall-clock and black-box solve count (combine-solves,
+//! * extraction wall-clock (median and range of [`RUNS`] runs) and
+//!   black-box solve count (combine-solves,
 //!   through the [`KernelSolver`](subsparse::substrate::KernelSolver) — a
 //!   matrix-free synthetic model with `O(n)` memory, so the black box
 //!   itself never caps the sweep the way the dense synthetic model's
@@ -14,7 +15,15 @@
 //!   `scaling` binary's counting global allocator — the library reports
 //!   whatever [`PeakProbe`] the caller injects);
 //! * serving nanoseconds per applied vector on the extracted
-//!   representation's fast-transform path, and its nnz ratio.
+//!   representation's fast-transform path (median and range), and its
+//!   nnz ratio.
+//!
+//! Every point runs [`RUNS`] times, n = 16384 included: one run per point
+//! could not resolve what it recorded (two back-to-back runs of one
+//! binary read n = 1024 at 66.6 and 105.7 ms). A *calibration row* (a
+//! fixed dense n = 1024 matrix-vector product, [`calibrate`]) is timed
+//! before every run, so a slow host shows in its range rather than as a
+//! regression.
 //!
 //! The sweep runs behind an *extract gate*: on a small fixture, the
 //! `Gw` that the combine-solves [`extract()`] produces — the extraction
@@ -27,9 +36,11 @@
 //! other bench records) — the committed trajectory baseline.
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 
 use subsparse::layout::generators;
+use subsparse::linalg::Mat;
 use subsparse::sparsify::eval::{format_ns, time_applies, EvalOptions};
 use subsparse::substrate::{solver, CountingSolver};
 use subsparse::wavelet::{build_basis, extract, transform_dense, ExtractOptions};
@@ -47,6 +58,9 @@ pub const DEFAULT_SIDES: [usize; 3] = [32, 64, 128];
 /// Grid side of the extract-gate fixture (`n = 256` — small enough that
 /// the dense reference transform is cheap even in debug builds).
 pub const GATE_SIDE: usize = 16;
+
+/// Runs per sweep point: each row records the median and the range.
+pub const RUNS: usize = 3;
 
 /// Physical extent of the sweep layouts; contacts are sized `extent /
 /// (2k)` so every side stays collision-free.
@@ -75,6 +89,60 @@ impl PeakProbe for NoProbe {
     }
 }
 
+/// The median and range of one timed quantity over its runs.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Spread {
+    /// Median (the mean of the middle two at an even count).
+    pub median: f64,
+    /// Smallest run.
+    pub min: f64,
+    /// Largest run.
+    pub max: f64,
+}
+
+impl Spread {
+    /// The spread of `samples`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty.
+    pub fn of(samples: &[f64]) -> Spread {
+        let mut v = samples.to_vec();
+        v.sort_by(f64::total_cmp);
+        let m = v.len() / 2;
+        let median = if v.len() % 2 == 1 { v[m] } else { (v[m - 1] + v[m]) / 2.0 };
+        Spread { median, min: v[0], max: v[v.len() - 1] }
+    }
+
+    /// `"<key>":median,"<key>_min":min,"<key>_max":max`, one decimal.
+    fn json(&self, key: &str) -> String {
+        format!(
+            "\"{key}\":{:.1},\"{key}_min\":{:.1},\"{key}_max\":{:.1}",
+            self.median, self.min, self.max
+        )
+    }
+}
+
+/// Wall-clock microseconds of one fixed dense n = 1024 matrix-vector
+/// product, the median of 41: the calibration row, which tracks the
+/// host's speed beside the sweep.
+pub fn calibrate() -> f64 {
+    let n = 1024;
+    let a = Mat::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 97) as f64 / 97.0 - 0.5);
+    let x: Vec<f64> = (0..n).map(|i| (i % 13) as f64 - 6.0).collect();
+    let mut y = vec![0.0; n];
+    a.matvec_into(&x, &mut y);
+    let samples: Vec<f64> = (0..41)
+        .map(|_| {
+            let t0 = Instant::now();
+            a.matvec_into(black_box(&x), &mut y);
+            black_box(&y);
+            t0.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    Spread::of(&samples).median
+}
+
 /// One sweep point of the scaling trajectory.
 #[derive(Clone, Debug)]
 pub struct ScalingRow {
@@ -88,35 +156,37 @@ pub struct ScalingRow {
     pub solves: usize,
     /// `n / solves`.
     pub solve_reduction: f64,
-    /// Extraction wall-clock, milliseconds (basis build + combine-solves).
-    pub extract_ms: f64,
-    /// Peak live heap during extraction, bytes (0 = not measured).
+    /// Extraction wall-clock over the runs, milliseconds (basis build +
+    /// combine-solves).
+    pub extract_ms: Spread,
+    /// Peak live heap during extraction, the largest over the runs, bytes
+    /// (0 = not measured).
     pub peak_alloc_bytes: usize,
     /// Stored nonzeros of the extracted representation.
     pub nnz: usize,
     /// `nnz / n^2` — must *fall* with `n` for the sparsity claim to
     /// cash out asymptotically.
     pub nnz_ratio: f64,
-    /// Serving nanoseconds per single-vector apply (fast-transform path,
-    /// warm workspace).
-    pub serve_ns_per_vector: f64,
+    /// Serving nanoseconds per single-vector apply over the runs
+    /// (fast-transform path, warm workspace).
+    pub serve_ns_per_vector: Spread,
 }
 
 impl ScalingRow {
     /// One machine-readable JSON object (used by `BENCH_scaling.json`).
     pub fn json(&self) -> String {
         format!(
-            "{{\"n\":{},\"k\":{},\"levels\":{},\"solves\":{},\"solve_reduction\":{:.2},\"extract_ms\":{:.1},\"peak_alloc_bytes\":{},\"nnz\":{},\"nnz_ratio\":{:.6},\"serve_ns_per_vector\":{:.1}}}",
+            "{{\"n\":{},\"k\":{},\"levels\":{},\"solves\":{},\"solve_reduction\":{:.2},{},\"peak_alloc_bytes\":{},\"nnz\":{},\"nnz_ratio\":{:.6},{}}}",
             self.n,
             self.k,
             self.levels,
             self.solves,
             self.solve_reduction,
-            self.extract_ms,
+            self.extract_ms.json("extract_ms"),
             self.peak_alloc_bytes,
             self.nnz,
             self.nnz_ratio,
-            self.serve_ns_per_vector
+            self.serve_ns_per_vector.json("serve_ns_per_vector")
         )
     }
 }
@@ -126,55 +196,62 @@ fn sweep_layout(k: usize) -> subsparse::Layout {
     generators::regular_grid(EXTENT, k, EXTENT / k as f64 / 2.0)
 }
 
-/// Runs one sweep point: build the basis, extract through the counting
-/// kernel black box, time the serving path.
-pub fn run_point(k: usize, probe: &dyn PeakProbe) -> ScalingRow {
+/// Runs one sweep point [`RUNS`] times: build the basis, extract through
+/// the counting kernel black box, time the serving path. Each run is
+/// preceded by one [`calibrate`] call, pushed onto `calib_us`.
+pub fn run_point(k: usize, probe: &dyn PeakProbe, calib_us: &mut Vec<f64>) -> ScalingRow {
     let layout = sweep_layout(k);
     let n = layout.n_contacts();
     let levels = subsparse::choose_levels(&layout, 16).max(2);
-    let black_box = CountingSolver::new(solver::kernel(&layout));
-    probe.reset();
-    let t0 = Instant::now();
-    let basis = build_basis(&layout, levels, 2).expect("wavelet basis on a regular grid");
-    let rep = extract(&black_box, &basis, &ExtractOptions::default());
-    let extract_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let peak_alloc_bytes = probe.peak_bytes();
     // serving: the fast-transform path with warm scratch, few iterations
-    // (the apply is deterministic; this column tracks growth, not noise)
     let eval = EvalOptions { apply_iters: 8, apply_block: 4, threads: 1, ..Default::default() };
-    let serve_ns_per_vector = time_applies(&rep, &eval).apply_ns;
-    let solves = black_box.count();
+    let (mut extract_ms, mut serve_ns) = (Vec::new(), Vec::new());
+    let (mut peak_alloc_bytes, mut solves, mut nnz) = (0, 0, 0);
+    for _ in 0..RUNS {
+        calib_us.push(calibrate());
+        let black_box = CountingSolver::new(solver::kernel(&layout));
+        probe.reset();
+        let t0 = Instant::now();
+        let basis = build_basis(&layout, levels, 2).expect("wavelet basis on a regular grid");
+        let rep = extract(&black_box, &basis, &ExtractOptions::default());
+        extract_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        peak_alloc_bytes = peak_alloc_bytes.max(probe.peak_bytes());
+        serve_ns.push(time_applies(&rep, &eval).apply_ns);
+        (solves, nnz) = (black_box.count(), rep.nnz());
+    }
     ScalingRow {
         n,
         k,
         levels,
         solves,
         solve_reduction: n as f64 / solves as f64,
-        extract_ms,
+        extract_ms: Spread::of(&extract_ms),
         peak_alloc_bytes,
-        nnz: rep.nnz(),
-        nnz_ratio: rep.nnz() as f64 / (n as f64 * n as f64),
-        serve_ns_per_vector,
+        nnz,
+        nnz_ratio: nnz as f64 / (n as f64 * n as f64),
+        serve_ns_per_vector: Spread::of(&serve_ns),
     }
 }
 
-/// Runs the sweep over the given grid sides.
-pub fn run_scaling(sides: &[usize], probe: &dyn PeakProbe) -> Vec<ScalingRow> {
+/// Runs the sweep over the given grid sides, returning its rows and the
+/// calibration row sampled before every run.
+pub fn run_scaling(sides: &[usize], probe: &dyn PeakProbe) -> (Vec<ScalingRow>, Spread) {
     let mut rows = Vec::new();
+    let mut calib_us = Vec::new();
     for &k in sides {
-        println!("\n== scaling sweep (n = {})", k * k);
-        let row = run_point(k, probe);
+        println!("\n== scaling sweep (n = {}, {RUNS} runs)", k * k);
+        let row = run_point(k, probe, &mut calib_us);
         println!(
             "  n={:<6} solves={:<5} extract={:<10} peak={:<10} serve={}/vector",
             row.n,
             row.solves,
-            format!("{:.0}ms", row.extract_ms),
+            format!("{:.0}ms", row.extract_ms.median),
             format_bytes(row.peak_alloc_bytes),
-            format_ns(row.serve_ns_per_vector),
+            format_ns(row.serve_ns_per_vector.median),
         );
         rows.push(row);
     }
-    rows
+    (rows, Spread::of(&calib_us))
 }
 
 /// The extract gate: on the `n = 256` fixture, default-option
@@ -215,39 +292,61 @@ pub fn extract_gate() -> Result<f64, String> {
     }
 }
 
-/// Formats the sweep as an aligned table with per-doubling growth factors
-/// (each row's serving cost over the previous row's; `n` quadruples per
-/// row, so sub-quadratic serving growth shows as a factor well under 16).
-pub fn format_rows(rows: &[ScalingRow]) -> String {
+/// Formats the sweep as an aligned table (medians, with the extraction's
+/// range) with per-doubling growth factors (each row's median serving
+/// cost over the previous row's; `n` quadruples per row, so
+/// sub-quadratic serving growth shows as a factor well under 16), and the
+/// calibration row under it.
+pub fn format_rows(rows: &[ScalingRow], calib_us: &Spread) -> String {
     let mut out = String::new();
     writeln!(
         out,
-        "\n{:<7} {:>7} {:>7} {:>8} {:>11} {:>11} {:>11} {:>10} {:>11} {:>7}",
-        "n", "levels", "solves", "red.", "extract", "peak", "nnz", "nnz/n^2", "serve/vec", "growth"
+        "\n{:<7} {:>7} {:>7} {:>8} {:>11} {:>17} {:>11} {:>11} {:>10} {:>11} {:>7}",
+        "n",
+        "levels",
+        "solves",
+        "red.",
+        "extract",
+        "range",
+        "peak",
+        "nnz",
+        "nnz/n^2",
+        "serve/vec",
+        "growth"
     )
     .unwrap();
     for (idx, row) in rows.iter().enumerate() {
         let growth = if idx == 0 {
             "-".to_string()
         } else {
-            format!("{:.1}x", row.serve_ns_per_vector / rows[idx - 1].serve_ns_per_vector)
+            format!(
+                "{:.1}x",
+                row.serve_ns_per_vector.median / rows[idx - 1].serve_ns_per_vector.median
+            )
         };
         writeln!(
             out,
-            "{:<7} {:>7} {:>7} {:>7.1} {:>10.0}ms {:>11} {:>11} {:>10.6} {:>11} {:>7}",
+            "{:<7} {:>7} {:>7} {:>7.1} {:>10.0}ms {:>17} {:>11} {:>11} {:>10.6} {:>11} {:>7}",
             row.n,
             row.levels,
             row.solves,
             row.solve_reduction,
-            row.extract_ms,
+            row.extract_ms.median,
+            format!("{:.0}-{:.0}ms", row.extract_ms.min, row.extract_ms.max),
             format_bytes(row.peak_alloc_bytes),
             row.nnz,
             row.nnz_ratio,
-            format_ns(row.serve_ns_per_vector),
+            format_ns(row.serve_ns_per_vector.median),
             growth,
         )
         .unwrap();
     }
+    writeln!(
+        out,
+        "calibration: dense n=1024 matvec {:.1} us (range {:.1}-{:.1})",
+        calib_us.median, calib_us.min, calib_us.max
+    )
+    .unwrap();
     out
 }
 
@@ -267,15 +366,16 @@ pub fn format_bytes(b: usize) -> String {
 
 /// Serializes the sweep as the `BENCH_scaling.json` record: the run
 /// [`metadata`](crate::run_meta_json) header, the extract-gate verdict
-/// and the error it measured ([`extract_gate`]), and one object per
-/// sweep point.
-pub fn rows_json(rows: &[ScalingRow], gate_err: f64) -> String {
+/// and the error it measured ([`extract_gate`]), the runs per point, the
+/// calibration row, and one object per sweep point.
+pub fn rows_json(rows: &[ScalingRow], gate_err: f64, calib_us: &Spread) -> String {
     let body: Vec<String> = rows.iter().map(|r| format!("  {}", r.json())).collect();
     format!(
-        "{{\"meta\":{},\n\"extract_gate_ok\":{},\n\"extract_gate_rel_fro_err\":{:e},\n\"rows\":[\n{}\n]}}\n",
+        "{{\"meta\":{},\n\"extract_gate_ok\":{},\n\"extract_gate_rel_fro_err\":{:e},\n\"runs\":{RUNS},\n\"calibration\":{{\"what\":\"dense n=1024 matvec, wall clock\",{}}},\n\"rows\":[\n{}\n]}}\n",
         crate::run_meta_json(EvalOptions::default().apply_iters),
         gate_err <= Method::Wavelet.doc_tolerance(),
         gate_err,
+        calib_us.json("us"),
         body.join(",\n")
     )
 }
@@ -292,22 +392,33 @@ mod tests {
 
     #[test]
     fn smallest_sweep_point_records_everything() {
-        let row = run_point(SWEEP_SIDES[0], &NoProbe);
+        let mut calib_us = Vec::new();
+        let row = run_point(SWEEP_SIDES[0], &NoProbe, &mut calib_us);
+        assert_eq!(calib_us.len(), RUNS);
         assert_eq!(row.n, 1024);
         assert_eq!(row.k, 32);
         assert!(row.levels >= 3);
         // combine-solves: far fewer solves than n, at the thesis's ~3x
         assert!(row.solves < row.n / 2, "{} solves at n = {}", row.solves, row.n);
         assert!(row.solve_reduction > 2.0);
-        assert!(row.extract_ms > 0.0);
+        let e = row.extract_ms;
+        assert!(0.0 < e.min && e.min <= e.median && e.median <= e.max, "{e:?}");
         assert_eq!(row.peak_alloc_bytes, 0); // NoProbe: not measured
         assert!(row.nnz > 0 && row.nnz_ratio < 1.0);
-        assert!(row.serve_ns_per_vector > 0.0);
-        let json = rows_json(&[row], 3.8e-6);
+        assert!(row.serve_ns_per_vector.min > 0.0);
+        let json = rows_json(&[row], 3.8e-6, &Spread::of(&calib_us));
         assert!(json.contains("\"meta\":{\"available_parallelism\":"));
         assert!(json.contains("\"extract_gate_ok\":true"));
         assert!(json.contains("\"extract_gate_rel_fro_err\":3.8e-6"));
         assert!(json.contains("\"n\":1024") && json.contains("\"serve_ns_per_vector\":"));
+        assert!(json.contains("\"extract_ms_min\":") && json.contains("\"extract_ms_max\":"));
+        assert!(json.contains("\"runs\":3") && json.contains("\"calibration\":{"));
+    }
+
+    #[test]
+    fn spread_takes_the_median_and_range() {
+        assert_eq!(Spread::of(&[3.0, 1.0, 2.0]), Spread { median: 2.0, min: 1.0, max: 3.0 });
+        assert_eq!(Spread::of(&[4.0, 1.0, 2.0, 8.0]), Spread { median: 3.0, min: 1.0, max: 8.0 });
     }
 
     #[test]
@@ -318,14 +429,17 @@ mod tests {
             levels: 3,
             solves: n / 3,
             solve_reduction: 3.0,
-            extract_ms: 10.0,
+            extract_ms: Spread { median: 10.0, min: 9.0, max: 12.0 },
             peak_alloc_bytes: 1 << 20,
             nnz: n * 40,
             nnz_ratio: 40.0 / n as f64,
-            serve_ns_per_vector: serve,
+            serve_ns_per_vector: Spread { median: serve, min: serve, max: serve },
         };
-        let table = format_rows(&[row(1024, 1000.0), row(4096, 4000.0)]);
+        let calib = Spread::of(&[80.0, 70.0, 95.0]);
+        let table = format_rows(&[row(1024, 1000.0), row(4096, 4000.0)], &calib);
         assert!(table.contains("4.0x"), "{table}");
         assert!(table.contains("1.0MB"), "{table}");
+        assert!(table.contains("9-12ms"), "{table}");
+        assert!(table.contains("80.0 us (range 70.0-95.0)"), "{table}");
     }
 }

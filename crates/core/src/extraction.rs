@@ -108,15 +108,33 @@ mod tests {
             }
         }
         // every method spends more than BATCH solves on this grid, so its
-        // widest block reaches the bound and none exceeds it
+        // widest block reaches the bound and none exceeds it; wavelet
+        // calls hold one combine phase each, and a phase runs one group
+        // per `W` column of its fullest square, so its widest block is
+        // the largest phase run (or the root columns)
         let layout = generators::regular_grid(128.0, 16, 2.0);
         let opts = SparsifyOptions::default();
+        let basis = subsparse_wavelet::build_basis(
+            &layout,
+            opts.resolve_levels(&layout),
+            subsparse_wavelet::MOMENT_ORDER,
+        )
+        .unwrap();
+        let tree = basis.tree();
+        let largest_run = (0..=tree.finest())
+            .flat_map(|l| tree.squares(l))
+            .map(|s| basis.w_count(s))
+            .fold(basis.root_v(), usize::max);
         for &method in subsparse_sparsify::all_methods() {
             let s = Widths { inner: solver::synthetic(&layout), widths: Default::default() };
             method.sparsify(&s, &layout, &opts).unwrap();
             let widths = s.widths.into_inner().unwrap();
             let widest = widths.iter().copied().max();
-            assert_eq!(widest, Some(solver::BATCH), "{}: batch widths {widths:?}", method.name());
+            let want = match method {
+                Method::Wavelet => largest_run.min(solver::BATCH),
+                _ => solver::BATCH,
+            };
+            assert_eq!(widest, Some(want), "{}: batch widths {widths:?}", method.name());
         }
     }
 

@@ -387,15 +387,18 @@ fn level_responses<'a, S: SubstrateSolver + ?Sized>(
             .collect();
         ((group, m, parts), theta)
     });
-    subsolver::for_each_batched(solver, items, |(group, m, parts), y| {
-        for (s, (coeff, o)) in group.into_iter().zip(parts) {
-            let p_contacts = &squares[lev][s.flat()].p_contacts;
-            let resp = if split {
-                assemble_split_response(tree, parent_level, s, p_contacts, &coeff, &o, y)
-            } else {
-                restrict(y, p_contacts)
-            };
-            emit(s, m, resp);
+    subsolver::for_each_batched(solver, items, |tags, block| {
+        for (j, (group, m, parts)) in tags.into_iter().enumerate() {
+            let y = block.col(j);
+            for (s, (coeff, o)) in group.into_iter().zip(parts) {
+                let p_contacts = &squares[lev][s.flat()].p_contacts;
+                let resp = if split {
+                    assemble_split_response(tree, parent_level, s, p_contacts, &coeff, &o, y)
+                } else {
+                    restrict(y, p_contacts)
+                };
+                emit(s, m, resp);
+            }
         }
     });
 }
@@ -521,18 +524,21 @@ fn build_finest_local<S: SubstrateSolver + ?Sized>(
         }
         ((group, *m), theta)
     });
-    subsolver::for_each_batched(solver, items, |(group, m), y| {
-        for s in group {
-            let fl = &out[s.flat()];
-            let col = resp_w[s.flat()].col_mut(m);
-            if spacing == 0 {
-                col.copy_from_slice(&restrict(y, &fl.l_contacts));
-                continue;
-            }
-            for q in tree.local(*s) {
-                let refined = refine_local(tree, level, *s, q, fl.w.col(m), y);
-                for (&ci, r) in tree.contacts_in_square(q).iter().zip(refined) {
-                    col[fl.l_contacts.binary_search(&ci).expect("q contacts in L_s")] += r;
+    subsolver::for_each_batched(solver, items, |tags, block| {
+        for (j, (group, m)) in tags.into_iter().enumerate() {
+            let y = block.col(j);
+            for s in group {
+                let fl = &out[s.flat()];
+                let col = resp_w[s.flat()].col_mut(m);
+                if spacing == 0 {
+                    col.copy_from_slice(&restrict(y, &fl.l_contacts));
+                    continue;
+                }
+                for q in tree.local(*s) {
+                    let refined = refine_local(tree, level, *s, q, fl.w.col(m), y);
+                    for (&ci, r) in tree.contacts_in_square(q).iter().zip(refined) {
+                        col[fl.l_contacts.binary_search(&ci).expect("q contacts in L_s")] += r;
+                    }
                 }
             }
         }

@@ -693,8 +693,11 @@ pub fn synthetic(layout: &subsparse_layout::Layout) -> DenseSolver {
 /// some voltage column is not `+0.0` by bits. A call costs
 /// `O(n·|S|)` pair evaluations, `|S|²/2 + (n − |S|)·|S|` of them, not
 /// `n²/2`. The combine-solves extractions excite sums of basis vectors
-/// from squares at least three apart, so most of their blocks have a
-/// support of a fraction of the contacts.
+/// from squares at least three apart. The wavelet extraction puts one
+/// combine phase in each call, so a call's support is that phase's
+/// squares: a ninth of the contacts on average on every level with at
+/// least three squares a side. A call mixing phases would pay for their
+/// union in every panel.
 ///
 /// * **support panels** — the `k` voltage columns are packed
 ///   panel-major: panel `c` holds the `|S|` support rows of columns
@@ -1082,56 +1085,36 @@ pub fn kernel(layout: &subsparse_layout::Layout) -> KernelSolver {
     solver
 }
 
-/// Solves a list of right-hand-side vectors through
-/// [`SubstrateSolver::solve_batch`] in blocks of at most [`BATCH`]
-/// columns, returning one response per input vector (in order).
+/// Streams `(tag, rhs)` items through [`SubstrateSolver::solve_batch`] in
+/// blocks of at most [`BATCH`] columns, invoking `on_batch(tags,
+/// responses)` once per block, in input order: column `j` of `responses`
+/// is the response to the right-hand side tagged `tags[j]`. A block of
+/// one column goes through [`SubstrateSolver::solve`].
 ///
 /// This is the assembly helper the extraction pipelines use to turn their
 /// sequential solve loops into batched ones without changing results:
 /// responses are identical to calling [`SubstrateSolver::solve`] on each
-/// vector in turn.
-pub fn solve_each_batched<S: SubstrateSolver + ?Sized>(
-    solver: &S,
-    rhs: &[Vec<f64>],
-) -> Vec<Vec<f64>> {
-    let mut out = Vec::with_capacity(rhs.len());
-    for chunk in rhs.chunks(BATCH) {
-        if chunk.len() == 1 {
-            out.push(solver.solve(&chunk[0]));
-            continue;
-        }
-        let block = solver.solve_batch(&Mat::from_cols(chunk));
-        for k in 0..chunk.len() {
-            out.push(block.col(k).to_vec());
-        }
-    }
-    out
-}
-
-/// Streams `(tag, rhs)` items through [`SubstrateSolver::solve_batch`] in
-/// blocks of at most [`BATCH`] columns, invoking `on_response(tag,
-/// response)` for every item in input order.
-///
-/// Unlike [`solve_each_batched`], the right-hand sides are consumed
-/// lazily from the iterator, so at most [`BATCH`] of them (plus the
-/// solver's output block) are alive at once — peak memory is
-/// `O(n x BATCH)` no matter how many solves a pipeline stage makes.
+/// vector in turn. The right-hand sides are consumed lazily from the
+/// iterator, so at most [`BATCH`] of them (plus the solver's output
+/// block) are alive at once — peak memory is `O(n x BATCH)` no matter how
+/// many solves a pipeline stage makes. A caller that wants blocks of
+/// fewer columns (one combine phase per call, say) streams each run of
+/// items through its own call.
 pub fn for_each_batched<S: SubstrateSolver + ?Sized, T>(
     solver: &S,
     items: impl IntoIterator<Item = (T, Vec<f64>)>,
-    mut on_response: impl FnMut(T, &[f64]),
+    mut on_batch: impl FnMut(Vec<T>, &Mat),
 ) {
     let mut tags: Vec<T> = Vec::with_capacity(BATCH);
     let mut rhs: Vec<Vec<f64>> = Vec::with_capacity(BATCH);
     let mut flush = |tags: &mut Vec<T>, rhs: &mut Vec<Vec<f64>>| {
-        if rhs.is_empty() {
-            return;
-        }
-        let responses = solve_each_batched(solver, rhs);
-        for (tag, y) in tags.drain(..).zip(&responses) {
-            on_response(tag, y);
-        }
+        let responses = match rhs.len() {
+            0 => return,
+            1 => Mat::from_cols(&[solver.solve(&rhs[0])]),
+            _ => solver.solve_batch(&Mat::from_cols(rhs)),
+        };
         rhs.clear();
+        on_batch(std::mem::take(tags), &responses);
     };
     for (tag, v) in items {
         tags.push(tag);

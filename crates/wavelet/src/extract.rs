@@ -16,6 +16,9 @@
 //! any solve, fill it in place with every estimate the solves yield
 //! ([`extract_into`]), and average, symmetrize and compact it
 //! ([`GwAssembler::finish`]). Peak memory follows the final `nnz(Gw)`.
+//! The fill reads each block of responses through one blocked forward
+//! fast wavelet transform (`Q'` in `O(n·p)` per column), and each
+//! black-box call carries one combine phase (see [`extract_into`]).
 
 use subsparse_hier::{BasisRep, GwAssembler, GwSink, Square};
 use subsparse_linalg::{trace, Csr, Mat};
@@ -81,6 +84,18 @@ pub fn extract<S: SubstrateSolver + ?Sized>(
 /// once in each direction (one [`GwSink::add_tile`] per source column and
 /// destination square).
 ///
+/// Each response block `Y` goes through one blocked forward transform of
+/// the basis's [`FastWaveletTransform`](subsparse_hier::FastWaveletTransform):
+/// a root column's estimates are its column of `Q' Y`, and a tile is the
+/// slice of its source's column at the destination square's `W` columns.
+///
+/// Each black-box call holds the groups of one combine phase, whose
+/// squares' contacts are the support of every column: a black box whose
+/// cost follows its voltages' support (such as
+/// [`KernelSolver`](subsparse_substrate::KernelSolver)) then pays for one
+/// phase in every column, not for the union of the phases a wider block
+/// would mix. Spacing 0 has no phases, so its singletons run as one.
+///
 /// # Panics
 ///
 /// Panics if the solver's contact count differs from the basis's.
@@ -93,101 +108,81 @@ pub fn extract_into<S: SubstrateSolver + ?Sized, K: GwSink + ?Sized>(
     let n = basis.n();
     assert_eq!(solver.n_contacts(), n, "solver/basis contact count mismatch");
     let tree = basis.tree();
-    let finest = tree.finest();
+    let fwt = basis.fwt();
+    // Q' of each response block, and the transform's scratch, reused
+    // across blocks
+    let (mut coef, mut s1, mut s2) = (Mat::zeros(0, 0), Mat::zeros(0, 0), Mat::zeros(0, 0));
 
     // ---- coarsest-level nonvanishing vectors: dense rows/columns.
     // One solve per root V column, streamed in RHS blocks; the response
     // is projected onto *all* basis vectors (forms 3.21-3.23 of the
     // thesis are never assumed small).
-    let q = basis.q();
     {
         let _s = trace::span("extract.wavelet.root-solves");
-        // one transpose up front: column j of Q is row j of Q', scattered
-        // in O(nnz(col)) instead of a binary search across every row
-        let qt = q.transpose();
-        solver::for_each_batched(
-            solver,
-            (0..basis.root_v()).map(|j| (j, column_from_transpose(&qt, j, n))),
-            |j, y| {
-                let gw_col = q.matvec_t(y);
-                for (i, &v) in gw_col.iter().enumerate() {
+        let items = q_columns(basis.q(), basis.root_v()).into_iter().enumerate();
+        solver::for_each_batched(solver, items, |js, y| {
+            fwt.forward_block_into(y, &mut coef, &mut s1, &mut s2);
+            for (b, j) in js.into_iter().enumerate() {
+                for (i, &v) in coef.col(b).iter().enumerate() {
                     if v != 0.0 {
                         sink.add(i, j, v);
                     }
                 }
-            },
-        );
+            }
+        });
     }
 
     // ---- vanishing-moment vectors, level by level (source level l).
-    // The combined vectors of a level are mutually independent, so they
-    // stream through `solve_batch` in RHS blocks (the cheap group
-    // descriptors are listed first; the padded vectors are built at most
-    // `solver::BATCH` at a time); per-group response extraction runs in the
-    // original order, so the result is identical to the
-    // one-solve-at-a-time loop.
-    let mut tile = Vec::new();
-    for l in 0..=finest {
+    // Each phase's run of groups streams through `solve_batch` in RHS
+    // blocks (the padded vectors are built at most `solver::BATCH` at a
+    // time), in `combine_groups` order. A source square `s` yields the
+    // entries against destination vectors on levels `l' >= l` whose
+    // level-`l` ancestor is local to `s` (thesis eq. 3.25); the `l' < l`
+    // entries come from symmetry of `G` when that level is the source.
+    for l in 0..=tree.finest() {
         let _s = trace::span_arg("extract.wavelet.combine-level", l as u64);
         let groups = tree.combine_groups(l, options.spacing, |s| basis.w_count(s));
-        let items = groups.iter().map(|(group, m)| {
-            let mut theta = vec![0.0; n];
-            for s in group {
-                add_w_column(basis, *s, *m, &mut theta);
-            }
-            ((group, *m), theta)
-        });
-        solver::for_each_batched(solver, items, |(group, m), y| {
-            extract_group_responses(basis, group, m, y, &mut tile, sink);
-        });
-    }
-}
-
-/// Reads the entries of `Gw` recoverable from the response `y` to a
-/// combined solve whose sources are the `m`-th `W` columns of `group`.
-///
-/// For each source square `s` (level `l`), entries are extracted against
-/// destination basis vectors on levels `l' >= l` whose level-`l` ancestor
-/// is local to `s` (thesis eq. 3.25); the `l' < l` entries come from
-/// symmetry of `G` when that level is processed as a source. Each
-/// (source, destination square) pair is one [`GwSink::add_tile`] of the
-/// destination's `w_count(d)` dots, computed into `tile`.
-fn extract_group_responses<K: GwSink + ?Sized>(
-    basis: &WaveletBasis,
-    group: &[Square],
-    m: usize,
-    y: &[f64],
-    tile: &mut Vec<f64>,
-    sink: &mut K,
-) {
-    let tree = basis.tree();
-    for s in group {
-        let src_col = basis.w_col(*s, m);
-        for d in tree.local_descendants(*s) {
-            let cs = tree.contacts_in_square(d);
-            tile.clear();
-            tile.extend((0..basis.w_count(d)).map(|mp| {
-                let wcol = basis.w_column(d, mp);
-                let mut v = 0.0;
-                for (r, &ci) in cs.iter().enumerate() {
-                    v += wcol[r] * y[ci as usize];
+        // `combine_groups`' phase `(ix mod k, iy mod k)`, clamped spacing k
+        let k = options.spacing.min(tree.side(l)).max(1);
+        let phase = |(g, _): &(Vec<Square>, usize)| (g[0].ix as usize % k, g[0].iy as usize % k);
+        for run in groups.chunk_by(|a, b| phase(a) == phase(b)) {
+            let items = run.iter().map(|(group, m)| {
+                let mut theta = vec![0.0; n];
+                for s in group {
+                    add_w_column(basis, *s, *m, &mut theta);
                 }
-                v
-            }));
-            sink.add_tile(src_col, basis.w_cols(d), tile);
+                ((group, *m), theta)
+            });
+            solver::for_each_batched(solver, items, |tags, y| {
+                fwt.forward_block_into(y, &mut coef, &mut s1, &mut s2);
+                for (b, (group, m)) in tags.into_iter().enumerate() {
+                    let c = coef.col(b);
+                    for s in group {
+                        let src = basis.w_col(*s, m);
+                        for d in tree.local_descendants(*s) {
+                            let dst = basis.w_cols(d);
+                            sink.add_tile(src, dst.clone(), &c[dst]);
+                        }
+                    }
+                }
+            });
         }
     }
 }
 
-/// Materializes column `j` of a sparse matrix as a dense vector, given
-/// its precomputed transpose (column `j` = row `j` of the transpose).
-fn column_from_transpose(qt: &Csr, j: usize, n: usize) -> Vec<f64> {
-    let mut out = vec![0.0; n];
-    let (rows, vals) = qt.row(j);
-    for (&i, &v) in rows.iter().zip(vals) {
-        out[i as usize] = v;
+/// The first `width` columns of a sparse `Q` as dense vectors, gathered
+/// from its rows in one pass.
+fn q_columns(q: &Csr, width: usize) -> Vec<Vec<f64>> {
+    let mut cols = vec![vec![0.0; q.n_rows()]; width];
+    for i in 0..q.n_rows() {
+        let (js, vals) = q.row(i);
+        for (&j, &v) in js.iter().zip(vals) {
+            if (j as usize) < width {
+                cols[j as usize][i] = v;
+            }
+        }
     }
-    out
+    cols
 }
 
 /// Adds the `m`-th vanishing basis vector of `s` into a full-length vector.
@@ -211,16 +206,9 @@ pub fn transform_dense(g: &Mat, basis: &WaveletBasis) -> Mat {
     assert_eq!(g.n_rows(), n);
     assert_eq!(g.n_cols(), n);
     let q = basis.q();
-    let qt = q.transpose();
-    // Gw = Q' (G Q): build G Q column by column through sparse access
-    let mut gq = Mat::zeros(n, n);
-    for j in 0..n {
-        let qj = column_from_transpose(&qt, j, n);
-        gq.col_mut(j).copy_from_slice(&g.matvec(&qj));
-    }
     let mut gw = Mat::zeros(n, n);
-    for j in 0..n {
-        gw.col_mut(j).copy_from_slice(&q.matvec_t(gq.col(j)));
+    for (j, qj) in q_columns(q, n).iter().enumerate() {
+        gw.col_mut(j).copy_from_slice(&q.matvec_t(&g.matvec(qj)));
     }
     gw
 }
@@ -275,19 +263,94 @@ mod tests {
 
     #[test]
     fn no_combining_matches_dense_transform_on_kept_pattern() {
-        let layout = generators::regular_grid(64.0, 4, 2.0);
-        let s = solver::synthetic(&layout);
-        let g = s.matrix().clone();
-        let basis = build_basis(&layout, 2, 2).unwrap();
-        let rep = extract(&s, &basis, &ExtractOptions { spacing: 0 });
-        let gw_exact = transform_dense(&g, &basis);
-        // every *kept* entry must match the exact transform
-        for (i, j, v) in rep.gw.iter() {
-            let e = gw_exact[(i, j)];
-            assert!(
-                (v - e).abs() <= 1e-9 * gw_exact.max_abs(),
-                "kept entry ({i},{j}) = {v} differs from exact {e}"
-            );
+        // the readout goes through the FWT and the reference through the
+        // CSR Q, so the two agree to rounding
+        let cases = [
+            (generators::regular_grid(64.0, 4, 2.0), 2),
+            (generators::irregular_same_size(128.0, 16, 2.0, 3), 3),
+            (generators::irregular_same_size(128.0, 16, 2.0, 3), 4),
+        ];
+        for (layout, levels) in cases {
+            let s = solver::synthetic(&layout);
+            let g = s.matrix().clone();
+            let basis = build_basis(&layout, levels, 2).unwrap();
+            let rep = extract(&s, &basis, &ExtractOptions { spacing: 0 });
+            let gw_exact = transform_dense(&g, &basis);
+            // every *kept* entry must match the exact transform
+            for (i, j, v) in rep.gw.iter() {
+                let e = gw_exact[(i, j)];
+                assert!(
+                    (v - e).abs() <= 1e-12 * gw_exact.max_abs(),
+                    "levels {levels}: kept entry ({i},{j}) = {v} differs from exact {e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_call_excites_one_phase_of_one_level() {
+        /// Records the width and the support (entries that are not `+0.0`
+        /// by bits, in any column) of every voltage block it is handed.
+        struct Supports {
+            inner: subsparse_substrate::DenseSolver,
+            calls: std::cell::RefCell<Vec<(usize, Vec<bool>)>>,
+        }
+        impl Supports {
+            fn record(&self, v: &Mat) {
+                let mut support = vec![false; v.n_rows()];
+                for j in 0..v.n_cols() {
+                    for (s, x) in support.iter_mut().zip(v.col(j)) {
+                        *s |= x.to_bits() != 0;
+                    }
+                }
+                self.calls.borrow_mut().push((v.n_cols(), support));
+            }
+        }
+        impl SubstrateSolver for Supports {
+            fn n_contacts(&self) -> usize {
+                self.inner.n_contacts()
+            }
+            fn solve(&self, v: &[f64]) -> Vec<f64> {
+                self.record(&Mat::from_cols(&[v.to_vec()]));
+                self.inner.solve(v)
+            }
+            fn solve_batch(&self, v: &Mat) -> Mat {
+                self.record(v);
+                self.inner.solve_batch(v)
+            }
+        }
+        let layout = generators::irregular_same_size(128.0, 32, 1.0, 11);
+        for levels in [3, 4] {
+            let basis = build_basis(&layout, levels, 2).unwrap();
+            let tree = basis.tree();
+            let s = Supports { inner: solver::synthetic(&layout), calls: Default::default() };
+            let _ = extract(&s, &basis, &ExtractOptions::default());
+            // is `support` exactly the contacts of some level-`l` squares
+            // that share one phase `(ix mod k, iy mod k)`?
+            let one_phase = |support: &[bool], l: usize| {
+                let k = 3.min(tree.side(l));
+                let phase = |q: &Square| (q.ix as usize % k, q.iy as usize % k);
+                let touched: Vec<Square> = tree
+                    .squares(l)
+                    .filter(|q| tree.contacts_in_square(*q).iter().any(|&c| support[c as usize]))
+                    .collect();
+                let mut covered = vec![false; support.len()];
+                for q in &touched {
+                    for &c in tree.contacts_in_square(*q) {
+                        covered[c as usize] = true;
+                    }
+                }
+                covered == support && touched.iter().all(|q| phase(q) == phase(&touched[0]))
+            };
+            let calls = s.calls.into_inner();
+            assert!(calls.len() > 1, "levels {levels}: {} calls", calls.len());
+            for (call, (width, support)) in calls.iter().enumerate() {
+                assert!(*width <= solver::BATCH, "levels {levels}: call {call} has width {width}");
+                assert!(
+                    (0..=tree.finest()).any(|l| one_phase(support, l)),
+                    "levels {levels}: call {call} (width {width}) spans more than one phase"
+                );
+            }
         }
     }
 
