@@ -21,9 +21,8 @@
 //! Every point runs [`RUNS`] times, n = 16384 included: one run per point
 //! could not resolve what it recorded (two back-to-back runs of one
 //! binary read n = 1024 at 66.6 and 105.7 ms). A *calibration row* (a
-//! fixed dense n = 1024 matrix-vector product, [`calibrate`]) is timed
-//! before every run, so a slow host shows in its range rather than as a
-//! regression.
+//! fixed dense n = 1024 matrix-vector product) is timed
+//! before every run and recorded beside the rows.
 //!
 //! The sweep runs behind an *extract gate*: on a small fixture, the
 //! `Gw` that the combine-solves [`extract()`] produces — the extraction
@@ -126,7 +125,7 @@ impl Spread {
 /// Wall-clock microseconds of one fixed dense n = 1024 matrix-vector
 /// product, the median of 41: the calibration row, which tracks the
 /// host's speed beside the sweep.
-pub fn calibrate() -> f64 {
+fn calibrate() -> f64 {
     let n = 1024;
     let a = Mat::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 97) as f64 / 97.0 - 0.5);
     let x: Vec<f64> = (0..n).map(|i| (i % 13) as f64 - 6.0).collect();
@@ -198,7 +197,7 @@ fn sweep_layout(k: usize) -> subsparse::Layout {
 
 /// Runs one sweep point [`RUNS`] times: build the basis, extract through
 /// the counting kernel black box, time the serving path. Each run is
-/// preceded by one [`calibrate`] call, pushed onto `calib_us`.
+/// preceded by one calibration sample, pushed onto `calib_us`.
 pub fn run_point(k: usize, probe: &dyn PeakProbe, calib_us: &mut Vec<f64>) -> ScalingRow {
     let layout = sweep_layout(k);
     let n = layout.n_contacts();

@@ -52,7 +52,7 @@ impl Default for ExtractOptions {
 /// estimates, takes the mean of the two directions of each pair and drops
 /// exact zeros, in place.
 ///
-/// The number of black-box calls is `root_v` (coarsest nonvanishing
+/// The number of black-box solves is `root_v` (coarsest nonvanishing
 /// vectors) plus, per level, at most `spacing^2` times the level's largest
 /// `W` count (the groups of
 /// [`Quadtree::combine_groups`](subsparse_hier::Quadtree::combine_groups)),
