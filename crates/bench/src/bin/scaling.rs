@@ -9,7 +9,7 @@
 //!
 //! Default sweep: n ∈ {1024, 4096, 16384} (the committed baseline), each
 //! point run three times (`scaling::RUNS`) and recorded as the median and
-//! range, beside a calibration row timed before every run.
+//! range.
 //! `--quick` runs the 1024 point only, `--full` adds 65536 (hours of
 //! single-threaded kernel evaluation), `--only N` runs one sweep point —
 //! CI's scale-smoke job uses `--only 4096`. `--json` writes the rows as
@@ -138,10 +138,10 @@ fn main() -> ExitCode {
         }
     };
 
-    let (rows, calib_us) = run_scaling(&sides, &ProcessPeak);
-    print!("{}", format_rows(&rows, &calib_us));
+    let rows = run_scaling(&sides, &ProcessPeak);
+    print!("{}", format_rows(&rows));
     if json {
-        if let Err(e) = std::fs::write(&out_path, rows_json(&rows, gate_err, &calib_us)) {
+        if let Err(e) = std::fs::write(&out_path, rows_json(&rows, gate_err)) {
             eprintln!("error: cannot write {out_path}: {e}");
             return ExitCode::FAILURE;
         }

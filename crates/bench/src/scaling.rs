@@ -20,9 +20,8 @@
 //!
 //! Every point runs [`RUNS`] times, n = 16384 included: one run per point
 //! could not resolve what it recorded (two back-to-back runs of one
-//! binary read n = 1024 at 66.6 and 105.7 ms). A *calibration row* (a
-//! fixed dense n = 1024 matrix-vector product) is timed
-//! before every run and recorded beside the rows.
+//! binary read n = 1024 at 66.6 and 105.7 ms). The runs resolve the
+//! spread within one sweep, not the host's drift between sweeps.
 //!
 //! The sweep runs behind an *extract gate*: on a small fixture, the
 //! `Gw` that the combine-solves [`extract()`] produces — the extraction
@@ -35,11 +34,9 @@
 //! other bench records) — the committed trajectory baseline.
 
 use std::fmt::Write as _;
-use std::hint::black_box;
 use std::time::Instant;
 
 use subsparse::layout::generators;
-use subsparse::linalg::Mat;
 use subsparse::sparsify::eval::{format_ns, time_applies, EvalOptions};
 use subsparse::substrate::{solver, CountingSolver};
 use subsparse::wavelet::{build_basis, extract, transform_dense, ExtractOptions};
@@ -122,26 +119,6 @@ impl Spread {
     }
 }
 
-/// Wall-clock microseconds of one fixed dense n = 1024 matrix-vector
-/// product, the median of 41: the calibration row, which tracks the
-/// host's speed beside the sweep.
-fn calibrate() -> f64 {
-    let n = 1024;
-    let a = Mat::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 97) as f64 / 97.0 - 0.5);
-    let x: Vec<f64> = (0..n).map(|i| (i % 13) as f64 - 6.0).collect();
-    let mut y = vec![0.0; n];
-    a.matvec_into(&x, &mut y);
-    let samples: Vec<f64> = (0..41)
-        .map(|_| {
-            let t0 = Instant::now();
-            a.matvec_into(black_box(&x), &mut y);
-            black_box(&y);
-            t0.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    Spread::of(&samples).median
-}
-
 /// One sweep point of the scaling trajectory.
 #[derive(Clone, Debug)]
 pub struct ScalingRow {
@@ -196,9 +173,8 @@ fn sweep_layout(k: usize) -> subsparse::Layout {
 }
 
 /// Runs one sweep point [`RUNS`] times: build the basis, extract through
-/// the counting kernel black box, time the serving path. Each run is
-/// preceded by one calibration sample, pushed onto `calib_us`.
-pub fn run_point(k: usize, probe: &dyn PeakProbe, calib_us: &mut Vec<f64>) -> ScalingRow {
+/// the counting kernel black box, time the serving path.
+pub fn run_point(k: usize, probe: &dyn PeakProbe) -> ScalingRow {
     let layout = sweep_layout(k);
     let n = layout.n_contacts();
     let levels = subsparse::choose_levels(&layout, 16).max(2);
@@ -207,7 +183,6 @@ pub fn run_point(k: usize, probe: &dyn PeakProbe, calib_us: &mut Vec<f64>) -> Sc
     let (mut extract_ms, mut serve_ns) = (Vec::new(), Vec::new());
     let (mut peak_alloc_bytes, mut solves, mut nnz) = (0, 0, 0);
     for _ in 0..RUNS {
-        calib_us.push(calibrate());
         let black_box = CountingSolver::new(solver::kernel(&layout));
         probe.reset();
         let t0 = Instant::now();
@@ -232,14 +207,12 @@ pub fn run_point(k: usize, probe: &dyn PeakProbe, calib_us: &mut Vec<f64>) -> Sc
     }
 }
 
-/// Runs the sweep over the given grid sides, returning its rows and the
-/// calibration row sampled before every run.
-pub fn run_scaling(sides: &[usize], probe: &dyn PeakProbe) -> (Vec<ScalingRow>, Spread) {
+/// Runs the sweep over the given grid sides.
+pub fn run_scaling(sides: &[usize], probe: &dyn PeakProbe) -> Vec<ScalingRow> {
     let mut rows = Vec::new();
-    let mut calib_us = Vec::new();
     for &k in sides {
         println!("\n== scaling sweep (n = {}, {RUNS} runs)", k * k);
-        let row = run_point(k, probe, &mut calib_us);
+        let row = run_point(k, probe);
         println!(
             "  n={:<6} solves={:<5} extract={:<10} peak={:<10} serve={}/vector",
             row.n,
@@ -250,7 +223,7 @@ pub fn run_scaling(sides: &[usize], probe: &dyn PeakProbe) -> (Vec<ScalingRow>, 
         );
         rows.push(row);
     }
-    (rows, Spread::of(&calib_us))
+    rows
 }
 
 /// The extract gate: on the `n = 256` fixture, default-option
@@ -294,9 +267,8 @@ pub fn extract_gate() -> Result<f64, String> {
 /// Formats the sweep as an aligned table (medians, with the extraction's
 /// range) with per-doubling growth factors (each row's median serving
 /// cost over the previous row's; `n` quadruples per row, so
-/// sub-quadratic serving growth shows as a factor well under 16), and the
-/// calibration row under it.
-pub fn format_rows(rows: &[ScalingRow], calib_us: &Spread) -> String {
+/// sub-quadratic serving growth shows as a factor well under 16).
+pub fn format_rows(rows: &[ScalingRow]) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -340,12 +312,6 @@ pub fn format_rows(rows: &[ScalingRow], calib_us: &Spread) -> String {
         )
         .unwrap();
     }
-    writeln!(
-        out,
-        "calibration: dense n=1024 matvec {:.1} us (range {:.1}-{:.1})",
-        calib_us.median, calib_us.min, calib_us.max
-    )
-    .unwrap();
     out
 }
 
@@ -365,16 +331,15 @@ pub fn format_bytes(b: usize) -> String {
 
 /// Serializes the sweep as the `BENCH_scaling.json` record: the run
 /// [`metadata`](crate::run_meta_json) header, the extract-gate verdict
-/// and the error it measured ([`extract_gate`]), the runs per point, the
-/// calibration row, and one object per sweep point.
-pub fn rows_json(rows: &[ScalingRow], gate_err: f64, calib_us: &Spread) -> String {
+/// and the error it measured ([`extract_gate`]), the runs per point, and
+/// one object per sweep point.
+pub fn rows_json(rows: &[ScalingRow], gate_err: f64) -> String {
     let body: Vec<String> = rows.iter().map(|r| format!("  {}", r.json())).collect();
     format!(
-        "{{\"meta\":{},\n\"extract_gate_ok\":{},\n\"extract_gate_rel_fro_err\":{:e},\n\"runs\":{RUNS},\n\"calibration\":{{\"what\":\"dense n=1024 matvec, wall clock\",{}}},\n\"rows\":[\n{}\n]}}\n",
+        "{{\"meta\":{},\n\"extract_gate_ok\":{},\n\"extract_gate_rel_fro_err\":{:e},\n\"runs\":{RUNS},\n\"rows\":[\n{}\n]}}\n",
         crate::run_meta_json(EvalOptions::default().apply_iters),
         gate_err <= Method::Wavelet.doc_tolerance(),
         gate_err,
-        calib_us.json("us"),
         body.join(",\n")
     )
 }
@@ -391,9 +356,7 @@ mod tests {
 
     #[test]
     fn smallest_sweep_point_records_everything() {
-        let mut calib_us = Vec::new();
-        let row = run_point(SWEEP_SIDES[0], &NoProbe, &mut calib_us);
-        assert_eq!(calib_us.len(), RUNS);
+        let row = run_point(SWEEP_SIDES[0], &NoProbe);
         assert_eq!(row.n, 1024);
         assert_eq!(row.k, 32);
         assert!(row.levels >= 3);
@@ -405,13 +368,13 @@ mod tests {
         assert_eq!(row.peak_alloc_bytes, 0); // NoProbe: not measured
         assert!(row.nnz > 0 && row.nnz_ratio < 1.0);
         assert!(row.serve_ns_per_vector.min > 0.0);
-        let json = rows_json(&[row], 3.8e-6, &Spread::of(&calib_us));
+        let json = rows_json(&[row], 3.8e-6);
         assert!(json.contains("\"meta\":{\"available_parallelism\":"));
         assert!(json.contains("\"extract_gate_ok\":true"));
         assert!(json.contains("\"extract_gate_rel_fro_err\":3.8e-6"));
         assert!(json.contains("\"n\":1024") && json.contains("\"serve_ns_per_vector\":"));
         assert!(json.contains("\"extract_ms_min\":") && json.contains("\"extract_ms_max\":"));
-        assert!(json.contains("\"runs\":3") && json.contains("\"calibration\":{"));
+        assert!(json.contains("\"runs\":3"));
     }
 
     #[test]
@@ -434,11 +397,9 @@ mod tests {
             nnz_ratio: 40.0 / n as f64,
             serve_ns_per_vector: Spread { median: serve, min: serve, max: serve },
         };
-        let calib = Spread::of(&[80.0, 70.0, 95.0]);
-        let table = format_rows(&[row(1024, 1000.0), row(4096, 4000.0)], &calib);
+        let table = format_rows(&[row(1024, 1000.0), row(4096, 4000.0)]);
         assert!(table.contains("4.0x"), "{table}");
         assert!(table.contains("1.0MB"), "{table}");
         assert!(table.contains("9-12ms"), "{table}");
-        assert!(table.contains("80.0 us (range 70.0-95.0)"), "{table}");
     }
 }

@@ -94,7 +94,10 @@ pub fn extract<S: SubstrateSolver + ?Sized>(
 /// cost follows its voltages' support (such as
 /// [`KernelSolver`](subsparse_substrate::KernelSolver)) then pays for one
 /// phase in every column, not for the union of the phases a wider block
-/// would mix. Spacing 0 has no phases, so its singletons run as one.
+/// would mix. A black box that solves each column on its own (the PCG
+/// solvers) gains nothing: it gets more, narrower calls, and its workers
+/// idle at the tail of each call. Spacing 0 has no phases: each call
+/// holds one square's vectors.
 ///
 /// # Panics
 ///
@@ -142,10 +145,9 @@ pub fn extract_into<S: SubstrateSolver + ?Sized, K: GwSink + ?Sized>(
     for l in 0..=tree.finest() {
         let _s = trace::span_arg("extract.wavelet.combine-level", l as u64);
         let groups = tree.combine_groups(l, options.spacing, |s| basis.w_count(s));
-        // `combine_groups`' phase `(ix mod k, iy mod k)`, clamped spacing k
-        let k = options.spacing.min(tree.side(l)).max(1);
-        let phase = |(g, _): &(Vec<Square>, usize)| (g[0].ix as usize % k, g[0].iy as usize % k);
-        for run in groups.chunk_by(|a, b| phase(a) == phase(b)) {
+        // a phase's groups count `m` up from 0, so a new phase starts
+        // wherever `m` does not rise
+        for run in groups.chunk_by(|a, b| b.1 > a.1) {
             let items = run.iter().map(|(group, m)| {
                 let mut theta = vec![0.0; n];
                 for s in group {
@@ -324,11 +326,12 @@ mod tests {
             let basis = build_basis(&layout, levels, 2).unwrap();
             let tree = basis.tree();
             let s = Supports { inner: solver::synthetic(&layout), calls: Default::default() };
-            let _ = extract(&s, &basis, &ExtractOptions::default());
+            let options = ExtractOptions::default();
+            let _ = extract(&s, &basis, &options);
             // is `support` exactly the contacts of some level-`l` squares
             // that share one phase `(ix mod k, iy mod k)`?
             let one_phase = |support: &[bool], l: usize| {
-                let k = 3.min(tree.side(l));
+                let k = options.spacing.min(tree.side(l));
                 let phase = |q: &Square| (q.ix as usize % k, q.iy as usize % k);
                 let touched: Vec<Square> = tree
                     .squares(l)
