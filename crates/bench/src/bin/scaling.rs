@@ -8,8 +8,8 @@
 //! ```
 //!
 //! Default sweep: n ∈ {1024, 4096, 16384} (the committed baseline), each
-//! point run three times (`scaling::RUNS`) and recorded as the median and
-//! range.
+//! point run three times (`scaling::RUNS`), round-robin across the points,
+//! and recorded as the median and range.
 //! `--quick` runs the 1024 point only, `--full` adds 65536 (hours of
 //! single-threaded kernel evaluation), `--only N` runs one sweep point —
 //! CI's scale-smoke job uses `--only 4096`. `--json` writes the rows as

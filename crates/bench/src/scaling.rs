@@ -20,8 +20,10 @@
 //!
 //! Every point runs [`RUNS`] times, n = 16384 included: one run per point
 //! could not resolve what it recorded (two back-to-back runs of one
-//! binary read n = 1024 at 66.6 and 105.7 ms). The runs resolve the
-//! spread within one sweep, not the host's drift between sweeps.
+//! binary read n = 1024 at 66.6 and 105.7 ms). The runs go round-robin
+//! across the points (every point once, then every point again), so each
+//! point's range spans the host's drift over the whole sweep instead of
+//! over its own few seconds.
 //!
 //! The sweep runs behind an *extract gate*: on a small fixture, the
 //! `Gw` that the combine-solves [`extract()`] produces — the extraction
@@ -172,58 +174,82 @@ fn sweep_layout(k: usize) -> subsparse::Layout {
     generators::regular_grid(EXTENT, k, EXTENT / k as f64 / 2.0)
 }
 
-/// Runs one sweep point [`RUNS`] times: build the basis, extract through
-/// the counting kernel black box, time the serving path.
-pub fn run_point(k: usize, probe: &dyn PeakProbe) -> ScalingRow {
+/// One extraction and serving measurement of one sweep point.
+struct Run {
+    n: usize,
+    levels: usize,
+    extract_ms: f64,
+    serve_ns: f64,
+    peak_alloc_bytes: usize,
+    solves: usize,
+    nnz: usize,
+}
+
+/// Builds the grid of side `k` and its basis, extracts through the
+/// counting kernel black box and times the serving path, once. Nothing
+/// of the run outlives it, so no point's heap rides in another's peak.
+fn run_once(k: usize, probe: &dyn PeakProbe) -> Run {
     let layout = sweep_layout(k);
     let n = layout.n_contacts();
     let levels = subsparse::choose_levels(&layout, 16).max(2);
     // serving: the fast-transform path with warm scratch, few iterations
     let eval = EvalOptions { apply_iters: 8, apply_block: 4, threads: 1, ..Default::default() };
-    let (mut extract_ms, mut serve_ns) = (Vec::new(), Vec::new());
-    let (mut peak_alloc_bytes, mut solves, mut nnz) = (0, 0, 0);
-    for _ in 0..RUNS {
-        let black_box = CountingSolver::new(solver::kernel(&layout));
-        probe.reset();
-        let t0 = Instant::now();
-        let basis = build_basis(&layout, levels, 2).expect("wavelet basis on a regular grid");
-        let rep = extract(&black_box, &basis, &ExtractOptions::default());
-        extract_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-        peak_alloc_bytes = peak_alloc_bytes.max(probe.peak_bytes());
-        serve_ns.push(time_applies(&rep, &eval).apply_ns);
-        (solves, nnz) = (black_box.count(), rep.nnz());
-    }
-    ScalingRow {
-        n,
-        k,
-        levels,
-        solves,
-        solve_reduction: n as f64 / solves as f64,
-        extract_ms: Spread::of(&extract_ms),
-        peak_alloc_bytes,
-        nnz,
-        nnz_ratio: nnz as f64 / (n as f64 * n as f64),
-        serve_ns_per_vector: Spread::of(&serve_ns),
-    }
+    let black_box = CountingSolver::new(solver::kernel(&layout));
+    probe.reset();
+    let t0 = Instant::now();
+    let basis = build_basis(&layout, levels, 2).expect("wavelet basis on a regular grid");
+    let rep = extract(&black_box, &basis, &ExtractOptions::default());
+    let extract_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let peak_alloc_bytes = probe.peak_bytes();
+    let serve_ns = time_applies(&rep, &eval).apply_ns;
+    let (solves, nnz) = (black_box.count(), rep.nnz());
+    Run { n, levels, extract_ms, serve_ns, peak_alloc_bytes, solves, nnz }
 }
 
-/// Runs the sweep over the given grid sides.
+/// Runs one sweep point [`RUNS`] times.
+pub fn run_point(k: usize, probe: &dyn PeakProbe) -> ScalingRow {
+    run_scaling(&[k], probe).remove(0)
+}
+
+/// Runs the sweep over the given grid sides: [`RUNS`] rounds of one run
+/// per point.
 pub fn run_scaling(sides: &[usize], probe: &dyn PeakProbe) -> Vec<ScalingRow> {
-    let mut rows = Vec::new();
-    for &k in sides {
-        println!("\n== scaling sweep (n = {}, {RUNS} runs)", k * k);
-        let row = run_point(k, probe);
-        println!(
-            "  n={:<6} solves={:<5} extract={:<10} peak={:<10} serve={}/vector",
-            row.n,
-            row.solves,
-            format!("{:.0}ms", row.extract_ms.median),
-            format_bytes(row.peak_alloc_bytes),
-            format_ns(row.serve_ns_per_vector.median),
-        );
-        rows.push(row);
+    let mut runs: Vec<Vec<Run>> = sides.iter().map(|_| Vec::new()).collect();
+    for round in 1..=RUNS {
+        println!("\n== scaling sweep, round {round} of {RUNS}");
+        for (&k, runs) in sides.iter().zip(&mut runs) {
+            let run = run_once(k, probe);
+            println!(
+                "  n={:<6} solves={:<5} extract={:<10} peak={:<10} serve={}/vector",
+                run.n,
+                run.solves,
+                format!("{:.0}ms", run.extract_ms),
+                format_bytes(run.peak_alloc_bytes),
+                format_ns(run.serve_ns),
+            );
+            runs.push(run);
+        }
     }
-    rows
+    sides
+        .iter()
+        .zip(&runs)
+        .map(|(&k, runs)| {
+            let last = runs.last().expect("RUNS > 0");
+            let spread = |f: fn(&Run) -> f64| Spread::of(&runs.iter().map(f).collect::<Vec<_>>());
+            ScalingRow {
+                n: last.n,
+                k,
+                levels: last.levels,
+                solves: last.solves,
+                solve_reduction: last.n as f64 / last.solves as f64,
+                extract_ms: spread(|r| r.extract_ms),
+                peak_alloc_bytes: runs.iter().map(|r| r.peak_alloc_bytes).max().unwrap_or(0),
+                nnz: last.nnz,
+                nnz_ratio: last.nnz as f64 / (last.n as f64 * last.n as f64),
+                serve_ns_per_vector: spread(|r| r.serve_ns),
+            }
+        })
+        .collect()
 }
 
 /// The extract gate: on the `n = 256` fixture, default-option

@@ -9,8 +9,12 @@
 //! it, and the `Gw` that `extract` / `extract_lowrank` assemble with
 //! [`GwAssembler`] must match it in indices, nnz and every `f64` bit, on
 //! seeded layouts of each family at two quadtree depths.
+//!
+//! The assembler holds one estimate per directed entry, so the same
+//! streams (the wavelet fill at spacing 3 and 0, the low-rank fill) must
+//! never hit a directed entry twice.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use subsparse::hier::{GwAssembler, GwSink, Square};
@@ -129,6 +133,44 @@ fn lowrank_extract_matches_hash_accumulator() {
                 &reference.to_symmetric_csr(layout.n_contacts()),
                 &format!("lowrank {name} levels {levels}"),
             );
+        }
+    }
+}
+
+/// Records every directed entry it receives and fails on the second
+/// estimate of one.
+#[derive(Default)]
+struct OnceSink {
+    seen: HashSet<(u32, u32)>,
+    what: String,
+}
+
+impl GwSink for OnceSink {
+    fn add(&mut self, row: usize, col: usize, _value: f64) {
+        let what = &self.what;
+        assert!(self.seen.insert((row as u32, col as u32)), "{what}: ({row}, {col}) hit twice");
+    }
+}
+
+#[test]
+fn each_fill_hits_a_directed_entry_at_most_once() {
+    for (name, layout, depths) in cases() {
+        let black_box = solver::synthetic(&layout);
+        for levels in depths {
+            let basis = build_basis(&layout, levels, 2).expect("layout fits the quadtree");
+            for spacing in [3, 0] {
+                let what = format!("wavelet {name} levels {levels} spacing {spacing}");
+                let mut sink = OnceSink { what, ..Default::default() };
+                extract_into(&black_box, &basis, &ExtractOptions { spacing }, &mut sink);
+                assert!(!sink.seen.is_empty());
+            }
+            let (_, rb) =
+                subsparse::extract_lowrank(&black_box, &layout, levels, &LowRankOptions::default())
+                    .expect("layout fits the quadtree");
+            let what = format!("lowrank {name} levels {levels}");
+            let mut sink = OnceSink { what, ..Default::default() };
+            Sweep::new(&rb).fill(&rb, &mut sink);
+            assert!(!sink.seen.is_empty());
         }
     }
 }

@@ -8,7 +8,8 @@
 //!   moment translation between square centers (§3.2.1, §3.4.2).
 //! * [`assembly`] — pattern-first assembly of `Gw`: the symmetric
 //!   pattern built from the quadtree before any solve, filled in place by
-//!   the extractions, averaged and symmetrized by [`GwAssembler::finish`].
+//!   the extractions one direction at a time, symmetrized by
+//!   [`GwAssembler::finish`].
 //! * [`rep`] — the `G ~ Q Gw Q'` representation both methods produce, with
 //!   thresholding helpers (§3.7, §4.6), served through the
 //!   [`CouplingOp`](subsparse_linalg::CouplingOp) trait.

@@ -32,6 +32,8 @@
 //! analysis half, so splitting them bought nothing in any measured
 //! configuration.
 
+use std::sync::Arc;
+
 use subsparse_linalg::exec;
 use subsparse_linalg::io::{fnv1a64, fnv1a64_concat, ReadMatrixError};
 use subsparse_linalg::kernels::{ColMajor, LaneMajor};
@@ -156,10 +158,15 @@ impl std::error::Error for ModelLoadError {
 /// factors: the transform, or the cached `Q'` of the explicit-CSR path,
 /// never both. A model served through the transform keeps no `Q'`;
 /// [`without_fwt`](Self::without_fwt) builds one when asked.
+///
+/// `Q` and the transform (or `Q'`) are shared by reference count: with
+/// the basis an extraction built them from, and between a representation
+/// and the copies [`clone`](Clone::clone), [`thresholded`](Self::thresholded)
+/// and friends derive from it. Only `Gw` is copied.
 #[derive(Clone, Debug)]
 pub struct BasisRep {
     /// Orthogonal sparse change-of-basis matrix (columns are basis vectors).
-    pub q: Csr,
+    pub q: Arc<Csr>,
     /// Transformed (sparsified) conductance matrix.
     pub gw: Csr,
     /// How the basis halves of an apply run.
@@ -171,30 +178,37 @@ pub struct BasisRep {
 #[derive(Clone, Debug)]
 enum BasisPath {
     /// The tree-structured transform serves both halves.
-    Fwt(FastWaveletTransform),
+    Fwt(Arc<FastWaveletTransform>),
     /// Explicit CSR: the cached `Q'`, so the analysis half traverses
     /// row-major instead of scattering through `matvec_t`.
-    Csr(Csr),
+    Csr(Arc<Csr>),
 }
 
 impl BasisRep {
     /// Builds a representation served through the explicit-CSR path,
     /// caching `Q'` for row-major analysis applies.
-    pub fn new(q: Csr, gw: Csr) -> BasisRep {
-        let qt = q.transpose();
+    pub fn new(q: impl Into<Arc<Csr>>, gw: Csr) -> BasisRep {
+        let q = q.into();
+        let qt = Arc::new(q.transpose());
         BasisRep { q, gw, path: BasisPath::Csr(qt) }
     }
 
     /// Builds a representation served through the fast wavelet transform:
     /// `apply` runs `FWT → Gw → FWT'` instead of traversing the explicit
     /// `Q` factors. The explicit `q` is still stored (exchange format,
-    /// spy plots, fallback); its transpose is not built.
+    /// spy plots, fallback); its transpose is not built. Passing shared
+    /// handles stores no copy of either.
     ///
     /// # Panics
     ///
     /// Panics unless `q` is `n x n` with `n` matching both the transform
     /// and `gw`.
-    pub fn with_fwt(q: Csr, gw: Csr, fwt: FastWaveletTransform) -> BasisRep {
+    pub fn with_fwt(
+        q: impl Into<Arc<Csr>>,
+        gw: Csr,
+        fwt: impl Into<Arc<FastWaveletTransform>>,
+    ) -> BasisRep {
+        let (q, fwt) = (q.into(), fwt.into());
         assert_eq!(q.n_rows(), q.n_cols(), "fwt serving needs a square Q");
         assert_eq!(q.n_rows(), fwt.n(), "transform/Q contact count mismatch");
         assert_eq!(gw.n_rows(), fwt.n(), "transform/Gw dimension mismatch");
@@ -216,13 +230,14 @@ impl BasisRep {
     /// representation serves through the transform.
     pub fn without_fwt(&self) -> BasisRep {
         match &self.path {
-            BasisPath::Fwt(_) => BasisRep::new(self.q.clone(), self.gw.clone()),
+            BasisPath::Fwt(_) => BasisRep::new(Arc::clone(&self.q), self.gw.clone()),
             BasisPath::Csr(_) => self.clone(),
         }
     }
 
-    /// A copy with the same basis (and serving path) but a different
-    /// transformed matrix — the shared core of the thresholding helpers.
+    /// A representation sharing this one's basis (and serving path) with
+    /// a different transformed matrix — the shared core of the
+    /// thresholding helpers.
     fn with_gw(&self, gw: Csr) -> BasisRep {
         BasisRep { q: self.q.clone(), gw, path: self.path.clone() }
     }
@@ -508,18 +523,31 @@ impl BasisRep {
         if self.gw.nnz() <= target_nnz {
             return (self.clone(), 0.0);
         }
-        let mut abs = self.gw.abs_values();
-        abs.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        // keep the target_nnz largest entries
-        let threshold = if target_nnz == 0 { abs[0] } else { abs[target_nnz - 1] };
-        // drop strictly-below semantics: use the next value down as cut
-        let cut = abs.get(target_nnz).copied().unwrap_or(0.0).max(
-            // guard ties: dropping at exactly `threshold` keeps >= target
-            threshold * (1.0 - 1e-12),
-        );
-        let cut = cut.min(threshold);
+        let cut = sparsity_cut(&mut self.gw.abs_values(), target_nnz);
         (self.thresholded(cut), cut)
     }
+}
+
+/// The cut [`BasisRep::thresholded_to_sparsity`] drops `|value| <= cut`
+/// at, to keep about the `target` largest of the magnitudes `abs`
+/// (`target < abs.len()`; reorders `abs`): just below the `target`-th
+/// largest magnitude (the largest when `target` is 0), but no lower than
+/// the next magnitude down.
+///
+/// One selection finds the `target`-th largest, and the largest of the
+/// rest is the next one down, so the cut is that of a full descending
+/// sort without the sort.
+fn sparsity_cut(abs: &mut [f64], target: usize) -> f64 {
+    let largest = |v: &[f64]| v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let (threshold, next) = if target == 0 {
+        (largest(abs), largest(abs))
+    } else {
+        let desc = |a: &f64, b: &f64| b.partial_cmp(a).expect("magnitudes of Gw are not NaN");
+        let (_, &mut threshold, rest) = abs.select_nth_unstable_by(target - 1, desc);
+        (threshold, largest(rest))
+    };
+    // guard ties: dropping at exactly `threshold` keeps >= target
+    next.max(threshold * (1.0 - 1e-12)).min(threshold)
 }
 
 /// The fused serving path: `FWT → Gw → FWT'` (tree-structured bases) or
@@ -855,6 +883,37 @@ mod tests {
         let (same, cut0) = r.thresholded_to_sparsity(1.0);
         assert_eq!(same.gw.nnz(), r.gw.nnz());
         assert_eq!(cut0, 0.0);
+    }
+
+    /// The cut of a full descending sort, as the thresholding once took it.
+    fn sorted_cut(abs: &[f64], target: usize) -> f64 {
+        let mut abs = abs.to_vec();
+        abs.sort_by(|a, b| b.partial_cmp(a).unwrap());
+        let threshold = if target == 0 { abs[0] } else { abs[target - 1] };
+        let cut = abs.get(target).copied().unwrap_or(0.0).max(threshold * (1.0 - 1e-12));
+        cut.min(threshold)
+    }
+
+    #[test]
+    fn sparsity_cut_matches_the_sorted_cut_bit_for_bit() {
+        let mut x = 0.3f64;
+        let spread: Vec<f64> = (0..97)
+            .map(|_| {
+                x = (x * 7.3 + 0.11).fract();
+                x * 1e-3
+            })
+            .collect();
+        // ties everywhere, a tie straddling every cut, and values a
+        // relative 1e-13 apart (closer than the tie guard)
+        let ties: Vec<f64> = (0..60).map(|i| f64::from(i % 4) * 0.25).collect();
+        let close: Vec<f64> = (0..40).map(|i| 1.0 + f64::from(i % 5) * 1e-13).collect();
+        for abs in [spread, ties, close, vec![2.0], vec![0.0, 0.0, 0.0]] {
+            for target in (0..abs.len()).filter(|&t| t < 4 || t + 4 > abs.len() || t % 7 == 0) {
+                let got = sparsity_cut(&mut abs.clone(), target);
+                let want = sorted_cut(&abs, target);
+                assert_eq!(got.to_bits(), want.to_bits(), "n = {}, target {target}", abs.len());
+            }
+        }
     }
 
     #[test]

@@ -173,9 +173,15 @@ fn pcg_with_inner(
     scratch.resize(n);
     let CgScratch { r, ax, z, p, ap } = scratch;
     let (r, z, p) = (&mut r[..], &mut z[..], &mut p[..]);
-    op.apply(x, ax);
-    for i in 0..n {
-        r[i] = b[i] - ax[i];
+    if x.iter().all(|v| v.to_bits() == 0) {
+        // a `+0.0` start: `A·0` is zero, so skip the apply. `b − A·0` is
+        // `b` up to the sign of a `−0.0` entry of `b`
+        r.copy_from_slice(b);
+    } else {
+        op.apply(x, ax);
+        for i in 0..n {
+            r[i] = b[i] - ax[i];
+        }
     }
     precond.apply(r, z);
     p.copy_from_slice(z);
@@ -250,6 +256,33 @@ mod tests {
         for i in 0..n {
             assert!((ax[i] - b[i]).abs() < 1e-8);
         }
+    }
+
+    #[test]
+    fn a_zero_start_skips_the_initial_apply_and_keeps_the_bits() {
+        /// Counts applies of the 1-D Laplacian.
+        struct Counted(DenseOp, std::cell::Cell<usize>);
+        impl LinOp for Counted {
+            fn dim(&self) -> usize {
+                self.0.dim()
+            }
+            fn apply(&self, x: &[f64], y: &mut [f64]) {
+                self.1.set(self.1.get() + 1);
+                self.0.apply(x, y);
+            }
+        }
+        let n = 24;
+        let op = Counted(DenseOp(laplacian_1d(n)), Default::default());
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
+        // a `−0.0` start is zero but not `+0.0` by bits: it pays the apply
+        let (mut x, mut y) = (vec![0.0; n], vec![-0.0; n]);
+        let res = cg(&op, &b, &mut x, 1e-10, 500);
+        assert_eq!(op.1.replace(0), res.iterations);
+        let res_signed = cg(&op, &b, &mut y, 1e-10, 500);
+        assert_eq!(op.1.get(), res_signed.iterations + 1);
+        assert_eq!(res.iterations, res_signed.iterations);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x), bits(&y));
     }
 
     #[test]

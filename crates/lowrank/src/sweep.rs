@@ -70,7 +70,10 @@ pub fn to_basis_rep(rb: &RowBasisRep) -> BasisRep {
     let sweep = Sweep::new(rb);
     let mut gw = GwAssembler::new(rb.tree(), sweep.root_u, |s| sweep.t_cols(s));
     sweep.fill(rb, &mut gw);
-    BasisRep::new(sweep.q, gw.finish())
+    // the per-square blocks go before `finish` and the transpose of `Q`
+    let Sweep { q, squares, .. } = sweep;
+    drop(squares);
+    BasisRep::new(q, gw.finish())
 }
 
 /// The sweep's per-square `U`/`T` bases and the orthogonal `Q` they form:
@@ -224,11 +227,12 @@ impl Sweep {
 
     /// Records every estimate of a `Gw` entry in `sink`, in sweep order:
     /// the local `T`–`T` tiles between each square and its
-    /// [`local_descendants`](Quadtree::local_descendants), once in each
-    /// direction (one [`GwSink::add_tile`] per source `T` column and
-    /// destination square), then the dense rows and columns of the
-    /// coarsest `U` vectors ([`GwSink::add`]). `rb` must be the row basis
-    /// the sweep was built from.
+    /// [`local_descendants`](Quadtree::local_descendants), in the source
+    /// column's row (one [`GwSink::add_tile`] per source `T` column and
+    /// destination square), then the dense columns of the coarsest `U`
+    /// vectors ([`GwSink::add`]). Each directed entry gets at most one
+    /// estimate; the sink supplies the mirrors. `rb` must be the row
+    /// basis the sweep was built from.
     pub fn fill<K: GwSink + ?Sized>(&self, rb: &RowBasisRep, sink: &mut K) {
         let tree = rb.tree();
         let n = rb.n();
@@ -295,7 +299,6 @@ impl Sweep {
                 for (i, &v) in gw_col.iter().enumerate() {
                     if v != 0.0 {
                         sink.add(i, src_col, v);
-                        sink.add(src_col, i, v);
                     }
                 }
             }

@@ -778,6 +778,10 @@ const ROW_BLOCK: usize = 4;
 /// `ROW_BLOCK x TILE` values (8 KB) lives on the stack.
 const TILE: usize = 256;
 
+/// Rows per block of [`kernel`]'s diagonal pass: each block's row sums
+/// are this many independent add chains.
+const DIAG_BLOCK: usize = 8;
+
 impl KernelSolver {
     /// Contact `i`'s centroid and area, as the kernel takes them.
     #[inline(always)]
@@ -1018,22 +1022,44 @@ subsparse_linalg::simd::tiered! {
 
 subsparse_linalg::simd::tiered! {
     /// `off[i] = Σ_{j≠i} |G_ij|`, the row sums behind [`kernel`]'s
-    /// diagonal, in the order of the plain pair loop: row `i`'s values
-    /// against every `j > i` are evaluated into one row (`kernel_row`),
-    /// added elementwise to each `off[j]` (so `off[j]` gains `i`
-    /// ascending), and summed into `off[i]` one add per `j`, ascending.
+    /// diagonal, in the order of the plain pair loop: `off[j]` gains
+    /// `|G_ij|` for every `i < j`, ascending, then its own row's `|G_jk|`
+    /// for every `k > j`, ascending, one add each.
+    ///
+    /// Rows go [`DIAG_BLOCK`] at a time, so a block's row sums are
+    /// independent add chains: the triangle inside the block in the plain
+    /// loop's order, then the block against every later row one tile at a
+    /// time (`kernel_row`), each later row's adds in ascending `i`.
     fn off_sums(s: &KernelSolver, off: &mut [f64]) {
         let n = off.len();
-        let mut row = vec![0.0; n];
-        for i in 0..n {
-            let gi = &mut row[i + 1..];
-            kernel_row(s, s.point(i), i + 1, gi);
-            let (head, tail) = off.split_at_mut(i + 1);
-            for (o, g) in tail.iter_mut().zip(gi.iter_mut()) {
-                *g = g.abs();
-                *o += *g;
+        let mut g = [[0.0; TILE]; DIAG_BLOCK];
+        for i0 in (0..n).step_by(DIAG_BLOCK) {
+            let i1 = (i0 + DIAG_BLOCK).min(n);
+            let mut acc = [0.0; DIAG_BLOCK];
+            for i in i0..i1 {
+                // `off[i]` holds the adds of every earlier row by now
+                acc[i - i0] = off[i];
+                for j in i + 1..i1 {
+                    let gij = s.off(i, j).abs();
+                    off[j] += gij;
+                    acc[i - i0] += gij;
+                }
             }
-            head[i] = gi.iter().fold(head[i], |acc, g| acc + g);
+            // only the last block can be short, and it has no later rows
+            for j0 in (i1..n).step_by(TILE) {
+                let m = (n - j0).min(TILE);
+                for (r, gr) in g.iter_mut().enumerate() {
+                    kernel_row(s, s.point(i0 + r), j0, &mut gr[..m]);
+                }
+                for (t, o) in off[j0..j0 + m].iter_mut().enumerate() {
+                    for (a, gr) in acc.iter_mut().zip(&g) {
+                        let gt = gr[t].abs();
+                        *o += gt;
+                        *a += gt;
+                    }
+                }
+            }
+            off[i0..i1].copy_from_slice(&acc[..i1 - i0]);
         }
     }
 }

@@ -6,8 +6,14 @@
 //! levels recombine the children's `V` vectors by the SVD of their
 //! translated moments (eq. 3.16). The zero-padded `W` columns of every
 //! square plus the root `V` columns form the orthogonal sparse `Q`.
+//!
+//! The per-square factors live only while the basis is built: `Q` holds
+//! every `W` column and the root `V` columns, and the fast wavelet
+//! transform holds every square's `[V|W]` or `[T|R]` block, so the built
+//! basis keeps each square's column range and nothing it would duplicate.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use subsparse_hier::fwt::{FwtLevel, FwtNode};
 use subsparse_hier::moments::{moment_matrix, n_moments, translation_matrix};
@@ -21,39 +27,47 @@ use subsparse_linalg::{trace, Csr, Mat, Triplets};
 /// matrices ("number of nonzero singular values", §3.4.1).
 const RANK_TOL: f64 = 1e-10;
 
-/// Per-square basis data.
+/// Per-square factors of the basis construction.
 #[derive(Clone, Debug)]
-pub(crate) struct SquareBasis {
+struct SquareBasis {
     /// Nonvanishing-moment basis `V_s` in the square's contact coordinates
     /// (`n_s x v_s`).
-    pub v: Mat,
+    v: Mat,
     /// Vanishing-moment basis `W_s` (`n_s x w_s`).
-    pub w: Mat,
+    w: Mat,
     /// Moments of the `V_s` columns about the square center (`d x v_s`).
-    pub cm: Mat,
+    cm: Mat,
     /// Coefficient-space transform `T_s` producing `V_s` from the
     /// children's scaling coefficients (`total_v x v_s`; empty at the
     /// finest level, where `v` itself is the transform).
-    pub tc: Mat,
+    tc: Mat,
     /// Coefficient-space complement `R_s` producing `W_s`
     /// (`total_v x w_s`; empty at the finest level).
-    pub rc: Mat,
+    rc: Mat,
     /// Global column index of this square's first `W` column in `Q`.
-    pub col_start: usize,
+    col_start: usize,
 }
 
-/// The multilevel wavelet basis: quadtree, per-square `V`/`W` factors, and
-/// the assembled sparse orthogonal `Q`.
+/// A square's `W` columns in `Q`: `col_start..col_start + w`.
+#[derive(Clone, Copy, Debug)]
+struct SquareCols {
+    col_start: usize,
+    w: usize,
+}
+
+/// The multilevel wavelet basis: quadtree, each square's `W` columns, and
+/// the sparse orthogonal `Q` with its fast transform, both shared with
+/// the representations [`extract`](crate::extract()) builds.
 #[derive(Clone, Debug)]
 pub struct WaveletBasis {
     pub(crate) tree: Quadtree,
     n: usize,
     /// `[level][flat square]`
-    pub(crate) squares: Vec<Vec<SquareBasis>>,
+    squares: Vec<Vec<SquareCols>>,
     /// Number of root nonvanishing columns (they occupy columns `0..root_v`).
     pub(crate) root_v: usize,
-    q: Csr,
-    fwt: FastWaveletTransform,
+    q: Arc<Csr>,
+    fwt: Arc<FastWaveletTransform>,
 }
 
 impl WaveletBasis {
@@ -67,8 +81,9 @@ impl WaveletBasis {
         &self.tree
     }
 
-    /// The sparse orthogonal change-of-basis matrix.
-    pub fn q(&self) -> &Csr {
+    /// The sparse orthogonal change-of-basis matrix, as the shared handle
+    /// a representation stores without copying.
+    pub fn q(&self) -> &Arc<Csr> {
         &self.q
     }
 
@@ -76,8 +91,8 @@ impl WaveletBasis {
     /// applies `Q'`/`Q` in `O(n·p)` per vector by walking the quadtree
     /// level by level instead of traversing the flat CSR factors. This is
     /// the serving path [`extract`](crate::extract()) attaches to the
-    /// representations it produces.
-    pub fn fwt(&self) -> &FastWaveletTransform {
+    /// representations it produces, as the shared handle they store.
+    pub fn fwt(&self) -> &Arc<FastWaveletTransform> {
         &self.fwt
     }
 
@@ -95,8 +110,8 @@ impl WaveletBasis {
     /// The contiguous `Q` columns of a square's vanishing basis vectors
     /// (empty when it has none).
     pub fn w_cols(&self, s: Square) -> Range<usize> {
-        let sb = &self.squares[s.level as usize][s.flat()];
-        match sb.w.n_cols() {
+        let sb = self.squares[s.level as usize][s.flat()];
+        match sb.w {
             0 => 0..0,
             w => sb.col_start..sb.col_start + w,
         }
@@ -104,17 +119,40 @@ impl WaveletBasis {
 
     /// Number of vanishing basis vectors in a square.
     pub fn w_count(&self, s: Square) -> usize {
-        self.squares[s.level as usize][s.flat()].w.n_cols()
+        self.squares[s.level as usize][s.flat()].w
     }
 
-    /// The `m`-th vanishing basis vector of `s` in the square's contact
-    /// coordinates (entry `r` belongs to `tree().contacts_in_square(s)[r]`).
+    /// Calls `f(r, value)` for each entry `Q` stores of the `m`-th
+    /// vanishing basis vector of `s`, where `r` indexes
+    /// `tree().contacts_in_square(s)`, ascending: one search in each
+    /// contact's row of `Q`. `Q` stores no zeros, so an entry it skips is
+    /// `0.0`.
     ///
     /// # Panics
     ///
     /// Panics if `m >= w_count(s)`.
-    pub fn w_column(&self, s: Square, m: usize) -> &[f64] {
-        self.squares[s.level as usize][s.flat()].w.col(m)
+    pub(crate) fn for_each_w_entry(&self, s: Square, m: usize, mut f: impl FnMut(usize, f64)) {
+        assert!(m < self.w_count(s), "square {s:?} has no W vector {m}");
+        let col = self.w_col(s, m) as u32;
+        for (r, &ci) in self.tree.contacts_in_square(s).iter().enumerate() {
+            let (js, vals) = self.q.row(ci as usize);
+            if let Ok(k) = js.binary_search(&col) {
+                f(r, vals[k]);
+            }
+        }
+    }
+
+    /// The `m`-th vanishing basis vector of `s` in the square's contact
+    /// coordinates (entry `r` belongs to `tree().contacts_in_square(s)[r]`),
+    /// gathered from `Q`'s rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m >= w_count(s)`.
+    pub fn w_column(&self, s: Square, m: usize) -> Vec<f64> {
+        let mut col = vec![0.0; self.tree.contacts_in_square(s).len()];
+        self.for_each_w_entry(s, m, |r, v| col[r] = v);
+        col
     }
 }
 
@@ -274,8 +312,17 @@ pub fn build_basis(layout: &Layout, levels: usize, p: usize) -> Result<WaveletBa
     }
     let q = trip.to_csr();
     let fwt = build_fwt(&tree, &squares, n, root_v);
+    let squares = squares
+        .iter()
+        .map(|level| {
+            level
+                .iter()
+                .map(|sb| SquareCols { col_start: sb.col_start, w: sb.w.n_cols() })
+                .collect()
+        })
+        .collect();
 
-    Ok(WaveletBasis { tree, n, squares, root_v, q, fwt })
+    Ok(WaveletBasis { tree, n, squares, root_v, q: Arc::new(q), fwt: Arc::new(fwt) })
 }
 
 /// Assembles the tree-structured fast transform from the per-square
@@ -441,19 +488,16 @@ mod tests {
         let tree = basis.tree();
         for l in 0..=tree.finest() {
             for s in tree.squares(l) {
-                let sb = &basis.squares[l][s.flat()];
-                if sb.w.n_cols() == 0 {
-                    continue;
-                }
                 let cs = tree.contacts_in_square(s);
                 let center = tree.center(s);
-                for j in 0..sb.w.n_cols() {
+                for j in 0..basis.w_count(s) {
                     // moments of the voltage function sum_i w_i chi_i
+                    let w = basis.w_column(s, j);
                     let mut m = [0.0; 6];
                     for (r, &ci) in cs.iter().enumerate() {
                         let cm = contact_moments(&layout.contacts()[ci as usize], center, 2);
                         for (k, v) in cm.iter().enumerate() {
-                            m[k] += sb.w.col(j)[r] * v;
+                            m[k] += w[r] * v;
                         }
                     }
                     for (k, v) in m.iter().enumerate() {

@@ -20,6 +20,8 @@
 //! fast wavelet transform (`Q'` in `O(n·p)` per column), and each
 //! black-box call carries one combine phase (see [`extract_into`]).
 
+use std::sync::Arc;
+
 use subsparse_hier::{BasisRep, GwAssembler, GwSink, Square};
 use subsparse_linalg::{trace, Csr, Mat};
 use subsparse_substrate::{solver, SubstrateSolver};
@@ -48,9 +50,10 @@ impl Default for ExtractOptions {
 ///
 /// Pattern, fill, finish: the kept pattern of `Gw` is built from the
 /// basis's quadtree before any solve, [`extract_into`] writes each
-/// estimate into its slot, and [`GwAssembler::finish`] averages duplicate
-/// estimates, takes the mean of the two directions of each pair and drops
-/// exact zeros, in place.
+/// estimate into its slot, and [`GwAssembler::finish`] takes the mean of
+/// the two directions of each pair (or the one that was estimated) and
+/// drops exact zeros, in place. The model shares `Q` and the transform
+/// with `basis`: neither is copied.
 ///
 /// The number of black-box solves is `root_v` (coarsest nonvanishing
 /// vectors) plus, per level, at most `spacing^2` times the level's largest
@@ -71,7 +74,7 @@ pub fn extract<S: SubstrateSolver + ?Sized>(
     // serve through the tree-structured transform: O(n·p) per basis
     // apply instead of traversing the explicit CSR factors (the flat Q
     // is still attached as the exchange/inspection format)
-    BasisRep::with_fwt(basis.q().clone(), gw.finish(), basis.fwt().clone())
+    BasisRep::with_fwt(Arc::clone(basis.q()), gw.finish(), Arc::clone(basis.fwt()))
 }
 
 /// The fill stage of [`extract`]: runs the combine-solves and records
@@ -81,8 +84,9 @@ pub fn extract<S: SubstrateSolver + ?Sized>(
 /// [`GwSink::add`] per nonzero entry of each root column) and in the
 /// tiles between each square and its
 /// [`local_descendants`](subsparse_hier::Quadtree::local_descendants),
-/// once in each direction (one [`GwSink::add_tile`] per source column and
-/// destination square).
+/// in the source column's row (one [`GwSink::add_tile`] per source column
+/// and destination square). Each directed entry gets at most one estimate;
+/// the sink supplies the mirrors.
 ///
 /// Each response block `Y` goes through one blocked forward transform of
 /// the basis's [`FastWaveletTransform`](subsparse_hier::FastWaveletTransform):
@@ -187,13 +191,11 @@ fn q_columns(q: &Csr, width: usize) -> Vec<Vec<f64>> {
     cols
 }
 
-/// Adds the `m`-th vanishing basis vector of `s` into a full-length vector.
+/// Adds the `m`-th vanishing basis vector of `s`, read from `Q`'s rows,
+/// into a full-length vector.
 fn add_w_column(basis: &WaveletBasis, s: Square, m: usize, out: &mut [f64]) {
     let cs = basis.tree().contacts_in_square(s);
-    let col = basis.w_column(s, m);
-    for (r, &ci) in cs.iter().enumerate() {
-        out[ci as usize] += col[r];
-    }
+    basis.for_each_w_entry(s, m, |r, v| out[cs[r] as usize] += v);
 }
 
 /// Transforms a dense `G` exactly into the wavelet basis: `Gw = Q' G Q`.
