@@ -2,8 +2,9 @@
 //!
 //! Every function returns the formatted table as a `String` (binaries
 //! print it; the criterion shim runs the quick variants to keep
-//! `cargo bench` bounded). Paper-versus-measured values are recorded in
-//! `EXPERIMENTS.md`.
+//! `cargo bench` bounded). Each runner's doc comment quotes the thesis's
+//! values for its table; a run prints the measured ones. No committed
+//! file records the two side by side yet (ROADMAP item 1(c)).
 
 use std::fmt::Write as _;
 use std::time::Instant;

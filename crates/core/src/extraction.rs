@@ -62,6 +62,7 @@ pub fn choose_levels(layout: &Layout, cap: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use subsparse_hier::Square;
     use subsparse_layout::generators;
     use subsparse_sparsify::{Method, SparsifyOptions};
     use subsparse_substrate::solver;
@@ -111,7 +112,8 @@ mod tests {
         // widest block reaches the bound and none exceeds it; wavelet
         // calls hold one combine phase each, and a phase runs one group
         // per `W` column of its fullest square, so its widest block is
-        // the largest phase run (or the root columns)
+        // the largest phase run, or level 0's single-square call, which
+        // also carries the root `V` columns
         let layout = generators::regular_grid(128.0, 16, 2.0);
         let opts = SparsifyOptions::default();
         let basis = subsparse_wavelet::build_basis(
@@ -121,10 +123,11 @@ mod tests {
         )
         .unwrap();
         let tree = basis.tree();
-        let largest_run = (0..=tree.finest())
+        let root = basis.root_v() + basis.w_count(Square::new(0, 0, 0));
+        let largest_run = (1..=tree.finest())
             .flat_map(|l| tree.squares(l))
             .map(|s| basis.w_count(s))
-            .fold(basis.root_v(), usize::max);
+            .fold(root, usize::max);
         for &method in subsparse_sparsify::all_methods() {
             let s = Widths { inner: solver::synthetic(&layout), widths: Default::default() };
             method.sparsify(&s, &layout, &opts).unwrap();

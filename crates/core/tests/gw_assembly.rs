@@ -13,12 +13,17 @@
 //! The assembler holds one estimate per directed entry, so the same
 //! streams (the wavelet fill at spacing 3 and 0, the low-rank fill) must
 //! never hit a directed entry twice.
+//!
+//! `GwAssembler::finish` is also checked on its own, against a dense
+//! `(a + b) / 2` reference, on random patterns and random estimates.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use subsparse::hier::{GwAssembler, GwSink, Square};
+use subsparse::hier::{GwAssembler, GwSink, Quadtree, Square};
 use subsparse::layout::{generators, Layout};
+use subsparse::linalg::rng::SmallRng;
 use subsparse::linalg::{Csr, Triplets};
 use subsparse::lowrank::{LowRankOptions, Sweep};
 use subsparse::substrate::solver;
@@ -188,4 +193,143 @@ fn an_estimate_outside_the_pattern_panics_with_its_entry() {
         .expect_err("an out-of-pattern estimate must panic");
     let message = payload.downcast_ref::<String>().expect("formatted panic message");
     assert!(message.contains(&format!("({row}, {col})")), "panic message: {message}");
+}
+
+/// A uniform integer in `0..n`.
+fn below(rng: &mut SmallRng, n: usize) -> usize {
+    (rng.next_u64() % n as u64) as usize
+}
+
+/// One estimate: exact zeros, `-0.0` and values of either sign.
+fn estimate(rng: &mut SmallRng) -> f64 {
+    match below(rng, 8) {
+        0 => 0.0,
+        1 => -0.0,
+        _ => rng.range_f64(-1.0, 1.0),
+    }
+}
+
+/// A random `Gw` pattern: `dense` columns, then every square of every
+/// level (in random order) owning a random run of the remaining columns.
+/// With no dense columns, the last columns may stay unowned, so their rows
+/// hold nothing.
+fn random_columns(rng: &mut SmallRng, tree: &Quadtree) -> (usize, Vec<Vec<Range<usize>>>) {
+    let n = tree.n_contacts();
+    let dense = below(rng, 4).min(n);
+    let mut cols: Vec<Vec<Range<usize>>> =
+        (0..=tree.finest()).map(|l| vec![0..0; tree.side(l) * tree.side(l)]).collect();
+    let mut squares: Vec<Square> = (0..=tree.finest()).flat_map(|l| tree.squares(l)).collect();
+    for i in (1..squares.len()).rev() {
+        squares.swap(i, below(rng, i + 1));
+    }
+    let mut next = dense;
+    for s in &squares {
+        let w = below(rng, 6).min(n - next);
+        cols[s.level as usize][s.flat()] = next..next + w;
+        next += w;
+    }
+    // the leftover columns join the last square that owns some
+    if next < n && (dense > 0 || rng.gen_bool(0.5)) {
+        let at = |s: &Square| (s.level as usize, s.flat());
+        match squares.iter().rev().map(at).find(|&(l, f)| !cols[l][f].is_empty()) {
+            Some((l, f)) => cols[l][f].end = n,
+            None => cols[0][0] = dense..n,
+        }
+    }
+    (dense, cols)
+}
+
+#[test]
+fn finish_matches_a_dense_pair_mean_on_random_patterns() {
+    let mut rng = SmallRng::seed_from_u64(0x6a55e);
+    for case in 0..48 {
+        let layout = match case % 3 {
+            0 => generators::regular_grid(128.0, 8 << (case % 2), 2.0),
+            1 => generators::irregular_same_size(128.0, 16, 1.0, case as u64),
+            _ => clustered(case as u64),
+        };
+        let tree = Quadtree::new(&layout, 1 + case / 3 % 3).expect("layout fits the quadtree");
+        let n = tree.n_contacts();
+        let (dense, cols) = random_columns(&mut rng, &tree);
+        let cols_of = |s: Square| cols[s.level as usize][s.flat()].clone();
+        let mut owner: Vec<Option<Square>> = vec![None; n];
+        for s in (0..=tree.finest()).flat_map(|l| tree.squares(l)) {
+            for c in cols_of(s) {
+                owner[c] = Some(s);
+            }
+        }
+        let mut related = HashSet::new();
+        for x in (0..=tree.finest()).flat_map(|l| tree.squares(l)) {
+            for y in tree.local_descendants(x) {
+                related.extend([(x, y), (y, x)]);
+            }
+        }
+        let in_pattern = |i: usize, j: usize| {
+            i < dense
+                || j < dense
+                || matches!((owner[i], owner[j]), (Some(x), Some(y)) if related.contains(&(x, y)))
+        };
+        // every pair gets two, one or no estimates; half the cases give
+        // every pair two nonzero ones, so every row keeps every slot
+        let full = case / 9 % 2 == 1;
+        let mut est: Vec<Vec<Option<f64>>> = vec![vec![None; n]; n];
+        for i in 0..n {
+            for j in (i..n).filter(|&j| in_pattern(i, j)) {
+                let (a, b) = (estimate(&mut rng), estimate(&mut rng));
+                let (a, b) = if full { (a + 2.0, b + 2.0) } else { (a, b) };
+                let (a, b) = match (full, below(&mut rng, 5)) {
+                    (false, 0) => (None, None),
+                    (false, 1) => (Some(a), None),
+                    (false, 2) => (None, Some(b)),
+                    // opposite estimates average to exactly zero
+                    (false, 3) => (Some(a), Some(-a)),
+                    _ => (Some(a), Some(b)),
+                };
+                est[i][j] = a;
+                if i != j {
+                    est[j][i] = b;
+                }
+            }
+        }
+        // the dense reference: the pair mean (or the lone estimate) into
+        // both entries, without zeros
+        let mut want = Triplets::new(n, n);
+        for i in 0..n {
+            for j in i..n {
+                let v = match (est[i][j], est[j][i]) {
+                    _ if i == j => est[i][i],
+                    (Some(a), Some(b)) => Some((a + b) / 2.0),
+                    (v, None) | (None, v) => v,
+                };
+                if let Some(v) = v.filter(|&v| v != 0.0) {
+                    want.push(i, j, v);
+                    if i != j {
+                        want.push(j, i, v);
+                    }
+                }
+            }
+        }
+        // fill: a square's whole run of a row through `add_tile` when it
+        // is fully estimated, every other estimate through `add`
+        let mut gw = GwAssembler::new(&tree, dense, cols_of);
+        for (i, row) in est.iter().enumerate() {
+            let mut j = 0;
+            while j < n {
+                if let Some(run) = owner[j].map(cols_of).filter(|r| r.start == j) {
+                    let values: Option<Vec<f64>> = row[run.clone()].iter().copied().collect();
+                    if let Some(values) = values {
+                        gw.add_tile(i, run.clone(), &values);
+                        j = run.end;
+                        continue;
+                    }
+                }
+                if let Some(v) = row[j] {
+                    gw.add(i, j, v);
+                }
+                j += 1;
+            }
+        }
+        let what = format!("case {case}: n {n}, dense {dense}, full {full}");
+        assert_bit_identical(&gw.finish(), &want.to_csr(), &what);
+    }
 }

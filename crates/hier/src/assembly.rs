@@ -19,8 +19,7 @@
 //! index. A dense row holds every column and every list opens with the
 //! dense columns, so entries in the dense rows and columns land by index
 //! without a search. `finish` finds each pair's mirror slot the same way:
-//! one search per (row, destination square), whose offset serves the rest
-//! of that square's run.
+//! one search per tile, whose offset serves every row of the tile.
 //!
 //! The fill is one-directional: each directed slot `(row, col)` receives
 //! at most one estimate, and a presence bit per slot records whether it
@@ -81,6 +80,11 @@ pub struct GwAssembler {
     values: Vec<f64>,
     /// Bit `k % 64` of word `k / 64`: slot `k` holds an estimate.
     present: Vec<u64>,
+    /// The last tile run [`GwSink::add_tile`] found: the source row's
+    /// list, the run's columns, and its offset in the list. Every row of a
+    /// square holds the same list, so the run serves the square's other
+    /// rows without a search.
+    last_tile: Option<(u32, Range<usize>, usize)>,
 }
 
 /// Whether slot `k`'s bit is set.
@@ -92,8 +96,79 @@ fn is_set(bits: &[u64], k: usize) -> bool {
 /// Sets slot `k`'s bit to `on`.
 #[inline]
 fn set(bits: &mut [u64], k: usize, on: bool) {
-    let (word, bit) = (&mut bits[k / 64], 1u64 << (k % 64));
-    *word = if on { *word | bit } else { *word & !bit };
+    let word = &mut bits[k / 64];
+    *word = *word & !(1 << (k % 64)) | u64::from(on) << (k % 64);
+}
+
+/// The low `w` bits, `1 <= w <= 64`.
+#[inline]
+fn low_bits(w: usize) -> u64 {
+    u64::MAX >> (64 - w)
+}
+
+/// The bits of slots `k..k + w` (`1 <= w <= 64`), slot `k` lowest.
+#[inline]
+fn get_bits(bits: &[u64], k: usize, w: usize) -> u64 {
+    let (word, b) = (k / 64, k % 64);
+    let hi = if b + w > 64 { bits[word + 1] << (64 - b) } else { 0 };
+    (bits[word] >> b | hi) & low_bits(w)
+}
+
+/// Sets the bits of slots `k..k + w` (`1 <= w <= 64`) to the low `w` bits
+/// of `v`, slot `k` lowest, leaving every other bit as it is.
+#[inline]
+fn put_bits(bits: &mut [u64], k: usize, w: usize, v: u64) {
+    let (word, b, m) = (k / 64, k % 64, low_bits(w));
+    bits[word] = bits[word] & !(m << b) | (v & m) << b;
+    if b + w > 64 {
+        let s = 64 - b;
+        bits[word + 1] = bits[word + 1] & !(m >> s) | (v & m) >> s;
+    }
+}
+
+/// Whether every slot of `slots` has its bit set.
+fn all_set(bits: &[u64], slots: Range<usize>) -> bool {
+    slots.clone().step_by(64).all(|k| {
+        let w = (slots.end - k).min(64);
+        get_bits(bits, k, w) == low_bits(w)
+    })
+}
+
+/// Keeps diagonal slot `k`, its own mirror, if its estimate is not `0.0`.
+/// A slot without an estimate holds `+0.0`.
+#[inline]
+fn diagonal(values: &[f64], present: &mut [u64], k: usize) {
+    set(present, k, values[k] != 0.0);
+}
+
+/// Symmetrizes the pairs of one run of a row: slot `k + t` of the upper
+/// triangle and its mirror slot `mirror(t)`, for `t` in `0..len`. Both
+/// slots get the pair's value, and their presence bits become the keep
+/// flag. A slot without an estimate holds `+0.0`, so a lone estimate `a`
+/// reads as `a + 0.0`: `a` itself, unless `a` is `-0.0`, which is dropped
+/// either way. The run's own bits are read and written 64 at a time.
+#[inline]
+fn resolve_run(
+    values: &mut [f64],
+    present: &mut [u64],
+    k: usize,
+    len: usize,
+    mirror: impl Fn(usize) -> usize,
+) {
+    for t0 in (0..len).step_by(64) {
+        let w = (len - t0).min(64);
+        let have = get_bits(present, k + t0, w);
+        let mut keep = 0;
+        for t in 0..w {
+            let (kt, m) = (k + t0 + t, mirror(t0 + t));
+            let both = (have >> t & 1 != 0) & is_set(present, m);
+            let v = (values[kt] + values[m]) / if both { 2.0 } else { 1.0 };
+            (values[kt], values[m]) = (v, v);
+            set(present, m, v != 0.0);
+            keep |= u64::from(v != 0.0) << t;
+        }
+        put_bits(present, k + t0, w, keep);
+    }
 }
 
 /// The columns row `r` holds: its owner's list.
@@ -203,6 +278,7 @@ impl GwAssembler {
             indptr,
             values: vec![0.0; slots],
             present: vec![0; slots.div_ceil(64)],
+            last_tile: None,
         }
     }
 
@@ -274,59 +350,97 @@ impl GwAssembler {
     pub fn finish(self) -> Csr {
         let _s = trace::span("extract.gw.finish");
         let GwAssembler {
-            n, owner, list_start, lists, mut indptr, mut values, mut present, ..
+            n,
+            dense,
+            owner,
+            list_start,
+            lists,
+            mut indptr,
+            mut values,
+            mut present,
+            ..
         } = self;
-        let cols = |r: usize| row_cols(&owner, &list_start, &lists, r);
-        // each pair's value into both of its slots, walking the upper
-        // triangle; the presence bit becomes the keep flag. Row `r` sits
-        // at one offset in every row of a square, so one search per
-        // (row, square)
-        for r in 0..n {
-            let mut tile = None;
-            for (k, &c) in (indptr[r]..).zip(cols(r)) {
-                let c = c as usize;
-                if c < r {
-                    continue;
+        let list = |o: usize| &lists[list_start[o]..list_start[o + 1]];
+        // the rows each list serves: list 0 the dense rows, every other
+        // list its square's contiguous rows
+        let mut rows = vec![0..0; list_start.len() - 1];
+        rows[0] = 0..dense;
+        for (r, &o) in owner.iter().enumerate().skip(dense).filter(|&(_, &o)| o != u32::MAX) {
+            let span = &mut rows[o as usize];
+            if span.end == 0 {
+                span.start = r;
+            }
+            span.end = r + 1;
+        }
+        // a dense row holds every column, and every row opens with the
+        // dense columns, so a dense row's mirrors lie at its own index
+        for r in 0..dense {
+            let k = indptr[r];
+            diagonal(&values, &mut present, k + r);
+            let mirror = |t: usize| {
+                let c = r + 1 + t;
+                assert_ne!(owner[c], u32::MAX, "the Gw pattern is symmetric");
+                indptr[c] + r
+            };
+            resolve_run(&mut values, &mut present, k + r + 1, n - r - 1, mirror);
+        }
+        // the rest goes tile by tile: square `x`'s rows against the run of
+        // square `y`'s columns in `x`'s list, for `y` not before `x`. `x`'s
+        // rows sit at one offset in every row of `y`, so one search per
+        // tile
+        for x in 1..rows.len() {
+            let (xs, xl) = (rows[x].clone(), list(x));
+            let mut p = dense;
+            while p < xl.len() {
+                let y = owner[xl[p] as usize] as usize;
+                let ys = rows[y].clone();
+                debug_assert_eq!(
+                    xl[p] as usize, ys.start,
+                    "a tile opens at its square's first row"
+                );
+                if ys.start >= xs.start {
+                    let off = list(y)
+                        .binary_search(&(xs.start as u32))
+                        .expect("the Gw pattern is symmetric");
+                    for (i, r) in xs.clone().enumerate() {
+                        let k = indptr[r] + p;
+                        // a diagonal tile holds its upper triangle only
+                        let t0 = if y == x {
+                            diagonal(&values, &mut present, k + i);
+                            i + 1
+                        } else {
+                            0
+                        };
+                        let mirror = |t: usize| indptr[ys.start + t0 + t] + off + i;
+                        resolve_run(&mut values, &mut present, k + t0, ys.len() - t0, mirror);
+                    }
                 }
-                let m = if c == r {
-                    k
-                } else {
-                    let offset = match tile {
-                        Some((list, offset)) if list == owner[c] => offset,
-                        _ => {
-                            let offset = cols(c)
-                                .binary_search(&(r as u32))
-                                .expect("the Gw pattern is symmetric");
-                            tile = Some((owner[c], offset));
-                            offset
-                        }
-                    };
-                    indptr[c] + offset
-                };
-                let estimate = |k: usize| is_set(&present, k).then(|| values[k]);
-                let v = match (estimate(k), estimate(m)) {
-                    _ if m == k => estimate(k),
-                    (Some(a), Some(b)) => Some((a + b) / 2.0),
-                    (v, None) | (None, v) => v,
-                };
-                let keep = v.is_some_and(|v| v != 0.0);
-                (values[k], values[m]) = (v.unwrap_or(0.0), v.unwrap_or(0.0));
-                set(&mut present, k, keep);
-                set(&mut present, m, keep);
+                p += ys.len();
             }
         }
-        // the output indices are written once, for the kept slots only
+        drop(rows);
+        // the output indices are written once, for the kept slots only; a
+        // row that keeps every slot copies its column list
         let kept = present.iter().map(|w| w.count_ones() as usize).sum();
         let mut indices = Vec::with_capacity(kept);
         let mut start = 0;
         for r in 0..n {
-            for (k, &c) in (start..).zip(cols(r)) {
-                if is_set(&present, k) {
-                    values[indices.len()] = values[k];
-                    indices.push(c);
+            let (end, cols) = (indptr[r + 1], row_cols(&owner, &list_start, &lists, r));
+            if all_set(&present, start..end) {
+                // rows before this one kept every slot too: nothing moves
+                if indices.len() != start {
+                    values.copy_within(start..end, indices.len());
+                }
+                indices.extend_from_slice(cols);
+            } else {
+                for (k, &c) in (start..).zip(cols) {
+                    if is_set(&present, k) {
+                        values[indices.len()] = values[k];
+                        indices.push(c);
+                    }
                 }
             }
-            start = indptr[r + 1];
+            start = end;
             indptr[r + 1] = indices.len();
         }
         drop(present);
@@ -351,8 +465,10 @@ impl GwSink for GwAssembler {
         self.record(k, row, col, value);
     }
 
-    /// Finds the tile run with one search, then stores each estimate by
-    /// index.
+    /// Finds the tile run with one search (none when the previous call
+    /// found the same run for another row of the same square), checks and
+    /// sets its presence bits a word at a time, then copies the estimates
+    /// in.
     ///
     /// # Panics
     ///
@@ -364,10 +480,27 @@ impl GwSink for GwAssembler {
         if dst.is_empty() {
             return;
         }
-        let run = self.tile(src, &dst);
-        for ((k, c), &v) in (run..).zip(dst).zip(values) {
-            self.record(k, src, c, v);
+        let run = match &self.last_tile {
+            Some((list, cols, offset)) if self.owner.get(src) == Some(list) && *cols == dst => {
+                self.indptr[src] + offset
+            }
+            _ => {
+                let run = self.tile(src, &dst);
+                self.last_tile = Some((self.owner[src], dst.clone(), run - self.indptr[src]));
+                run
+            }
+        };
+        // the run's presence bits, 64 at a time: all clear, then all set
+        for t0 in (0..dst.len()).step_by(64) {
+            let w = (dst.len() - t0).min(64);
+            let have = get_bits(&self.present, run + t0, w);
+            if have != 0 {
+                let c = dst.start + t0 + have.trailing_zeros() as usize;
+                panic!("Gw entry ({src}, {c}) received a second estimate");
+            }
+            put_bits(&mut self.present, run + t0, w, u64::MAX);
         }
+        self.values[run..run + dst.len()].copy_from_slice(values);
     }
 }
 
@@ -417,37 +550,45 @@ mod tests {
     #[test]
     fn add_tile_matches_the_per_entry_default_bit_for_bit() {
         let squares = [1..4, 4..7, 7..10, 10..13, 13..16];
-        let (mut tiles, mut entries) = (tiled(), PerEntry(tiled()));
-        let local: Vec<(usize, &Range<usize>)> = squares
+        let tiles = tiled();
+        let mut local: Vec<(usize, &Range<usize>)> = squares
             .iter()
             .flat_map(|a| a.clone())
             .flat_map(|src| squares.iter().map(move |b| (src, b)))
             .filter(|&(src, b)| tiles.slot(src, b.start).is_some())
             .collect();
-        let mut x = 0.1f64;
-        // every tile of the pattern from its source's side (the diagonal
-        // `s == d` tiles included), then the dense column
-        for &(src, b) in &local {
-            let values: Vec<f64> = b
-                .clone()
-                .map(|_| {
-                    x = (x * 3.7 + 0.3).fract();
-                    x - 0.5
-                })
-                .collect();
-            tiles.add_tile(src, b.clone(), &values);
-            entries.add_tile(src, b.clone(), &values);
+        // row by row, then each destination square's run for every row of
+        // the source square in turn, so each run found serves two more rows
+        for by_square in [false, true] {
+            if by_square {
+                local.sort_by_key(|&(src, b)| (tiles.owner[src], b.start, src));
+            }
+            let (mut tiles, mut entries) = (tiled(), PerEntry(tiled()));
+            let mut x = 0.1f64;
+            // every tile of the pattern from its source's side (the
+            // diagonal `s == d` tiles included), then the dense column
+            for &(src, b) in &local {
+                let values: Vec<f64> = b
+                    .clone()
+                    .map(|_| {
+                        x = (x * 3.7 + 0.3).fract();
+                        x - 0.5
+                    })
+                    .collect();
+                tiles.add_tile(src, b.clone(), &values);
+                entries.add_tile(src, b.clone(), &values);
+            }
+            for r in 0..16 {
+                let v = f64::from(r as u32 + 1) / 7.0;
+                tiles.add(r, 0, v);
+                entries.add(r, 0, v);
+            }
+            let (got, want) = (tiles.finish(), entries.0.finish());
+            // row 0 and column 0, then 5 diagonal and 5 local square pairs
+            // both ways, 3 x 3 each
+            assert_eq!(got.nnz(), 16 + 15 + 9 * (5 + 2 * 5));
+            assert_eq!(bits(&got), bits(&want), "by square: {by_square}");
         }
-        for r in 0..16 {
-            let v = f64::from(r as u32 + 1) / 7.0;
-            tiles.add(r, 0, v);
-            entries.add(r, 0, v);
-        }
-        let (got, want) = (tiles.finish(), entries.0.finish());
-        // row 0 and column 0, then 5 diagonal and 5 local square pairs
-        // both ways, 3 x 3 each
-        assert_eq!(got.nnz(), 16 + 15 + 9 * (5 + 2 * 5));
-        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

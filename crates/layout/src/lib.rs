@@ -417,19 +417,36 @@ impl Layout {
         layout
     }
 
-    /// Renders the layout as ASCII art on a `w x h` character grid
-    /// (for figure harnesses; `#` marks contact area).
+    /// Renders the layout as ASCII art on a `w x h` character grid, top
+    /// row first (for figure harnesses): `#` marks a cell that overlaps
+    /// some contact with positive area, so a contact smaller than a cell
+    /// still shows.
     pub fn to_ascii(&self, w: usize, h: usize) -> String {
         let dx = self.a / w as f64;
         let dy = self.b / h as f64;
+        let mut hit = vec![false; w * h];
+        // the cells a rectangle can touch, one cell of slack each way;
+        // `intersects` decides
+        let span = |lo: f64, hi: f64, d: f64, k: usize| {
+            let first = ((lo / d).floor() - 1.0).max(0.0) as usize;
+            first..((hi / d).ceil() + 1.0).clamp(0.0, k as f64) as usize
+        };
+        for r in self.contacts.iter().flat_map(Contact::rects) {
+            for row in span(r.y0, r.y1, dy, h) {
+                for col in span(r.x0, r.x1, dx, w) {
+                    let cell = Rect::new(
+                        col as f64 * dx,
+                        row as f64 * dy,
+                        (col + 1) as f64 * dx,
+                        (row + 1) as f64 * dy,
+                    );
+                    hit[row * w + col] |= r.intersects(&cell);
+                }
+            }
+        }
         let mut s = String::with_capacity((w + 1) * h);
         for row in (0..h).rev() {
-            let cy = (row as f64 + 0.5) * dy;
-            for col in 0..w {
-                let cx = (col as f64 + 0.5) * dx;
-                let hit = self.contacts.iter().any(|c| c.contains(cx, cy));
-                s.push(if hit { '#' } else { '.' });
-            }
+            s.extend(hit[row * w..][..w].iter().map(|&on| if on { '#' } else { '.' }));
             s.push('\n');
         }
         s
@@ -520,5 +537,18 @@ mod tests {
         let l = Layout::from_ascii(5.0, 4.0, art);
         assert_eq!(l.n_contacts(), 1);
         assert!((l.contacts()[0].area() - 14.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn to_ascii_marks_every_cell_a_contact_overlaps() {
+        // 8 x 4 cells of 8 x 8 on a 64 x 32 surface
+        let mut l = Layout::new(64.0, 32.0);
+        // smaller than a cell, away from the cell's center (12, 12)
+        l.push(Contact::rect(Rect::new(9.0, 9.5, 9.5, 10.0)));
+        // across the boundary x = 32 of two cells in the top row
+        l.push(Contact::rect(Rect::new(30.0, 26.0, 34.0, 28.0)));
+        // ending exactly on the boundary y = 16: the cell above stays empty
+        l.push(Contact::rect(Rect::new(58.0, 12.0, 60.0, 16.0)));
+        assert_eq!(l.to_ascii(8, 4), "...##...\n........\n.#.....#\n........\n");
     }
 }

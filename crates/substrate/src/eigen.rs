@@ -36,7 +36,9 @@
 //! truncated at the panel Nyquist (`P x P` modes). This matches the
 //! precorrected-DCT formulation the thesis builds on; the thesis's own
 //! QuickSub backend used multigrid instead of CG, so absolute iteration
-//! counts differ (documented in EXPERIMENTS.md).
+//! counts differ. The thesis's counts are quoted in the doc comments of
+//! the `subsparse-bench` table runners (`run_table_2_2`), which print the
+//! measured ones beside them.
 //!
 //! # The preconditioner's blocks in closed form
 //!

@@ -796,12 +796,10 @@ impl KernelSolver {
         pair_kernel(xi, yi, ai, xj, yj, aj, self.c0)
     }
 
-    /// The contacts not in `rest` (ascending), in index order, as a solver
-    /// of their own: their coordinates, areas and diagonal entries.
-    fn gather(&self, rest: &[usize]) -> KernelSolver {
-        let pick = |a: &[f64]| {
-            a.iter().zip(in_support(a.len(), rest)).filter(|&(_, l)| l).map(|(&x, _)| x).collect()
-        };
+    /// The contacts `rows` (ascending), in index order, as a solver of
+    /// their own: their coordinates, areas and diagonal entries.
+    fn gather(&self, rows: &[usize]) -> KernelSolver {
+        let pick = |a: &[f64]| rows.iter().map(|&i| a[i]).collect();
         KernelSolver {
             xs: pick(&self.xs),
             ys: pick(&self.ys),
@@ -813,14 +811,27 @@ impl KernelSolver {
 
     /// Runs the pair loop on the `k` voltage columns `col(0)`, …,
     /// `col(k - 1)`, restricted to their support (see the type's docs),
-    /// and returns the `n x k` responses.
+    /// and returns the `n x k` responses. The support scan, the packing
+    /// and the unpacking each walk one column at a time.
     fn apply<'a>(&self, k: usize, col: impl Fn(usize) -> &'a [f64]) -> Mat {
         let n = self.n_contacts();
-        // the rows outside the support S: +0.0 by bits in every column
-        // (empty, and so never allocated, when S is every row)
-        let rest: Vec<usize> =
-            (0..n).filter(|&i| (0..k).all(|c| col(c)[i].to_bits() == 0)).collect();
-        let m = n - rest.len();
+        // the support S, and the rows outside it: +0.0 by bits in every
+        // column (empty when S is every row)
+        let (support, rest) = {
+            let mut in_s = vec![false; n];
+            for c in 0..k {
+                for (s, v) in in_s.iter_mut().zip(col(c)) {
+                    *s |= v.to_bits() != 0;
+                }
+            }
+            let m = in_s.iter().filter(|&&s| s).count();
+            let (mut support, mut rest) = (Vec::with_capacity(m), Vec::with_capacity(n - m));
+            for (i, &s) in in_s.iter().enumerate() {
+                if s { &mut support } else { &mut rest }.push(i);
+            }
+            (support, rest)
+        };
+        let m = support.len();
         let packed = k.div_ceil(LANES) * m * LANES;
         // S's responses fill the first `packed` values, panels of m rows;
         // the rows outside S follow, panels of n - m rows
@@ -832,14 +843,14 @@ impl KernelSolver {
             let s = if rest.is_empty() {
                 self
             } else {
-                sub = self.gather(&rest);
+                sub = self.gather(&support);
                 &sub
             };
             let mut vp = vec![0.0; packed];
             for c in 0..k {
-                let vs = col(c).iter().zip(in_support(n, &rest)).filter(|&(_, l)| l);
-                for (row, (&v, _)) in vp[c / LANES * m * LANES..].chunks_exact_mut(LANES).zip(vs) {
-                    row[c % LANES] = v;
+                let (v, panel) = (col(c), &mut vp[c / LANES * m * LANES..][..m * LANES]);
+                for (row, &i) in panel.chunks_exact_mut(LANES).zip(&support) {
+                    row[c % LANES] = v[i];
                 }
             }
             let (ys, yr) = yp.split_at_mut(packed);
@@ -849,21 +860,15 @@ impl KernelSolver {
         let (ys, yr) = yp.split_at(packed);
         let mut out = Mat::zeros(n, k);
         for (c, out) in out.cols_mut().enumerate() {
-            let (mut ys, mut yr) = (panel_col(ys, m, c), panel_col(yr, n - m, c));
-            for (y, l) in out.iter_mut().zip(in_support(n, &rest)) {
-                let next = if l { ys.next() } else { yr.next() };
-                *y = next.expect("one packed response per row");
+            for (&i, y) in support.iter().zip(panel_col(ys, m, c)) {
+                out[i] = y;
+            }
+            for (&i, y) in rest.iter().zip(panel_col(yr, n - m, c)) {
+                out[i] = y;
             }
         }
         out
     }
-}
-
-/// Whether each row of `0..n` is in the support, given the rows `rest`
-/// (ascending) that are not.
-fn in_support(n: usize, rest: &[usize]) -> impl Iterator<Item = bool> + '_ {
-    let mut rest = rest.iter().peekable();
-    (0..n).map(move |i| rest.next_if_eq(&&i).is_none())
 }
 
 /// Column `c` of `n`-row vectors packed in zero-padded panels: panel

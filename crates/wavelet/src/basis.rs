@@ -21,7 +21,7 @@ use subsparse_hier::{FastWaveletTransform, HierError, Quadtree, Square};
 use subsparse_layout::Layout;
 use subsparse_linalg::qr::orthonormal_completion;
 use subsparse_linalg::svd::svd;
-use subsparse_linalg::{trace, Csr, Mat, Triplets};
+use subsparse_linalg::{trace, Csr, Mat};
 
 /// Relative singular-value tolerance used to decide the rank of moment
 /// matrices ("number of nonzero singular values", §3.4.1).
@@ -122,37 +122,26 @@ impl WaveletBasis {
         self.squares[s.level as usize][s.flat()].w
     }
 
-    /// Calls `f(r, value)` for each entry `Q` stores of the `m`-th
-    /// vanishing basis vector of `s`, where `r` indexes
-    /// `tree().contacts_in_square(s)`, ascending: one search in each
-    /// contact's row of `Q`. `Q` stores no zeros, so an entry it skips is
-    /// `0.0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m >= w_count(s)`.
-    pub(crate) fn for_each_w_entry(&self, s: Square, m: usize, mut f: impl FnMut(usize, f64)) {
-        assert!(m < self.w_count(s), "square {s:?} has no W vector {m}");
-        let col = self.w_col(s, m) as u32;
-        for (r, &ci) in self.tree.contacts_in_square(s).iter().enumerate() {
-            let (js, vals) = self.q.row(ci as usize);
-            if let Ok(k) = js.binary_search(&col) {
-                f(r, vals[k]);
-            }
-        }
-    }
-
     /// The `m`-th vanishing basis vector of `s` in the square's contact
     /// coordinates (entry `r` belongs to `tree().contacts_in_square(s)[r]`),
-    /// gathered from `Q`'s rows.
+    /// gathered from `Q`'s rows: one search in each contact's row. `Q`
+    /// stores no zeros, so an entry it skips is `0.0`.
     ///
     /// # Panics
     ///
     /// Panics if `m >= w_count(s)`.
     pub fn w_column(&self, s: Square, m: usize) -> Vec<f64> {
-        let mut col = vec![0.0; self.tree.contacts_in_square(s).len()];
-        self.for_each_w_entry(s, m, |r, v| col[r] = v);
-        col
+        assert!(m < self.w_count(s), "square {s:?} has no W vector {m}");
+        let col = self.w_col(s, m) as u32;
+        let cs = self.tree.contacts_in_square(s);
+        let mut out = vec![0.0; cs.len()];
+        for (o, &ci) in out.iter_mut().zip(cs) {
+            let (js, vals) = self.q.row(ci as usize);
+            if let Ok(k) = js.binary_search(&col) {
+                *o = vals[k];
+            }
+        }
+        out
     }
 }
 
@@ -283,34 +272,7 @@ pub fn build_basis(layout: &Layout, levels: usize, p: usize) -> Result<WaveletBa
     }
     assert_eq!(next_col, n, "basis must have exactly n columns (got {next_col} of {n})");
 
-    // ---- assemble sparse Q
-    let mut trip = Triplets::new(n, n);
-    {
-        let root = &squares[0][0];
-        let cs = tree.contacts_in(0, 0, 0);
-        for j in 0..root.v.n_cols() {
-            let col = root.v.col(j);
-            for (r, &ci) in cs.iter().enumerate() {
-                trip.push(ci as usize, j, col[r]);
-            }
-        }
-    }
-    for l in 0..=finest {
-        for s in tree.squares(l).collect::<Vec<_>>() {
-            let sb = &squares[l][s.flat()];
-            if sb.w.n_cols() == 0 {
-                continue;
-            }
-            let cs = tree.contacts_in_square(s);
-            for j in 0..sb.w.n_cols() {
-                let col = sb.w.col(j);
-                for (r, &ci) in cs.iter().enumerate() {
-                    trip.push(ci as usize, sb.col_start + j, col[r]);
-                }
-            }
-        }
-    }
-    let q = trip.to_csr();
+    let q = assemble_q(&tree, &squares, n);
     let fwt = build_fwt(&tree, &squares, n, root_v);
     let squares = squares
         .iter()
@@ -323,6 +285,57 @@ pub fn build_basis(layout: &Layout, levels: usize, p: usize) -> Result<WaveletBa
         .collect();
 
     Ok(WaveletBasis { tree, n, squares, root_v, q: Arc::new(q), fwt: Arc::new(fwt) })
+}
+
+/// Writes `Q`'s CSR arrays directly, with no triplets and no sort.
+///
+/// Row `ci` of `Q` holds the root `V` columns, then the `W` columns of each
+/// square holding contact `ci`, coarsest level first: columns are numbered
+/// root `V` first, then `W` level by level, so that is ascending column
+/// order. Exact `±0.0` entries are skipped, as `Triplets::push` skips them.
+/// One pass counts each row's entries, and a second writes them, with
+/// `indptr[ci]` as row `ci`'s cursor (as `Csr::transpose` does).
+fn assemble_q(tree: &Quadtree, squares: &[Vec<SquareBasis>], n: usize) -> Csr {
+    // calls `f(contacts, block, first column)` for the root `V` block and
+    // each square's `W` block, coarsest level first
+    let for_each_block = |f: &mut dyn FnMut(&[u32], &Mat, usize)| {
+        f(tree.contacts_in(0, 0, 0), &squares[0][0].v, 0);
+        for (l, level) in squares.iter().enumerate() {
+            for s in tree.squares(l) {
+                let sb = &level[s.flat()];
+                if sb.w.n_cols() > 0 {
+                    f(tree.contacts_in_square(s), &sb.w, sb.col_start);
+                }
+            }
+        }
+    };
+    let mut indptr = vec![0usize; n + 1];
+    for_each_block(&mut |cs, m, _| {
+        for (r, &ci) in cs.iter().enumerate() {
+            indptr[ci as usize + 1] += (0..m.n_cols()).filter(|&j| m[(r, j)] != 0.0).count();
+        }
+    });
+    for i in 0..n {
+        indptr[i + 1] += indptr[i];
+    }
+    let nnz = indptr[n];
+    let (mut indices, mut data) = (vec![0u32; nnz], vec![0.0; nnz]);
+    for_each_block(&mut |cs, m, col0| {
+        for (r, &ci) in cs.iter().enumerate() {
+            let k = &mut indptr[ci as usize];
+            for j in 0..m.n_cols() {
+                let v = m[(r, j)];
+                if v != 0.0 {
+                    (indices[*k], data[*k]) = ((col0 + j) as u32, v);
+                    *k += 1;
+                }
+            }
+        }
+    });
+    // each cursor now sits at the start of the next row
+    indptr.copy_within(0..n, 1);
+    indptr[0] = 0;
+    Csr::from_parts(n, n, indptr, indices, data)
 }
 
 /// Assembles the tree-structured fast transform from the per-square

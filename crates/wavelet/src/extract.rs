@@ -103,6 +103,13 @@ pub fn extract<S: SubstrateSolver + ?Sized>(
 /// idle at the tail of each call. Spacing 0 has no phases: each call
 /// holds one square's vectors.
 ///
+/// The root `V` columns ride in level 0's call: the root square holds
+/// every contact, so its `W` vectors already excite them all, and one call
+/// of `root_v + w_count(root)` columns (at most [`solver::BATCH`] per
+/// block) costs the kernel black box what its `W` columns alone did. A
+/// column's response does not depend on the block it rides in, for any of
+/// the black boxes, so the estimates keep their bits.
+///
 /// # Panics
 ///
 /// Panics if the solver's contact count differs from the basis's.
@@ -119,25 +126,11 @@ pub fn extract_into<S: SubstrateSolver + ?Sized, K: GwSink + ?Sized>(
     // Q' of each response block, and the transform's scratch, reused
     // across blocks
     let (mut coef, mut s1, mut s2) = (Mat::zeros(0, 0), Mat::zeros(0, 0), Mat::zeros(0, 0));
-
-    // ---- coarsest-level nonvanishing vectors: dense rows/columns.
-    // One solve per root V column, streamed in RHS blocks; the response
-    // is projected onto *all* basis vectors (forms 3.21-3.23 of the
-    // thesis are never assumed small).
-    {
-        let _s = trace::span("extract.wavelet.root-solves");
-        let items = q_columns(basis.q(), basis.root_v()).into_iter().enumerate();
-        solver::for_each_batched(solver, items, |js, y| {
-            fwt.forward_block_into(y, &mut coef, &mut s1, &mut s2);
-            for (b, j) in js.into_iter().enumerate() {
-                for (i, &v) in coef.col(b).iter().enumerate() {
-                    if v != 0.0 {
-                        sink.add(i, j, v);
-                    }
-                }
-            }
-        });
-    }
+    // the coarsest-level nonvanishing vectors: one solve per root `V`
+    // column, whose response is projected onto *all* basis vectors
+    // (forms 3.21-3.23 of the thesis are never assumed small). Every
+    // contact lies in the root, so these columns ride in level 0's call.
+    let mut root = q_columns(basis.q(), basis.root_v());
 
     // ---- vanishing-moment vectors, level by level (source level l).
     // Each phase's run of groups streams through `solve_batch` in RHS
@@ -150,30 +143,67 @@ pub fn extract_into<S: SubstrateSolver + ?Sized, K: GwSink + ?Sized>(
         let _s = trace::span_arg("extract.wavelet.combine-level", l as u64);
         let groups = tree.combine_groups(l, options.spacing, |s| basis.w_count(s));
         // a phase's groups count `m` up from 0, so a new phase starts
-        // wherever `m` does not rise
-        for run in groups.chunk_by(|a, b| b.1 > a.1) {
-            let items = run.iter().map(|(group, m)| {
-                let mut theta = vec![0.0; n];
-                for s in group {
-                    add_w_column(basis, *s, *m, &mut theta);
-                }
-                ((group, *m), theta)
+        // wherever `m` does not rise. Level 0 holds one square, so it has
+        // one phase, or none when the root has no `W` vectors: the root
+        // columns then go alone
+        let mut runs: Vec<&[(Vec<Square>, usize)]> = groups.chunk_by(|a, b| b.1 > a.1).collect();
+        if l == 0 && runs.is_empty() {
+            runs.push(&[]);
+        }
+        for run in runs {
+            let _r = (l == 0).then(|| trace::span("extract.wavelet.root-solves"));
+            let roots = std::mem::take(&mut root).into_iter().enumerate();
+            // the excitations are built `solver::BATCH` groups at a time
+            let ws = run.chunks(solver::BATCH).flat_map(|chunk| {
+                let thetas = excitations(basis, chunk);
+                thetas
+                    .into_iter()
+                    .zip(chunk)
+                    .map(|(theta, (group, m))| (Column::W(group, *m), theta))
             });
+            let items = roots.map(|(j, v)| (Column::Root(j), v)).chain(ws);
             solver::for_each_batched(solver, items, |tags, y| {
                 fwt.forward_block_into(y, &mut coef, &mut s1, &mut s2);
-                for (b, (group, m)) in tags.into_iter().enumerate() {
-                    let c = coef.col(b);
-                    for s in group {
-                        let src = basis.w_col(*s, m);
-                        for d in tree.local_descendants(*s) {
-                            let dst = basis.w_cols(d);
-                            sink.add_tile(src, dst.clone(), &c[dst]);
+                // the root columns' estimates, then each source square's
+                // tiles, one destination square at a time: the block's
+                // first `W` group holds every square of the later ones
+                let mut ws = Vec::with_capacity(tags.len());
+                for (b, tag) in tags.into_iter().enumerate() {
+                    match tag {
+                        Column::Root(j) => {
+                            for (i, &v) in coef.col(b).iter().enumerate() {
+                                if v != 0.0 {
+                                    sink.add(i, j, v);
+                                }
+                            }
+                        }
+                        Column::W(group, m) => ws.push((b, group, m)),
+                    }
+                }
+                let Some(&(_, squares, _)) = ws.first() else { return };
+                for &s in squares {
+                    let count = basis.w_count(s);
+                    for d in tree.local_descendants(s) {
+                        let dst = basis.w_cols(d);
+                        for &(b, _, m) in ws.iter().filter(|&&(_, _, m)| m < count) {
+                            sink.add_tile(
+                                basis.w_col(s, m),
+                                dst.clone(),
+                                &coef.col(b)[dst.clone()],
+                            );
                         }
                     }
                 }
             });
         }
     }
+}
+
+/// What one solved column excites: root `V` column `j`, or the sum of the
+/// `m`-th `W` vectors of a group of squares.
+enum Column<'a> {
+    Root(usize),
+    W(&'a [Square], usize),
 }
 
 /// The first `width` columns of a sparse `Q` as dense vectors, gathered
@@ -191,11 +221,33 @@ fn q_columns(q: &Csr, width: usize) -> Vec<Vec<f64>> {
     cols
 }
 
-/// Adds the `m`-th vanishing basis vector of `s`, read from `Q`'s rows,
-/// into a full-length vector.
-fn add_w_column(basis: &WaveletBasis, s: Square, m: usize, out: &mut [f64]) {
-    let cs = basis.tree().contacts_in_square(s);
-    basis.for_each_w_entry(s, m, |r, v| out[cs[r] as usize] += v);
+/// The summed excitations of a chunk of one phase run's groups: item `b`
+/// is the sum of the `m`-th `W` vectors of `chunk[b].0`'s squares.
+///
+/// A run's groups count `m` up by one, and group `m` holds the phase's
+/// squares with more than `m` vectors, so the chunk's first group holds
+/// every square of the others. Each contact of those squares gets one
+/// search in its row of `Q`, which then yields its entries for every `m`
+/// of the chunk in order. Each excitation entry gets one add (the squares
+/// of a group are disjoint), so the voltages are `Q`'s entries, bit for
+/// bit.
+fn excitations(basis: &WaveletBasis, chunk: &[(Vec<Square>, usize)]) -> Vec<Vec<f64>> {
+    let mut thetas = vec![vec![0.0; basis.n()]; chunk.len()];
+    let Some((squares, m0)) = chunk.first() else { return thetas };
+    debug_assert!(chunk.iter().enumerate().all(|(b, g)| g.1 == m0 + b), "m counts up by one");
+    for &s in squares {
+        // the columns of `s`'s vectors `m0..m0 + chunk.len()`
+        let cols = basis.w_cols(s);
+        let (lo, hi) = (cols.start + m0, (cols.start + m0 + chunk.len()).min(cols.end));
+        for &ci in basis.tree().contacts_in_square(s) {
+            let (js, vals) = basis.q().row(ci as usize);
+            let k = js.partition_point(|&j| (j as usize) < lo);
+            for (&j, &v) in js[k..].iter().zip(&vals[k..]).take_while(|(&j, _)| (j as usize) < hi) {
+                thetas[j as usize - lo][ci as usize] += v;
+            }
+        }
+    }
+    thetas
 }
 
 /// Transforms a dense `G` exactly into the wavelet basis: `Gw = Q' G Q`.

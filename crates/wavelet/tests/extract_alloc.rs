@@ -14,7 +14,10 @@
 //!   `Gw` built in place from it, so the largest single request is
 //!   bounded by the *final* `Gw` (`2 x 8 B x nnz(Gw)`, room for slots
 //!   that finish drops) plus an `O(n x BATCH)` solve block. A hash
-//!   map, a triplet copy or any dense `n x n` buffer breaks the bound.
+//!   map, a triplet copy or any dense `n x n` buffer breaks the bound;
+//! * the basis construction writes `Q`'s CSR arrays directly: its biggest
+//!   allocation is no larger than `Q`'s largest array, where a triplet
+//!   list of `Q`'s entries (16 B each) would be twice its value array.
 //!
 //! This file holds a single test on purpose: it installs a global
 //! allocator, and any sibling test in the same binary would race the
@@ -80,7 +83,20 @@ fn wavelet_extraction_never_allocates_a_dense_n_by_n_buffer() {
     );
 
     let black_box = CountingSolver::new(kernel);
-    let basis = build_basis(&layout, 3, 2).expect("basis");
+    let mut basis = None;
+    let max_single = max_single_allocation_during(|| {
+        basis = Some(build_basis(&layout, 3, 2).expect("basis"));
+    });
+    let basis = basis.expect("the basis was built");
+    let q = basis.q();
+    let q_bytes =
+        (q.nnz() * std::mem::size_of::<f64>()).max((n + 1) * std::mem::size_of::<usize>());
+    assert!(
+        max_single <= q_bytes,
+        "build_basis made a {max_single}-byte allocation, above the {q_bytes} bytes of Q's \
+         largest CSR array (nnz(Q) = {}); Q is no longer written directly",
+        q.nnz()
+    );
 
     // the combine-solves extraction: nothing bigger than the final Gw's
     // values (with slack for dropped slots) or one block of solves
