@@ -724,9 +724,12 @@ pub fn synthetic(layout: &subsparse_layout::Layout) -> DenseSolver {
 ///   whole pair loop, so there is one path, with no threshold.
 ///
 /// The responses of both loops are packed into one buffer of `n` rows and
-/// unpacked into the output, so a call's heap is never larger than the
-/// unrestricted loop's: the voltage panels shrink to `|S|` rows, and the
-/// gathered arrays are only made when they do.
+/// unpacked into the output, so beyond one index per row (the rows of `S`
+/// and the rows outside it, each list in index order) a call's heap is
+/// never larger than the unrestricted loop's: the voltage panels shrink to
+/// `|S|` rows, and the gathered arrays are only made when they do. The
+/// support scan, the packing and the unpacking each walk one voltage or
+/// response column at a time.
 ///
 /// # Why every tier, batch width and support give the same bits
 ///
@@ -811,8 +814,7 @@ impl KernelSolver {
 
     /// Runs the pair loop on the `k` voltage columns `col(0)`, …,
     /// `col(k - 1)`, restricted to their support (see the type's docs),
-    /// and returns the `n x k` responses. The support scan, the packing
-    /// and the unpacking each walk one column at a time.
+    /// and returns the `n x k` responses.
     fn apply<'a>(&self, k: usize, col: impl Fn(usize) -> &'a [f64]) -> Mat {
         let n = self.n_contacts();
         // the support S, and the rows outside it: +0.0 by bits in every
