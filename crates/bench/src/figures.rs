@@ -30,7 +30,10 @@ pub fn run_fig_layouts(quick: bool) -> String {
     let dir = figures_dir();
     let mut emit = |name: &str, layout: &subsparse::Layout| {
         writeln!(out, "--- layout {name}: {} contacts", layout.n_contacts()).unwrap();
-        out.push_str(&layout.to_ascii(64, 32));
+        // 64 columns of square cells, so contact rows two cells apart
+        // keep the empty row between them
+        let (a, b) = layout.extent();
+        out.push_str(&layout.to_ascii(64, (64.0 * b / a).round() as usize));
         let pbm = ascii_to_pbm(&layout.to_ascii(128, 128));
         std::fs::write(dir.join(format!("layout_{name}.pbm")), pbm).ok();
     };
@@ -269,6 +272,18 @@ mod tests {
             assert!(s1024 < 3 * s256, "{name}: solves grew {s256} -> {s1024}");
             assert!(s1024 < 512, "{name}: {s1024} solves at n = 1024");
         }
+    }
+
+    #[test]
+    fn layout_drawing_keeps_the_empty_rows_between_contact_rows() {
+        let out = run_fig_layouts(true);
+        let art = out.split("--- layout ch3_1a").nth(1).expect("example 1a is drawn");
+        let art: Vec<&str> = art.lines().skip(1).take_while(|l| !l.starts_with("---")).collect();
+        let rows: Vec<bool> = art.iter().map(|l| l.contains('#')).collect();
+        let first = rows.iter().position(|&r| r).expect("a contact row");
+        let last = rows.iter().rposition(|&r| r).expect("a contact row");
+        let art = art.join("\n");
+        assert!(rows[first..=last].contains(&false), "no empty row between contact rows:\n{art}");
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! code paths, reduced sizes).
 //!
 //! This crate times no serving path of its own: `cli apply --repeat N
-//! --block B --path fwt|csr --threads T` times applies of a saved model,
-//! and the `benchmark/` package is the end-to-end gate. Its one
-//! kernel-level stopwatch is the `linalg_kernels` bench.
+//! --block B --threads T` times applies of a saved model, and the
+//! `benchmark/` package is the end-to-end gate. Its one kernel-level
+//! stopwatch is the `linalg_kernels` bench.
 
 pub mod examples;
 pub mod figures;

@@ -46,15 +46,16 @@ USAGE:
   subsparse-cli sparsify [--method NAME|all] [options]
   subsparse-cli info     --model STEM
   subsparse-cli apply    --model STEM --contact K [--volts V]
-                         [--repeat R] [--block B] [--path P] [--threads T]
+                         [--repeat R] [--block B] [--threads T]
   subsparse-cli help
 
 EXTRACT OPTIONS:
   --layout FILE       ASCII-art layout (one char per cell; runs of the
                       same char = one contact)
   --extent A          surface side length (default 128)
-  --out STEM          write STEM.q.mtx and STEM.gw.mtx (plus STEM.fwt,
-                      the fast-transform serving section, for wavelet)
+  --out STEM          write STEM.q.mtx, STEM.gw.mtx and STEM.fwt (the
+                      fast-transform serving section; not for the dense
+                      baselines threshold and topk)
   --method M          lowrank (default) | wavelet | threshold | topk
   --levels N          quadtree depth (default: auto); the layout is split
                       at that depth's square boundaries
@@ -87,7 +88,7 @@ SPARSIFY OPTIONS (run registered methods side by side, shared metrics):
   --threads T         solver worker threads for batched solves
                       (default 1; 0 = auto, see THREADING)
   --out STEM          save the (single) method's model as STEM.{q,gw}.mtx
-                      (+ STEM.fwt for the wavelet method)
+                      (+ STEM.fwt for the wavelet and low-rank methods)
   --trace FILE        record spans/counters/latency histograms, write a
                       chrome://tracing JSON to FILE, print the summary
 
@@ -99,9 +100,6 @@ APPLY OPTIONS (serving):
                       the currents once)
   --block B           additionally time blocked applies, B vectors per
                       panel, and print the per-vector speedup (default 1)
-  --path P            serving path: auto (default: fast wavelet transform
-                      when the model carries one) | fwt (require it) |
-                      csr (force the explicit-CSR fallback)
   --threads T         additionally time the blocked applies through the
                       thread-parallel serving executor on T workers
                       (default 1; 0 = auto, see THREADING); results are
@@ -468,7 +466,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_apply(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, "model contact volts repeat block path threads trace faults")?;
+    let opts = Opts::parse(args, "model contact volts repeat block threads trace faults")?;
     let faults_armed = faults_begin(&opts)?;
     let trace_path = trace_begin(&opts);
     let stem = PathBuf::from(opts.require("model")?);
@@ -479,19 +477,6 @@ fn cmd_apply(args: &[String]) -> Result<(), String> {
     let block: usize = opts.get_parsed("block", 1)?.max(1);
     let threads: usize = opts.get_parsed("threads", 1)?;
     let rep = BasisRep::load(&stem).map_err(|e| format!("loading model: {e}"))?;
-    let rep = match opts.get("path").unwrap_or("auto") {
-        "auto" => rep,
-        "csr" => rep.without_fwt(),
-        "fwt" => {
-            if rep.fwt().is_none() {
-                return Err("--path fwt, but the model carries no fast-transform section \
-                     (re-extract and save it with a current build)"
-                    .into());
-            }
-            rep
-        }
-        other => return Err(format!("unknown --path {other:?} (auto | fwt | csr)")),
-    };
     let n = CouplingOp::n(&rep);
     if contact >= n {
         return Err(format!("contact {contact} out of range (model has {n})"));

@@ -8,13 +8,15 @@
 //! * the **fast wavelet transform** path
 //!   ([`BasisRep::with_fwt`]) — the `Q'`/`Q` factors applied level by
 //!   level through the quadtree as small per-square dense blocks
-//!   ([`FastWaveletTransform`]), `O(n·p)` per vector; the default for
-//!   wavelet extractions, and the path that makes the sparse model faster
-//!   to serve than the dense matrix; it keeps no `Q'`;
-//! * the **explicit-CSR fallback** ([`BasisRep::new`]) — generic sparse
+//!   ([`FastWaveletTransform`]), `O(n·p)` per vector; every wavelet and
+//!   low-rank extraction serves through it (both build their basis with
+//!   [`TreeBasisBuilder`](crate::TreeBasisBuilder)), and it keeps no `Q'`;
+//! * the **explicit-CSR path** ([`BasisRep::new`]) — generic sparse
 //!   `Q' → Gw → Q` traversal, with the transpose `Q'` precomputed and
-//!   cached so both directions stream row-major; the only choice for
-//!   non-tree bases (low-rank, the baselines) and for legacy model files.
+//!   cached so both directions stream row-major; the reference the
+//!   transform is checked against ([`BasisRep::without_fwt`]), and the
+//!   path of the dense-`G` baselines (identity `Q`), of legacy model
+//!   files and of loads whose `.fwt` side file is unusable.
 //!
 //! Either way a single apply runs over reusable workspace buffers (zero
 //! allocation in steady state), and a *blocked* apply pushes lane tiles
@@ -225,9 +227,9 @@ impl BasisRep {
     }
 
     /// A copy pinned to the explicit-CSR serving path (drops the fast
-    /// transform) — the fallback selector for benchmarking and for
-    /// consumers of legacy model files. Transposes `Q` when this
-    /// representation serves through the transform.
+    /// transform) — the reference the transform's applies are checked
+    /// against. Transposes `Q` when this representation serves through
+    /// the transform.
     pub fn without_fwt(&self) -> BasisRep {
         match &self.path {
             BasisPath::Fwt(_) => BasisRep::new(Arc::clone(&self.q), self.gw.clone()),

@@ -24,8 +24,13 @@
 //! 2. **Fine-to-coarse sweep** ([`sweep`]): recombine slow-decaying basis
 //!    functions into the orthogonal wavelet-like `Q` (eq. 4.27) and
 //!    assemble the sparse `Gw`, yielding the same `G ~ Q Gw Q'` form as the
-//!    wavelet method (`BasisRep`) so the two
-//!    can be compared and thresholded identically.
+//!    wavelet method (`BasisRep`) so the two can be compared and
+//!    thresholded identically. The sweep's blocks are the wavelet basis's
+//!    two kinds (`[U | T]` in contact coordinates at the finest level, an
+//!    orthogonal recombination of the children's `U` coefficients above
+//!    it), so both methods build `Q` and its fast wavelet transform with
+//!    one [`TreeBasisBuilder`](subsparse_hier::TreeBasisBuilder), and
+//!    low-rank models serve through the transform too.
 //!
 //! # Example
 //!

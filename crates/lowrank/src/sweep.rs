@@ -12,46 +12,30 @@
 //! "local" rule as the wavelet method) and the dense coarsest-`U` rows and
 //! columns. No black-box solves are needed — everything is computed from
 //! the phase-1 row-basis representation.
+//!
+//! The sweep's blocks are the wavelet basis's two kinds: `[U | T]` in
+//! contact coordinates at the finest level, an orthogonal `[u_coef |
+//! t_coef]` over the children's `U` coefficients above it. So
+//! [`TreeBasisBuilder`] numbers the columns and builds `Q` and its fast
+//! transform, and the model serves through the transform as wavelet
+//! models do.
 
-use std::ops::Range;
-
-use subsparse_hier::{BasisRep, GwAssembler, GwSink, Quadtree, Square};
+use subsparse_hier::{BasisCols, BasisRep, GwAssembler, GwSink, Square, TreeBasisBuilder};
 use subsparse_linalg::qr::orthonormal_completion;
 use subsparse_linalg::svd::svd;
-use subsparse_linalg::{trace, Csr, Mat, Triplets};
+use subsparse_linalg::{dot, trace, Csr, Mat};
 
 use crate::rowbasis::RowBasisRep;
 use crate::{MAX_RANK, RANK_TOL};
 
-/// Per-square data of the sweep.
-#[derive(Clone, Debug)]
+/// Per-square responses of the sweep.
+#[derive(Clone, Debug, Default)]
 struct SweepSquare {
-    /// Slow-decaying basis `U_s` (`n_s x u_s`, square coordinates).
-    u: Mat,
-    /// Fast-decaying basis `T_s` (`n_s x t_s`).
-    t: Mat,
-    /// Local responses to `[T_s | U_s]` columns over the `L_s` region
-    /// (`|L_s| x (t_s + u_s)`).
+    /// Local responses to the square's `[U | T]` columns over the `L_s`
+    /// region (`|L_s| x (u_s + t_s)`).
     resp: Mat,
     /// Sorted contact indices of the `L_s` region.
     l_contacts: Vec<u32>,
-    /// Global `Q` column of the first `T` column (usize::MAX if none).
-    t_col_start: usize,
-    /// Global `Q` column of the first `U` column (coarsest level only).
-    u_col_start: usize,
-}
-
-impl SweepSquare {
-    fn empty() -> Self {
-        SweepSquare {
-            u: Mat::zeros(0, 0),
-            t: Mat::zeros(0, 0),
-            resp: Mat::zeros(0, 0),
-            l_contacts: Vec::new(),
-            t_col_start: usize::MAX,
-            u_col_start: usize::MAX,
-        }
-    }
 }
 
 /// The coarsest level of the sweep (level 2 — the first level with a
@@ -59,7 +43,8 @@ impl SweepSquare {
 const ROOT_LEVEL: usize = 2;
 
 /// Converts a phase-1 row-basis representation into the sparse
-/// `G ~ Q Gw Q'` form by the fine-to-coarse sweep.
+/// `G ~ Q Gw Q'` form by the fine-to-coarse sweep, served through the
+/// basis's fast transform.
 ///
 /// Pattern, fill, finish: once the sweep has fixed every square's `Q`
 /// columns, the kept pattern of `Gw` is built from the quadtree,
@@ -68,66 +53,61 @@ const ROOT_LEVEL: usize = 2;
 pub fn to_basis_rep(rb: &RowBasisRep) -> BasisRep {
     let _s = trace::span("extract.lowrank.sweep");
     let sweep = Sweep::new(rb);
-    let mut gw = GwAssembler::new(rb.tree(), sweep.root_u, |s| sweep.t_cols(s));
+    let cols = &sweep.cols;
+    let mut gw = GwAssembler::new(rb.tree(), cols.root_v(), |s| cols.detail(s));
     sweep.fill(rb, &mut gw);
-    // the per-square blocks go before `finish` and the transpose of `Q`
-    let Sweep { q, squares, .. } = sweep;
+    // the responses go first, so the heap never holds them beside the
+    // transform; the transform takes the blocks over before `finish`
+    let Sweep { blocks, squares, cols, q } = sweep;
     drop(squares);
-    BasisRep::new(q, gw.finish())
+    let fwt = blocks.into_transform(&cols);
+    BasisRep::with_fwt(q, gw.finish(), fwt)
 }
 
-/// The sweep's per-square `U`/`T` bases and the orthogonal `Q` they form:
-/// everything [`to_basis_rep`] needs before it fills `Gw`.
+/// The sweep's per-square `U`/`T` bases, their responses, and the
+/// orthogonal `Q` they form: everything [`to_basis_rep`] needs to fill
+/// `Gw`.
 #[derive(Debug)]
-pub struct Sweep {
+pub struct Sweep<'a> {
+    /// Each square's `[U | T]` block.
+    blocks: TreeBasisBuilder<'a>,
     /// `[level][flat square]`
     squares: Vec<Vec<SweepSquare>>,
-    /// Number of coarsest-level `U` columns (they occupy `0..root_u`).
-    root_u: usize,
+    cols: BasisCols,
     q: Csr,
 }
 
-impl Sweep {
+impl<'a> Sweep<'a> {
     /// Runs the fine-to-coarse sweep over a phase-1 row basis and
-    /// assembles `Q`, truncating each `U` block by the phase-1 rule
+    /// writes `Q`, truncating each `U` block by the phase-1 rule
     /// ([`RANK_TOL`], at most [`MAX_RANK`]).
-    pub fn new(rb: &RowBasisRep) -> Self {
+    pub fn new(rb: &'a RowBasisRep) -> Self {
         let tree = rb.tree();
-        let n = rb.n();
         let finest = tree.finest();
-        let mut sweep: Vec<Vec<SweepSquare>> =
-            (0..=finest).map(|l| vec![SweepSquare::empty(); tree.side(l) * tree.side(l)]).collect();
+        let mut blocks = TreeBasisBuilder::new(tree, ROOT_LEVEL);
+        let mut sweep: Vec<Vec<SweepSquare>> = (0..=finest)
+            .map(|l| vec![SweepSquare::default(); tree.side(l) * tree.side(l)])
+            .collect();
 
         // ---- finest level: U = V, T = W, responses from the explicit blocks
         for s in tree.squares(finest) {
-            let cs = tree.contacts_in_square(s);
-            if cs.is_empty() {
+            if tree.contacts_in_square(s).is_empty() {
                 continue;
             }
             let sd = &rb.squares[finest][s.flat()];
             let fl = &rb.finest_local[s.flat()];
-            let u = sd.v.clone();
-            let t = fl.w.clone();
-            let tu = t.hcat(&u);
-            let resp = fl.g_local.matmul(&tu);
-            sweep[finest][s.flat()] = SweepSquare {
-                u,
-                t,
-                resp,
-                l_contacts: fl.l_contacts.clone(),
-                t_col_start: usize::MAX,
-                u_col_start: usize::MAX,
-            };
+            blocks.set_finest(s, sd.v.hcat(&fl.w), sd.v.n_cols());
+            let resp = fl.g_local.matmul(blocks.block(s).0);
+            sweep[finest][s.flat()] = SweepSquare { resp, l_contacts: fl.l_contacts.clone() };
         }
 
         // ---- coarser levels
         for lev in (ROOT_LEVEL..finest).rev() {
             for p in tree.squares(lev) {
-                let pcs = tree.contacts_in_square(p);
-                if pcs.is_empty() {
+                if tree.contacts_in_square(p).is_empty() {
                     continue;
                 }
-                let x = child_u_block(tree, &sweep[lev + 1], p);
+                let x = blocks.child_scaling(p);
                 if x.n_cols() == 0 {
                     continue;
                 }
@@ -148,111 +128,57 @@ impl Sweep {
                     let t_coef = orthonormal_completion(&u_coef);
                     (u_coef, t_coef)
                 };
-                let u = x.matmul(&u_coef);
-                let t = x.matmul(&t_coef);
-                // local responses to [T | U] from the children's data
+                blocks.set_coarse(p, &x, u_coef.hcat(&t_coef), u_coef.n_cols());
+                // local responses to [U | T] from the children's data
                 let l_contacts = tree.region_contacts(&tree.local(p));
-                let tu = t.hcat(&u);
-                let mut resp = Mat::zeros(l_contacts.len(), tu.n_cols());
-                for j in 0..tu.n_cols() {
-                    let col = parent_local_response(rb, &sweep[lev + 1], p, tu.col(j), &l_contacts);
+                let ut = blocks.block(p).0;
+                let mut resp = Mat::zeros(l_contacts.len(), ut.n_cols());
+                for j in 0..ut.n_cols() {
+                    let col = parent_local_response(
+                        rb,
+                        &blocks,
+                        &sweep[lev + 1],
+                        p,
+                        ut.col(j),
+                        &l_contacts,
+                    );
                     resp.col_mut(j).copy_from_slice(&col);
                 }
-                sweep[lev][p.flat()] = SweepSquare {
-                    u,
-                    t,
-                    resp,
-                    l_contacts,
-                    t_col_start: usize::MAX,
-                    u_col_start: usize::MAX,
-                };
+                sweep[lev][p.flat()] = SweepSquare { resp, l_contacts };
             }
         }
 
-        // ---- assign global Q columns: root U first, then T level by level in
-        // quadrant-hierarchical order (matches the wavelet spy-plot ordering)
-        let mut next_col = 0;
-        for s in tree.squares_morton(ROOT_LEVEL) {
-            let sq = &mut sweep[ROOT_LEVEL][s.flat()];
-            if sq.u.n_cols() > 0 {
-                sq.u_col_start = next_col;
-                next_col += sq.u.n_cols();
-            }
-        }
-        let root_u = next_col;
-        for l in ROOT_LEVEL..=finest {
-            for s in tree.squares_morton(l) {
-                let sq = &mut sweep[l][s.flat()];
-                if sq.t.n_cols() > 0 {
-                    sq.t_col_start = next_col;
-                    next_col += sq.t.n_cols();
-                }
-            }
-        }
-        assert_eq!(next_col, n, "sweep basis must have exactly n columns");
-
-        // ---- assemble Q
-        let mut trip = Triplets::new(n, n);
-        for l in ROOT_LEVEL..=finest {
-            for s in tree.squares(l) {
-                let sq = &sweep[l][s.flat()];
-                let cs = tree.contacts_in_square(s);
-                if l == ROOT_LEVEL && sq.u.n_cols() > 0 {
-                    for j in 0..sq.u.n_cols() {
-                        for (r, &ci) in cs.iter().enumerate() {
-                            trip.push(ci as usize, sq.u_col_start + j, sq.u[(r, j)]);
-                        }
-                    }
-                }
-                for j in 0..sq.t.n_cols() {
-                    for (r, &ci) in cs.iter().enumerate() {
-                        trip.push(ci as usize, sq.t_col_start + j, sq.t[(r, j)]);
-                    }
-                }
-            }
-        }
-        let q = trip.to_csr();
-        Sweep { squares: sweep, root_u, q }
-    }
-
-    /// The contiguous `Q` columns of a square's `T` vectors (empty when it
-    /// has none).
-    fn t_cols(&self, s: Square) -> Range<usize> {
-        let sq = &self.squares[s.level as usize][s.flat()];
-        match sq.t.n_cols() {
-            0 => 0..0,
-            t => sq.t_col_start..sq.t_col_start + t,
-        }
+        let (cols, q) = blocks.columns_and_q();
+        Sweep { blocks, squares: sweep, cols, q }
     }
 
     /// Records every estimate of a `Gw` entry in `sink`, in sweep order:
     /// the local `T`–`T` tiles between each square and its
-    /// [`local_descendants`](Quadtree::local_descendants), in the source
-    /// column's row (one [`GwSink::add_tile`] per source `T` column and
-    /// destination square), then the dense columns of the coarsest `U`
-    /// vectors ([`GwSink::add`]). Each directed entry gets at most one
-    /// estimate; the sink supplies the mirrors. `rb` must be the row
-    /// basis the sweep was built from.
+    /// [`local_descendants`](subsparse_hier::Quadtree::local_descendants),
+    /// in the source column's row (one [`GwSink::add_tile`] per source `T`
+    /// column and destination square), then the dense columns of the
+    /// coarsest `U` vectors ([`GwSink::add`]). Each directed entry gets at
+    /// most one estimate; the sink supplies the mirrors. `rb` must be the
+    /// row basis the sweep was built from.
     pub fn fill<K: GwSink + ?Sized>(&self, rb: &RowBasisRep, sink: &mut K) {
         let tree = rb.tree();
         let n = rb.n();
         let finest = tree.finest();
-        let sweep = &self.squares;
-        let q = &self.q;
+        let cols = &self.cols;
         // local T-T interactions, same and finer destination levels: one
         // tile per source column and destination square
         let mut tile = Vec::new();
         for l in ROOT_LEVEL..=finest {
             for s in tree.squares(l) {
-                let sq = &sweep[l][s.flat()];
-                let ts = sq.t.n_cols();
-                if ts == 0 {
+                let (sq, (_, us)) = (&self.squares[l][s.flat()], self.blocks.block(s));
+                let src = cols.detail(s);
+                if src.is_empty() {
                     continue;
                 }
                 for d in tree.local_descendants(s) {
-                    let dsq = &sweep[d.level as usize][d.flat()];
-                    let td = dsq.t.n_cols();
-                    if td == 0 {
+                    let (dut, ud) = self.blocks.block(d);
+                    let dst = cols.detail(d);
+                    if dst.is_empty() {
                         continue;
                     }
                     let dcs = tree.contacts_in_square(d);
@@ -265,37 +191,32 @@ impl Sweep {
                                 .expect("descendant contacts lie in L_s region")
                         })
                         .collect();
-                    for mj in 0..ts {
+                    for mj in 0..src.len() {
                         tile.clear();
-                        tile.extend((0..td).map(|mi| {
+                        tile.extend((0..dst.len()).map(|mi| {
                             let mut v = 0.0;
                             for (r, &row) in rows.iter().enumerate() {
-                                v += dsq.t[(r, mi)] * sq.resp[(row, mj)];
+                                v += dut[(r, ud + mi)] * sq.resp[(row, us + mj)];
                             }
                             v
                         }));
-                        sink.add_tile(sq.t_col_start + mj, self.t_cols(d), &tile);
+                        sink.add_tile(src.start + mj, dst.clone(), &tile);
                     }
                 }
             }
         }
         // coarsest-level U columns interact with everything
         for s in tree.squares(ROOT_LEVEL) {
-            let sq = &sweep[ROOT_LEVEL][s.flat()];
-            if sq.u.n_cols() == 0 {
-                continue;
-            }
-            for j in 0..sq.u.n_cols() {
+            let (sq, (ut, _)) = (&self.squares[ROOT_LEVEL][s.flat()], self.blocks.block(s));
+            for (j, src_col) in cols.scaling(s).enumerate() {
                 // full response: local part from resp, interactive part from
                 // the row-basis interaction (the regions are disjoint)
                 let mut y = vec![0.0; n];
-                let resp_col = sq.resp.col(sq.t.n_cols() + j);
                 for (k, &ci) in sq.l_contacts.iter().enumerate() {
-                    y[ci as usize] += resp_col[k];
+                    y[ci as usize] += sq.resp[(k, j)];
                 }
-                rb.interactive_response(s, sq.u.col(j), |ci, v| y[ci as usize] += v);
-                let gw_col = q.matvec_t(&y);
-                let src_col = sq.u_col_start + j;
+                rb.interactive_response(s, ut.col(j), |ci, v| y[ci as usize] += v);
+                let gw_col = self.q.matvec_t(&y);
                 for (i, &v) in gw_col.iter().enumerate() {
                     if v != 0.0 {
                         sink.add(i, src_col, v);
@@ -304,34 +225,6 @@ impl Sweep {
             }
         }
     }
-}
-
-/// Stacks the children's `U` vectors into the parent's contact coordinates.
-fn child_u_block(tree: &Quadtree, child_sweep: &[SweepSquare], p: Square) -> Mat {
-    let pcs = tree.contacts_in_square(p);
-    let total: usize = p.children().iter().map(|c| child_sweep[c.flat()].u.n_cols()).sum();
-    let mut x = Mat::zeros(pcs.len(), total);
-    let mut col = 0;
-    for c in p.children() {
-        let cu = &child_sweep[c.flat()].u;
-        if cu.n_cols() == 0 {
-            continue;
-        }
-        let ccs = tree.contacts_in_square(c);
-        let rows: Vec<usize> = ccs
-            .iter()
-            .map(|&ci| pcs.binary_search(&ci).expect("child contact in parent"))
-            .collect();
-        for j in 0..cu.n_cols() {
-            let src = cu.col(j);
-            let dst = x.col_mut(col + j);
-            for (r, &pr) in rows.iter().enumerate() {
-                dst[pr] = src[r];
-            }
-        }
-        col += cu.n_cols();
-    }
-    x
 }
 
 /// Response of a voltage vector in square `s` (in `s`'s contact
@@ -352,6 +245,7 @@ fn interactive_response(rb: &RowBasisRep, s: Square, x: &[f64], i_contacts: &[u3
 /// row-basis responses.
 fn parent_local_response(
     rb: &RowBasisRep,
+    blocks: &TreeBasisBuilder,
     child_sweep: &[SweepSquare],
     p: Square,
     x: &[f64],
@@ -378,16 +272,16 @@ fn parent_local_response(
             continue;
         }
         // x_i lies in span(U_c) by construction: expand in that basis
-        let ci_coef = csweep.u.matvec_t(&xi);
-        // local part from the child's stored responses (U columns are
-        // after the T columns in `resp`)
-        if csweep.u.n_cols() > 0 {
-            let t_off = csweep.t.n_cols();
+        let (cut, cu) = blocks.block(c);
+        let ci_coef: Vec<f64> = (0..cu).map(|j| dot(cut.col(j), &xi)).collect();
+        // local part from the child's stored responses (the U columns
+        // lead `resp`)
+        if cu > 0 {
             for (k, &cc) in csweep.l_contacts.iter().enumerate() {
                 if let Ok(idx) = l_contacts.binary_search(&cc) {
                     let mut v = 0.0;
                     for (j, &cj) in ci_coef.iter().enumerate() {
-                        v += csweep.resp[(k, t_off + j)] * cj;
+                        v += csweep.resp[(k, j)] * cj;
                     }
                     out[idx] += v;
                 }
@@ -411,9 +305,10 @@ mod tests {
     use crate::rowbasis::build_row_basis;
     use crate::LowRankOptions;
     use subsparse_layout::generators;
+    use subsparse_linalg::Csr;
     use subsparse_substrate::solver;
 
-    fn check_orthogonal(q: &subsparse_linalg::Csr, tol: f64) {
+    fn check_orthogonal(q: &Csr, tol: f64) {
         let qd = q.to_dense();
         let qtq = qd.matmul_tn(&qd);
         for i in 0..qtq.n_rows() {

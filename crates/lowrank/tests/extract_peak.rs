@@ -7,10 +7,13 @@
 //!
 //! The bound leaves room for the phase-1 row basis the extraction also
 //! returns, the assembler's pattern with its per-slot estimates and
-//! presence bits, the output indices `finish` writes, and the cached `Q'`
-//! of the explicit-CSR serving path: the ratio reads 1.85x and 1.84x.
-//! Keeping the sweep's per-square blocks alive through `finish` read
-//! 2.20x and 2.19x.
+//! presence bits, the output indices `finish` writes, and the fast
+//! transform the model serves through: the ratio reads 1.86x and 1.85x.
+//! The transform is built from the sweep's blocks once their responses
+//! are dropped, and takes the blocks over. Keeping the sweep's per-square
+//! blocks alive through `finish` read 2.20x and 2.19x; building the
+//! transform beside the blocks before the fill, so each block was held
+//! twice through it, read 1.90x and 1.89x.
 //!
 //! This file holds a single test on purpose: it installs a global
 //! allocator, and any sibling test in the same binary would race the
